@@ -38,7 +38,8 @@
 //!
 //! Only the rank-monotone insert regimes live here (canonical and
 //! tieless — everything the PrunedDijkstra-family builders need); the
-//! general retraction regimes remain on [`crate::builder::PartialAds`].
+//! distance-monotone regime remains on [`crate::builder::PartialAds`] and
+//! the general retraction regime on [`crate::builder::LiveSketch`].
 
 use adsketch_graph::NodeId;
 

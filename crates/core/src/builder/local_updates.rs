@@ -1,26 +1,123 @@
 //! LocalUpdates ADS construction (paper, Algorithm 2): node-centric
 //! message passing for weighted graphs, executed in synchronized rounds
-//! as on Pregel/MapReduce-style platforms.
+//! as on Pregel/MapReduce-style platforms — as a batch builder over a
+//! whole graph, and as [`DynamicAds`], which applies the same rule to one
+//! arriving arc at a time (paper, Section 4).
 //!
 //! Unlike PrunedDijkstra and DP, entries can be admitted and later
 //! *displaced* when a shorter path or a lower-ranked closer node arrives —
 //! the overhead the paper bounds with the `(1+ε)`-approximate admission
 //! rule (pass `epsilon > 0`). With `epsilon = 0` the fixpoint equals the
 //! exact canonical ADS.
+//!
+//! Both entry points are one kernel: a columnar `LiveSketch` per node
+//! (layout, the `lower` column and why its single retraction pass is
+//! exact: see `partial.rs`) and one round loop whose two mailboxes are
+//! allocated once and swapped, so a relaxation in steady state allocates
+//! nothing. They differ only in how the first inbox is seeded, in where
+//! the in-arcs come from, and in `ε`.
 
 use adsketch_graph::{Graph, NodeId};
 
 use crate::ads_set::AdsSet;
-use crate::builder::{validate_ranks, BuildStats, PartialAds};
+use crate::builder::{validate_ranks, BuildStats, LiveSketch};
 use crate::error::CoreError;
 
-/// A message: "node `node` with rank `rank` is at distance `dist` of you".
+/// A message: "node `node` is at distance `dist` of you" (its rank is
+/// looked up on delivery).
 #[derive(Debug, Clone, Copy)]
 struct Msg {
     target: NodeId,
     node: NodeId,
-    rank: f64,
     dist: f64,
+}
+
+/// The local-update state of an `n`-node graph and the round loop over it.
+#[derive(Debug, Clone)]
+struct Kernel {
+    k: usize,
+    epsilon: f64,
+    ranks: Vec<f64>,
+    sketches: Vec<LiveSketch>,
+    stats: BuildStats,
+    /// The round loop's mailboxes. Scratch: both are empty between calls
+    /// (so a clone copies none of it) and keep their capacity.
+    inbox: Vec<Msg>,
+    outbox: Vec<Msg>,
+}
+
+impl Kernel {
+    /// Every node holds only itself.
+    fn new(n: usize, k: usize, epsilon: f64, ranks: Vec<f64>) -> Result<Self, CoreError> {
+        if !(epsilon.is_finite() && epsilon >= 0.0) {
+            return Err(CoreError::InvalidEpsilon { epsilon });
+        }
+        validate_ranks(&ranks, n)?;
+        if !(1..=LiveSketch::MAX_K).contains(&k) {
+            return Err(CoreError::InvalidK { k });
+        }
+        let mut sketches = vec![LiveSketch::default(); n];
+        for (u, s) in sketches.iter_mut().enumerate() {
+            s.insert(k, u as NodeId, 0.0, ranks[u], epsilon);
+        }
+        let stats = BuildStats {
+            insertions: n as u64,
+            ..BuildStats::default()
+        };
+        Ok(Self {
+            k,
+            epsilon,
+            ranks,
+            sketches,
+            stats,
+            inbox: Vec::new(),
+            outbox: Vec::new(),
+        })
+    }
+
+    /// Delivers the inbox and everything it sets off, round by round, to
+    /// the fixpoint: an entry admitted at `t` is re-sent along every
+    /// `(y, w)` of `in_arcs(t)`, the arcs `y → t`.
+    fn run_rounds<I: Iterator<Item = (NodeId, f64)>>(&mut self, in_arcs: impl Fn(NodeId) -> I) {
+        while !self.inbox.is_empty() {
+            self.stats.rounds += 1;
+            // Keep only the shortest copy of each (target, node) pair this
+            // round — a cheap, semantics-preserving message reduction.
+            self.inbox.sort_unstable_by(|a, b| {
+                (a.target, a.node)
+                    .cmp(&(b.target, b.node))
+                    .then(a.dist.total_cmp(&b.dist))
+            });
+            self.inbox.dedup_by_key(|m| (m.target, m.node));
+            for m in self.inbox.drain(..) {
+                self.stats.relaxations += 1;
+                let rank = self.ranks[m.node as usize];
+                let (inserted, removed) = self.sketches[m.target as usize].insert(
+                    self.k,
+                    m.node,
+                    m.dist,
+                    rank,
+                    self.epsilon,
+                );
+                self.stats.removals += removed as u64;
+                if inserted {
+                    self.stats.insertions += 1;
+                    self.outbox.extend(in_arcs(m.target).map(|(y, w)| Msg {
+                        target: y,
+                        node: m.node,
+                        dist: m.dist + w,
+                    }));
+                }
+            }
+            std::mem::swap(&mut self.inbox, &mut self.outbox);
+        }
+    }
+
+    /// The current sketches, built straight from the columns.
+    fn to_ads_set(&self) -> AdsSet {
+        let sketches = self.sketches.iter().map(|s| s.to_ads(self.k)).collect();
+        AdsSet::from_sketches(self.k, sketches)
+    }
 }
 
 /// Builds the exact forward bottom-k ADS set (ε = 0).
@@ -46,63 +143,20 @@ pub fn build_approx_with_stats(
     ranks: &[f64],
     epsilon: f64,
 ) -> Result<(AdsSet, BuildStats), CoreError> {
-    if !(epsilon.is_finite() && epsilon >= 0.0) {
-        return Err(CoreError::InvalidEpsilon { epsilon });
-    }
     let n = g.num_nodes();
-    validate_ranks(ranks, n)?;
+    let mut kernel = Kernel::new(n, k, epsilon, ranks.to_vec())?;
     let gt = g.transpose();
-    let mut partials: Vec<PartialAds> = vec![PartialAds::default(); n];
-    let mut stats = BuildStats::default();
-
-    // Initialization: each node holds itself and announces it.
-    let mut inbox: Vec<Msg> = Vec::new();
+    // Initialization: each node announces itself to its in-neighbors.
     for u in 0..n as NodeId {
-        partials[u as usize].insert_general(k, u, 0.0, ranks[u as usize], epsilon);
-        stats.insertions += 1;
-        for (y, w) in gt.arcs(u) {
-            inbox.push(Msg {
-                target: y,
-                node: u,
-                rank: ranks[u as usize],
-                dist: w,
-            });
-        }
-    }
-
-    while !inbox.is_empty() {
-        stats.rounds += 1;
-        // Keep only the shortest copy of each (target, node) pair this
-        // round — a cheap, semantics-preserving message reduction.
-        inbox.sort_unstable_by(|a, b| {
-            (a.target, a.node)
-                .cmp(&(b.target, b.node))
-                .then(a.dist.total_cmp(&b.dist))
+        let hello = gt.arcs(u).map(|(target, dist)| Msg {
+            target,
+            node: u,
+            dist,
         });
-        inbox.dedup_by_key(|m| (m.target, m.node));
-        let mut outbox: Vec<Msg> = Vec::new();
-        for m in inbox.drain(..) {
-            stats.relaxations += 1;
-            let (inserted, removed) =
-                partials[m.target as usize].insert_general(k, m.node, m.dist, m.rank, epsilon);
-            stats.removals += removed as u64;
-            if inserted {
-                stats.insertions += 1;
-                for (y, w) in gt.arcs(m.target) {
-                    outbox.push(Msg {
-                        target: y,
-                        node: m.node,
-                        rank: m.rank,
-                        dist: m.dist + w,
-                    });
-                }
-            }
-        }
-        inbox = outbox;
+        kernel.inbox.extend(hello);
     }
-
-    let sketches = partials.into_iter().map(|p| p.into_ads(k)).collect();
-    Ok((AdsSet::from_sketches(k, sketches), stats))
+    kernel.run_rounds(|t| gt.arcs(t));
+    Ok((kernel.to_ads_set(), kernel.stats))
 }
 
 /// An incrementally maintained exact bottom-k ADS set over a growing
@@ -112,14 +166,14 @@ pub fn build_approx_with_stats(
 /// canonical ADS of the graph seen so far.
 ///
 /// The maintenance rule is the same relaxation the batch builder uses
-/// (`PartialAds::insert_general` with ε = 0), seeded from the sketch
-/// of the new arc's head: every current entry `(j, d)` of `ADS(v)` is
-/// offered to `u` at distance `d + w`, and admitted entries propagate
-/// along the in-arcs accumulated so far. Admission thresholds only ever
+/// (the same kernel with ε = 0), seeded from the sketch of the new arc's
+/// head: every current entry `(j, d)` of `ADS(v)` is offered to `u` at
+/// distance `d + w`, and admitted entries propagate along the in-arcs
+/// accumulated so far. Admission thresholds only ever
 /// tighten as edges arrive, so a rejection against the *current* sketch
 /// is also a rejection against the *final* one — the standing soundness
 /// invariant carries over verbatim — while entries admitted on stale
-/// thresholds are displaced by the insert's retraction sweep. Distances
+/// thresholds are displaced by the insert's retraction pass. Distances
 /// accumulate in the same reverse-path association order as every other
 /// builder, so the fixpoint is **bitwise identical** to a from-scratch
 /// [`AdsSet::build`] on the final graph, regardless of the order edges
@@ -127,15 +181,13 @@ pub fn build_approx_with_stats(
 /// insertion-order proptest in the workspace suite).
 #[derive(Debug, Clone)]
 pub struct DynamicAds {
-    k: usize,
-    ranks: Vec<f64>,
-    partials: Vec<PartialAds>,
-    /// `in_arcs[t]` lists `(y, w)` for every inserted arc `y → t`: the
-    /// transpose adjacency, grown incrementally, along which admitted
-    /// entries propagate (mirrors `gt.arcs(t)` in the batch builder).
+    kernel: Kernel,
+    /// `in_arcs[t]` lists `(y, w)` for every distinct inserted arc
+    /// `y → t`, at the lightest weight seen: the transpose adjacency,
+    /// grown incrementally, along which admitted entries propagate
+    /// (mirrors `gt.arcs(t)` in the batch builder).
     in_arcs: Vec<Vec<(NodeId, f64)>>,
     edges: u64,
-    stats: BuildStats,
 }
 
 impl DynamicAds {
@@ -144,28 +196,22 @@ impl DynamicAds {
     /// [`AdsSet::build`] uses for `seed` — so
     /// `DynamicAds::new(n, k, seed)` fed any permutation of a graph's
     /// arcs compares bitwise against `AdsSet::build(&g, k, seed)`.
+    ///
+    /// # Panics
+    /// If `k` is outside `1..=65535` (see [`Self::with_ranks`]).
     pub fn new(n: usize, k: usize, seed: u64) -> Self {
-        Self::with_ranks(k, crate::uniform_ranks(n, seed)).expect("uniform ranks are valid")
+        Self::with_ranks(k, crate::uniform_ranks(n, seed))
+            .expect("uniform ranks are valid; k must be in 1..=65535")
     }
 
     /// An edgeless dynamic sketch set over explicit per-node ranks
-    /// (`n = ranks.len()`).
+    /// (`n = ranks.len()`), for `k` in `1..=65535`.
     pub fn with_ranks(k: usize, ranks: Vec<f64>) -> Result<Self, CoreError> {
-        validate_ranks(&ranks, ranks.len())?;
         let n = ranks.len();
-        let mut partials: Vec<PartialAds> = vec![PartialAds::default(); n];
-        let mut stats = BuildStats::default();
-        for u in 0..n {
-            partials[u].insert_general(k, u as NodeId, 0.0, ranks[u], 0.0);
-            stats.insertions += 1;
-        }
         Ok(Self {
-            k,
-            ranks,
-            partials,
+            kernel: Kernel::new(n, k, 0.0, ranks)?,
             in_arcs: vec![Vec::new(); n],
             edges: 0,
-            stats,
         })
     }
 
@@ -176,7 +222,7 @@ impl DynamicAds {
     /// terminate because an equal-distance candidate is rejected, not
     /// propagated).
     pub fn insert_edge(&mut self, u: NodeId, v: NodeId, w: f64) -> Result<(), CoreError> {
-        let n = self.ranks.len();
+        let n = self.num_nodes();
         for node in [u, v] {
             if node as usize >= n {
                 return Err(CoreError::NodeOutOfRange { node, nodes: n });
@@ -185,7 +231,12 @@ impl DynamicAds {
         if !(w.is_finite() && w >= 0.0) {
             return Err(CoreError::InvalidWeight { weight: w });
         }
-        self.in_arcs[v as usize].push((u, w));
+        // Of parallel arcs only the lightest can carry a shortest path:
+        // FP addition is monotone, so `d + w` never beats `d + lighter`.
+        match self.in_arcs[v as usize].iter_mut().find(|a| a.0 == u) {
+            Some(arc) => arc.1 = arc.1.min(w),
+            None => self.in_arcs[v as usize].push((u, w)),
+        }
         self.edges += 1;
 
         // Seed: every current entry of ADS(v) crosses the new arc into
@@ -193,66 +244,37 @@ impl DynamicAds {
         // along this arc when those entries were admitted at v. Distance
         // accumulates as `entry.dist + w`, matching the batch builder's
         // `m.dist + w` association order bit for bit.
-        let mut inbox: Vec<Msg> = Vec::with_capacity(self.partials[v as usize].entries.len());
-        for i in 0..self.partials[v as usize].entries.len() {
-            let e = self.partials[v as usize].entries[i];
-            inbox.push(Msg {
-                target: u,
-                node: e.node,
-                rank: e.rank,
-                dist: e.dist + w,
-            });
-        }
-
-        while !inbox.is_empty() {
-            self.stats.rounds += 1;
-            inbox.sort_unstable_by(|a, b| {
-                (a.target, a.node)
-                    .cmp(&(b.target, b.node))
-                    .then(a.dist.total_cmp(&b.dist))
-            });
-            inbox.dedup_by_key(|m| (m.target, m.node));
-            let mut outbox: Vec<Msg> = Vec::new();
-            for m in inbox.drain(..) {
-                self.stats.relaxations += 1;
-                let (inserted, removed) = self.partials[m.target as usize]
-                    .insert_general(self.k, m.node, m.dist, m.rank, 0.0);
-                self.stats.removals += removed as u64;
-                if inserted {
-                    self.stats.insertions += 1;
-                    for &(y, aw) in &self.in_arcs[m.target as usize] {
-                        outbox.push(Msg {
-                            target: y,
-                            node: m.node,
-                            rank: m.rank,
-                            dist: m.dist + aw,
-                        });
-                    }
-                }
-            }
-            inbox = outbox;
-        }
+        let seeds = self.kernel.sketches[v as usize].iter();
+        self.kernel.inbox.extend(seeds.map(|(node, dist)| Msg {
+            target: u,
+            node,
+            dist: dist + w,
+        }));
+        let in_arcs = &self.in_arcs;
+        self.kernel
+            .run_rounds(|t| in_arcs[t as usize].iter().copied());
         Ok(())
     }
 
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
-        self.ranks.len()
+        self.kernel.ranks.len()
     }
 
     /// Sketch parameter k.
     pub fn k(&self) -> usize {
-        self.k
+        self.kernel.k
     }
 
-    /// Number of arcs applied so far.
+    /// Number of arcs applied so far (every call counts, parallel arcs
+    /// included).
     pub fn edges_applied(&self) -> u64 {
         self.edges
     }
 
     /// Cumulative work counters across all insertions.
     pub fn stats(&self) -> &BuildStats {
-        &self.stats
+        &self.kernel.stats
     }
 
     /// The current sketches as an immutable [`AdsSet`] — bitwise
@@ -260,12 +282,7 @@ impl DynamicAds {
     /// far (with matching ranks). The live state keeps accepting edges;
     /// this is the freezer's snapshot point.
     pub fn snapshot(&self) -> AdsSet {
-        let sketches = self
-            .partials
-            .iter()
-            .map(|p| p.clone().into_ads(self.k))
-            .collect();
-        AdsSet::from_sketches(self.k, sketches)
+        self.kernel.to_ads_set()
     }
 }
 
@@ -449,6 +466,55 @@ mod tests {
             dyn_ads.insert_edge(u, v, w).unwrap();
         }
         assert_eq!(dyn_ads.snapshot(), batch);
+        // A repeated arc is stored once, at its lightest weight, however
+        // often and in whatever order its copies arrive.
+        for i in 0..1000 {
+            dyn_ads.insert_edge(0, 2, 1.5 + (i % 3) as f64).unwrap();
+        }
+        assert_eq!(dyn_ads.in_arcs[2], vec![(2, 1.0), (0, 1.5)]);
+        assert_eq!(dyn_ads.edges_applied(), arcs.len() as u64 + 1000);
+        assert_eq!(dyn_ads.snapshot(), batch);
+        dyn_ads.insert_edge(0, 2, 0.25).unwrap();
+        assert_eq!(dyn_ads.in_arcs[2], vec![(2, 1.0), (0, 0.25)]);
+        let mut lighter = arcs.clone();
+        lighter.push((0, 2, 0.25));
+        let g = Graph::directed_weighted(4, &lighter).unwrap();
+        assert_eq!(dyn_ads.snapshot(), AdsSet::build(&g, 2, 5));
+    }
+
+    /// The counters are the algorithm's, not the kernel's: a fixed
+    /// 60-node / 240-arc shuffled stream (no parallel arcs) costs exactly
+    /// what it cost on the `PartialAds` kernel this one replaced, which
+    /// keeps the benchmark's `core.builder.local_updates.*_per_edge` rows
+    /// comparable across kernels.
+    #[test]
+    fn dynamic_stats_are_pinned_on_a_fixed_stream() {
+        use adsketch_util::{Rng64, SplitMix64};
+        let mut rng = SplitMix64::new(14);
+        let mut arcs: Vec<(u32, u32, f64)> = Vec::new();
+        for u in 0..60u32 {
+            let mut heads: Vec<u32> = Vec::new();
+            while heads.len() < 4 {
+                let v = rng.range_usize(60) as u32;
+                if v != u && !heads.contains(&v) {
+                    heads.push(v);
+                    arcs.push((u, v, 0.5 + 0.25 * rng.range_usize(8) as f64));
+                }
+            }
+        }
+        rng.shuffle(&mut arcs);
+        assert_eq!(arcs.len(), 240);
+        let mut dyn_ads = DynamicAds::new(60, 4, 14);
+        for &(u, v, w) in &arcs {
+            dyn_ads.insert_edge(u, v, w).unwrap();
+        }
+        let g = Graph::directed_weighted(60, &arcs).unwrap();
+        assert_eq!(dyn_ads.snapshot(), AdsSet::build(&g, 4, 14));
+        let s = dyn_ads.stats();
+        assert_eq!(
+            (s.relaxations, s.insertions, s.removals, s.rounds),
+            (8244, 3083, 991, 799)
+        );
     }
 
     #[test]
@@ -494,6 +560,12 @@ mod tests {
             Err(CoreError::InvalidWeight { .. })
         ));
         assert_eq!(dyn_ads.edges_applied(), 0);
+        for k in [0, 65536] {
+            assert!(matches!(
+                DynamicAds::with_ranks(k, vec![0.5; 3]),
+                Err(CoreError::InvalidK { .. })
+            ));
+        }
     }
 
     #[test]
@@ -507,5 +579,15 @@ mod tests {
         // The earlier snapshot is unaffected by later inserts.
         assert!(first.sketch(0).get(2).is_none());
         assert!(second.sketch(0).get(2).is_some());
+        // A clone carries the sketches but none of the mailbox scratch.
+        assert!(dyn_ads.kernel.inbox.capacity() > 0);
+        let mut twin = dyn_ads.clone();
+        assert_eq!(
+            twin.kernel.inbox.capacity() + twin.kernel.outbox.capacity(),
+            0
+        );
+        twin.insert_edge(2, 3, 1.0).unwrap();
+        dyn_ads.insert_edge(2, 3, 1.0).unwrap();
+        assert_eq!(twin.snapshot(), dyn_ads.snapshot());
     }
 }

@@ -47,7 +47,7 @@ pub mod pruned_dijkstra;
 mod waves;
 
 pub(crate) use arena::PartialAdsArena;
-pub(crate) use partial::PartialAds;
+pub(crate) use partial::{LiveSketch, PartialAds};
 
 /// Resolves a requested thread count: `0` means "all available cores".
 pub fn thread_count(requested: usize) -> usize {

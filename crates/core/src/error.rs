@@ -26,6 +26,12 @@ pub enum CoreError {
         /// The offending value.
         epsilon: f64,
     },
+    /// The sketch parameter k was zero or above 65535, the range the
+    /// local-update builders' per-entry counters cover.
+    InvalidK {
+        /// The offending value.
+        k: usize,
+    },
     /// An edge endpoint fell outside the node range of a dynamic sketch
     /// set.
     NodeOutOfRange {
@@ -58,6 +64,9 @@ impl fmt::Display for CoreError {
             }
             CoreError::InvalidEpsilon { epsilon } => {
                 write!(f, "epsilon {epsilon} must be finite and non-negative")
+            }
+            CoreError::InvalidK { k } => {
+                write!(f, "sketch parameter k = {k} must be in 1..=65535")
             }
             CoreError::NodeOutOfRange { node, nodes } => {
                 write!(f, "edge endpoint {node} is outside the {nodes}-node range")

@@ -46,6 +46,19 @@ pub fn bottomk_from_order(k: usize, order: &[(NodeId, f64)], ranks: &[f64]) -> B
     BottomKAds::from_entries(k, entries)
 }
 
+/// agl's `purify_sketch`, the whole bottom-k rule over a flat offer list:
+/// reduce the offered `(node, dist)` multiset to each node's minimum
+/// distance, sort canonically, and keep an entry iff its `(rank, id)`
+/// beats the running k-th smallest. The oracle the live local-update
+/// sketch is differential-tested against after every insert.
+pub fn purify(k: usize, offers: &[(NodeId, f64)], ranks: &[f64]) -> BottomKAds {
+    let mut order = offers.to_vec();
+    order.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
+    order.dedup_by_key(|o| o.0);
+    order.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+    bottomk_from_order(k, &order, ranks)
+}
+
 /// Builds the k-mins ADS (k independent bottom-1 ADSs over the
 /// permutations of `hasher`) from a canonical order.
 pub fn kmins_from_order(k: usize, order: &[(NodeId, f64)], hasher: &RankHasher) -> KMinsAds {
