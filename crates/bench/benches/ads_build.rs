@@ -40,8 +40,8 @@ fn bench_builders(c: &mut Criterion) {
 }
 
 /// Unweighted-vs-weighted × thread-count matrix for the wave-parallel
-/// PrunedDijkstra, with the retained PR-1 heap baseline as the yardstick
-/// (full-size numbers live in `BENCH_build.json` via `tbl_parallel`).
+/// PrunedDijkstra (full-size build timings are `adsbench`'s
+/// `core.builder.build_s` / `.build_parallel_s`).
 fn bench_parallel_matrix(c: &mut Criterion) {
     let mut group = c.benchmark_group("ads_build_parallel");
     group.sample_size(10);
@@ -56,9 +56,6 @@ fn bench_parallel_matrix(c: &mut Criterion) {
     ];
     let ranks = uniform_ranks(n, 3);
     for (regime, g) in &cases {
-        group.bench_with_input(BenchmarkId::new("baseline_heap_seq", regime), g, |b, g| {
-            b.iter(|| pruned_dijkstra::build_baseline_with_stats(g, k, &ranks).unwrap())
-        });
         group.bench_with_input(BenchmarkId::new("pruned_seq", regime), g, |b, g| {
             b.iter(|| pruned_dijkstra::build(g, k, &ranks).unwrap())
         });

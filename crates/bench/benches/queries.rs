@@ -40,8 +40,8 @@ fn bench_queries(c: &mut Criterion) {
     group.finish();
 
     // Batch throughput: the whole-graph closeness sweep, heap per-node
-    // vs the frozen store through the batch engine (the BENCH_query
-    // workload at criterion scale).
+    // vs the frozen store through the batch engine (`adsbench`'s
+    // `core.engine.harmonic_all_s` sweep at criterion scale).
     let frozen = ads.freeze();
     let mut batch = c.benchmark_group("batch_queries");
     batch.bench_function("heap_per_node_hip_harmonic_all", |b| {

@@ -2,8 +2,8 @@
 //! wire-protocol encode/decode, sharded-store routing overhead vs the
 //! unsharded frozen store, and the full store→wire answer path.
 //!
-//! (End-to-end TCP throughput/latency including sockets lives in the
-//! `loadgen` bin of `adsketch-serve`, which maintains `BENCH_serve.json`.)
+//! (End-to-end TCP throughput/latency including sockets is `adsbench`'s
+//! `serve_direct` / `serve_v2` / `serve_fleet` workloads.)
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

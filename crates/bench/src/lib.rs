@@ -1,8 +1,9 @@
 //! Shared helpers for the adsketch experiment binaries.
 //!
 //! The real content of this crate is its binaries (`fig2`, `fig3`,
-//! `tbl_*`) and criterion benches; see `DESIGN.md` §6 for the experiment
-//! index and `EXPERIMENTS.md` for paper-vs-measured results.
+//! `tbl_*`) and criterion benches; the README's "Experiments" section
+//! indexes them. Performance is measured by the standalone `benchmark/`
+//! package (`adsbench`), not here.
 
 #![forbid(unsafe_code)]
 
@@ -10,11 +11,10 @@ pub mod table;
 
 pub use table::Table;
 
-// The `--name value` argument parser lives in `adsketch_util::args` so
-// binaries outside this crate (e.g. `adsketch-serve`'s `loadgen`) share
-// it; re-exported here because every `fig*`/`tbl_*` bin imports it from
-// the bench crate.
-pub use adsketch_util::args::{arg_flag, arg_str, arg_u64};
+// The `--name value` argument parser lives in `adsketch_util::args`;
+// re-exported here because every `fig*`/`tbl_*` bin imports it from the
+// bench crate.
+pub use adsketch_util::args::{arg_flag, arg_u64};
 
 /// Geometric checkpoint grid `{1..9} × 10^j` up to and including `max` —
 /// the sampling grid for all error-vs-cardinality experiments (log-x

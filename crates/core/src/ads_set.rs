@@ -26,22 +26,30 @@ impl AdsSet {
     /// algorithm: weighted or unweighted graphs) using deterministic
     /// uniform ranks derived from `seed`.
     ///
-    /// Panics only on internal invariant violations; construction itself
-    /// cannot fail for a valid [`Graph`].
+    /// # Panics
+    ///
+    /// If `k == 0` (the `Result`-returning
+    /// [`crate::builder::pruned_dijkstra::build`] reports it as
+    /// [`CoreError::InvalidK`] instead). Construction cannot otherwise
+    /// fail for a valid [`Graph`].
     pub fn build(g: &Graph, k: usize, seed: u64) -> Self {
         let ranks = uniform_ranks(g.num_nodes(), seed);
         crate::builder::pruned_dijkstra::build(g, k, &ranks)
-            .expect("uniform ranks are always valid")
+            .expect("uniform ranks are always valid; k must be at least 1")
     }
 
     /// Like [`AdsSet::build`], fanning the PrunedDijkstra searches out over
     /// `threads` threads (`0` ⇒ all cores). The result is bitwise identical
     /// to [`AdsSet::build`] with the same `seed` for every thread count —
     /// see [`crate::builder::pruned_dijkstra::build_parallel`].
+    ///
+    /// # Panics
+    ///
+    /// If `k == 0`, like [`AdsSet::build`].
     pub fn build_parallel(g: &Graph, k: usize, seed: u64, threads: usize) -> Self {
         let ranks = uniform_ranks(g.num_nodes(), seed);
         crate::builder::pruned_dijkstra::build_parallel(g, k, &ranks, threads)
-            .expect("uniform ranks are always valid")
+            .expect("uniform ranks are always valid; k must be at least 1")
     }
 
     /// Wraps pre-built sketches (one per node).
@@ -97,8 +105,8 @@ impl AdsSet {
     }
 
     /// Approximate resident heap size of this set in bytes (sketch
-    /// headers, entry vectors, and node-index vectors, by capacity).
-    /// Compare with [`FrozenAdsSet::resident_bytes`] and
+    /// headers and entry vectors, by capacity). Compare with
+    /// [`FrozenAdsSet::resident_bytes`] and
     /// [`FrozenAdsSet::serialized_len`] for the columnar/on-disk costs.
     pub fn approx_heap_bytes(&self) -> usize {
         std::mem::size_of::<Self>()

@@ -17,18 +17,6 @@ use crate::hip::{HipItem, HipWeights};
 pub struct BottomKAds {
     k: usize,
     entries: Vec<AdsEntry>,
-    /// Entry indices sorted by node id: turns [`BottomKAds::get`] into a
-    /// binary search. An ADS holds ~`k ln n` entries (hundreds for
-    /// realistic k), enough that query-side linear scans showed up in the
-    /// similarity/centrality profiles; 4 bytes per entry buys O(log)
-    /// lookups. Derived from `entries`, so `PartialEq` stays consistent.
-    by_node: Vec<u32>,
-}
-
-fn node_index(entries: &[AdsEntry]) -> Vec<u32> {
-    let mut idx: Vec<u32> = (0..entries.len() as u32).collect();
-    idx.sort_unstable_by_key(|&i| entries[i as usize].node);
-    idx
 }
 
 impl BottomKAds {
@@ -37,12 +25,7 @@ impl BottomKAds {
     /// [`BottomKAds::validate`] to check explicitly.
     pub fn from_entries(k: usize, entries: Vec<AdsEntry>) -> Self {
         assert!(k >= 1);
-        let by_node = node_index(&entries);
-        let ads = Self {
-            k,
-            entries,
-            by_node,
-        };
+        let ads = Self { k, entries };
         debug_assert_eq!(ads.validate(), Ok(()));
         ads
     }
@@ -53,7 +36,6 @@ impl BottomKAds {
         Self {
             k,
             entries: Vec::new(),
-            by_node: Vec::new(),
         }
     }
 
@@ -81,13 +63,10 @@ impl BottomKAds {
         &self.entries
     }
 
-    /// The entry for `node`, if sampled. O(log len) via the node index.
-    #[inline]
+    /// The entry for `node`, if sampled. A linear scan: an ADS holds
+    /// ~`k ln n` entries and no serving path looks nodes up.
     pub fn get(&self, node: NodeId) -> Option<&AdsEntry> {
-        self.by_node
-            .binary_search_by_key(&node, |&i| self.entries[i as usize].node)
-            .ok()
-            .map(|pos| &self.entries[self.by_node[pos] as usize])
+        self.entries.iter().find(|e| e.node == node)
     }
 
     /// Number of entries with distance ≤ `d` — the input of the size-only
@@ -147,12 +126,11 @@ impl BottomKAds {
         }
     }
 
-    /// Heap bytes owned by this sketch's vectors (by capacity), excluding
-    /// `size_of::<Self>` — the caller accounts for the header (it may be
-    /// inline in a parent `Vec`, as in [`crate::AdsSet`]).
+    /// Heap bytes owned by this sketch's entry vector (by capacity),
+    /// excluding `size_of::<Self>` — the caller accounts for the header
+    /// (it may be inline in a parent `Vec`, as in [`crate::AdsSet`]).
     pub fn heap_bytes_excluding_self(&self) -> usize {
         self.entries.capacity() * std::mem::size_of::<AdsEntry>()
-            + self.by_node.capacity() * std::mem::size_of::<u32>()
     }
 
     /// Checks the structural invariants: canonical strict ordering, finite
@@ -194,14 +172,9 @@ mod tests {
     use super::*;
 
     /// Bypasses the `from_entries` debug validation for invariant-violation
-    /// tests (the node index itself is invariant-agnostic).
+    /// tests.
     fn raw(k: usize, entries: Vec<AdsEntry>) -> BottomKAds {
-        let by_node = node_index(&entries);
-        BottomKAds {
-            k,
-            entries,
-            by_node,
-        }
+        BottomKAds { k, entries }
     }
 
     /// ADS built by hand for k = 1 over the paper's Example 2.1 scenario:
@@ -336,8 +309,8 @@ mod tests {
 
     #[test]
     fn get_resolves_every_node_and_rejects_strangers() {
-        // The node index must agree with a linear scan on a non-trivially
-        // ordered sketch (canonical order ≠ node-id order).
+        // Lookup is by node id on a sketch whose canonical order is not
+        // node-id order.
         let ads = BottomKAds::from_entries(
             2,
             vec![

@@ -9,7 +9,7 @@
 use adsketch_graph::{Graph, NodeId};
 
 use crate::ads_set::AdsSet;
-use crate::builder::{validate_ranks, BuildStats, PartialAds};
+use crate::builder::{validate_k, validate_ranks, BuildStats, PartialAds};
 use crate::error::CoreError;
 
 /// Builds the forward bottom-k ADS set of an unweighted graph.
@@ -29,6 +29,7 @@ pub fn build_with_stats(
     }
     let n = g.num_nodes();
     validate_ranks(ranks, n)?;
+    validate_k(k)?;
     let gt = g.transpose();
     let mut partials: Vec<PartialAds> = vec![PartialAds::default(); n];
     let mut stats = BuildStats::default();

@@ -28,7 +28,7 @@ pub fn build_with_stats(
     let mut stats = BuildStats::default();
     for h in 0..k as u32 {
         let ranks: Vec<f64> = (0..n as u64).map(|v| hasher.perm_rank(v, h)).collect();
-        let (arena, s) = run_core(g, 1, &ranks, None, false, true)?;
+        let (arena, s) = run_core(g, 1, &ranks, None, false)?;
         stats.relaxations += s.relaxations;
         stats.insertions += s.insertions;
         stats.heap_pushes += s.heap_pushes;

@@ -36,7 +36,7 @@ pub fn build_with_stats(
         if sources.is_empty() {
             continue;
         }
-        let (arena, s) = run_core(g, 1, &ranks, Some(sources), false, true)?;
+        let (arena, s) = run_core(g, 1, &ranks, Some(sources), false)?;
         stats.relaxations += s.relaxations;
         stats.insertions += s.insertions;
         stats.heap_pushes += s.heap_pushes;

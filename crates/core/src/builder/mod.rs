@@ -31,10 +31,10 @@
 //! tighten**: inserts move the k-th smallest key down, never up. A
 //! candidate that is not admissible against a stale threshold therefore
 //! can never become admissible later, so suppressing its push removes
-//! only visits that would have ended in a prune — output is bitwise
-//! identical, settled-node counts (`BuildStats::relaxations`) only
-//! shrink. The same staleness argument lets the wave scheduler consult
-//! the frozen threshold array concurrently from worker threads.
+//! only visits that would have ended in a prune — the output stays
+//! bitwise the brute force's ([`crate::reference`]). The same staleness
+//! argument lets the wave scheduler consult the frozen threshold array
+//! concurrently from worker threads.
 
 mod arena;
 pub mod dp;
@@ -106,14 +106,15 @@ where
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BuildStats {
     /// Edge relaxations / messages processed. For the search-based
-    /// builders this counts *settled* (visited) nodes, so relax-time
-    /// frontier pruning legitimately lowers it: candidates suppressed
-    /// before entering the frontier are never settled. It can only ever
-    /// shrink relative to the pop-time-pruning-only builds — never grow.
+    /// builders this counts *settled* (visited) nodes: candidates the
+    /// relax-time filter keeps out of the frontier are never settled.
+    /// On the sequential path the filter is exact, so this exceeds
+    /// `insertions` by at most one per source (a seed rejected at its
+    /// own pop under zero-weight ties).
     pub relaxations: u64,
     /// Entries inserted into sketches (including ones later displaced).
-    /// Invariant under the pruning strategy: relax-time filtering removes
-    /// only candidates the pop-time test would have rejected.
+    /// PrunedDijkstra never retracts, so for it this equals the finished
+    /// set's total entry count, at any thread count.
     pub insertions: u64,
     /// Entries removed again (LocalUpdates only — its extra overhead).
     pub removals: u64,
@@ -124,14 +125,21 @@ pub struct BuildStats {
     /// Frontier insertions: binary-heap pushes on weighted graphs, BFS
     /// next-level enqueues on the unit-weight fast path, plus one seed
     /// per search source. `0` for builders that don't instrument the
-    /// frontier (the retained PR-1 heap baseline, DP, LocalUpdates).
+    /// frontier (DP, LocalUpdates).
     pub heap_pushes: u64,
     /// Candidates rejected by the relax-time admission filter before ever
     /// entering the frontier (see the threshold-monotonicity invariant in
-    /// the [module docs](self)). `0` when the filter is disabled
-    /// ([`pruned_dijkstra::build_pop_prune_with_stats`] and the
-    /// non-search builders).
+    /// the [module docs](self)). `0` for the non-search builders.
     pub pruned_at_relax: u64,
+}
+
+/// The static builders accept any `k ≥ 1` (the local-update builders
+/// additionally cap it, see [`crate::error::CoreError::InvalidK`]).
+pub(crate) fn validate_k(k: usize) -> Result<(), crate::error::CoreError> {
+    if k == 0 {
+        return Err(crate::error::CoreError::InvalidK { k });
+    }
+    Ok(())
 }
 
 pub(crate) fn validate_ranks(ranks: &[f64], n: usize) -> Result<(), crate::error::CoreError> {

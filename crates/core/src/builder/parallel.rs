@@ -92,8 +92,7 @@ pub fn build_kmins(
                 *r = hasher.perm_rank(v as u64, h);
             }
             *out = Some(
-                run_core(g, 1, ranks_buf, None, false, true)
-                    .map(|(arena, _)| arena.into_per_node()),
+                run_core(g, 1, ranks_buf, None, false).map(|(arena, _)| arena.into_per_node()),
             );
         },
     );
@@ -151,7 +150,7 @@ pub fn build_kpartition(
                 return;
             }
             *out = Some(
-                run_core(g, 1, ranks_ref, Some(&buckets_ref[b]), false, true)
+                run_core(g, 1, ranks_ref, Some(&buckets_ref[b]), false)
                     .map(|(arena, _)| arena.into_per_node()),
             );
         },

@@ -51,7 +51,7 @@ pub(crate) struct PartialAds {
 
 impl PartialAds {
     /// Binary-search position of the canonical key `(dist, node)`.
-    #[inline]
+    #[cfg(test)]
     fn position(&self, dist: f64, node: NodeId) -> Result<usize, usize> {
         self.entries.binary_search_by(|e| e.cmp_key(dist, node))
     }
@@ -78,7 +78,10 @@ impl PartialAds {
     /// reduces to "fewer than k entries are closer". Never retracts.
     ///
     /// Returns `true` if inserted (i.e. the search should continue through
-    /// this node), `false` to prune.
+    /// this node), `false` to prune. Production builds run on the arena
+    /// ([`crate::builder::PartialAdsArena`]); this and its tieless twin
+    /// stay as the reference the arena is parity-tested against.
+    #[cfg(test)]
     pub fn insert_rank_monotone(&mut self, k: usize, node: NodeId, dist: f64, rank: f64) -> bool {
         match self.position(dist, node) {
             Ok(_) => false, // already present (cannot happen across distinct sources)
@@ -99,10 +102,6 @@ impl PartialAds {
     /// Tieless (Appendix A) variant of the rank-monotone insert: the
     /// candidate is blocked by entries at distance *≤ d* (not `< d` with id
     /// tie-breaks), so at most k nodes per distinct distance survive.
-    ///
-    /// Production tieless builds moved to the arena
-    /// ([`crate::builder::PartialAdsArena`]); this stays as the reference
-    /// the arena is parity-tested against.
     #[cfg(test)]
     pub fn insert_rank_monotone_tieless(
         &mut self,

@@ -29,19 +29,14 @@
 //!
 //! [`build_parallel`] additionally fans the searches out over threads in
 //! rank-ordered waves (see the `waves` module); its output is
-//! bitwise identical to [`build`]. Two yardsticks are retained for
-//! benchmarking only: [`build_baseline_with_stats`] (the original
-//! sequential heap-based implementation, per-source allocations and all)
-//! and [`build_pop_prune_with_stats`] (arena + BFS fast path, but
-//! pop-time pruning only — what this module shipped before the relax-time
-//! filter).
+//! bitwise identical to [`build`]. The oracle every builder is tested
+//! against is the brute force in [`crate::reference`].
 
-use adsketch_graph::dijkstra::dijkstra_visit;
 use adsketch_graph::{FrontierVisitor, Graph, NodeId, Visit};
 
 use crate::ads_set::AdsSet;
 use crate::builder::waves::{rank_order, run_core_parallel, SearchScratch};
-use crate::builder::{validate_ranks, BuildStats, PartialAds, PartialAdsArena};
+use crate::builder::{validate_k, validate_ranks, BuildStats, PartialAdsArena};
 use crate::error::CoreError;
 
 /// Builds the forward bottom-k ADS set of `g` for the given node ranks.
@@ -55,7 +50,7 @@ pub fn build_with_stats(
     k: usize,
     ranks: &[f64],
 ) -> Result<(AdsSet, BuildStats), CoreError> {
-    let (arena, stats) = run_core(g, k, ranks, None, false, true)?;
+    let (arena, stats) = run_core(g, k, ranks, None, false)?;
     Ok((arena.into_ads_set(), stats))
 }
 
@@ -97,58 +92,8 @@ pub fn build_tieless_entries(
     k: usize,
     ranks: &[f64],
 ) -> Result<Vec<Vec<crate::entry::AdsEntry>>, CoreError> {
-    let (arena, _) = run_core(g, k, ranks, None, true, true)?;
+    let (arena, _) = run_core(g, k, ranks, None, true)?;
     Ok(arena.into_per_node())
-}
-
-/// The PR-2 sequential fast path, retained as the pop-time-pruning
-/// yardstick: arena sketch state and the BFS fast path, but **no**
-/// relax-time frontier filter — every discovered candidate enters the
-/// frontier and doomed ones are only pruned when popped. Output is
-/// identical to [`build`]; `stats.relaxations` counts all the settled
-/// nodes the relax-time filter of [`build_with_stats`] never lets into
-/// the frontier, so benchmarking the two against each other measures
-/// exactly what push-time pruning buys (`tbl_parallel` reports this as
-/// `pruned_seq` vs `pruned_relax_seq`).
-pub fn build_pop_prune_with_stats(
-    g: &Graph,
-    k: usize,
-    ranks: &[f64],
-) -> Result<(AdsSet, BuildStats), CoreError> {
-    let (arena, stats) = run_core(g, k, ranks, None, false, false)?;
-    Ok((arena.into_ads_set(), stats))
-}
-
-/// The original (pre-wave, pre-arena) sequential implementation, retained
-/// verbatim as the benchmarking baseline: binary-heap Dijkstra with
-/// freshly allocated per-source search state and one heap-allocated `Vec`
-/// per node sketch. Output is identical to [`build`]; use it only to
-/// measure what the fast paths buy (`tbl_parallel`, `BENCH_build.json`).
-pub fn build_baseline_with_stats(
-    g: &Graph,
-    k: usize,
-    ranks: &[f64],
-) -> Result<(AdsSet, BuildStats), CoreError> {
-    let n = g.num_nodes();
-    validate_ranks(ranks, n)?;
-    let gt = g.transpose();
-    let order = rank_order(ranks, None, n);
-    let mut partials: Vec<PartialAds> = vec![PartialAds::default(); n];
-    let mut stats = BuildStats::default();
-    for &u in &order {
-        let r_u = ranks[u as usize];
-        dijkstra_visit(&gt, u, |v, d| {
-            stats.relaxations += 1;
-            if partials[v as usize].insert_rank_monotone(k, u, d, r_u) {
-                stats.insertions += 1;
-                Visit::Continue
-            } else {
-                Visit::Prune
-            }
-        });
-    }
-    let sketches = partials.into_iter().map(|p| p.into_ads(k)).collect();
-    Ok((AdsSet::from_sketches(k, sketches), stats))
 }
 
 /// Sequential search driver: one source's mutable view of the arena and
@@ -166,25 +111,22 @@ struct SeqDriver<'a> {
     src: NodeId,
     rank: f64,
     tieless: bool,
-    relax: bool,
 }
 
 impl FrontierVisitor for SeqDriver<'_> {
     #[inline]
     fn admit(&mut self, v: NodeId, d: f64) -> bool {
-        if self.relax {
-            let ok = if self.tieless {
-                self.arena.tieless_admits(v, d)
-            } else {
-                self.arena.would_insert(v, self.src, d)
-            };
-            if !ok {
-                self.stats.pruned_at_relax += 1;
-                return false;
-            }
+        let ok = if self.tieless {
+            self.arena.tieless_admits(v, d)
+        } else {
+            self.arena.would_insert(v, self.src, d)
+        };
+        if ok {
+            self.stats.heap_pushes += 1;
+        } else {
+            self.stats.pruned_at_relax += 1;
         }
-        self.stats.heap_pushes += 1;
-        true
+        ok
     }
 
     #[inline]
@@ -208,20 +150,17 @@ impl FrontierVisitor for SeqDriver<'_> {
 /// Core loop, also used by the k-mins and k-partition builders
 /// (`sources = Some(..)` restricts which nodes act as sources; all nodes
 /// still *receive* entries). Dispatches to the pruned BFS on unit-weight
-/// transposes and reuses one search scratch across all sources. `relax`
-/// enables the relax-time frontier filter (sound by threshold
-/// monotonicity; `false` preserves the pop-time-only PR-2 behavior for
-/// the yardstick).
+/// transposes and reuses one search scratch across all sources.
 pub(crate) fn run_core(
     g: &Graph,
     k: usize,
     ranks: &[f64],
     sources: Option<&[NodeId]>,
     tieless: bool,
-    relax: bool,
 ) -> Result<(PartialAdsArena, BuildStats), CoreError> {
     let n = g.num_nodes();
     validate_ranks(ranks, n)?;
+    validate_k(k)?;
     let gt = g.transpose();
     let order = rank_order(ranks, sources, n);
     let mut arena = PartialAdsArena::new(n, k);
@@ -237,7 +176,6 @@ pub(crate) fn run_core(
             src: u,
             rank: ranks[u as usize],
             tieless,
-            relax,
         };
         scratch.run(&gt, u, &mut driver);
     }
@@ -386,6 +324,20 @@ mod tests {
             build_parallel(&g, 2, &bad, 2),
             Err(CoreError::InvalidRank { .. })
         ));
+        // k = 0 is a typed error from every static entry point, not an
+        // arena panic.
+        let ranks = uniform_ranks(10, 1);
+        let zero_k = Err(CoreError::InvalidK { k: 0 });
+        assert_eq!(build(&g, 0, &ranks), zero_k);
+        assert_eq!(build_with_stats(&g, 0, &ranks).map(|(s, _)| s), zero_k);
+        for threads in [1, 2] {
+            assert_eq!(build_parallel(&g, 0, &ranks, threads), zero_k);
+        }
+        assert_eq!(
+            build_tieless_entries(&g, 0, &ranks),
+            Err(CoreError::InvalidK { k: 0 })
+        );
+        assert_eq!(crate::builder::dp::build(&g, 0, &ranks), zero_k);
     }
 
     #[test]
@@ -415,34 +367,23 @@ mod tests {
     }
 
     #[test]
-    fn baseline_matches_fast_paths() {
-        // The retained PR-1 baseline, the pop-prune yardstick, the
-        // relax-pruned sequential build and the wave-parallel build agree
-        // bitwise on both weight regimes.
+    fn fast_paths_match_the_oracle_and_its_entry_count() {
+        // The sequential and the wave-parallel build equal the brute
+        // force bitwise on both weight regimes.
         let ug = generators::gnp(80, 0.06, 21);
         let wg = generators::random_weighted_digraph(70, 4, 0.5, 3.0, 22);
         for g in [&ug, &wg] {
             let ranks = uniform_ranks(g.num_nodes(), 23);
-            let (base, base_stats) = build_baseline_with_stats(g, 4, &ranks).unwrap();
-            let (pop, pop_stats) = build_pop_prune_with_stats(g, 4, &ranks).unwrap();
-            let (fast, fast_stats) = build_with_stats(g, 4, &ranks).unwrap();
-            assert_eq!(base, pop);
-            assert_eq!(base, fast);
-            // Pop-time pruning settles exactly what the baseline settles
-            // (the BFS fast path replays the exact Dijkstra visit
-            // sequence); the relax-time filter settles no more — and
-            // inserts exactly the same entries.
-            assert_eq!(pop_stats.relaxations, base_stats.relaxations);
-            assert_eq!(pop_stats.insertions, base_stats.insertions);
-            assert!(fast_stats.relaxations <= base_stats.relaxations);
-            assert_eq!(fast_stats.insertions, base_stats.insertions);
-            // Suppressed candidates + surviving pushes account for every
-            // frontier decision the pop-prune run pushed through.
-            assert!(fast_stats.heap_pushes <= pop_stats.heap_pushes);
-            assert_eq!(pop_stats.pruned_at_relax, 0);
-            assert!(fast_stats.pruned_at_relax > 0, "filter must fire");
+            let oracle = crate::reference::build_bottomk(g, 4, &ranks);
+            let (fast, stats) = build_with_stats(g, 4, &ranks).unwrap();
+            assert_eq!(fast, oracle);
+            // Rank-monotone inserts are never retracted.
+            assert_eq!(stats.insertions, oracle.total_entries() as u64);
+            assert!(stats.pruned_at_relax > 0, "filter must fire");
             for threads in [1, 2, 4, 0] {
-                assert_eq!(build_parallel(g, 4, &ranks, threads).unwrap(), fast);
+                let (par, par_stats) = build_parallel_with_stats(g, 4, &ranks, threads).unwrap();
+                assert_eq!(par, oracle, "threads {threads}");
+                assert_eq!(par_stats.insertions, stats.insertions);
             }
         }
     }
@@ -454,58 +395,49 @@ mod tests {
         // admits is also inserted at pop time: settled == inserted, except
         // for source seeds (which skip the filter and can be rejected at
         // their own pop under zero-weight ties).
-        let ug = generators::barabasi_albert(400, 3, 31);
-        let wg = generators::random_weighted_digraph(300, 4, 0.5, 3.0, 32);
-        for g in [&ug, &wg] {
+        for g in pinned_graphs() {
             let ranks = uniform_ranks(g.num_nodes(), 33);
-            let (_, stats) = build_with_stats(g, 4, &ranks).unwrap();
+            let (_, stats) = build_with_stats(&g, 4, &ranks).unwrap();
             assert!(
                 stats.relaxations - stats.insertions <= g.num_nodes() as u64,
                 "settled {} vs inserted {} diverge beyond the source seeds",
                 stats.relaxations,
                 stats.insertions
             );
+            // The level-synchronous BFS settles everything it enqueues.
+            if g.is_unit_weight() {
+                assert_eq!(stats.relaxations, stats.heap_pushes);
+            }
         }
     }
 
+    /// One unit-weight graph (BFS frontier) and one weighted digraph
+    /// (heap frontier).
+    fn pinned_graphs() -> [Graph; 2] {
+        [
+            generators::barabasi_albert(400, 3, 31),
+            generators::random_weighted_digraph(300, 4, 0.5, 3.0, 32),
+        ]
+    }
+
+    /// The regression detector for the search core: its work counters on
+    /// two fixed inputs. A change that moves any of them changed a
+    /// pruning or frontier decision and has to say so.
     #[test]
-    fn tieless_relax_filter_matches_pop_pruning() {
-        // The tieless (Appendix A) entry path through the relax-pruned
-        // search core must be bitwise identical to the pop-prune-only
-        // core across the same regimes the canonical suite covers:
-        // unweighted directed, weighted, zero-weight ties, disconnected.
-        use adsketch_util::rng::{Rng64, SplitMix64};
-        let mut graphs = vec![
-            generators::gnp_directed(60, 0.08, 41),
-            generators::random_weighted_digraph(50, 4, 0.5, 3.0, 42),
-            Graph::undirected(8, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]).unwrap(),
-        ];
-        let mut rng = SplitMix64::new(43);
-        let n = 40usize;
-        let mut arcs = Vec::new();
-        for u in 0..n as u32 {
-            for _ in 0..3 {
-                let v = rng.range_usize(n) as u32;
-                if v != u {
-                    let w = if rng.bernoulli(0.5) { 0.0 } else { 1.0 };
-                    arcs.push((u, v, w));
-                }
-            }
-        }
-        graphs.push(Graph::directed_weighted(n, &arcs).unwrap());
-        for (i, g) in graphs.iter().enumerate() {
-            let ranks = uniform_ranks(g.num_nodes(), 44 + i as u64);
-            for k in [1usize, 3, 8] {
-                let (relax_arena, relax_stats) = run_core(g, k, &ranks, None, true, true).unwrap();
-                let (pop_arena, pop_stats) = run_core(g, k, &ranks, None, true, false).unwrap();
-                assert_eq!(
-                    relax_arena.into_per_node(),
-                    pop_arena.into_per_node(),
-                    "graph {i}, k {k}"
-                );
-                assert_eq!(relax_stats.insertions, pop_stats.insertions);
-                assert!(relax_stats.relaxations <= pop_stats.relaxations);
-            }
+    fn build_stats_are_pinned_on_fixed_graphs() {
+        let pinned = [(9353, 9353, 14506, 9353), (6559, 7127, 10676, 6559)];
+        for (g, want) in pinned_graphs().iter().zip(pinned) {
+            let ranks = uniform_ranks(g.num_nodes(), 33);
+            let (_, s) = build_with_stats(g, 4, &ranks).unwrap();
+            assert_eq!(
+                (
+                    s.relaxations,
+                    s.heap_pushes,
+                    s.pruned_at_relax,
+                    s.insertions
+                ),
+                want
+            );
         }
     }
 }

@@ -192,9 +192,10 @@ pub(crate) fn run_core_parallel(
         // One worker: the wave machinery would only buy over-exploration
         // and candidate buffering. Degenerate to the sequential core —
         // identical output by construction.
-        return super::pruned_dijkstra::run_core(g, k, ranks, None, false, true);
+        return super::pruned_dijkstra::run_core(g, k, ranks, None, false);
     }
     crate::builder::validate_ranks(ranks, n)?;
+    crate::builder::validate_k(k)?;
     let gt = g.transpose();
     let order = rank_order(ranks, None, n);
     let mut arena = PartialAdsArena::new(n, k);

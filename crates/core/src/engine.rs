@@ -14,9 +14,9 @@
 //! heap-backed build output and the frozen columnar store; pointing it at
 //! a [`crate::frozen::FrozenAdsSet`] additionally skips the per-node HIP
 //! recomputation entirely (the adjusted weights are precomputed at freeze
-//! time), which is where the batch-throughput win measured by
-//! `BENCH_query.json` comes from. Results are bitwise identical across
-//! back ends and thread counts.
+//! time), which is where the batch throughput comes from (`adsbench`
+//! times the sweep as `core.engine.harmonic_all_s`). Results are bitwise
+//! identical across back ends and thread counts.
 //!
 //! Against a **compressed** (format v2) frozen store nothing here
 //! changes: a buffered store that fits the decode budget thaws once

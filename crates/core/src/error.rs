@@ -26,8 +26,9 @@ pub enum CoreError {
         /// The offending value.
         epsilon: f64,
     },
-    /// The sketch parameter k was zero or above 65535, the range the
-    /// local-update builders' per-entry counters cover.
+    /// The sketch parameter k was zero (every builder), or above 65535
+    /// (the local-update builders only: the range their per-entry
+    /// counters cover).
     InvalidK {
         /// The offending value.
         k: usize,
@@ -66,7 +67,10 @@ impl fmt::Display for CoreError {
                 write!(f, "epsilon {epsilon} must be finite and non-negative")
             }
             CoreError::InvalidK { k } => {
-                write!(f, "sketch parameter k = {k} must be in 1..=65535")
+                write!(
+                    f,
+                    "sketch parameter k = {k} must be at least 1 (and at most 65535 for the local-update builders)"
+                )
             }
             CoreError::NodeOutOfRange { node, nodes } => {
                 write!(f, "edge endpoint {node} is outside the {nodes}-node range")

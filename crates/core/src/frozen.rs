@@ -556,30 +556,19 @@ impl LoadOptions {
     }
 }
 
-/// Sets the process-global **per-thread** budget (in bytes) for the
-/// compressed store's decoded-block scratch cache.
+/// The **per-thread** budget (in bytes) of the compressed store's
+/// decoded-block scratch cache: a constant 64 MiB.
 ///
 /// Format-v2 stores decode row blocks lazily on first touch and retain
 /// them per thread up to this budget; past it the thread's scratch is
-/// flushed wholesale and refills as the sweep proceeds. The 64 MiB
-/// default keeps point-query working sets resident while bounding
-/// memory on wide fleets. A **buffered** (non-mapped) store whose
-/// *entire* decoded form fits the budget instead thaws on first touch
-/// into one shared contiguous column set — the full-width (v1) memory
-/// layout — so hosts that repeatedly sweep one large store (batch
-/// benchmarks, dedicated query servers with memory to spare) can raise
-/// the budget above the store's decoded size and get v1 sweep
-/// throughput from the compressed file after the first touch; mapped
-/// stores always keep the lazy per-block path. Affects v2 stores only;
-/// answers are bit-identical at any budget.
-pub fn set_block_cache_budget(bytes: usize) {
-    v2::set_scratch_budget(bytes);
-}
-
-/// The current per-thread decoded-block scratch budget in bytes (see
-/// [`set_block_cache_budget`]).
+/// flushed wholesale and refills as the sweep proceeds. 64 MiB keeps
+/// point-query working sets resident while bounding memory on wide
+/// fleets. A **buffered** (non-mapped) store whose *entire* decoded
+/// form fits the budget instead thaws on first touch into one shared
+/// contiguous column set — the full-width (v1) memory layout; mapped
+/// stores always keep the lazy per-block path. Affects v2 stores only.
 pub fn block_cache_budget() -> usize {
-    v2::scratch_budget()
+    v2::SCRATCH_BUDGET_BYTES
 }
 
 fn read_u32(buf: &[u8], at: usize) -> u32 {
@@ -909,28 +898,7 @@ impl FrozenAdsSet {
     /// bound is only reached beyond ~10⁷ nodes at k = 64 — shard the graph
     /// before freezing at that scale).
     pub fn from_ads_set(ads: &AdsSet) -> Self {
-        let total = ads.total_entries();
-        assert!(
-            u32::try_from(total).is_ok(),
-            "frozen store is limited to 2^32 − 1 entries; got {total}"
-        );
-        let n = ads.num_nodes();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut nodes = Vec::with_capacity(total);
-        let mut dists = Vec::with_capacity(total);
-        let mut ranks = Vec::with_capacity(total);
-        let mut weights = Vec::with_capacity(total);
-        offsets.push(0u32);
-        for sketch in ads.sketches() {
-            for e in sketch.entries() {
-                nodes.push(e.node);
-                dists.push(e.dist);
-                ranks.push(e.rank);
-            }
-            sketch.hip_scan(|it| weights.push(it.weight));
-            offsets.push(nodes.len() as u32);
-        }
-        Self::from_owned_cols(ads.k() as u32, offsets, nodes, dists, ranks, weights)
+        Self::from_ads_set_range(ads, 0, ads.num_nodes())
     }
 
     /// Freezes only rows `lo..hi` of `ads` into a *full-width* store: the

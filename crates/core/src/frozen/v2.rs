@@ -57,7 +57,7 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::io::Read;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use adsketch_graph::NodeId;
 
@@ -79,29 +79,12 @@ pub(super) const DEFAULT_ROWS_PER_BLOCK: u32 = 64;
 /// field; a huge value would make single-row queries decode the world).
 const MAX_ROWS_PER_BLOCK: u32 = 1 << 20;
 
-/// Default per-thread decoded-block scratch budget
-/// ([`scratch_budget`]): 64 MiB.
-pub(super) const SCRATCH_BUDGET_BYTES: usize = 64 << 20;
-
-/// Per-thread decoded-block scratch budget in bytes. Blocks decoded on
+/// Per-thread decoded-block scratch budget: 64 MiB. Blocks decoded on
 /// first touch are retained up to this many bytes per thread (then the
 /// scratch is flushed wholesale), so sweeps re-decode each block at
-/// most once per pass and point-query working sets stay resident.
-/// Process-global and tunable via
-/// [`super::set_block_cache_budget`] — hosts that sweep a large store
-/// repeatedly (batch benchmarks, resident query servers) can raise it
-/// so the whole decoded store stays cached across passes.
-static SCRATCH_BUDGET: AtomicUsize = AtomicUsize::new(SCRATCH_BUDGET_BYTES);
-
-/// Current per-thread scratch budget in bytes.
-pub(super) fn scratch_budget() -> usize {
-    SCRATCH_BUDGET.load(Ordering::Relaxed)
-}
-
-/// Sets the per-thread scratch budget (see [`SCRATCH_BUDGET`]).
-pub(super) fn set_scratch_budget(bytes: usize) {
-    SCRATCH_BUDGET.store(bytes, Ordering::Relaxed);
-}
+/// most once per pass and point-query working sets stay resident. Also
+/// the size up to which a buffered store thaws whole (module docs).
+pub(super) const SCRATCH_BUDGET_BYTES: usize = 64 << 20;
 
 /// `2⁵³` and its exact reciprocal — the unweighted sampler's rank
 /// quantum (see `adsketch-util`'s `u64_to_unit_f64`).
@@ -419,7 +402,7 @@ impl<'a> V2Ctx<'a> {
     /// pages a query actually needs.
     #[inline(never)]
     fn with_row_cold<T>(&self, v: NodeId, f: impl FnOnce(RowSlices<'_>) -> T) -> T {
-        if self.region.is_none() && self.decoded_store_bytes() <= scratch_budget() {
+        if self.region.is_none() && self.decoded_store_bytes() <= SCRATCH_BUDGET_BYTES {
             let full = self.repr.thawed.get_or_init(|| self.decode_full());
             return f(self.row_of(full, v));
         }
@@ -437,7 +420,7 @@ impl<'a> V2Ctx<'a> {
             } else {
                 let mut decoded = DecodedBlock::default();
                 self.decode_block_into(block as usize, &mut decoded);
-                if cache.bytes + decoded.byte_size() > scratch_budget() {
+                if cache.bytes + decoded.byte_size() > SCRATCH_BUDGET_BYTES {
                     cache.blocks.clear();
                     cache.bytes = 0;
                 }

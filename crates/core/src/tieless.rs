@@ -228,15 +228,44 @@ mod tests {
 
     #[test]
     fn graph_builder_agrees_with_order_reference() {
-        use adsketch_graph::generators;
-        let g = generators::gnp(80, 0.06, 3);
-        let ranks = crate::uniform_ranks(80, 4);
-        let built = crate::builder::pruned_dijkstra::build_tieless_entries(&g, 3, &ranks).unwrap();
-        for v in 0..80u32 {
-            let order = adsketch_graph::dijkstra::dijkstra_order_canonical(&g, v);
-            let reference = TielessAds::from_order(3, &order, &ranks);
-            let from_graph = TielessAds::from_entries(3, built[v as usize].clone());
-            assert_eq!(from_graph, reference, "node {v}");
+        // The relax-time-filtered tieless search against the brute force
+        // over each node's canonical closeness order, in every regime
+        // the canonical builder suite covers: undirected ties, directed
+        // unweighted, weighted, disconnected, zero-weight ties.
+        use adsketch_graph::{generators, Graph};
+        use adsketch_util::rng::{Rng64, SplitMix64};
+        let mut rng = SplitMix64::new(43);
+        let n = 40usize;
+        let mut arcs = Vec::new();
+        for u in 0..n as u32 {
+            for _ in 0..3 {
+                let v = rng.range_usize(n) as u32;
+                if v != u {
+                    let w = if rng.bernoulli(0.5) { 0.0 } else { 1.0 };
+                    arcs.push((u, v, w));
+                }
+            }
+        }
+        let graphs = [
+            generators::gnp(80, 0.06, 3),
+            generators::gnp_directed(60, 0.08, 41),
+            generators::random_weighted_digraph(50, 4, 0.5, 3.0, 42),
+            Graph::undirected(8, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]).unwrap(),
+            Graph::directed_weighted(n, &arcs).unwrap(),
+        ];
+        for (i, g) in graphs.iter().enumerate() {
+            let n = g.num_nodes();
+            let ranks = crate::uniform_ranks(n, 4 + i as u64);
+            for k in [1usize, 3, 8] {
+                let built =
+                    crate::builder::pruned_dijkstra::build_tieless_entries(g, k, &ranks).unwrap();
+                for v in 0..n as NodeId {
+                    let order = adsketch_graph::dijkstra::dijkstra_order_canonical(g, v);
+                    let reference = TielessAds::from_order(k, &order, &ranks);
+                    let from_graph = TielessAds::from_entries(k, built[v as usize].clone());
+                    assert_eq!(from_graph, reference, "graph {i}, k {k}, node {v}");
+                }
+            }
         }
     }
 }

@@ -1,9 +1,8 @@
 //! Minimal `--name value` argument parsing for the workspace's
-//! experiment and benchmark binaries (`adsketch-bench`'s `fig*`/`tbl_*`
-//! tables and `adsketch-serve`'s `loadgen`).
+//! experiment binaries (`adsketch-bench`'s `fig*`/`tbl_*` tables).
 //!
-//! Deliberately tiny — the binaries need exactly three shapes (integer,
-//! string, bare flag) with defaults, and the workspace builds offline,
+//! Deliberately tiny — the binaries need exactly two shapes (integer
+//! with a default, bare flag), and the workspace builds offline,
 //! so no external parser crate is used. Unparseable or missing values
 //! warn to stderr and fall back to the default rather than aborting a
 //! long experiment run.
@@ -22,22 +21,6 @@ pub fn arg_u64(name: &str, default: u64) -> u64 {
         }
     }
     default
-}
-
-/// Parses `--name value` as a string from the process arguments, with a
-/// default.
-pub fn arg_str(name: &str, default: &str) -> String {
-    let flag = format!("--{name}");
-    let args: Vec<String> = std::env::args().collect();
-    for i in 0..args.len() {
-        if args[i] == flag {
-            if let Some(v) = args.get(i + 1) {
-                return v.clone();
-            }
-            eprintln!("warning: missing value for {flag}; using {default}");
-        }
-    }
-    default.to_string()
 }
 
 /// True iff the bare flag `--name` is present in the process arguments.

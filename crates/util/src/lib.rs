@@ -20,7 +20,7 @@
 //! * [`harmonic`] — harmonic numbers and the expected-ADS-size formulas of
 //!   Lemma 2.2.
 //! * [`args`] — the tiny `--name value` argument parser shared by the
-//!   experiment and benchmark binaries.
+//!   experiment binaries.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

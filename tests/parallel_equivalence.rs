@@ -1,56 +1,101 @@
 //! Equivalence suite for the wave-parallel PrunedDijkstra, the unweighted
 //! BFS fast path and the relax-time frontier pruning: every configuration
 //! must be *bitwise identical* (`assert_eq!` on the whole `AdsSet`) to the
-//! sequential and reference builders, across thread counts
-//! {1, 2, 4, 0 = all cores} and across graph regimes (directed, weighted,
-//! zero-weight ties, disconnected). On every graph family the relax-time
-//! filter must also never *increase* settled-node counts relative to the
-//! heap baseline — pruning earlier can only remove work. Graph seeds
-//! mirror the unit tests in `crates/core/src/builder/pruned_dijkstra.rs`.
+//! brute-force oracle, across thread counts {1, 2, 4, 0 = all cores} and
+//! across graph regimes (directed, weighted, zero-weight ties,
+//! disconnected). On every graph family the work counters must also obey
+//! their relations to that oracle — pruning earlier can only remove
+//! work. Graph seeds mirror the unit tests in
+//! `crates/core/src/builder/pruned_dijkstra.rs`.
 
-use adsketch::core::builder::pruned_dijkstra;
+use adsketch::core::builder::{pruned_dijkstra, BuildStats};
 use adsketch::core::{reference, uniform_ranks, AdsSet};
 use adsketch::graph::{generators, Graph};
 use adsketch::util::rng::{Rng64, SplitMix64};
 
 const THREADS: [usize; 4] = [1, 2, 4, 0];
 
-/// Asserts sequential == reference, parallel == sequential for every
-/// thread count, pop-prune == sequential, and the relax-time pruning
-/// work gates (settled counts never grow, insertions are invariant).
-fn assert_all_equivalent(g: &Graph, k: usize, ranks: &[f64], label: &str) {
-    let (seq, relax_stats) = pruned_dijkstra::build_with_stats(g, k, ranks).unwrap();
-    let brute = reference::build_bottomk(g, k, ranks);
-    assert_eq!(seq, brute, "{label}: sequential vs reference");
-    let (base, base_stats) = pruned_dijkstra::build_baseline_with_stats(g, k, ranks).unwrap();
-    assert_eq!(base, seq, "{label}: heap baseline vs sequential");
-    let (pop, pop_stats) = pruned_dijkstra::build_pop_prune_with_stats(g, k, ranks).unwrap();
-    assert_eq!(pop, seq, "{label}: pop-prune yardstick vs sequential");
-    // Relax-time pruning may only remove settled nodes, never add any —
-    // and removes only visits that would have ended in a prune, so the
-    // insert sequence is untouched.
-    assert!(
-        relax_stats.relaxations <= base_stats.relaxations,
-        "{label}: relax pruning increased relaxations ({} vs baseline {})",
-        relax_stats.relaxations,
-        base_stats.relaxations
-    );
-    assert_eq!(
-        relax_stats.insertions, base_stats.insertions,
-        "{label}: insertions must be invariant under the pruning strategy"
-    );
-    assert_eq!(
-        pop_stats.relaxations, base_stats.relaxations,
-        "{label}: pop-time-only pruning settles exactly the baseline set"
-    );
-    assert!(
-        relax_stats.heap_pushes <= pop_stats.heap_pushes,
-        "{label}: the frontier filter may only shrink push counts"
-    );
-    for threads in THREADS {
-        let par = pruned_dijkstra::build_parallel(g, k, ranks, threads).unwrap();
-        assert_eq!(par, seq, "{label}: parallel ({threads} threads)");
+/// Nodes the textbook Algorithm 1 (pop-time pruning only) settles, read
+/// off the oracle: the search from `u` expands exactly the nodes whose
+/// finished sketch holds `u`, so it settles `u` plus their in-neighbours,
+/// each once.
+fn textbook_settles(g: &Graph, oracle: &AdsSet) -> u64 {
+    let n = g.num_nodes();
+    let gt = g.transpose();
+    let mut holders: Vec<Vec<u32>> = vec![Vec::new(); n];
+    for v in 0..n as u32 {
+        for e in oracle.sketch(v).entries() {
+            holders[e.node as usize].push(v);
+        }
     }
+    let mut seen_by = vec![u32::MAX; n];
+    let mut settles = 0;
+    for u in 0..n as u32 {
+        seen_by[u as usize] = u;
+        settles += 1;
+        for &v in &holders[u as usize] {
+            for &y in gt.neighbors(v) {
+                if seen_by[y as usize] != u {
+                    seen_by[y as usize] = u;
+                    settles += 1;
+                }
+            }
+        }
+    }
+    settles
+}
+
+/// Asserts sequential == oracle, parallel == sequential for every thread
+/// count, and the work gates of the relax-time filter, each stated
+/// against the oracle. Returns the sequential counters and the textbook
+/// settle count they were held against.
+fn assert_all_equivalent(g: &Graph, k: usize, ranks: &[f64], label: &str) -> (BuildStats, u64) {
+    let (seq, stats) = pruned_dijkstra::build_with_stats(g, k, ranks).unwrap();
+    let oracle = reference::build_bottomk(g, k, ranks);
+    assert_eq!(seq, oracle, "{label}: sequential vs reference");
+    // Rank-monotone inserts are never retracted: the filter removes only
+    // visits that would have ended in a prune.
+    assert_eq!(
+        stats.insertions,
+        oracle.total_entries() as u64,
+        "{label}: every insertion is a final entry"
+    );
+    // The filter is exact on the sequential path: whatever it lets into
+    // the frontier is inserted when popped, source seeds excepted.
+    assert!(
+        stats.relaxations - stats.insertions <= g.num_nodes() as u64,
+        "{label}: settled {} vs inserted {}",
+        stats.relaxations,
+        stats.insertions
+    );
+    // Relax-time pruning may only remove settled nodes, never add any.
+    let textbook = textbook_settles(g, &oracle);
+    assert!(
+        stats.relaxations <= textbook,
+        "{label}: relax pruning increased relaxations ({} vs textbook {textbook})",
+        stats.relaxations
+    );
+    if g.is_unit_weight() {
+        // The level-synchronous BFS settles everything it enqueues, and
+        // every node the textbook search would settle is either enqueued
+        // or relax-pruned, once.
+        assert_eq!(stats.relaxations, stats.heap_pushes, "{label}");
+        assert_eq!(
+            stats.heap_pushes + stats.pruned_at_relax,
+            textbook,
+            "{label}: frontier decisions vs textbook settles"
+        );
+    }
+    for threads in THREADS {
+        let (par, par_stats) =
+            pruned_dijkstra::build_parallel_with_stats(g, k, ranks, threads).unwrap();
+        assert_eq!(par, seq, "{label}: parallel ({threads} threads)");
+        assert_eq!(
+            par_stats.insertions, stats.insertions,
+            "{label}: the merge replays the sequential inserts ({threads} threads)"
+        );
+    }
+    (stats, textbook)
 }
 
 #[test]
@@ -150,30 +195,13 @@ fn ads_set_facade_parallel_matches_build() {
 
 #[test]
 fn bfs_fast_path_relaxes_no_more_than_dijkstra() {
-    // BuildStats gate: on unweighted graphs the BFS fast path must do no
-    // more relaxations (visited nodes) than the heap-based baseline. The
-    // pop-prune yardstick replays the exact baseline visit sequence
-    // (equal counters); the default relax-pruned build settles strictly
-    // fewer nodes on any graph where the filter fires.
+    // BuildStats gate: on unweighted graphs the relax-filtered BFS fast
+    // path must settle strictly fewer nodes than the textbook pop-time
+    // pruned Dijkstra, whose settle count the oracle determines; the
+    // counter identities themselves are asserted per family above.
     let g = generators::barabasi_albert(500, 3, 7);
     let ranks = uniform_ranks(500, 8);
-    let (set_bfs, bfs) = pruned_dijkstra::build_with_stats(&g, 4, &ranks).unwrap();
-    let (set_pop, pop) = pruned_dijkstra::build_pop_prune_with_stats(&g, 4, &ranks).unwrap();
-    let (set_heap, heap) = pruned_dijkstra::build_baseline_with_stats(&g, 4, &ranks).unwrap();
-    assert_eq!(set_bfs, set_heap);
-    assert_eq!(set_pop, set_heap);
-    assert_eq!(pop.relaxations, heap.relaxations);
-    assert!(
-        bfs.relaxations < heap.relaxations,
-        "relax filter never fired: {} vs {}",
-        bfs.relaxations,
-        heap.relaxations
-    );
-    // Expansion only ever happens from inserted nodes, which are identical
-    // across pruning modes — so each search discovers the same node set,
-    // and every discovery is either enqueued or relax-pruned:
-    assert_eq!(bfs.heap_pushes + bfs.pruned_at_relax, heap.relaxations);
-    // …and the level-synchronous BFS settles everything it enqueues.
-    assert_eq!(bfs.relaxations, bfs.heap_pushes);
-    assert_eq!(bfs.insertions, heap.insertions);
+    let (bfs, textbook) = assert_all_equivalent(&g, 4, &ranks, "barabasi_albert");
+    assert!(bfs.pruned_at_relax > 0, "relax filter never fired");
+    assert!(bfs.relaxations < textbook);
 }

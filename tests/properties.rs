@@ -87,12 +87,13 @@ proptest! {
     }
 
     /// The relax-time-pruned search core is bitwise identical to the
-    /// retained heap baseline — sequential, pop-prune yardstick and
-    /// wave-parallel at threads {1, 2, 4, 0} — on weighted digraphs
-    /// mixing zero-weight ties, unit weights, parallel arcs, self-loops
-    /// and disconnected nodes. The tieless (Appendix A) entry path must
-    /// be insensitive to the same filter (its per-node caps are asserted
-    /// directly, its relax-vs-pop equality is unit-tested in-crate).
+    /// brute-force baseline — sequentially and wave-parallel at threads
+    /// {1, 2, 4, 0} — on weighted digraphs mixing zero-weight ties, unit
+    /// weights, parallel arcs, self-loops and disconnected nodes, and
+    /// inserts exactly the baseline's entries. The tieless (Appendix A)
+    /// entry path runs through the same filter (its per-node caps are
+    /// asserted directly, its equality with the order reference is
+    /// unit-tested in-crate).
     #[test]
     fn relax_pruned_core_equals_baseline(
         (n, warcs) in small_weighted_digraph(),
@@ -105,18 +106,16 @@ proptest! {
             .collect();
         let g = Graph::directed_weighted(n, &arcs).unwrap();
         let ranks = uniform_ranks(n, seed);
-        let (base, base_stats) =
-            pruned_dijkstra::build_baseline_with_stats(&g, k, &ranks).unwrap();
-        let (pop, pop_stats) = pruned_dijkstra::build_pop_prune_with_stats(&g, k, &ranks).unwrap();
+        let base = reference::build_bottomk(&g, k, &ranks);
         let (relax, relax_stats) = pruned_dijkstra::build_with_stats(&g, k, &ranks).unwrap();
-        prop_assert_eq!(&pop, &base);
         prop_assert_eq!(&relax, &base);
-        prop_assert_eq!(pop_stats.relaxations, base_stats.relaxations);
-        prop_assert!(relax_stats.relaxations <= base_stats.relaxations);
-        prop_assert_eq!(relax_stats.insertions, base_stats.insertions);
+        prop_assert_eq!(relax_stats.insertions, base.total_entries() as u64);
+        prop_assert!(relax_stats.relaxations - relax_stats.insertions <= n as u64);
         for threads in [1usize, 2, 4, 0] {
-            let par = pruned_dijkstra::build_parallel(&g, k, &ranks, threads).unwrap();
+            let (par, par_stats) =
+                pruned_dijkstra::build_parallel_with_stats(&g, k, &ranks, threads).unwrap();
             prop_assert_eq!(&par, &base, "threads {}", threads);
+            prop_assert_eq!(par_stats.insertions, relax_stats.insertions);
         }
         // Tieless entry path: at most k entries per distinct distance,
         // and never more total entries than the canonical sketch admits.

@@ -6,11 +6,14 @@
 
 mod common;
 
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
-use adsketch::core::{freeze_sharded, AdsSet, QueryEngine};
+use adsketch::core::{freeze_sharded, AdsSet, FrozenAdsSet, QueryEngine};
 use adsketch::graph::{generators, NodeId};
 use adsketch::serve::proto::ERR_SHARD_DOWN;
 use adsketch::serve::{Client, Request, RouterConfig, ServeError};
@@ -41,12 +44,57 @@ fn replicated_fleets_answer_bitwise_identically() {
     }
 }
 
+/// A background client that hammers the router at `addr` with rotating
+/// harmonic and Jaccard batches until `stop` is raised, asserting every
+/// answer bitwise against the local engine, and returns how many
+/// requests it issued. Any client-visible error panics the thread, and
+/// the hard 10 s read timeout turns a hang into one.
+fn spawn_hammer(
+    addr: SocketAddr,
+    frozen: Arc<FrozenAdsSet>,
+    stop: Arc<AtomicBool>,
+    salt: u32,
+) -> std::thread::JoinHandle<u32> {
+    std::thread::spawn(move || {
+        let local = QueryEngine::new(&*frozen);
+        let n = frozen.num_nodes() as NodeId;
+        let mut client = Client::connect(addr).expect("background connect");
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        let mut issued = 0u32;
+        while !stop.load(Ordering::SeqCst) {
+            let shift = issued.wrapping_mul(7) + salt;
+            if issued.is_multiple_of(2) {
+                let nodes: Vec<NodeId> = (0..n).map(|v| (v + shift) % n).collect();
+                assert_eq!(
+                    client
+                        .harmonic(&nodes)
+                        .expect("harmonic under replica kills"),
+                    local.harmonic_batch(&nodes)
+                );
+            } else {
+                let pairs: Vec<(NodeId, NodeId)> =
+                    (0..n).map(|v| (v, (v + 1 + shift) % n)).collect();
+                assert_eq!(
+                    client
+                        .jaccard(2.0, &pairs)
+                        .expect("jaccard under replica kills"),
+                    local.jaccard_batch(&pairs, 2.0)
+                );
+            }
+            issued += 1;
+        }
+        issued
+    })
+}
+
 #[test]
 fn killing_each_replica_in_turn_is_invisible_to_clients() {
     let g = generators::gnp_directed(60, 0.08, 5);
     let ads = AdsSet::build(&g, 3, 7);
-    let frozen = ads.freeze();
-    let local = QueryEngine::new(&frozen);
+    let frozen = Arc::new(ads.freeze());
+    let local = QueryEngine::new(&*frozen);
     let nodes: Vec<NodeId> = (0..60).collect();
     let pairs: Vec<(NodeId, NodeId)> = nodes.iter().map(|&v| (v, (v + 30) % 60)).collect();
     let harmonic = local.harmonic_batch(&nodes);
@@ -58,14 +106,23 @@ fn killing_each_replica_in_turn_is_invisible_to_clients() {
     let mut config = fast_config();
     config.failure_threshold = 100_000;
     for (shards, replicas) in [(1usize, 3usize), (2, 2)] {
+        // Four workers: a connection holds a router worker for its
+        // lifetime, and three clients are connected throughout.
         let mut guard = ReplicaFleet::spawn(
             &ads,
             shards,
             replicas,
-            2,
+            4,
             &format!("rep_kill_{shards}x{replicas}"),
             config.clone(),
         );
+        // Two clients hammer the router for the whole kill → query →
+        // restart cycle, not only between its steps: replicas die with
+        // legs in flight.
+        let stop = Arc::new(AtomicBool::new(false));
+        let hammers: Vec<_> = (0..2)
+            .map(|salt| spawn_hammer(guard.addr, Arc::clone(&frozen), Arc::clone(&stop), salt))
+            .collect();
         let mut client = Client::connect(guard.addr).expect("connect");
         assert_eq!(client.harmonic(&nodes).expect("healthy"), harmonic);
         for shard in 0..shards {
@@ -95,6 +152,11 @@ fn killing_each_replica_in_turn_is_invisible_to_clients() {
                 // router has re-adopted it yet.
                 assert_eq!(client.harmonic(&nodes).expect("after restart"), harmonic);
             }
+        }
+        stop.store(true, Ordering::SeqCst);
+        for hammer in hammers {
+            let issued = hammer.join().expect("a background client failed");
+            assert!(issued > 0, "a background client never ran");
         }
     }
 }
