@@ -2,72 +2,24 @@
 //!
 //! The flagship wave-parallel PrunedDijkstra lives in
 //! [`crate::builder::pruned_dijkstra::build_parallel`]; this module holds
-//! the three simpler decompositions, all rebased on the same shared
-//! infrastructure (the `shard_slots` chunking helper and the per-thread
-//! `SearchScratch` reuse) and all *bitwise identical* to
-//! their sequential counterparts:
+//! the two simpler decompositions, both built on the same `shard_slots`
+//! chunking helper and both *bitwise identical* to their sequential
+//! counterparts:
 //!
-//! * per-node: each node's ADS depends only on its own canonical order, so
-//!   the brute-force builder shards nodes across threads
-//!   ([`build_bottomk_per_node`]);
 //! * per-permutation: a k-mins ADS set is k independent bottom-1 builds
 //!   ([`build_kmins`]);
 //! * per-bucket: a k-partition ADS set is k independent bucket-restricted
 //!   bottom-1 builds ([`build_kpartition`]).
 
-use adsketch_graph::{Graph, NodeId, Visit};
+use adsketch_graph::{Graph, NodeId};
 use adsketch_util::RankHasher;
 
-use crate::ads_set::AdsSet;
-use crate::bottomk::BottomKAds;
 use crate::builder::pruned_dijkstra::run_core;
 use crate::builder::shard_slots;
-use crate::builder::waves::SearchScratch;
 use crate::entry::AdsEntry;
 use crate::error::CoreError;
 use crate::kmins::{KMinsAds, KMinsRecord};
 use crate::kpartition::{KPartRecord, KPartitionAds};
-use crate::reference::bottomk_from_order;
-
-/// Collects the canonical `(dist, id)`-ordered reachable set of `src` into
-/// `out`, reusing the thread's search scratch. The BFS fast path already
-/// visits in canonical order; Dijkstra needs the tie-order restored.
-fn canonical_order_into(
-    g: &Graph,
-    src: NodeId,
-    scratch: &mut SearchScratch,
-    out: &mut Vec<(NodeId, f64)>,
-) {
-    out.clear();
-    let needs_sort = matches!(scratch, SearchScratch::Dijkstra(_));
-    scratch.visit(g, src, |v, d| {
-        out.push((v, d));
-        Visit::Continue
-    });
-    if needs_sort {
-        out.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-    }
-}
-
-/// Per-node parallel bottom-k construction (`threads = 0` ⇒ all cores).
-/// Output equals [`crate::reference::build_bottomk`] exactly.
-pub fn build_bottomk_per_node(g: &Graph, k: usize, ranks: &[f64], threads: usize) -> AdsSet {
-    assert_eq!(ranks.len(), g.num_nodes());
-    let mut sketches: Vec<Option<BottomKAds>> = vec![None; g.num_nodes()];
-    shard_slots(
-        &mut sketches,
-        threads,
-        || (SearchScratch::for_graph(g), Vec::new()),
-        |(scratch, order), v, out| {
-            canonical_order_into(g, v as NodeId, scratch, order);
-            *out = Some(bottomk_from_order(k, order, ranks));
-        },
-    );
-    AdsSet::from_sketches(
-        k,
-        sketches.into_iter().map(|s| s.expect("filled")).collect(),
-    )
-}
 
 /// Per-permutation parallel k-mins construction; output equals
 /// [`crate::builder::kmins::build`] exactly.
@@ -179,30 +131,7 @@ pub fn build_kpartition(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::uniform_ranks;
     use adsketch_graph::generators;
-
-    #[test]
-    fn per_node_matches_sequential() {
-        let g = generators::gnp_directed(80, 0.05, 3);
-        let ranks = uniform_ranks(80, 4);
-        for threads in [1usize, 2, 0] {
-            let par = build_bottomk_per_node(&g, 3, &ranks, threads);
-            let seq = crate::reference::build_bottomk(&g, 3, &ranks);
-            assert_eq!(par, seq, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn per_node_matches_sequential_weighted() {
-        // Exercises the Dijkstra branch of the shared scratch (ties must be
-        // re-sorted into canonical order before sketch extraction).
-        let g = generators::random_weighted_digraph(60, 4, 0.5, 2.5, 31);
-        let ranks = uniform_ranks(60, 32);
-        let par = build_bottomk_per_node(&g, 3, &ranks, 3);
-        let seq = crate::reference::build_bottomk(&g, 3, &ranks);
-        assert_eq!(par, seq);
-    }
 
     #[test]
     fn kmins_parallel_matches_sequential() {
@@ -220,12 +149,5 @@ mod tests {
         let par = build_kpartition(&g, 6, &h, 4).unwrap();
         let seq = crate::builder::kpartition::build(&g, 6, &h).unwrap();
         assert_eq!(par, seq);
-    }
-
-    #[test]
-    fn empty_graph_parallel() {
-        let g = adsketch_graph::Graph::directed(0, &[]).unwrap();
-        let set = build_bottomk_per_node(&g, 2, &[], 4);
-        assert_eq!(set.num_nodes(), 0);
     }
 }

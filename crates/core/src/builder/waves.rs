@@ -43,10 +43,8 @@
 //! member (or any earlier wave) already saturated are rejected before
 //! they cost a push instead of after a pop.
 
-use adsketch_graph::bfs::{bfs_visit_filtered_scratch, bfs_visit_scratch, BfsScratch};
-use adsketch_graph::dijkstra::{
-    dijkstra_visit_filtered_scratch, dijkstra_visit_scratch, DijkstraScratch,
-};
+use adsketch_graph::bfs::{bfs_visit_filtered_scratch, BfsScratch};
+use adsketch_graph::dijkstra::{dijkstra_visit_filtered_scratch, DijkstraScratch};
 use adsketch_graph::{FrontierVisitor, Graph, NodeId, Visit};
 
 use crate::builder::{shard_slots, thread_count, BuildStats, PartialAdsArena};
@@ -74,24 +72,11 @@ impl SearchScratch {
         }
     }
 
-    /// Runs the matching pruned search from `src`, feeding `(node, dist)`
-    /// to the visitor. BFS hop counts are widened to `f64` — identical to
-    /// the unit-weight sums Dijkstra would produce.
-    pub fn visit<F: FnMut(NodeId, f64) -> Visit>(
-        &mut self,
-        g: &Graph,
-        src: NodeId,
-        mut visitor: F,
-    ) {
-        match self {
-            Self::Bfs(s) => bfs_visit_scratch(g, src, s, |v, d| visitor(v, d as f64)),
-            Self::Dijkstra(s) => dijkstra_visit_scratch(g, src, s, visitor),
-        }
-    }
-
-    /// Like [`Self::visit`] but through the full [`FrontierVisitor`]
-    /// protocol, so the driver's relax-time `admit` hook filters the
-    /// frontier of whichever search runs.
+    /// Runs the matching pruned search from `src` through the full
+    /// [`FrontierVisitor`] protocol, so the driver's relax-time `admit`
+    /// hook filters the frontier of whichever search runs. BFS hop counts
+    /// are widened to `f64` — identical to the unit-weight sums Dijkstra
+    /// would produce.
     pub fn run<V: FrontierVisitor>(&mut self, g: &Graph, src: NodeId, vis: &mut V) {
         match self {
             Self::Bfs(s) => bfs_visit_filtered_scratch(g, src, s, vis),

@@ -18,14 +18,10 @@
 //! times the sweep as `core.engine.harmonic_all_s`). Results are bitwise
 //! identical across back ends and thread counts.
 //!
-//! Against a **compressed** (format v2) frozen store nothing here
-//! changes: a buffered store that fits the decode budget thaws once
-//! into shared full-width columns, and on mapped stores the engine's
-//! ascending-node shard loop sweeps row blocks sequentially so the
-//! per-thread block-decode scratch (see [`crate::frozen`]) turns each
-//! block's decode cost into a one-time event per sweep — the batch
-//! queries run against decoded, full-width row slices either way, and
-//! answers stay bitwise identical across formats.
+//! A store read from a **compressed** (format v2) file is no different
+//! here: it was decoded at load into the same full-width columns (see
+//! [`crate::frozen`]), so the batch queries run over identical row
+//! slices and answers stay bitwise identical across formats.
 
 use adsketch_graph::NodeId;
 

@@ -39,9 +39,8 @@
 //! wrong magic, an unknown version, a truncated or oversized buffer, a
 //! checksum mismatch, and structurally corrupt payloads (non-monotone
 //! offsets, out-of-range node ids, entries out of canonical order).
-//! [`FrozenAdsSet::write_to`] / [`FrozenAdsSet::from_reader`] stream the
-//! same format through any `Write`/`Read` without materializing the whole
-//! buffer; `to_bytes`/`from_bytes` are thin wrappers over them.
+//! [`FrozenAdsSet::save`] and the buffered [`FrozenAdsSet::load`] stream
+//! this format column by column without materializing the whole buffer.
 //!
 //! # On-disk format (version 2, compressed)
 //!
@@ -80,11 +79,14 @@
 //! whole column *escaped* to raw full-width values; the encoder picks
 //! tags by **verifying bit-exact reconstruction of every entry**, so
 //! v1 ↔ v2 round trips are bitwise lossless for any store and every
-//! estimator answers bit-identically on either format. Queries decode
-//! blocks lazily on first touch into a per-thread scratch (see
-//! `frozen/v2.rs`), so a mapped v2 store only ever touches the pages of
-//! the blocks it serves. v1 readers predating this version reject v2
-//! stores with [`FrozenError::UnsupportedVersion`]`(2)`.
+//! estimator answers bit-identically on either format. Version 2 exists
+//! on disk only: every load of a v2 file decodes it once, whole, into
+//! the same full-width columns a freeze or a v1 load produces (see
+//! `frozen/v2.rs`), so once loaded the two formats cost the same memory
+//! and answer at the same speed. The larger-than-RAM path is a mapped
+//! **v1** store: page-cache backed and zero-decode. v1 readers predating
+//! this version reject v2 stores with
+//! [`FrozenError::UnsupportedVersion`]`(2)`.
 //!
 //! # Sharded stores (manifest format version 1)
 //!
@@ -138,7 +140,6 @@ mod v2;
 mod varint;
 
 use mmap::MapRegion;
-use v2::RowSlices;
 
 /// Magic bytes identifying a serialized frozen ADS store.
 pub const FROZEN_MAGIC: [u8; 8] = *b"ADSKFRZ1";
@@ -156,14 +157,14 @@ pub enum StoreFormat {
     /// Version 1: full-width columns (u32 node, f64 dist/rank/weight),
     /// 28 bytes per entry. The default; fastest to write, loadable by
     /// every build since the format was introduced, and the only format
-    /// whose mapped loads are zero-decode.
+    /// whose mapped loads are zero-decode (and so can exceed RAM).
     #[default]
     V1,
     /// Version 2: compressed block-columnar encoding (delta+varint node
     /// ids, dictionary distances, 7-byte ranks, τ-back-reference
     /// weights — each with a bit-exact raw escape). Typically 2–3×
-    /// smaller than v1 on unit-weight graphs; queries block-decode
-    /// lazily through a per-thread scratch. Bitwise-lossless: a
+    /// smaller than v1 on unit-weight graphs; every load decodes it
+    /// once into the full-width in-memory columns. Bitwise-lossless: a
     /// v1 ↔ v2 round trip reproduces every stored bit.
     V2,
 }
@@ -239,101 +240,74 @@ impl<T: ColElem> Col<T> {
 /// threshold scan.
 ///
 /// Columns are either owned heap `Vec`s (freeze, `from_bytes`, the
-/// buffered loaders) or zero-copy views into a memory-mapped store file
-/// ([`FrozenAdsSet::load_with`] with [`LoadOptions::map`]); every query
-/// path is backing-agnostic and bitwise identical across the two.
+/// buffered loaders, every load of a v2 file) or zero-copy views into a
+/// memory-mapped v1 store file ([`FrozenAdsSet::load_with`] with
+/// [`LoadOptions::map`]); every query path is backing-agnostic and
+/// bitwise identical across the two.
 #[derive(Debug)]
 pub struct FrozenAdsSet {
     k: u32,
-    /// Backs any `Col::Mapped` column and a mapped v2 blob; `None` for
-    /// fully-owned stores.
+    /// The header version the store was read from (1 for a fresh
+    /// freeze). Informational: the in-memory layout is the same.
+    version: u32,
+    /// Backs any `Col::Mapped` column; `None` for fully-owned stores.
     region: Option<MapRegion>,
-    /// `n + 1` prefix offsets into the entry columns (identical layout
-    /// and meaning in both formats).
+    /// `n + 1` prefix offsets into the entry columns.
     offsets: Col<u32>,
-    /// The entry columns, in whichever representation the store was
-    /// built or loaded with.
-    repr: Repr,
+    /// Sampled node ids, per node in canonical `(dist, node)` order.
+    nodes: Col<NodeId>,
+    /// Distances from each sketch's source.
+    dists: Col<f64>,
+    /// The sampled nodes' random ranks.
+    ranks: Col<f64>,
+    /// Precomputed HIP adjusted weights `1/τ`.
+    weights: Col<f64>,
 }
 
-/// How a store's entry columns are held in memory.
-#[derive(Debug)]
-enum Repr {
-    /// Full-width parallel columns (freeze output and v1 stores).
-    Wide {
-        /// Sampled node ids, per node in canonical `(dist, node)` order.
-        nodes: Col<NodeId>,
-        /// Distances from each sketch's source.
-        dists: Col<f64>,
-        /// The sampled nodes' random ranks.
-        ranks: Col<f64>,
-        /// Precomputed HIP adjusted weights `1/τ`.
-        weights: Col<f64>,
-    },
-    /// Compressed block-columnar payload (v2 stores), decoded lazily
-    /// per block on first touch.
-    V2(v2::V2Repr),
+/// One row of the store: `ADS(v)`'s slice of each entry column.
+#[derive(Clone, Copy)]
+struct RowSlices<'a> {
+    nodes: &'a [u32],
+    dists: &'a [f64],
+    ranks: &'a [f64],
+    weights: &'a [f64],
 }
 
 impl Clone for FrozenAdsSet {
     /// Deep copy: a clone always owns its backing (cloning a mapped
     /// store copies the bytes out, dropping the dependence on the
-    /// mapping) and keeps its representation — a v2 store clones to a
-    /// v2 store, still compressed.
+    /// mapping).
     fn clone(&self) -> Self {
-        match &self.repr {
-            Repr::Wide { .. } => {
-                let mut cols = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-                self.for_each_row(|_, row| {
-                    cols.0.extend_from_slice(row.nodes);
-                    cols.1.extend_from_slice(row.dists);
-                    cols.2.extend_from_slice(row.ranks);
-                    cols.3.extend_from_slice(row.weights);
-                });
-                Self::from_owned_cols(
-                    self.k,
-                    self.offsets().to_vec(),
-                    cols.0,
-                    cols.1,
-                    cols.2,
-                    cols.3,
-                )
-            }
-            Repr::V2(repr) => Self {
-                k: self.k,
-                region: None,
-                offsets: Col::Owned(self.offsets().to_vec()),
-                repr: Repr::V2(repr.to_owned_copy(self.region.as_ref())),
-            },
+        Self {
+            version: self.version,
+            ..Self::from_owned_cols(
+                self.k,
+                self.offsets().to_vec(),
+                self.nodes().to_vec(),
+                self.dists().to_vec(),
+                self.ranks().to_vec(),
+                self.weights().to_vec(),
+            )
         }
     }
 }
 
 impl PartialEq for FrozenAdsSet {
-    /// Logical equality over `k`, the offsets, and the per-row entry
-    /// data (floats compared bitwise) — a mapped store and its owned
-    /// copy compare equal, and so do a v1 store and its v2 re-encoding.
+    /// Logical equality over `k`, the offsets, and the entry columns
+    /// (floats compared bitwise) — a mapped store and its owned copy
+    /// compare equal, and so do a v1 store and its v2 re-encoding.
     fn eq(&self, other: &Self) -> bool {
-        if self.k != other.k || self.offsets() != other.offsets() {
-            return false;
-        }
         let bits_eq = |a: &[f64], b: &[f64]| {
             a.iter()
                 .map(|x| x.to_bits())
                 .eq(b.iter().map(|x| x.to_bits()))
         };
-        let mut equal = true;
-        self.for_each_row(|v, row| {
-            if equal {
-                equal = other.with_row(v as NodeId, |o| {
-                    row.nodes == o.nodes
-                        && bits_eq(row.dists, o.dists)
-                        && bits_eq(row.ranks, o.ranks)
-                        && bits_eq(row.weights, o.weights)
-                });
-            }
-        });
-        equal
+        self.k == other.k
+            && self.offsets() == other.offsets()
+            && self.nodes() == other.nodes()
+            && bits_eq(self.dists(), other.dists())
+            && bits_eq(self.ranks(), other.ranks())
+            && bits_eq(self.weights(), other.weights())
     }
 }
 
@@ -430,9 +404,14 @@ impl Fnv1a64 {
     /// Absorbs `bytes` into the running digest.
     pub fn update(&mut self, bytes: &[u8]) {
         for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+            self.push(b);
         }
+    }
+
+    #[inline]
+    fn push(&mut self, b: u8) {
+        self.0 ^= b as u64;
+        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
     }
 
     /// The digest of everything absorbed so far.
@@ -449,6 +428,33 @@ fn buffer_checksum(buf: &[u8]) -> u64 {
     h.update(&[0u8; 8]);
     h.update(&buf[CHECKSUM_OFFSET + 8..]);
     h.digest()
+}
+
+/// Verifies a complete store image against the checksum its header
+/// records and returns the FNV-1a 64 digest of the whole image (what
+/// shard manifests pin), both from **one** walk of the buffer: the two
+/// hashes absorb the same bytes except the 8 checksum bytes, which the
+/// header checksum takes as zero.
+fn verify_image(buf: &[u8], stored: u64) -> Result<u64, FrozenError> {
+    let mut digest = Fnv1a64::new();
+    digest.update(&buf[..CHECKSUM_OFFSET]);
+    let mut checksum = digest.clone();
+    let (field, rest) = buf[CHECKSUM_OFFSET..].split_at(8);
+    digest.update(field);
+    checksum.update(&[0u8; 8]);
+    // One loop, two independent multiply chains: they overlap in the
+    // pipeline, so both hashes cost about what one did.
+    for &b in rest {
+        digest.push(b);
+        checksum.push(b);
+    }
+    if checksum.digest() != stored {
+        return Err(FrozenError::ChecksumMismatch {
+            stored,
+            computed: checksum.digest(),
+        });
+    }
+    Ok(digest.digest())
 }
 
 /// A `Write` adapter that FNV-hashes every byte it forwards (used to
@@ -480,30 +486,19 @@ impl<W: Write> Write for HashingWriter<W> {
 }
 
 /// The `Read` twin of [`HashingWriter`]: FNV-hashes every byte it
-/// yields, so the buffered loader can produce whole-file digests in the
-/// same pass that parses the store.
+/// yields (when given a hasher), so the buffered loader can produce
+/// whole-file digests in the same pass that parses the store.
 struct HashingReader<R: Read> {
     inner: R,
-    hash: Fnv1a64,
-}
-
-impl<R: Read> HashingReader<R> {
-    fn new(inner: R) -> Self {
-        Self {
-            inner,
-            hash: Fnv1a64::new(),
-        }
-    }
-
-    fn digest(&self) -> u64 {
-        self.hash.digest()
-    }
+    hash: Option<Fnv1a64>,
 }
 
 impl<R: Read> Read for HashingReader<R> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         let n = self.inner.read(buf)?;
-        self.hash.update(&buf[..n]);
+        if let Some(hash) = &mut self.hash {
+            hash.update(&buf[..n]);
+        }
         Ok(n)
     }
 }
@@ -518,13 +513,14 @@ pub struct LoadOptions {
     /// still enforced, but the per-byte checksum walk and the O(E)
     /// canonical-order scan are skipped.
     pub verify: bool,
-    /// Map the file's columns in place with `mmap` instead of copying
-    /// them into owned memory (default **off**, matching
-    /// [`FrozenAdsSet::load`]'s historical behaviour). Zero-copy on
-    /// 64-bit Linux; elsewhere (and whenever the syscall declines) the
-    /// loader silently falls back to buffered reads, so the option is
-    /// a pure fast path. Replicas mapping the same file share its pages
-    /// through the kernel page cache.
+    /// Map the file with `mmap` instead of reading it through a buffer
+    /// (default **off**, matching [`FrozenAdsSet::load`]'s historical
+    /// behaviour). A v1 store keeps its columns as zero-copy views of
+    /// the mapping (64-bit Linux), and replicas mapping the same file
+    /// share its pages through the kernel page cache; a v2 store is
+    /// decoded straight out of the mapping, which is then dropped.
+    /// Elsewhere (and whenever the syscall declines) the loader silently
+    /// falls back to buffered reads, so the option is a pure fast path.
     pub map: bool,
 }
 
@@ -556,21 +552,6 @@ impl LoadOptions {
     }
 }
 
-/// The **per-thread** budget (in bytes) of the compressed store's
-/// decoded-block scratch cache: a constant 64 MiB.
-///
-/// Format-v2 stores decode row blocks lazily on first touch and retain
-/// them per thread up to this budget; past it the thread's scratch is
-/// flushed wholesale and refills as the sweep proceeds. 64 MiB keeps
-/// point-query working sets resident while bounding memory on wide
-/// fleets. A **buffered** (non-mapped) store whose *entire* decoded
-/// form fits the budget instead thaws on first touch into one shared
-/// contiguous column set — the full-width (v1) memory layout; mapped
-/// stores always keep the lazy per-block path. Affects v2 stores only.
-pub fn block_cache_budget() -> usize {
-    v2::SCRATCH_BUDGET_BYTES
-}
-
 fn read_u32(buf: &[u8], at: usize) -> u32 {
     u32::from_le_bytes(buf[at..at + 4].try_into().expect("bounds checked"))
 }
@@ -589,7 +570,7 @@ struct ParsedHeader {
     stored_checksum: u64,
     /// Exact serialized length a **v1** header implies (u128:
     /// untrusted). For v2 the total length depends on body fields the
-    /// header does not carry; v2 loaders derive lengths progressively.
+    /// header does not carry; `v2::decode` derives it section by section.
     expected_len: u128,
 }
 
@@ -647,6 +628,27 @@ fn read_exact_or_truncated<R: Read>(
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => return Err(FrozenError::Io(e)),
         }
+    }
+    Ok(())
+}
+
+/// The O(n) offset invariants every query's slicing relies on: monotone
+/// offsets starting at 0 and spanning exactly `entries` stored entries.
+/// Enforced even by trust-the-file loads ([`LoadOptions::verify`] off)
+/// so no column access can panic on an inverted or out-of-bounds range.
+fn validate_offsets(offsets: &[u32], entries: usize) -> Result<(), FrozenError> {
+    if offsets[0] != 0 {
+        return Err(FrozenError::Corrupt("offsets[0] must be 0".into()));
+    }
+    if offsets.windows(2).any(|w| w[0] > w[1]) {
+        return Err(FrozenError::Corrupt(
+            "offsets must be non-decreasing".into(),
+        ));
+    }
+    if *offsets.last().expect("n+1 offsets") as usize != entries {
+        return Err(FrozenError::Corrupt(
+            "last offset must equal the entry count".into(),
+        ));
     }
     Ok(())
 }
@@ -715,7 +717,7 @@ impl<R: Read> ColumnReader<'_, R> {
 }
 
 impl FrozenAdsSet {
-    /// Assembles a fully-owned wide store from its columns.
+    /// Assembles a fully-owned store from its columns.
     fn from_owned_cols(
         k: u32,
         offsets: Vec<u32>,
@@ -726,14 +728,13 @@ impl FrozenAdsSet {
     ) -> Self {
         Self {
             k,
+            version: FROZEN_FORMAT_VERSION,
             region: None,
             offsets: Col::Owned(offsets),
-            repr: Repr::Wide {
-                nodes: Col::Owned(nodes),
-                dists: Col::Owned(dists),
-                ranks: Col::Owned(ranks),
-                weights: Col::Owned(weights),
-            },
+            nodes: Col::Owned(nodes),
+            dists: Col::Owned(dists),
+            ranks: Col::Owned(ranks),
+            weights: Col::Owned(weights),
         }
     }
 
@@ -743,145 +744,48 @@ impl FrozenAdsSet {
         self.offsets.slice(self.region.as_ref())
     }
 
-    /// The four wide columns, for code paths that require full-width
-    /// representation. Panics on a v2 store — every caller dispatches on
-    /// `repr` first.
-    #[inline]
-    fn wide_cols(&self) -> (&[NodeId], &[f64], &[f64], &[f64]) {
-        match &self.repr {
-            Repr::Wide {
-                nodes,
-                dists,
-                ranks,
-                weights,
-            } => {
-                let region = self.region.as_ref();
-                (
-                    nodes.slice(region),
-                    dists.slice(region),
-                    ranks.slice(region),
-                    weights.slice(region),
-                )
-            }
-            Repr::V2(_) => panic!("full-width column access on a compressed (v2) store"),
-        }
-    }
-
-    /// The sampled-node-id column (`E` elements; wide stores only).
+    /// The sampled-node-id column (`E` elements).
     #[inline]
     fn nodes(&self) -> &[NodeId] {
-        self.wide_cols().0
+        self.nodes.slice(self.region.as_ref())
     }
 
-    /// The distance column (`E` elements; wide stores only).
+    /// The distance column (`E` elements).
     #[inline]
     fn dists(&self) -> &[f64] {
-        self.wide_cols().1
+        self.dists.slice(self.region.as_ref())
     }
 
-    /// The rank column (`E` elements; wide stores only).
+    /// The rank column (`E` elements).
     #[inline]
     fn ranks(&self) -> &[f64] {
-        self.wide_cols().2
+        self.ranks.slice(self.region.as_ref())
     }
 
-    /// The HIP adjusted-weight column (`E` elements; wide stores only).
+    /// The HIP adjusted-weight column (`E` elements).
     #[inline]
     fn weights(&self) -> &[f64] {
-        self.wide_cols().3
+        self.weights.slice(self.region.as_ref())
     }
 
-    /// The v2 decode context (compressed stores only).
+    /// Row `v`'s four column slices. This is the single access point
+    /// every query goes through, whatever file the store was read from.
     #[inline]
-    fn v2_ctx<'a>(&'a self, repr: &'a v2::V2Repr) -> v2::V2Ctx<'a> {
-        v2::V2Ctx {
-            repr,
-            region: self.region.as_ref(),
-            offsets: self.offsets(),
-        }
-    }
-
-    /// Runs `f` on row `v`'s four column slices, whichever representation
-    /// holds them. Wide stores slice in place, and a **thawed** v2 store
-    /// takes the identical slicing path over its shared full-width
-    /// columns (one extra atomic load); other v2 stores hand out the row
-    /// from the lazily decoded per-thread block scratch. This is the
-    /// single dispatch point every query goes through, so estimator
-    /// arithmetic is shared — and bit-identical — across formats.
-    #[inline]
-    fn with_row<T>(&self, v: NodeId, f: impl FnOnce(RowSlices<'_>) -> T) -> T {
-        let (nodes, dists, ranks, weights) = match &self.repr {
-            Repr::Wide { .. } => self.wide_cols(),
-            Repr::V2(repr) => match repr.thawed_cols() {
-                Some(cols) => cols,
-                None => return self.v2_ctx(repr).with_row(v, f),
-            },
-        };
+    fn row(&self, v: NodeId) -> RowSlices<'_> {
         let r = self.entry_range(v);
-        f(RowSlices {
-            nodes: &nodes[r.clone()],
-            dists: &dists[r.clone()],
-            ranks: &ranks[r.clone()],
-            weights: &weights[r],
-        })
-    }
-
-    /// Visits every row in order — the cold full-scan twin of
-    /// [`FrozenAdsSet::with_row`] (serialization, thaw, equality). For
-    /// v2 stores this decodes block by block into one reused local
-    /// buffer, bypassing the per-thread scratch.
-    fn for_each_row(&self, mut f: impl FnMut(usize, RowSlices<'_>)) {
-        match &self.repr {
-            Repr::Wide { .. } => {
-                let (nodes, dists, ranks, weights) = self.wide_cols();
-                for v in 0..self.num_nodes() {
-                    let r = self.entry_range(v as NodeId);
-                    f(
-                        v,
-                        RowSlices {
-                            nodes: &nodes[r.clone()],
-                            dists: &dists[r.clone()],
-                            ranks: &ranks[r.clone()],
-                            weights: &weights[r],
-                        },
-                    );
-                }
-            }
-            Repr::V2(repr) => self.v2_ctx(repr).for_each_row_decoded(f),
+        RowSlices {
+            nodes: &self.nodes()[r.clone()],
+            dists: &self.dists()[r.clone()],
+            ranks: &self.ranks()[r.clone()],
+            weights: &self.weights()[r],
         }
     }
 
-    /// Decodes the store into fully-owned wide columns (identity for
-    /// wide stores other than copying). The v1 writer and `thaw` use
-    /// this to serve from a compressed store.
-    fn to_wide_owned(&self) -> Self {
-        let mut nodes = Vec::with_capacity(self.num_entries());
-        let mut dists = Vec::with_capacity(self.num_entries());
-        let mut ranks = Vec::with_capacity(self.num_entries());
-        let mut weights = Vec::with_capacity(self.num_entries());
-        self.for_each_row(|_, row| {
-            nodes.extend_from_slice(row.nodes);
-            dists.extend_from_slice(row.dists);
-            ranks.extend_from_slice(row.ranks);
-            weights.extend_from_slice(row.weights);
-        });
-        Self::from_owned_cols(
-            self.k,
-            self.offsets().to_vec(),
-            nodes,
-            dists,
-            ranks,
-            weights,
-        )
-    }
-
-    /// The on-disk format version this store was built or loaded in:
-    /// `1` for full-width (wide) stores, `2` for compressed stores.
+    /// The header version this store was read from: `1` for a fresh
+    /// freeze or a v1 file, `2` for a v2 file. The in-memory layout
+    /// does not depend on it.
     pub fn format_version(&self) -> u32 {
-        match &self.repr {
-            Repr::Wide { .. } => FROZEN_FORMAT_VERSION,
-            Repr::V2(_) => FROZEN_FORMAT_VERSION_V2,
-        }
+        self.version
     }
 
     /// True when the store's columns view a memory-mapped file instead
@@ -939,13 +843,15 @@ impl FrozenAdsSet {
     /// Reconstructs a heap-backed [`AdsSet`] (e.g. to continue mutating a
     /// loaded store). The round trip `ads.freeze().thaw()` is lossless.
     pub fn thaw(&self) -> AdsSet {
-        let mut sketches = Vec::with_capacity(self.num_nodes());
-        self.for_each_row(|_, row| {
-            let entries: Vec<AdsEntry> = (0..row.nodes.len())
-                .map(|i| AdsEntry::new(row.nodes[i], row.dists[i], row.ranks[i]))
-                .collect();
-            sketches.push(BottomKAds::from_entries(self.k as usize, entries));
-        });
+        let sketches = (0..self.num_nodes() as NodeId)
+            .map(|v| {
+                let row = self.row(v);
+                let entries: Vec<AdsEntry> = (0..row.nodes.len())
+                    .map(|i| AdsEntry::new(row.nodes[i], row.dists[i], row.ranks[i]))
+                    .collect();
+                BottomKAds::from_entries(self.k as usize, entries)
+            })
+            .collect();
         AdsSet::from_sketches(self.k as usize, sketches)
     }
 
@@ -964,12 +870,7 @@ impl FrozenAdsSet {
     /// Total number of stored entries.
     #[inline]
     pub fn num_entries(&self) -> usize {
-        match &self.repr {
-            Repr::Wide { nodes, .. } => nodes.slice(self.region.as_ref()).len(),
-            // Valid for any loaded/constructed store: every load path
-            // validates the offset column before handing the store out.
-            Repr::V2(_) => *self.offsets().last().expect("n+1 offsets") as usize,
-        }
+        self.nodes().len()
     }
 
     /// Number of entries stored before node `v`'s range (the CSR prefix
@@ -991,34 +892,21 @@ impl FrozenAdsSet {
 
     /// The precomputed HIP adjusted weights of `ADS(v)`, in canonical
     /// order (zero-copy column slice).
-    ///
-    /// # Panics
-    ///
-    /// On a compressed (v2) store — there is no stable slice to borrow
-    /// from a lazily decoded block. Format-agnostic callers should go
-    /// through [`crate::view::AdsView`] instead.
     #[inline]
     pub fn hip_weights_slice(&self, v: NodeId) -> &[f64] {
         &self.weights()[self.entry_range(v)]
     }
 
     /// The distances of `ADS(v)` in canonical order (zero-copy slice).
-    ///
-    /// # Panics
-    ///
-    /// On a compressed (v2) store, like
-    /// [`FrozenAdsSet::hip_weights_slice`].
     #[inline]
     pub fn dists_slice(&self, v: NodeId) -> &[f64] {
         &self.dists()[self.entry_range(v)]
     }
 
     /// Resident *heap* memory of the store in bytes (struct + owned
-    /// columns; for v2, the actual compressed structures, not a
-    /// decoded-width estimate). Mapped columns and blobs count as zero:
-    /// their pages are file-backed, shared with every other process
-    /// mapping the same store, and reclaimable by the kernel at any
-    /// time.
+    /// columns). Mapped columns count as zero: their pages are
+    /// file-backed, shared with every other process mapping the same
+    /// store, and reclaimable by the kernel at any time.
     pub fn resident_bytes(&self) -> usize {
         fn owned<T>(col: &Col<T>) -> usize {
             match col {
@@ -1026,16 +914,12 @@ impl FrozenAdsSet {
                 Col::Mapped { .. } => 0,
             }
         }
-        let repr = match &self.repr {
-            Repr::Wide {
-                nodes,
-                dists,
-                ranks,
-                weights,
-            } => owned(nodes) + owned(dists) + owned(ranks) + owned(weights),
-            Repr::V2(repr) => repr.resident_bytes(),
-        };
-        std::mem::size_of::<Self>() + owned(&self.offsets) + repr
+        std::mem::size_of::<Self>()
+            + owned(&self.offsets)
+            + owned(&self.nodes)
+            + owned(&self.dists)
+            + owned(&self.ranks)
+            + owned(&self.weights)
     }
 
     /// Exact length of [`FrozenAdsSet::to_bytes`]'s (always version-1)
@@ -1094,13 +978,8 @@ impl FrozenAdsSet {
 
     /// Streams the version-1 on-disk format into `w` without materializing
     /// the serialized buffer (two passes over the columns: one to compute
-    /// the header checksum, one to write). [`FrozenAdsSet::to_bytes`] is a
-    /// thin wrapper over this. A compressed store is decoded to wide
-    /// columns first — the v1 ↔ v2 round trip is bitwise lossless.
-    pub fn write_to<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
-        if matches!(self.repr, Repr::V2(_)) {
-            return self.to_wide_owned().write_to(w);
-        }
+    /// the header checksum, one to write).
+    fn write_to<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
         let mut header = self.header_with_zero_checksum();
         // Pass 1: the checksum, over header-with-zeroed-field + payload.
         let mut hash = Fnv1a64::new();
@@ -1118,9 +997,8 @@ impl FrozenAdsSet {
 
     /// Serializes to the version-1 on-disk format (one contiguous
     /// little-endian buffer; see the module docs for the layout). Always
-    /// v1 regardless of the store's in-memory representation — the
-    /// compatibility baseline; use [`FrozenAdsSet::to_bytes_format`] to
-    /// opt into v2.
+    /// v1 whatever file the store was read from — the compatibility
+    /// baseline; use [`FrozenAdsSet::to_bytes_format`] to opt into v2.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(self.serialized_len());
         self.write_to(&mut buf)
@@ -1135,29 +1013,22 @@ impl FrozenAdsSet {
     pub fn to_bytes_format(&self, format: StoreFormat) -> Vec<u8> {
         match format {
             StoreFormat::V1 => self.to_bytes(),
-            StoreFormat::V2 => match &self.repr {
-                Repr::Wide { .. } => {
-                    let (nodes, dists, ranks, weights) = self.wide_cols();
-                    v2::encode(
-                        self.k,
-                        v2::RowsSource {
-                            offsets: self.offsets(),
-                            nodes,
-                            dists,
-                            ranks,
-                            weights,
-                        },
-                    )
-                }
-                // Re-encoding a compressed store: decode to wide first
-                // (the encoder verifies every entry against wide input).
-                Repr::V2(_) => self.to_wide_owned().to_bytes_format(StoreFormat::V2),
-            },
+            StoreFormat::V2 => v2::encode(
+                self.k,
+                v2::RowsSource {
+                    offsets: self.offsets(),
+                    nodes: self.nodes(),
+                    dists: self.dists(),
+                    ranks: self.ranks(),
+                    weights: self.weights(),
+                },
+            ),
         }
     }
 
-    /// [`FrozenAdsSet::write_to`] with an explicit [`StoreFormat`].
-    pub fn write_to_format<W: Write>(&self, w: &mut W, format: StoreFormat) -> std::io::Result<()> {
+    /// Writes the store to `w` in the given format: v1 streams, v2 is
+    /// encoded whole first.
+    fn write_to_format<W: Write>(&self, w: &mut W, format: StoreFormat) -> std::io::Result<()> {
         match format {
             StoreFormat::V1 => self.write_to(w),
             StoreFormat::V2 => w.write_all(&self.to_bytes_format(StoreFormat::V2)),
@@ -1172,29 +1043,27 @@ impl FrozenAdsSet {
         w.flush()
     }
 
-    /// Deserializes the version-1 format from any `Read`, streaming the
-    /// columns in fixed-size chunks — shard and store loading never
-    /// materializes an intermediate whole-file `Vec<u8>`.
+    /// Reads one serialized store off `r` (the buffered half of
+    /// [`FrozenAdsSet::load_with`]). A v1 body streams column by column
+    /// in fixed-size chunks, consuming exactly one store and leaving
+    /// anything after it unread (callers that require end-of-input check
+    /// for trailing bytes themselves). A v2 file is read whole — the
+    /// allocation is bounded by the reader's real length, never by a
+    /// header field — and handed to the decoder.
     ///
-    /// Consumes exactly one serialized store from the reader and leaves
-    /// anything after it unread (callers that require end-of-input, like
-    /// [`FrozenAdsSet::from_bytes`] and [`FrozenAdsSet::load`], check for
-    /// trailing bytes themselves). All header/checksum/structural
-    /// validations of `from_bytes` apply.
-    pub fn from_reader<R: Read>(r: &mut R) -> Result<Self, FrozenError> {
-        Self::from_reader_opts(r, true)
-    }
-
-    /// [`FrozenAdsSet::from_reader`] with checksum/structural validation
-    /// controlled by `verify` (the buffered half of
-    /// [`FrozenAdsSet::load_with`]). With `verify` off, only the O(1)
-    /// header sanity checks and the O(n) offset invariants every query
-    /// relies on are enforced — the per-byte checksum walk and the O(E)
-    /// canonical-order scan are skipped.
-    fn from_reader_opts<R: Read>(r: &mut R, verify: bool) -> Result<Self, FrozenError> {
+    /// With `verify` off, only the O(1) header sanity checks and the
+    /// O(n) offset invariants every query relies on are enforced — the
+    /// per-byte checksum walk and the O(E) canonical-order scan are
+    /// skipped.
+    fn from_reader<R: Read>(r: &mut R, verify: bool) -> Result<Self, FrozenError> {
         let mut header = [0u8; HEADER_LEN];
         read_exact_or_truncated(r, &mut header, HEADER_LEN as u64, 0)?;
         let parsed = parse_store_header(&header)?;
+        if parsed.version == FROZEN_FORMAT_VERSION_V2 {
+            let mut image = header.to_vec();
+            r.read_to_end(&mut image)?;
+            return Ok(Self::from_v2_image(&image, &parsed, verify)?.0);
+        }
         let (k, n, entries) = (parsed.k, parsed.n as usize, parsed.entries as usize);
 
         // Hash the header with the checksum field zeroed, then every
@@ -1204,32 +1073,6 @@ impl FrozenAdsSet {
             hash.update(&header[..CHECKSUM_OFFSET]);
             hash.update(&[0u8; 8]);
             hash.update(&header[CHECKSUM_OFFSET + 8..]);
-        }
-
-        if parsed.version == FROZEN_FORMAT_VERSION_V2 {
-            let body = v2::read_body(r, n, entries, verify.then_some(&mut hash))?;
-            if verify {
-                let computed = hash.digest();
-                if computed != parsed.stored_checksum {
-                    return Err(FrozenError::ChecksumMismatch {
-                        stored: parsed.stored_checksum,
-                        computed,
-                    });
-                }
-            }
-            let store = Self {
-                k,
-                region: None,
-                offsets: body.offsets,
-                repr: Repr::V2(body.repr),
-            };
-            store.validate_offsets(entries)?;
-            if verify {
-                if let Repr::V2(repr) = &store.repr {
-                    store.v2_ctx(repr).validate()?;
-                }
-            }
-            return Ok(store);
         }
 
         let mut consumed = HEADER_LEN as u64;
@@ -1260,20 +1103,45 @@ impl FrozenAdsSet {
         if verify {
             store.validate_structure()?;
         } else {
-            store.validate_offsets(store.num_entries())?;
+            validate_offsets(store.offsets(), store.num_entries())?;
         }
         Ok(store)
     }
 
-    /// Deserializes a buffer produced by [`FrozenAdsSet::to_bytes`],
-    /// validating magic, version, length, checksum, and the structural
-    /// payload invariants (thin wrapper over
-    /// [`FrozenAdsSet::from_reader`] that additionally rejects trailing
-    /// bytes). Lossless: the result compares equal to the store that was
-    /// serialized.
+    /// Builds a store from a complete v2 image (`parsed` is its header):
+    /// the one end of every v2 load path. Also returns the whole-image
+    /// digest under `verify`.
+    fn from_v2_image(
+        image: &[u8],
+        parsed: &ParsedHeader,
+        verify: bool,
+    ) -> Result<(Self, Option<u64>), FrozenError> {
+        let (cols, digest) = v2::decode(image, parsed, verify)?;
+        let store = Self {
+            version: FROZEN_FORMAT_VERSION_V2,
+            ..Self::from_owned_cols(
+                parsed.k,
+                cols.offsets,
+                cols.nodes,
+                cols.dists,
+                cols.ranks,
+                cols.weights,
+            )
+        };
+        if verify {
+            store.validate_structure()?;
+        }
+        Ok((store, digest))
+    }
+
+    /// Deserializes a buffer produced by [`FrozenAdsSet::to_bytes`] or
+    /// [`FrozenAdsSet::to_bytes_format`], validating magic, version,
+    /// length, checksum, and the structural payload invariants, and
+    /// rejecting trailing bytes. Lossless: the result compares equal to
+    /// the store that was serialized.
     pub fn from_bytes(buf: &[u8]) -> Result<Self, FrozenError> {
         let mut r = buf;
-        let store = Self::from_reader(&mut r)?;
+        let store = Self::from_reader(&mut r, true)?;
         if !r.is_empty() {
             return Err(FrozenError::Corrupt(format!(
                 "{} trailing bytes after the payload",
@@ -1283,38 +1151,11 @@ impl FrozenAdsSet {
         Ok(store)
     }
 
-    /// The O(n) offset invariants every query's slicing relies on:
-    /// monotone offsets starting at 0 and spanning exactly `entries`
-    /// stored entries (the count is passed explicitly: for wide stores
-    /// it is the physical column length, for v2 the header's claim).
-    /// Enforced even by trust-the-file loads ([`LoadOptions::verify`]
-    /// off) so no column access can panic on an inverted or
-    /// out-of-bounds range.
-    fn validate_offsets(&self, entries: usize) -> Result<(), FrozenError> {
-        let offsets = self.offsets();
-        if offsets[0] != 0 {
-            return Err(FrozenError::Corrupt("offsets[0] must be 0".into()));
-        }
-        if offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err(FrozenError::Corrupt(
-                "offsets must be non-decreasing".into(),
-            ));
-        }
-        if *offsets.last().expect("n+1 offsets") as usize != entries {
-            return Err(FrozenError::Corrupt(
-                "last offset must equal the entry count".into(),
-            ));
-        }
-        Ok(())
-    }
-
     /// Structural invariants the CSR columns must satisfy for every query
     /// to be well-defined: monotone offsets spanning exactly the entry
     /// columns, in-range node ids, canonical per-node entry order.
-    /// (Wide stores only; v2 stores run the block-level validator in
-    /// `frozen/v2.rs` instead.)
     fn validate_structure(&self) -> Result<(), FrozenError> {
-        self.validate_offsets(self.num_entries())?;
+        validate_offsets(self.offsets(), self.num_entries())?;
         let n = self.num_nodes();
         let (nodes, dists) = (self.nodes(), self.dists());
         for v in 0..n as NodeId {
@@ -1338,13 +1179,10 @@ impl FrozenAdsSet {
         Ok(())
     }
 
-    /// Streams the store to a file (buffered [`FrozenAdsSet::write_to`] —
-    /// no intermediate whole-file buffer).
+    /// Streams the store to a file in the version-1 format (no
+    /// intermediate whole-file buffer).
     pub fn save(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        let file = std::fs::File::create(path)?;
-        let mut w = std::io::BufWriter::new(file);
-        self.write_to(&mut w)?;
-        w.flush()
+        self.save_format(path, StoreFormat::V1)
     }
 
     /// Streams in and deserializes a store written by
@@ -1356,9 +1194,9 @@ impl FrozenAdsSet {
     }
 
     /// Loads a store with explicit [`LoadOptions`]: optionally mapping
-    /// the file's columns in place (zero-copy, kernel-page-cache-shared)
-    /// and optionally skipping checksum + full structural verification
-    /// for warm restarts of already-trusted files.
+    /// the file (zero-copy, kernel-page-cache-shared columns for a v1
+    /// store) and optionally skipping checksum + full structural
+    /// verification for warm restarts of already-trusted files.
     ///
     /// All of [`FrozenAdsSet::load`]'s rejections apply whenever
     /// `opts.verify` is on, regardless of backing; with `verify` off,
@@ -1385,36 +1223,29 @@ impl FrozenAdsSet {
             }
         }
         // Buffered copying path: no mmap requested, unsupported
-        // platform, or the map syscall declined.
-        let mut r = std::io::BufReader::new(file);
-        let (store, digest) = if opts.verify {
-            let mut hr = HashingReader::new(&mut r);
-            let store = Self::from_reader_opts(&mut hr, true)?;
-            if !reader_at_eof(&mut hr)? {
-                return Err(FrozenError::Corrupt(
-                    "trailing bytes after the payload".into(),
-                ));
-            }
-            let digest = hr.digest();
-            (store, Some(digest))
-        } else {
-            let store = Self::from_reader_opts(&mut r, false)?;
-            if !reader_at_eof(&mut r)? {
-                return Err(FrozenError::Corrupt(
-                    "trailing bytes after the payload".into(),
-                ));
-            }
-            (store, None)
+        // platform, or the map syscall declined. Unverified loads skip
+        // the per-byte digest walk along with the checksum.
+        let mut r = HashingReader {
+            inner: std::io::BufReader::new(file),
+            hash: opts.verify.then(Fnv1a64::new),
         };
-        Ok((store, digest))
+        let store = Self::from_reader(&mut r, opts.verify)?;
+        if !reader_at_eof(&mut r)? {
+            return Err(FrozenError::Corrupt(
+                "trailing bytes after the payload".into(),
+            ));
+        }
+        Ok((store, r.hash.map(|h| h.digest())))
     }
 
     /// Builds a store over a mapped file region: header and length
     /// checks always; checksum + full structural scan only under
-    /// `verify`. Columns stay zero-copy views except the three `f64`
-    /// columns of files whose layout lands them 8-misaligned (possible
-    /// in the padding-free v1 format when `n + 1 + E` is odd) — those
-    /// are decoded into owned memory so every slice access stays sound.
+    /// `verify`. A v2 file is decoded out of the mapping, which is then
+    /// dropped. A v1 file's columns stay zero-copy views — except the
+    /// three `f64` columns of files whose layout lands them 8-misaligned
+    /// (whenever `n + 1 + E` is odd in the padding-free v1 format):
+    /// those are copied into owned memory so every slice access stays
+    /// sound, which leaves only the offset and node-id columns mapped.
     fn from_mapped(region: MapRegion, verify: bool) -> Result<(Self, Option<u64>), FrozenError> {
         let buf = region.bytes();
         if buf.len() < HEADER_LEN {
@@ -1426,38 +1257,7 @@ impl FrozenAdsSet {
         let header: [u8; HEADER_LEN] = buf[..HEADER_LEN].try_into().expect("length checked");
         let parsed = parse_store_header(&header)?;
         if parsed.version == FROZEN_FORMAT_VERSION_V2 {
-            // v2: metadata (dictionary, block-offset table) decodes into
-            // small owned vectors; the offset column and the compressed
-            // blob stay zero-copy views. Blocks decode lazily on first
-            // touch, so unqueried pages are never faulted in.
-            let body = v2::parse_mapped(&region, parsed.n as usize, parsed.entries as usize)?;
-            let whole_file_digest = if verify {
-                let computed = buffer_checksum(buf);
-                if computed != parsed.stored_checksum {
-                    return Err(FrozenError::ChecksumMismatch {
-                        stored: parsed.stored_checksum,
-                        computed,
-                    });
-                }
-                let mut h = Fnv1a64::new();
-                h.update(buf);
-                Some(h.digest())
-            } else {
-                None
-            };
-            let store = Self {
-                k: parsed.k,
-                offsets: body.offsets,
-                repr: Repr::V2(body.repr),
-                region: Some(region),
-            };
-            store.validate_offsets(parsed.entries as usize)?;
-            if verify {
-                if let Repr::V2(repr) = &store.repr {
-                    store.v2_ctx(repr).validate()?;
-                }
-            }
-            return Ok((store, whole_file_digest));
+            return Self::from_v2_image(buf, &parsed, verify);
         }
         if (buf.len() as u128) < parsed.expected_len {
             return Err(FrozenError::Truncated {
@@ -1472,16 +1272,7 @@ impl FrozenAdsSet {
             )));
         }
         let whole_file_digest = if verify {
-            let computed = buffer_checksum(buf);
-            if computed != parsed.stored_checksum {
-                return Err(FrozenError::ChecksumMismatch {
-                    stored: parsed.stored_checksum,
-                    computed,
-                });
-            }
-            let mut h = Fnv1a64::new();
-            h.update(buf);
-            Some(h.digest())
+            Some(verify_image(buf, parsed.stored_checksum)?)
         } else {
             None
         };
@@ -1520,25 +1311,24 @@ impl FrozenAdsSet {
         let weights = f64_col(off_weights);
         let store = Self {
             k: parsed.k,
+            version: FROZEN_FORMAT_VERSION,
             offsets: Col::Mapped {
                 off: off_offsets,
                 count: n + 1,
             },
-            repr: Repr::Wide {
-                nodes: Col::Mapped {
-                    off: off_nodes,
-                    count: entries,
-                },
-                dists,
-                ranks,
-                weights,
+            nodes: Col::Mapped {
+                off: off_nodes,
+                count: entries,
             },
+            dists,
+            ranks,
+            weights,
             region: Some(region),
         };
         if verify {
             store.validate_structure()?;
         } else {
-            store.validate_offsets(store.num_entries())?;
+            validate_offsets(store.offsets(), store.num_entries())?;
         }
         Ok((store, whole_file_digest))
     }
@@ -1568,27 +1358,25 @@ impl AdsView for FrozenAdsSet {
     }
 
     fn for_each_entry(&self, v: NodeId, mut f: impl FnMut(AdsEntry)) {
-        self.with_row(v, |row| {
-            for i in 0..row.nodes.len() {
-                f(AdsEntry::new(row.nodes[i], row.dists[i], row.ranks[i]));
-            }
-        })
+        let row = self.row(v);
+        for i in 0..row.nodes.len() {
+            f(AdsEntry::new(row.nodes[i], row.dists[i], row.ranks[i]));
+        }
     }
 
     fn for_each_hip(&self, v: NodeId, mut f: impl FnMut(HipItem)) {
-        self.with_row(v, |row| {
-            for i in 0..row.nodes.len() {
-                f(HipItem {
-                    node: row.nodes[i],
-                    dist: row.dists[i],
-                    weight: row.weights[i],
-                });
-            }
-        })
+        let row = self.row(v);
+        for i in 0..row.nodes.len() {
+            f(HipItem {
+                node: row.nodes[i],
+                dist: row.dists[i],
+                weight: row.weights[i],
+            });
+        }
     }
 
     fn size_at(&self, v: NodeId, d: f64) -> usize {
-        self.with_row(v, |row| row.dists.partition_point(|&x| x <= d))
+        self.dists_slice(v).partition_point(|&x| x <= d)
     }
 
     #[inline]
@@ -1599,30 +1387,28 @@ impl AdsView for FrozenAdsSet {
     fn minhash_at(&self, v: NodeId, d: f64) -> adsketch_minhash::BottomKSketch {
         // Insert only the binary-searched distance-≤ d prefix, like the
         // heap path — not the trait default's full-sketch filter scan.
-        self.with_row(v, |row| {
-            let cut = row.dists.partition_point(|&x| x <= d);
-            let mut sketch = adsketch_minhash::BottomKSketch::new(self.k as usize);
-            for i in 0..cut {
-                sketch.insert_ranked(row.ranks[i], row.nodes[i] as u64);
-            }
-            sketch
-        })
+        let row = self.row(v);
+        let cut = row.dists.partition_point(|&x| x <= d);
+        let mut sketch = adsketch_minhash::BottomKSketch::new(self.k as usize);
+        for i in 0..cut {
+            sketch.insert_ranked(row.ranks[i], row.nodes[i] as u64);
+        }
+        sketch
     }
 
     fn hip_cardinality_at(&self, v: NodeId, d: f64) -> f64 {
-        self.with_row(v, |row| {
-            let cut = row.dists.partition_point(|&x| x <= d);
-            row.weights[..cut].iter().sum()
-        })
+        let row = self.row(v);
+        let cut = row.dists.partition_point(|&x| x <= d);
+        row.weights[..cut].iter().sum()
     }
 
     fn hip_reachable(&self, v: NodeId) -> f64 {
-        self.with_row(v, |row| row.weights.iter().sum())
+        self.hip_weights_slice(v).iter().sum()
     }
 }
 
 /// True iff the reader has no bytes left (probes with a 1-byte read).
-pub fn reader_at_eof<R: Read>(r: &mut R) -> std::io::Result<bool> {
+fn reader_at_eof<R: Read>(r: &mut R) -> std::io::Result<bool> {
     let mut probe = [0u8; 1];
     loop {
         match r.read(&mut probe) {
@@ -2100,7 +1886,7 @@ mod tests {
         frozen.write_to(&mut buf).unwrap();
         assert_eq!(buf, frozen.to_bytes());
         let mut r = &buf[..];
-        let restored = FrozenAdsSet::from_reader(&mut r).unwrap();
+        let restored = FrozenAdsSet::from_reader(&mut r, true).unwrap();
         assert!(r.is_empty());
         assert_eq!(restored, frozen);
     }
@@ -2111,7 +1897,7 @@ mod tests {
         let mut buf = frozen.to_bytes();
         buf.extend_from_slice(b"NEXT");
         let mut r = &buf[..];
-        let restored = FrozenAdsSet::from_reader(&mut r).unwrap();
+        let restored = FrozenAdsSet::from_reader(&mut r, true).unwrap();
         assert_eq!(restored, frozen);
         assert_eq!(r, b"NEXT");
     }
@@ -2389,12 +2175,31 @@ mod tests {
     }
 
     #[test]
+    fn v2_loaded_store_serves_the_same_column_slices() {
+        let frozen = sample_set().freeze();
+        let v2 = FrozenAdsSet::from_bytes(&frozen.to_bytes_format(StoreFormat::V2)).unwrap();
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for v in 0..frozen.num_nodes() as NodeId {
+            assert_eq!(
+                bits(v2.hip_weights_slice(v)),
+                bits(frozen.hip_weights_slice(v))
+            );
+            assert_eq!(bits(v2.dists_slice(v)), bits(frozen.dists_slice(v)));
+        }
+    }
+
+    #[test]
     fn v2_clone_and_thaw_preserve_everything() {
         let ads = sample_set();
         let frozen = ads.freeze();
         let v2 = FrozenAdsSet::from_bytes(&frozen.to_bytes_format(StoreFormat::V2)).unwrap();
         let cloned = v2.clone();
-        assert_eq!(cloned.format_version(), 2, "clones keep their format");
+        assert_eq!(
+            cloned.format_version(),
+            2,
+            "clones keep the header version they were read from"
+        );
+        assert_eq!(cloned.resident_bytes(), frozen.resident_bytes());
         assert_eq!(cloned, frozen);
         let thawed = v2.thaw();
         assert_eq!(thawed.freeze().to_bytes(), frozen.to_bytes());
@@ -2415,12 +2220,15 @@ mod tests {
             assert_eq!(loaded.format_version(), 2, "under {opts:?}");
             assert_eq!(loaded, frozen, "under {opts:?}");
             assert_eq!(loaded.to_bytes(), frozen.to_bytes(), "under {opts:?}");
+            // Every v2 load decodes into the owned full-width columns a
+            // freeze produces: nothing stays mapped, nothing is smaller.
+            assert!(!loaded.is_mapped(), "under {opts:?}");
+            assert_eq!(
+                loaded.resident_bytes(),
+                frozen.resident_bytes(),
+                "under {opts:?}"
+            );
         }
-        // Mapped v2 stores report only their real resident structures,
-        // far below the decoded width of the wide store.
-        let mapped = FrozenAdsSet::load_with(&path, LoadOptions::mapped()).unwrap();
-        assert!(mapped.is_mapped());
-        assert!(mapped.resident_bytes() < frozen.resident_bytes() / 4);
         std::fs::remove_file(&path).ok();
     }
 

@@ -32,38 +32,29 @@
 //! *verifying reconstruction* of every entry, never by value heuristics,
 //! so a v1 ↔ v2 round trip is bitwise lossless for any store.
 //!
-//! # Block layout and the query path
+//! # Block layout and the load path
 //!
 //! Entries are grouped into blocks of [`DEFAULT_ROWS_PER_BLOCK`] rows
 //! (the row count is recorded in the header). Each block encodes its
 //! entries column-major — four sections `[dists][ranks][weights][nodes]`
 //! behind a 16-byte section-length header — so decoding runs four tight
-//! homogeneous loops instead of a per-entry interleaved parse. A
-//! `(block offset)` table in the store addresses blocks independently:
-//! queries decode **lazily, per block, on first touch**, into a
-//! per-thread scratch cache ([`SCRATCH_BUDGET_BYTES`]), never
-//! materializing the full store. Mapped (`mmap`) v2 stores therefore
-//! touch only the pages of the blocks they serve. One exception favours
-//! resident servers: a **buffered** store whose whole decoded form fits
-//! the scratch budget *thaws* on first touch into a single shared
-//! contiguous column set — exactly the full-width (v1) memory layout,
-//! served with one atomic load per row access — so batch sweeps run at
-//! v1 speed. Mapped stores never thaw; lazy per-block decode is their
-//! contract.
+//! homogeneous loops instead of a per-entry interleaved parse.
+//!
+//! Version 2 is a **file codec**, not a way to hold a store: this module
+//! is the pair [`encode`] (columns → bytes) and [`decode`] (bytes →
+//! columns). Every load path of a v2 file — `from_bytes`, buffered,
+//! mapped, trusted — runs [`decode`] once over the whole image and ends
+//! in the same full-width columns a freeze or a v1 load produces, so
+//! queries never see the compressed form. A verified load checks each
+//! block's sections and decodes it in the same pass.
 //!
 //! The full on-disk layout table lives in the [`super`] module docs next
 //! to the v1 table.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::io::Read;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-use adsketch_graph::NodeId;
-
-use super::mmap::MapRegion;
 use super::varint;
-use super::{read_exact_or_truncated, FrozenError, COL_CAPACITY_HINT};
+use super::{FrozenError, ParsedHeader, HEADER_LEN};
 
 /// Serialized v2 header length: the 40 common bytes plus four column
 /// tags and the u32 rows-per-block.
@@ -71,20 +62,13 @@ pub(super) const V2_HEADER_LEN: usize = 48;
 
 /// Rows per block the encoder writes (readers honour whatever the
 /// header records). 64 rows ≈ a few thousand entries at practical k —
-/// large enough to amortize decode setup, small enough that a single
-/// cold point query stays microseconds.
+/// large enough to amortize decode setup, small enough that one decoded
+/// block stays cache-resident.
 pub(super) const DEFAULT_ROWS_PER_BLOCK: u32 = 64;
 
 /// Upper bound accepted for the header's rows-per-block (an untrusted
-/// field; a huge value would make single-row queries decode the world).
+/// field; keeps `block × rows` arithmetic far from overflow).
 const MAX_ROWS_PER_BLOCK: u32 = 1 << 20;
-
-/// Per-thread decoded-block scratch budget: 64 MiB. Blocks decoded on
-/// first touch are retained up to this many bytes per thread (then the
-/// scratch is flushed wholesale), so sweeps re-decode each block at
-/// most once per pass and point-query working sets stay resident. Also
-/// the size up to which a buffered store thaws whole (module docs).
-pub(super) const SCRATCH_BUDGET_BYTES: usize = 64 << 20;
 
 /// `2⁵³` and its exact reciprocal — the unweighted sampler's rank
 /// quantum (see `adsketch-util`'s `u64_to_unit_f64`).
@@ -185,117 +169,7 @@ impl Tags {
     }
 }
 
-/// The compressed payload backing: owned bytes (buffered loads, encode)
-/// or a range of the store's mapped file region.
-#[derive(Debug)]
-pub(super) enum Blob {
-    Owned(Vec<u8>),
-    Mapped { off: usize, len: usize },
-}
-
-impl Blob {
-    #[inline]
-    fn bytes<'a>(&'a self, region: Option<&'a MapRegion>) -> &'a [u8] {
-        match self {
-            Blob::Owned(v) => v,
-            Blob::Mapped { off, len } => {
-                &region.expect("mapped blob requires a region").bytes()[*off..*off + *len]
-            }
-        }
-    }
-}
-
-/// Monotonically increasing id distinguishing live v2 stores in the
-/// per-thread scratch cache. Never reused, so a dropped store's stale
-/// cached blocks can never alias a new store's.
-static NEXT_STORE_ID: AtomicU64 = AtomicU64::new(1);
-
-/// The in-memory form of a version-2 store's compressed payload. The
-/// enclosing `FrozenAdsSet` keeps the CSR entry-offset column (shared
-/// with v1) and the mapped region; everything v2-specific lives here.
-#[derive(Debug)]
-pub(super) struct V2Repr {
-    pub tags: Tags,
-    pub rows_per_block: u32,
-    /// Sorted distinct distance bit patterns (empty under `DistTag::Raw`).
-    pub dict: Vec<f64>,
-    /// `num_blocks + 1` blob-relative byte offsets; block `b`'s encoding
-    /// is `blob[block_offsets[b]..block_offsets[b+1]]`. Validated
-    /// monotone and in-bounds at every load level, so block slicing is
-    /// infallible.
-    pub block_offsets: Vec<u64>,
-    pub blob: Blob,
-    store_id: u64,
-    /// Whole-store contiguous decode, filled once on first touch when
-    /// the store is buffered (not mapped) and its decoded size fits the
-    /// scratch budget — the full-width (v1) memory layout, shared by
-    /// every thread, served with one atomic load per row access.
-    thawed: std::sync::OnceLock<DecodedBlock>,
-}
-
-impl V2Repr {
-    fn new(
-        tags: Tags,
-        rows_per_block: u32,
-        dict: Vec<f64>,
-        block_offsets: Vec<u64>,
-        blob: Blob,
-    ) -> Self {
-        Self {
-            tags,
-            rows_per_block,
-            dict,
-            block_offsets,
-            blob,
-            store_id: NEXT_STORE_ID.fetch_add(1, Ordering::Relaxed),
-            thawed: std::sync::OnceLock::new(),
-        }
-    }
-
-    /// Deep copy with owned blob bytes (used by `FrozenAdsSet::clone`
-    /// to drop any dependence on a mapped region). Gets a fresh store
-    /// id: scratch caches are keyed per store instance.
-    pub fn to_owned_copy(&self, region: Option<&MapRegion>) -> Self {
-        Self::new(
-            self.tags,
-            self.rows_per_block,
-            self.dict.clone(),
-            self.block_offsets.clone(),
-            Blob::Owned(self.blob.bytes(region).to_vec()),
-        )
-    }
-
-    /// Actual resident heap bytes of the compressed representation
-    /// (mapped blobs count zero — their pages are file-backed). A
-    /// thawed whole-store decode counts in full.
-    pub fn resident_bytes(&self) -> usize {
-        let blob = match &self.blob {
-            Blob::Owned(v) => v.capacity(),
-            Blob::Mapped { .. } => 0,
-        };
-        self.dict.capacity() * 8
-            + self.block_offsets.capacity() * 8
-            + blob
-            + self.thawed.get().map_or(0, DecodedBlock::byte_size)
-    }
-
-    /// The thawed full-width columns, if this store has thawed. Lets the
-    /// dispatch in `frozen.rs` serve thawed rows through the exact same
-    /// slicing code as a wide (v1) store — one atomic load is the only
-    /// difference.
-    #[inline]
-    pub fn thawed_cols(&self) -> Option<ColSlices<'_>> {
-        self.thawed
-            .get()
-            .map(|b| (&b.nodes[..], &b.dists[..], &b.ranks[..], &b.weights[..]))
-    }
-}
-
-/// The four full-width column slices `(nodes, dists, ranks, weights)`.
-pub(super) type ColSlices<'a> = (&'a [u32], &'a [f64], &'a [f64], &'a [f64]);
-
-/// Borrowed row-major view of fully decoded columns — the encoder's
-/// input and the decode-verification baseline.
+/// Borrowed full-width columns — the encoder's input.
 #[derive(Clone, Copy)]
 pub(super) struct RowsSource<'a> {
     pub offsets: &'a [u32],
@@ -305,68 +179,115 @@ pub(super) struct RowsSource<'a> {
     pub weights: &'a [f64],
 }
 
-/// One decoded row, borrowed from a decoded block (or a wide store's
-/// columns — the dispatch in `frozen.rs` hands out both through this).
-#[derive(Clone, Copy)]
-pub(crate) struct RowSlices<'a> {
-    pub nodes: &'a [u32],
-    pub dists: &'a [f64],
-    pub ranks: &'a [f64],
-    pub weights: &'a [f64],
-}
-
-/// Everything needed to resolve and decode a v2 store's rows: the repr,
-/// the (possibly mapped) region, and the CSR entry offsets.
-#[derive(Clone, Copy)]
-pub(super) struct V2Ctx<'a> {
-    pub repr: &'a V2Repr,
-    pub region: Option<&'a MapRegion>,
-    pub offsets: &'a [u32],
-}
-
-/// One decoded block of rows, struct-of-arrays, reused across decodes.
-#[derive(Debug, Default)]
-pub(super) struct DecodedBlock {
-    base_row: usize,
-    base_entry: usize,
-    nodes: Vec<u32>,
-    dists: Vec<f64>,
-    ranks: Vec<f64>,
-    weights: Vec<f64>,
-}
-
-impl DecodedBlock {
-    fn byte_size(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.nodes.capacity() * 4
-            + (self.dists.capacity() + self.ranks.capacity() + self.weights.capacity()) * 8
-    }
-}
-
-/// The per-thread decoded-block scratch: blocks decode on first touch
-/// and stay resident until the byte budget trips, when the scratch is
-/// flushed wholesale (sweeps then re-decode each block exactly once per
-/// pass). Keyed by `(store id, block)`, and store ids are never reused,
-/// so stale entries cannot alias a newer store.
+/// Owned full-width columns — what [`decode`] returns.
 #[derive(Default)]
-struct BlockCache {
-    blocks: HashMap<(u64, u32), std::rc::Rc<DecodedBlock>>,
-    /// One-entry memo of the most recently touched block. Sequential
-    /// sweeps hit the same block `rows_per_block` times in a row, so
-    /// this turns the per-row cost into a tuple compare + `Rc` clone
-    /// and leaves the hash lookup to once per block.
-    last: Option<((u64, u32), std::rc::Rc<DecodedBlock>)>,
-    bytes: usize,
+pub(super) struct Columns {
+    pub offsets: Vec<u32>,
+    pub nodes: Vec<u32>,
+    pub dists: Vec<f64>,
+    pub ranks: Vec<f64>,
+    pub weights: Vec<f64>,
 }
 
-thread_local! {
-    static BLOCK_CACHE: RefCell<BlockCache> = RefCell::new(BlockCache::default());
+// ---------------------------------------------------------------------
+// Decoding
+// ---------------------------------------------------------------------
+
+/// The body of one v2 image, sliced: the small metadata tables decoded
+/// into owned vectors, the compressed blob borrowed from the image.
+struct Body<'a> {
+    tags: Tags,
+    rows_per_block: usize,
+    /// The CSR entry offsets (`n + 1` values, the v1 column).
+    offsets: Vec<u32>,
+    /// Sorted distinct distance bit patterns (empty under `DistTag::Raw`).
+    dict: Vec<f64>,
+    /// `num_blocks + 1` blob-relative byte offsets; block `b`'s encoding
+    /// is `blob[block_offsets[b]..block_offsets[b+1]]`. Checked monotone
+    /// and in-bounds at every load level, so block slicing is infallible.
+    block_offsets: Vec<u64>,
+    blob: &'a [u8],
 }
 
-impl<'a> V2Ctx<'a> {
-    #[inline]
-    fn blob_bytes(&self) -> &'a [u8] {
-        self.repr.blob.bytes(self.region)
+/// Splits the next `len` bytes off `rest`. `len` derives from untrusted
+/// header fields, so it is compared with what the image really holds
+/// before anything is sliced or allocated.
+fn take<'a>(rest: &mut &'a [u8], len: u64, whole: u64) -> Result<&'a [u8], FrozenError> {
+    if len > rest.len() as u64 {
+        return Err(FrozenError::Truncated {
+            expected: (whole - rest.len() as u64).saturating_add(len),
+            actual: whole,
+        });
+    }
+    let (head, tail) = rest.split_at(len as usize);
+    *rest = tail;
+    Ok(head)
+}
+
+impl<'a> Body<'a> {
+    /// Slices a complete v2 image (`buf` is the whole file, its 40
+    /// common header bytes already parsed into `n` and `entries`) and
+    /// runs every check that does not need the blocks decoded: exact
+    /// length, the block-offset table, and the entry count against the
+    /// blob length. Runs at **every** load level.
+    fn parse(buf: &'a [u8], n: usize, entries: usize) -> Result<Self, FrozenError> {
+        let whole = buf.len() as u64;
+        let mut rest = &buf[HEADER_LEN..];
+        // n, D and the block count fit a u32, so the u64 products below
+        // cannot overflow.
+        let extra = take(&mut rest, 8, whole)?.try_into().expect("8 bytes");
+        let (tags, rpb) = parse_extra(extra)?;
+        let num_blocks = n.div_ceil(rpb as usize) as u64;
+
+        let offsets = take(&mut rest, (n as u64 + 1) * 4, whole)?
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte")))
+            .collect();
+
+        let d = take(&mut rest, 4, whole)?.try_into().expect("4 bytes");
+        let d = u32::from_le_bytes(d) as u64;
+        if d > entries.max(1) as u64 {
+            return Err(FrozenError::Corrupt(format!(
+                "distance dictionary of {d} values exceeds the entry count {entries}"
+            )));
+        }
+        let dict = take(&mut rest, d * 8, whole)?
+            .chunks_exact(8)
+            .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8-byte"))))
+            .collect();
+
+        let block_offsets: Vec<u64> = take(&mut rest, (num_blocks + 1) * 8, whole)?
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte")))
+            .collect();
+
+        let blob_len = take(&mut rest, 8, whole)?.try_into().expect("8 bytes");
+        let blob_len = u64::from_le_bytes(blob_len);
+        check_block_offsets(&block_offsets, blob_len)?;
+        let blob = take(&mut rest, blob_len, whole)?;
+        if !rest.is_empty() {
+            return Err(FrozenError::Corrupt(format!(
+                "{} trailing bytes after the payload",
+                rest.len()
+            )));
+        }
+        // `decode` reserves its columns by `entries`: bound that by the
+        // bytes actually present before it does. No entry takes fewer
+        // than 11 blob bytes: a 2-byte distance code, a 7-byte rank, a
+        // 1-byte weight varint and a 1-byte node varint.
+        if entries as u64 * 11 > blob_len {
+            return Err(FrozenError::Corrupt(format!(
+                "{entries} entries cannot fit a {blob_len}-byte blob (at least 11 bytes each)"
+            )));
+        }
+        Ok(Self {
+            tags,
+            rows_per_block: rpb as usize,
+            offsets,
+            dict,
+            block_offsets,
+            blob,
+        })
     }
 
     #[inline]
@@ -374,213 +295,82 @@ impl<'a> V2Ctx<'a> {
         self.offsets.len() - 1
     }
 
-    /// Decodes (or fetches from the per-thread scratch) the block owning
-    /// row `v` and calls `f` with that row's column slices.
-    ///
-    /// Re-entrant: the scratch borrow is released before `f` runs, so
-    /// the callback may itself query v2 stores (nested `with_row`); in
-    /// the unlikely event the scratch is still borrowed (a caller panic
-    /// mid-update), the row decodes into a fresh local block instead —
-    /// slower, never wrong.
-    #[inline]
-    pub fn with_row<T>(&self, v: NodeId, f: impl FnOnce(RowSlices<'_>) -> T) -> T {
-        // Buffered stores that fit the budget thaw once into a shared
-        // contiguous column set — v1's exact memory layout, one atomic
-        // load per row access from then on. The hot path is deliberately
-        // tiny so it inlines into the estimator loops just like v1's
-        // direct column slicing; everything else lives in the cold half.
-        if let Some(full) = self.repr.thawed.get() {
-            return f(self.row_of(full, v));
-        }
-        self.with_row_cold(v, f)
-    }
-
-    /// The pre-thaw / mapped-store half of [`V2Ctx::with_row`]: decides
-    /// whether to thaw a buffered store, otherwise serves the row from
-    /// the per-thread block scratch. Mapped stores always land here —
-    /// their contract is lazy per-block decode, touching only the file
-    /// pages a query actually needs.
-    #[inline(never)]
-    fn with_row_cold<T>(&self, v: NodeId, f: impl FnOnce(RowSlices<'_>) -> T) -> T {
-        if self.region.is_none() && self.decoded_store_bytes() <= SCRATCH_BUDGET_BYTES {
-            let full = self.repr.thawed.get_or_init(|| self.decode_full());
-            return f(self.row_of(full, v));
-        }
-        let block = (v as usize / self.repr.rows_per_block as usize) as u32;
-        let key = (self.repr.store_id, block);
-        let cached = BLOCK_CACHE.with(|cell| {
-            let mut cache = cell.try_borrow_mut().ok()?;
-            if let Some((k, blk)) = &cache.last {
-                if *k == key {
-                    return Some(blk.clone());
-                }
-            }
-            let rc = if let Some(blk) = cache.blocks.get(&key) {
-                blk.clone()
-            } else {
-                let mut decoded = DecodedBlock::default();
-                self.decode_block_into(block as usize, &mut decoded);
-                if cache.bytes + decoded.byte_size() > SCRATCH_BUDGET_BYTES {
-                    cache.blocks.clear();
-                    cache.bytes = 0;
-                }
-                cache.bytes += decoded.byte_size();
-                let rc = std::rc::Rc::new(decoded);
-                cache.blocks.insert(key, rc.clone());
-                rc
-            };
-            cache.last = Some((key, rc.clone()));
-            Some(rc)
-        });
-        match cached {
-            Some(blk) => f(self.row_of(&blk, v)),
-            None => {
-                let mut decoded = DecodedBlock::default();
-                self.decode_block_into(block as usize, &mut decoded);
-                f(self.row_of(&decoded, v))
-            }
-        }
-    }
-
-    /// Bytes one contiguous decode of the whole store occupies.
-    #[inline]
-    fn decoded_store_bytes(&self) -> usize {
-        let entries = self.offsets.last().copied().unwrap_or(0) as usize;
-        std::mem::size_of::<DecodedBlock>() + entries * 28
-    }
-
-    /// Decodes every block into one contiguous column set (the v1
-    /// memory layout), so full-store sweeps read three unbroken streams
-    /// instead of hopping between per-block allocations.
-    fn decode_full(&self) -> DecodedBlock {
-        let entries = self.offsets.last().copied().unwrap_or(0) as usize;
-        let mut full = DecodedBlock {
-            base_row: 0,
-            base_entry: 0,
-            nodes: Vec::with_capacity(entries),
-            dists: Vec::with_capacity(entries),
-            ranks: Vec::with_capacity(entries),
-            weights: Vec::with_capacity(entries),
-        };
-        let mut tmp = DecodedBlock::default();
-        for b in 0..self.repr.block_offsets.len().saturating_sub(1) {
-            self.decode_block_into(b, &mut tmp);
-            full.nodes.extend_from_slice(&tmp.nodes);
-            full.dists.extend_from_slice(&tmp.dists);
-            full.ranks.extend_from_slice(&tmp.ranks);
-            full.weights.extend_from_slice(&tmp.weights);
-        }
-        full
-    }
-
-    /// Slices row `v` out of its decoded block.
-    #[inline]
-    fn row_of<'b>(&self, blk: &'b DecodedBlock, v: NodeId) -> RowSlices<'b> {
-        debug_assert!(
-            v as usize >= blk.base_row
-                && self.offsets[v as usize + 1] as usize - blk.base_entry <= blk.nodes.len()
-        );
-        let lo = self.offsets[v as usize] as usize - blk.base_entry;
-        let hi = self.offsets[v as usize + 1] as usize - blk.base_entry;
-        RowSlices {
-            nodes: &blk.nodes[lo..hi],
-            dists: &blk.dists[lo..hi],
-            ranks: &blk.ranks[lo..hi],
-            weights: &blk.weights[lo..hi],
-        }
-    }
-
-    /// Visits every row in order with one reused local block (cold full
-    /// scans: serialization, thaw, equality — not the query path, which
-    /// goes through the cached [`V2Ctx::with_row`]).
-    pub fn for_each_row_decoded(&self, mut f: impl FnMut(usize, RowSlices<'_>)) {
-        let n = self.num_rows();
-        let rpb = self.repr.rows_per_block as usize;
-        let mut blk = DecodedBlock::default();
-        for b in 0..self.repr.block_offsets.len().saturating_sub(1) {
-            self.decode_block_into(b, &mut blk);
-            for v in b * rpb..((b + 1) * rpb).min(n) {
-                f(v, self.row_of(&blk, v as NodeId));
-            }
-        }
-    }
-
     /// The rows and entry span block `b` covers.
     fn block_extent(&self, b: usize) -> (std::ops::Range<usize>, std::ops::Range<usize>) {
-        let rpb = self.repr.rows_per_block as usize;
-        let lo = (b * rpb).min(self.num_rows());
-        let hi = ((b + 1) * rpb).min(self.num_rows());
+        let lo = (b * self.rows_per_block).min(self.num_rows());
+        let hi = ((b + 1) * self.rows_per_block).min(self.num_rows());
         (lo..hi, self.offsets[lo] as usize..self.offsets[hi] as usize)
     }
 
-    /// Decodes block `b` into `out`. **Infallible by construction**: the
-    /// unverified-load contract (like v1's) is that structural damage in
-    /// trusted files yields garbage *values*, never panics or
-    /// out-of-bounds access, so every read below is bounds-clamped and
-    /// shortfalls zero-fill. Verified loads ran [`V2Ctx::validate`]
-    /// first, after which none of the fallback branches are reachable.
-    pub fn decode_block_into(&self, b: usize, out: &mut DecodedBlock) {
+    /// The encoded bytes of block `b`.
+    fn block_span(&self, b: usize) -> &'a [u8] {
+        &self.blob[self.block_offsets[b] as usize..self.block_offsets[b + 1] as usize]
+    }
+
+    /// Decodes block `b` onto the end of `out`'s four entry columns.
+    /// **Infallible by construction**: the unverified-load contract
+    /// (like v1's) is that structural damage in trusted files yields
+    /// garbage *values*, never panics or out-of-bounds access, so every
+    /// read below is bounds-clamped and shortfalls zero-fill. Verified
+    /// loads ran [`Body::check_block`] first, after which none of the
+    /// fallback branches are reachable.
+    fn decode_block(&self, b: usize, out: &mut Columns) {
         let (rows, entries) = self.block_extent(b);
         let count = entries.len();
-        out.base_row = rows.start;
-        out.base_entry = entries.start;
-        out.nodes.clear();
-        out.dists.clear();
-        out.ranks.clear();
-        out.weights.clear();
-        out.nodes.resize(count, 0);
-        out.dists.resize(count, 0.0);
-        out.ranks.resize(count, 0.0);
-        out.weights.resize(count, 1.0);
+        let base = out.nodes.len();
+        out.nodes.resize(base + count, 0);
+        out.dists.resize(base + count, 0.0);
+        out.ranks.resize(base + count, 0.0);
+        out.weights.resize(base + count, 1.0);
+        let nodes = &mut out.nodes[base..];
+        let dists = &mut out.dists[base..];
+        let ranks = &mut out.ranks[base..];
+        let weights = &mut out.weights[base..];
 
-        let blob = self.blob_bytes();
-        // Block offsets were validated monotone and ≤ blob len at load.
-        let span =
-            &blob[self.repr.block_offsets[b] as usize..self.repr.block_offsets[b + 1] as usize];
-        let Some(sections) = split_sections(span) else {
+        let Some(sections) = split_sections(self.block_span(b)) else {
             return; // short/garbled block header: all-zero fill
         };
         let [sec_d, sec_r, sec_w, sec_n] = sections;
 
         // Distances first (node-run recovery depends on them).
-        match self.repr.tags.dist {
+        match self.tags.dist {
             DistTag::Dict16 => {
                 for (i, c) in sec_d.chunks_exact(2).take(count).enumerate() {
                     let code = u16::from_le_bytes([c[0], c[1]]) as usize;
-                    out.dists[i] = self.repr.dict.get(code).copied().unwrap_or(0.0);
+                    dists[i] = self.dict.get(code).copied().unwrap_or(0.0);
                 }
             }
             DistTag::Dict32 => {
                 for (i, c) in sec_d.chunks_exact(4).take(count).enumerate() {
                     let code = u32::from_le_bytes(c.try_into().expect("4-byte chunk")) as usize;
-                    out.dists[i] = self.repr.dict.get(code).copied().unwrap_or(0.0);
+                    dists[i] = self.dict.get(code).copied().unwrap_or(0.0);
                 }
             }
             DistTag::Raw => {
                 for (i, c) in sec_d.chunks_exact(8).take(count).enumerate() {
-                    out.dists[i] =
+                    dists[i] =
                         f64::from_bits(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
                 }
             }
         }
 
-        match self.repr.tags.rank {
+        match self.tags.rank {
             RankTag::Fixed7 => {
                 for (i, c) in sec_r.chunks_exact(7).take(count).enumerate() {
                     let mut m = [0u8; 8];
                     m[..7].copy_from_slice(c);
-                    out.ranks[i] = u64::from_le_bytes(m) as f64 * RANK_INV_SCALE;
+                    ranks[i] = u64::from_le_bytes(m) as f64 * RANK_INV_SCALE;
                 }
             }
             RankTag::Raw => {
                 for (i, c) in sec_r.chunks_exact(8).take(count).enumerate() {
-                    out.ranks[i] =
+                    ranks[i] =
                         f64::from_bits(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
                 }
             }
         }
 
-        match self.repr.tags.weight {
+        match self.tags.weight {
             WeightTag::TauRef => {
                 let mut at = 0usize;
                 'rows: for v in rows.clone() {
@@ -593,20 +383,20 @@ impl<'a> V2Ctx<'a> {
                         at += used;
                         let back = code as usize;
                         if back > 0 && back <= i - row_lo {
-                            out.weights[i] = 1.0 / out.ranks[i - back];
+                            weights[i] = 1.0 / ranks[i - back];
                         } // code 0 (or out-of-row garbage): keep 1.0
                     }
                 }
             }
             WeightTag::Raw => {
                 for (i, c) in sec_w.chunks_exact(8).take(count).enumerate() {
-                    out.weights[i] =
+                    weights[i] =
                         f64::from_bits(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
                 }
             }
         }
 
-        match self.repr.tags.node {
+        match self.tags.node {
             NodeTag::Delta => {
                 let mut at = 0usize;
                 'rows: for v in rows {
@@ -617,10 +407,9 @@ impl<'a> V2Ctx<'a> {
                             break 'rows;
                         };
                         at += used;
-                        let same_run =
-                            i > row_lo && out.dists[i].to_bits() == out.dists[i - 1].to_bits();
-                        out.nodes[i] = if same_run {
-                            (out.nodes[i - 1] as u64)
+                        let same_run = i > row_lo && dists[i].to_bits() == dists[i - 1].to_bits();
+                        nodes[i] = if same_run {
+                            (nodes[i - 1] as u64)
                                 .saturating_add(1)
                                 .saturating_add(x)
                                 .min(u32::MAX as u64) as u32
@@ -632,132 +421,145 @@ impl<'a> V2Ctx<'a> {
             }
             NodeTag::Raw => {
                 for (i, c) in sec_n.chunks_exact(4).take(count).enumerate() {
-                    out.nodes[i] = u32::from_le_bytes(c.try_into().expect("4-byte chunk"));
+                    nodes[i] = u32::from_le_bytes(c.try_into().expect("4-byte chunk"));
                 }
             }
         }
     }
 
-    /// Full structural validation of the compressed payload — the v2
-    /// counterpart of the v1 canonical-order scan, run by every verified
-    /// load. Checks, per block: the section lengths tile the block span
-    /// exactly; every section parses to exactly its length with
-    /// canonical varints; dictionary codes, rank magnitudes, weight
-    /// back-references and node ids are in range; and the decoded rows
-    /// are in strict canonical `(dist, node)` order. After this passes,
-    /// none of [`V2Ctx::decode_block_into`]'s fallback branches are
-    /// reachable.
-    pub fn validate(&self) -> Result<(), FrozenError> {
-        let n = self.num_rows();
-        let num_blocks = self.repr.block_offsets.len() - 1;
-        let mut blk = DecodedBlock::default();
-        for b in 0..num_blocks {
-            let (rows, entries) = self.block_extent(b);
-            let count = entries.len();
-            let span = &self.blob_bytes()
-                [self.repr.block_offsets[b] as usize..self.repr.block_offsets[b + 1] as usize];
-            let corrupt = |what: String| FrozenError::Corrupt(format!("block {b}: {what}"));
-            let Some([sec_d, sec_r, sec_w, sec_n]) = split_sections(span) else {
+    /// Structural validation of block `b`'s compressed payload, run by
+    /// every verified load before the block is decoded: the section
+    /// lengths tile the block span exactly; every section parses to
+    /// exactly its length with canonical varints; dictionary codes, rank
+    /// magnitudes and weight back-references are in range. After this
+    /// passes, none of [`Body::decode_block`]'s fallback branches are
+    /// reachable. (Node-id range and canonical `(dist, node)` row order
+    /// are checked on the decoded columns, by the scan v1 loads run.)
+    fn check_block(&self, b: usize) -> Result<(), FrozenError> {
+        let (rows, entries) = self.block_extent(b);
+        let count = entries.len();
+        let span = self.block_span(b);
+        let corrupt = |what: String| FrozenError::Corrupt(format!("block {b}: {what}"));
+        let Some([sec_d, sec_r, sec_w, sec_n]) = split_sections(span) else {
+            return Err(corrupt(format!(
+                "section lengths do not tile the {}-byte block span",
+                span.len()
+            )));
+        };
+
+        let fixed = |sec: &[u8], width: usize, name: &str| -> Result<(), FrozenError> {
+            if sec.len() != count * width {
                 return Err(corrupt(format!(
-                    "section lengths do not tile the {}-byte block span",
-                    span.len()
+                    "{name} section is {} bytes, expected {} ({count} entries × {width}; \
+                     wrong escape-column length for the header's tag)",
+                    sec.len(),
+                    count * width
                 )));
-            };
+            }
+            Ok(())
+        };
 
-            let fixed = |sec: &[u8], width: usize, name: &str| -> Result<(), FrozenError> {
-                if sec.len() != count * width {
-                    return Err(corrupt(format!(
-                        "{name} section is {} bytes, expected {} ({count} entries × {width}; \
-                         wrong escape-column length for the header's tag)",
-                        sec.len(),
-                        count * width
-                    )));
-                }
-                Ok(())
-            };
-
-            match self.repr.tags.dist {
-                DistTag::Dict16 => {
-                    fixed(sec_d, 2, "dist")?;
-                    for c in sec_d.chunks_exact(2) {
-                        let code = u16::from_le_bytes([c[0], c[1]]) as usize;
-                        if code >= self.repr.dict.len() {
-                            return Err(corrupt(format!("dist code {code} out of dictionary")));
-                        }
+        match self.tags.dist {
+            DistTag::Dict16 => {
+                fixed(sec_d, 2, "dist")?;
+                for c in sec_d.chunks_exact(2) {
+                    let code = u16::from_le_bytes([c[0], c[1]]) as usize;
+                    if code >= self.dict.len() {
+                        return Err(corrupt(format!("dist code {code} out of dictionary")));
                     }
                 }
-                DistTag::Dict32 => {
-                    fixed(sec_d, 4, "dist")?;
-                    for c in sec_d.chunks_exact(4) {
-                        let code = u32::from_le_bytes(c.try_into().expect("4-byte")) as usize;
-                        if code >= self.repr.dict.len() {
-                            return Err(corrupt(format!("dist code {code} out of dictionary")));
-                        }
+            }
+            DistTag::Dict32 => {
+                fixed(sec_d, 4, "dist")?;
+                for c in sec_d.chunks_exact(4) {
+                    let code = u32::from_le_bytes(c.try_into().expect("4-byte")) as usize;
+                    if code >= self.dict.len() {
+                        return Err(corrupt(format!("dist code {code} out of dictionary")));
                     }
                 }
-                DistTag::Raw => fixed(sec_d, 8, "dist")?,
             }
-            match self.repr.tags.rank {
-                RankTag::Fixed7 => {
-                    fixed(sec_r, 7, "rank")?;
-                    for c in sec_r.chunks_exact(7) {
-                        let mut m = [0u8; 8];
-                        m[..7].copy_from_slice(c);
-                        if u64::from_le_bytes(m) > 1u64 << 53 {
-                            return Err(corrupt("rank mantissa exceeds 2^53".into()));
-                        }
+            DistTag::Raw => fixed(sec_d, 8, "dist")?,
+        }
+        match self.tags.rank {
+            RankTag::Fixed7 => {
+                fixed(sec_r, 7, "rank")?;
+                for c in sec_r.chunks_exact(7) {
+                    let mut m = [0u8; 8];
+                    m[..7].copy_from_slice(c);
+                    if u64::from_le_bytes(m) > 1u64 << 53 {
+                        return Err(corrupt("rank mantissa exceeds 2^53".into()));
                     }
                 }
-                RankTag::Raw => fixed(sec_r, 8, "rank")?,
             }
+            RankTag::Raw => fixed(sec_r, 8, "rank")?,
+        }
 
-            match self.repr.tags.weight {
-                WeightTag::TauRef => {
-                    walk_varints(sec_w, "weight", self.offsets, rows.clone(), b, |i, code| {
-                        if code as usize > i {
-                            Err(format!(
-                                "weight back-reference {code} reaches before entry 0"
-                            ))
-                        } else {
-                            Ok(())
-                        }
-                    })?
-                }
-                WeightTag::Raw => fixed(sec_w, 8, "weight")?,
-            }
-            match self.repr.tags.node {
-                NodeTag::Delta => {
-                    walk_varints(sec_n, "node", self.offsets, rows.clone(), b, |_, _| Ok(()))?
-                }
-                NodeTag::Raw => fixed(sec_n, 4, "node")?,
-            }
-
-            // Decode the (now structurally sound) block and check the
-            // row invariants every query relies on.
-            self.decode_block_into(b, &mut blk);
-            for v in rows {
-                let row = self.row_of(&blk, v as NodeId);
-                if row.nodes.iter().any(|&nd| nd as usize >= n) {
-                    return Err(FrozenError::Corrupt(format!(
-                        "node {v}: sampled node id out of range"
-                    )));
-                }
-                let in_order = row
-                    .dists
-                    .windows(2)
-                    .zip(row.nodes.windows(2))
-                    .all(|(d, nd)| {
-                        d[0].total_cmp(&d[1]).then(nd[0].cmp(&nd[1])) == std::cmp::Ordering::Less
-                    });
-                if !in_order {
-                    return Err(FrozenError::Corrupt(format!(
-                        "node {v}: entries out of canonical (dist, node) order"
-                    )));
-                }
-            }
+        match self.tags.weight {
+            WeightTag::TauRef => walk_varints(
+                sec_w,
+                "weight",
+                &self.offsets,
+                rows.clone(),
+                b,
+                |i, code| {
+                    if code as usize > i {
+                        Err(format!(
+                            "weight back-reference {code} reaches before entry 0"
+                        ))
+                    } else {
+                        Ok(())
+                    }
+                },
+            )?,
+            WeightTag::Raw => fixed(sec_w, 8, "weight")?,
+        }
+        match self.tags.node {
+            NodeTag::Delta => walk_varints(sec_n, "node", &self.offsets, rows, b, |_, _| Ok(()))?,
+            NodeTag::Raw => fixed(sec_n, 4, "node")?,
         }
         Ok(())
     }
+}
+
+/// Decodes a complete v2 image (`buf` is the whole file, `header` its
+/// parsed first 40 bytes) into full-width columns — the inverse of
+/// [`encode`], and the single end of every v2 load path.
+///
+/// Always enforced: exact length, the block-offset table, the CSR
+/// offset invariants and the entry-count bound, so the result can be
+/// sliced by its offsets without panicking whatever the blob holds.
+/// `verify` adds the header checksum (returning the whole-file digest
+/// computed in the same pass) and the per-block structural validation;
+/// the caller still owes a verified store the row-order scan shared
+/// with v1.
+pub(super) fn decode(
+    buf: &[u8],
+    header: &ParsedHeader,
+    verify: bool,
+) -> Result<(Columns, Option<u64>), FrozenError> {
+    let entries = header.entries as usize;
+    let body = Body::parse(buf, header.n as usize, entries)?;
+    let digest = if verify {
+        Some(super::verify_image(buf, header.stored_checksum)?)
+    } else {
+        None
+    };
+    super::validate_offsets(&body.offsets, entries)?;
+    let mut cols = Columns {
+        offsets: Vec::new(),
+        nodes: Vec::with_capacity(entries),
+        dists: Vec::with_capacity(entries),
+        ranks: Vec::with_capacity(entries),
+        weights: Vec::with_capacity(entries),
+    };
+    for b in 0..body.block_offsets.len() - 1 {
+        if verify {
+            body.check_block(b)?;
+        }
+        body.decode_block(b, &mut cols);
+    }
+    cols.offsets = body.offsets;
+    Ok((cols, digest))
 }
 
 /// Strict walk of one varint section during validation: every varint
@@ -983,30 +785,28 @@ pub(super) fn encode(k: u32, rows: RowsSource<'_>) -> Vec<u8> {
     buf[super::CHECKSUM_OFFSET..super::CHECKSUM_OFFSET + 8]
         .copy_from_slice(&checksum.to_le_bytes());
 
-    // Final insurance: decode everything back and require bit equality.
-    let repr = V2Repr::new(
-        tags,
-        DEFAULT_ROWS_PER_BLOCK,
-        dict,
-        block_offsets,
-        Blob::Owned(blob),
-    );
-    let ctx = V2Ctx {
-        repr: &repr,
-        region: None,
-        offsets: rows.offsets,
-    };
-    ctx.for_each_row_decoded(|v, row| {
-        let span = rows.offsets[v] as usize..rows.offsets[v + 1] as usize;
-        let ok = row.nodes == &rows.nodes[span.clone()]
-            && bits_eq(row.dists, &rows.dists[span.clone()])
-            && bits_eq(row.ranks, &rows.ranks[span.clone()])
-            && bits_eq(row.weights, &rows.weights[span.clone()]);
+    // Final insurance: parse the image back and require bit equality,
+    // through the parser and block decoder `decode` runs — one block at a
+    // time into a reused scratch, so the check stays cache-resident
+    // instead of materializing (and page-faulting) a second store.
+    let body = Body::parse(&buf, n, entries).expect("just-written image parses");
+    assert!(body.offsets == rows.offsets, "v2 encoder lost the offsets");
+    let mut blk = Columns::default();
+    for b in 0..num_blocks {
+        blk.nodes.clear();
+        blk.dists.clear();
+        blk.ranks.clear();
+        blk.weights.clear();
+        body.decode_block(b, &mut blk);
+        let span = body.block_extent(b).1;
         assert!(
-            ok,
-            "v2 encoder self-verification failed at row {v} — this is a bug"
+            blk.nodes == rows.nodes[span.clone()]
+                && bits_eq(&blk.dists, &rows.dists[span.clone()])
+                && bits_eq(&blk.ranks, &rows.ranks[span.clone()])
+                && bits_eq(&blk.weights, &rows.weights[span]),
+            "v2 encoder self-verification failed in block {b} — this is a bug"
         );
-    });
+    }
     buf
 }
 
@@ -1078,16 +878,8 @@ fn compute_weight_refs(k: u32, rows: RowsSource<'_>) -> Option<Vec<u32>> {
 }
 
 // ---------------------------------------------------------------------
-// Parsing (buffered / mapped)
+// Parsing
 // ---------------------------------------------------------------------
-
-/// Everything `frozen.rs` needs to assemble a v2 `FrozenAdsSet` from a
-/// parse: the repr plus the owned entry-offset column (buffered loads)
-/// or its mapped location.
-pub(super) struct ParsedV2 {
-    pub repr: V2Repr,
-    pub offsets: super::Col<u32>,
-}
 
 /// Reads the 8 v2-specific header bytes (tags + rows-per-block) that
 /// follow the 40 common bytes.
@@ -1102,7 +894,7 @@ fn parse_extra(extra: &[u8; 8]) -> Result<(Tags, u32), FrozenError> {
     Ok((tags, rpb))
 }
 
-/// Shared sanity for the parsed block-offset table: monotone, starting
+/// Sanity for the parsed block-offset table: monotone, starting
 /// at zero, ending exactly at the blob length. Runs at **every** load
 /// level (including trusted) so block slicing is infallible afterwards.
 fn check_block_offsets(block_offsets: &[u64], blob_len: u64) -> Result<(), FrozenError> {
@@ -1120,192 +912,4 @@ fn check_block_offsets(block_offsets: &[u64], blob_len: u64) -> Result<(), Froze
         ));
     }
     Ok(())
-}
-
-/// The byte-taker closure threaded through [`read_body`]'s section
-/// readers: fills the buffer from the stream, advances the consumed
-/// count, and hashes what it read.
-type TakeFn<'a> = dyn FnMut(&mut [u8], &mut u64) -> Result<(), FrozenError> + 'a;
-
-/// Streams a v2 body off `r` (the buffered loader). The caller has
-/// consumed and hashed the 40 common header bytes; this consumes
-/// exactly the rest of one store and hashes it into `hash` when given.
-pub(super) fn read_body<R: Read>(
-    r: &mut R,
-    n: usize,
-    entries: usize,
-    mut hash: Option<&mut super::Fnv1a64>,
-) -> Result<ParsedV2, FrozenError> {
-    let mut consumed = super::HEADER_LEN as u64;
-    // Running lower bound of the store's total length, refined as each
-    // section's size becomes known (for Truncated error reporting).
-    let need = |more: u64, consumed: &u64| consumed + more;
-
-    let mut take = |buf: &mut [u8], consumed: &mut u64| -> Result<(), FrozenError> {
-        let expected = need(buf.len() as u64, consumed);
-        read_exact_or_truncated(r, buf, expected, *consumed)?;
-        *consumed += buf.len() as u64;
-        if let Some(h) = hash.as_deref_mut() {
-            h.update(buf);
-        }
-        Ok(())
-    };
-
-    let mut extra = [0u8; 8];
-    take(&mut extra, &mut consumed)?;
-    let (tags, rpb) = parse_extra(&extra)?;
-    let num_blocks = n.div_ceil(rpb as usize);
-
-    let read_bytes =
-        |total: usize, take: &mut TakeFn<'_>, consumed: &mut u64| -> Result<Vec<u8>, FrozenError> {
-            let mut out = Vec::with_capacity(total.min(COL_CAPACITY_HINT * 8));
-            let mut chunk = [0u8; 8192];
-            let mut remaining = total;
-            while remaining > 0 {
-                let step = remaining.min(chunk.len());
-                take(&mut chunk[..step], consumed)?;
-                out.extend_from_slice(&chunk[..step]);
-                remaining -= step;
-            }
-            Ok(out)
-        };
-
-    let offsets_bytes = read_bytes((n + 1) * 4, &mut take, &mut consumed)?;
-    let offsets: Vec<u32> = offsets_bytes
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte")))
-        .collect();
-
-    let mut d_buf = [0u8; 4];
-    take(&mut d_buf, &mut consumed)?;
-    let d = u32::from_le_bytes(d_buf) as usize;
-    if d > entries.max(1) {
-        return Err(FrozenError::Corrupt(format!(
-            "distance dictionary of {d} values exceeds the entry count {entries}"
-        )));
-    }
-    let dict_bytes = read_bytes(d * 8, &mut take, &mut consumed)?;
-    let dict: Vec<f64> = dict_bytes
-        .chunks_exact(8)
-        .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8-byte"))))
-        .collect();
-
-    let bo_bytes = read_bytes((num_blocks + 1) * 8, &mut take, &mut consumed)?;
-    let block_offsets: Vec<u64> = bo_bytes
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte")))
-        .collect();
-
-    let mut blob_len_buf = [0u8; 8];
-    take(&mut blob_len_buf, &mut consumed)?;
-    let blob_len = u64::from_le_bytes(blob_len_buf);
-    check_block_offsets(&block_offsets, blob_len)?;
-    if blob_len > usize::MAX as u64 {
-        return Err(FrozenError::Corrupt("blob length overflows usize".into()));
-    }
-    let blob = read_bytes(blob_len as usize, &mut take, &mut consumed)?;
-
-    Ok(ParsedV2 {
-        repr: V2Repr::new(tags, rpb, dict, block_offsets, Blob::Owned(blob)),
-        offsets: super::Col::Owned(offsets),
-    })
-}
-
-/// Parses a v2 store out of a complete mapped byte image (`buf` is the
-/// whole file). Metadata (dictionary, block offsets) is decoded into
-/// small owned vectors; the entry-offset column and the blob stay
-/// zero-copy views into the mapping. Checks exact file length; the
-/// caller handles checksum and structural verification.
-pub(super) fn parse_mapped(
-    region: &MapRegion,
-    n: usize,
-    entries: usize,
-) -> Result<ParsedV2, FrozenError> {
-    let buf = region.bytes();
-    let whole = buf.len() as u64;
-    let mut at = super::HEADER_LEN;
-    let need = |more: usize, at: usize| -> Result<(), FrozenError> {
-        if at.checked_add(more).is_none_or(|end| end > buf.len()) {
-            Err(FrozenError::Truncated {
-                expected: (at as u64).saturating_add(more as u64),
-                actual: whole,
-            })
-        } else {
-            Ok(())
-        }
-    };
-
-    need(8, at)?;
-    let extra: [u8; 8] = buf[at..at + 8].try_into().expect("8 bytes");
-    let (tags, rpb) = parse_extra(&extra)?;
-    at += 8;
-    let num_blocks = n.div_ceil(rpb as usize);
-
-    need((n + 1) * 4, at)?;
-    let off_offsets = at;
-    at += (n + 1) * 4;
-
-    need(4, at)?;
-    let d = u32::from_le_bytes(buf[at..at + 4].try_into().expect("4 bytes")) as usize;
-    at += 4;
-    if d > entries.max(1) {
-        return Err(FrozenError::Corrupt(format!(
-            "distance dictionary of {d} values exceeds the entry count {entries}"
-        )));
-    }
-    need(d * 8, at)?;
-    let dict: Vec<f64> = buf[at..at + d * 8]
-        .chunks_exact(8)
-        .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8-byte"))))
-        .collect();
-    at += d * 8;
-
-    need((num_blocks + 1) * 8, at)?;
-    let block_offsets: Vec<u64> = buf[at..at + (num_blocks + 1) * 8]
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte")))
-        .collect();
-    at += (num_blocks + 1) * 8;
-
-    need(8, at)?;
-    let blob_len = u64::from_le_bytes(buf[at..at + 8].try_into().expect("8 bytes"));
-    at += 8;
-    check_block_offsets(&block_offsets, blob_len)?;
-    if blob_len > (buf.len() - at) as u64 {
-        return Err(FrozenError::Truncated {
-            expected: at as u64 + blob_len,
-            actual: whole,
-        });
-    }
-    let blob_off = at;
-    at += blob_len as usize;
-    if at != buf.len() {
-        return Err(FrozenError::Corrupt(format!(
-            "{} trailing bytes after the payload",
-            buf.len() - at
-        )));
-    }
-
-    // The u32 entry-offset column sits at byte 48 of a page-aligned
-    // mapping — always 4-aligned; assert rather than trust.
-    assert!(
-        region.u32_slice(off_offsets, n + 1).is_some(),
-        "u32 offsets must be in bounds and aligned in a length-checked mapping"
-    );
-    Ok(ParsedV2 {
-        repr: V2Repr::new(
-            tags,
-            rpb,
-            dict,
-            block_offsets,
-            Blob::Mapped {
-                off: blob_off,
-                len: blob_len as usize,
-            },
-        ),
-        offsets: super::Col::Mapped {
-            off: off_offsets,
-            count: n + 1,
-        },
-    })
 }

@@ -15,13 +15,10 @@
 //! entries struct-of-arrays, so handing out `&[AdsEntry]` would force a
 //! materialization. Callbacks let both layouts stream entries with zero
 //! allocation, which is what the batch [`crate::engine::QueryEngine`]
-//! runs on. The callback shape also keeps the **compressed** (format
-//! v2) frozen store free: a mapped v2 store decodes row blocks lazily
-//! into a reusable per-thread scratch and streams the same entries from
-//! there (a buffered one that fits the scratch budget thaws once into
-//! shared full-width columns), so estimators never dictate the store's
-//! memory strategy — and because the decoded values are bit-identical
-//! to v1's columns and visited in the same order, the bitwise-identity
+//! runs on. The frozen store has one in-memory layout whichever file
+//! format it was read from — the **compressed** (format v2) encoding is
+//! decoded once, at load, into the same full-width columns — and the
+//! decoded values are bit-identical to v1's, so the bitwise-identity
 //! guarantee above holds across formats too.
 
 use adsketch_graph::NodeId;

@@ -9,13 +9,14 @@
 //! plus the checksummed `ADSKSHD1` manifest. [`ShardedStore::load`]
 //! reads the manifest, then brings all shards up in **parallel** (one
 //! thread per shard via the builders' `shard_slots` helper), mapping
-//! each shard in place where the platform supports it (`mmap`; replicas
-//! share the kernel page cache; mapped v2 shards stay compressed and
-//! decode lazily per row block on first touch) and verifying for
-//! each shard:
+//! each shard where the platform supports it (`mmap`; a v1 shard's
+//! columns stay views of the mapping and replicas share the kernel page
+//! cache; a v2 shard is decoded out of the mapping into owned
+//! full-width columns, so both answer from the same layout) and
+//! verifying for each shard:
 //!
 //! * the store-level format checks (magic, version, checksum, structure —
-//!   [`adsketch_core::FrozenAdsSet::from_reader`]),
+//!   [`adsketch_core::FrozenAdsSet::load_with_digest`]),
 //! * the manifest's whole-file FNV-1a digest (so a shard file from a
 //!   different freeze, or one corrupted at rest, is rejected even if it
 //!   is a valid store on its own),

@@ -21,9 +21,9 @@
 //!   edge log, incremental ADS maintenance (bitwise equal to a
 //!   from-scratch rebuild), and the generational freezer.
 //! * [`serve`] (`adsketch-serve`) — sharded frozen stores and the
-//!   std-only TCP query tier (server, client, load generator), answering
-//!   bitwise identically to the local engine; `GenerationStore` hot-swaps
-//!   frozen generations under live traffic.
+//!   std-only TCP query tier (server, client), answering bitwise
+//!   identically to the local engine; `GenerationStore` hot-swaps frozen
+//!   generations under live traffic.
 //! * [`util`] (`adsketch-util`) — deterministic RNG, rank hashing,
 //!   statistics.
 //!

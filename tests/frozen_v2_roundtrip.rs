@@ -375,6 +375,38 @@ fn unknown_column_tag_is_a_clean_typed_error() {
     assert!(err.to_string().contains("tag"), "{err}");
 }
 
+#[test]
+fn forged_entry_count_is_a_clean_typed_error_at_every_load_level() {
+    let mut bytes = fully_compressed_sample();
+    // Claim u32::MAX entries — in the header and, consistently, in the
+    // last CSR offset, so the offset invariants hold — over a blob of a
+    // few hundred bytes. The decoder reserves its columns by that count;
+    // it must reject the file first, trusted or not.
+    let n = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
+    bytes[24..32].copy_from_slice(&(u32::MAX as u64).to_le_bytes());
+    bytes[48 + n * 4..48 + n * 4 + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    resign_store(&mut bytes);
+    let check = |res: Result<FrozenAdsSet, FrozenError>, how: &str| {
+        let err = res.expect_err(how);
+        assert!(matches!(err, FrozenError::Corrupt(_)), "{how}: {err:?}");
+        assert!(
+            err.to_string().contains("entries cannot fit"),
+            "{how}: {err}"
+        );
+    };
+    check(FrozenAdsSet::from_bytes(&bytes), "from_bytes");
+    let path = std::env::temp_dir().join("adsketch_test_frozen_v2_forged_entries.ads");
+    std::fs::write(&path, &bytes).unwrap();
+    for opts in [
+        LoadOptions::default(),
+        LoadOptions::mapped(),
+        LoadOptions::trusted(),
+    ] {
+        check(FrozenAdsSet::load_with(&path, opts), &format!("{opts:?}"));
+    }
+    std::fs::remove_file(&path).ok();
+}
+
 // ---------------------------------------------------------------------
 // Golden fixtures: committed byte images of both formats
 // ---------------------------------------------------------------------
