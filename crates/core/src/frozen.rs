@@ -15,24 +15,29 @@
 //! # On-disk format (version 1)
 //!
 //! [`FrozenAdsSet::to_bytes`] serializes to one contiguous little-endian
-//! buffer: a 40-byte header followed by the five column arrays, in order
-//! and without padding:
+//! buffer: a 40-byte header followed by the five column arrays, widest
+//! elements first and without padding:
 //!
 //! ```text
 //! offset  size          field
-//! 0       8             magic  = b"ADSKFRZ1"
-//! 8       4             format version (u32, = 1)
+//! 0       8             magic  = b"ADSKFRZ2" (container generation 2)
+//! 8       4             format version (u32, = 1: the body layout id)
 //! 12      4             k (u32)
 //! 16      8             n = number of nodes (u64)
 //! 24      8             E = total number of entries (u64)
-//! 32      8             FNV-1a 64 checksum of every other byte of the
-//!                       buffer (header with this field zeroed + payload)
-//! 40      (n+1)*4       offsets  (u32; offsets[v]..offsets[v+1] is ADS(v))
-//! ...     E*4           nodes    (u32 node ids)
-//! ...     E*8           dists    (f64 bits)
+//! 32      8             XXH64 (seed 0; see `Xxh64`) of every other byte of
+//!                       the buffer (header with this field zeroed + payload)
+//! 40      E*8           dists    (f64 bits)
 //! ...     E*8           ranks    (f64 bits)
 //! ...     E*8           weights  (f64 bits, HIP adjusted weights)
+//! ...     (n+1)*4       offsets  (u32; offsets[v]..offsets[v+1] is ADS(v))
+//! ...     E*4           nodes    (u32 node ids)
 //! ```
+//!
+//! The header is 8-aligned and every `f64` column is a multiple of 8
+//! bytes, so in a (page-aligned) mapping each column starts naturally
+//! aligned for its element type whatever `n` and `E` are: a mapped v1
+//! store views all five columns in place and copies none.
 //!
 //! Distances, ranks and weights round-trip through `f64::to_bits`, so
 //! deserialization is lossless. [`FrozenAdsSet::from_bytes`] rejects a
@@ -41,6 +46,13 @@
 //! offsets, out-of-range node ids, entries out of canonical order).
 //! [`FrozenAdsSet::save`] and the buffered [`FrozenAdsSet::load`] stream
 //! this format column by column without materializing the whole buffer.
+//!
+//! The trailing digit of the magic is the **container generation**: it
+//! changes when the header, checksum or column order change for both
+//! body layouts at once. Files of generation 1 (`ADSKFRZ1`: FNV-1a
+//! checksums, `u32` columns first) are rejected with
+//! [`FrozenError::LegacyGeneration`] by every load path — there is no
+//! legacy reader; re-freeze to upgrade.
 //!
 //! # On-disk format (version 2, compressed)
 //!
@@ -53,12 +65,12 @@
 //!
 //! ```text
 //! offset  size          field
-//! 0       8             magic  = b"ADSKFRZ1"
+//! 0       8             magic  = b"ADSKFRZ2"
 //! 8       4             format version (u32, = 2)
 //! 12      4             k (u32)
 //! 16      8             n = number of nodes (u64)
 //! 24      8             E = total number of entries (u64)
-//! 32      8             FNV-1a 64 checksum (as in v1: this field zeroed)
+//! 32      8             XXH64 checksum (as in v1: this field zeroed)
 //! 40      1             node-column tag   (0 delta+varint, 1 raw u32)
 //! 41      1             dist-column tag   (0 dict u16, 1 dict u32, 2 raw f64 bits)
 //! 42      1             rank-column tag   (0 fixed 7-byte m·2⁻⁵³, 1 raw f64 bits)
@@ -84,11 +96,10 @@
 //! the same full-width columns a freeze or a v1 load produces (see
 //! `frozen/v2.rs`), so once loaded the two formats cost the same memory
 //! and answer at the same speed. The larger-than-RAM path is a mapped
-//! **v1** store: page-cache backed and zero-decode. v1 readers predating
-//! this version reject v2 stores with
-//! [`FrozenError::UnsupportedVersion`]`(2)`.
+//! **v1** store: page-cache backed and zero-decode. A version this build
+//! does not know is [`FrozenError::UnsupportedVersion`].
 //!
-//! # Sharded stores (manifest format version 1)
+//! # Sharded stores (manifest format version 2)
 //!
 //! [`freeze_sharded`] partitions the node range `0..n` into `S` contiguous
 //! sub-ranges (balanced by entry count) and writes one store per shard
@@ -102,15 +113,15 @@
 //! ```text
 //! offset  size          field
 //! 0       8             magic  = b"ADSKSHD1"
-//! 8       4             format version (u32, = 1)
+//! 8       4             format version (u32, = 2)
 //! 12      4             k (u32)
 //! 16      8             n = number of nodes (u64)
 //! 24      8             E = total number of entries (u64)
-//! 32      8             FNV-1a 64 checksum (as in the store header)
+//! 32      8             XXH64 checksum (as in the store header)
 //! 40      4             S = shard count (u32)
 //! 44      S*32          per-shard records: start (u64), end (u64),
-//!                       entries (u64), FNV-1a 64 digest of the complete
-//!                       shard file (u64)
+//!                       entries (u64), the shard file's own header
+//!                       checksum (u64)
 //! ```
 //!
 //! Shard `i` covers nodes `start..end` and lives in
@@ -118,12 +129,16 @@
 //! [`ShardManifest::from_bytes`] rejects bad magic/version, truncation,
 //! trailing bytes, checksum mismatches, and structurally invalid shard
 //! tables (overlapping ranges, gaps, ranges not covering exactly `0..n`,
-//! entry counts that don't sum to `E`). The serving-side loader
-//! (`adsketch-serve`'s `ShardedStore`) additionally verifies every shard
-//! file against its recorded digest.
+//! entry counts that don't sum to `E`). A shard's header checksum covers
+//! every other byte of its file, so pinning that one value pins the file:
+//! the serving-side loader (`adsketch-serve`'s `ShardedStore`) verifies
+//! each shard against its own header in one walk and compares the
+//! verified value with the record. (Manifest version 1 pinned a second,
+//! whole-file FNV-1a digest instead and is rejected as
+//! [`FrozenError::UnsupportedVersion`]`(1)`.)
 
 use std::fmt;
-use std::io::{Read, Write};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use adsketch_graph::NodeId;
@@ -138,11 +153,15 @@ use crate::view::AdsView;
 mod mmap;
 mod v2;
 mod varint;
+mod xxh64;
 
 use mmap::MapRegion;
+pub use xxh64::Xxh64;
 
-/// Magic bytes identifying a serialized frozen ADS store.
-pub const FROZEN_MAGIC: [u8; 8] = *b"ADSKFRZ1";
+/// Magic bytes identifying a serialized frozen ADS store. The last byte
+/// is the container generation (header, checksum function, v1 column
+/// order); the header's version field selects the body layout within it.
+pub const FROZEN_MAGIC: [u8; 8] = *b"ADSKFRZ2";
 /// The default on-disk format version ([`StoreFormat::V1`], full-width
 /// columns). Writers opt into the compressed version 2 via
 /// [`StoreFormat::V2`]; readers accept both.
@@ -155,9 +174,8 @@ pub const FROZEN_FORMAT_VERSION_V2: u32 = 2;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StoreFormat {
     /// Version 1: full-width columns (u32 node, f64 dist/rank/weight),
-    /// 28 bytes per entry. The default; fastest to write, loadable by
-    /// every build since the format was introduced, and the only format
-    /// whose mapped loads are zero-decode (and so can exceed RAM).
+    /// 28 bytes per entry. The default; fastest to write, and the only
+    /// format whose mapped loads are zero-decode (and so can exceed RAM).
     #[default]
     V1,
     /// Version 2: compressed block-columnar encoding (delta+varint node
@@ -316,6 +334,9 @@ impl PartialEq for FrozenAdsSet {
 pub enum FrozenError {
     /// The buffer does not start with [`FROZEN_MAGIC`].
     BadMagic,
+    /// The file is a frozen store of an earlier container generation
+    /// (`ADSKFRZ1`), which this build has no reader for.
+    LegacyGeneration,
     /// The format version is not one this build understands.
     UnsupportedVersion(u32),
     /// The buffer is shorter than its header claims.
@@ -342,6 +363,12 @@ impl fmt::Display for FrozenError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FrozenError::BadMagic => write!(f, "not a frozen ADS store (bad magic)"),
+            FrozenError::LegacyGeneration => write!(
+                f,
+                "frozen ADS store written by an older build (container generation 1, \
+                 magic ADSKFRZ1); this build reads generation 2 only — re-freeze the \
+                 sketches to upgrade"
+            ),
             FrozenError::UnsupportedVersion(v) => {
                 write!(
                     f,
@@ -380,127 +407,24 @@ impl From<std::io::Error> for FrozenError {
     }
 }
 
-/// Streaming FNV-1a 64 (the format's checksum: dependency-free, byte-order
-/// independent, and strong enough to catch the bit flips and truncations a
-/// store can pick up at rest — not a cryptographic integrity guarantee).
-///
-/// Public so that tooling and tests can (re)compute the digests recorded
-/// in store headers and shard manifests.
-#[derive(Debug, Clone)]
-pub struct Fnv1a64(u64);
-
-impl Default for Fnv1a64 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Fnv1a64 {
-    /// Fresh hasher at the FNV-1a 64 offset basis.
-    pub fn new() -> Self {
-        Fnv1a64(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// Absorbs `bytes` into the running digest.
-    pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.push(b);
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, b: u8) {
-        self.0 ^= b as u64;
-        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-
-    /// The digest of everything absorbed so far.
-    pub fn digest(&self) -> u64 {
-        self.0
-    }
-}
-
 /// Checksum of a complete serialized buffer, treating the 8 checksum bytes
 /// themselves as zero.
 fn buffer_checksum(buf: &[u8]) -> u64 {
-    let mut h = Fnv1a64::new();
+    let mut h = Xxh64::new();
     h.update(&buf[..CHECKSUM_OFFSET]);
     h.update(&[0u8; 8]);
     h.update(&buf[CHECKSUM_OFFSET + 8..]);
     h.digest()
 }
 
-/// Verifies a complete store image against the checksum its header
-/// records and returns the FNV-1a 64 digest of the whole image (what
-/// shard manifests pin), both from **one** walk of the buffer: the two
-/// hashes absorb the same bytes except the 8 checksum bytes, which the
-/// header checksum takes as zero.
-fn verify_image(buf: &[u8], stored: u64) -> Result<u64, FrozenError> {
-    let mut digest = Fnv1a64::new();
-    digest.update(&buf[..CHECKSUM_OFFSET]);
-    let mut checksum = digest.clone();
-    let (field, rest) = buf[CHECKSUM_OFFSET..].split_at(8);
-    digest.update(field);
-    checksum.update(&[0u8; 8]);
-    // One loop, two independent multiply chains: they overlap in the
-    // pipeline, so both hashes cost about what one did.
-    for &b in rest {
-        digest.push(b);
-        checksum.push(b);
+/// Verifies a complete serialized buffer (store image or manifest)
+/// against the checksum its header records, in one walk.
+fn verify_image(buf: &[u8], stored: u64) -> Result<(), FrozenError> {
+    let computed = buffer_checksum(buf);
+    if computed != stored {
+        return Err(FrozenError::ChecksumMismatch { stored, computed });
     }
-    if checksum.digest() != stored {
-        return Err(FrozenError::ChecksumMismatch {
-            stored,
-            computed: checksum.digest(),
-        });
-    }
-    Ok(digest.digest())
-}
-
-/// A `Write` adapter that FNV-hashes every byte it forwards (used to
-/// record whole-file shard digests while streaming a store to disk).
-struct HashingWriter<W: Write> {
-    inner: W,
-    hash: Fnv1a64,
-}
-
-impl<W: Write> HashingWriter<W> {
-    fn new(inner: W) -> Self {
-        Self {
-            inner,
-            hash: Fnv1a64::new(),
-        }
-    }
-}
-
-impl<W: Write> Write for HashingWriter<W> {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        let n = self.inner.write(buf)?;
-        self.hash.update(&buf[..n]);
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.inner.flush()
-    }
-}
-
-/// The `Read` twin of [`HashingWriter`]: FNV-hashes every byte it
-/// yields (when given a hasher), so the buffered loader can produce
-/// whole-file digests in the same pass that parses the store.
-struct HashingReader<R: Read> {
-    inner: R,
-    hash: Option<Fnv1a64>,
-}
-
-impl<R: Read> Read for HashingReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        if let Some(hash) = &mut self.hash {
-            hash.update(&buf[..n]);
-        }
-        Ok(n)
-    }
+    Ok(())
 }
 
 /// How [`FrozenAdsSet::load_with`] brings a store off disk.
@@ -510,17 +434,23 @@ pub struct LoadOptions {
     /// (default **on**). Turning this off is the warm-restart fast path
     /// for files this process (or a trusted peer) already verified:
     /// header sanity, exact length, and offset-table invariants are
-    /// still enforced, but the per-byte checksum walk and the O(E)
-    /// canonical-order scan are skipped.
+    /// still enforced, but the checksum walk and the O(E)
+    /// canonical-order scan are skipped. What that buys, measured on a
+    /// 116 MB mapped v1 store (4.1M entries, `adsbench` `offline_unit`):
+    /// a verified load takes ≈ 43 ms — the word-at-a-time XXH64 walk
+    /// (≈ 26 ms for these bytes on warm memory), the order scan and the
+    /// first touch of every page — against ≈ 0.1 ms unverified, which
+    /// touches the offset table only.
     pub verify: bool,
     /// Map the file with `mmap` instead of reading it through a buffer
     /// (default **off**, matching [`FrozenAdsSet::load`]'s historical
-    /// behaviour). A v1 store keeps its columns as zero-copy views of
-    /// the mapping (64-bit Linux), and replicas mapping the same file
-    /// share its pages through the kernel page cache; a v2 store is
-    /// decoded straight out of the mapping, which is then dropped.
-    /// Elsewhere (and whenever the syscall declines) the loader silently
-    /// falls back to buffered reads, so the option is a pure fast path.
+    /// behaviour). A v1 store keeps all five columns as zero-copy views
+    /// of the mapping (little-endian 64-bit Linux), and replicas mapping
+    /// the same file share its pages through the kernel page cache; a v2
+    /// store is decoded straight out of the mapping, which is then
+    /// dropped. Elsewhere (and whenever the syscall declines) the loader
+    /// silently falls back to buffered reads, so the option is a pure
+    /// fast path.
     pub map: bool,
 }
 
@@ -577,7 +507,11 @@ struct ParsedHeader {
 /// Validates magic/version/counts of the 40 common store-header bytes.
 fn parse_store_header(header: &[u8; HEADER_LEN]) -> Result<ParsedHeader, FrozenError> {
     if header[..8] != FROZEN_MAGIC {
-        return Err(FrozenError::BadMagic);
+        return Err(if header[..8] == *b"ADSKFRZ1" {
+            FrozenError::LegacyGeneration
+        } else {
+            FrozenError::BadMagic
+        });
     }
     let version = read_u32(header, 8);
     if version != FROZEN_FORMAT_VERSION && version != FROZEN_FORMAT_VERSION_V2 {
@@ -653,6 +587,11 @@ fn validate_offsets(offsets: &[u32], entries: usize) -> Result<(), FrozenError> 
     Ok(())
 }
 
+/// Bytes of one column encoded, hashed and written per `write` call by
+/// the v1 writer: large enough that a 100 MB shard is a few hundred
+/// syscalls, small enough to stay cache-resident between the three.
+const ENCODE_CHUNK_BYTES: usize = 256 * 1024;
+
 /// Capacity hint cap for column vectors: element counts come from an
 /// untrusted header, so never pre-reserve more than this many elements —
 /// a short input hits [`FrozenError::Truncated`] before growth hurts.
@@ -662,9 +601,8 @@ const COL_CAPACITY_HINT: usize = 1 << 20;
 /// hashing every byte for the header checksum.
 struct ColumnReader<'a, R: Read> {
     r: &'a mut R,
-    /// `None` when the caller opted out of checksum verification — the
-    /// expensive per-byte FNV walk is skipped entirely.
-    hash: Option<&'a mut Fnv1a64>,
+    /// `None` when the caller opted out of checksum verification.
+    hash: Option<&'a mut Xxh64>,
     /// Total serialized length the header promised (for error reporting).
     expected: u64,
     consumed: &'a mut u64,
@@ -940,59 +878,45 @@ impl FrozenAdsSet {
         h
     }
 
-    /// Streams every payload byte (the five column arrays, in on-disk
-    /// order) into `sink`.
-    fn for_each_payload_chunk(
-        &self,
-        mut sink: impl FnMut(&[u8]) -> std::io::Result<()>,
-    ) -> std::io::Result<()> {
-        let mut chunk = [0u8; 8192];
-        let mut fill = 0usize;
-        macro_rules! push {
-            ($bytes:expr) => {{
-                let b = $bytes;
-                if fill + b.len() > chunk.len() {
-                    sink(&chunk[..fill])?;
-                    fill = 0;
+    /// Streams the version-1 on-disk format into the empty sink `w` and
+    /// returns the header checksum it stored. One pass: each column is
+    /// encoded once into a reused chunk that is hashed and written
+    /// straight through, then the checksum field is patched in place —
+    /// the serialized image is never materialized here.
+    fn write_to<W: Write + Seek>(&self, w: &mut W) -> std::io::Result<u64> {
+        /// Little-endian-encodes `col` chunk by chunk into `hash` and `w`.
+        fn emit<T: Copy, const N: usize>(
+            col: &[T],
+            to_le: impl Fn(T) -> [u8; N],
+            chunk: &mut [u8],
+            hash: &mut Xxh64,
+            w: &mut impl Write,
+        ) -> std::io::Result<()> {
+            for part in col.chunks(chunk.len() / N) {
+                let bytes = &mut chunk[..part.len() * N];
+                for (dst, &x) in bytes.chunks_exact_mut(N).zip(part) {
+                    dst.copy_from_slice(&to_le(x));
                 }
-                chunk[fill..fill + b.len()].copy_from_slice(&b);
-                fill += b.len();
-            }};
-        }
-        for &o in self.offsets() {
-            push!(o.to_le_bytes());
-        }
-        for &nd in self.nodes() {
-            push!(nd.to_le_bytes());
-        }
-        for col in [self.dists(), self.ranks(), self.weights()] {
-            for &x in col.iter() {
-                push!(x.to_bits().to_le_bytes());
+                hash.update(bytes);
+                w.write_all(bytes)?;
             }
-        }
-        if fill > 0 {
-            sink(&chunk[..fill])?;
-        }
-        Ok(())
-    }
-
-    /// Streams the version-1 on-disk format into `w` without materializing
-    /// the serialized buffer (two passes over the columns: one to compute
-    /// the header checksum, one to write).
-    fn write_to<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
-        let mut header = self.header_with_zero_checksum();
-        // Pass 1: the checksum, over header-with-zeroed-field + payload.
-        let mut hash = Fnv1a64::new();
-        hash.update(&header);
-        self.for_each_payload_chunk(|chunk| {
-            hash.update(chunk);
             Ok(())
-        })
-        .expect("in-memory pass cannot fail");
-        header[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 8].copy_from_slice(&hash.digest().to_le_bytes());
-        // Pass 2: write.
+        }
+        let header = self.header_with_zero_checksum();
+        let mut hash = Xxh64::new();
+        hash.update(&header);
         w.write_all(&header)?;
-        self.for_each_payload_chunk(|chunk| w.write_all(chunk))
+        let mut chunk = vec![0u8; ENCODE_CHUNK_BYTES];
+        for col in [self.dists(), self.ranks(), self.weights()] {
+            emit(col, |x| x.to_bits().to_le_bytes(), &mut chunk, &mut hash, w)?;
+        }
+        for col in [self.offsets(), self.nodes()] {
+            emit(col, u32::to_le_bytes, &mut chunk, &mut hash, w)?;
+        }
+        let checksum = hash.digest();
+        w.seek(SeekFrom::Start(CHECKSUM_OFFSET as u64))?;
+        w.write_all(&checksum.to_le_bytes())?;
+        Ok(checksum)
     }
 
     /// Serializes to the version-1 on-disk format (one contiguous
@@ -1000,9 +924,10 @@ impl FrozenAdsSet {
     /// v1 whatever file the store was read from — the compatibility
     /// baseline; use [`FrozenAdsSet::to_bytes_format`] to opt into v2.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(self.serialized_len());
-        self.write_to(&mut buf)
+        let mut w = std::io::Cursor::new(Vec::with_capacity(self.serialized_len()));
+        self.write_to(&mut w)
             .expect("Vec<u8> writes are infallible");
+        let buf = w.into_inner();
         debug_assert_eq!(buf.len(), self.serialized_len());
         buf
     }
@@ -1026,21 +951,25 @@ impl FrozenAdsSet {
         }
     }
 
-    /// Writes the store to `w` in the given format: v1 streams, v2 is
-    /// encoded whole first.
-    fn write_to_format<W: Write>(&self, w: &mut W, format: StoreFormat) -> std::io::Result<()> {
+    /// Writes the store to a new file in the given format (v1 streams,
+    /// v2 is encoded whole first) and returns the header checksum
+    /// written — the value a shard manifest pins.
+    fn write_file(&self, path: &Path, format: StoreFormat) -> std::io::Result<u64> {
+        // Unbuffered: both formats hand the file large writes.
+        let mut file = std::fs::File::create(path)?;
         match format {
-            StoreFormat::V1 => self.write_to(w),
-            StoreFormat::V2 => w.write_all(&self.to_bytes_format(StoreFormat::V2)),
+            StoreFormat::V1 => self.write_to(&mut file),
+            StoreFormat::V2 => {
+                let image = self.to_bytes_format(StoreFormat::V2);
+                file.write_all(&image)?;
+                Ok(read_u64(&image, CHECKSUM_OFFSET))
+            }
         }
     }
 
     /// [`FrozenAdsSet::save`] with an explicit [`StoreFormat`].
     pub fn save_format(&self, path: impl AsRef<Path>, format: StoreFormat) -> std::io::Result<()> {
-        let file = std::fs::File::create(path)?;
-        let mut w = std::io::BufWriter::new(file);
-        self.write_to_format(&mut w, format)?;
-        w.flush()
+        self.write_file(path.as_ref(), format).map(drop)
     }
 
     /// Reads one serialized store off `r` (the buffered half of
@@ -1053,22 +982,25 @@ impl FrozenAdsSet {
     ///
     /// With `verify` off, only the O(1) header sanity checks and the
     /// O(n) offset invariants every query relies on are enforced — the
-    /// per-byte checksum walk and the O(E) canonical-order scan are
-    /// skipped.
-    fn from_reader<R: Read>(r: &mut R, verify: bool) -> Result<Self, FrozenError> {
+    /// checksum walk and the O(E) canonical-order scan are skipped.
+    ///
+    /// Also returns the checksum the header records (verified against
+    /// every other byte iff `verify`).
+    fn from_reader<R: Read>(r: &mut R, verify: bool) -> Result<(Self, u64), FrozenError> {
         let mut header = [0u8; HEADER_LEN];
         read_exact_or_truncated(r, &mut header, HEADER_LEN as u64, 0)?;
         let parsed = parse_store_header(&header)?;
         if parsed.version == FROZEN_FORMAT_VERSION_V2 {
             let mut image = header.to_vec();
             r.read_to_end(&mut image)?;
-            return Ok(Self::from_v2_image(&image, &parsed, verify)?.0);
+            let store = Self::from_v2_image(&image, &parsed, verify)?;
+            return Ok((store, parsed.stored_checksum));
         }
         let (k, n, entries) = (parsed.k, parsed.n as usize, parsed.entries as usize);
 
         // Hash the header with the checksum field zeroed, then every
         // payload byte as it streams past.
-        let mut hash = Fnv1a64::new();
+        let mut hash = Xxh64::new();
         if verify {
             hash.update(&header[..CHECKSUM_OFFSET]);
             hash.update(&[0u8; 8]);
@@ -1084,11 +1016,11 @@ impl FrozenAdsSet {
         };
         // Capacity hints are capped: the counts come from an untrusted
         // header, and a short input hits EOF before over-allocation hurts.
-        let offsets = col_reader.read_u32_col(n + 1)?;
-        let nodes = col_reader.read_u32_col(entries)?;
         let dists = col_reader.read_f64_col(entries)?;
         let ranks = col_reader.read_f64_col(entries)?;
         let weights = col_reader.read_f64_col(entries)?;
+        let offsets = col_reader.read_u32_col(n + 1)?;
+        let nodes = col_reader.read_u32_col(entries)?;
 
         if verify {
             let computed = hash.digest();
@@ -1105,18 +1037,17 @@ impl FrozenAdsSet {
         } else {
             validate_offsets(store.offsets(), store.num_entries())?;
         }
-        Ok(store)
+        Ok((store, parsed.stored_checksum))
     }
 
     /// Builds a store from a complete v2 image (`parsed` is its header):
-    /// the one end of every v2 load path. Also returns the whole-image
-    /// digest under `verify`.
+    /// the one end of every v2 load path.
     fn from_v2_image(
         image: &[u8],
         parsed: &ParsedHeader,
         verify: bool,
-    ) -> Result<(Self, Option<u64>), FrozenError> {
-        let (cols, digest) = v2::decode(image, parsed, verify)?;
+    ) -> Result<Self, FrozenError> {
+        let cols = v2::decode(image, parsed, verify)?;
         let store = Self {
             version: FROZEN_FORMAT_VERSION_V2,
             ..Self::from_owned_cols(
@@ -1131,7 +1062,7 @@ impl FrozenAdsSet {
         if verify {
             store.validate_structure()?;
         }
-        Ok((store, digest))
+        Ok(store)
     }
 
     /// Deserializes a buffer produced by [`FrozenAdsSet::to_bytes`] or
@@ -1141,7 +1072,7 @@ impl FrozenAdsSet {
     /// the store that was serialized.
     pub fn from_bytes(buf: &[u8]) -> Result<Self, FrozenError> {
         let mut r = buf;
-        let store = Self::from_reader(&mut r, true)?;
+        let (store, _) = Self::from_reader(&mut r, true)?;
         if !r.is_empty() {
             return Err(FrozenError::Corrupt(format!(
                 "{} trailing bytes after the payload",
@@ -1207,46 +1138,47 @@ impl FrozenAdsSet {
         Ok(Self::load_with_digest(path, opts)?.0)
     }
 
-    /// [`FrozenAdsSet::load_with`], additionally returning the FNV-1a 64
-    /// digest of the complete file when `opts.verify` is on (`None`
-    /// otherwise). Sharded-store loaders use this to check the
-    /// manifest's whole-file shard digests in the same pass instead of
-    /// re-reading the file.
+    /// [`FrozenAdsSet::load_with`], additionally returning the file's
+    /// header checksum — which covers every other byte of the file — when
+    /// `opts.verify` is on and the file was just verified against it
+    /// (`None` otherwise). Sharded-store loaders compare it with the
+    /// value the manifest pins for the shard, so one walk both verifies
+    /// the file and identifies it.
     pub fn load_with_digest(
         path: impl AsRef<Path>,
         opts: LoadOptions,
     ) -> Result<(Self, Option<u64>), FrozenError> {
         let file = std::fs::File::open(path)?;
-        if opts.map {
-            if let Some(region) = mmap::map_readonly(&file)? {
-                return Self::from_mapped(region, opts.verify);
-            }
-        }
-        // Buffered copying path: no mmap requested, unsupported
-        // platform, or the map syscall declined. Unverified loads skip
-        // the per-byte digest walk along with the checksum.
-        let mut r = HashingReader {
-            inner: std::io::BufReader::new(file),
-            hash: opts.verify.then(Fnv1a64::new),
+        let mapped = if opts.map {
+            mmap::map_readonly(&file)?
+        } else {
+            None
         };
-        let store = Self::from_reader(&mut r, opts.verify)?;
-        if !reader_at_eof(&mut r)? {
-            return Err(FrozenError::Corrupt(
-                "trailing bytes after the payload".into(),
-            ));
-        }
-        Ok((store, r.hash.map(|h| h.digest())))
+        let (store, checksum) = match mapped {
+            Some(region) => Self::from_mapped(region, opts.verify)?,
+            // Buffered copying path: no mmap requested, unsupported
+            // platform, or the map syscall declined.
+            None => {
+                let mut r = std::io::BufReader::new(file);
+                let loaded = Self::from_reader(&mut r, opts.verify)?;
+                if !reader_at_eof(&mut r)? {
+                    return Err(FrozenError::Corrupt(
+                        "trailing bytes after the payload".into(),
+                    ));
+                }
+                loaded
+            }
+        };
+        Ok((store, opts.verify.then_some(checksum)))
     }
 
     /// Builds a store over a mapped file region: header and length
     /// checks always; checksum + full structural scan only under
     /// `verify`. A v2 file is decoded out of the mapping, which is then
-    /// dropped. A v1 file's columns stay zero-copy views — except the
-    /// three `f64` columns of files whose layout lands them 8-misaligned
-    /// (whenever `n + 1 + E` is odd in the padding-free v1 format):
-    /// those are copied into owned memory so every slice access stays
-    /// sound, which leaves only the offset and node-id columns mapped.
-    fn from_mapped(region: MapRegion, verify: bool) -> Result<(Self, Option<u64>), FrozenError> {
+    /// dropped. A v1 file's five columns all stay zero-copy views: the
+    /// wide-first column order aligns each of them for every `(n, E)`.
+    /// Also returns the header's checksum field, as `from_reader` does.
+    fn from_mapped(region: MapRegion, verify: bool) -> Result<(Self, u64), FrozenError> {
         let buf = region.bytes();
         if buf.len() < HEADER_LEN {
             return Err(FrozenError::Truncated {
@@ -1257,7 +1189,8 @@ impl FrozenAdsSet {
         let header: [u8; HEADER_LEN] = buf[..HEADER_LEN].try_into().expect("length checked");
         let parsed = parse_store_header(&header)?;
         if parsed.version == FROZEN_FORMAT_VERSION_V2 {
-            return Self::from_v2_image(buf, &parsed, verify);
+            let store = Self::from_v2_image(buf, &parsed, verify)?;
+            return Ok((store, parsed.stored_checksum));
         }
         if (buf.len() as u128) < parsed.expected_len {
             return Err(FrozenError::Truncated {
@@ -1271,44 +1204,30 @@ impl FrozenAdsSet {
                 buf.len() as u128 - parsed.expected_len
             )));
         }
-        let whole_file_digest = if verify {
-            Some(verify_image(buf, parsed.stored_checksum)?)
-        } else {
-            None
-        };
+        if verify {
+            verify_image(buf, parsed.stored_checksum)?;
+        }
 
         let (n, entries) = (parsed.n as usize, parsed.entries as usize);
-        let off_offsets = HEADER_LEN;
-        let off_nodes = off_offsets + (n + 1) * 4;
-        let off_dists = off_nodes + entries * 4;
+        let off_dists = HEADER_LEN;
         let off_ranks = off_dists + entries * 8;
         let off_weights = off_ranks + entries * 8;
-        // u32 columns are always 4-aligned (page-aligned base, 4-aligned
-        // offsets); assert the invariant rather than trusting it.
+        let off_offsets = off_weights + entries * 8;
+        let off_nodes = off_offsets + (n + 1) * 4;
+        // Page-aligned base, 8-aligned header, f64 columns first: every
+        // column is aligned by construction; assert it rather than trust it.
         assert!(
-            region.u32_slice(off_offsets, n + 1).is_some()
+            [off_dists, off_ranks, off_weights]
+                .iter()
+                .all(|&off| region.f64_slice(off, entries).is_some())
+                && region.u32_slice(off_offsets, n + 1).is_some()
                 && region.u32_slice(off_nodes, entries).is_some(),
-            "u32 columns must be in bounds and aligned in a length-checked mapping"
+            "columns must be in bounds and aligned in a length-checked mapping"
         );
-        let f64_mapped = region.f64_slice(off_dists, entries).is_some();
-        let f64_col = |off: usize| -> Col<f64> {
-            if f64_mapped {
-                Col::Mapped {
-                    off,
-                    count: entries,
-                }
-            } else {
-                Col::Owned(
-                    buf[off..off + entries * 8]
-                        .chunks_exact(8)
-                        .map(|w| f64::from_bits(u64::from_le_bytes(w.try_into().expect("8-byte"))))
-                        .collect(),
-                )
-            }
+        let f64_col = |off| Col::Mapped {
+            off,
+            count: entries,
         };
-        let dists = f64_col(off_dists);
-        let ranks = f64_col(off_ranks);
-        let weights = f64_col(off_weights);
         let store = Self {
             k: parsed.k,
             version: FROZEN_FORMAT_VERSION,
@@ -1320,9 +1239,9 @@ impl FrozenAdsSet {
                 off: off_nodes,
                 count: entries,
             },
-            dists,
-            ranks,
-            weights,
+            dists: f64_col(off_dists),
+            ranks: f64_col(off_ranks),
+            weights: f64_col(off_weights),
             region: Some(region),
         };
         if verify {
@@ -1330,7 +1249,7 @@ impl FrozenAdsSet {
         } else {
             validate_offsets(store.offsets(), store.num_entries())?;
         }
-        Ok((store, whole_file_digest))
+        Ok((store, parsed.stored_checksum))
     }
 
     /// Estimated distance distribution of the whole graph — same quantity
@@ -1423,7 +1342,7 @@ fn reader_at_eof<R: Read>(r: &mut R) -> std::io::Result<bool> {
 /// Magic bytes identifying a serialized shard manifest.
 pub const SHARD_MAGIC: [u8; 8] = *b"ADSKSHD1";
 /// The shard-manifest format version this build writes and reads.
-pub const SHARD_FORMAT_VERSION: u32 = 1;
+pub const SHARD_FORMAT_VERSION: u32 = 2;
 /// The manifest's file name inside a sharded-store directory.
 pub const SHARD_MANIFEST_FILE: &str = "manifest.adsm";
 
@@ -1444,12 +1363,13 @@ pub struct ShardRecord {
     pub end: u64,
     /// Number of ADS entries stored in the shard.
     pub entries: u64,
-    /// FNV-1a 64 digest of the complete shard file, **as written** — it
-    /// pins the exact bytes, including the store-format version in the
-    /// shard's own header. A shard file re-encoded in a different format
-    /// (say, the v2 encoding of a shard the manifest digested as v1)
-    /// hashes differently and is rejected by digest-checking loaders,
-    /// even though both encodings decode to identical entries.
+    /// The checksum in the shard file's own header, **as written**. It
+    /// covers every other byte of the file, so it pins the exact bytes,
+    /// including the store-format version. A shard file re-encoded in a
+    /// different format (say, the v2 encoding of a shard the manifest
+    /// recorded as v1) carries a different checksum and is rejected by
+    /// digest-checking loaders, even though both encodings decode to
+    /// identical entries.
     pub digest: u64,
 }
 
@@ -1460,15 +1380,15 @@ pub struct ShardRecord {
 ///
 /// # Store-format versions a manifest may reference
 ///
-/// The manifest format itself is unchanged at version 1 and carries no
-/// per-shard format field: shard files are self-describing (their own
-/// headers carry the version), and loaders accept any version the
-/// [`FrozenAdsSet`] readers accept — v1 and v2 shards, even mixed
-/// within one directory. What binds a manifest to specific formats is
-/// the digest column: each [`ShardRecord::digest`] was computed over
-/// one concrete byte image, so swapping a referenced shard file for its
-/// re-encoding in another version (without re-freezing) is detected and
-/// rejected exactly like any other byte-level mismatch.
+/// The manifest carries no per-shard format field: shard files are
+/// self-describing (their own headers carry the version), and loaders
+/// accept any version the [`FrozenAdsSet`] readers accept — v1 and v2
+/// shards, even mixed within one directory. What binds a manifest to
+/// specific formats is the digest column: each [`ShardRecord::digest`]
+/// is the checksum of one concrete byte image, so swapping a referenced
+/// shard file for its re-encoding in another version (without
+/// re-freezing) is detected and rejected exactly like any other
+/// byte-level mismatch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardManifest {
     k: u32,
@@ -1576,13 +1496,7 @@ impl ShardManifest {
                 buf.len() as u128 - expected
             )));
         }
-        let computed = buffer_checksum(buf);
-        if computed != stored_checksum {
-            return Err(FrozenError::ChecksumMismatch {
-                stored: stored_checksum,
-                computed,
-            });
-        }
+        verify_image(buf, stored_checksum)?;
         let mut records = Vec::with_capacity(shard_count as usize);
         let mut at = MANIFEST_HEADER_LEN;
         for _ in 0..shard_count {
@@ -1710,8 +1624,8 @@ pub fn freeze_sharded(
 /// [`freeze_sharded`] with an explicit per-shard [`StoreFormat`].
 ///
 /// Every shard of one freeze is written in the same format, and the
-/// manifest's per-shard digests are computed over the bytes actually
-/// written — so a manifest pins each shard file's exact bytes *and
+/// manifest's per-shard digests are the header checksums of the bytes
+/// actually written — so a manifest pins each shard file's exact bytes *and
 /// therefore its format version*. Replacing a shard file with a
 /// re-encoding of the same data in the other format fails the serving
 /// loader's digest check by construction (see [`ShardRecord::digest`]);
@@ -1730,15 +1644,12 @@ pub fn freeze_sharded_format(
     for i in 0..shards {
         let (lo, hi) = (cuts[i], cuts[i + 1]);
         let shard = FrozenAdsSet::from_ads_set_range(ads, lo, hi);
-        let file = std::fs::File::create(dir.join(shard_file_name(i)))?;
-        let mut w = HashingWriter::new(std::io::BufWriter::new(file));
-        shard.write_to_format(&mut w, format)?;
-        w.flush()?;
+        let digest = shard.write_file(&dir.join(shard_file_name(i)), format)?;
         records.push(ShardRecord {
             start: lo as u64,
             end: hi as u64,
             entries: shard.num_entries() as u64,
-            digest: w.hash.digest(),
+            digest,
         });
     }
     let manifest = ShardManifest {
@@ -1882,12 +1793,15 @@ mod tests {
     #[test]
     fn streaming_roundtrip_matches_bytes() {
         let frozen = sample_set().freeze();
-        let mut buf = Vec::new();
-        frozen.write_to(&mut buf).unwrap();
+        let mut w = std::io::Cursor::new(Vec::new());
+        let checksum = frozen.write_to(&mut w).unwrap();
+        let buf = w.into_inner();
         assert_eq!(buf, frozen.to_bytes());
+        assert_eq!(checksum, read_u64(&buf, CHECKSUM_OFFSET));
         let mut r = &buf[..];
-        let restored = FrozenAdsSet::from_reader(&mut r, true).unwrap();
+        let (restored, stored) = FrozenAdsSet::from_reader(&mut r, true).unwrap();
         assert!(r.is_empty());
+        assert_eq!(stored, checksum);
         assert_eq!(restored, frozen);
     }
 
@@ -1897,7 +1811,7 @@ mod tests {
         let mut buf = frozen.to_bytes();
         buf.extend_from_slice(b"NEXT");
         let mut r = &buf[..];
-        let restored = FrozenAdsSet::from_reader(&mut r, true).unwrap();
+        let (restored, _) = FrozenAdsSet::from_reader(&mut r, true).unwrap();
         assert_eq!(restored, frozen);
         assert_eq!(r, b"NEXT");
     }
@@ -2055,8 +1969,13 @@ mod tests {
         let path = save_temp(&frozen, "mapped_roundtrip");
         for opts in [LoadOptions::mapped(), LoadOptions::trusted()] {
             let loaded = FrozenAdsSet::load_with(&path, opts).unwrap();
-            // On 64-bit Linux the columns must actually be zero-copy.
-            if cfg!(all(target_os = "linux", target_pointer_width = "64")) {
+            // On little-endian 64-bit Linux the columns must actually be
+            // zero-copy.
+            if cfg!(all(
+                target_os = "linux",
+                target_pointer_width = "64",
+                target_endian = "little"
+            )) {
                 assert!(loaded.is_mapped(), "expected a mapped store under {opts:?}");
             }
             assert_eq!(loaded, frozen);
@@ -2100,18 +2019,29 @@ mod tests {
     }
 
     #[test]
-    fn load_with_digest_returns_whole_file_fnv() {
-        let frozen = sample_set().freeze();
-        let path = save_temp(&frozen, "digest");
-        let mut expected = Fnv1a64::new();
-        expected.update(&std::fs::read(&path).unwrap());
-        for opts in [LoadOptions::mapped(), LoadOptions::default()] {
-            let (_, digest) = FrozenAdsSet::load_with_digest(&path, opts).unwrap();
-            assert_eq!(digest, Some(expected.digest()), "under {opts:?}");
+    fn load_with_digest_returns_the_pinned_header_checksum() {
+        // One value identifies a shard file three ways: the 8 bytes at
+        // header offset 32, the manifest record, and what a verified
+        // load hands back — for either format, mapped or buffered.
+        let ads = sample_set();
+        for format in [StoreFormat::V1, StoreFormat::V2] {
+            let dir = std::env::temp_dir().join(format!("adsketch_frozen_digest_{format:?}"));
+            std::fs::remove_dir_all(&dir).ok();
+            let manifest = freeze_sharded_format(&ads, 2, &dir, format).unwrap();
+            for (i, rec) in manifest.records().iter().enumerate() {
+                let path = dir.join(shard_file_name(i));
+                let stored = read_u64(&std::fs::read(&path).unwrap(), CHECKSUM_OFFSET);
+                assert_eq!(rec.digest, stored, "{format:?} shard {i}: manifest record");
+                for opts in [LoadOptions::mapped(), LoadOptions::default()] {
+                    let (_, digest) = FrozenAdsSet::load_with_digest(&path, opts).unwrap();
+                    assert_eq!(digest, Some(stored), "{format:?} shard {i} under {opts:?}");
+                }
+                let (_, digest) =
+                    FrozenAdsSet::load_with_digest(&path, LoadOptions::trusted()).unwrap();
+                assert_eq!(digest, None, "trusted loads verified nothing");
+            }
+            std::fs::remove_dir_all(&dir).ok();
         }
-        let (_, digest) = FrozenAdsSet::load_with_digest(&path, LoadOptions::trusted()).unwrap();
-        assert_eq!(digest, None, "trusted loads skip hashing entirely");
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

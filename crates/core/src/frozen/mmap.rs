@@ -8,13 +8,13 @@
 //! no new dependency is introduced and the workspace stays
 //! offline-buildable.
 //!
-//! On 64-bit Linux, [`map_readonly`] maps a store file `PROT_READ` /
-//! `MAP_PRIVATE` and hands back a [`MapRegion`] whose typed column views
-//! back a mapped [`super::FrozenAdsSet`]. Replicas mapping the same
-//! shard file share its pages through the kernel page cache, and a
-//! warm restart touches no column bytes at all until they are queried.
-//! On every other platform [`map_readonly`] returns `Ok(None)` and
-//! callers fall back to the buffered copying loader — behaviour is
+//! On little-endian 64-bit Linux, [`map_readonly`] maps a store file
+//! `PROT_READ` / `MAP_PRIVATE` and hands back a [`MapRegion`] whose typed
+//! column views back a mapped [`super::FrozenAdsSet`]. Replicas mapping
+//! the same shard file share its pages through the kernel page cache,
+//! and a warm restart touches no column bytes at all until they are
+//! queried. On every other platform [`map_readonly`] returns `Ok(None)`
+//! and callers fall back to the buffered copying loader — behaviour is
 //! identical, only cold-start cost differs.
 //!
 //! # Safety model
@@ -27,6 +27,11 @@
 //!   `None` otherwise — no unchecked pointer arithmetic escapes this
 //!   module. `u32` and `f64` accept every bit pattern, so reinterpreting
 //!   checked, aligned, in-bounds file bytes is sound.
+//! * A view reads the file's bytes in the host's byte order, and store
+//!   files are little-endian: the `cfg` gate on the `imp` module
+//!   therefore requires `target_endian = "little"`. A big-endian host
+//!   gets the uninhabited fallback and so takes the buffered loader,
+//!   which decodes every element with `from_le_bytes`.
 //! * As with any file-backed mapping, truncating the underlying file
 //!   while it is mapped can raise `SIGBUS` on access. Serving
 //!   deployments must replace store files atomically (write + rename),
@@ -37,34 +42,20 @@
 
 /// An owned, read-only, file-backed memory mapping.
 ///
-/// On platforms without mmap support this type is uninhabited: it can
-/// never be constructed, and its methods are statically unreachable.
+/// On platforms without mmap support this type is uninhabited (its
+/// `imp::RawMap` is an empty enum): it can never be constructed, and its
+/// methods are statically unreachable — which lets `frozen.rs` name a
+/// region and stay `cfg`-free.
 #[derive(Debug)]
 pub(crate) struct MapRegion {
-    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
-    inner: linux::RawMap,
-    /// Uninhabited on non-mmap platforms so the type still names a
-    /// region (letting `frozen.rs` stay `cfg`-free) but can never exist.
-    #[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
-    inner: Never,
+    inner: imp::RawMap,
 }
-
-#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
-#[derive(Debug)]
-pub(crate) enum Never {}
 
 impl MapRegion {
     /// The complete mapped file as a byte slice.
     #[inline]
     pub(crate) fn bytes(&self) -> &[u8] {
-        #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
-        {
-            self.inner.bytes()
-        }
-        #[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
-        {
-            match self.inner {}
-        }
+        self.inner.bytes()
     }
 
     /// A `count`-element `u32` view starting `off` bytes into the
@@ -117,24 +108,42 @@ impl MapRegion {
 /// copying loader", so mapping is a pure fast path, never a new failure
 /// mode. Only pre-map I/O errors (`metadata`) are surfaced as `Err`.
 pub(crate) fn map_readonly(file: &std::fs::File) -> std::io::Result<Option<MapRegion>> {
-    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
-    {
-        let len = file.metadata()?.len();
-        if len == 0 || len > usize::MAX as u64 {
-            return Ok(None);
-        }
-        Ok(linux::RawMap::map(file, len as usize).map(|inner| MapRegion { inner }))
+    let len = file.metadata()?.len();
+    if len == 0 || len > usize::MAX as u64 {
+        return Ok(None);
     }
-    #[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
-    {
-        let _ = file;
-        Ok(None)
+    Ok(imp::RawMap::map(file, len as usize).map(|inner| MapRegion { inner }))
+}
+
+#[cfg(not(all(
+    target_os = "linux",
+    target_pointer_width = "64",
+    target_endian = "little"
+)))]
+mod imp {
+    //! No binding on this target: a mapping can never exist.
+
+    #[derive(Debug)]
+    pub(super) enum RawMap {}
+
+    impl RawMap {
+        pub(super) fn map(_file: &std::fs::File, _len: usize) -> Option<RawMap> {
+            None
+        }
+
+        pub(super) fn bytes(&self) -> &[u8] {
+            match *self {}
+        }
     }
 }
 
-#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
-mod linux {
-    //! The raw 64-bit Linux `mmap`/`munmap` binding.
+#[cfg(all(
+    target_os = "linux",
+    target_pointer_width = "64",
+    target_endian = "little"
+))]
+mod imp {
+    //! The raw little-endian 64-bit Linux `mmap`/`munmap` binding.
 
     use std::os::unix::io::AsRawFd;
 
@@ -255,8 +264,12 @@ mod tests {
                 assert!(region.f64_slice(8, 2047).is_some());
             }
             None => {
-                if cfg!(all(target_os = "linux", target_pointer_width = "64")) {
-                    panic!("mmap must be available on 64-bit Linux");
+                if cfg!(all(
+                    target_os = "linux",
+                    target_pointer_width = "64",
+                    target_endian = "little"
+                )) {
+                    panic!("mmap must be available on little-endian 64-bit Linux");
                 }
             }
         }

@@ -528,22 +528,19 @@ impl<'a> Body<'a> {
 /// Always enforced: exact length, the block-offset table, the CSR
 /// offset invariants and the entry-count bound, so the result can be
 /// sliced by its offsets without panicking whatever the blob holds.
-/// `verify` adds the header checksum (returning the whole-file digest
-/// computed in the same pass) and the per-block structural validation;
-/// the caller still owes a verified store the row-order scan shared
-/// with v1.
+/// `verify` adds the header checksum (one word-at-a-time walk of the
+/// image) and the per-block structural validation; the caller still
+/// owes a verified store the row-order scan shared with v1.
 pub(super) fn decode(
     buf: &[u8],
     header: &ParsedHeader,
     verify: bool,
-) -> Result<(Columns, Option<u64>), FrozenError> {
+) -> Result<Columns, FrozenError> {
     let entries = header.entries as usize;
     let body = Body::parse(buf, header.n as usize, entries)?;
-    let digest = if verify {
-        Some(super::verify_image(buf, header.stored_checksum)?)
-    } else {
-        None
-    };
+    if verify {
+        super::verify_image(buf, header.stored_checksum)?;
+    }
     super::validate_offsets(&body.offsets, entries)?;
     let mut cols = Columns {
         offsets: Vec::new(),
@@ -559,7 +556,7 @@ pub(super) fn decode(
         body.decode_block(b, &mut cols);
     }
     cols.offsets = body.offsets;
-    Ok((cols, digest))
+    Ok(cols)
 }
 
 /// Strict walk of one varint section during validation: every varint

@@ -27,8 +27,6 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
-use adsketch_core::frozen::Fnv1a64;
-
 use crate::IngestError;
 
 /// Magic bytes opening every segment file.
@@ -42,6 +40,31 @@ const HEADER_LEN: usize = 20;
 
 /// Record length: `u`, `v`, weight bits, chained digest.
 const RECORD_LEN: usize = 24;
+
+/// Streaming FNV-1a 64, the record chain's digest. Byte-serial, which
+/// suits 16-byte record payloads that each need the running digest read
+/// out; the bulk store formats use `adsketch_core::frozen::Xxh64`.
+#[derive(Debug, Clone)]
+struct Fnv1a64(u64);
+
+impl Fnv1a64 {
+    /// Fresh hasher at the FNV-1a 64 offset basis.
+    fn new() -> Self {
+        Fnv1a64(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Absorbs `bytes` into the running digest.
+    fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The digest of everything absorbed so far.
+    fn digest(&self) -> u64 {
+        self.0
+    }
+}
 
 /// One replayed edge insertion.
 #[derive(Debug, Clone, Copy, PartialEq)]

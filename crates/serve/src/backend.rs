@@ -3,7 +3,7 @@
 //! A [`BackendStore`] loads the `ADSKSHD1` manifest plus exactly one of
 //! the shard files it describes — with every integrity check the full
 //! [`crate::ShardedStore`] loader runs on that shard (format validation,
-//! whole-file digest, parameter agreement, range emptiness). Serving it
+//! pinned header checksum, parameter agreement, range emptiness). Serving it
 //! through the generic [`crate::Server`] gives a **backend**: a process
 //! that speaks the ordinary `ADSKWIR1` protocol but only owns its
 //! manifest record's node range, answering

@@ -15,7 +15,7 @@ pub enum ServeError {
     /// structural corruption).
     Frozen(FrozenError),
     /// The shard set is inconsistent with its manifest (missing shard
-    /// file, whole-file digest mismatch, parameter disagreement, rows
+    /// file, pinned-checksum mismatch, parameter disagreement, rows
     /// populated outside the declared range, …).
     Store(String),
     /// The peer violated the wire protocol (bad handshake, oversized or

@@ -16,10 +16,12 @@
 //! verifying for each shard:
 //!
 //! * the store-level format checks (magic, version, checksum, structure —
-//!   [`adsketch_core::FrozenAdsSet::load_with_digest`]),
-//! * the manifest's whole-file FNV-1a digest (so a shard file from a
-//!   different freeze, or one corrupted at rest, is rejected even if it
-//!   is a valid store on its own),
+//!   [`adsketch_core::FrozenAdsSet::load_with_digest`]), one
+//!   word-at-a-time walk of the file against its own header checksum,
+//! * that the checksum just verified is the one the manifest pins for
+//!   the shard (it covers every other byte of the file, so a shard file
+//!   from a different freeze or in a different format is rejected even
+//!   though it is a valid store on its own — without a second walk),
 //! * parameter agreement (`k`, `n`, per-shard entry counts), and
 //! * that rows *outside* the shard's declared range are empty.
 //!
@@ -62,9 +64,10 @@ impl ShardedStore {
 
     /// [`ShardedStore::load`] with explicit [`LoadOptions`]: `map` picks
     /// zero-copy vs. copying column backing, and `verify: false` skips
-    /// the checksum, whole-file digest, and canonical-order scans for
-    /// warm restarts of already-verified store directories (manifest
-    /// parsing, parameter agreement, and range checks always run).
+    /// the checksum walk, the manifest comparison that rests on it, and
+    /// the canonical-order scan for warm restarts of already-verified
+    /// store directories (manifest parsing, parameter agreement, and
+    /// range checks always run).
     pub fn load_with(dir: impl AsRef<Path>, opts: LoadOptions) -> Result<Self, ServeError> {
         let dir = dir.as_ref();
         let manifest = ShardManifest::load(dir.join(SHARD_MANIFEST_FILE))?;
@@ -136,7 +139,7 @@ pub(crate) fn load_shard(
     let rec = manifest.records()[i];
     let path: PathBuf = dir.join(shard_file_name(i));
     // Trailing bytes are rejected by the store loader itself, so nothing
-    // appended to a shard file can slip past the whole-file digest.
+    // appended to a shard file can hide behind its header checksum.
     let (shard, digest) = FrozenAdsSet::load_with_digest(&path, opts).map_err(|e| match e {
         adsketch_core::FrozenError::Io(ref io) if io.kind() == std::io::ErrorKind::NotFound => {
             ServeError::Store(format!("shard {i} missing: {}", path.display()))
@@ -144,9 +147,9 @@ pub(crate) fn load_shard(
         e => ServeError::from(e),
     })?;
     if opts.verify {
-        let digest = digest.expect("verified loads always produce a whole-file digest");
+        let digest = digest.expect("verified loads return the checksum they verified");
         if digest != rec.digest {
-            // The digest pins the exact bytes, including the store-format
+            // The checksum pins the exact bytes, including the store-format
             // version — re-encoding a shard in another format (say v1 → v2)
             // without re-freezing the manifest lands here, so name the
             // format we actually read to make that case self-explanatory.

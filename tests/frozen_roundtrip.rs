@@ -7,7 +7,8 @@
 use proptest::prelude::*;
 
 use adsketch::core::{
-    basic, centrality, similarity, size_est, AdsSet, AdsView, FrozenAdsSet, QueryEngine,
+    basic, centrality, similarity, size_est, AdsSet, AdsView, FrozenAdsSet, LoadOptions,
+    QueryEngine,
 };
 use adsketch::graph::{generators, Graph, NodeId};
 
@@ -182,4 +183,49 @@ fn save_load_file_roundtrip() {
 fn load_missing_file_is_io_error() {
     let err = FrozenAdsSet::load("/nonexistent/adsketch.ads").unwrap_err();
     assert!(err.to_string().contains("i/o error"), "{err}");
+}
+
+#[test]
+fn mapped_v1_store_copies_no_column_for_either_parity_of_the_u32_prefix() {
+    // The u32 columns hold n + 1 + E words. When they came first, an odd
+    // count left the three f64 columns 8-misaligned in the mapping and
+    // they were copied out (24 of every 28 bytes resident). Wide-first
+    // column order aligns every column for both parities.
+    let lone = Graph::directed(3, &[]).unwrap(); // E = 3: one self entry per node
+    let arc = Graph::directed(3, &[(0, 1)]).unwrap(); // E = 4: ADS(0) gains node 1
+    let parities: Vec<usize> = [&lone, &arc]
+        .iter()
+        .map(|g| {
+            let ads = AdsSet::build(g, 2, 7);
+            let frozen = ads.freeze();
+            let parity = (frozen.num_nodes() + 1 + frozen.num_entries()) % 2;
+            let path = std::env::temp_dir()
+                .join(format!("adsketch_test_frozen_mapped_parity_{parity}.ads"));
+            frozen.save(&path).expect("save");
+            let buffered = FrozenAdsSet::load(&path).expect("buffered load");
+            for opts in [LoadOptions::mapped(), LoadOptions::trusted()] {
+                let mapped = FrozenAdsSet::load_with(&path, opts).expect("mapped load");
+                if cfg!(all(
+                    target_os = "linux",
+                    target_pointer_width = "64",
+                    target_endian = "little"
+                )) {
+                    assert!(mapped.is_mapped(), "parity {parity}, {opts:?}");
+                    assert_eq!(
+                        mapped.resident_bytes(),
+                        std::mem::size_of::<FrozenAdsSet>(),
+                        "parity {parity}, {opts:?}: a column was copied out of the mapping"
+                    );
+                }
+                assert_eq!(mapped, buffered, "parity {parity}, {opts:?}");
+                assert_estimators_bitwise_equal(&ads, &mapped);
+            }
+            std::fs::remove_file(&path).ok();
+            parity
+        })
+        .collect();
+    assert_ne!(
+        parities[0], parities[1],
+        "the two graphs must cover both parities"
+    );
 }

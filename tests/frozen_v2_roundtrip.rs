@@ -14,7 +14,7 @@ use std::path::PathBuf;
 
 use proptest::prelude::*;
 
-use adsketch::core::frozen::Fnv1a64;
+use adsketch::core::frozen::Xxh64;
 use adsketch::core::{
     basic, centrality, similarity, size_est, AdsSet, AdsView, FrozenAdsSet, FrozenError,
     LoadOptions, QueryEngine, StoreFormat,
@@ -265,7 +265,7 @@ fn node_section(bytes: &[u8], lay: &V2Layout) -> (usize, usize) {
 /// tamper with payload bytes and prove the *column validators* reject
 /// the result (not just the checksum).
 fn resign_store(bytes: &mut [u8]) {
-    let mut h = Fnv1a64::new();
+    let mut h = Xxh64::new();
     h.update(&bytes[..32]);
     h.update(&[0u8; 8]);
     h.update(&bytes[40..]);
@@ -463,4 +463,90 @@ fn golden_fixture_files_encode_and_decode_byte_for_byte() {
     // And the decoded fixtures answer estimators like the build output.
     assert_estimators_bitwise_equal(&ads, &s1);
     assert_estimators_bitwise_equal(&ads, &s2);
+}
+
+/// First slice of "parsers are total": every single-bit corruption of a
+/// committed image is a typed error from the buffered parser and from a
+/// verified mapped load — never a panic, never a store.
+fn assert_every_single_bit_flip_is_a_typed_error(name: &str) {
+    use std::io::{Seek, SeekFrom, Write};
+    let good = std::fs::read(fixture_path(name)).expect("committed fixture");
+    let path = std::env::temp_dir().join(format!("adsketch_test_bitflip_{name}"));
+    std::fs::write(&path, &good).unwrap();
+    // One open handle patches single bytes in place: rewriting the whole
+    // file per bit would be most of the test's run time.
+    let mut file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+    let mut patch = |at: usize, byte: u8| {
+        file.seek(SeekFrom::Start(at as u64)).unwrap();
+        file.write_all(&[byte]).unwrap();
+    };
+    let mut bytes = good.clone();
+    for bit in 0..good.len() * 8 {
+        let at = bit / 8;
+        bytes[at] ^= 1 << (bit % 8);
+        if let Ok(store) = FrozenAdsSet::from_bytes(&bytes) {
+            panic!("{name}: bit {bit} flipped, from_bytes gave {store:?}");
+        }
+        patch(at, bytes[at]);
+        if let Ok(store) = FrozenAdsSet::load_with(&path, LoadOptions::mapped()) {
+            panic!("{name}: bit {bit} flipped, mapped load gave {store:?}");
+        }
+        bytes[at] = good[at];
+        patch(at, good[at]);
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn every_single_bit_flip_of_the_v1_golden_fixture_is_a_typed_error() {
+    assert_every_single_bit_flip_is_a_typed_error("golden_ba30_k3.v1.ads");
+}
+
+#[test]
+fn every_single_bit_flip_of_the_v2_golden_fixture_is_a_typed_error() {
+    assert_every_single_bit_flip_is_a_typed_error("golden_ba30_k3.v2.ads");
+}
+
+/// The fixtures of container generation 1 (`ADSKFRZ1`, FNV-1a checksums,
+/// u32 columns first), kept to pin how an older build's files fail:
+/// typed, at every load level, before any byte of the body is trusted.
+#[test]
+fn generation_1_stores_are_rejected_as_written_by_an_older_build() {
+    for name in ["legacy_gen1.v1.ads", "legacy_gen1.v2.ads"] {
+        let path = fixture_path(name);
+        let check = |res: Result<FrozenAdsSet, FrozenError>, how: &str| {
+            let err = res.expect_err(how);
+            assert!(
+                matches!(err, FrozenError::LegacyGeneration),
+                "{name}, {how}: {err:?}"
+            );
+            let msg = err.to_string();
+            assert!(
+                msg.contains("older build") && msg.contains("re-freeze"),
+                "{name}, {how}: {msg}"
+            );
+        };
+        check(
+            FrozenAdsSet::from_bytes(&std::fs::read(&path).unwrap()),
+            "from_bytes",
+        );
+        for opts in [
+            LoadOptions::default(),
+            LoadOptions::mapped(),
+            LoadOptions::trusted(),
+        ] {
+            check(FrozenAdsSet::load_with(&path, opts), &format!("{opts:?}"));
+        }
+    }
+    // The generation bump moved nothing in the v2 body: the regenerated
+    // fixture differs from the legacy one in the magic's generation digit
+    // and the 8 checksum bytes only.
+    let old = std::fs::read(fixture_path("legacy_gen1.v2.ads")).unwrap();
+    let new = std::fs::read(fixture_path("golden_ba30_k3.v2.ads")).unwrap();
+    assert_eq!(old.len(), new.len());
+    let differing: Vec<usize> = (0..old.len()).filter(|&i| old[i] != new[i]).collect();
+    assert!(
+        differing.contains(&7) && differing.iter().all(|&i| i == 7 || (32..40).contains(&i)),
+        "v2 images differ at {differing:?}"
+    );
 }

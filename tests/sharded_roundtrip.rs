@@ -10,7 +10,7 @@ use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
 
-use adsketch::core::frozen::{shard_file_name, Fnv1a64, SHARD_MANIFEST_FILE};
+use adsketch::core::frozen::{shard_file_name, Xxh64, SHARD_MANIFEST_FILE};
 use adsketch::core::{
     basic, centrality, freeze_sharded, freeze_sharded_format, similarity, size_est, AdsSet,
     AdsView, FrozenAdsSet, QueryEngine, ShardManifest, StoreFormat,
@@ -196,7 +196,7 @@ fn manifest_path(dir: &ShardDir) -> PathBuf {
 /// checksum-consistent manifest — proving the structural validation
 /// itself rejects the corruption, not just the checksum.
 fn resign_manifest(bytes: &mut [u8]) {
-    let mut h = Fnv1a64::new();
+    let mut h = Xxh64::new();
     h.update(&bytes[..32]);
     h.update(&[0u8; 8]);
     h.update(&bytes[40..]);
@@ -383,4 +383,19 @@ fn manifest_survives_its_own_byte_roundtrip() {
         ShardManifest::from_bytes(&manifest.to_bytes()).unwrap(),
         manifest
     );
+}
+
+#[test]
+fn version_1_manifest_is_an_unsupported_version() {
+    // Manifest version 1 pinned whole-file FNV-1a digests; its records
+    // mean something else now, so even a well-signed one is refused.
+    let (dir, _ads) = sample_dir("manifest_v1");
+    let mut bytes = std::fs::read(manifest_path(&dir)).unwrap();
+    assert_eq!(bytes[8..12], 2u32.to_le_bytes());
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    resign_manifest(&mut bytes);
+    assert!(matches!(
+        ShardManifest::from_bytes(&bytes),
+        Err(adsketch::core::FrozenError::UnsupportedVersion(1))
+    ));
 }
