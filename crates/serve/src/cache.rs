@@ -34,10 +34,10 @@ use std::sync::{Arc, Mutex};
 /// Request-kind discriminants for cache keys. Values match the wire
 /// protocol's request type bytes — stable, and meaningless outside the
 /// cache (the key never travels).
-pub(crate) const KIND_HARMONIC: u8 = 0x01;
-pub(crate) const KIND_DECAY: u8 = 0x02;
-pub(crate) const KIND_CARDINALITY: u8 = 0x03;
-pub(crate) const KIND_JACCARD: u8 = 0x05;
+const KIND_HARMONIC: u8 = 0x01;
+const KIND_DECAY: u8 = 0x02;
+const KIND_CARDINALITY: u8 = 0x03;
+const KIND_JACCARD: u8 = 0x05;
 
 /// Independent LRU segments (each behind its own lock).
 const NUM_SHARDS: usize = 16;

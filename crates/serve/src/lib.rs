@@ -22,7 +22,6 @@
 //! | [`router`] | [`Router`]: stateless scatter/gather over replica sets of backends, merging answers bitwise identical to the single-process engine |
 //! | `health` (internal) | per-endpoint circuit breaker (closed / cooling / open / half-open probe) shared by the router's workers and prober |
 //! | `cache` (internal) | the router's sharded, size-bounded LRU answer cache ([`RouterConfig::cache_bytes`]); counters via [`CacheStatsHandle`] |
-//! | `coalesce` (internal) | cross-client request coalescing ([`RouterConfig::coalesce_window`]): merged same-shard wire batches with per-participant fan-out |
 //! | [`error`] | [`ServeError`] |
 //!
 //! Everything runs on `std` threads and `std::net` only — the crate has
@@ -85,7 +84,6 @@
 pub mod backend;
 pub(crate) mod cache;
 pub mod client;
-pub(crate) mod coalesce;
 pub mod error;
 pub mod generation;
 pub(crate) mod health;

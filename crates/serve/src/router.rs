@@ -4,11 +4,32 @@
 //! tell it from a single-process [`crate::Server`] — but holds **no
 //! sketch data**. It keeps only the `ADSKSHD1` manifest's node-range
 //! table plus a **replica set** of backend addresses per shard. Each
-//! worker thread owns a lazily-connected [`crate::Client`] per endpoint;
-//! an incoming batch is pre-validated exactly as the single-process
-//! server would validate it, partitioned by owning shard, scattered
-//! (pipelined) over backend connections, and the answers are merged back
-//! into request order.
+//! worker thread owns a lazily-connected [`crate::Client`] per endpoint.
+//!
+//! # One request path
+//!
+//! An incoming batch is pre-validated exactly as the single-process
+//! server would validate it. Every batch kind then takes the same steps:
+//!
+//! 1. **Cache peel.** For the float kinds (harmonic, decay, cardinality,
+//!    Jaccard), items the answer cache holds are set aside; only the
+//!    misses go on.
+//! 2. **Partition.** Items are grouped by owning shard, each group in
+//!    request order.
+//! 3. **One-shard shortcut or scatter.** A batch owned by one shard is
+//!    forwarded verbatim. Otherwise each shard gets a leg of the same
+//!    kind and parameters over its own items, pipelined over backend
+//!    connections.
+//! 4. **Merge.** Answers land back at their request indices. Floats
+//!    merge slot by slot, so degraded mode can leave a dead shard's slots
+//!    `Down`. Curves and sketch prefixes merge all-or-nothing, within
+//!    one frame.
+//! 5. **Cache fill.** Served float answers go into the cache (a `Down`
+//!    slot never does), and the peeled hits are spliced back in.
+//!
+//! A Jaccard pair whose endpoints live on different shards has no single
+//! owner. It is the one item whose merge does arithmetic, so a batch
+//! holding such pairs takes its own cold step in place of steps 3–4.
 //!
 //! # Merge guarantee
 //!
@@ -83,7 +104,7 @@
 //! Static frozen fleets never swap, report generation `0` forever, and
 //! pay nothing.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -93,16 +114,13 @@ use adsketch_core::{thread_count, ShardManifest, ShardRecord};
 use adsketch_graph::NodeId;
 use adsketch_minhash::{similarity, BottomKSketch};
 
-use crate::cache::{
-    AnswerCache, CacheKey, CacheStatsHandle, KIND_CARDINALITY, KIND_DECAY, KIND_HARMONIC,
-};
+use crate::cache::{AnswerCache, CacheKey, CacheStatsHandle};
 use crate::client::Client;
-use crate::coalesce::{AnswerMap, Coalescer, GroupKey, Item, Ticket};
 use crate::error::ServeError;
 use crate::health::{HealthTracker, Tier};
 use crate::proto::{
-    kernel_from_wire, kernel_to_wire, BatchSlot, Request, Response, ERR_BACKEND,
-    ERR_RESPONSE_TOO_LARGE, ERR_SHARD_DOWN, MAX_FRAME_LEN,
+    kernel_to_wire, BatchSlot, Request, Response, ERR_BACKEND, ERR_RESPONSE_TOO_LARGE,
+    ERR_SHARD_DOWN, MAX_FRAME_LEN,
 };
 use crate::server::{
     batch_too_large, check_nodes, nf_too_large, serve_pool, sketches_too_large, ServerHandle, Wake,
@@ -182,17 +200,6 @@ pub struct RouterConfig {
     /// cache (the default: fault-injection and failover tests rely on
     /// every query reaching a backend).
     pub cache_bytes: usize,
-    /// Cross-client coalescing window: when set, a worker's per-shard
-    /// sub-batch of a per-node float kind briefly pools with other
-    /// workers' concurrent sub-batches for the same `(shard, kind,
-    /// parameters)` group; one merged, deduplicated wire batch is
-    /// exchanged and the answers fan back out to every participant.
-    /// Adds up to one window of latency per request in exchange for
-    /// fewer, larger backend exchanges under high client concurrency.
-    /// Failed merges fall back to individual exchanges, so coalescing
-    /// can delay an answer but never change or lose one. Default
-    /// **None** (off).
-    pub coalesce_window: Option<Duration>,
 }
 
 impl Default for RouterConfig {
@@ -208,7 +215,6 @@ impl Default for RouterConfig {
             hedge_delay: None,
             degraded: false,
             cache_bytes: 0,
-            coalesce_window: None,
         }
     }
 }
@@ -224,7 +230,6 @@ pub struct Router {
     wake: Arc<Wake>,
     health: Arc<HealthTracker>,
     cache: Option<Arc<AnswerCache>>,
-    coalescer: Option<Arc<Coalescer>>,
     /// The fleet-wide serving generation (see the module docs): advanced
     /// by the prober, read by workers for `GenInfo` answers and cache
     /// keys.
@@ -266,9 +271,6 @@ impl Router {
             config.failure_threshold,
         );
         let cache = AnswerCache::new(config.cache_bytes);
-        let coalescer = config
-            .coalesce_window
-            .map(|window| Arc::new(Coalescer::new(window)));
         Ok(Self {
             listener,
             manifest: Arc::new(manifest),
@@ -279,7 +281,6 @@ impl Router {
             wake: Arc::new(Wake::default()),
             health: Arc::new(health),
             cache,
-            coalescer,
             serving_gen: Arc::new(AtomicU64::new(0)),
         })
     }
@@ -325,7 +326,6 @@ impl Router {
             wake,
             health,
             cache,
-            coalescer,
             serving_gen,
         } = self;
         let served = std::thread::scope(|scope| {
@@ -347,7 +347,6 @@ impl Router {
                     config.clone(),
                     Arc::clone(&health),
                     cache.clone(),
-                    coalescer.clone(),
                     Arc::clone(&serving_gen),
                 );
                 move |req: &Request| fleet.route(req)
@@ -493,9 +492,6 @@ struct Fleet {
     /// The router-wide answer cache (shared across workers); `None`
     /// when [`RouterConfig::cache_bytes`] is zero.
     cache: Option<Arc<AnswerCache>>,
-    /// The router-wide cross-client coalescer; `None` when
-    /// [`RouterConfig::coalesce_window`] is unset.
-    coalescer: Option<Arc<Coalescer>>,
     /// The prober-maintained fleet serving generation — read for
     /// `GenInfo` answers and to tag answer-cache keys.
     serving_gen: Arc<AtomicU64>,
@@ -508,7 +504,6 @@ impl Fleet {
         config: RouterConfig,
         health: Arc<HealthTracker>,
         cache: Option<Arc<AnswerCache>>,
-        coalescer: Option<Arc<Coalescer>>,
         serving_gen: Arc<AtomicU64>,
     ) -> Self {
         let sizes: Vec<usize> = addrs.iter().map(Vec::len).collect();
@@ -518,7 +513,6 @@ impl Fleet {
             config,
             health,
             cache,
-            coalescer,
             serving_gen,
             conns: sizes
                 .iter()
@@ -825,24 +819,28 @@ impl Fleet {
             .collect()
     }
 
-    /// Like [`Fleet::scatter`] but all-or-nothing: the first leg error
-    /// fails the lot (the non-degradable curve/sketch paths).
-    fn scatter_strict(&mut self, legs: &[Leg]) -> Result<Vec<Response>, ServeError> {
-        self.scatter(legs).into_iter().collect()
-    }
-
-    /// Groups batch-item indices by owning shard. Shards come out in
-    /// ascending order; each index list preserves request order.
-    fn partition(&self, nodes: impl Iterator<Item = NodeId>) -> Vec<(usize, Vec<usize>)> {
+    /// Groups a batch's item indices by owning shard: shards ascending,
+    /// each index list in request order. A Jaccard pair whose endpoints
+    /// live on different shards has no owner; its index goes to the
+    /// second list instead, which stays empty for every other kind.
+    fn partition(&self, req: &Request) -> (Vec<(usize, Vec<usize>)>, Vec<usize>) {
         let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.addrs.len()];
-        for (i, v) in nodes.enumerate() {
-            by_shard[self.manifest.shard_of(v as u64)].push(i);
+        let mut cross: Vec<usize> = Vec::new();
+        for i in 0..item_count(req) {
+            let (u, v) = endpoints(req, i);
+            let shard = self.manifest.shard_of(u as u64);
+            if u == v || self.manifest.shard_of(v as u64) == shard {
+                by_shard[shard].push(i);
+            } else {
+                cross.push(i);
+            }
         }
-        by_shard
+        let parts = by_shard
             .into_iter()
             .enumerate()
             .filter(|(_, idxs)| !idxs.is_empty())
-            .collect()
+            .collect();
+        (parts, cross)
     }
 
     /// Answers one client request. Infallible at this level: every
@@ -895,11 +893,10 @@ impl Fleet {
             return Ok(err);
         }
         let too_large = match req {
-            Request::Harmonic { nodes } | Request::Decay { nodes, .. } => {
-                batch_too_large(nodes.len())
-            }
-            Request::Cardinality { queries } => batch_too_large(queries.len()),
-            Request::Jaccard { pairs, .. } => batch_too_large(pairs.len()),
+            Request::Harmonic { .. }
+            | Request::Decay { .. }
+            | Request::Cardinality { .. }
+            | Request::Jaccard { .. } => batch_too_large(item_count(req)),
             Request::NeighborhoodFunction { .. }
             | Request::SketchPrefix { .. }
             | Request::Health
@@ -909,17 +906,6 @@ impl Fleet {
             return Ok(err);
         }
         match req {
-            Request::Harmonic { nodes } => {
-                self.route_floats(req, nodes, |sub| Request::Harmonic { nodes: sub })
-            }
-            Request::Decay { kernel, nodes } => {
-                let kernel = *kernel;
-                self.route_floats(req, nodes, move |sub| Request::Decay { kernel, nodes: sub })
-            }
-            Request::Cardinality { queries } => self.route_cardinality(req, queries),
-            Request::NeighborhoodFunction { nodes } => self.route_curves(req, nodes),
-            Request::SketchPrefix { d, nodes } => self.route_sketches(req, *d, nodes),
-            Request::Jaccard { d, pairs } => self.route_jaccard(*d, pairs),
             // The router owns (routes for) the whole keyspace.
             Request::Health => Ok(Response::Health { start: 0, end: n }),
             // Answered locally from the prober's fleet-wide view: the
@@ -927,6 +913,7 @@ impl Fleet {
             Request::GenInfo => Ok(Response::GenInfo {
                 generation: self.serving_gen.load(Ordering::SeqCst),
             }),
+            _ => self.route_items(req),
         }
     }
 
@@ -941,60 +928,13 @@ impl Fleet {
             )
     }
 
-    /// Single-shard fast path for float batches, with the degraded-mode
-    /// fallback (the whole batch lives on the dead shard ⇒ every slot is
-    /// down).
-    fn exchange_floats(
-        &mut self,
-        shard: usize,
-        req: &Request,
-        count: usize,
-    ) -> Result<Response, ServeError> {
-        match self.exchange(shard, req) {
-            Ok(resp) => Ok(resp),
-            Err(e) if self.degrade(&e) => {
-                Ok(Response::Partial(vec![
-                    BatchSlot::Down(ERR_SHARD_DOWN);
-                    count
-                ]))
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Merges per-shard float legs back into request order: all-Value
-    /// slot vectors collapse to the classic [`Response::Floats`]; any
-    /// down shard (degraded mode only) yields [`Response::Partial`].
-    fn merge_floats(
-        &mut self,
-        count: usize,
-        parts: &[(usize, Vec<usize>)],
-        results: Vec<Result<Response, ServeError>>,
-    ) -> Result<Response, ServeError> {
-        let mut out = vec![BatchSlot::Down(ERR_SHARD_DOWN); count];
-        let mut any_down = false;
-        for ((shard, idxs), res) in parts.iter().zip(results) {
-            match res {
-                Ok(resp) => {
-                    let xs = expect_floats(*shard, resp, idxs.len())?;
-                    for (&i, x) in idxs.iter().zip(xs) {
-                        out[i] = BatchSlot::Value(x);
-                    }
-                }
-                Err(e) if self.degrade(&e) => any_down = true,
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(finish_floats(out, any_down))
-    }
-
-    /// The answer-cache key stream for a cacheable per-node float batch,
-    /// or `None` when the cache is off (the request kinds dispatched
-    /// here — harmonic, decay, cardinality — are all cacheable).
-    fn cache_keys(&self, req: &Request) -> Option<Vec<CacheKey>> {
-        self.cache.as_ref()?;
+    /// The answer cache plus one key per item, or `None` when the cache
+    /// is off or the batch kind is structured (curves and sketch
+    /// prefixes are never cached).
+    fn cache_keys(&self, req: &Request) -> Option<(Arc<AnswerCache>, Vec<CacheKey>)> {
+        let cache = self.cache.as_ref()?;
         let gen = self.serving_gen.load(Ordering::SeqCst);
-        Some(match req {
+        let keys = match req {
             Request::Harmonic { nodes } => {
                 nodes.iter().map(|&v| CacheKey::harmonic(gen, v)).collect()
             }
@@ -1009,451 +949,208 @@ impl Fleet {
                 .iter()
                 .map(|&(v, d)| CacheKey::cardinality(gen, v, d))
                 .collect(),
-            _ => return None,
-        })
+            // Pairs are cached exactly as queried: `(u, v)` and `(v, u)`
+            // are distinct keys.
+            Request::Jaccard { d, pairs } => pairs
+                .iter()
+                .map(|&(u, v)| CacheKey::jaccard(gen, *d, u, v))
+                .collect(),
+            Request::NeighborhoodFunction { .. }
+            | Request::SketchPrefix { .. }
+            | Request::Health
+            | Request::GenInfo => return None,
+        };
+        Some((Arc::clone(cache), keys))
     }
 
-    /// Per-node float batches (harmonic / decay): peel cached answers,
-    /// serve the misses through the cold path, splice the hits back in.
-    fn route_floats<F: Fn(Vec<NodeId>) -> Request>(
-        &mut self,
-        req: &Request,
-        nodes: &[NodeId],
-        make: F,
-    ) -> Result<Response, ServeError> {
-        let Some(keys) = self.cache_keys(req) else {
-            return self.route_floats_cold(req, nodes, &make);
+    /// The one request path (module docs): peel cached answers, serve
+    /// the misses cold, then fill the cache and splice the hits back in.
+    /// With the cache off, or for a structured kind, the peel is empty.
+    fn route_items(&mut self, req: &Request) -> Result<Response, ServeError> {
+        let Some((cache, keys)) = self.cache_keys(req) else {
+            return self.route_cold(req);
         };
-        let cache = Arc::clone(self.cache.as_ref().expect("cache_keys implies a cache"));
         let (hits, miss) = peel(&cache, &keys);
         if miss.is_empty() {
             return Ok(all_hits(hits));
         }
-        let sub: Vec<NodeId> = miss.iter().map(|&i| nodes[i]).collect();
-        let resp = self.route_floats_cold(&make(sub.clone()), &sub, &make)?;
+        let resp = self.route_cold(&select(req, &miss))?;
         Ok(splice_floats(&cache, &keys, hits, &miss, resp))
     }
 
-    /// The uncached float-batch path: partition, scatter (or coalesce),
-    /// place each shard's answers back at their request indices.
-    fn route_floats_cold<F: Fn(Vec<NodeId>) -> Request>(
-        &mut self,
-        req: &Request,
-        nodes: &[NodeId],
-        make: &F,
-    ) -> Result<Response, ServeError> {
-        if self.coalescer.is_some() {
-            if let Some((kind, tag, params, items)) = coalesce_items(req) {
-                return self.route_items_coalesced(kind, tag, params, &items);
-            }
+    /// Partition, then the one-shard shortcut or a scatter, then the
+    /// merge back into request order.
+    fn route_cold(&mut self, req: &Request) -> Result<Response, ServeError> {
+        let (parts, cross) = self.partition(req);
+        if !cross.is_empty() {
+            return self.route_jaccard_cross(req, &parts, &cross);
         }
-        let parts = self.partition(nodes.iter().copied());
+        let count = item_count(req);
+        let structured = matches!(
+            req,
+            Request::NeighborhoodFunction { .. } | Request::SketchPrefix { .. }
+        );
         if let [(shard, _)] = parts[..] {
-            return self.exchange_floats(shard, req, nodes.len());
+            // One owner: forward the batch verbatim, through `exchange`
+            // rather than `scatter` (a scattered leg makes one more
+            // attempt before its `exchange` fallback, so the dial count
+            // would differ). A dead owner turns a float batch into all
+            // `Down` slots in degraded mode.
+            return match self.exchange(shard, req) {
+                Err(e) if !structured && self.degrade(&e) => Ok(Response::Partial(vec![
+                    BatchSlot::Down(ERR_SHARD_DOWN);
+                    count
+                ])),
+                res => res,
+            };
         }
         let legs: Vec<Leg> = parts
             .iter()
-            .map(|(shard, idxs)| (*shard, make(idxs.iter().map(|&i| nodes[i]).collect())))
+            .map(|(shard, idxs)| (*shard, select(req, idxs)))
             .collect();
         let results = self.scatter(&legs);
-        self.merge_floats(nodes.len(), &parts, results)
-    }
-
-    fn route_cardinality(
-        &mut self,
-        req: &Request,
-        queries: &[(NodeId, f64)],
-    ) -> Result<Response, ServeError> {
-        let Some(keys) = self.cache_keys(req) else {
-            return self.route_cardinality_cold(req, queries);
-        };
-        let cache = Arc::clone(self.cache.as_ref().expect("cache_keys implies a cache"));
-        let (hits, miss) = peel(&cache, &keys);
-        if miss.is_empty() {
-            return Ok(all_hits(hits));
-        }
-        let sub: Vec<(NodeId, f64)> = miss.iter().map(|&i| queries[i]).collect();
-        let resp = self.route_cardinality_cold(
-            &Request::Cardinality {
-                queries: sub.clone(),
-            },
-            &sub,
-        )?;
-        Ok(splice_floats(&cache, &keys, hits, &miss, resp))
-    }
-
-    fn route_cardinality_cold(
-        &mut self,
-        req: &Request,
-        queries: &[(NodeId, f64)],
-    ) -> Result<Response, ServeError> {
-        if self.coalescer.is_some() {
-            if let Some((kind, tag, params, items)) = coalesce_items(req) {
-                return self.route_items_coalesced(kind, tag, params, &items);
+        match req {
+            Request::NeighborhoodFunction { .. } => merge_rows(
+                count,
+                &parts,
+                results,
+                16,
+                nf_too_large,
+                |resp| match resp {
+                    Response::Curves(cs) => Ok(cs),
+                    other => Err(other),
+                },
+                Response::Curves,
+            ),
+            Request::SketchPrefix { .. } => merge_rows(
+                count,
+                &parts,
+                results,
+                12,
+                sketches_too_large,
+                |resp| match resp {
+                    Response::Sketches(ss) => Ok(ss),
+                    other => Err(other),
+                },
+                Response::Sketches,
+            ),
+            _ => {
+                let (slots, any_down) = self.merge_floats(count, &parts, results)?;
+                Ok(finish_floats(slots, any_down))
             }
         }
-        let parts = self.partition(queries.iter().map(|q| q.0));
-        if let [(shard, _)] = parts[..] {
-            return self.exchange_floats(shard, req, queries.len());
-        }
-        let legs: Vec<Leg> = parts
-            .iter()
-            .map(|(shard, idxs)| {
-                (
-                    *shard,
-                    Request::Cardinality {
-                        queries: idxs.iter().map(|&i| queries[i]).collect(),
-                    },
-                )
-            })
-            .collect();
-        let results = self.scatter(&legs);
-        self.merge_floats(queries.len(), &parts, results)
     }
 
-    /// Routes a per-node float batch through the cross-client coalescer:
-    /// submit every shard leg, perform this worker's leader duties, then
-    /// collect — joiners wait for their leader's publication and fall
-    /// back to an individual exchange on any failure or timeout.
-    fn route_items_coalesced(
-        &mut self,
-        kind: u8,
-        tag: u8,
-        params: u64,
-        items: &[Item],
-    ) -> Result<Response, ServeError> {
-        let co = Arc::clone(self.coalescer.as_ref().expect("coalescer present"));
-        let parts = self.partition(items.iter().map(|it| it.0));
-        let subs: Vec<(usize, Vec<Item>)> = parts
-            .iter()
-            .map(|(shard, idxs)| (*shard, idxs.iter().map(|&i| items[i]).collect()))
-            .collect();
-        // Phase 1: submit every leg before any wait, so no participant
-        // blocks on a join while owing leader duties elsewhere.
-        let tickets: Vec<Ticket> = subs
-            .iter()
-            .map(|(shard, sub)| {
-                co.submit(
-                    GroupKey {
-                        shard: *shard,
-                        kind,
-                        tag,
-                        params,
-                    },
-                    sub,
-                )
-            })
-            .collect();
-        // Phase 2: leader duties. A failed merged exchange publishes
-        // `None`, sending every participant down the individual-exchange
-        // fallback — coalescing never introduces a new failure mode.
-        for ((shard, _), ticket) in subs.iter().zip(&tickets) {
-            let Ticket::Leader(batch) = ticket else {
-                continue;
-            };
-            let now = Instant::now();
-            if batch.close_at > now {
-                std::thread::sleep(batch.close_at - now);
-            }
-            let key = GroupKey {
-                shard: *shard,
-                kind,
-                tag,
-                params,
-            };
-            let merged = co.close(key, batch);
-            let mut uniq: Vec<Item> = Vec::with_capacity(merged.len());
-            let mut seen = std::collections::HashSet::with_capacity(merged.len());
-            for it in merged {
-                if seen.insert(it) {
-                    uniq.push(it);
-                }
-            }
-            let outcome = match self.exchange(*shard, &items_request(kind, tag, params, &uniq)) {
-                Ok(Response::Floats(xs)) if xs.len() == uniq.len() => Some(Arc::new(
-                    uniq.into_iter()
-                        .zip(xs.into_iter().map(f64::to_bits))
-                        .collect::<HashMap<Item, u64>>(),
-                )),
-                _ => None,
-            };
-            batch.publish(outcome);
-        }
-        // A bound on how long a joiner waits for its leader: the window
-        // plus a full exchange's worth of deadlines. Expiring early is
-        // safe — the fallback recomputes identical bits.
-        let wait_budget = co_window_budget(&self.config);
-        // Phase 3: collect per leg, in request order.
-        let mut slots = vec![BatchSlot::Down(ERR_SHARD_DOWN); items.len()];
+    /// The float arm of the merge: each leg's answers land at their
+    /// request indices. A leg lost to a dead shard leaves its slots at
+    /// the `Down` initialiser in degraded mode (the returned flag says
+    /// so) and fails the request otherwise.
+    fn merge_floats(
+        &self,
+        count: usize,
+        parts: &[(usize, Vec<usize>)],
+        results: Vec<Result<Response, ServeError>>,
+    ) -> Result<(Vec<BatchSlot>, bool), ServeError> {
+        let mut out = vec![BatchSlot::Down(ERR_SHARD_DOWN); count];
         let mut any_down = false;
-        for (((shard, idxs), (_, sub)), ticket) in parts.iter().zip(&subs).zip(tickets) {
-            let answers: Option<AnswerMap> = match &ticket {
-                Ticket::Leader(batch) | Ticket::Joiner(batch) => {
-                    batch.wait(Instant::now() + wait_budget)
-                }
-                Ticket::Solo => None,
-            };
-            if let Some(map) = answers {
-                for (&i, it) in idxs.iter().zip(sub) {
-                    let bits = *map
-                        .get(it)
-                        .expect("a published merge covers every submitted item");
-                    slots[i] = BatchSlot::Value(f64::from_bits(bits));
-                }
-                continue;
-            }
-            // Individual fallback: exactly this request's sub-batch, with
-            // the usual degraded-mode handling.
-            match self.exchange(*shard, &items_request(kind, tag, params, sub)) {
+        for ((shard, idxs), res) in parts.iter().zip(results) {
+            match res {
                 Ok(resp) => {
-                    let xs = expect_floats(*shard, resp, sub.len())?;
+                    let xs = expect_floats(*shard, resp, idxs.len())?;
                     for (&i, x) in idxs.iter().zip(xs) {
-                        slots[i] = BatchSlot::Value(x);
+                        debug_assert!(
+                            matches!(out[i], BatchSlot::Down(_)),
+                            "slot {i} written twice"
+                        );
+                        out[i] = BatchSlot::Value(x);
                     }
                 }
                 Err(e) if self.degrade(&e) => any_down = true,
                 Err(e) => return Err(e),
             }
         }
-        Ok(finish_floats(slots, any_down))
+        Ok((out, any_down))
     }
 
-    fn route_curves(&mut self, req: &Request, nodes: &[NodeId]) -> Result<Response, ServeError> {
-        let parts = self.partition(nodes.iter().copied());
-        if let [(shard, _)] = parts[..] {
-            return self.exchange(shard, req);
-        }
-        let legs: Vec<Leg> = parts
-            .iter()
-            .map(|(shard, idxs)| {
-                (
-                    *shard,
-                    Request::NeighborhoodFunction {
-                        nodes: idxs.iter().map(|&i| nodes[i]).collect(),
-                    },
-                )
-            })
-            .collect();
-        let resps = self.scatter_strict(&legs)?;
-        let mut out: Vec<Vec<(f64, f64)>> = vec![Vec::new(); nodes.len()];
-        for ((shard, idxs), resp) in parts.iter().zip(resps) {
-            let curves = match resp {
-                Response::Curves(cs) if cs.len() == idxs.len() => cs,
-                // A sub-batch too big for one frame means the merged
-                // batch is too — answer with the canonical error the
-                // single-process server produces for the full batch.
-                Response::Error { code, .. } if code == ERR_RESPONSE_TOO_LARGE => {
-                    return Ok(nf_too_large(nodes.len()))
-                }
-                other => return Err(unexpected(*shard, other)),
-            };
-            for (&i, c) in idxs.iter().zip(curves) {
-                out[i] = c;
-            }
-        }
-        // The merged response must obey the same frame bound each
-        // backend enforced on its sub-batch.
-        let size = 5u64 + out.iter().map(|c| 4 + 16 * c.len() as u64).sum::<u64>();
-        if size > MAX_FRAME_LEN as u64 {
-            return Ok(nf_too_large(nodes.len()));
-        }
-        Ok(Response::Curves(out))
-    }
-
-    fn route_sketches(
+    /// The cold step of a Jaccard batch holding cross-shard pairs.
+    /// Same-shard pairs still go to their owner as float legs. For the
+    /// cross pairs, each endpoint's sketch prefix is fetched from its
+    /// owner and replayed (see the module docs for why this stays
+    /// bitwise identical). Degraded mode: a down shard takes out exactly
+    /// the pairs that need it — same-shard pairs it owns, cross pairs
+    /// with an endpoint on it.
+    fn route_jaccard_cross(
         &mut self,
         req: &Request,
-        d: f64,
-        nodes: &[NodeId],
+        parts: &[(usize, Vec<usize>)],
+        cross: &[usize],
     ) -> Result<Response, ServeError> {
-        let parts = self.partition(nodes.iter().copied());
-        if let [(shard, _)] = parts[..] {
-            return self.exchange(shard, req);
-        }
-        let legs: Vec<Leg> = parts
-            .iter()
-            .map(|(shard, idxs)| {
-                (
-                    *shard,
-                    Request::SketchPrefix {
-                        d,
-                        nodes: idxs.iter().map(|&i| nodes[i]).collect(),
-                    },
-                )
-            })
-            .collect();
-        let resps = self.scatter_strict(&legs)?;
-        let mut out: Vec<Vec<(f64, NodeId)>> = vec![Vec::new(); nodes.len()];
-        for ((shard, idxs), resp) in parts.iter().zip(resps) {
-            let seqs = match resp {
-                Response::Sketches(ss) if ss.len() == idxs.len() => ss,
-                Response::Error { code, .. } if code == ERR_RESPONSE_TOO_LARGE => {
-                    return Ok(sketches_too_large(nodes.len()))
-                }
-                other => return Err(unexpected(*shard, other)),
-            };
-            for (&i, s) in idxs.iter().zip(seqs) {
-                out[i] = s;
-            }
-        }
-        let size = 5u64 + out.iter().map(|s| 4 + 12 * s.len() as u64).sum::<u64>();
-        if size > MAX_FRAME_LEN as u64 {
-            return Ok(sketches_too_large(nodes.len()));
-        }
-        Ok(Response::Sketches(out))
-    }
-
-    /// Jaccard with the answer cache in front: pairs are cached exactly
-    /// as queried (`(u, v)` and `(v, u)` are distinct keys), misses go
-    /// through the cold path, hits splice back in request order.
-    fn route_jaccard(
-        &mut self,
-        d: f64,
-        pairs: &[(NodeId, NodeId)],
-    ) -> Result<Response, ServeError> {
-        let Some(cache) = self.cache.clone() else {
-            return self.route_jaccard_cold(d, pairs);
+        let Request::Jaccard { d, pairs } = req else {
+            unreachable!("only Jaccard pairs cross shards");
         };
-        let gen = self.serving_gen.load(Ordering::SeqCst);
-        let keys: Vec<CacheKey> = pairs
-            .iter()
-            .map(|&(u, v)| CacheKey::jaccard(gen, d, u, v))
-            .collect();
-        let (hits, miss) = peel(&cache, &keys);
-        if miss.is_empty() {
-            return Ok(all_hits(hits));
-        }
-        let sub: Vec<(NodeId, NodeId)> = miss.iter().map(|&i| pairs[i]).collect();
-        let resp = self.route_jaccard_cold(d, &sub)?;
-        Ok(splice_floats(&cache, &keys, hits, &miss, resp))
-    }
-
-    /// Jaccard: same-shard pairs go straight to their owner; cross-shard
-    /// pairs are merged from per-endpoint sketch prefixes (see the
-    /// module docs for why this stays bitwise identical). Degraded mode:
-    /// a down shard takes out exactly the pairs that need it — same-
-    /// shard pairs it owns, cross pairs with an endpoint on it.
-    fn route_jaccard_cold(
-        &mut self,
-        d: f64,
-        pairs: &[(NodeId, NodeId)],
-    ) -> Result<Response, ServeError> {
-        let shards = self.addrs.len();
-        let mut same: Vec<Vec<usize>> = vec![Vec::new(); shards];
-        let mut cross: Vec<usize> = Vec::new();
-        for (i, &(u, v)) in pairs.iter().enumerate() {
-            let su = self.manifest.shard_of(u as u64);
-            let sv = self.manifest.shard_of(v as u64);
-            if su == sv {
-                same[su].push(i);
-            } else {
-                cross.push(i);
-            }
-        }
+        let d = *d;
         // Deduplicated prefix nodes needed per shard for the cross pairs.
-        let mut need: Vec<Vec<NodeId>> = vec![Vec::new(); shards];
-        let mut seen: HashMap<NodeId, ()> = HashMap::new();
-        for &i in &cross {
+        let mut need: Vec<Vec<NodeId>> = vec![Vec::new(); self.addrs.len()];
+        let mut seen: HashSet<NodeId> = HashSet::new();
+        for &i in cross {
             for v in [pairs[i].0, pairs[i].1] {
-                if seen.insert(v, ()).is_none() {
+                if seen.insert(v) {
                     need[self.manifest.shard_of(v as u64)].push(v);
                 }
             }
         }
-        enum Merge {
-            Pairs(Vec<usize>),
-            Prefixes(Vec<NodeId>),
-        }
-        let mut legs: Vec<Leg> = Vec::new();
-        let mut merges: Vec<Merge> = Vec::new();
-        for (shard, idxs) in same.into_iter().enumerate() {
-            if !idxs.is_empty() {
-                legs.push((
-                    shard,
-                    Request::Jaccard {
-                        d,
-                        pairs: idxs.iter().map(|&i| pairs[i]).collect(),
-                    },
-                ));
-                merges.push(Merge::Pairs(idxs));
-            }
-        }
-        for (shard, nodes) in need.into_iter().enumerate() {
-            if !nodes.is_empty() {
-                legs.push((
-                    shard,
-                    Request::SketchPrefix {
-                        d,
-                        nodes: nodes.clone(),
-                    },
-                ));
-                merges.push(Merge::Prefixes(nodes));
-            }
-        }
-        if cross.is_empty() {
-            if let [(shard, Request::Jaccard { .. })] = &legs[..] {
-                // Every pair lives on one shard: forward verbatim.
-                let shard = *shard;
-                return self.exchange_floats(
-                    shard,
-                    &Request::Jaccard {
-                        d,
-                        pairs: pairs.to_vec(),
-                    },
-                    pairs.len(),
-                );
-            }
-        }
-        let results = self.scatter(&legs);
-        let mut out = vec![BatchSlot::Down(ERR_SHARD_DOWN); pairs.len()];
-        let mut any_down = false;
+        let need: Vec<(usize, Vec<NodeId>)> = need
+            .into_iter()
+            .enumerate()
+            .filter(|(_, nodes)| !nodes.is_empty())
+            .collect();
+        let legs: Vec<Leg> = parts
+            .iter()
+            .map(|(shard, idxs)| (*shard, select(req, idxs)))
+            .chain(need.iter().map(|(shard, nodes)| {
+                let nodes = nodes.clone();
+                (*shard, Request::SketchPrefix { d, nodes })
+            }))
+            .collect();
+        let mut results = self.scatter(&legs);
+        let prefixes = results.split_off(parts.len());
+        let (mut out, mut any_down) = self.merge_floats(pairs.len(), parts, results)?;
         let k = self.manifest.k();
         let mut sketches: HashMap<NodeId, BottomKSketch> = HashMap::new();
-        for (((shard, _req), merge), res) in legs.iter().zip(&merges).zip(results) {
-            let resp = match res {
-                Ok(resp) => resp,
+        for ((shard, nodes), res) in need.iter().zip(prefixes) {
+            let seqs = match res {
+                Ok(Response::Sketches(ss)) if ss.len() == nodes.len() => Ok(ss),
+                // The one-shot prefix fetch overflowed a frame; split it
+                // until it fits.
+                Ok(Response::Error { code, .. }) if code == ERR_RESPONSE_TOO_LARGE => {
+                    self.fetch_prefixes_split(*shard, d, nodes)
+                }
+                Ok(other) => return Err(unexpected(*shard, other)),
+                Err(e) => Err(e),
+            };
+            let seqs = match seqs {
+                Ok(seqs) => seqs,
                 Err(e) if self.degrade(&e) => {
-                    // Pairs legs: their indices stay Down. Prefix legs:
-                    // the missing sketches mark the cross pairs below.
+                    // The missing sketches mark the cross pairs below.
                     any_down = true;
                     continue;
                 }
                 Err(e) => return Err(e),
             };
-            match merge {
-                Merge::Pairs(idxs) => {
-                    let xs = expect_floats(*shard, resp, idxs.len())?;
-                    for (&i, x) in idxs.iter().zip(xs) {
-                        out[i] = BatchSlot::Value(x);
-                    }
-                }
-                Merge::Prefixes(nodes) => {
-                    let seqs = match resp {
-                        Response::Sketches(ss) if ss.len() == nodes.len() => ss,
-                        Response::Error { code, .. } if code == ERR_RESPONSE_TOO_LARGE => {
-                            // The one-shot prefix fetch overflowed a
-                            // frame; split it until it fits.
-                            match self.fetch_prefixes_split(*shard, d, nodes) {
-                                Ok(ss) => ss,
-                                Err(e) if self.degrade(&e) => {
-                                    any_down = true;
-                                    continue;
-                                }
-                                Err(e) => return Err(e),
-                            }
-                        }
-                        other => return Err(unexpected(*shard, other)),
-                    };
-                    for (&v, seq) in nodes.iter().zip(seqs) {
-                        sketches.insert(v, replay(k, &seq));
-                    }
-                }
+            for (&v, seq) in nodes.iter().zip(seqs) {
+                sketches.insert(v, replay(k, &seq));
             }
         }
-        for &i in &cross {
+        for &i in cross {
             let (u, v) = pairs[i];
             match (sketches.get(&u), sketches.get(&v)) {
-                (Some(su), Some(sv)) => out[i] = BatchSlot::Value(similarity::jaccard(su, sv)),
+                (Some(su), Some(sv)) => {
+                    debug_assert!(
+                        matches!(out[i], BatchSlot::Down(_)),
+                        "slot {i} written twice"
+                    );
+                    out[i] = BatchSlot::Value(similarity::jaccard(su, sv));
+                }
                 // An endpoint's prefix shard was down; the slot stays
                 // typed-down (strict mode never gets here — a failed
                 // prefix leg already returned Err above).
@@ -1563,61 +1260,113 @@ fn splice_floats(
     }
 }
 
-/// The coalescing profile of a per-node float request: group-key bits
-/// plus the per-index item list. Only harmonic, decay, and cardinality
-/// coalesce — their answers are pure per-item functions.
-fn coalesce_items(req: &Request) -> Option<(u8, u8, u64, Vec<Item>)> {
+/// How many items (queries) a batch carries; control frames carry none.
+fn item_count(req: &Request) -> usize {
     match req {
-        Request::Harmonic { nodes } => {
-            Some((KIND_HARMONIC, 0, 0, nodes.iter().map(|&v| (v, 0)).collect()))
-        }
-        Request::Decay { kernel, nodes } => {
-            let (tag, bits) = kernel_to_wire(*kernel);
-            Some((
-                KIND_DECAY,
-                tag,
-                bits,
-                nodes.iter().map(|&v| (v, 0)).collect(),
-            ))
-        }
-        Request::Cardinality { queries } => Some((
-            KIND_CARDINALITY,
-            0,
-            0,
-            queries.iter().map(|&(v, d)| (v, d.to_bits())).collect(),
-        )),
-        _ => None,
+        Request::Harmonic { nodes }
+        | Request::Decay { nodes, .. }
+        | Request::NeighborhoodFunction { nodes }
+        | Request::SketchPrefix { nodes, .. } => nodes.len(),
+        Request::Cardinality { queries } => queries.len(),
+        Request::Jaccard { pairs, .. } => pairs.len(),
+        Request::Health | Request::GenInfo => 0,
     }
 }
 
-/// Rebuilds the wire request for a merged (or fallback) item list —
-/// the inverse of [`coalesce_items`], bit-exact by construction.
-fn items_request(kind: u8, tag: u8, params: u64, items: &[Item]) -> Request {
-    match kind {
-        KIND_HARMONIC => Request::Harmonic {
-            nodes: items.iter().map(|it| it.0).collect(),
-        },
-        KIND_DECAY => Request::Decay {
-            kernel: kernel_from_wire(tag, params).expect("round-tripped kernel tag"),
-            nodes: items.iter().map(|it| it.0).collect(),
-        },
-        KIND_CARDINALITY => Request::Cardinality {
-            queries: items
-                .iter()
-                .map(|&(v, bits)| (v, f64::from_bits(bits)))
-                .collect(),
-        },
-        _ => unreachable!("only per-node float kinds coalesce"),
+/// The nodes item `i` reads, whose shard owns it: the queried node
+/// (twice) for the per-node kinds, both endpoints of a Jaccard pair.
+fn endpoints(req: &Request, i: usize) -> (NodeId, NodeId) {
+    match req {
+        Request::Harmonic { nodes }
+        | Request::Decay { nodes, .. }
+        | Request::NeighborhoodFunction { nodes }
+        | Request::SketchPrefix { nodes, .. } => (nodes[i], nodes[i]),
+        Request::Cardinality { queries } => (queries[i].0, queries[i].0),
+        Request::Jaccard { pairs, .. } => pairs[i],
+        Request::Health | Request::GenInfo => unreachable!("control frames carry no items"),
     }
 }
 
-/// How long a coalescing participant waits for its leader before
-/// falling back: the window itself plus a full exchange's deadlines
-/// (generous — an early fallback merely duplicates work, never changes
-/// an answer).
-fn co_window_budget(config: &RouterConfig) -> Duration {
-    let window = config.coalesce_window.unwrap_or_default();
-    window + (config.connect_timeout + config.read_timeout) * (config.retries + 2)
+/// The same request kind and parameters over the chosen items, in
+/// `idxs` order: how a batch is cut into per-shard legs and into its
+/// cache misses.
+fn select(req: &Request, idxs: &[usize]) -> Request {
+    fn pick<T: Copy>(items: &[T], idxs: &[usize]) -> Vec<T> {
+        idxs.iter().map(|&i| items[i]).collect()
+    }
+    match req {
+        Request::Harmonic { nodes } => Request::Harmonic {
+            nodes: pick(nodes, idxs),
+        },
+        Request::Decay { kernel, nodes } => Request::Decay {
+            kernel: *kernel,
+            nodes: pick(nodes, idxs),
+        },
+        Request::Cardinality { queries } => Request::Cardinality {
+            queries: pick(queries, idxs),
+        },
+        Request::NeighborhoodFunction { nodes } => Request::NeighborhoodFunction {
+            nodes: pick(nodes, idxs),
+        },
+        Request::Jaccard { d, pairs } => Request::Jaccard {
+            d: *d,
+            pairs: pick(pairs, idxs),
+        },
+        Request::SketchPrefix { d, nodes } => Request::SketchPrefix {
+            d: *d,
+            nodes: pick(nodes, idxs),
+        },
+        Request::Health | Request::GenInfo => req.clone(),
+    }
+}
+
+/// The structured arm of the merge (curves, sketch prefixes). Strict:
+/// the first failed leg fails the request. Bounded: a leg or a merged
+/// batch that overflows one frame, at `entry_bytes` per row entry on
+/// the wire, answers with the `too_large` frame the single-process
+/// server sends for the whole batch. `rows` unpacks a leg's answer and
+/// `wrap` packs the merged one.
+fn merge_rows<T>(
+    count: usize,
+    parts: &[(usize, Vec<usize>)],
+    results: Vec<Result<Response, ServeError>>,
+    entry_bytes: u64,
+    too_large: fn(usize) -> Response,
+    rows: fn(Response) -> Result<Vec<Vec<T>>, Response>,
+    wrap: fn(Vec<Vec<T>>) -> Response,
+) -> Result<Response, ServeError> {
+    let resps = results.into_iter().collect::<Result<Vec<_>, _>>()?;
+    let mut out: Vec<Option<Vec<T>>> = (0..count).map(|_| None).collect();
+    for ((shard, idxs), resp) in parts.iter().zip(resps) {
+        let leg = match rows(resp) {
+            Ok(leg) if leg.len() == idxs.len() => leg,
+            Ok(leg) => return Err(unexpected(*shard, wrap(leg))),
+            // A leg too big for one frame means the merged batch is too.
+            Err(Response::Error {
+                code: ERR_RESPONSE_TOO_LARGE,
+                ..
+            }) => return Ok(too_large(count)),
+            Err(other) => return Err(unexpected(*shard, other)),
+        };
+        for (&i, row) in idxs.iter().zip(leg) {
+            debug_assert!(out[i].is_none(), "slot {i} written twice");
+            out[i] = Some(row);
+        }
+    }
+    let merged: Vec<Vec<T>> = out
+        .into_iter()
+        .map(|row| row.expect("every slot written by its leg"))
+        .collect();
+    // The merged frame obeys the bound each backend enforced on its leg:
+    // type byte and row count, then a length word per row.
+    let size = 5 + merged
+        .iter()
+        .map(|row| 4 + entry_bytes * row.len() as u64)
+        .sum::<u64>();
+    if size > MAX_FRAME_LEN as u64 {
+        return Ok(too_large(count));
+    }
+    Ok(wrap(merged))
 }
 
 /// The typed error for a leg that timed out without a protocol failure.

@@ -35,17 +35,14 @@ pub fn fast_config() -> RouterConfig {
         hedge_delay: None,
         degraded: false,
         cache_bytes: 0,
-        coalesce_window: None,
     }
 }
 
-/// [`fast_config`] with the serve-tier fast path fully on: an answer
-/// cache plus a short cross-client coalescing window. Answers must stay
-/// bitwise identical to the cold path.
+/// [`fast_config`] with the answer cache on. Answers must stay bitwise
+/// identical to the cold path.
 pub fn fast_path_config() -> RouterConfig {
     RouterConfig {
         cache_bytes: 1 << 20,
-        coalesce_window: Some(Duration::from_millis(2)),
         ..fast_config()
     }
 }

@@ -308,13 +308,12 @@ proptest! {
 }
 
 proptest! {
-    /// With the answer cache and the coalescing window both on,
-    /// concurrent clients interleaving hot (repeated), cold (fresh), and
-    /// coalesced (simultaneous identical) batches still get answers
-    /// bitwise identical to the local engine — the fast path may change
-    /// timing, never bits.
+    /// With the answer cache on, concurrent clients interleaving hot
+    /// (repeated), cold (fresh), and simultaneous identical batches
+    /// still get answers bitwise identical to the local engine — the
+    /// cache may change timing, never bits.
     #[test]
-    fn interleaved_hot_cold_coalesced_batches_route_identically(
+    fn interleaved_hot_cold_batches_route_identically(
         n in 8u32..40,
         seed in 0u64..500,
         shards in 1usize..4,
@@ -325,7 +324,8 @@ proptest! {
         let local = QueryEngine::new(&frozen);
         let guard =
             ReplicaFleet::spawn(&ads, shards, 1, 2, "eqv_fastprop", fast_path_config());
-        // Identical across clients, fired simultaneously → coalesces.
+        // Identical across clients, fired simultaneously: workers peel
+        // and fill the same cache keys concurrently.
         let shared: Vec<NodeId> = (0..n).collect();
         std::thread::scope(|s| {
             for c in 0..3u32 {

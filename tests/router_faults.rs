@@ -247,7 +247,6 @@ fn dead_backend_sees_a_bounded_dial_rate_not_per_request_hammering() {
         hedge_delay: None,
         degraded: false,
         cache_bytes: 0,
-        coalesce_window: None,
     };
     let (addr, r_handle, r_join) =
         spawn_router(&scratch.0, vec![vec![b0_addr], vec![dead_addr]], 1, config);

@@ -19,8 +19,8 @@ use adsketch::serve::proto::ERR_SHARD_DOWN;
 use adsketch::serve::{Client, Request, RouterConfig, ServeError};
 
 use common::{
-    assert_routed_equals_local, dead_port, fast_config, spawn_backend, spawn_router, FlakyProxy,
-    ReplicaFleet, Scratch, STALL, TRUNCATE,
+    assert_routed_equals_local, dead_port, fast_config, spawn_backend, spawn_router,
+    spawn_router_with_stats, FlakyProxy, ReplicaFleet, Scratch, STALL, TRUNCATE,
 };
 
 #[test]
@@ -257,7 +257,6 @@ fn hedged_reads_mask_straggling_replicas() {
         hedge_delay: Some(Duration::from_millis(25)),
         degraded: false,
         cache_bytes: 0,
-        coalesce_window: None,
     };
     let (addr, r_handle, r_join) =
         spawn_router(&scratch.0, vec![vec![proxy.addr, b0b_addr]], 1, config);
@@ -293,11 +292,25 @@ fn hedged_reads_mask_straggling_replicas() {
 
 #[test]
 fn degraded_mode_serves_typed_slots_for_dead_shards() {
+    degraded_drill("rep_degraded", 0);
+}
+
+#[test]
+fn degraded_mode_with_the_answer_cache_serves_cached_slots_and_never_caches_down() {
+    degraded_drill("rep_degraded_cache", 1 << 20);
+}
+
+/// Kills shard 1 of a two-shard degraded-mode fleet and checks every
+/// slot of the batches that follow. With `cache_bytes > 0` only the even
+/// nodes (and the cross pair `(0, 39)`) are warmed while healthy: those
+/// must keep answering from the cache, bitwise, while every other slot
+/// of the dead shard is typed down and never enters the cache.
+fn degraded_drill(tag: &str, cache_bytes: usize) {
     let g = generators::gnp(40, 0.1, 17);
     let ads = AdsSet::build(&g, 2, 9);
     let frozen = ads.freeze();
     let local = QueryEngine::new(&frozen);
-    let scratch = Scratch::new("rep_degraded");
+    let scratch = Scratch::new(tag);
     freeze_sharded(&ads, 2, &scratch.0).expect("freeze_sharded");
     let manifest = adsketch::core::ShardManifest::load(
         scratch.0.join(adsketch::core::frozen::SHARD_MANIFEST_FILE),
@@ -310,27 +323,46 @@ fn degraded_mode_serves_typed_slots_for_dead_shards() {
     let mut config = fast_config();
     config.degraded = true;
     config.failure_threshold = 3;
-    let (addr, r_handle, r_join) =
-        spawn_router(&scratch.0, vec![vec![b0_addr], vec![b1_addr]], 1, config);
+    config.cache_bytes = cache_bytes;
+    let (addr, r_handle, r_join, stats) =
+        spawn_router_with_stats(&scratch.0, vec![vec![b0_addr], vec![b1_addr]], 1, config);
+    let cached = |v: NodeId| cache_bytes > 0 && v.is_multiple_of(2);
+    let bits = |slot: &Result<f64, u16>| slot.map(f64::to_bits);
 
     let mut client = Client::connect(addr).expect("connect");
     let all: Vec<NodeId> = (0..40).collect();
     let baseline = local.harmonic_batch(&all);
-    // Healthy: degraded mode is invisible — plain Floats, all Ok.
+    // Healthy: degraded mode is invisible — plain Floats, all Ok. With
+    // the cache on, only the even nodes are asked (and so cached).
+    let warm: Vec<NodeId> = all
+        .iter()
+        .copied()
+        .filter(|&v| cache_bytes == 0 || cached(v))
+        .collect();
     let slots = client
-        .floats_partial(&Request::Harmonic { nodes: all.clone() })
+        .floats_partial(&Request::Harmonic {
+            nodes: warm.clone(),
+        })
         .expect("healthy partial");
     assert_eq!(
         slots
             .iter()
             .map(|s| *s.as_ref().expect("ok"))
             .collect::<Vec<_>>(),
-        baseline
+        local.harmonic_batch(&warm)
     );
+    let warm_pair = [(0, 39)];
+    assert_eq!(
+        client.jaccard(2.0, &warm_pair).expect("healthy jaccard"),
+        local.jaccard_batch(&warm_pair, 2.0)
+    );
+    let resident = || stats.as_ref().map_or(0, |s| s.resident_entries());
+    let resident_before = resident();
 
     // Shard 1's only replica dies: spanning float batches now answer
-    // with typed per-request slots — values for shard 0's nodes (still
-    // bitwise identical), ERR_SHARD_DOWN for exactly shard 1's.
+    // with typed per-request slots — values for shard 0's nodes and for
+    // cached nodes (still bitwise identical), ERR_SHARD_DOWN for exactly
+    // the rest of shard 1's.
     b1_handle.shutdown();
     b1_join
         .join()
@@ -342,32 +374,55 @@ fn degraded_mode_serves_typed_slots_for_dead_shards() {
             .expect("degraded partial");
         assert_eq!(slots.len(), all.len());
         for (&v, slot) in all.iter().zip(&slots) {
-            if v < shard0_end {
-                assert_eq!(slot, &Ok(baseline[v as usize]), "round {round}, node {v}");
+            if v < shard0_end || cached(v) {
+                assert_eq!(
+                    bits(slot),
+                    Ok(baseline[v as usize].to_bits()),
+                    "round {round}, node {v}"
+                );
             } else {
                 assert_eq!(slot, &Err(ERR_SHARD_DOWN), "round {round}, node {v}");
             }
         }
     }
-    // A batch owned entirely by the dead shard: every slot down (the
-    // single-shard fast path degrades too).
+    // Only the live shard's misses were filled: a Down slot never is.
+    let live_misses = (0..shard0_end).filter(|&v| !cached(v)).count();
+    if cache_bytes > 0 {
+        assert_eq!(resident() - resident_before, live_misses);
+    }
+    // A batch owned entirely by the dead shard: every uncached slot down
+    // (the single-shard shortcut degrades too), and nothing new cached.
     let dead_only: Vec<NodeId> = (shard0_end..40).collect();
     let slots = client
         .floats_partial(&Request::Harmonic {
             nodes: dead_only.clone(),
         })
         .expect("all-down partial");
-    assert!(slots.iter().all(|s| s == &Err(ERR_SHARD_DOWN)));
+    for (&v, slot) in dead_only.iter().zip(&slots) {
+        if cached(v) {
+            assert_eq!(bits(slot), Ok(baseline[v as usize].to_bits()), "node {v}");
+        } else {
+            assert_eq!(slot, &Err(ERR_SHARD_DOWN), "node {v}");
+        }
+    }
+    if cache_bytes > 0 {
+        assert_eq!(resident() - resident_before, live_misses);
+    }
     // Jaccard: same-shard pairs on the live shard still answer bitwise;
-    // any pair touching the dead shard is typed down.
-    let pairs: Vec<(NodeId, NodeId)> = vec![(0, 1), (0, 39), (39, 38)];
+    // any pair touching the dead shard is typed down unless cached.
+    let pairs: Vec<(NodeId, NodeId)> = vec![(0, 1), (0, 39), (39, 38), (1, 38)];
     let want = local.jaccard_batch(&pairs, 2.0);
     let slots = client
         .floats_partial(&Request::Jaccard { d: 2.0, pairs })
         .expect("degraded jaccard");
-    assert_eq!(slots[0], Ok(want[0]));
-    assert_eq!(slots[1], Err(ERR_SHARD_DOWN));
+    assert_eq!(bits(&slots[0]), Ok(want[0].to_bits()));
+    if cache_bytes > 0 {
+        assert_eq!(bits(&slots[1]), Ok(want[1].to_bits()));
+    } else {
+        assert_eq!(slots[1], Err(ERR_SHARD_DOWN));
+    }
     assert_eq!(slots[2], Err(ERR_SHARD_DOWN));
+    assert_eq!(slots[3], Err(ERR_SHARD_DOWN));
     // Curve batches stay all-or-nothing even in degraded mode.
     let err = client.neighborhood_function(&all).unwrap_err();
     assert!(matches!(err, ServeError::Remote { .. }));
