@@ -4,7 +4,6 @@ use adsketch_graph::{Graph, NodeId};
 
 use crate::bottomk::BottomKAds;
 use crate::entry::AdsEntry;
-use crate::error::CoreError;
 use crate::frozen::FrozenAdsSet;
 use crate::hip::{HipItem, HipWeights};
 use crate::uniform_ranks;
@@ -30,7 +29,7 @@ impl AdsSet {
     ///
     /// If `k == 0` (the `Result`-returning
     /// [`crate::builder::pruned_dijkstra::build`] reports it as
-    /// [`CoreError::InvalidK`] instead). Construction cannot otherwise
+    /// [`crate::error::CoreError::InvalidK`] instead). Construction cannot otherwise
     /// fail for a valid [`Graph`].
     pub fn build(g: &Graph, k: usize, seed: u64) -> Self {
         let ranks = uniform_ranks(g.num_nodes(), seed);
@@ -190,11 +189,6 @@ impl AdsView for AdsSet {
     fn hip_weights_of(&self, v: NodeId) -> HipWeights {
         self.sketches[v as usize].hip_weights()
     }
-}
-
-/// Builds with explicit ranks (weighted-node sketches, tests).
-pub fn build_with_ranks(g: &Graph, k: usize, ranks: &[f64]) -> Result<AdsSet, CoreError> {
-    crate::builder::pruned_dijkstra::build(g, k, ranks)
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Flat arena for the per-node sketch state of rank-monotone builders.
 //!
-//! `Vec<PartialAds>` costs one heap allocation per node and, worse, a
+//! A sketch per node costs one heap allocation per node and, worse, a
 //! sorted *insert into the whole sketch* per accepted entry — an ADS
 //! grows to `k·ln n` entries, so late inserts memmove kilobytes. The
 //! arena exploits the structure of rank-monotone admission instead:
@@ -37,9 +37,9 @@
 //! concurrently from frozen state in the wave scheduler.
 //!
 //! Only the rank-monotone insert regimes live here (canonical and
-//! tieless — everything the PrunedDijkstra-family builders need); the
-//! distance-monotone regime remains on [`crate::builder::PartialAds`] and
-//! the general retraction regime on [`crate::builder::LiveSketch`].
+//! tieless — everything the PrunedDijkstra-family builders need); DP's
+//! distance-monotone regime and the general retraction regime both run on
+//! [`crate::builder::LiveSketch`].
 
 use adsketch_graph::NodeId;
 
@@ -137,8 +137,8 @@ impl PartialAdsArena {
         dist < self.kth_dist[v as usize]
     }
 
-    /// PrunedDijkstra insert (see `PartialAds::insert_rank_monotone`):
-    /// sources arrive in increasing rank, so the inclusion test reduces to
+    /// PrunedDijkstra insert: sources arrive in increasing rank, so every
+    /// held entry out-ranks the candidate and the inclusion test reduces to
     /// "fewer than k entries are closer". Returns `true` if inserted.
     pub fn insert_rank_monotone(&mut self, v: NodeId, node: NodeId, dist: f64, rank: f64) -> bool {
         if !self.would_insert(v, node, dist) {
@@ -288,62 +288,77 @@ impl PartialAdsArena {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::PartialAds;
+    use crate::reference::purify;
+    use crate::tieless::TielessAds;
     use adsketch_util::rng::{Rng64, SplitMix64};
 
-    #[test]
-    fn matches_partial_ads_under_random_workload() {
-        // The arena must be behavior-identical to the Vec<PartialAds> it
-        // replaces: drive both with the same rank-monotone insert stream
-        // (k small enough that prefix spills are frequent).
-        for seed in 0..5u64 {
-            let mut rng = SplitMix64::new(seed);
-            let n = 12usize;
-            let k = 3usize;
-            let mut arena = PartialAdsArena::new(n, k);
-            let mut partials: Vec<PartialAds> = vec![PartialAds::default(); n];
-            // Sources in increasing rank (rank-monotone contract).
-            for (src, milli) in (0..60u32).zip(1..) {
-                let rank = milli as f64 / 100.0;
-                for v in 0..n as NodeId {
-                    if rng.bernoulli(0.6) {
-                        let dist = rng.range_usize(6) as f64;
-                        let a = arena.would_insert(v, src + 100, dist);
-                        let b = arena.insert_rank_monotone(v, src + 100, dist, rank);
-                        assert_eq!(a, b, "would_insert must predict insert");
-                        let c = partials[v as usize].insert_rank_monotone(k, src + 100, dist, rank);
-                        assert_eq!(b, c, "seed {seed}, src {src}, node {v}");
-                    }
+    /// A random rank-monotone workload on an `n`-node arena: sources
+    /// `100..160` in increasing rank, each offered to about 60% of the
+    /// nodes at a small integer distance (so exact ties are frequent).
+    /// Returns the per-node offers and the per-node ranks.
+    fn drive(
+        seed: u64,
+        n: usize,
+        mut insert: impl FnMut(NodeId, NodeId, f64, f64),
+    ) -> (Vec<Vec<(NodeId, f64)>>, Vec<f64>) {
+        let mut rng = SplitMix64::new(seed);
+        let mut ranks = vec![0.0; 160];
+        let mut offers: Vec<Vec<(NodeId, f64)>> = vec![Vec::new(); n];
+        for (src, milli) in (100..160u32).zip(1..) {
+            ranks[src as usize] = milli as f64 / 100.0;
+            for v in 0..n as NodeId {
+                if rng.bernoulli(0.6) {
+                    let dist = rng.range_usize(6) as f64;
+                    insert(v, src, dist, ranks[src as usize]);
+                    offers[v as usize].push((src, dist));
                 }
             }
+        }
+        (offers, ranks)
+    }
+
+    #[test]
+    fn matches_the_purify_oracle_under_random_workload() {
+        // The canonical rule over everything offered, regardless of offer
+        // order (k small enough that prefix spills are frequent).
+        let (n, k) = (12usize, 3usize);
+        for seed in 0..5u64 {
+            let mut arena = PartialAdsArena::new(n, k);
+            let (offers, ranks) = drive(seed, n, |v, src, dist, rank| {
+                let a = arena.would_insert(v, src, dist);
+                let b = arena.insert_rank_monotone(v, src, dist, rank);
+                assert_eq!(a, b, "would_insert must predict insert");
+            });
             for v in 0..n as NodeId {
+                let want = purify(k, &offers[v as usize], &ranks);
                 assert_eq!(
                     arena.sorted_entries_of(v),
-                    partials[v as usize].entries,
-                    "node {v}"
+                    want.entries(),
+                    "seed {seed}, node {v}"
                 );
             }
         }
     }
 
     #[test]
-    fn tieless_matches_partial_ads() {
-        // Sources are node ids of the same 10-node graph (the arena sizes
-        // its prefix rows as min(k, n)).
-        let mut arena = PartialAdsArena::new(10, 2);
-        let mut p = PartialAds::default();
-        let cases = [
-            (1u32, 2.0, 0.1),
-            (0, 2.0, 0.2),
-            (5, 1.0, 0.3),
-            (9, 2.0, 0.4),
-        ];
-        for (node, dist, rank) in cases {
-            let a = arena.insert_rank_monotone_tieless(0, node, dist, rank);
-            let b = p.insert_rank_monotone_tieless(2, node, dist, rank);
-            assert_eq!(a, b);
+    fn tieless_matches_the_appendix_a_oracle() {
+        let (n, k) = (10usize, 2usize);
+        for seed in 0..5u64 {
+            let mut arena = PartialAdsArena::new(n, k);
+            let (offers, ranks) = drive(seed + 20, n, |v, src, dist, rank| {
+                arena.insert_rank_monotone_tieless(v, src, dist, rank);
+            });
+            for v in 0..n as NodeId {
+                let mut order = offers[v as usize].clone();
+                order.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+                let want = TielessAds::from_order(k, &order, &ranks);
+                assert_eq!(
+                    arena.sorted_entries_of(v),
+                    want.entries(),
+                    "seed {seed}, node {v}"
+                );
+            }
         }
-        assert_eq!(arena.sorted_entries_of(0), p.entries);
     }
 
     #[test]

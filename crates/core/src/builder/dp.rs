@@ -4,12 +4,14 @@
 //! Iteration `d` relaxes exactly the edges whose source sketch changed in
 //! iteration `d−1`, so entries are inserted in increasing distance and are
 //! never retracted. Within an iteration, candidates are applied in
-//! ascending node id, matching the canonical `(dist, id)` order.
+//! ascending node id, matching the canonical `(dist, id)` order. So DP is
+//! the retraction-free case of the `LiveSketch` kernel LocalUpdates runs
+//! on: every admitted candidate lands at the end of its sketch.
 
 use adsketch_graph::{Graph, NodeId};
 
 use crate::ads_set::AdsSet;
-use crate::builder::{validate_k, validate_ranks, BuildStats, PartialAds};
+use crate::builder::{validate_ranks, BuildStats, LiveSketch};
 use crate::error::CoreError;
 
 /// Builds the forward bottom-k ADS set of an unweighted graph.
@@ -18,7 +20,7 @@ pub fn build(g: &Graph, k: usize, ranks: &[f64]) -> Result<AdsSet, CoreError> {
 }
 
 /// Like [`build`], also returning work counters (`rounds` = eccentricity
-/// bound actually reached).
+/// bound actually reached). `k` must lie in `1..=65535`.
 pub fn build_with_stats(
     g: &Graph,
     k: usize,
@@ -29,15 +31,17 @@ pub fn build_with_stats(
     }
     let n = g.num_nodes();
     validate_ranks(ranks, n)?;
-    validate_k(k)?;
+    if !(1..=LiveSketch::MAX_K).contains(&k) {
+        return Err(CoreError::InvalidK { k });
+    }
     let gt = g.transpose();
-    let mut partials: Vec<PartialAds> = vec![PartialAds::default(); n];
+    let mut sketches = vec![LiveSketch::default(); n];
     let mut stats = BuildStats::default();
 
     // Distance 0: every node samples itself.
     let mut frontier: Vec<Vec<(NodeId, f64)>> = vec![Vec::new(); n];
     for v in 0..n as NodeId {
-        partials[v as usize].insert_distance_monotone(k, v, 0.0, ranks[v as usize]);
+        sketches[v as usize].insert(k, v, 0.0, ranks[v as usize], 0.0);
         stats.insertions += 1;
         frontier[v as usize].push((v, ranks[v as usize]));
     }
@@ -75,7 +79,9 @@ pub fn build_with_stats(
             cs.sort_unstable_by_key(|&(node, _)| node);
             cs.dedup_by_key(|&mut (node, _)| node);
             for &(node, rank) in cs.iter() {
-                if partials[v].insert_distance_monotone(k, node, dist, rank) {
+                let (inserted, removed) = sketches[v].insert(k, node, dist, rank, 0.0);
+                debug_assert_eq!(removed, 0, "DP never retracts");
+                if inserted {
                     stats.insertions += 1;
                     new_frontier[v].push((node, rank));
                     inserted_any = true;
@@ -88,7 +94,7 @@ pub fn build_with_stats(
         frontier = new_frontier;
     }
 
-    let sketches = partials.into_iter().map(|p| p.into_ads(k)).collect();
+    let sketches = sketches.iter().map(|s| s.to_ads(k)).collect();
     Ok((AdsSet::from_sketches(k, sketches), stats))
 }
 
@@ -148,6 +154,35 @@ mod tests {
         let dp = build(&g, 3, &ranks).unwrap();
         let brute = crate::reference::build_bottomk(&g, 3, &ranks);
         assert_eq!(dp, brute);
+    }
+
+    #[test]
+    fn rejects_k_outside_the_live_sketch_range() {
+        let g = generators::gnp(5, 0.5, 1);
+        let ranks = uniform_ranks(5, 1);
+        for k in [0, 65536] {
+            assert_eq!(
+                build_with_stats(&g, k, &ranks).map(|(s, _)| s),
+                Err(CoreError::InvalidK { k })
+            );
+        }
+    }
+
+    /// The counters are the algorithm's, not the sketch layout's: these
+    /// are the values DP reported on the array-of-entries sketch it ran on
+    /// before moving onto `LiveSketch`.
+    #[test]
+    fn dp_stats_are_pinned_on_fixed_graphs() {
+        let cases = [
+            (generators::barabasi_albert(400, 3, 31), (55638, 9353, 6)),
+            (generators::gnp_directed(300, 0.02, 32), (18068, 5875, 10)),
+        ];
+        for (g, pinned) in cases {
+            let ranks = uniform_ranks(g.num_nodes(), 33);
+            let (set, s) = build_with_stats(&g, 4, &ranks).unwrap();
+            assert_eq!(set, crate::reference::build_bottomk(&g, 4, &ranks));
+            assert_eq!((s.relaxations, s.insertions, s.rounds), pinned);
+        }
     }
 
     #[test]

@@ -7,38 +7,49 @@ use adsketch_graph::Graph;
 use adsketch_util::RankHasher;
 
 use crate::builder::pruned_dijkstra::run_core;
-use crate::builder::BuildStats;
+use crate::builder::{shard_slots, Bottom1Pass, BuildStats};
 use crate::error::CoreError;
 use crate::kmins::{KMinsAds, KMinsRecord};
 
-/// Builds the forward k-mins ADS of every node.
-pub fn build(g: &Graph, k: usize, hasher: &RankHasher) -> Result<Vec<KMinsAds>, CoreError> {
-    build_with_stats(g, k, hasher).map(|(s, _)| s)
-}
-
-/// Like [`build`] with aggregate work counters over the k passes.
+/// Builds the forward k-mins ADS of every node, with aggregate work
+/// counters over the k passes. The passes are spread over `threads`
+/// threads (`0` = all cores, `1` = inline); sketches and counters are the
+/// same at every thread count.
 pub fn build_with_stats(
     g: &Graph,
     k: usize,
     hasher: &RankHasher,
+    threads: usize,
 ) -> Result<(Vec<KMinsAds>, BuildStats), CoreError> {
     assert!(k >= 1);
     let n = g.num_nodes();
+    let mut passes: Vec<Bottom1Pass> = vec![Ok((Vec::new(), BuildStats::default())); k];
+    shard_slots(
+        &mut passes,
+        threads,
+        // One rank buffer per thread, refilled per permutation.
+        || vec![0.0f64; n],
+        |ranks, h, out| {
+            for (v, r) in ranks.iter_mut().enumerate() {
+                *r = hasher.perm_rank(v as u64, h as u32);
+            }
+            *out = run_core(g, 1, ranks, None, false).map(|(arena, s)| (arena.into_per_node(), s));
+        },
+    );
     let mut records: Vec<Vec<KMinsRecord>> = vec![Vec::new(); n];
     let mut stats = BuildStats::default();
-    for h in 0..k as u32 {
-        let ranks: Vec<f64> = (0..n as u64).map(|v| hasher.perm_rank(v, h)).collect();
-        let (arena, s) = run_core(g, 1, &ranks, None, false)?;
+    for (h, pass) in passes.into_iter().enumerate() {
+        let (per_node, s) = pass?;
         stats.relaxations += s.relaxations;
         stats.insertions += s.insertions;
         stats.heap_pushes += s.heap_pushes;
         stats.pruned_at_relax += s.pruned_at_relax;
-        for (v, entries) in arena.into_per_node().into_iter().enumerate() {
+        for (v, entries) in per_node.into_iter().enumerate() {
             records[v].extend(entries.into_iter().map(|e| KMinsRecord {
                 node: e.node,
                 dist: e.dist,
                 rank: e.rank,
-                perm: h,
+                perm: h as u32,
             }));
         }
     }
@@ -62,12 +73,39 @@ mod tests {
     use super::*;
     use adsketch_graph::generators;
 
+    fn build(g: &Graph, k: usize, hasher: &RankHasher) -> Vec<KMinsAds> {
+        build_with_stats(g, k, hasher, 1).unwrap().0
+    }
+
+    /// Sketches and counters do not depend on the thread count, and the
+    /// counters are those of the sequential loop this one replaced.
+    #[test]
+    fn threads_change_neither_sketches_nor_stats() {
+        let g = generators::gnp_directed(60, 0.06, 5);
+        let h = RankHasher::new(6);
+        let (seq, s) = build_with_stats(&g, 5, &h, 1).unwrap();
+        assert_eq!(seq, crate::reference::build_kmins(&g, 5, &h));
+        assert_eq!(
+            (
+                s.relaxations,
+                s.insertions,
+                s.heap_pushes,
+                s.pruned_at_relax
+            ),
+            (987, 987, 987, 741)
+        );
+        for threads in [2, 4, 0] {
+            let par = build_with_stats(&g, 5, &h, threads).unwrap();
+            assert_eq!(par, (seq.clone(), s), "threads {threads}");
+        }
+    }
+
     #[test]
     fn matches_brute_force() {
         for seed in 0..4u64 {
             let g = generators::gnp_directed(50, 0.07, seed);
             let hasher = RankHasher::new(seed + 800);
-            let fast = build(&g, 3, &hasher).unwrap();
+            let fast = build(&g, 3, &hasher);
             let slow = crate::reference::build_kmins(&g, 3, &hasher);
             assert_eq!(fast, slow, "seed {seed}");
         }
@@ -77,7 +115,7 @@ mod tests {
     fn weighted_graphs_supported() {
         let g = generators::random_weighted_digraph(40, 3, 0.25, 2.25, 5);
         let hasher = RankHasher::new(900);
-        let fast = build(&g, 2, &hasher).unwrap();
+        let fast = build(&g, 2, &hasher);
         let slow = crate::reference::build_kmins(&g, 2, &hasher);
         assert_eq!(fast, slow);
     }
@@ -90,7 +128,7 @@ mod tests {
         let mut err = ErrorStats::new(truth);
         for seed in 0..60 {
             let hasher = RankHasher::new(seed);
-            let sets = build(&g, 8, &hasher).unwrap();
+            let sets = build(&g, 8, &hasher);
             err.push(sets[0].hip_weights().reachable_estimate());
         }
         assert!(

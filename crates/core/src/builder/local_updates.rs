@@ -484,9 +484,10 @@ mod tests {
 
     /// The counters are the algorithm's, not the kernel's: a fixed
     /// 60-node / 240-arc shuffled stream (no parallel arcs) costs exactly
-    /// what it cost on the `PartialAds` kernel this one replaced, which
-    /// keeps the benchmark's `core.builder.local_updates.*_per_edge` rows
-    /// comparable across kernels.
+    /// what it cost on the array-of-entries kernel the columnar one
+    /// replaced, which keeps the benchmark's
+    /// `core.builder.local_updates.*_per_edge` rows comparable across
+    /// kernels.
     #[test]
     fn dynamic_stats_are_pinned_on_a_fixed_stream() {
         use adsketch_util::{Rng64, SplitMix64};

@@ -16,8 +16,10 @@
 //!   provides the `(1+ε)`-approximate variant that bounds the retraction
 //!   overhead.
 //!
-//! Builders for the other two flavors ([`kmins`]/[`kpartition`]) reduce to
-//! bottom-1 runs of PrunedDijkstra per permutation/bucket.
+//! The other two flavors have one builder each, [`kmins::build_with_stats`]
+//! and [`kpartition::build_with_stats`]: k independent bottom-1 runs of
+//! PrunedDijkstra, one per permutation / bucket, spread over `threads`
+//! through [`shard_slots`] and bitwise identical at every thread count.
 //!
 //! # The threshold-monotonicity invariant
 //!
@@ -41,13 +43,16 @@ pub mod dp;
 pub mod kmins;
 pub mod kpartition;
 pub mod local_updates;
-pub mod parallel;
 mod partial;
 pub mod pruned_dijkstra;
 mod waves;
 
 pub(crate) use arena::PartialAdsArena;
-pub(crate) use partial::{LiveSketch, PartialAds};
+pub(crate) use partial::LiveSketch;
+
+/// One bottom-1 PrunedDijkstra pass of the k-mins / k-partition builders:
+/// its per-node entries in canonical order and its counters.
+type Bottom1Pass = Result<(Vec<Vec<crate::entry::AdsEntry>>, BuildStats), crate::error::CoreError>;
 
 /// Resolves a requested thread count: `0` means "all available cores".
 pub fn thread_count(requested: usize) -> usize {
@@ -133,8 +138,9 @@ pub struct BuildStats {
     pub pruned_at_relax: u64,
 }
 
-/// The static builders accept any `k ≥ 1` (the local-update builders
-/// additionally cap it, see [`crate::error::CoreError::InvalidK`]).
+/// The PrunedDijkstra builders accept any `k ≥ 1` (DP and the
+/// local-update builders, which run on `LiveSketch`, additionally cap it
+/// at `LiveSketch::MAX_K`, see [`crate::error::CoreError::InvalidK`]).
 pub(crate) fn validate_k(k: usize) -> Result<(), crate::error::CoreError> {
     if k == 0 {
         return Err(crate::error::CoreError::InvalidK { k });

@@ -1,11 +1,12 @@
-//! Mutable per-node sketches under construction, one layout per insert
-//! regime of the paper's `insert` edge-relaxation primitive.
+//! The mutable per-node sketch of the insert regimes that offer entries
+//! out of rank order: [`LiveSketch`], columnar, on which DP, the
+//! LocalUpdates builder and `DynamicAds` all run. (The rank-monotone
+//! PrunedDijkstra regime has its own flat layout, `PartialAdsArena`.)
 //!
-//! * [`PartialAds`] — array-of-entries; the two *monotone* regimes, which
-//!   never retract: rank-monotone (the PrunedDijkstra reference the arena
-//!   is parity-tested against) and distance-monotone (DP).
-//! * [`LiveSketch`] — columnar; the *general* regime with retraction, on
-//!   which both the LocalUpdates builder and `DynamicAds` run.
+//! DP is the retraction-free special case: it offers candidates in
+//! canonical order, so the insert slot is always the end, the successor
+//! pass below is empty, and a node already held is held closer and so
+//! rejects the candidate.
 //!
 //! # The live sketch
 //!
@@ -42,115 +43,6 @@
 use adsketch_graph::NodeId;
 
 use crate::entry::{key_cmp, AdsEntry};
-
-/// A bottom-k ADS being built.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct PartialAds {
-    pub entries: Vec<AdsEntry>,
-}
-
-impl PartialAds {
-    /// Binary-search position of the canonical key `(dist, node)`.
-    #[cfg(test)]
-    fn position(&self, dist: f64, node: NodeId) -> Result<usize, usize> {
-        self.entries.binary_search_by(|e| e.cmp_key(dist, node))
-    }
-
-    /// Index of `node`'s entry, if present (linear scan: ADSs are
-    /// logarithmic in n, so this is cheap).
-    #[inline]
-    pub fn find_node(&self, node: NodeId) -> Option<usize> {
-        self.entries.iter().position(|e| e.node == node)
-    }
-
-    /// Number of existing entries whose `(rank, node)` is below the
-    /// candidate's among the first `prefix` entries.
-    #[inline]
-    fn count_lower_ranked(&self, prefix: usize, rank: f64, node: NodeId) -> usize {
-        self.entries[..prefix]
-            .iter()
-            .filter(|e| (e.rank, e.node) < (rank, node))
-            .count()
-    }
-
-    /// PrunedDijkstra insert: sources arrive in increasing rank, so every
-    /// existing entry out-ranks the candidate and the inclusion test
-    /// reduces to "fewer than k entries are closer". Never retracts.
-    ///
-    /// Returns `true` if inserted (i.e. the search should continue through
-    /// this node), `false` to prune. Production builds run on the arena
-    /// ([`crate::builder::PartialAdsArena`]); this and its tieless twin
-    /// stay as the reference the arena is parity-tested against.
-    #[cfg(test)]
-    pub fn insert_rank_monotone(&mut self, k: usize, node: NodeId, dist: f64, rank: f64) -> bool {
-        match self.position(dist, node) {
-            Ok(_) => false, // already present (cannot happen across distinct sources)
-            Err(pos) => {
-                debug_assert!(
-                    self.entries.iter().all(|e| (e.rank, e.node) < (rank, node)),
-                    "sources must be processed in increasing rank"
-                );
-                if pos >= k {
-                    return false;
-                }
-                self.entries.insert(pos, AdsEntry::new(node, dist, rank));
-                true
-            }
-        }
-    }
-
-    /// Tieless (Appendix A) variant of the rank-monotone insert: the
-    /// candidate is blocked by entries at distance *≤ d* (not `< d` with id
-    /// tie-breaks), so at most k nodes per distinct distance survive.
-    #[cfg(test)]
-    pub fn insert_rank_monotone_tieless(
-        &mut self,
-        k: usize,
-        node: NodeId,
-        dist: f64,
-        rank: f64,
-    ) -> bool {
-        let within = self.entries.partition_point(|e| e.dist <= dist);
-        if within >= k {
-            return false;
-        }
-        let pos = match self.position(dist, node) {
-            Ok(_) => return false,
-            Err(p) => p,
-        };
-        self.entries.insert(pos, AdsEntry::new(node, dist, rank));
-        true
-    }
-
-    /// DP insert: candidates arrive in non-decreasing canonical order, so
-    /// the candidate belongs at the end and all existing entries are
-    /// closer. Skips nodes already present (shorter occurrence wins).
-    pub fn insert_distance_monotone(
-        &mut self,
-        k: usize,
-        node: NodeId,
-        dist: f64,
-        rank: f64,
-    ) -> bool {
-        if self.find_node(node).is_some() {
-            return false;
-        }
-        debug_assert!(self
-            .entries
-            .last()
-            .is_none_or(|e| e.cmp_key(dist, node) == std::cmp::Ordering::Less));
-        if self.count_lower_ranked(self.entries.len(), rank, node) >= k {
-            return false;
-        }
-        self.entries.push(AdsEntry::new(node, dist, rank));
-        true
-    }
-
-    /// Finishes construction.
-    pub fn into_ads(self, k: usize) -> crate::bottomk::BottomKAds {
-        crate::bottomk::BottomKAds::from_entries(k, self.entries)
-    }
-}
 
 /// `(r, n) < (rank, node)` without a branch.
 #[inline(always)]
@@ -266,48 +158,6 @@ impl LiveSketch {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rank_monotone_keeps_k_closest_prefix() {
-        let mut p = PartialAds::default();
-        // Sources in increasing rank; k = 2.
-        assert!(p.insert_rank_monotone(2, 5, 3.0, 0.1));
-        assert!(p.insert_rank_monotone(2, 6, 1.0, 0.2));
-        // Candidate at distance 5: two closer entries exist ⇒ pruned.
-        assert!(!p.insert_rank_monotone(2, 7, 5.0, 0.3));
-        // Candidate at distance 0.5: fewer than two closer ⇒ inserted.
-        assert!(p.insert_rank_monotone(2, 8, 0.5, 0.4));
-        let nodes: Vec<NodeId> = p.entries.iter().map(|e| e.node).collect();
-        assert_eq!(nodes, vec![8, 6, 5]);
-    }
-
-    #[test]
-    fn tieless_blocks_on_equal_distance() {
-        let mut p = PartialAds::default();
-        assert!(p.insert_rank_monotone_tieless(1, 1, 2.0, 0.1));
-        // Same distance, later rank: blocked by the ≤ rule even though the
-        // canonical rule (id tie-break, 0 < 1… node 2 > 1) would also block;
-        // use a smaller id to expose the difference.
-        assert!(!p.insert_rank_monotone_tieless(1, 0, 2.0, 0.2));
-        // Canonical rule would have admitted node 0 (it precedes node 1 in
-        // (dist, id) order and only k=1 … sanity-check via a fresh sketch):
-        let mut q = PartialAds::default();
-        assert!(q.insert_rank_monotone(1, 1, 2.0, 0.1));
-        assert!(q.insert_rank_monotone(1, 0, 2.0, 0.2));
-    }
-
-    #[test]
-    fn distance_monotone_counts_ranks() {
-        let mut p = PartialAds::default();
-        assert!(p.insert_distance_monotone(2, 0, 0.0, 0.5));
-        assert!(p.insert_distance_monotone(2, 1, 1.0, 0.4));
-        // Rank 0.6 is not among the 2 smallest of {0.5, 0.4} ⇒ rejected.
-        assert!(!p.insert_distance_monotone(2, 2, 2.0, 0.6));
-        // Rank 0.3 is ⇒ accepted.
-        assert!(p.insert_distance_monotone(2, 3, 3.0, 0.3));
-        // Duplicate node skipped.
-        assert!(!p.insert_distance_monotone(2, 1, 4.0, 0.01));
-    }
 
     fn nodes_of(s: &LiveSketch) -> Vec<NodeId> {
         s.iter().map(|(node, _)| node).collect()

@@ -27,7 +27,7 @@ pub enum CoreError {
         epsilon: f64,
     },
     /// The sketch parameter k was zero (every builder), or above 65535
-    /// (the local-update builders only: the range their per-entry
+    /// (DP and the local-update builders only: the range their per-entry
     /// counters cover).
     InvalidK {
         /// The offending value.
@@ -69,7 +69,7 @@ impl fmt::Display for CoreError {
             CoreError::InvalidK { k } => {
                 write!(
                     f,
-                    "sketch parameter k = {k} must be at least 1 (and at most 65535 for the local-update builders)"
+                    "sketch parameter k = {k} must be at least 1 (and at most 65535 for the DP and local-update builders)"
                 )
             }
             CoreError::NodeOutOfRange { node, nodes } => {

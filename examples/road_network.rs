@@ -7,7 +7,7 @@
 //! cargo run --release --example road_network
 //! ```
 
-use adsketch::core::ads_set::build_with_ranks;
+use adsketch::core::builder::pruned_dijkstra;
 use adsketch::core::{uniform_ranks, AdsSet};
 use adsketch::graph::{exact, generators, Graph, NodeId};
 use adsketch::util::rng::{Rng64, SplitMix64};
@@ -56,7 +56,7 @@ fn main() {
     let k = 32;
     let t0 = std::time::Instant::now();
     let ranks = uniform_ranks(n, 11);
-    let ads: AdsSet = build_with_ranks(&g, k, &ranks).expect("valid ranks");
+    let ads: AdsSet = pruned_dijkstra::build(&g, k, &ranks).expect("valid ranks");
     println!("sketched every intersection in {:.2?}", t0.elapsed());
 
     // "How many intersections are reachable within a T-minute drive?"

@@ -138,9 +138,13 @@ fn flavors_agree_on_reachability_truth() {
     let mut kpart = ErrorStats::new(truth);
     for seed in 0..250u64 {
         let h = RankHasher::new(seed);
-        let km = adsketch::core::builder::kmins::build(&g, k, &h).unwrap();
+        let km = adsketch::core::builder::kmins::build_with_stats(&g, k, &h, 1)
+            .unwrap()
+            .0;
         kmins.push(km[0].hip_weights().reachable_estimate());
-        let kp = adsketch::core::builder::kpartition::build(&g, k, &h).unwrap();
+        let kp = adsketch::core::builder::kpartition::build_with_stats(&g, k, &h, 1)
+            .unwrap()
+            .0;
         kpart.push(kp[0].hip_weights().reachable_estimate());
     }
     for (name, e) in [("kmins", &kmins), ("kpartition", &kpart)] {
@@ -212,7 +216,6 @@ fn io_roundtrip_preserves_sketches() {
 /// on a real graph.
 #[test]
 fn weighted_node_sketches_on_graph() {
-    use adsketch::core::ads_set::build_with_ranks;
     use adsketch::core::weighted;
     let g = generators::gnp(150, 0.05, 21);
     let betas: Vec<f64> = (0..150).map(|i| 1.0 + (i % 7) as f64).collect();
@@ -229,7 +232,7 @@ fn weighted_node_sketches_on_graph() {
     let mut err = ErrorStats::new(truth);
     for seed in 0..400 {
         let ranks = weighted::exponential_ranks(&betas, seed);
-        let ads = build_with_ranks(&g, 8, &ranks).unwrap();
+        let ads = pruned_dijkstra::build(&g, 8, &ranks).unwrap();
         err.push(weighted::neighborhood_weight_at(
             ads.sketch(0),
             &betas,
