@@ -44,8 +44,11 @@
 //! wrong magic, an unknown version, a truncated or oversized buffer, a
 //! checksum mismatch, and structurally corrupt payloads (non-monotone
 //! offsets, out-of-range node ids, entries out of canonical order).
-//! [`FrozenAdsSet::save`] and the buffered [`FrozenAdsSet::load`] stream
-//! this format column by column without materializing the whole buffer.
+//! [`FrozenAdsSet::save`] streams this format column by column without
+//! materializing the whole buffer. Every load parses one complete image
+//! slice, whatever holds it: `from_bytes` the caller's buffer, the
+//! buffered [`FrozenAdsSet::load`] the file read whole, a mapped load
+//! the mapping itself.
 //!
 //! The trailing digit of the magic is the **container generation**: it
 //! changes when the header, checksum or column order change for both
@@ -138,13 +141,12 @@
 //! [`FrozenError::UnsupportedVersion`]`(1)`.)
 
 use std::fmt;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::Path;
 
 use adsketch_graph::NodeId;
 
 use crate::ads_set::AdsSet;
-use crate::bottomk::BottomKAds;
 use crate::entry::AdsEntry;
 use crate::hip::HipItem;
 use crate::view::AdsView;
@@ -209,32 +211,60 @@ enum Col<T> {
     Mapped { off: usize, count: usize },
 }
 
-/// Column element types that can be viewed directly out of a mapped
-/// region. Views were alignment-checked once at load time, so resolution
-/// here is infallible.
+/// Column element types of a v1 image: viewed in place out of a mapped
+/// region, or decoded little-endian out of any other byte slice.
 trait ColElem: Copy {
-    fn view(region: &MapRegion, off: usize, count: usize) -> &[Self];
+    /// A checked, aligned view (see [`MapRegion::u32_slice`]).
+    fn view(region: &MapRegion, off: usize, count: usize) -> Option<&[Self]>;
+    /// One element from its `size_of::<Self>()` little-endian bytes.
+    fn from_le(bytes: &[u8]) -> Self;
 }
 
 impl ColElem for u32 {
     #[inline]
-    fn view(region: &MapRegion, off: usize, count: usize) -> &[u32] {
-        region
-            .u32_slice(off, count)
-            .expect("column checked at load")
+    fn view(region: &MapRegion, off: usize, count: usize) -> Option<&[u32]> {
+        region.u32_slice(off, count)
+    }
+
+    #[inline]
+    fn from_le(bytes: &[u8]) -> u32 {
+        u32::from_le_bytes(bytes.try_into().expect("4-byte chunks"))
     }
 }
 
 impl ColElem for f64 {
     #[inline]
-    fn view(region: &MapRegion, off: usize, count: usize) -> &[f64] {
-        region
-            .f64_slice(off, count)
-            .expect("column checked at load")
+    fn view(region: &MapRegion, off: usize, count: usize) -> Option<&[f64]> {
+        region.f64_slice(off, count)
+    }
+
+    #[inline]
+    fn from_le(bytes: &[u8]) -> f64 {
+        f64::from_bits(u64::from_le_bytes(bytes.try_into().expect("8-byte chunks")))
     }
 }
 
 impl<T: ColElem> Col<T> {
+    /// The column at byte range `at` of a length-checked v1 image `buf`:
+    /// a view when `region` maps `buf`, else decoded into an owned vector.
+    fn from_image(buf: &[u8], region: Option<&MapRegion>, at: std::ops::Range<usize>) -> Self {
+        let size = std::mem::size_of::<T>();
+        match region {
+            Some(region) => {
+                let (off, count) = (at.start, at.len() / size);
+                // Page-aligned base, 8-aligned header, f64 columns first:
+                // every column is aligned by construction; assert it
+                // rather than trust it.
+                assert!(
+                    T::view(region, off, count).is_some(),
+                    "columns must be in bounds and aligned in a length-checked mapping"
+                );
+                Col::Mapped { off, count }
+            }
+            None => Col::Owned(buf[at].chunks_exact(size).map(T::from_le).collect()),
+        }
+    }
+
     /// The column contents, whichever backing holds them.
     #[inline]
     fn slice<'a>(&'a self, region: Option<&'a MapRegion>) -> &'a [T] {
@@ -244,9 +274,20 @@ impl<T: ColElem> Col<T> {
                 region.expect("mapped column requires a region"),
                 *off,
                 *count,
-            ),
+            )
+            .expect("column checked at load"),
         }
     }
+}
+
+/// A complete store image handed to the one parser
+/// (`FrozenAdsSet::from_image`), and so the backing of a v1 store's
+/// columns.
+enum Image<'a> {
+    /// Borrowed bytes: the columns are decoded into owned vectors.
+    Bytes(&'a [u8]),
+    /// A mapped file: the columns stay views of it.
+    Mapped(MapRegion),
 }
 
 /// A frozen, immutable, struct-of-arrays ADS set.
@@ -442,15 +483,15 @@ pub struct LoadOptions {
     /// first touch of every page — against ≈ 0.1 ms unverified, which
     /// touches the offset table only.
     pub verify: bool,
-    /// Map the file with `mmap` instead of reading it through a buffer
-    /// (default **off**, matching [`FrozenAdsSet::load`]'s historical
-    /// behaviour). A v1 store keeps all five columns as zero-copy views
-    /// of the mapping (little-endian 64-bit Linux), and replicas mapping
-    /// the same file share its pages through the kernel page cache; a v2
-    /// store is decoded straight out of the mapping, which is then
-    /// dropped. Elsewhere (and whenever the syscall declines) the loader
-    /// silently falls back to buffered reads, so the option is a pure
-    /// fast path.
+    /// Map the file with `mmap` instead of reading it whole into a
+    /// buffer (default **off**, matching [`FrozenAdsSet::load`]). A v1
+    /// store keeps all five columns as zero-copy views of the mapping
+    /// (little-endian 64-bit Linux), and replicas mapping the same file
+    /// share its pages through the kernel page cache; a v2 store is
+    /// decoded straight out of the mapping, which is then dropped.
+    /// Elsewhere (and whenever the syscall declines) the loader silently
+    /// reads the file whole instead. Both backings run the same parser,
+    /// so the option is a pure fast path.
     pub map: bool,
 }
 
@@ -491,7 +532,7 @@ fn read_u64(buf: &[u8], at: usize) -> u64 {
 }
 
 /// The untrusted fields common to both store-header versions, after the
-/// O(1) sanity checks shared by the streaming and mapped loaders.
+/// O(1) sanity checks every load runs first.
 struct ParsedHeader {
     version: u32,
     k: u32,
@@ -541,31 +582,6 @@ fn parse_store_header(header: &[u8; HEADER_LEN]) -> Result<ParsedHeader, FrozenE
     })
 }
 
-/// Fills `buf` from the reader, mapping end-of-input to
-/// [`FrozenError::Truncated`] (with `already` bytes known consumed so far).
-fn read_exact_or_truncated<R: Read>(
-    r: &mut R,
-    buf: &mut [u8],
-    expected: u64,
-    already: u64,
-) -> Result<(), FrozenError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Err(FrozenError::Truncated {
-                    expected,
-                    actual: already + filled as u64,
-                })
-            }
-            Ok(m) => filled += m,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(FrozenError::Io(e)),
-        }
-    }
-    Ok(())
-}
-
 /// The O(n) offset invariants every query's slicing relies on: monotone
 /// offsets starting at 0 and spanning exactly `entries` stored entries.
 /// Enforced even by trust-the-file loads ([`LoadOptions::verify`] off)
@@ -591,68 +607,6 @@ fn validate_offsets(offsets: &[u32], entries: usize) -> Result<(), FrozenError> 
 /// the v1 writer: large enough that a 100 MB shard is a few hundred
 /// syscalls, small enough to stay cache-resident between the three.
 const ENCODE_CHUNK_BYTES: usize = 256 * 1024;
-
-/// Capacity hint cap for column vectors: element counts come from an
-/// untrusted header, so never pre-reserve more than this many elements —
-/// a short input hits [`FrozenError::Truncated`] before growth hurts.
-const COL_CAPACITY_HINT: usize = 1 << 20;
-
-/// Streams one store's column arrays off a reader in fixed-size chunks,
-/// hashing every byte for the header checksum.
-struct ColumnReader<'a, R: Read> {
-    r: &'a mut R,
-    /// `None` when the caller opted out of checksum verification.
-    hash: Option<&'a mut Xxh64>,
-    /// Total serialized length the header promised (for error reporting).
-    expected: u64,
-    consumed: &'a mut u64,
-}
-
-impl<R: Read> ColumnReader<'_, R> {
-    fn read_chunks(
-        &mut self,
-        total_bytes: usize,
-        mut on_chunk: impl FnMut(&[u8]),
-    ) -> Result<(), FrozenError> {
-        // 8192 is a multiple of both element sizes (4 and 8), so every
-        // chunk holds whole elements.
-        let mut buf = [0u8; 8192];
-        let mut remaining = total_bytes;
-        while remaining > 0 {
-            let take = remaining.min(buf.len());
-            read_exact_or_truncated(self.r, &mut buf[..take], self.expected, *self.consumed)?;
-            *self.consumed += take as u64;
-            if let Some(hash) = self.hash.as_deref_mut() {
-                hash.update(&buf[..take]);
-            }
-            on_chunk(&buf[..take]);
-            remaining -= take;
-        }
-        Ok(())
-    }
-
-    fn read_u32_col(&mut self, count: usize) -> Result<Vec<u32>, FrozenError> {
-        let mut col = Vec::with_capacity(count.min(COL_CAPACITY_HINT));
-        self.read_chunks(count * 4, |chunk| {
-            for w in chunk.chunks_exact(4) {
-                col.push(u32::from_le_bytes(w.try_into().expect("4-byte chunks")));
-            }
-        })?;
-        Ok(col)
-    }
-
-    fn read_f64_col(&mut self, count: usize) -> Result<Vec<f64>, FrozenError> {
-        let mut col = Vec::with_capacity(count.min(COL_CAPACITY_HINT));
-        self.read_chunks(count * 8, |chunk| {
-            for w in chunk.chunks_exact(8) {
-                col.push(f64::from_bits(u64::from_le_bytes(
-                    w.try_into().expect("8-byte chunks"),
-                )));
-            }
-        })?;
-        Ok(col)
-    }
-}
 
 impl FrozenAdsSet {
     /// Assembles a fully-owned store from its columns.
@@ -739,7 +693,7 @@ impl FrozenAdsSet {
     /// at the paper's `k(1 + ln n − ln k)` expected entries per node that
     /// bound is only reached beyond ~10⁷ nodes at k = 64 — shard the graph
     /// before freezing at that scale).
-    pub fn from_ads_set(ads: &AdsSet) -> Self {
+    pub(crate) fn from_ads_set(ads: &AdsSet) -> Self {
         Self::from_ads_set_range(ads, 0, ads.num_nodes())
     }
 
@@ -776,21 +730,6 @@ impl FrozenAdsSet {
             offsets.push(nodes.len() as u32);
         }
         Self::from_owned_cols(ads.k() as u32, offsets, nodes, dists, ranks, weights)
-    }
-
-    /// Reconstructs a heap-backed [`AdsSet`] (e.g. to continue mutating a
-    /// loaded store). The round trip `ads.freeze().thaw()` is lossless.
-    pub fn thaw(&self) -> AdsSet {
-        let sketches = (0..self.num_nodes() as NodeId)
-            .map(|v| {
-                let row = self.row(v);
-                let entries: Vec<AdsEntry> = (0..row.nodes.len())
-                    .map(|i| AdsEntry::new(row.nodes[i], row.dists[i], row.ranks[i]))
-                    .collect();
-                BottomKAds::from_entries(self.k as usize, entries)
-            })
-            .collect();
-        AdsSet::from_sketches(self.k as usize, sketches)
     }
 
     /// The sketch parameter k.
@@ -967,71 +906,72 @@ impl FrozenAdsSet {
         }
     }
 
-    /// [`FrozenAdsSet::save`] with an explicit [`StoreFormat`].
-    pub fn save_format(&self, path: impl AsRef<Path>, format: StoreFormat) -> std::io::Result<()> {
-        self.write_file(path.as_ref(), format).map(drop)
-    }
-
-    /// Reads one serialized store off `r` (the buffered half of
-    /// [`FrozenAdsSet::load_with`]). A v1 body streams column by column
-    /// in fixed-size chunks, consuming exactly one store and leaving
-    /// anything after it unread (callers that require end-of-input check
-    /// for trailing bytes themselves). A v2 file is read whole — the
-    /// allocation is bounded by the reader's real length, never by a
-    /// header field — and handed to the decoder.
-    ///
-    /// With `verify` off, only the O(1) header sanity checks and the
-    /// O(n) offset invariants every query relies on are enforced — the
-    /// checksum walk and the O(E) canonical-order scan are skipped.
+    /// Parses one complete store image: the single parser behind
+    /// [`FrozenAdsSet::from_bytes`] and every [`FrozenAdsSet::load_with`]
+    /// level. It runs the header checks, then hands a v2 image to its
+    /// decoder. For v1 it checks the exact length (truncation, trailing
+    /// bytes), the checksum under `verify`, and the offset invariants, or
+    /// under `verify` the full structural scan. Only the backing of a v1
+    /// store's columns depends on `image`: views of a mapping, or owned
+    /// vectors decoded out of borrowed bytes.
     ///
     /// Also returns the checksum the header records (verified against
     /// every other byte iff `verify`).
-    fn from_reader<R: Read>(r: &mut R, verify: bool) -> Result<(Self, u64), FrozenError> {
-        let mut header = [0u8; HEADER_LEN];
-        read_exact_or_truncated(r, &mut header, HEADER_LEN as u64, 0)?;
+    fn from_image(image: Image<'_>, verify: bool) -> Result<(Self, u64), FrozenError> {
+        let (buf, region) = match &image {
+            Image::Bytes(buf) => (*buf, None),
+            Image::Mapped(region) => (region.bytes(), Some(region)),
+        };
+        if buf.len() < HEADER_LEN {
+            return Err(FrozenError::Truncated {
+                expected: HEADER_LEN as u64,
+                actual: buf.len() as u64,
+            });
+        }
+        let header: [u8; HEADER_LEN] = buf[..HEADER_LEN].try_into().expect("length checked");
         let parsed = parse_store_header(&header)?;
         if parsed.version == FROZEN_FORMAT_VERSION_V2 {
-            let mut image = header.to_vec();
-            r.read_to_end(&mut image)?;
-            let store = Self::from_v2_image(&image, &parsed, verify)?;
+            let store = Self::from_v2_image(buf, &parsed, verify)?;
             return Ok((store, parsed.stored_checksum));
         }
-        let (k, n, entries) = (parsed.k, parsed.n as usize, parsed.entries as usize);
-
-        // Hash the header with the checksum field zeroed, then every
-        // payload byte as it streams past.
-        let mut hash = Xxh64::new();
+        if (buf.len() as u128) < parsed.expected_len {
+            return Err(FrozenError::Truncated {
+                expected: parsed.expected_len as u64,
+                actual: buf.len() as u64,
+            });
+        }
+        if buf.len() as u128 > parsed.expected_len {
+            return Err(FrozenError::Corrupt(format!(
+                "{} trailing bytes after the payload",
+                buf.len() as u128 - parsed.expected_len
+            )));
+        }
         if verify {
-            hash.update(&header[..CHECKSUM_OFFSET]);
-            hash.update(&[0u8; 8]);
-            hash.update(&header[CHECKSUM_OFFSET + 8..]);
+            verify_image(buf, parsed.stored_checksum)?;
         }
 
-        let mut consumed = HEADER_LEN as u64;
-        let mut col_reader = ColumnReader {
-            r,
-            hash: verify.then_some(&mut hash),
-            expected: parsed.expected_len as u64,
-            consumed: &mut consumed,
+        // The five columns back to back, widest elements first.
+        let (n, entries) = (parsed.n as usize, parsed.entries as usize);
+        let mut at = HEADER_LEN;
+        let mut next = |bytes: usize| {
+            at += bytes;
+            at - bytes..at
         };
-        // Capacity hints are capped: the counts come from an untrusted
-        // header, and a short input hits EOF before over-allocation hurts.
-        let dists = col_reader.read_f64_col(entries)?;
-        let ranks = col_reader.read_f64_col(entries)?;
-        let weights = col_reader.read_f64_col(entries)?;
-        let offsets = col_reader.read_u32_col(n + 1)?;
-        let nodes = col_reader.read_u32_col(entries)?;
-
-        if verify {
-            let computed = hash.digest();
-            if computed != parsed.stored_checksum {
-                return Err(FrozenError::ChecksumMismatch {
-                    stored: parsed.stored_checksum,
-                    computed,
-                });
-            }
-        }
-        let store = Self::from_owned_cols(k, offsets, nodes, dists, ranks, weights);
+        let (dists, ranks, weights) = (next(entries * 8), next(entries * 8), next(entries * 8));
+        let (offsets, nodes) = (next((n + 1) * 4), next(entries * 4));
+        let store = Self {
+            k: parsed.k,
+            version: FROZEN_FORMAT_VERSION,
+            offsets: Col::from_image(buf, region, offsets),
+            nodes: Col::from_image(buf, region, nodes),
+            dists: Col::from_image(buf, region, dists),
+            ranks: Col::from_image(buf, region, ranks),
+            weights: Col::from_image(buf, region, weights),
+            region: match image {
+                Image::Bytes(_) => None,
+                Image::Mapped(region) => Some(region),
+            },
+        };
         if verify {
             store.validate_structure()?;
         } else {
@@ -1039,7 +979,6 @@ impl FrozenAdsSet {
         }
         Ok((store, parsed.stored_checksum))
     }
-
     /// Builds a store from a complete v2 image (`parsed` is its header):
     /// the one end of every v2 load path.
     fn from_v2_image(
@@ -1071,15 +1010,7 @@ impl FrozenAdsSet {
     /// rejecting trailing bytes. Lossless: the result compares equal to
     /// the store that was serialized.
     pub fn from_bytes(buf: &[u8]) -> Result<Self, FrozenError> {
-        let mut r = buf;
-        let (store, _) = Self::from_reader(&mut r, true)?;
-        if !r.is_empty() {
-            return Err(FrozenError::Corrupt(format!(
-                "{} trailing bytes after the payload",
-                r.len()
-            )));
-        }
-        Ok(store)
+        Ok(Self::from_image(Image::Bytes(buf), true)?.0)
     }
 
     /// Structural invariants the CSR columns must satisfy for every query
@@ -1113,13 +1044,13 @@ impl FrozenAdsSet {
     /// Streams the store to a file in the version-1 format (no
     /// intermediate whole-file buffer).
     pub fn save(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        self.save_format(path, StoreFormat::V1)
+        self.write_file(path.as_ref(), StoreFormat::V1).map(drop)
     }
 
-    /// Streams in and deserializes a store written by
-    /// [`FrozenAdsSet::save`], rejecting files with trailing bytes after
-    /// the payload. Equivalent to [`FrozenAdsSet::load_with`] with
-    /// [`LoadOptions::default`]: fully verified, owned (copying) columns.
+    /// Reads a store file whole and parses it like
+    /// [`FrozenAdsSet::from_bytes`]. Equivalent to
+    /// [`FrozenAdsSet::load_with`] with [`LoadOptions::default`]: fully
+    /// verified, owned (copying) columns.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, FrozenError> {
         Self::load_with(path, LoadOptions::default())
     }
@@ -1127,7 +1058,9 @@ impl FrozenAdsSet {
     /// Loads a store with explicit [`LoadOptions`]: optionally mapping
     /// the file (zero-copy, kernel-page-cache-shared columns for a v1
     /// store) and optionally skipping checksum + full structural
-    /// verification for warm restarts of already-trusted files.
+    /// verification for warm restarts of already-trusted files. Mapped
+    /// or read whole, the image goes through the one parser
+    /// [`FrozenAdsSet::from_bytes`] uses.
     ///
     /// All of [`FrozenAdsSet::load`]'s rejections apply whenever
     /// `opts.verify` is on, regardless of backing; with `verify` off,
@@ -1148,108 +1081,19 @@ impl FrozenAdsSet {
         path: impl AsRef<Path>,
         opts: LoadOptions,
     ) -> Result<(Self, Option<u64>), FrozenError> {
-        let file = std::fs::File::open(path)?;
-        let mapped = if opts.map {
-            mmap::map_readonly(&file)?
+        let path = path.as_ref();
+        let region = if opts.map {
+            mmap::map_readonly(&std::fs::File::open(path)?)?
         } else {
             None
         };
-        let (store, checksum) = match mapped {
-            Some(region) => Self::from_mapped(region, opts.verify)?,
-            // Buffered copying path: no mmap requested, unsupported
-            // platform, or the map syscall declined.
-            None => {
-                let mut r = std::io::BufReader::new(file);
-                let loaded = Self::from_reader(&mut r, opts.verify)?;
-                if !reader_at_eof(&mut r)? {
-                    return Err(FrozenError::Corrupt(
-                        "trailing bytes after the payload".into(),
-                    ));
-                }
-                loaded
-            }
+        let (store, checksum) = match region {
+            Some(region) => Self::from_image(Image::Mapped(region), opts.verify)?,
+            // Read whole: no mmap requested, unsupported platform, an
+            // empty file, or the map syscall declined.
+            None => Self::from_image(Image::Bytes(&std::fs::read(path)?), opts.verify)?,
         };
         Ok((store, opts.verify.then_some(checksum)))
-    }
-
-    /// Builds a store over a mapped file region: header and length
-    /// checks always; checksum + full structural scan only under
-    /// `verify`. A v2 file is decoded out of the mapping, which is then
-    /// dropped. A v1 file's five columns all stay zero-copy views: the
-    /// wide-first column order aligns each of them for every `(n, E)`.
-    /// Also returns the header's checksum field, as `from_reader` does.
-    fn from_mapped(region: MapRegion, verify: bool) -> Result<(Self, u64), FrozenError> {
-        let buf = region.bytes();
-        if buf.len() < HEADER_LEN {
-            return Err(FrozenError::Truncated {
-                expected: HEADER_LEN as u64,
-                actual: buf.len() as u64,
-            });
-        }
-        let header: [u8; HEADER_LEN] = buf[..HEADER_LEN].try_into().expect("length checked");
-        let parsed = parse_store_header(&header)?;
-        if parsed.version == FROZEN_FORMAT_VERSION_V2 {
-            let store = Self::from_v2_image(buf, &parsed, verify)?;
-            return Ok((store, parsed.stored_checksum));
-        }
-        if (buf.len() as u128) < parsed.expected_len {
-            return Err(FrozenError::Truncated {
-                expected: parsed.expected_len as u64,
-                actual: buf.len() as u64,
-            });
-        }
-        if buf.len() as u128 > parsed.expected_len {
-            return Err(FrozenError::Corrupt(format!(
-                "{} trailing bytes after the payload",
-                buf.len() as u128 - parsed.expected_len
-            )));
-        }
-        if verify {
-            verify_image(buf, parsed.stored_checksum)?;
-        }
-
-        let (n, entries) = (parsed.n as usize, parsed.entries as usize);
-        let off_dists = HEADER_LEN;
-        let off_ranks = off_dists + entries * 8;
-        let off_weights = off_ranks + entries * 8;
-        let off_offsets = off_weights + entries * 8;
-        let off_nodes = off_offsets + (n + 1) * 4;
-        // Page-aligned base, 8-aligned header, f64 columns first: every
-        // column is aligned by construction; assert it rather than trust it.
-        assert!(
-            [off_dists, off_ranks, off_weights]
-                .iter()
-                .all(|&off| region.f64_slice(off, entries).is_some())
-                && region.u32_slice(off_offsets, n + 1).is_some()
-                && region.u32_slice(off_nodes, entries).is_some(),
-            "columns must be in bounds and aligned in a length-checked mapping"
-        );
-        let f64_col = |off| Col::Mapped {
-            off,
-            count: entries,
-        };
-        let store = Self {
-            k: parsed.k,
-            version: FROZEN_FORMAT_VERSION,
-            offsets: Col::Mapped {
-                off: off_offsets,
-                count: n + 1,
-            },
-            nodes: Col::Mapped {
-                off: off_nodes,
-                count: entries,
-            },
-            dists: f64_col(off_dists),
-            ranks: f64_col(off_ranks),
-            weights: f64_col(off_weights),
-            region: Some(region),
-        };
-        if verify {
-            store.validate_structure()?;
-        } else {
-            validate_offsets(store.offsets(), store.num_entries())?;
-        }
-        Ok((store, parsed.stored_checksum))
     }
 
     /// Estimated distance distribution of the whole graph — same quantity
@@ -1323,19 +1167,6 @@ impl AdsView for FrozenAdsSet {
 
     fn hip_reachable(&self, v: NodeId) -> f64 {
         self.hip_weights_slice(v).iter().sum()
-    }
-}
-
-/// True iff the reader has no bytes left (probes with a 1-byte read).
-fn reader_at_eof<R: Read>(r: &mut R) -> std::io::Result<bool> {
-    let mut probe = [0u8; 1];
-    loop {
-        match r.read(&mut probe) {
-            Ok(0) => return Ok(true),
-            Ok(_) => return Ok(false),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
     }
 }
 
@@ -1613,6 +1444,10 @@ fn shard_cuts(ads: &AdsSet, shards: usize) -> Vec<usize> {
 /// answers are bitwise identical to the unsharded store (the per-node
 /// entries are byte-for-byte the same). Equivalent to
 /// [`freeze_sharded_format`] with [`StoreFormat::V1`].
+///
+/// # Panics
+///
+/// If `shards` is 0.
 pub fn freeze_sharded(
     ads: &AdsSet,
     shards: usize,
@@ -1630,6 +1465,10 @@ pub fn freeze_sharded(
 /// re-encoding of the same data in the other format fails the serving
 /// loader's digest check by construction (see [`ShardRecord::digest`]);
 /// mixing formats requires re-freezing, never file swapping.
+///
+/// # Panics
+///
+/// If `shards` is 0.
 pub fn freeze_sharded_format(
     ads: &AdsSet,
     shards: usize,
@@ -1701,12 +1540,6 @@ mod tests {
     }
 
     #[test]
-    fn thaw_roundtrip_is_lossless() {
-        let ads = sample_set();
-        assert_eq!(ads.freeze().thaw(), ads);
-    }
-
-    #[test]
     fn bytes_roundtrip_is_lossless() {
         let frozen = sample_set().freeze();
         let restored = FrozenAdsSet::from_bytes(&frozen.to_bytes()).unwrap();
@@ -1717,6 +1550,12 @@ mod tests {
     fn serialized_len_is_exact() {
         let frozen = sample_set().freeze();
         assert_eq!(frozen.to_bytes().len(), frozen.serialized_len());
+        // The streaming writer returns the checksum it patched in.
+        let mut w = std::io::Cursor::new(Vec::new());
+        let checksum = frozen.write_to(&mut w).unwrap();
+        let buf = w.into_inner();
+        assert_eq!(buf, frozen.to_bytes());
+        assert_eq!(checksum, read_u64(&buf, CHECKSUM_OFFSET));
     }
 
     #[test]
@@ -1726,7 +1565,6 @@ mod tests {
         assert_eq!(frozen.num_nodes(), 0);
         let restored = FrozenAdsSet::from_bytes(&frozen.to_bytes()).unwrap();
         assert_eq!(restored, frozen);
-        assert_eq!(restored.thaw(), ads);
     }
 
     #[test]
@@ -1788,32 +1626,6 @@ mod tests {
         let mut buf = sample_set().freeze().to_bytes();
         buf[12] ^= 0x01;
         assert!(FrozenAdsSet::from_bytes(&buf).is_err());
-    }
-
-    #[test]
-    fn streaming_roundtrip_matches_bytes() {
-        let frozen = sample_set().freeze();
-        let mut w = std::io::Cursor::new(Vec::new());
-        let checksum = frozen.write_to(&mut w).unwrap();
-        let buf = w.into_inner();
-        assert_eq!(buf, frozen.to_bytes());
-        assert_eq!(checksum, read_u64(&buf, CHECKSUM_OFFSET));
-        let mut r = &buf[..];
-        let (restored, stored) = FrozenAdsSet::from_reader(&mut r, true).unwrap();
-        assert!(r.is_empty());
-        assert_eq!(stored, checksum);
-        assert_eq!(restored, frozen);
-    }
-
-    #[test]
-    fn from_reader_leaves_trailing_input() {
-        let frozen = sample_set().freeze();
-        let mut buf = frozen.to_bytes();
-        buf.extend_from_slice(b"NEXT");
-        let mut r = &buf[..];
-        let (restored, _) = FrozenAdsSet::from_reader(&mut r, true).unwrap();
-        assert_eq!(restored, frozen);
-        assert_eq!(r, b"NEXT");
     }
 
     #[test]
@@ -2119,9 +1931,8 @@ mod tests {
     }
 
     #[test]
-    fn v2_clone_and_thaw_preserve_everything() {
-        let ads = sample_set();
-        let frozen = ads.freeze();
+    fn v2_clone_preserves_everything() {
+        let frozen = sample_set().freeze();
         let v2 = FrozenAdsSet::from_bytes(&frozen.to_bytes_format(StoreFormat::V2)).unwrap();
         let cloned = v2.clone();
         assert_eq!(
@@ -2131,16 +1942,13 @@ mod tests {
         );
         assert_eq!(cloned.resident_bytes(), frozen.resident_bytes());
         assert_eq!(cloned, frozen);
-        let thawed = v2.thaw();
-        assert_eq!(thawed.freeze().to_bytes(), frozen.to_bytes());
-        let _ = ads;
     }
 
     #[test]
     fn v2_mapped_and_buffered_loads_are_identical() {
         let frozen = sample_set().freeze();
         let path = std::env::temp_dir().join("adsketch_frozen_v2_mapped.ads");
-        frozen.save_format(&path, StoreFormat::V2).unwrap();
+        std::fs::write(&path, frozen.to_bytes_format(StoreFormat::V2)).unwrap();
         for opts in [
             LoadOptions::default(),
             LoadOptions::mapped(),

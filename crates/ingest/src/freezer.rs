@@ -91,12 +91,19 @@ impl Freezer {
     /// Creates a freezer publishing into `root` (created if missing),
     /// `shards` shards per generation in `format`. Resumes numbering
     /// after an existing `CURRENT` pointer, so a restarted process never
-    /// reuses a published generation number.
+    /// reuses a published generation number. A `shards` of 0 is an
+    /// [`IngestError::Io`] of kind `InvalidInput`.
     pub fn new(
         root: impl AsRef<Path>,
         shards: usize,
         format: StoreFormat,
     ) -> Result<Self, IngestError> {
+        if shards == 0 {
+            return Err(IngestError::Io(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "shard count must be ≥ 1",
+            )));
+        }
         let root = root.as_ref().to_path_buf();
         std::fs::create_dir_all(&root)?;
         let next_gen = match current_generation(&root)? {
@@ -311,6 +318,18 @@ mod tests {
             harmonic_of_generation(&g1.dir, 30).len(),
             30 // gen 1 predates the last 10 edges but still serves
         );
+    }
+
+    #[test]
+    fn zero_shards_is_rejected_at_construction() {
+        let s = Scratch::new("zero_shards");
+        match Freezer::new(s.0.join("store"), 0, StoreFormat::V1) {
+            Err(IngestError::Io(e)) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput);
+                assert!(e.to_string().contains("shard count"), "{e}");
+            }
+            other => panic!("expected InvalidInput, got {:?}", other.map(|_| ())),
+        }
     }
 
     #[test]

@@ -63,7 +63,8 @@ impl ShardedStore {
     }
 
     /// [`ShardedStore::load`] with explicit [`LoadOptions`]: `map` picks
-    /// zero-copy vs. copying column backing, and `verify: false` skips
+    /// zero-copy vs. copying column backing (each shard file read whole
+    /// and decoded; both go through one parser), and `verify: false` skips
     /// the checksum walk, the manifest comparison that rests on it, and
     /// the canonical-order scan for warm restarts of already-verified
     /// store directories (manifest parsing, parameter agreement, and

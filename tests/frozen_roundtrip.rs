@@ -2,15 +2,19 @@
 //! estimator answers **bitwise identically** from the restored
 //! [`FrozenAdsSet`] and from the heap-backed [`AdsSet`] it was frozen
 //! from, across directed / weighted / disconnected graphs; corrupted or
-//! truncated buffers must be rejected.
+//! truncated buffers must be rejected, identically by every load path.
+
+use std::path::PathBuf;
 
 use proptest::prelude::*;
 
+use adsketch::core::frozen::Xxh64;
 use adsketch::core::{
-    basic, centrality, similarity, size_est, AdsSet, AdsView, FrozenAdsSet, LoadOptions,
-    QueryEngine,
+    basic, centrality, similarity, size_est, AdsSet, AdsView, FrozenAdsSet, FrozenError,
+    LoadOptions, QueryEngine,
 };
 use adsketch::graph::{generators, Graph, NodeId};
+use adsketch::util::{Rng64, SplitMix64};
 
 /// Asserts that every estimator of the suite returns bitwise-identical
 /// answers from `ads` and `frozen` for every node (and a pair sample).
@@ -228,4 +232,95 @@ fn mapped_v1_store_copies_no_column_for_either_parity_of_the_u32_prefix() {
         parities[0], parities[1],
         "the two graphs must cover both parities"
     );
+}
+
+/// One deterministic hostile variant of `good`. Cases cycle through four
+/// kinds: truncate at a random length, splice a random range of the
+/// file over another spot, extend with random bytes, flip 2–8 random
+/// bits. Every other cycle re-signs the header checksum afterwards, so
+/// the damage reaches the length, offset and structure checks behind it.
+fn mutate(good: &[u8], case: usize, rng: &mut SplitMix64) -> Vec<u8> {
+    let mut bytes = good.to_vec();
+    match case % 4 {
+        0 => bytes.truncate(rng.range_usize(good.len())),
+        1 => {
+            let len = 1 + rng.range_usize(64.min(good.len()));
+            let from = rng.range_usize(good.len() - len + 1);
+            let to = rng.range_usize(good.len() - len + 1);
+            bytes[to..to + len].copy_from_slice(&good[from..from + len]);
+        }
+        2 => bytes.extend((0..1 + rng.range_usize(64)).map(|_| rng.next_u64() as u8)),
+        _ => {
+            for _ in 0..2 + rng.range_usize(7) {
+                let bit = rng.range_usize(good.len() * 8);
+                bytes[bit / 8] ^= 1 << (bit % 8);
+            }
+        }
+    }
+    if (case / 4) % 2 == 1 && bytes.len() >= 40 {
+        let mut h = Xxh64::new();
+        h.update(&bytes[..32]);
+        h.update(&[0u8; 8]);
+        h.update(&bytes[40..]);
+        let digest = h.digest();
+        bytes[32..40].copy_from_slice(&digest.to_le_bytes());
+    }
+    bytes
+}
+
+/// Runs one load, turning a panic into a test failure that names it.
+fn no_panic<T>(what: &str, load: impl FnOnce() -> T) -> T {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(load))
+        .unwrap_or_else(|_| panic!("{what} panicked"))
+}
+
+/// Hostile inputs: for a few hundred mutations of each committed golden
+/// image, `from_bytes`, the buffered load and the verified mapped load
+/// give the same verdict — the same store or the same error variant —
+/// and nothing panics. A store the trusted load accepts (it skips the
+/// checksum and the order scan) must still answer a full sweep.
+#[test]
+fn all_load_paths_agree_on_mutated_golden_fixtures() {
+    for name in ["golden_ba30_k3.v1.ads", "golden_ba30_k3.v2.ads"] {
+        let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+        let good = std::fs::read(fixture.join(name)).expect("committed fixture");
+        let path = std::env::temp_dir().join(format!("adsketch_test_mutation_{name}"));
+        let mut rng = SplitMix64::new(0x5EED_0000 ^ good.len() as u64);
+        for case in 0..400 {
+            let bytes = mutate(&good, case, &mut rng);
+            std::fs::write(&path, &bytes).unwrap();
+            let what = |how: &str| format!("{name}, case {case} ({} bytes), {how}", bytes.len());
+            let verdicts: Vec<Result<FrozenAdsSet, FrozenError>> = vec![
+                no_panic(&what("from_bytes"), || FrozenAdsSet::from_bytes(&bytes)),
+                no_panic(&what("buffered"), || FrozenAdsSet::load(&path)),
+                no_panic(&what("mapped"), || {
+                    FrozenAdsSet::load_with(&path, LoadOptions::mapped())
+                }),
+            ];
+            let kind = |r: &Result<FrozenAdsSet, FrozenError>| {
+                r.as_ref().map(|_| ()).map_err(std::mem::discriminant)
+            };
+            for (how, r) in ["buffered", "mapped"].iter().zip(&verdicts[1..]) {
+                assert_eq!(
+                    kind(r),
+                    kind(&verdicts[0]),
+                    "{}: {r:?} vs from_bytes {:?}",
+                    what(how),
+                    verdicts[0]
+                );
+                if let (Ok(a), Ok(b)) = (r, &verdicts[0]) {
+                    assert_eq!(a, b, "{}", what(how));
+                }
+            }
+            let trusted = no_panic(&what("trusted"), || {
+                FrozenAdsSet::load_with(&path, LoadOptions::trusted())
+            });
+            if let Ok(store) = trusted {
+                no_panic(&what("trusted sweep"), || {
+                    QueryEngine::new(&store).harmonic_all()
+                });
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
 }

@@ -199,7 +199,7 @@ fn v2_save_load_file_roundtrip_all_load_options() {
     let ads = AdsSet::build(&g, 8, 4);
     let frozen = ads.freeze();
     let path = std::env::temp_dir().join("adsketch_test_frozen_v2_roundtrip.ads");
-    frozen.save_format(&path, StoreFormat::V2).expect("save v2");
+    std::fs::write(&path, frozen.to_bytes_format(StoreFormat::V2)).expect("save v2");
     for opts in [
         LoadOptions::default(),
         LoadOptions::mapped(),

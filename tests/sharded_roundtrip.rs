@@ -356,8 +356,7 @@ fn rejects_v2_shard_under_a_manifest_digested_over_v1_bytes() {
     let shard0 = dir.path().join(shard_file_name(0));
     let shard = FrozenAdsSet::load(&shard0).expect("shard 0 loads standalone");
     assert_eq!(shard.format_version(), 1);
-    shard
-        .save_format(&shard0, StoreFormat::V2)
+    std::fs::write(&shard0, shard.to_bytes_format(StoreFormat::V2))
         .expect("re-encode shard 0 as v2");
     // The swapped file is a valid v2 store by itself…
     assert_eq!(
