@@ -105,8 +105,12 @@ impl BottomKAds {
 
     /// Streams the HIP items of this sketch in canonical order without
     /// materializing a [`HipWeights`] — the allocation-free core of
-    /// [`BottomKAds::hip_weights`], also used by
-    /// [`crate::AdsSet::freeze`] to fill the precomputed weight column.
+    /// [`BottomKAds::hip_weights`].
+    ///
+    /// The threshold is tracked in a `KSmallest` heap. Freezing does not
+    /// call this: [`crate::AdsSet::freeze`] computes the same weights in
+    /// its own heap-free pass, and this scan is the reference that pass
+    /// is tested against bit for bit.
     pub fn hip_scan(&self, mut f: impl FnMut(HipItem)) {
         let mut ks = KSmallest::new(self.k);
         for e in &self.entries {

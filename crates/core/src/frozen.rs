@@ -12,6 +12,13 @@
 //! allocation. Estimator answers are bitwise identical to the heap-backed
 //! set the store was frozen from (see [`crate::view::AdsView`]).
 //!
+//! Freezing makes one pass per row: it copies node, distance and rank
+//! and writes the weight `1/τ` in the same step, with τ read off a sorted
+//! array of the row's ≤ k lowest ranks so far (Lemma 5.1; no heap).
+//! [`crate::BottomKAds::hip_scan`] computes the same weights through a
+//! heap and stays as the reference they are tested against.
+//! The v2 encoder runs the same scan to find each weight's τ entry.
+//!
 //! # On-disk format (version 1)
 //!
 //! [`FrozenAdsSet::to_bytes`] serializes to one contiguous little-endian
@@ -148,7 +155,7 @@ use adsketch_graph::NodeId;
 
 use crate::ads_set::AdsSet;
 use crate::entry::AdsEntry;
-use crate::hip::HipItem;
+use crate::hip::{HipItem, TauScan};
 use crate::view::AdsView;
 
 #[allow(unsafe_code)] // the workspace's single unsafe module; see its docs
@@ -717,15 +724,30 @@ impl FrozenAdsSet {
         let mut dists = Vec::with_capacity(total);
         let mut ranks = Vec::with_capacity(total);
         let mut weights = Vec::with_capacity(total);
+        let mut scan = TauScan::new(ads.k());
         offsets.push(0u32);
         for (v, sketch) in ads.sketches().iter().enumerate() {
             if v >= lo && v < hi {
-                for e in sketch.entries() {
+                scan.reset();
+                for (at, e) in sketch.entries().iter().enumerate() {
+                    debug_assert!(
+                        (0.0..=1.0).contains(&e.rank),
+                        "uniform HIP requires ranks in [0,1]; got {}",
+                        e.rank
+                    );
+                    let tau = scan.threshold().map_or(1.0, |(t, _)| t);
+                    let entered = scan.offer(e.rank, at as u32);
+                    // An exact rank tie with τ keeps the held slot (the
+                    // oracle's heap breaks it by node id); τ is the same.
+                    debug_assert!(
+                        entered || e.rank == tau,
+                        "every ADS entry is a prefix bottom-k member"
+                    );
                     nodes.push(e.node);
                     dists.push(e.dist);
                     ranks.push(e.rank);
+                    weights.push(1.0 / tau);
                 }
-                sketch.hip_scan(|it| weights.push(it.weight));
             }
             offsets.push(nodes.len() as u32);
         }

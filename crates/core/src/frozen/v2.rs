@@ -55,6 +55,7 @@ use std::collections::HashMap;
 
 use super::varint;
 use super::{FrozenError, ParsedHeader, HEADER_LEN};
+use crate::hip::TauScan;
 
 /// Serialized v2 header length: the 40 common bytes plus four column
 /// tags and the u32 rows-per-block.
@@ -625,9 +626,7 @@ pub(super) fn encode(k: u32, rows: RowsSource<'_>) -> Vec<u8> {
     // Distance dictionary: sorted distinct bit patterns, exact by
     // construction. Escape only when codes + dictionary would outgrow
     // raw bits (many distinct values, e.g. real-weighted graphs).
-    let mut dict: Vec<f64> = rows.dists.to_vec();
-    dict.sort_unstable_by(|a, b| a.total_cmp(b));
-    dict.dedup_by_key(|x| x.to_bits());
+    let mut dict = distance_dictionary(rows.dists);
     let dist_tag = if dict.len() <= 1 << 16 {
         DistTag::Dict16
     } else if dict.len() <= entries / 2 {
@@ -696,14 +695,19 @@ pub(super) fn encode(k: u32, rows: RowsSource<'_>) -> Vec<u8> {
         sec_w.clear();
         sec_n.clear();
 
+        // The dictionary code of the current distance run, looked up at
+        // each run head (equal bits share one code).
+        let mut code = 0u32;
         for i in span.clone() {
+            let bits = rows.dists[i].to_bits();
+            if tags.dist != DistTag::Raw && (i == span.start || bits != rows.dists[i - 1].to_bits())
+            {
+                code = code_of[&bits];
+            }
             match tags.dist {
-                DistTag::Dict16 => sec_d
-                    .extend_from_slice(&(code_of[&rows.dists[i].to_bits()] as u16).to_le_bytes()),
-                DistTag::Dict32 => {
-                    sec_d.extend_from_slice(&code_of[&rows.dists[i].to_bits()].to_le_bytes())
-                }
-                DistTag::Raw => sec_d.extend_from_slice(&rows.dists[i].to_bits().to_le_bytes()),
+                DistTag::Dict16 => sec_d.extend_from_slice(&(code as u16).to_le_bytes()),
+                DistTag::Dict32 => sec_d.extend_from_slice(&code.to_le_bytes()),
+                DistTag::Raw => sec_d.extend_from_slice(&bits.to_le_bytes()),
             }
             match tags.rank {
                 RankTag::Fixed7 => {
@@ -807,6 +811,21 @@ pub(super) fn encode(k: u32, rows: RowsSource<'_>) -> Vec<u8> {
     buf
 }
 
+/// The sorted distinct bit patterns of `dists`. Only the head of each
+/// run of equal bits is collected: every value heads some run, so the
+/// heads cover them all, in whatever order the runs come, and a store
+/// with a handful of distances per row sorts a few values per row
+/// instead of every entry.
+fn distance_dictionary(dists: &[f64]) -> Vec<f64> {
+    let mut dict: Vec<f64> = dists
+        .chunk_by(|a, b| a.to_bits() == b.to_bits())
+        .map(|run| run[0])
+        .collect();
+    dict.sort_unstable_by(|a, b| a.total_cmp(b));
+    dict.dedup_by_key(|x| x.to_bits());
+    dict
+}
+
 #[inline]
 fn bits_eq(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
@@ -827,32 +846,27 @@ fn rank_to_m(rank: f64) -> Option<u64> {
 
 /// Per-entry τ back-references (`0` ⇒ weight exactly 1.0; `c` ⇒ weight
 /// is `1.0 / rank[i − c]`), or `None` if any entry is not reproducible
-/// bit-for-bit. Tracks the k smallest ranks seen so far in each row —
-/// the Lemma 5.1 threshold — so the expected reference is O(log k) away,
-/// with a linear scan fallback for exact-tie corner cases.
+/// bit-for-bit. The expected reference is the Lemma 5.1 threshold of the
+/// row's [`TauScan`], with a linear scan fallback for exact-tie corner
+/// cases and non-HIP weights.
 fn compute_weight_refs(k: u32, rows: RowsSource<'_>) -> Option<Vec<u32>> {
     let n = rows.offsets.len() - 1;
-    let k = (k as usize).max(1);
     let mut refs = vec![0u32; rows.weights.len()];
-    let mut smallest: Vec<(f64, u32)> = Vec::new(); // (rank, index in row), ascending
+    let mut scan = TauScan::new((k as usize).max(1));
     for v in 0..n {
         let lo = rows.offsets[v] as usize;
         let hi = rows.offsets[v + 1] as usize;
-        smallest.clear();
+        scan.reset();
         for (slot, i) in refs[lo..hi].iter_mut().zip(lo..hi) {
             let w = rows.weights[i];
             let row_i = (i - lo) as u32;
             let code = if w.to_bits() == 1.0f64.to_bits() {
                 0
             } else {
-                // Expected τ source: the current k-th smallest rank.
-                // (`smallest` is truncated to k entries, so `last()` is
-                // exactly the threshold when k of them exist.)
-                let candidate = smallest
-                    .last()
-                    .filter(|_| smallest.len() == k)
-                    .filter(|&&(r, _)| (1.0 / r).to_bits() == w.to_bits())
-                    .map(|&(_, j)| row_i - j);
+                let candidate = scan
+                    .threshold()
+                    .filter(|&(r, _)| (1.0 / r).to_bits() == w.to_bits())
+                    .map(|(_, j)| row_i - j);
                 candidate.or_else(|| {
                     // Exact rank ties (or non-HIP weights): any earlier
                     // entry whose rank reproduces the bits will do.
@@ -863,12 +877,7 @@ fn compute_weight_refs(k: u32, rows: RowsSource<'_>) -> Option<Vec<u32>> {
                 })?
             };
             *slot = code;
-            let rank = rows.ranks[i];
-            if smallest.len() < k || smallest.last().is_some_and(|&(r, _)| rank < r) {
-                let pos = smallest.partition_point(|&(r, _)| r.total_cmp(&rank).is_lt());
-                smallest.insert(pos, (rank, row_i));
-                smallest.truncate(k);
-            }
+            scan.offer(rows.ranks[i], row_i);
         }
     }
     Some(refs)
@@ -909,4 +918,55 @@ fn check_block_offsets(block_offsets: &[u64], blob_len: u64) -> Result<(), Froze
         ));
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use adsketch_util::rng::{Rng64, SplitMix64};
+
+    /// Rows whose distances go up and down (as in a store that skipped
+    /// the canonical-order check), with repeats inside and across rows:
+    /// the run heads give the same dictionary as sorting every distance,
+    /// and so does the dictionary the encoder writes.
+    #[test]
+    fn run_head_dictionary_matches_sort_all_dedup() {
+        let pool = [3.0, 0.0, -0.0, 1.0, 2.5, f64::INFINITY, 0.125, 1e300];
+        let mut rng = SplitMix64::new(41);
+        let mut offsets = vec![0u32];
+        let mut dists: Vec<f64> = Vec::new();
+        for _ in 0..40 {
+            for _ in 0..rng.range_usize(12) {
+                let d = match rng.range_usize(4) {
+                    0 => rng.unit_f64(),
+                    _ => pool[rng.range_usize(pool.len())],
+                };
+                dists.extend(std::iter::repeat_n(d, 1 + rng.range_usize(3)));
+            }
+            offsets.push(dists.len() as u32);
+        }
+        assert!(
+            dists.windows(2).any(|w| w[0] > w[1]),
+            "rows must be non-monotone"
+        );
+        let mut expected = dists.clone();
+        expected.sort_unstable_by(|a, b| a.total_cmp(b));
+        expected.dedup_by_key(|x| x.to_bits());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&distance_dictionary(&dists)), bits(&expected));
+
+        let zeros = vec![0u32; dists.len()];
+        let fzeros = vec![0.0f64; dists.len()];
+        let rows = RowsSource {
+            offsets: &offsets,
+            nodes: &zeros,
+            dists: &dists,
+            ranks: &fzeros,
+            weights: &fzeros,
+        };
+        let image = encode(4, rows);
+        let body = Body::parse(&image, offsets.len() - 1, dists.len()).expect("parses");
+        assert_eq!(body.tags.dist, DistTag::Dict16);
+        assert_eq!(bits(&body.dict), bits(&expected));
+    }
 }

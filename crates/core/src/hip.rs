@@ -12,8 +12,83 @@
 //! The flavor-specific HIP probability computations live with their sketch
 //! types ([`crate::bottomk`], [`crate::kmins`], [`crate::kpartition`],
 //! [`crate::tieless`], [`crate::weighted`]); they all produce this type.
+//! The frozen store's freeze and its v2 encoder share one heap-free
+//! bottom-k threshold scan, `TauScan`.
 
 use adsketch_graph::NodeId;
+
+/// The Lemma 5.1 threshold scan over one ADS row: the ≤ k smallest ranks
+/// offered so far, with their row positions, in ascending rank order.
+///
+/// Every bottom-k ADS entry enters its prefix's bottom-k, so τ of entry
+/// `i` is the largest held rank before `i` is offered, and a sorted array
+/// of at most k slots (one insertion step per offer) replaces a heap. An
+/// equal rank is placed before the ranks already held, and at capacity
+/// only a strictly smaller rank enters, so among tied ranks the threshold
+/// slot is the oldest one: the position the v2 encoder's τ
+/// back-references name.
+#[derive(Debug)]
+pub(crate) struct TauScan {
+    k: usize,
+    /// `(rank, position in row)`, ascending by rank; at most `k` slots.
+    slots: Vec<(f64, u32)>,
+}
+
+impl TauScan {
+    /// An empty scan keeping the `k` smallest ranks.
+    pub(crate) fn new(k: usize) -> Self {
+        assert!(k > 0, "k must be positive");
+        Self {
+            k,
+            slots: Vec::with_capacity(k),
+        }
+    }
+
+    /// Forgets every slot: the next offer starts a new row.
+    #[inline]
+    pub(crate) fn reset(&mut self) {
+        self.slots.clear();
+    }
+
+    /// The current threshold `(τ, position)`: the k-th smallest rank
+    /// offered so far and the row position it came from, or `None` while
+    /// fewer than k ranks are held (τ is then 1, the supremum of the rank
+    /// domain).
+    #[inline]
+    pub(crate) fn threshold(&self) -> Option<(f64, u32)> {
+        if self.slots.len() == self.k {
+            self.slots.last().copied()
+        } else {
+            None
+        }
+    }
+
+    /// Offers the rank of the entry at row position `at`; returns whether
+    /// it was kept. Once k slots are full a rank enters only if it is
+    /// strictly below the threshold, and the threshold slot is dropped.
+    #[inline]
+    pub(crate) fn offer(&mut self, rank: f64, at: u32) -> bool {
+        let mut i = self.slots.len();
+        if i == self.k {
+            if rank.partial_cmp(&self.slots[i - 1].0) != Some(std::cmp::Ordering::Less) {
+                return false;
+            }
+            // The threshold slot is dropped: shifted over or overwritten.
+            i -= 1;
+        } else {
+            // Grows by one slot; the step below fills it.
+            self.slots.push((rank, at));
+        }
+        // Insertion step: every held rank ≥ `rank` moves one slot up.
+        let slots = &mut self.slots[..];
+        while i > 0 && !slots[i - 1].0.total_cmp(&rank).is_lt() {
+            slots[i] = slots[i - 1];
+            i -= 1;
+        }
+        slots[i] = (rank, at);
+        true
+    }
+}
 
 /// One HIP item: a sampled node, its distance, and its adjusted weight.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -259,5 +334,120 @@ mod tests {
         assert_eq!(h.cardinality_at(5.0), 0.0);
         assert_eq!(h.qg(|_, _| 1.0), 0.0);
         assert!(h.neighborhood_function().is_empty());
+    }
+
+    /// [`TauScan`]'s tie rule stated over an unsorted bag: τ is the
+    /// largest held rank, the oldest of tied ones, and at capacity only a
+    /// strictly smaller rank enters, evicting it.
+    struct BagModel {
+        k: usize,
+        held: Vec<(f64, u32)>,
+    }
+
+    impl BagModel {
+        fn threshold(&self) -> Option<(f64, u32)> {
+            if self.held.len() < self.k {
+                return None;
+            }
+            self.held
+                .iter()
+                .copied()
+                .max_by(|a, b| a.0.total_cmp(&b.0).then(b.1.cmp(&a.1)))
+        }
+
+        fn offer(&mut self, rank: f64, at: u32) -> bool {
+            match self.threshold() {
+                None => {}
+                Some(t) if rank < t.0 => self.held.retain(|&h| h != t),
+                Some(_) => return false,
+            }
+            self.held.push((rank, at));
+            true
+        }
+    }
+
+    /// The kernel against the `KSmallest` heap oracle on SplitMix64 rows:
+    /// every k of interest, rows shorter than k, coarse ranks with exact
+    /// ties, few distance levels (equal distances), and raw rank streams
+    /// whose offers need not enter (what the v2 encoder feeds it).
+    #[test]
+    fn tau_scan_matches_heap_oracle() {
+        use adsketch_util::rng::{Rng64, SplitMix64};
+        use adsketch_util::topk::KSmallest;
+
+        let mut rng = SplitMix64::new(0x7a05_ca11);
+        for k in [1usize, 2, 3, 16, 64] {
+            let mut scan = TauScan::new(k);
+            for row in 0..150 {
+                let len = rng.range_usize(4 * k + 8);
+                let levels = 1 + rng.range_usize(4);
+                let mut order: Vec<(NodeId, f64)> = (0..len as NodeId)
+                    .map(|v| (v, rng.range_usize(levels) as f64))
+                    .collect();
+                order.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+                let ranks: Vec<f64> = (0..len)
+                    .map(|_| match row % 3 {
+                        0 => (1 + rng.range_usize(6)) as f64 / 8.0,
+                        _ => rng.open_unit_f64(),
+                    })
+                    .collect();
+
+                // Freeze path: an ADS row, whose every entry enters.
+                let ads = crate::reference::bottomk_from_order(k, &order, &ranks);
+                let mut oracle = Vec::new();
+                ads.hip_scan(|it| oracle.push(it.weight));
+                scan.reset();
+                for (at, (e, w)) in ads.entries().iter().zip(&oracle).enumerate() {
+                    let t = scan.threshold();
+                    let tau = t.map_or(1.0, |(r, _)| r);
+                    assert_eq!(
+                        (1.0 / tau).to_bits(),
+                        w.to_bits(),
+                        "k = {k}, row {row}, entry {at}: weight vs heap oracle"
+                    );
+                    if let Some((_, pos)) = t {
+                        let r = ads.entries()[pos as usize].rank;
+                        assert_eq!(
+                            (1.0 / r).to_bits(),
+                            w.to_bits(),
+                            "k = {k}, row {row}, entry {at}: 1/rank[threshold position]"
+                        );
+                    }
+                    let entered = scan.offer(e.rank, at as u32);
+                    assert!(
+                        entered || e.rank == tau,
+                        "k = {k}, row {row}: ADS entry left out"
+                    );
+                }
+
+                // v2 path: the raw stream, offers that do not enter included.
+                let mut heap = KSmallest::new(k);
+                let mut bag = BagModel {
+                    k,
+                    held: Vec::new(),
+                };
+                scan.reset();
+                for (at, &r) in ranks.iter().enumerate() {
+                    let at = at as u32;
+                    let t = scan.threshold();
+                    assert_eq!(
+                        t.map(|(r, _)| r.to_bits()),
+                        heap.threshold().map(|h| h.rank.to_bits()),
+                        "k = {k}, row {row}, offer {at}: τ vs heap oracle"
+                    );
+                    assert_eq!(
+                        t,
+                        bag.threshold(),
+                        "k = {k}, row {row}, offer {at}: threshold position vs tie rule"
+                    );
+                    assert_eq!(
+                        scan.offer(r, at),
+                        bag.offer(r, at),
+                        "k = {k}, row {row}, offer {at}: entered"
+                    );
+                    heap.offer(r, at as u64);
+                }
+            }
+        }
     }
 }

@@ -127,10 +127,12 @@ impl KSmallest {
         let item = RankedItem { rank, id };
         if self.heap.len() < self.k {
             self.heap.push(item);
-            true
-        } else if item < *self.heap.peek().expect("non-empty at capacity") {
-            self.heap.pop();
-            self.heap.push(item);
+            return true;
+        }
+        // Replacing the root in place costs one sift-down.
+        let mut top = self.heap.peek_mut().expect("non-empty at capacity");
+        if item < *top {
+            *top = item;
             true
         } else {
             false

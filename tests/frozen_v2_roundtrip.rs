@@ -16,8 +16,8 @@ use proptest::prelude::*;
 
 use adsketch::core::frozen::Xxh64;
 use adsketch::core::{
-    basic, centrality, similarity, size_est, AdsSet, AdsView, FrozenAdsSet, FrozenError,
-    LoadOptions, QueryEngine, StoreFormat,
+    basic, centrality, similarity, size_est, AdsEntry, AdsSet, AdsView, BottomKAds, FrozenAdsSet,
+    FrozenError, LoadOptions, QueryEngine, StoreFormat,
 };
 use adsketch::graph::{generators, Graph, NodeId};
 
@@ -211,6 +211,57 @@ fn v2_save_load_file_roundtrip_all_load_options() {
         assert_estimators_bitwise_equal(&ads, &loaded);
     }
     std::fs::remove_file(&path).ok();
+}
+
+// ---------------------------------------------------------------------
+// Distance-column tags
+// ---------------------------------------------------------------------
+
+/// Freezes 8200 synthetic rows of 16 entries (131 200 entries), row `v`
+/// at distances `base(v) + j`, encodes them as v2 and asserts the
+/// distance tag (header byte 41) and a bitwise round trip. Ranks fall
+/// along each row, so every entry is an ADS entry and the weights are
+/// a real freeze's τ chain.
+fn assert_dist_tag_roundtrips(base: fn(usize) -> f64, tag: u8) {
+    const ROWS: usize = 8200;
+    const LEN: usize = 16;
+    let k = 4;
+    let sketches = (0..ROWS)
+        .map(|v| {
+            let entries = (0..LEN)
+                .map(|j| {
+                    let node = ((v + j) % ROWS) as NodeId;
+                    AdsEntry::new(node, base(v) + j as f64, (LEN - j) as f64 / 32.0)
+                })
+                .collect();
+            BottomKAds::from_entries(k, entries)
+        })
+        .collect();
+    let frozen = AdsSet::from_sketches(k, sketches).freeze();
+    let v2 = frozen.to_bytes_format(StoreFormat::V2);
+    assert_eq!(v2[41], tag, "dist-column tag");
+    let restored = FrozenAdsSet::from_bytes(&v2).expect("v2 decodes");
+    assert_eq!(restored, frozen, "v2 round trip must be bitwise identity");
+    assert_eq!(restored.to_bytes_format(StoreFormat::V2), v2);
+}
+
+#[test]
+fn few_distances_select_the_dict16_tag() {
+    // Every row shares the distances 0..16.
+    assert_dist_tag_roundtrips(|_| 0.0, 0);
+}
+
+#[test]
+fn more_than_2_16_repeated_distances_select_the_dict32_tag() {
+    // Row pairs share their distances: 65 600 distinct values, each
+    // twice, so more than 2¹⁶ codes and at most one per two entries.
+    assert_dist_tag_roundtrips(|v| (v / 2 * 16) as f64, 1);
+}
+
+#[test]
+fn all_distinct_distances_select_the_raw_tag() {
+    // 131 200 distinct values: a dictionary would outgrow raw bits.
+    assert_dist_tag_roundtrips(|v| (v * 16) as f64, 2);
 }
 
 // ---------------------------------------------------------------------
