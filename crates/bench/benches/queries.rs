@@ -1,7 +1,7 @@
 //! Criterion: query-time cost of HIP vs basic estimators on a built ADS
 //! set (queries are sketch-local: O(k log n) work, no graph access), and
-//! batch throughput of the frozen columnar store vs the heap
-//! representation.
+//! batch throughput of the columnar store, per node and through the batch
+//! engine.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -24,7 +24,7 @@ fn bench_queries(c: &mut Criterion) {
         b.iter(|| black_box(hip.cardinality_at(black_box(3.0))))
     });
     group.bench_function("basic_cardinality_at", |b| {
-        b.iter(|| black_box(basic::cardinality_at(sketch, black_box(3.0))))
+        b.iter(|| black_box(basic::cardinality_at(&sketch, black_box(3.0))))
     });
     group.bench_function("harmonic_centrality", |b| {
         b.iter(|| black_box(centrality::harmonic(&hip)))
@@ -35,16 +35,16 @@ fn bench_queries(c: &mut Criterion) {
         })
     });
     group.bench_function("size_estimator", |b| {
-        b.iter(|| black_box(adsketch_core::size_est::cardinality_at(sketch, 3.0)))
+        b.iter(|| black_box(adsketch_core::size_est::cardinality_at(&sketch, 3.0)))
     });
     group.finish();
 
-    // Batch throughput: the whole-graph closeness sweep, heap per-node
-    // vs the frozen store through the batch engine (`adsbench`'s
+    // Batch throughput: the whole-graph closeness sweep, one `HipWeights`
+    // per node vs the batch engine (`adsbench`'s
     // `core.engine.harmonic_all_s` sweep at criterion scale).
-    let frozen = ads.freeze();
+    let frozen = &ads;
     let mut batch = c.benchmark_group("batch_queries");
-    batch.bench_function("heap_per_node_hip_harmonic_all", |b| {
+    batch.bench_function("per_node_hip_harmonic_all", |b| {
         b.iter(|| {
             let out: Vec<f64> = (0..n as NodeId)
                 .map(|v| centrality::harmonic(&ads.hip(v)))
@@ -52,18 +52,15 @@ fn bench_queries(c: &mut Criterion) {
             black_box(out)
         })
     });
-    batch.bench_function("heap_engine_harmonic_all", |b| {
-        b.iter(|| black_box(QueryEngine::with_threads(&ads, 1).harmonic_all()))
-    });
     batch.bench_function("frozen_engine_harmonic_all", |b| {
-        b.iter(|| black_box(QueryEngine::with_threads(&frozen, 1).harmonic_all()))
+        b.iter(|| black_box(QueryEngine::with_threads(frozen, 1).harmonic_all()))
     });
     batch.bench_function("frozen_engine_harmonic_all_allcores", |b| {
-        b.iter(|| black_box(QueryEngine::new(&frozen).harmonic_all()))
+        b.iter(|| black_box(QueryEngine::new(frozen).harmonic_all()))
     });
     let queries: Vec<(NodeId, f64)> = (0..n as NodeId).map(|v| (v, 3.0)).collect();
     batch.bench_function("frozen_engine_cardinality_batch", |b| {
-        b.iter(|| black_box(QueryEngine::with_threads(&frozen, 1).cardinality_batch(&queries)))
+        b.iter(|| black_box(QueryEngine::with_threads(frozen, 1).cardinality_batch(&queries)))
     });
     batch.finish();
 }

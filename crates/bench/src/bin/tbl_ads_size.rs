@@ -1,9 +1,8 @@
 //! ADS-SIZE experiment (Lemma 2.2): measured expected sketch sizes vs the
 //! closed forms `k + k(H_n − H_k)` (bottom-k), `k·H_{n/k}` (k-partition),
 //! and `k·H_n` (k-mins) — plus the storage cost of those entries in the
-//! heap build representation vs the frozen columnar store (resident and
-//! bytes on disk), extending the paper's ADS-size table with a
-//! persistence column.
+//! columnar store (resident and bytes on disk), extending the paper's
+//! ADS-size table with a persistence column.
 //!
 //! The second table reports the frozen store's two on-disk formats side
 //! by side — full-width v1 vs compressed v2 bytes/entry (`--full` adds
@@ -65,8 +64,8 @@ fn main() {
     println!("note: k·H_(n/k) for k-partition assumes exactly n/k per bucket; the\nmultinomial bucket sizes push the measured value slightly above it.");
 
     // Storage cost of a full bottom-k ADS set (one PrunedDijkstra build
-    // per cell on a Barabási–Albert graph): heap build representation vs
-    // the frozen store in both on-disk formats — full-width v1 and the
+    // per cell on a Barabási–Albert graph): the store in memory and in
+    // both on-disk formats — full-width v1 and the
     // compressed v2 (delta+varint columns). The n = 100 000, k = 16 cell
     // is the repo's standing benchmark configuration (`--full` only; it
     // builds a 100k-node ADS set per run).
@@ -75,7 +74,7 @@ fn main() {
         "n",
         "k",
         "entries/node",
-        "heap B/node",
+        "resident B/node",
         "v1 B/entry",
         "v2 B/entry",
         "v1/v2",
@@ -93,16 +92,14 @@ fn main() {
         let g = generators::barabasi_albert(n, 4, 7);
         for &k in ks {
             let ads = AdsSet::build_parallel(&g, k, 42, 0);
-            let frozen = ads.freeze();
-            let heap = ads.approx_heap_bytes() as f64;
-            let entries = frozen.num_entries() as f64;
-            let v1 = frozen.serialized_len() as f64;
-            let v2 = frozen.to_bytes_format(StoreFormat::V2).len() as f64;
+            let entries = ads.num_entries() as f64;
+            let v1 = ads.serialized_len() as f64;
+            let v2 = ads.to_bytes_format(StoreFormat::V2).len() as f64;
             st.row(vec![
                 n.to_string(),
                 k.to_string(),
                 f(ads.mean_entries()),
-                f(heap / n as f64),
+                f(ads.resident_bytes() as f64 / n as f64),
                 f(v1 / entries),
                 f(v2 / entries),
                 format!("{:.2}x", v1 / v2),
@@ -110,11 +107,11 @@ fn main() {
         }
     }
     println!(
-        "\n=== Store size: heap build form vs frozen store v1/v2 (BA m=4, one build per cell) ===\n{}",
+        "\n=== Store size: in memory and v1/v2 on disk (BA m=4, one build per cell) ===\n{}",
         st.render()
     );
     println!(
-        "heap counts sketch vectors by capacity (per node); v1 is the exact full-width\n\
+        "resident counts the owned columns by capacity (per node); v1 is the exact full-width\n\
          serialized length (header + CSR offsets + node/dist/rank/weight columns,\n\
          28 B/entry amortized); v2 is the compressed format (per-row delta+varint\n\
          node ids, dictionary-coded distances, 7-byte rank mantissas, 1/τ weight\n\

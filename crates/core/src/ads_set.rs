@@ -1,26 +1,27 @@
-//! A per-graph collection of bottom-k all-distances sketches.
+//! The per-graph collection of bottom-k all-distances sketches, and the
+//! seeded entry points that build it.
+//!
+//! There is one collection: the columnar [`FrozenAdsSet`]. Every builder
+//! in [`crate::builder`] (and the brute force in [`crate::reference`])
+//! returns it, with the HIP adjusted weights computed as it takes over
+//! the builder's columns, so a build is ready to query, save or shard.
+//! [`AdsSet`] names the same type for code that reads better as "the ADS
+//! set of a graph".
 
 use adsketch_graph::{Graph, NodeId};
 
 use crate::bottomk::BottomKAds;
-use crate::entry::AdsEntry;
 use crate::frozen::FrozenAdsSet;
-use crate::hip::{HipItem, HipWeights};
+use crate::hip::HipWeights;
 use crate::uniform_ranks;
 use crate::view::AdsView;
 
-/// Forward bottom-k ADSs for every node of a graph.
-///
-/// Obtained from one of the builders in [`crate::builder`] (or the brute
-/// force in [`crate::reference`]). `sketches[v]` samples the nodes
-/// *reachable from* `v` with their forward distances.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdsSet {
-    k: usize,
-    sketches: Vec<BottomKAds>,
-}
+/// Forward bottom-k ADSs for every node of a graph: the columnar store.
+/// Row `v` samples the nodes *reachable from* `v` with their forward
+/// distances.
+pub type AdsSet = FrozenAdsSet;
 
-impl AdsSet {
+impl FrozenAdsSet {
     /// Builds the ADS set with PrunedDijkstra (the general-purpose
     /// algorithm: weighted or unweighted graphs) using deterministic
     /// uniform ranks derived from `seed`.
@@ -51,143 +52,66 @@ impl AdsSet {
             .expect("uniform ranks are always valid; k must be at least 1")
     }
 
-    /// Wraps pre-built sketches (one per node).
+    /// The store of pre-built sketches (one per node, each in canonical
+    /// order) — how the brute-force oracle's sketches become a set.
     pub fn from_sketches(k: usize, sketches: Vec<BottomKAds>) -> Self {
         assert!(sketches.iter().all(|s| s.k() == k), "mixed k in ADS set");
-        Self { k, sketches }
+        let total = sketches.iter().map(BottomKAds::len).sum();
+        let mut offsets = Vec::with_capacity(sketches.len() + 1);
+        let (mut nodes, mut dists, mut ranks) = (
+            Vec::with_capacity(total),
+            Vec::with_capacity(total),
+            Vec::with_capacity(total),
+        );
+        offsets.push(0);
+        for s in &sketches {
+            for e in s.entries() {
+                nodes.push(e.node);
+                dists.push(e.dist);
+                ranks.push(e.rank);
+            }
+            offsets.push(u32::try_from(nodes.len()).expect("at most 2^32 − 1 entries"));
+        }
+        Self::from_columns(k, offsets, nodes, dists, ranks)
     }
 
-    /// The sketch parameter k.
-    #[inline]
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Number of nodes covered.
-    #[inline]
-    pub fn num_nodes(&self) -> usize {
-        self.sketches.len()
-    }
-
-    /// The ADS of node `v`.
-    #[inline]
-    pub fn sketch(&self, v: NodeId) -> &BottomKAds {
-        &self.sketches[v as usize]
-    }
-
-    /// All sketches, indexed by node.
-    #[inline]
-    pub fn sketches(&self) -> &[BottomKAds] {
-        &self.sketches
-    }
-
-    /// HIP adjusted weights for node `v` (see [`crate::hip`]).
-    ///
-    /// **Recomputes** the Lemma 5.1 threshold scan and allocates a fresh
-    /// [`HipWeights`] on every call — fine for ad-hoc queries, wasteful in
-    /// a serving loop. For repeated or batched querying, [`AdsSet::freeze`]
-    /// the set once: the frozen store carries every entry's adjusted
-    /// weight precomputed, and [`crate::engine::QueryEngine`] batches over
-    /// it without any per-query allocation.
-    pub fn hip(&self, v: NodeId) -> HipWeights {
-        self.sketches[v as usize].hip_weights()
-    }
-
-    /// Freezes this set into the immutable columnar query form
-    /// ([`FrozenAdsSet`]): CSR-flattened entries plus precomputed HIP
-    /// adjusted weights, ready for single-buffer checksummed
-    /// serialization ([`FrozenAdsSet::to_bytes`]) and batch serving
-    /// ([`crate::engine::QueryEngine`]). All estimator answers from the
-    /// frozen store are bitwise identical to this set's.
+    /// A copy of this set. Kept for callers written against the build →
+    /// freeze → save pipeline: a build already is the store.
     pub fn freeze(&self) -> FrozenAdsSet {
-        FrozenAdsSet::from_ads_set(self)
+        self.clone()
     }
 
-    /// Approximate resident heap size of this set in bytes (sketch
-    /// headers and entry vectors, by capacity). Compare with
-    /// [`FrozenAdsSet::resident_bytes`] and
-    /// [`FrozenAdsSet::serialized_len`] for the columnar/on-disk costs.
-    pub fn approx_heap_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.sketches.capacity() * std::mem::size_of::<BottomKAds>()
-            + self
-                .sketches
-                .iter()
-                .map(|s| s.heap_bytes_excluding_self())
-                .sum::<usize>()
+    /// Row `v` as a standalone [`BottomKAds`] — the input of the
+    /// sketch-level estimators and of the heap reference
+    /// ([`BottomKAds::hip_weights`]) the stored weights are tested
+    /// against. Copies the row.
+    pub fn sketch(&self, v: NodeId) -> BottomKAds {
+        let mut entries = Vec::with_capacity(self.entry_count(v));
+        self.for_each_entry(v, |e| entries.push(e));
+        BottomKAds::from_entries(self.k(), entries)
     }
 
-    /// Total number of stored entries across all nodes.
+    /// HIP adjusted weights for node `v` (see [`crate::hip`]), read from
+    /// the stored weight column. Allocates; batch paths should prefer
+    /// [`crate::engine::QueryEngine`].
+    pub fn hip(&self, v: NodeId) -> HipWeights {
+        self.hip_weights_of(v)
+    }
+
+    /// Total number of stored entries across all nodes (the same count as
+    /// [`FrozenAdsSet::num_entries`]).
     pub fn total_entries(&self) -> usize {
-        self.sketches.iter().map(|s| s.len()).sum()
+        self.num_entries()
     }
 
     /// Mean entries per node — Lemma 2.2 predicts
     /// `k(1 + ln n − ln k)` on a strongly-connected graph.
     pub fn mean_entries(&self) -> f64 {
-        if self.sketches.is_empty() {
+        if self.num_nodes() == 0 {
             0.0
         } else {
-            self.total_entries() as f64 / self.sketches.len() as f64
+            self.num_entries() as f64 / self.num_nodes() as f64
         }
-    }
-
-    /// Estimated distance distribution of the whole graph: sums every
-    /// node's HIP neighborhood function, excluding each node itself —
-    /// the ANF/HyperANF quantity, estimated sketch-side. Returns
-    /// `(distance, estimated #ordered pairs within distance)` pairs.
-    ///
-    /// Routed through the [`AdsView`] streaming path, so no per-node
-    /// `HipWeights` is allocated.
-    pub fn distance_distribution_estimate(&self) -> Vec<(f64, f64)> {
-        crate::view::distance_distribution_estimate(self)
-    }
-
-    /// Validates every sketch's structural invariants.
-    pub fn validate(&self) -> Result<(), String> {
-        for (v, s) in self.sketches.iter().enumerate() {
-            s.validate().map_err(|e| format!("node {v}: {e}"))?;
-        }
-        Ok(())
-    }
-}
-
-impl AdsView for AdsSet {
-    #[inline]
-    fn k(&self) -> usize {
-        self.k
-    }
-
-    #[inline]
-    fn num_nodes(&self) -> usize {
-        self.sketches.len()
-    }
-
-    #[inline]
-    fn entry_count(&self, v: NodeId) -> usize {
-        self.sketches[v as usize].len()
-    }
-
-    fn for_each_entry(&self, v: NodeId, mut f: impl FnMut(AdsEntry)) {
-        for e in self.sketches[v as usize].entries() {
-            f(*e);
-        }
-    }
-
-    fn for_each_hip(&self, v: NodeId, f: impl FnMut(HipItem)) {
-        self.sketches[v as usize].hip_scan(f);
-    }
-
-    fn size_at(&self, v: NodeId, d: f64) -> usize {
-        self.sketches[v as usize].size_at(d)
-    }
-
-    fn minhash_at(&self, v: NodeId, d: f64) -> adsketch_minhash::BottomKSketch {
-        self.sketches[v as usize].minhash_at(d)
-    }
-
-    fn hip_weights_of(&self, v: NodeId) -> HipWeights {
-        self.sketches[v as usize].hip_weights()
     }
 }
 
@@ -202,8 +126,10 @@ mod tests {
         let ads = AdsSet::build(&g, 4, 9);
         assert_eq!(ads.k(), 4);
         assert_eq!(ads.num_nodes(), 120);
-        assert!(ads.validate().is_ok());
-        assert!(ads.total_entries() >= 120, "every node samples itself");
+        for v in 0..120 {
+            assert_eq!(ads.sketch(v).validate(), Ok(()), "node {v}");
+        }
+        assert!(ads.num_entries() >= 120, "every node samples itself");
         let hip = ads.hip(0);
         assert!(hip.reachable_estimate() >= 1.0);
     }
@@ -253,5 +179,24 @@ mod tests {
         let a = BottomKAds::empty(2);
         let b = BottomKAds::empty(3);
         let _ = AdsSet::from_sketches(2, vec![a, b]);
+    }
+
+    /// The oracle's sketches go in and come back out row for row, and the
+    /// weight column equals the heap reference bit for bit.
+    #[test]
+    fn from_sketches_roundtrips_rows_and_matches_the_heap_weights() {
+        let g = generators::gnp_directed(80, 0.06, 4);
+        let ranks = uniform_ranks(80, 21);
+        let sketches: Vec<BottomKAds> = (0..80)
+            .map(|v| {
+                let order = adsketch_graph::dijkstra::dijkstra_order_canonical(&g, v);
+                crate::reference::bottomk_from_order(3, &order, &ranks)
+            })
+            .collect();
+        let set = AdsSet::from_sketches(3, sketches.clone());
+        for (v, s) in sketches.iter().enumerate() {
+            assert_eq!(&set.sketch(v as NodeId), s, "node {v}");
+            assert_eq!(set.hip(v as NodeId), s.hip_weights(), "node {v}");
+        }
     }
 }

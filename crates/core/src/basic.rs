@@ -2,8 +2,8 @@
 //! the naive `Q_g` estimator HIP is compared against.
 //!
 //! Each estimator comes in two forms: per-sketch (on a borrowed
-//! [`BottomKAds`]) and `_in` (generic over any [`AdsView`] back end —
-//! heap-backed or frozen — addressed by node id). The two are bitwise
+//! [`BottomKAds`], the reference form) and `_in` (generic over any
+//! [`AdsView`] — a store, addressed by node id). The two are bitwise
 //! identical.
 
 use adsketch_graph::NodeId;

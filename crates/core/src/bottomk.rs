@@ -94,9 +94,9 @@ impl BottomKAds {
     /// Ranks must lie in `[0, 1]` (uniform); weighted sketches use
     /// [`crate::weighted::weighted_hip`] instead.
     ///
-    /// The threshold scan is `O(len · log k)` and runs on **every call**;
-    /// freeze the owning set ([`crate::AdsSet::freeze`]) to precompute the
-    /// weights once for query serving.
+    /// The threshold scan is `O(len · log k)` through a heap and runs on
+    /// **every call**: this is the reference the store's precomputed
+    /// weight column ([`crate::AdsSet::hip`]) is tested against.
     pub fn hip_weights(&self) -> HipWeights {
         let mut items = Vec::with_capacity(self.entries.len());
         self.hip_scan(|it| items.push(it));
@@ -107,10 +107,10 @@ impl BottomKAds {
     /// materializing a [`HipWeights`] — the allocation-free core of
     /// [`BottomKAds::hip_weights`].
     ///
-    /// The threshold is tracked in a `KSmallest` heap. Freezing does not
-    /// call this: [`crate::AdsSet::freeze`] computes the same weights in
-    /// its own heap-free pass, and this scan is the reference that pass
-    /// is tested against bit for bit.
+    /// The threshold is tracked in a `KSmallest` heap. No build calls
+    /// this: the store computes the same weights in its own heap-free
+    /// pass as it takes over a builder's columns, and this scan is the
+    /// reference that pass is tested against bit for bit.
     pub fn hip_scan(&self, mut f: impl FnMut(HipItem)) {
         let mut ks = KSmallest::new(self.k);
         for e in &self.entries {
@@ -128,13 +128,6 @@ impl BottomKAds {
                 weight: 1.0 / tau,
             });
         }
-    }
-
-    /// Heap bytes owned by this sketch's entry vector (by capacity),
-    /// excluding `size_of::<Self>` — the caller accounts for the header
-    /// (it may be inline in a parent `Vec`, as in [`crate::AdsSet`]).
-    pub fn heap_bytes_excluding_self(&self) -> usize {
-        self.entries.capacity() * std::mem::size_of::<AdsEntry>()
     }
 
     /// Checks the structural invariants: canonical strict ordering, finite

@@ -16,8 +16,9 @@
 //!
 //! So the arena keeps one flat `n × min(k, n)` prefix buffer (sorted per
 //! node, O(1) reject, ≤ k-entry memmove per insert, zero reallocation)
-//! plus a global append-only overflow log of displaced entries, grouped
-//! and merged only when construction finishes. The layout also makes the
+//! plus a global append-only overflow log of displaced entries, written
+//! straight into the store's columns when construction finishes
+//! ([`PartialAdsArena::finish`]). The layout also makes the
 //! read-only admission probe ([`PartialAdsArena::would_insert`]) O(1),
 //! which is what the wave scheduler hammers from worker threads.
 //!
@@ -43,9 +44,8 @@
 
 use adsketch_graph::NodeId;
 
-use crate::ads_set::AdsSet;
-use crate::bottomk::BottomKAds;
 use crate::entry::AdsEntry;
+use crate::frozen::FrozenAdsSet;
 
 const PLACEHOLDER: AdsEntry = AdsEntry {
     node: 0,
@@ -258,30 +258,79 @@ impl PartialAdsArena {
         out
     }
 
-    /// Regroups prefix rows and overflow into one canonically sorted entry
-    /// vector per node.
+    /// One canonically sorted entry vector per node (the bottom-1 passes
+    /// of k-mins and k-partition, and the tieless entry lists).
     pub fn into_per_node(self) -> Vec<Vec<AdsEntry>> {
-        let mut out: Vec<Vec<AdsEntry>> = (0..self.len.len())
-            .map(|v| self.row(v as NodeId).to_vec())
-            .collect();
-        for (v, e) in self.overflow_owner.iter().zip(&self.overflow) {
-            out[*v as usize].push(*e);
-        }
-        for es in &mut out {
-            es.sort_unstable_by(AdsEntry::cmp_canonical);
-        }
-        out
+        let (offsets, nodes, dists, ranks) = self.into_columns();
+        offsets
+            .windows(2)
+            .map(|r| {
+                (r[0] as usize..r[1] as usize)
+                    .map(|i| AdsEntry::new(nodes[i], dists[i], ranks[i]))
+                    .collect()
+            })
+            .collect()
     }
 
-    /// Finishes construction into a validated sketch set.
-    pub fn into_ads_set(self) -> AdsSet {
+    /// Finishes construction into the columnar store.
+    pub fn finish(self) -> FrozenAdsSet {
         let k = self.k;
-        let sketches = self
-            .into_per_node()
-            .into_iter()
-            .map(|es| BottomKAds::from_entries(k, es))
-            .collect();
-        AdsSet::from_sketches(k, sketches)
+        let (offsets, nodes, dists, ranks) = self.into_columns();
+        FrozenAdsSet::from_columns(k, offsets, nodes, dists, ranks)
+    }
+
+    /// The CSR `offsets / nodes / dists / ranks` columns of every row.
+    /// Row `v` is its prefix followed by its spilled entries: each left
+    /// the prefix as its maximum, and the maximum only decreases, so they
+    /// arrived in descending canonical order and are written back to
+    /// front. No row is sorted and no per-node vector is allocated.
+    fn into_columns(self) -> (Vec<u32>, Vec<NodeId>, Vec<f64>, Vec<f64>) {
+        let n = self.len.len();
+        // `ends[v]` becomes the end of row `v`, then (writing spilled
+        // entries back to front) the next free slot below it.
+        let mut ends: Vec<u32> = self.len.clone();
+        for &v in &self.overflow_owner {
+            ends[v as usize] += 1;
+        }
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0u32);
+        let mut total = 0u32;
+        for end in &mut ends {
+            total = total
+                .checked_add(*end)
+                .expect("the store is limited to 2^32 − 1 entries");
+            *end = total;
+            offsets.push(total);
+        }
+        let total = total as usize;
+        let mut nodes = vec![0; total];
+        let mut dists = vec![0.0; total];
+        let mut ranks = vec![0.0; total];
+        let mut put = |i: usize, e: &AdsEntry| {
+            nodes[i] = e.node;
+            dists[i] = e.dist;
+            ranks[i] = e.rank;
+        };
+        for (v, &start) in offsets[..n].iter().enumerate() {
+            for (i, e) in (start as usize..).zip(self.row(v as NodeId)) {
+                put(i, e);
+            }
+        }
+        for (&v, e) in self.overflow_owner.iter().zip(&self.overflow) {
+            ends[v as usize] -= 1;
+            put(ends[v as usize] as usize, e);
+        }
+        debug_assert!(
+            offsets.windows(2).all(|r| {
+                let r = r[0] as usize..r[1] as usize;
+                let key = |i: usize| (dists[i], nodes[i]);
+                r.clone()
+                    .skip(1)
+                    .all(|i| crate::entry::key_cmp(key(i - 1), key(i)).is_lt())
+            }),
+            "finished rows must be in canonical order"
+        );
+        (offsets, nodes, dists, ranks)
     }
 }
 
@@ -388,6 +437,45 @@ mod tests {
         }
     }
 
+    /// The finishers write each row without sorting it: the rows must
+    /// equal the sorted regrouping of prefix and spill log, in both insert
+    /// regimes, and the store's weights the heap reference, under
+    /// workloads with frequent spills and exact ties.
+    #[test]
+    fn finishers_write_the_sorted_rows_and_the_heap_weights() {
+        for (seed, n, k) in [(0u64, 12usize, 1usize), (1, 12, 3), (2, 9, 8)] {
+            for tieless in [false, true] {
+                let mut arena = PartialAdsArena::new(n, k);
+                drive(seed + 70, n, |v, src, dist, rank| {
+                    if tieless {
+                        arena.insert_rank_monotone_tieless(v, src, dist, rank);
+                    } else {
+                        arena.insert_rank_monotone(v, src, dist, rank);
+                    }
+                });
+                let at = |v| format!("seed {seed}, tieless {tieless}, node {v}");
+                let sorted: Vec<Vec<AdsEntry>> = (0..n as NodeId)
+                    .map(|v| arena.sorted_entries_of(v))
+                    .collect();
+                assert_eq!(
+                    arena.clone().into_per_node(),
+                    sorted,
+                    "seed {seed}, tieless {tieless}"
+                );
+                if tieless {
+                    continue;
+                }
+                let set = arena.finish();
+                assert_eq!(set.num_nodes(), n);
+                for (v, entries) in sorted.iter().enumerate() {
+                    let row = set.sketch(v as NodeId);
+                    assert_eq!(row.entries(), entries.as_slice(), "{}", at(v));
+                    assert_eq!(set.hip(v as NodeId), row.hip_weights(), "{}", at(v));
+                }
+            }
+        }
+    }
+
     #[test]
     fn k_larger_than_n_never_rejects_distinct_sources() {
         // width = min(k, n): the narrow prefix must still admit up to n
@@ -452,7 +540,8 @@ mod tests {
         let arena = PartialAdsArena::new(3, 2);
         assert_eq!(arena.num_nodes(), 3);
         assert!(arena.sorted_entries_of(1).is_empty());
-        let set = arena.into_ads_set();
+        let set = arena.finish();
         assert_eq!(set.num_nodes(), 3);
+        assert_eq!(set.num_entries(), 0);
     }
 }

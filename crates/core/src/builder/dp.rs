@@ -94,8 +94,7 @@ pub fn build_with_stats(
         frontier = new_frontier;
     }
 
-    let sketches = sketches.iter().map(|s| s.to_ads(k)).collect();
-    Ok((AdsSet::from_sketches(k, sketches), stats))
+    Ok((LiveSketch::store(k, &sketches), stats))
 }
 
 #[cfg(test)]

@@ -112,12 +112,6 @@ impl Kernel {
             std::mem::swap(&mut self.inbox, &mut self.outbox);
         }
     }
-
-    /// The current sketches, built straight from the columns.
-    fn to_ads_set(&self) -> AdsSet {
-        let sketches = self.sketches.iter().map(|s| s.to_ads(self.k)).collect();
-        AdsSet::from_sketches(self.k, sketches)
-    }
 }
 
 /// Builds the exact forward bottom-k ADS set (ε = 0).
@@ -156,7 +150,7 @@ pub fn build_approx_with_stats(
         kernel.inbox.extend(hello);
     }
     kernel.run_rounds(|t| gt.arcs(t));
-    Ok((kernel.to_ads_set(), kernel.stats))
+    Ok((LiveSketch::store(k, &kernel.sketches), kernel.stats))
 }
 
 /// An incrementally maintained exact bottom-k ADS set over a growing
@@ -277,12 +271,13 @@ impl DynamicAds {
         &self.kernel.stats
     }
 
-    /// The current sketches as an immutable [`AdsSet`] — bitwise
-    /// identical to `AdsSet::build` on the graph of all arcs inserted so
-    /// far (with matching ranks). The live state keeps accepting edges;
-    /// this is the freezer's snapshot point.
+    /// The current sketches as the columnar store — bitwise identical
+    /// to `AdsSet::build` on the graph of all arcs inserted so far (with
+    /// matching ranks), HIP weights included, and ready to shard. The
+    /// live state keeps accepting edges; this is the freezer's snapshot
+    /// point.
     pub fn snapshot(&self) -> AdsSet {
-        self.kernel.to_ads_set()
+        LiveSketch::store(self.kernel.k, &self.kernel.sketches)
     }
 }
 

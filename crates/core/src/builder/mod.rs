@@ -16,6 +16,11 @@
 //!   provides the `(1+ε)`-approximate variant that bounds the retraction
 //!   overhead.
 //!
+//! Each returns the columnar store ([`crate::FrozenAdsSet`]) directly:
+//! PrunedDijkstra's arena writes its prefix rows and spill log into the
+//! store's columns, and the live sketches of DP and LocalUpdates are
+//! concatenated into them. No per-node sketch is materialized on the way.
+//!
 //! The other two flavors have one builder each, [`kmins::build_with_stats`]
 //! and [`kpartition::build_with_stats`]: k independent bottom-1 runs of
 //! PrunedDijkstra, one per permutation / bucket, spread over `threads`

@@ -42,7 +42,8 @@
 
 use adsketch_graph::NodeId;
 
-use crate::entry::{key_cmp, AdsEntry};
+use crate::entry::key_cmp;
+use crate::frozen::FrozenAdsSet;
 
 /// `(r, n) < (rank, node)` without a branch.
 #[inline(always)]
@@ -146,10 +147,31 @@ impl LiveSketch {
         (true, removed)
     }
 
+    /// Every node's held entries, row `v` from `sketches[v]`, as the
+    /// columnar store: the columns are concatenated as they are.
+    pub fn store(k: usize, sketches: &[LiveSketch]) -> FrozenAdsSet {
+        let total = sketches.iter().map(|s| s.nodes.len()).sum();
+        let mut offsets = Vec::with_capacity(sketches.len() + 1);
+        let (mut nodes, mut dists, mut ranks) = (
+            Vec::with_capacity(total),
+            Vec::with_capacity(total),
+            Vec::with_capacity(total),
+        );
+        offsets.push(0);
+        for s in sketches {
+            nodes.extend_from_slice(&s.nodes);
+            dists.extend_from_slice(&s.dists);
+            ranks.extend_from_slice(&s.ranks);
+            offsets.push(u32::try_from(nodes.len()).expect("at most 2^32 − 1 entries"));
+        }
+        FrozenAdsSet::from_columns(k, offsets, nodes, dists, ranks)
+    }
+
     /// The held entries as an immutable sketch.
+    #[cfg(test)]
     pub fn to_ads(&self, k: usize) -> crate::bottomk::BottomKAds {
         let entries = (0..self.nodes.len())
-            .map(|i| AdsEntry::new(self.nodes[i], self.dists[i], self.ranks[i]))
+            .map(|i| crate::entry::AdsEntry::new(self.nodes[i], self.dists[i], self.ranks[i]))
             .collect();
         crate::bottomk::BottomKAds::from_entries(k, entries)
     }

@@ -51,7 +51,7 @@ pub fn build_with_stats(
     ranks: &[f64],
 ) -> Result<(AdsSet, BuildStats), CoreError> {
     let (arena, stats) = run_core(g, k, ranks, None, false)?;
-    Ok((arena.into_ads_set(), stats))
+    Ok((arena.finish(), stats))
 }
 
 /// Wave-parallel PrunedDijkstra over `threads` threads (`0` ⇒ all cores).
@@ -81,7 +81,7 @@ pub fn build_parallel_with_stats(
     threads: usize,
 ) -> Result<(AdsSet, BuildStats), CoreError> {
     let (arena, stats) = run_core_parallel(g, k, ranks, threads)?;
-    Ok((arena.into_ads_set(), stats))
+    Ok((arena.finish(), stats))
 }
 
 /// Tieless (Appendix A) variant: at most k entries per distinct distance,
@@ -378,7 +378,7 @@ mod tests {
             let (fast, stats) = build_with_stats(g, 4, &ranks).unwrap();
             assert_eq!(fast, oracle);
             // Rank-monotone inserts are never retracted.
-            assert_eq!(stats.insertions, oracle.total_entries() as u64);
+            assert_eq!(stats.insertions, oracle.num_entries() as u64);
             assert!(stats.pruned_at_relax > 0, "filter must fire");
             for threads in [1, 2, 4, 0] {
                 let (par, par_stats) = build_parallel_with_stats(g, 4, &ranks, threads).unwrap();

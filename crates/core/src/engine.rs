@@ -3,20 +3,18 @@
 //! Sketch queries are embarrassingly parallel — each node's estimate
 //! reads only that node's entries — so serving them one
 //! [`crate::AdsSet::hip`] call at a time leaves both cores and memory
-//! bandwidth idle while paying a `HipWeights` allocation plus a bottom-k
-//! threshold recomputation per call. [`QueryEngine`] answers *batches*
-//! (closeness centralities over all nodes, neighborhood cardinalities,
-//! pairwise similarities) by sharding the request across threads with the
-//! same chunking helper the parallel builders use, running each shard
-//! through the allocation-free [`AdsView`] accessors.
+//! bandwidth idle while paying a `HipWeights` allocation per call.
+//! [`QueryEngine`] answers *batches* (closeness centralities over all
+//! nodes, neighborhood cardinalities, pairwise similarities) by sharding
+//! the request across threads with the same chunking helper the parallel
+//! builders use, running each shard through the allocation-free
+//! [`AdsView`] accessors over the store's precomputed weight column
+//! (`adsbench` times the sweep as `core.engine.harmonic_all_s`).
 //!
-//! The engine is generic over the view, so the same code serves the
-//! heap-backed build output and the frozen columnar store; pointing it at
-//! a [`crate::frozen::FrozenAdsSet`] additionally skips the per-node HIP
-//! recomputation entirely (the adjusted weights are precomputed at freeze
-//! time), which is where the batch throughput comes from (`adsbench`
-//! times the sweep as `core.engine.harmonic_all_s`). Results are bitwise
-//! identical across back ends and thread counts.
+//! The engine is generic over the view, so the same code serves one
+//! [`crate::frozen::FrozenAdsSet`] — a fresh build or a loaded file — and
+//! the serving tier's sharded and generational stores. Results are
+//! bitwise identical across views and thread counts.
 //!
 //! A store read from a **compressed** (format v2) file is no different
 //! here: it was decoded at load into the same full-width columns (see
@@ -33,9 +31,8 @@ use crate::view::AdsView;
 
 /// A sharded batch query engine over any [`AdsView`].
 ///
-/// `QueryEngine::new(&frozen)` serves from a frozen store;
-/// `QueryEngine::new(&ads_set)` runs the same queries against the heap
-/// representation (useful as a correctness and performance baseline).
+/// `QueryEngine::new(&store)` serves from a built or loaded store; the
+/// serving tier points it at its sharded stores.
 #[derive(Debug, Clone, Copy)]
 pub struct QueryEngine<'a, V: AdsView + Sync = FrozenAdsSet> {
     view: &'a V,
@@ -153,18 +150,15 @@ mod tests {
     use adsketch_graph::generators;
 
     #[test]
-    fn batch_matches_per_node_across_backends_and_threads() {
+    fn batch_matches_the_heap_reference_at_every_thread_count() {
         let g = generators::gnp_directed(150, 0.04, 5);
         let ads = AdsSet::build(&g, 4, 11);
-        let frozen = ads.freeze();
         let per_node: Vec<f64> = (0..ads.num_nodes() as NodeId)
-            .map(|v| centrality::harmonic(&ads.hip(v)))
+            .map(|v| centrality::harmonic(&ads.sketch(v).hip_weights()))
             .collect();
         for threads in [1usize, 2, 4, 0] {
-            let from_heap = QueryEngine::with_threads(&ads, threads).harmonic_all();
-            let from_frozen = QueryEngine::with_threads(&frozen, threads).harmonic_all();
-            assert_eq!(from_heap, per_node, "heap, threads = {threads}");
-            assert_eq!(from_frozen, per_node, "frozen, threads = {threads}");
+            let batch = QueryEngine::with_threads(&ads, threads).harmonic_all();
+            assert_eq!(batch, per_node, "threads = {threads}");
         }
     }
 
@@ -172,8 +166,7 @@ mod tests {
     fn node_batches_match_all_node_sweeps_bitwise() {
         let g = generators::gnp_directed(90, 0.05, 13);
         let ads = AdsSet::build(&g, 4, 3);
-        let frozen = ads.freeze();
-        let engine = QueryEngine::with_threads(&frozen, 2);
+        let engine = QueryEngine::with_threads(&ads, 2);
         let all = engine.harmonic_all();
         let decay_all = engine.decay_all(centrality::DecayKernel::Exponential { base: 2.0 });
         let nodes: Vec<NodeId> = (0..90u32).rev().collect();
@@ -190,12 +183,11 @@ mod tests {
     fn cardinality_batch_matches_hip_weights() {
         let g = generators::gnp(100, 0.05, 9);
         let ads = AdsSet::build(&g, 8, 2);
-        let frozen = ads.freeze();
-        let engine = QueryEngine::with_threads(&frozen, 2);
+        let engine = QueryEngine::with_threads(&ads, 2);
         let queries: Vec<(NodeId, f64)> = (0..100u32).map(|v| (v, (v % 5) as f64)).collect();
         let got = engine.cardinality_batch(&queries);
         for (&(v, d), &est) in queries.iter().zip(&got) {
-            assert_eq!(est, ads.hip(v).cardinality_at(d));
+            assert_eq!(est, ads.sketch(v).hip_weights().cardinality_at(d));
         }
     }
 
@@ -203,14 +195,13 @@ mod tests {
     fn jaccard_batch_matches_sketch_level() {
         let g = generators::gnp(80, 0.06, 4);
         let ads = AdsSet::build(&g, 8, 6);
-        let frozen = ads.freeze();
-        let engine = QueryEngine::new(&frozen);
+        let engine = QueryEngine::new(&ads);
         let pairs: Vec<(NodeId, NodeId)> = (0..40u32).map(|i| (i, 79 - i)).collect();
         let got = engine.jaccard_batch(&pairs, 3.0);
         for (&(u, v), &est) in pairs.iter().zip(&got) {
             assert_eq!(
                 est,
-                similarity::neighborhood_jaccard(ads.sketch(u), ads.sketch(v), 3.0)
+                similarity::neighborhood_jaccard(&ads.sketch(u), &ads.sketch(v), 3.0)
             );
         }
     }
@@ -219,19 +210,17 @@ mod tests {
     fn neighborhood_function_batch_matches() {
         let g = generators::gnp_directed(60, 0.07, 8);
         let ads = AdsSet::build(&g, 4, 1);
-        let frozen = ads.freeze();
         let nodes: Vec<NodeId> = (0..60).collect();
-        let got = QueryEngine::new(&frozen).neighborhood_function_batch(&nodes);
+        let got = QueryEngine::new(&ads).neighborhood_function_batch(&nodes);
         for (&v, nf) in nodes.iter().zip(&got) {
-            assert_eq!(*nf, ads.hip(v).neighborhood_function());
+            assert_eq!(*nf, ads.sketch(v).hip_weights().neighborhood_function());
         }
     }
 
     #[test]
     fn empty_batches_and_empty_view() {
         let ads = AdsSet::from_sketches(2, vec![]);
-        let frozen = ads.freeze();
-        let engine = QueryEngine::new(&frozen);
+        let engine = QueryEngine::new(&ads);
         assert!(engine.harmonic_all().is_empty());
         assert!(engine.cardinality_batch(&[]).is_empty());
         assert!(engine.jaccard_batch(&[], 1.0).is_empty());

@@ -1,23 +1,20 @@
-//! The frozen, immutable, columnar ADS store and its on-disk format.
+//! The immutable, columnar ADS store and its on-disk format.
 //!
-//! An [`crate::AdsSet`] is the *build output*: one heap-allocated `Vec`
-//! of entries per node, convenient to construct incrementally but paying
-//! a pointer chase per sketch and a full HIP threshold recomputation per
-//! query. [`FrozenAdsSet`] is the *query form* the paper's use cases
-//! (neighborhood cardinalities, closeness centralities, similarities over
-//! massive graphs) actually serve from: build once, [`AdsSet::freeze`]
-//! into struct-of-arrays CSR layout with the HIP adjusted weights
-//! precomputed inline, then answer any number of queries — directly or
-//! batched through [`crate::engine::QueryEngine`] — with zero per-query
-//! allocation. Estimator answers are bitwise identical to the heap-backed
-//! set the store was frozen from (see [`crate::view::AdsView`]).
+//! [`FrozenAdsSet`] is the one collection of ADSs: every builder returns
+//! it ([`crate::AdsSet`] is an alias), every file loads into it, and the
+//! paper's use cases (neighborhood cardinalities, closeness centralities,
+//! similarities over massive graphs) serve from it — directly or batched
+//! through [`crate::engine::QueryEngine`] — with zero per-query
+//! allocation. Its layout is struct-of-arrays CSR with the HIP adjusted
+//! weights precomputed inline.
 //!
-//! Freezing makes one pass per row: it copies node, distance and rank
-//! and writes the weight `1/τ` in the same step, with τ read off a sorted
-//! array of the row's ≤ k lowest ranks so far (Lemma 5.1; no heap).
-//! [`crate::BottomKAds::hip_scan`] computes the same weights through a
-//! heap and stays as the reference they are tested against.
-//! The v2 encoder runs the same scan to find each weight's τ entry.
+//! A builder hands its finished `nodes / dists / ranks` columns over
+//! whole; the store adds the weight column in one pass per row, writing
+//! `1/τ` with τ read off a sorted array of the row's ≤ k lowest ranks so
+//! far (Lemma 5.1; no heap). [`crate::BottomKAds::hip_scan`] computes
+//! the same weights through a heap and stays as the reference they are
+//! tested against. The v2 encoder runs the same scan to find each
+//! weight's τ entry.
 //!
 //! # On-disk format (version 1)
 //!
@@ -153,7 +150,6 @@ use std::path::Path;
 
 use adsketch_graph::NodeId;
 
-use crate::ads_set::AdsSet;
 use crate::entry::AdsEntry;
 use crate::hip::{HipItem, TauScan};
 use crate::view::AdsView;
@@ -297,15 +293,15 @@ enum Image<'a> {
     Mapped(MapRegion),
 }
 
-/// A frozen, immutable, struct-of-arrays ADS set.
+/// An immutable, struct-of-arrays ADS set: what every builder returns.
 ///
 /// CSR-style layout: node `v`'s entries occupy the index range
 /// `offsets[v]..offsets[v+1]` of the four parallel columns. The
 /// `weights` column holds the HIP adjusted weights (Lemma 5.1),
-/// precomputed once at freeze time — queries never rerun the bottom-k
-/// threshold scan.
+/// computed once when the builder hands over its columns — queries never
+/// rerun the bottom-k threshold scan.
 ///
-/// Columns are either owned heap `Vec`s (freeze, `from_bytes`, the
+/// Columns are either owned heap `Vec`s (a build, `from_bytes`, the
 /// buffered loaders, every load of a v2 file) or zero-copy views into a
 /// memory-mapped v1 store file ([`FrozenAdsSet::load_with`] with
 /// [`LoadOptions::map`]); every query path is backing-agnostic and
@@ -314,7 +310,7 @@ enum Image<'a> {
 pub struct FrozenAdsSet {
     k: u32,
     /// The header version the store was read from (1 for a fresh
-    /// freeze). Informational: the in-memory layout is the same.
+    /// build). Informational: the in-memory layout is the same.
     version: u32,
     /// Backs any `Col::Mapped` column; `None` for fully-owned stores.
     region: Option<MapRegion>,
@@ -615,6 +611,73 @@ fn validate_offsets(offsets: &[u32], entries: usize) -> Result<(), FrozenError> 
 /// syscalls, small enough to stay cache-resident between the three.
 const ENCODE_CHUNK_BYTES: usize = 256 * 1024;
 
+/// Streams `rows` in the version-1 on-disk format into the empty sink `w`
+/// and returns the header checksum it stored. One pass: each column is
+/// encoded once into a reused chunk that is hashed and written straight
+/// through, then the checksum field is patched in place — the serialized
+/// image is never materialized here.
+fn write_v1<W: Write + Seek>(k: u32, rows: v2::RowsSource<'_>, w: &mut W) -> std::io::Result<u64> {
+    /// Little-endian-encodes `col` chunk by chunk into `hash` and `w`.
+    fn emit<T: Copy, const N: usize>(
+        col: &[T],
+        to_le: impl Fn(T) -> [u8; N],
+        chunk: &mut [u8],
+        hash: &mut Xxh64,
+        w: &mut impl Write,
+    ) -> std::io::Result<()> {
+        for part in col.chunks(chunk.len() / N) {
+            let bytes = &mut chunk[..part.len() * N];
+            for (dst, &x) in bytes.chunks_exact_mut(N).zip(part) {
+                dst.copy_from_slice(&to_le(x));
+            }
+            hash.update(bytes);
+            w.write_all(bytes)?;
+        }
+        Ok(())
+    }
+    let mut header = [0u8; HEADER_LEN];
+    header[0..8].copy_from_slice(&FROZEN_MAGIC);
+    header[8..12].copy_from_slice(&FROZEN_FORMAT_VERSION.to_le_bytes());
+    header[12..16].copy_from_slice(&k.to_le_bytes());
+    header[16..24].copy_from_slice(&(rows.offsets.len() as u64 - 1).to_le_bytes());
+    header[24..32].copy_from_slice(&(rows.nodes.len() as u64).to_le_bytes());
+    let mut hash = Xxh64::new();
+    hash.update(&header);
+    w.write_all(&header)?;
+    let mut chunk = vec![0u8; ENCODE_CHUNK_BYTES];
+    for col in [rows.dists, rows.ranks, rows.weights] {
+        emit(col, |x| x.to_bits().to_le_bytes(), &mut chunk, &mut hash, w)?;
+    }
+    for col in [rows.offsets, rows.nodes] {
+        emit(col, u32::to_le_bytes, &mut chunk, &mut hash, w)?;
+    }
+    let checksum = hash.digest();
+    w.seek(SeekFrom::Start(CHECKSUM_OFFSET as u64))?;
+    w.write_all(&checksum.to_le_bytes())?;
+    Ok(checksum)
+}
+
+/// Writes `rows` to a new file in the given format (v1 streams, v2 is
+/// encoded whole first) and returns the header checksum written — the
+/// value a shard manifest pins.
+fn write_file(
+    k: u32,
+    rows: v2::RowsSource<'_>,
+    path: &Path,
+    format: StoreFormat,
+) -> std::io::Result<u64> {
+    // Unbuffered: both formats hand the file large writes.
+    let mut file = std::fs::File::create(path)?;
+    match format {
+        StoreFormat::V1 => write_v1(k, rows, &mut file),
+        StoreFormat::V2 => {
+            let image = v2::encode(k, rows);
+            file.write_all(&image)?;
+            Ok(read_u64(&image, CHECKSUM_OFFSET))
+        }
+    }
+}
+
 impl FrozenAdsSet {
     /// Assembles a fully-owned store from its columns.
     fn from_owned_cols(
@@ -634,6 +697,56 @@ impl FrozenAdsSet {
             dists: Col::Owned(dists),
             ranks: Col::Owned(ranks),
             weights: Col::Owned(weights),
+        }
+    }
+
+    /// Takes over a builder's entry columns — `offsets[v]..offsets[v+1]`
+    /// is row `v`, each row in canonical `(dist, node)` order — and adds
+    /// the HIP adjusted weight of every entry: one pass per row, `1/τ`
+    /// with τ the k-th smallest rank before the entry (1 while fewer than
+    /// k precede it). This is the uniform-rank weight of Lemma 5.1; a set
+    /// built over non-uniform ranks takes its estimates from
+    /// [`crate::weighted::weighted_hip`] instead.
+    pub(crate) fn from_columns(
+        k: usize,
+        offsets: Vec<u32>,
+        nodes: Vec<NodeId>,
+        dists: Vec<f64>,
+        ranks: Vec<f64>,
+    ) -> Self {
+        debug_assert_eq!(offsets.first(), Some(&0));
+        debug_assert_eq!(
+            *offsets.last().expect("n + 1 offsets") as usize,
+            nodes.len()
+        );
+        debug_assert!(dists.len() == nodes.len() && ranks.len() == nodes.len());
+        let mut weights = Vec::with_capacity(ranks.len());
+        let mut scan = TauScan::new(k);
+        for row in offsets.windows(2) {
+            scan.reset();
+            for (at, &rank) in ranks[row[0] as usize..row[1] as usize].iter().enumerate() {
+                let tau = scan.threshold().map_or(1.0, |(t, _)| t);
+                let entered = scan.offer(rank, at as u32);
+                // An exact rank tie with τ keeps the held slot (the
+                // oracle's heap breaks it by node id); τ is the same.
+                debug_assert!(
+                    entered || rank == tau,
+                    "every ADS entry is a prefix bottom-k member"
+                );
+                weights.push(1.0 / tau);
+            }
+        }
+        Self::from_owned_cols(k as u32, offsets, nodes, dists, ranks, weights)
+    }
+
+    /// All five columns, borrowed: the writers' input.
+    fn columns(&self) -> v2::RowsSource<'_> {
+        v2::RowsSource {
+            offsets: self.offsets(),
+            nodes: self.nodes(),
+            dists: self.dists(),
+            ranks: self.ranks(),
+            weights: self.weights(),
         }
     }
 
@@ -681,7 +794,7 @@ impl FrozenAdsSet {
     }
 
     /// The header version this store was read from: `1` for a fresh
-    /// freeze or a v1 file, `2` for a v2 file. The in-memory layout
+    /// build or a v1 file, `2` for a v2 file. The in-memory layout
     /// does not depend on it.
     pub fn format_version(&self) -> u32 {
         self.version
@@ -691,67 +804,6 @@ impl FrozenAdsSet {
     /// of owned heap memory (see [`LoadOptions::map`]).
     pub fn is_mapped(&self) -> bool {
         self.region.is_some()
-    }
-
-    /// Freezes a heap-backed ADS set into columnar form, precomputing the
-    /// HIP adjusted weight of every entry.
-    ///
-    /// Panics if the set holds ≥ 2³² entries (the CSR offsets are `u32`;
-    /// at the paper's `k(1 + ln n − ln k)` expected entries per node that
-    /// bound is only reached beyond ~10⁷ nodes at k = 64 — shard the graph
-    /// before freezing at that scale).
-    pub(crate) fn from_ads_set(ads: &AdsSet) -> Self {
-        Self::from_ads_set_range(ads, 0, ads.num_nodes())
-    }
-
-    /// Freezes only rows `lo..hi` of `ads` into a *full-width* store: the
-    /// result covers all `n` rows (so it is a valid version-1 store with
-    /// the usual in-range node-id invariant), but rows outside `lo..hi`
-    /// are empty. This is the per-shard form [`freeze_sharded`] writes.
-    fn from_ads_set_range(ads: &AdsSet, lo: usize, hi: usize) -> Self {
-        debug_assert!(lo <= hi && hi <= ads.num_nodes());
-        let total: usize = ads.sketches()[lo..hi]
-            .iter()
-            .map(|s| s.entries().len())
-            .sum();
-        assert!(
-            u32::try_from(total).is_ok(),
-            "frozen store is limited to 2^32 − 1 entries; got {total}"
-        );
-        let n = ads.num_nodes();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut nodes = Vec::with_capacity(total);
-        let mut dists = Vec::with_capacity(total);
-        let mut ranks = Vec::with_capacity(total);
-        let mut weights = Vec::with_capacity(total);
-        let mut scan = TauScan::new(ads.k());
-        offsets.push(0u32);
-        for (v, sketch) in ads.sketches().iter().enumerate() {
-            if v >= lo && v < hi {
-                scan.reset();
-                for (at, e) in sketch.entries().iter().enumerate() {
-                    debug_assert!(
-                        (0.0..=1.0).contains(&e.rank),
-                        "uniform HIP requires ranks in [0,1]; got {}",
-                        e.rank
-                    );
-                    let tau = scan.threshold().map_or(1.0, |(t, _)| t);
-                    let entered = scan.offer(e.rank, at as u32);
-                    // An exact rank tie with τ keeps the held slot (the
-                    // oracle's heap breaks it by node id); τ is the same.
-                    debug_assert!(
-                        entered || e.rank == tau,
-                        "every ADS entry is a prefix bottom-k member"
-                    );
-                    nodes.push(e.node);
-                    dists.push(e.dist);
-                    ranks.push(e.rank);
-                    weights.push(1.0 / tau);
-                }
-            }
-            offsets.push(nodes.len() as u32);
-        }
-        Self::from_owned_cols(ads.k() as u32, offsets, nodes, dists, ranks, weights)
     }
 
     /// The sketch parameter k.
@@ -828,66 +880,13 @@ impl FrozenAdsSet {
         HEADER_LEN + self.offsets().len() * 4 + self.num_entries() * 4 + self.num_entries() * 3 * 8
     }
 
-    /// The 40-byte version-1 header with the checksum field zeroed.
-    fn header_with_zero_checksum(&self) -> [u8; HEADER_LEN] {
-        let mut h = [0u8; HEADER_LEN];
-        h[0..8].copy_from_slice(&FROZEN_MAGIC);
-        h[8..12].copy_from_slice(&FROZEN_FORMAT_VERSION.to_le_bytes());
-        h[12..16].copy_from_slice(&self.k.to_le_bytes());
-        h[16..24].copy_from_slice(&(self.num_nodes() as u64).to_le_bytes());
-        h[24..32].copy_from_slice(&(self.num_entries() as u64).to_le_bytes());
-        h
-    }
-
-    /// Streams the version-1 on-disk format into the empty sink `w` and
-    /// returns the header checksum it stored. One pass: each column is
-    /// encoded once into a reused chunk that is hashed and written
-    /// straight through, then the checksum field is patched in place —
-    /// the serialized image is never materialized here.
-    fn write_to<W: Write + Seek>(&self, w: &mut W) -> std::io::Result<u64> {
-        /// Little-endian-encodes `col` chunk by chunk into `hash` and `w`.
-        fn emit<T: Copy, const N: usize>(
-            col: &[T],
-            to_le: impl Fn(T) -> [u8; N],
-            chunk: &mut [u8],
-            hash: &mut Xxh64,
-            w: &mut impl Write,
-        ) -> std::io::Result<()> {
-            for part in col.chunks(chunk.len() / N) {
-                let bytes = &mut chunk[..part.len() * N];
-                for (dst, &x) in bytes.chunks_exact_mut(N).zip(part) {
-                    dst.copy_from_slice(&to_le(x));
-                }
-                hash.update(bytes);
-                w.write_all(bytes)?;
-            }
-            Ok(())
-        }
-        let header = self.header_with_zero_checksum();
-        let mut hash = Xxh64::new();
-        hash.update(&header);
-        w.write_all(&header)?;
-        let mut chunk = vec![0u8; ENCODE_CHUNK_BYTES];
-        for col in [self.dists(), self.ranks(), self.weights()] {
-            emit(col, |x| x.to_bits().to_le_bytes(), &mut chunk, &mut hash, w)?;
-        }
-        for col in [self.offsets(), self.nodes()] {
-            emit(col, u32::to_le_bytes, &mut chunk, &mut hash, w)?;
-        }
-        let checksum = hash.digest();
-        w.seek(SeekFrom::Start(CHECKSUM_OFFSET as u64))?;
-        w.write_all(&checksum.to_le_bytes())?;
-        Ok(checksum)
-    }
-
     /// Serializes to the version-1 on-disk format (one contiguous
     /// little-endian buffer; see the module docs for the layout). Always
     /// v1 whatever file the store was read from — the compatibility
     /// baseline; use [`FrozenAdsSet::to_bytes_format`] to opt into v2.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = std::io::Cursor::new(Vec::with_capacity(self.serialized_len()));
-        self.write_to(&mut w)
-            .expect("Vec<u8> writes are infallible");
+        write_v1(self.k, self.columns(), &mut w).expect("Vec<u8> writes are infallible");
         let buf = w.into_inner();
         debug_assert_eq!(buf.len(), self.serialized_len());
         buf
@@ -899,32 +898,7 @@ impl FrozenAdsSet {
     pub fn to_bytes_format(&self, format: StoreFormat) -> Vec<u8> {
         match format {
             StoreFormat::V1 => self.to_bytes(),
-            StoreFormat::V2 => v2::encode(
-                self.k,
-                v2::RowsSource {
-                    offsets: self.offsets(),
-                    nodes: self.nodes(),
-                    dists: self.dists(),
-                    ranks: self.ranks(),
-                    weights: self.weights(),
-                },
-            ),
-        }
-    }
-
-    /// Writes the store to a new file in the given format (v1 streams,
-    /// v2 is encoded whole first) and returns the header checksum
-    /// written — the value a shard manifest pins.
-    fn write_file(&self, path: &Path, format: StoreFormat) -> std::io::Result<u64> {
-        // Unbuffered: both formats hand the file large writes.
-        let mut file = std::fs::File::create(path)?;
-        match format {
-            StoreFormat::V1 => self.write_to(&mut file),
-            StoreFormat::V2 => {
-                let image = self.to_bytes_format(StoreFormat::V2);
-                file.write_all(&image)?;
-                Ok(read_u64(&image, CHECKSUM_OFFSET))
-            }
+            StoreFormat::V2 => v2::encode(self.k, self.columns()),
         }
     }
 
@@ -1066,7 +1040,7 @@ impl FrozenAdsSet {
     /// Streams the store to a file in the version-1 format (no
     /// intermediate whole-file buffer).
     pub fn save(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        self.write_file(path.as_ref(), StoreFormat::V1).map(drop)
+        write_file(self.k, self.columns(), path.as_ref(), StoreFormat::V1).map(drop)
     }
 
     /// Reads a store file whole and parses it like
@@ -1118,9 +1092,11 @@ impl FrozenAdsSet {
         Ok((store, opts.verify.then_some(checksum)))
     }
 
-    /// Estimated distance distribution of the whole graph — same quantity
-    /// as [`AdsSet::distance_distribution_estimate`], bitwise identical,
-    /// served from the precomputed weight column.
+    /// Estimated distance distribution of the whole graph: sums every
+    /// node's HIP neighborhood function, excluding each node itself — the
+    /// ANF/HyperANF quantity, estimated sketch-side. Returns `(distance,
+    /// estimated #ordered pairs within distance)` pairs, served from the
+    /// precomputed weight column.
     pub fn distance_distribution_estimate(&self) -> Vec<(f64, f64)> {
         crate::view::distance_distribution_estimate(self)
     }
@@ -1433,21 +1409,17 @@ impl ShardManifest {
 /// entry count (each node weighted by `entries + 1` so empty sketches
 /// still spread). Returns `shards + 1` monotone cut points from `0` to
 /// `n`; trailing shards may be empty when `shards > n`.
-fn shard_cuts(ads: &AdsSet, shards: usize) -> Vec<usize> {
+fn shard_cuts(ads: &FrozenAdsSet, shards: usize) -> Vec<usize> {
     let n = ads.num_nodes();
-    let total: u64 = ads
-        .sketches()
-        .iter()
-        .map(|s| s.entries().len() as u64 + 1)
-        .sum();
+    // Entries plus rows before node `v`.
+    let weight = |v: usize| ads.entry_offset(v) as u64 + v as u64;
+    let total = weight(n);
     let mut cuts = Vec::with_capacity(shards + 1);
     cuts.push(0);
-    let mut consumed = 0u64;
     let mut v = 0usize;
     for i in 0..shards {
         let target = total * (i as u64 + 1) / shards as u64;
-        while v < n && consumed < target {
-            consumed += ads.sketch(v as NodeId).entries().len() as u64 + 1;
+        while v < n && weight(v) < target {
             v += 1;
         }
         if i + 1 == shards {
@@ -1471,7 +1443,7 @@ fn shard_cuts(ads: &AdsSet, shards: usize) -> Vec<usize> {
 ///
 /// If `shards` is 0.
 pub fn freeze_sharded(
-    ads: &AdsSet,
+    ads: &FrozenAdsSet,
     shards: usize,
     dir: impl AsRef<Path>,
 ) -> Result<ShardManifest, FrozenError> {
@@ -1479,6 +1451,11 @@ pub fn freeze_sharded(
 }
 
 /// [`freeze_sharded`] with an explicit per-shard [`StoreFormat`].
+///
+/// Shard `i` covers all `n` rows, so it is a valid store with the usual
+/// in-range node-id invariant, but only its rows `lo..hi` hold entries:
+/// its offsets are rebased to that range and its entry columns are the
+/// range's slices of `ads`, written without a copy.
 ///
 /// Every shard of one freeze is written in the same format, and the
 /// manifest's per-shard digests are the header checksums of the bytes
@@ -1492,7 +1469,7 @@ pub fn freeze_sharded(
 ///
 /// If `shards` is 0.
 pub fn freeze_sharded_format(
-    ads: &AdsSet,
+    ads: &FrozenAdsSet,
     shards: usize,
     dir: impl AsRef<Path>,
     format: StoreFormat,
@@ -1501,22 +1478,36 @@ pub fn freeze_sharded_format(
     let dir = dir.as_ref();
     std::fs::create_dir_all(dir)?;
     let cuts = shard_cuts(ads, shards);
+    let all = ads.columns();
     let mut records = Vec::with_capacity(shards);
     for i in 0..shards {
         let (lo, hi) = (cuts[i], cuts[i + 1]);
-        let shard = FrozenAdsSet::from_ads_set_range(ads, lo, hi);
-        let digest = shard.write_file(&dir.join(shard_file_name(i)), format)?;
+        let (start, end) = (all.offsets[lo], all.offsets[hi]);
+        let offsets: Vec<u32> = all
+            .offsets
+            .iter()
+            .map(|&o| o.clamp(start, end) - start)
+            .collect();
+        let span = start as usize..end as usize;
+        let rows = v2::RowsSource {
+            offsets: &offsets,
+            nodes: &all.nodes[span.clone()],
+            dists: &all.dists[span.clone()],
+            ranks: &all.ranks[span.clone()],
+            weights: &all.weights[span.clone()],
+        };
+        let digest = write_file(ads.k, rows, &dir.join(shard_file_name(i)), format)?;
         records.push(ShardRecord {
             start: lo as u64,
             end: hi as u64,
-            entries: shard.num_entries() as u64,
+            entries: span.len() as u64,
             digest,
         });
     }
     let manifest = ShardManifest {
-        k: ads.k() as u32,
+        k: ads.k,
         n: ads.num_nodes() as u64,
-        entries: ads.total_entries() as u64,
+        entries: ads.num_entries() as u64,
         records,
     };
     manifest.save(dir.join(SHARD_MANIFEST_FILE))?;
@@ -1526,6 +1517,7 @@ pub fn freeze_sharded_format(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AdsSet;
     use adsketch_graph::generators;
 
     fn sample_set() -> AdsSet {
@@ -1534,25 +1526,22 @@ mod tests {
     }
 
     #[test]
-    fn freeze_preserves_counts_and_entries() {
-        let ads = sample_set();
-        let frozen = ads.freeze();
-        assert_eq!(frozen.k(), ads.k());
-        assert_eq!(frozen.num_nodes(), ads.num_nodes());
-        assert_eq!(frozen.num_entries(), ads.total_entries());
-        for v in 0..ads.num_nodes() as NodeId {
-            let mut got = Vec::new();
-            frozen.for_each_entry(v, |e| got.push(e));
-            assert_eq!(got.as_slice(), ads.sketch(v).entries());
-        }
+    fn freeze_is_an_owned_copy() {
+        let path = std::env::temp_dir().join("adsketch_frozen_freeze_copy.ads");
+        sample_set().save(&path).unwrap();
+        let mapped = FrozenAdsSet::load_with(&path, LoadOptions::mapped()).unwrap();
+        std::fs::remove_file(&path).ok();
+        let copy = mapped.freeze();
+        assert_eq!(copy, mapped);
+        assert!(!copy.is_mapped());
     }
 
     #[test]
     fn frozen_hip_matches_heap_bitwise() {
-        let ads = sample_set();
-        let frozen = ads.freeze();
-        for v in 0..ads.num_nodes() as NodeId {
-            let hip = ads.hip(v);
+        let frozen = sample_set();
+        for v in 0..frozen.num_nodes() as NodeId {
+            // The heap reference over the same row.
+            let hip = frozen.sketch(v).hip_weights();
             assert_eq!(frozen.hip_weights_of(v), hip);
             assert_eq!(frozen.hip_reachable(v), hip.reachable_estimate());
             for d in [0.0, 1.0, 2.0, 5.0, f64::INFINITY] {
@@ -1563,18 +1552,18 @@ mod tests {
 
     #[test]
     fn bytes_roundtrip_is_lossless() {
-        let frozen = sample_set().freeze();
+        let frozen = sample_set();
         let restored = FrozenAdsSet::from_bytes(&frozen.to_bytes()).unwrap();
         assert_eq!(restored, frozen);
     }
 
     #[test]
     fn serialized_len_is_exact() {
-        let frozen = sample_set().freeze();
+        let frozen = sample_set();
         assert_eq!(frozen.to_bytes().len(), frozen.serialized_len());
         // The streaming writer returns the checksum it patched in.
         let mut w = std::io::Cursor::new(Vec::new());
-        let checksum = frozen.write_to(&mut w).unwrap();
+        let checksum = write_v1(frozen.k, frozen.columns(), &mut w).unwrap();
         let buf = w.into_inner();
         assert_eq!(buf, frozen.to_bytes());
         assert_eq!(checksum, read_u64(&buf, CHECKSUM_OFFSET));
@@ -1582,8 +1571,7 @@ mod tests {
 
     #[test]
     fn empty_set_roundtrips() {
-        let ads = AdsSet::from_sketches(2, vec![]);
-        let frozen = ads.freeze();
+        let frozen = AdsSet::from_sketches(2, vec![]);
         assert_eq!(frozen.num_nodes(), 0);
         let restored = FrozenAdsSet::from_bytes(&frozen.to_bytes()).unwrap();
         assert_eq!(restored, frozen);
@@ -1591,7 +1579,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_magic() {
-        let mut buf = sample_set().freeze().to_bytes();
+        let mut buf = sample_set().to_bytes();
         buf[0] ^= 0xff;
         assert!(matches!(
             FrozenAdsSet::from_bytes(&buf),
@@ -1601,7 +1589,7 @@ mod tests {
 
     #[test]
     fn rejects_unknown_version() {
-        let mut buf = sample_set().freeze().to_bytes();
+        let mut buf = sample_set().to_bytes();
         buf[8] = 99;
         assert!(matches!(
             FrozenAdsSet::from_bytes(&buf),
@@ -1611,7 +1599,7 @@ mod tests {
 
     #[test]
     fn rejects_truncation_at_every_prefix_length() {
-        let buf = sample_set().freeze().to_bytes();
+        let buf = sample_set().to_bytes();
         for cut in [0, 7, HEADER_LEN - 1, HEADER_LEN + 3, buf.len() - 1] {
             assert!(
                 FrozenAdsSet::from_bytes(&buf[..cut]).is_err(),
@@ -1622,7 +1610,7 @@ mod tests {
 
     #[test]
     fn rejects_trailing_garbage() {
-        let mut buf = sample_set().freeze().to_bytes();
+        let mut buf = sample_set().to_bytes();
         buf.push(0);
         assert!(matches!(
             FrozenAdsSet::from_bytes(&buf),
@@ -1632,7 +1620,7 @@ mod tests {
 
     #[test]
     fn rejects_payload_bit_flip_via_checksum() {
-        let mut buf = sample_set().freeze().to_bytes();
+        let mut buf = sample_set().to_bytes();
         let mid = HEADER_LEN + (buf.len() - HEADER_LEN) / 2;
         buf[mid] ^= 0x01;
         assert!(matches!(
@@ -1645,7 +1633,7 @@ mod tests {
     fn rejects_header_field_tamper_via_checksum() {
         // Flipping k alone (checksummed header field) must not produce a
         // silently different store.
-        let mut buf = sample_set().freeze().to_bytes();
+        let mut buf = sample_set().to_bytes();
         buf[12] ^= 0x01;
         assert!(FrozenAdsSet::from_bytes(&buf).is_err());
     }
@@ -1658,8 +1646,7 @@ mod tests {
         let manifest = freeze_sharded(&ads, 3, &dir).unwrap();
         assert_eq!(manifest.num_shards(), 3);
         assert_eq!(manifest.num_nodes(), ads.num_nodes());
-        assert_eq!(manifest.total_entries(), ads.total_entries() as u64);
-        let full = ads.freeze();
+        assert_eq!(manifest.total_entries(), ads.num_entries() as u64);
         for (i, rec) in manifest.records().iter().enumerate() {
             // Every shard is an independently loadable, full-width v1 store…
             let shard = FrozenAdsSet::load(dir.join(shard_file_name(i))).unwrap();
@@ -1672,7 +1659,7 @@ mod tests {
                 let mut got = Vec::new();
                 shard.for_each_entry(v, |e| got.push(e));
                 assert_eq!(got.as_slice(), ads.sketch(v).entries());
-                assert_eq!(shard.hip_weights_slice(v), full.hip_weights_slice(v));
+                assert_eq!(shard.hip_weights_slice(v), ads.hip_weights_slice(v));
             }
             // …and whose out-of-range rows are empty.
             for v in 0..ads.num_nodes() as NodeId {
@@ -1684,6 +1671,35 @@ mod tests {
         let reloaded = ShardManifest::load(dir.join(SHARD_MANIFEST_FILE)).unwrap();
         assert_eq!(reloaded, manifest);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A shard file is written from slices of the store's columns. Its
+    /// bytes must equal the image of a store built from the same rows
+    /// with every other row empty, in both formats.
+    #[test]
+    fn shard_files_equal_the_images_of_their_row_range_stores() {
+        let ads = sample_set();
+        for format in [StoreFormat::V1, StoreFormat::V2] {
+            let dir = std::env::temp_dir().join(format!("adsketch_frozen_slices_{format:?}"));
+            std::fs::remove_dir_all(&dir).ok();
+            let manifest = freeze_sharded_format(&ads, 3, &dir, format).unwrap();
+            for (i, rec) in manifest.records().iter().enumerate() {
+                let rows = (0..ads.num_nodes() as NodeId)
+                    .map(|v| match (rec.start..rec.end).contains(&(v as u64)) {
+                        true => ads.sketch(v),
+                        false => crate::BottomKAds::empty(ads.k()),
+                    })
+                    .collect();
+                let range_store = AdsSet::from_sketches(ads.k(), rows);
+                let written = std::fs::read(dir.join(shard_file_name(i))).unwrap();
+                assert_eq!(
+                    written,
+                    range_store.to_bytes_format(format),
+                    "{format:?} shard {i}"
+                );
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]
@@ -1799,7 +1815,7 @@ mod tests {
 
     #[test]
     fn mapped_load_is_bitwise_identical() {
-        let frozen = sample_set().freeze();
+        let frozen = sample_set();
         let path = save_temp(&frozen, "mapped_roundtrip");
         for opts in [LoadOptions::mapped(), LoadOptions::trusted()] {
             let loaded = FrozenAdsSet::load_with(&path, opts).unwrap();
@@ -1825,7 +1841,7 @@ mod tests {
 
     #[test]
     fn mapped_load_rejects_corruption_like_buffered() {
-        let frozen = sample_set().freeze();
+        let frozen = sample_set();
         let good = frozen.to_bytes();
         let path = std::env::temp_dir().join("adsketch_frozen_mapped_corrupt.ads");
         let check = |bytes: &[u8], what: &str| {
@@ -1890,7 +1906,7 @@ mod tests {
 
     #[test]
     fn v2_roundtrip_is_bitwise_lossless() {
-        let frozen = sample_set().freeze();
+        let frozen = sample_set();
         let v2_bytes = frozen.to_bytes_format(StoreFormat::V2);
         assert!(
             v2_bytes.len() * 2 < frozen.to_bytes().len(),
@@ -1910,7 +1926,7 @@ mod tests {
 
     #[test]
     fn v2_estimates_match_v1_bitwise() {
-        let frozen = sample_set().freeze();
+        let frozen = sample_set();
         let v2 = FrozenAdsSet::from_bytes(&frozen.to_bytes_format(StoreFormat::V2)).unwrap();
         for v in 0..frozen.num_nodes() as NodeId {
             assert_eq!(
@@ -1940,7 +1956,7 @@ mod tests {
 
     #[test]
     fn v2_loaded_store_serves_the_same_column_slices() {
-        let frozen = sample_set().freeze();
+        let frozen = sample_set();
         let v2 = FrozenAdsSet::from_bytes(&frozen.to_bytes_format(StoreFormat::V2)).unwrap();
         let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for v in 0..frozen.num_nodes() as NodeId {
@@ -1954,7 +1970,7 @@ mod tests {
 
     #[test]
     fn v2_clone_preserves_everything() {
-        let frozen = sample_set().freeze();
+        let frozen = sample_set();
         let v2 = FrozenAdsSet::from_bytes(&frozen.to_bytes_format(StoreFormat::V2)).unwrap();
         let cloned = v2.clone();
         assert_eq!(
@@ -1968,7 +1984,7 @@ mod tests {
 
     #[test]
     fn v2_mapped_and_buffered_loads_are_identical() {
-        let frozen = sample_set().freeze();
+        let frozen = sample_set();
         let path = std::env::temp_dir().join("adsketch_frozen_v2_mapped.ads");
         std::fs::write(&path, frozen.to_bytes_format(StoreFormat::V2)).unwrap();
         for opts in [
@@ -1994,7 +2010,7 @@ mod tests {
 
     #[test]
     fn v2_rejects_corruption_like_v1() {
-        let frozen = sample_set().freeze();
+        let frozen = sample_set();
         let good = frozen.to_bytes_format(StoreFormat::V2);
         // Truncation mid-body.
         assert!(FrozenAdsSet::from_bytes(&good[..good.len() / 2]).is_err());
@@ -2021,11 +2037,10 @@ mod tests {
 
     #[test]
     fn v2_sharded_freeze_is_loadable_and_digest_pinned() {
-        let ads = sample_set();
         let dir = std::env::temp_dir().join("adsketch_frozen_v2_shards");
         std::fs::remove_dir_all(&dir).ok();
-        let manifest = freeze_sharded_format(&ads, 3, &dir, StoreFormat::V2).unwrap();
-        let whole = ads.freeze();
+        let whole = sample_set();
+        let manifest = freeze_sharded_format(&whole, 3, &dir, StoreFormat::V2).unwrap();
         for (i, rec) in manifest.records().iter().enumerate() {
             let path = dir.join(shard_file_name(i));
             let (shard, digest) =

@@ -34,11 +34,11 @@
 //! | module | contents |
 //! |---|---|
 //! | [`entry`], [`bottomk`], [`kmins`], [`kpartition`] | the three ADS flavors (Section 2) |
-//! | [`ads_set`] | per-graph collections of sketches |
+//! | [`ads_set`] | the [`AdsSet`] alias of the store and its seeded build entry points |
 //! | [`view`] | the [`AdsView`] read-side trait every estimator runs against |
-//! | [`frozen`] | the immutable columnar query store with versioned (de)serialization |
+//! | [`frozen`] | the immutable columnar store every builder returns, with versioned (de)serialization |
 //! | [`engine`] | the sharded batch query engine over any view |
-//! | [`builder`] | PrunedDijkstra, DP and LocalUpdates construction (Section 3), incl. (1+ε)-approximate ADS |
+//! | [`builder`] | PrunedDijkstra, DP and LocalUpdates construction (Section 3), incl. (1+ε)-approximate ADS, each handing its columns to the store |
 //! | [`reference`](mod@reference) | brute-force order-based builders used for validation |
 //! | [`hip`] | adjusted weights and HIP query evaluation (Section 5) |
 //! | [`basic`] | basic (MinHash-extraction) estimators on ADSs (Section 4) |

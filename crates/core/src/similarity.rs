@@ -83,7 +83,10 @@ mod tests {
         // for d ≥ 1 shifted… simplest exact case: the same node.
         let g = generators::gnp(100, 0.05, 3);
         let ads = AdsSet::build(&g, 8, 5);
-        assert_eq!(neighborhood_jaccard(ads.sketch(4), ads.sketch(4), 2.0), 1.0);
+        assert_eq!(
+            neighborhood_jaccard(&ads.sketch(4), &ads.sketch(4), 2.0),
+            1.0
+        );
     }
 
     #[test]
@@ -92,7 +95,7 @@ mod tests {
         // disjoint.
         let g = Graph::undirected(200, &generators::path_edges(200)).unwrap();
         let ads = AdsSet::build(&g, 16, 7);
-        let j = neighborhood_jaccard(ads.sketch(0), ads.sketch(199), 5.0);
+        let j = neighborhood_jaccard(&ads.sketch(0), &ads.sketch(199), 5.0);
         assert_eq!(j, 0.0);
     }
 
@@ -104,7 +107,11 @@ mod tests {
         let mut stat = RunningStat::new();
         for seed in 0..150 {
             let ads = AdsSet::build(&g, 16, seed);
-            stat.push(neighborhood_jaccard(ads.sketch(100), ads.sketch(101), 10.0));
+            stat.push(neighborhood_jaccard(
+                &ads.sketch(100),
+                &ads.sketch(101),
+                10.0,
+            ));
         }
         assert!(
             (stat.mean() - truth).abs() < 0.07,
@@ -120,10 +127,10 @@ mod tests {
         let mut is = RunningStat::new();
         for seed in 0..200 {
             let ads = AdsSet::build(&g, 16, seed + 500);
-            us.push(neighborhood_union(ads.sketch(100), ads.sketch(104), 10.0));
+            us.push(neighborhood_union(&ads.sketch(100), &ads.sketch(104), 10.0));
             is.push(neighborhood_intersection(
-                ads.sketch(100),
-                ads.sketch(104),
+                &ads.sketch(100),
+                &ads.sketch(104),
                 10.0,
             ));
         }
@@ -137,8 +144,11 @@ mod tests {
         // On a path, the similarity of two nearby nodes grows with scale.
         let g = Graph::undirected(300, &generators::path_edges(300)).unwrap();
         let ads = AdsSet::build(&g, 32, 9);
-        let profile =
-            closeness_profile(ads.sketch(150), ads.sketch(153), &[2.0, 10.0, 50.0, 140.0]);
+        let profile = closeness_profile(
+            &ads.sketch(150),
+            &ads.sketch(153),
+            &[2.0, 10.0, 50.0, 140.0],
+        );
         assert!(profile.first().unwrap().1 < profile.last().unwrap().1);
     }
 }

@@ -32,8 +32,7 @@ pub fn cardinality_at(ads: &BottomKAds, d: f64) -> f64 {
     size_estimator(ads.size_at(d), ads.k())
 }
 
-/// [`cardinality_at`] for node `v` of any [`crate::view::AdsView`] back
-/// end (heap-backed or frozen).
+/// [`cardinality_at`] for node `v` of any [`crate::view::AdsView`].
 pub fn cardinality_at_in<V: crate::view::AdsView + ?Sized>(view: &V, v: NodeId, d: f64) -> f64 {
     size_estimator(view.size_at(v, d), view.k())
 }

@@ -2,24 +2,26 @@
 //!
 //! [`AdsView`] abstracts "one canonical bottom-k ADS per node" so that
 //! every estimator — HIP cardinalities, basic (MinHash-extraction)
-//! estimates, centralities, similarities, the size-only estimator — can
-//! run unchanged against either the mutable build output
-//! ([`crate::AdsSet`], a heap of per-node `Vec`s) or the frozen columnar
-//! store ([`crate::frozen::FrozenAdsSet`]). Both back ends expose the
-//! same entries in the same canonical `(dist, node)` order and the same
+//! estimates, centralities, similarities, the size-only estimator — runs
+//! unchanged against the columnar store ([`crate::frozen::FrozenAdsSet`],
+//! which every builder returns) and against the serving tier's stores
+//! that route each node to one of several of them. All expose the same
+//! entries in the same canonical `(dist, node)` order and the same
 //! floating-point operation sequence, so estimator answers are **bitwise
-//! identical** across them (asserted by `tests/frozen_roundtrip.rs`).
+//! identical** across them, and to the per-sketch forms over the heap
+//! reference [`crate::BottomKAds`] (asserted by
+//! `tests/frozen_roundtrip.rs`).
 //!
-//! The trait is deliberately callback-based (`for_each_entry` /
-//! `for_each_hip`) rather than slice-based: the frozen store keeps its
-//! entries struct-of-arrays, so handing out `&[AdsEntry]` would force a
-//! materialization. Callbacks let both layouts stream entries with zero
-//! allocation, which is what the batch [`crate::engine::QueryEngine`]
-//! runs on. The frozen store has one in-memory layout whichever file
-//! format it was read from — the **compressed** (format v2) encoding is
-//! decoded once, at load, into the same full-width columns — and the
-//! decoded values are bit-identical to v1's, so the bitwise-identity
-//! guarantee above holds across formats too.
+//! The trait is callback-based (`for_each_entry` / `for_each_hip`)
+//! rather than slice-based: the store keeps its entries struct-of-arrays,
+//! so handing out `&[AdsEntry]` would force a materialization. Callbacks
+//! stream entries with zero allocation, which is what the batch
+//! [`crate::engine::QueryEngine`] runs on. The store has one in-memory
+//! layout whichever file format it was read from — the **compressed**
+//! (format v2) encoding is decoded once, at load, into the same
+//! full-width columns — and the decoded values are bit-identical to
+//! v1's, so the bitwise-identity guarantee above holds across formats
+//! too.
 
 use adsketch_graph::NodeId;
 use adsketch_minhash::BottomKSketch;
@@ -45,9 +47,8 @@ pub trait AdsView {
     /// Visits the entries of `ADS(v)` in canonical `(dist, node)` order.
     fn for_each_entry(&self, v: NodeId, f: impl FnMut(AdsEntry));
 
-    /// Visits the HIP items of `ADS(v)` in canonical order. The frozen
-    /// store replays precomputed adjusted weights; the heap-backed set
-    /// recomputes them with the Lemma 5.1 threshold scan.
+    /// Visits the HIP items of `ADS(v)` in canonical order, replaying
+    /// the store's precomputed adjusted weights.
     fn for_each_hip(&self, v: NodeId, f: impl FnMut(HipItem));
 
     /// Number of entries of `ADS(v)` within distance `d` (the canonical
@@ -134,9 +135,9 @@ pub trait AdsView {
 /// ANF/HyperANF quantity, estimated sketch-side. Returns
 /// `(distance, estimated #ordered pairs within distance)` pairs.
 ///
-/// Streams HIP items through [`AdsView::for_each_hip`], so the heap path
-/// no longer allocates a fresh `HipWeights` per node and the frozen path
-/// reads precomputed weights straight out of its columns.
+/// Streams HIP items through [`AdsView::for_each_hip`], so no
+/// `HipWeights` is allocated per node and a store reads its precomputed
+/// weights straight out of its columns.
 pub fn distance_distribution_estimate<V: AdsView + ?Sized>(view: &V) -> Vec<(f64, f64)> {
     let mut events: Vec<(f64, f64)> = Vec::new();
     for v in 0..view.num_nodes() as NodeId {

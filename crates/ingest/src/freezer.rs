@@ -11,9 +11,11 @@
 //! the previous generation or the complete new one, never a torn
 //! pointer.
 //!
-//! The ingestor is locked only long enough to **clone** the live
-//! sketches (and read the stream counters); the expensive part —
-//! sharding, encoding, writing, checksumming — runs outside the lock,
+//! The ingestor is locked only long enough to **snapshot** the live
+//! sketches — their columns concatenated into the store, HIP weights
+//! computed on the way — and read the stream counters; the expensive
+//! part — sharding, encoding, writing, checksumming — runs outside the
+//! lock,
 //! so ingest continues while a freeze is in flight. [`spawn_freezer`]
 //! wraps this in a background thread with a publish callback, which is
 //! how a serving process chains a hot-swap
@@ -71,7 +73,7 @@ pub struct FrozenGeneration {
     pub edges: u64,
     /// Stream counters at snapshot time.
     pub stats: IngestStats,
-    /// Wall-clock spent freezing (snapshot clone + encode + write).
+    /// Wall-clock spent freezing (snapshot + encode + write).
     pub freeze_seconds: f64,
 }
 

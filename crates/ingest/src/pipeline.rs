@@ -117,8 +117,8 @@ impl Ingestor {
         &self.log
     }
 
-    /// A frozen-format-ready copy of the live sketches — bitwise the
-    /// batch build of every edge ingested so far.
+    /// The live sketches as the columnar store, ready to shard — bitwise
+    /// the batch build of every edge ingested so far.
     pub fn snapshot(&self) -> AdsSet {
         self.ads.snapshot()
     }

@@ -52,7 +52,7 @@
 //! use adsketch_graph::generators;
 //! use adsketch_serve::{Client, Server, ShardedStore};
 //!
-//! // Build and freeze into 2 shards.
+//! // Build, then write 2 shards.
 //! let g = generators::barabasi_albert(200, 3, 7);
 //! let ads = AdsSet::build(&g, 8, 42);
 //! let dir = std::env::temp_dir().join("adsketch_serve_doc_example");
@@ -68,8 +68,7 @@
 //! let served = client.harmonic(&[0, 1, 2]).unwrap();
 //!
 //! // Bitwise identical to the local engine on the unsharded store.
-//! let frozen = ads.freeze();
-//! let local = QueryEngine::new(&frozen).harmonic_batch(&[0, 1, 2]);
+//! let local = QueryEngine::new(&ads).harmonic_batch(&[0, 1, 2]);
 //! assert_eq!(served, local);
 //!
 //! drop(client);

@@ -107,10 +107,10 @@ pub trait RequestStore: AdsView + Send + Sync {
 
 impl RequestStore for ShardedStore {}
 
-// A heap `AdsSet` can serve directly too: the dynamic-graph tier swaps
-// live snapshots into a [`crate::GenerationStore`] without freezing to
-// disk first, and tests compare served answers against it.
-impl RequestStore for adsketch_core::AdsSet {}
+// One in-memory store can serve directly too: the dynamic-graph tier
+// swaps live snapshots into a [`crate::GenerationStore`] without writing
+// them to disk first, and tests compare served answers against it.
+impl RequestStore for adsketch_core::FrozenAdsSet {}
 
 /// A bound query server over a [`RequestStore`].
 pub struct Server<S: RequestStore = ShardedStore> {

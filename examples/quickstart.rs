@@ -29,7 +29,7 @@ fn main() {
     let ads = AdsSet::build(&g, k, 42);
     println!(
         "built bottom-{k} ADS set: {} entries total, {:.1} per node (Lemma 2.2 predicts ≈ {:.1})",
-        ads.total_entries(),
+        ads.num_entries(),
         ads.mean_entries(),
         adsketch::util::harmonic::expected_bottomk_ads_size(n as u64, k)
     );

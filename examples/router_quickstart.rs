@@ -31,7 +31,7 @@ fn main() {
     let g = generators::barabasi_albert(n, 4, 7);
     let k = 16;
 
-    // Build once, freeze into one file per shard plus the manifest.
+    // Build once, write one file per shard plus the manifest.
     let ads = AdsSet::build_parallel(&g, k, 42, 0);
     let dir = std::env::temp_dir().join("adsketch_router_quickstart");
     let _ = std::fs::remove_dir_all(&dir);
@@ -91,8 +91,7 @@ fn main() {
 
     // Every merged answer matches the local engine on the *unsharded*
     // store bit for bit.
-    let frozen = ads.freeze();
-    let local = QueryEngine::new(&frozen);
+    let local = QueryEngine::new(&ads);
     assert_eq!(harmonic, local.harmonic_batch(&nodes));
     assert_eq!(cardinality, local.cardinality_batch(&within3));
     assert_eq!(jaccard, local.jaccard_batch(&pairs, 3.0));

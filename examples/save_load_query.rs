@@ -1,7 +1,7 @@
-//! The build → freeze → save → load → batch-query lifecycle: sketch a
-//! graph once, persist the frozen store, and serve centrality /
-//! cardinality / similarity batches from the reloaded bytes — verifying
-//! every answer is bitwise identical to the in-memory sketches.
+//! The build → save → load → batch-query lifecycle: sketch a graph once,
+//! persist the store, and serve centrality / cardinality / similarity
+//! batches from the reloaded bytes — verifying every answer is bitwise
+//! identical to the heap reference computed from the in-memory rows.
 //!
 //! ```text
 //! cargo run --release --example save_load_query
@@ -20,15 +20,13 @@ fn main() {
     let g = generators::barabasi_albert(n, 4, 7);
     let k = 16;
 
-    // Build once (the expensive graph-traversal phase)…
-    let ads = AdsSet::build_parallel(&g, k, 42, 0);
-    // …freeze into the columnar query form with HIP weights precomputed…
-    let frozen = ads.freeze();
+    // Build once (the expensive graph-traversal phase) into the columnar
+    // query form, HIP weights precomputed…
+    let frozen = AdsSet::build_parallel(&g, k, 42, 0);
     println!(
-        "built and froze {} sketches: {} entries, heap ≈ {} B → frozen {} B ({} B on disk)",
+        "built {} sketches: {} entries, {} B resident ({} B on disk)",
         frozen.num_nodes(),
         frozen.num_entries(),
-        ads.approx_heap_bytes(),
         frozen.resident_bytes(),
         frozen.serialized_len()
     );
@@ -52,10 +50,11 @@ fn main() {
     let pairs: Vec<(NodeId, NodeId)> = (0..(n as NodeId) / 2).map(|i| (i, i + 1)).collect();
     let jaccard = engine.jaccard_batch(&pairs, 2.0);
 
-    // Every answer matches the heap-backed sketches bit for bit.
+    // Every answer matches the heap reference bit for bit.
     for v in 0..n as NodeId {
-        assert_eq!(harmonic[v as usize], centrality::harmonic(&ads.hip(v)));
-        assert_eq!(within3[v as usize], ads.hip(v).cardinality_at(3.0));
+        let hip = frozen.sketch(v).hip_weights();
+        assert_eq!(harmonic[v as usize], centrality::harmonic(&hip));
+        assert_eq!(within3[v as usize], hip.cardinality_at(3.0));
     }
     println!(
         "served {} harmonic + {} cardinality + {} similarity queries from the loaded store",

@@ -25,7 +25,7 @@ fn main() {
     let g = generators::barabasi_albert(n, 4, 7);
     let k = 16;
 
-    // Build once, then freeze into a sharded store: S full-width v1
+    // Build once, then write a sharded store: S full-width v1
     // shard files plus the checksummed ADSKSHD1 manifest.
     let ads = AdsSet::build_parallel(&g, k, 42, 0);
     let dir = std::env::temp_dir().join("adsketch_serve_quickstart");
@@ -67,8 +67,7 @@ fn main() {
 
     // Every served answer matches the local engine on the *unsharded*
     // store bit for bit.
-    let frozen = ads.freeze();
-    let local = QueryEngine::new(&frozen);
+    let local = QueryEngine::new(&ads);
     assert_eq!(harmonic, local.harmonic_batch(&nodes));
     assert_eq!(cardinality, local.cardinality_batch(&within3));
     assert_eq!(

@@ -44,12 +44,10 @@
 //! let hc = centrality::harmonic(&hip);     // harmonic centrality estimate
 //! assert!(within3 > 0.0 && hc > 0.0);
 //!
-//! // For query *serving*, freeze into the columnar store (HIP weights
-//! // precomputed, single-buffer checksummed (de)serialization) and
-//! // batch across cores:
+//! // The set already is the columnar store (HIP weights precomputed):
+//! // round-trip it through its checksummed bytes and batch across cores.
 //! use adsketch::core::{FrozenAdsSet, QueryEngine};
-//! let frozen = ads.freeze();
-//! let restored = FrozenAdsSet::from_bytes(&frozen.to_bytes()).unwrap();
+//! let restored = FrozenAdsSet::from_bytes(&ads.to_bytes()).unwrap();
 //! let harmonic_all = QueryEngine::new(&restored).harmonic_all();
 //! assert_eq!(harmonic_all[0], hc); // bitwise-identical answers
 //! ```

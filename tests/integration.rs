@@ -42,7 +42,8 @@ fn graph_and_stream_ads_coincide_on_a_path() {
     let arcs: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
     let g = Graph::directed(n, &arcs).unwrap();
     let ads = AdsSet::build(&g, k, seed); // uses RankHasher(seed) ranks
-    let graph_entries = ads.sketch(0).entries();
+    let graph_sketch = ads.sketch(0);
+    let graph_entries = graph_sketch.entries();
 
     let mut stream = FirstOccurrenceAds::new(k, seed);
     for e in 0..n as u64 {
@@ -58,7 +59,7 @@ fn graph_and_stream_ads_coincide_on_a_path() {
         assert_eq!(gent.rank, sent.rank);
     }
     // And the HIP weights agree too.
-    let hip = ads.sketch(0).hip_weights();
+    let hip = graph_sketch.hip_weights();
     for (hit, sent) in hip.items().iter().zip(stream_entries) {
         assert!((hit.weight - sent.weight).abs() < 1e-12);
     }
@@ -77,8 +78,8 @@ fn estimator_hierarchy_on_a_graph() {
     for seed in 0..400 {
         let ads = AdsSet::build(&g, k, seed);
         hip.push(ads.hip(0).reachable_estimate());
-        bas.push(basic::reachable(ads.sketch(0)));
-        siz.push(size_est::cardinality_at(ads.sketch(0), f64::INFINITY));
+        bas.push(basic::reachable(&ads.sketch(0)));
+        siz.push(size_est::cardinality_at(&ads.sketch(0), f64::INFINITY));
     }
     for (name, e) in [("hip", &hip), ("basic", &bas), ("size", &siz)] {
         let z = e.relative_bias() / e.bias_std_error();
@@ -234,7 +235,7 @@ fn weighted_node_sketches_on_graph() {
         let ranks = weighted::exponential_ranks(&betas, seed);
         let ads = pruned_dijkstra::build(&g, 8, &ranks).unwrap();
         err.push(weighted::neighborhood_weight_at(
-            ads.sketch(0),
+            &ads.sketch(0),
             &betas,
             f64::INFINITY,
         ));

@@ -57,7 +57,7 @@ fn assert_all_equivalent(g: &Graph, k: usize, ranks: &[f64], label: &str) -> (Bu
     // visits that would have ended in a prune.
     assert_eq!(
         stats.insertions,
-        oracle.total_entries() as u64,
+        oracle.num_entries() as u64,
         "{label}: every insertion is a final entry"
     );
     // The filter is exact on the sequential path: whatever it lets into

@@ -109,7 +109,7 @@ proptest! {
         let base = reference::build_bottomk(&g, k, &ranks);
         let (relax, relax_stats) = pruned_dijkstra::build_with_stats(&g, k, &ranks).unwrap();
         prop_assert_eq!(&relax, &base);
-        prop_assert_eq!(relax_stats.insertions, base.total_entries() as u64);
+        prop_assert_eq!(relax_stats.insertions, base.num_entries() as u64);
         prop_assert!(relax_stats.relaxations - relax_stats.insertions <= n as u64);
         for threads in [1usize, 2, 4, 0] {
             let (par, par_stats) =

@@ -1,6 +1,7 @@
 //! Sharded freeze → load round trips must be lossless: every estimator
-//! answers **bitwise identically** from the loaded [`ShardedStore`] and
-//! from the heap-backed [`AdsSet`] it was frozen from, for every shard
+//! answers from the loaded [`ShardedStore`] **bitwise identically** to
+//! the heap reference over the rows of the [`AdsSet`] it was written
+//! from, for every shard
 //! count, across directed / weighted / disconnected graphs; corrupted,
 //! truncated, swapped, or structurally invalid manifests and shard files
 //! must be rejected — mirroring `tests/frozen_roundtrip.rs` for the
@@ -55,10 +56,12 @@ fn roundtrip(ads: &AdsSet, shards: usize, tag: &str) -> (ShardDir, ShardedStore)
 fn assert_estimators_bitwise_equal(ads: &AdsSet, store: &ShardedStore) {
     assert_eq!(store.manifest().k(), ads.k());
     assert_eq!(AdsView::num_nodes(store), ads.num_nodes());
-    assert_eq!(AdsView::total_entries(store), ads.total_entries());
+    assert_eq!(AdsView::total_entries(store), ads.num_entries());
     let n = ads.num_nodes() as NodeId;
     for v in 0..n {
-        let hip = ads.hip(v);
+        // The oracle: row `v` as a heap sketch, weighted by the heap scan.
+        let sketch = ads.sketch(v);
+        let hip = sketch.hip_weights();
         assert_eq!(store.hip_weights_of(v), hip, "node {v}: HIP weights");
         assert_eq!(store.hip_reachable(v), hip.reachable_estimate());
         for d in [0.0, 0.5, 1.0, 2.0, 4.0, f64::INFINITY] {
@@ -66,12 +69,12 @@ fn assert_estimators_bitwise_equal(ads: &AdsSet, store: &ShardedStore) {
             if ads.k() > 1 {
                 assert_eq!(
                     basic::cardinality_at_in(store, v, d),
-                    basic::cardinality_at(ads.sketch(v), d)
+                    basic::cardinality_at(&sketch, d)
                 );
             }
             assert_eq!(
                 size_est::cardinality_at_in(store, v, d),
-                size_est::cardinality_at(ads.sketch(v), d)
+                size_est::cardinality_at(&sketch, d)
             );
         }
         assert_eq!(
@@ -86,7 +89,7 @@ fn assert_estimators_bitwise_equal(ads: &AdsSet, store: &ShardedStore) {
         let u = (v + 1) % n.max(1);
         assert_eq!(
             similarity::neighborhood_jaccard_in(store, v, u, 2.0),
-            similarity::neighborhood_jaccard(ads.sketch(v), ads.sketch(u), 2.0)
+            similarity::neighborhood_jaccard(&sketch, &ads.sketch(u), 2.0)
         );
     }
 }
@@ -145,7 +148,7 @@ fn directed_weighted_disconnected_across_shard_counts() {
         let ads = AdsSet::build(g, k, 11);
         let frozen = ads.freeze();
         let per_node: Vec<f64> = (0..g.num_nodes() as NodeId)
-            .map(|v| centrality::harmonic(&ads.hip(v)))
+            .map(|v| centrality::harmonic(&ads.sketch(v).hip_weights()))
             .collect();
         for shards in [1usize, 2, 4] {
             let (_dir, store) = roundtrip(&ads, shards, &format!("{name}_{shards}"));
