@@ -14,7 +14,8 @@ fn bench_queries(c: &mut Criterion) {
     let g = generators::barabasi_albert(n, 4, 11);
     let ads = AdsSet::build(&g, 16, 5);
     let sketch = ads.sketch(0);
-    let hip = ads.hip(0);
+    let row = ads.row(0);
+    let hip = row.hip();
 
     let mut group = c.benchmark_group("queries");
     group.bench_function("hip_weights_derive", |b| {
@@ -24,10 +25,10 @@ fn bench_queries(c: &mut Criterion) {
         b.iter(|| black_box(hip.cardinality_at(black_box(3.0))))
     });
     group.bench_function("basic_cardinality_at", |b| {
-        b.iter(|| black_box(basic::cardinality_at(&sketch, black_box(3.0))))
+        b.iter(|| black_box(basic::cardinality_at(row, black_box(3.0))))
     });
     group.bench_function("harmonic_centrality", |b| {
-        b.iter(|| black_box(centrality::harmonic(&hip)))
+        b.iter(|| black_box(centrality::harmonic(hip)))
     });
     group.bench_function("qg_filtered", |b| {
         b.iter(|| {
@@ -35,19 +36,19 @@ fn bench_queries(c: &mut Criterion) {
         })
     });
     group.bench_function("size_estimator", |b| {
-        b.iter(|| black_box(adsketch_core::size_est::cardinality_at(&sketch, 3.0)))
+        b.iter(|| black_box(adsketch_core::size_est::cardinality_at(row, 3.0)))
     });
     group.finish();
 
-    // Batch throughput: the whole-graph closeness sweep, one `HipWeights`
-    // per node vs the batch engine (`adsbench`'s
+    // Batch throughput: the whole-graph closeness sweep, one row at a
+    // time vs the batch engine (`adsbench`'s
     // `core.engine.harmonic_all_s` sweep at criterion scale).
     let frozen = &ads;
     let mut batch = c.benchmark_group("batch_queries");
     batch.bench_function("per_node_hip_harmonic_all", |b| {
         b.iter(|| {
             let out: Vec<f64> = (0..n as NodeId)
-                .map(|v| centrality::harmonic(&ads.hip(v)))
+                .map(|v| centrality::harmonic(ads.hip(v)))
                 .collect();
             black_box(out)
         })

@@ -53,9 +53,9 @@ fn main() {
             let hip = ads.hip(probe);
             for (qi, (_, kern, filt)) in queries.iter().enumerate() {
                 let est = if *filt {
-                    centrality::decay_filtered(&hip, *kern, beta)
+                    centrality::decay_filtered(hip, *kern, beta)
                 } else {
-                    centrality::decay(&hip, *kern)
+                    centrality::decay(hip, *kern)
                 };
                 errs[qi].push(est);
             }

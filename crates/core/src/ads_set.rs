@@ -12,9 +12,8 @@ use adsketch_graph::{Graph, NodeId};
 
 use crate::bottomk::BottomKAds;
 use crate::frozen::FrozenAdsSet;
-use crate::hip::HipWeights;
+use crate::hip::HipRow;
 use crate::uniform_ranks;
-use crate::view::AdsView;
 
 /// Forward bottom-k ADSs for every node of a graph: the columnar store.
 /// Row `v` samples the nodes *reachable from* `v` with their forward
@@ -81,21 +80,18 @@ impl FrozenAdsSet {
         self.clone()
     }
 
-    /// Row `v` as a standalone [`BottomKAds`] — the input of the
-    /// sketch-level estimators and of the heap reference
-    /// ([`BottomKAds::hip_weights`]) the stored weights are tested
-    /// against. Copies the row.
+    /// Row `v` copied out as a standalone [`BottomKAds`]: the input of
+    /// the heap reference ([`BottomKAds::hip_weights`]) the stored
+    /// weights are tested against.
     pub fn sketch(&self, v: NodeId) -> BottomKAds {
-        let mut entries = Vec::with_capacity(self.entry_count(v));
-        self.for_each_entry(v, |e| entries.push(e));
-        BottomKAds::from_entries(self.k(), entries)
+        BottomKAds::from_entries(self.k(), self.row(v).entries().collect())
     }
 
-    /// HIP adjusted weights for node `v` (see [`crate::hip`]), read from
-    /// the stored weight column. Allocates; batch paths should prefer
-    /// [`crate::engine::QueryEngine`].
-    pub fn hip(&self, v: NodeId) -> HipWeights {
-        self.hip_weights_of(v)
+    /// The HIP half of row `v` (see [`crate::hip`]): zero-copy slices of
+    /// the stored node, distance and weight columns.
+    #[inline]
+    pub fn hip(&self, v: NodeId) -> HipRow<'_> {
+        self.row(v).hip()
     }
 
     /// Total number of stored entries across all nodes (the same count as
@@ -162,7 +158,7 @@ mod tests {
         let runs = 15;
         for seed in 0..runs {
             let ads = AdsSet::build(&g, 8, seed);
-            let dd = ads.distance_distribution_estimate();
+            let dd = crate::view::distance_distribution_estimate(&ads);
             est_final += dd.last().map_or(0.0, |&(_, c)| c);
         }
         est_final /= runs as f64;
@@ -196,7 +192,7 @@ mod tests {
         let set = AdsSet::from_sketches(3, sketches.clone());
         for (v, s) in sketches.iter().enumerate() {
             assert_eq!(&set.sketch(v as NodeId), s, "node {v}");
-            assert_eq!(set.hip(v as NodeId), s.hip_weights(), "node {v}");
+            assert_eq!(set.hip(v as NodeId), s.hip_weights().row(), "node {v}");
         }
     }
 }

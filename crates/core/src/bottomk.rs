@@ -6,7 +6,6 @@
 //! bottom-k MinHash sketches of the neighborhoods `N_d(v)`.
 
 use adsketch_graph::NodeId;
-use adsketch_minhash::BottomKSketch;
 use adsketch_util::topk::KSmallest;
 
 use crate::entry::AdsEntry;
@@ -67,23 +66,6 @@ impl BottomKAds {
     /// ~`k ln n` entries and no serving path looks nodes up.
     pub fn get(&self, node: NodeId) -> Option<&AdsEntry> {
         self.entries.iter().find(|e| e.node == node)
-    }
-
-    /// Number of entries with distance ≤ `d` — the input of the size-only
-    /// estimator ([`crate::size_est`]).
-    pub fn size_at(&self, d: f64) -> usize {
-        self.entries.partition_point(|e| e.dist <= d)
-    }
-
-    /// Extracts the bottom-k MinHash sketch of the neighborhood `N_d(v)`:
-    /// the k smallest-ranked entries with distance ≤ `d` (paper, Section 2:
-    /// "an ADS contains a MinHash sketch of `N_d(v)` for any `d`").
-    pub fn minhash_at(&self, d: f64) -> BottomKSketch {
-        let mut sketch = BottomKSketch::new(self.k);
-        for e in &self.entries[..self.size_at(d)] {
-            sketch.insert_ranked(e.rank, e.node as u64);
-        }
-        sketch
     }
 
     /// Computes the HIP adjusted weights (paper, Section 5.1, Lemma 5.1):
@@ -191,16 +173,6 @@ mod tests {
     }
 
     #[test]
-    fn size_at_counts_prefix() {
-        let ads = example_ads();
-        assert_eq!(ads.size_at(-1.0), 0);
-        assert_eq!(ads.size_at(0.0), 1);
-        assert_eq!(ads.size_at(9.0), 2);
-        assert_eq!(ads.size_at(17.9), 2);
-        assert_eq!(ads.size_at(100.0), 4);
-    }
-
-    #[test]
     fn get_and_len() {
         let ads = example_ads();
         assert_eq!(ads.len(), 4);
@@ -209,30 +181,11 @@ mod tests {
     }
 
     #[test]
-    fn minhash_at_keeps_k_smallest_ranks() {
-        let ads = BottomKAds::from_entries(
-            2,
-            vec![
-                AdsEntry::new(0, 0.0, 0.5),
-                AdsEntry::new(1, 1.0, 0.7),
-                AdsEntry::new(2, 2.0, 0.4),
-                AdsEntry::new(3, 3.0, 0.2),
-            ],
-        );
-        let s = ads.minhash_at(2.0);
-        let ranks: Vec<f64> = s.items().iter().map(|i| i.rank).collect();
-        assert_eq!(ranks, vec![0.4, 0.5]);
-        let s_all = ads.minhash_at(f64::INFINITY);
-        let ranks: Vec<f64> = s_all.items().iter().map(|i| i.rank).collect();
-        assert_eq!(ranks, vec![0.2, 0.4]);
-    }
-
-    #[test]
     fn hip_weights_bottom1() {
         // k = 1: τ of each entry is the minimum rank among closer entries.
         let ads = example_ads();
         let hip = ads.hip_weights();
-        let w: Vec<f64> = hip.items().iter().map(|i| i.weight).collect();
+        let w = hip.row().weights;
         assert_eq!(w[0], 1.0); // first node: τ = 1
         assert!((w[1] - 1.0 / 0.5).abs() < 1e-12);
         assert!((w[2] - 1.0 / 0.4).abs() < 1e-12);
@@ -251,7 +204,7 @@ mod tests {
             ],
         );
         let hip = ads.hip_weights();
-        let w: Vec<f64> = hip.items().iter().map(|i| i.weight).collect();
+        let w = hip.row().weights;
         assert_eq!(&w[..3], &[1.0, 1.0, 1.0]);
         assert!((w[3] - 1.0 / 0.9).abs() < 1e-12); // τ = 3rd smallest of {.9,.8,.7}
     }
@@ -270,7 +223,7 @@ mod tests {
             ],
         );
         let hip = ads.hip_weights();
-        let w: Vec<f64> = hip.items().iter().map(|i| i.weight).collect();
+        let w = hip.row().weights;
         for pair in w.windows(2) {
             assert!(pair[1] >= pair[0], "weights must not decrease: {w:?}");
         }
@@ -332,7 +285,6 @@ mod tests {
         let ads = BottomKAds::empty(4);
         assert!(ads.is_empty());
         assert_eq!(ads.validate(), Ok(()));
-        assert_eq!(ads.hip_weights().reachable_estimate(), 0.0);
-        assert_eq!(ads.minhash_at(10.0).len(), 0);
+        assert!(ads.hip_weights().row().is_empty());
     }
 }

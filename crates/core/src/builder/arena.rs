@@ -470,7 +470,7 @@ mod tests {
                 for (v, entries) in sorted.iter().enumerate() {
                     let row = set.sketch(v as NodeId);
                     assert_eq!(row.entries(), entries.as_slice(), "{}", at(v));
-                    assert_eq!(set.hip(v as NodeId), row.hip_weights(), "{}", at(v));
+                    assert_eq!(set.hip(v as NodeId), row.hip_weights().row(), "{}", at(v));
                 }
             }
         }

@@ -129,7 +129,7 @@ mod tests {
         for seed in 0..60 {
             let hasher = RankHasher::new(seed);
             let sets = build(&g, 8, &hasher);
-            err.push(sets[0].hip_weights().reachable_estimate());
+            err.push(sets[0].hip_weights().row().reachable_estimate());
         }
         assert!(
             err.relative_bias().abs() < 0.15,

@@ -7,15 +7,13 @@
 //! (uniform β; see [`crate::weighted`] for β-aware sketches with the same
 //! guarantee for non-uniform β).
 //!
-//! Each centrality comes in two forms: on a materialized [`HipWeights`]
-//! and `_in` (generic over any [`AdsView`] back end, allocation-free and
-//! bitwise identical). Batch evaluation over all nodes lives in
-//! [`crate::engine::QueryEngine`].
+//! Each takes a node's [`HipRow`] (a store's `hip(v)` or an owned
+//! [`crate::HipWeights`]'s `row()`); batch evaluation over all nodes
+//! lives in [`crate::engine::QueryEngine`].
 
 use adsketch_graph::NodeId;
 
-use crate::hip::HipWeights;
-use crate::view::AdsView;
+use crate::hip::HipRow;
 
 /// Standard decay kernels from the paper's introduction.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -61,68 +59,37 @@ impl DecayKernel {
 }
 
 /// HIP estimate of harmonic centrality `Σ_{j≠v} 1/d_vj`.
-pub fn harmonic(hip: &HipWeights) -> f64 {
-    hip.qg(|_, d| DecayKernel::Harmonic.eval(d))
+pub fn harmonic(hip: HipRow<'_>) -> f64 {
+    decay(hip, DecayKernel::Harmonic)
 }
 
 /// HIP estimate of the sum of distances `Σ_j d_vj` — the inverse of classic
 /// (Bavelas) closeness centrality. Note `g(d) = d` is *increasing*, so the
 /// Corollary 5.2 CV bound does not apply; Corollary 5.3 bounds the variance
 /// instead (estimation is still unbiased).
-pub fn sum_of_distances(hip: &HipWeights) -> f64 {
+pub fn sum_of_distances(hip: HipRow<'_>) -> f64 {
     hip.qg(|_, d| d)
 }
 
 /// HIP estimate of exponentially attenuated centrality `Σ_j base^(−d_vj)`.
-pub fn exponential(hip: &HipWeights, base: f64) -> f64 {
+pub fn exponential(hip: HipRow<'_>, base: f64) -> f64 {
     assert!(base > 1.0, "attenuation base must exceed 1");
-    hip.qg(|_, d| DecayKernel::Exponential { base }.eval(d))
+    decay(hip, DecayKernel::Exponential { base })
 }
 
 /// HIP estimate of `C_α(v) = Σ_j α(d_vj)` for any kernel.
-pub fn decay(hip: &HipWeights, kernel: DecayKernel) -> f64 {
+pub fn decay(hip: HipRow<'_>, kernel: DecayKernel) -> f64 {
     hip.qg(|_, d| kernel.eval(d))
 }
 
 /// HIP estimate of the filtered centrality `C_{α,β}(v)`; the filter `β`
 /// can be supplied at query time, long after the sketches were built —
 /// the flexibility the paper highlights for social-network analytics.
-pub fn decay_filtered<B>(hip: &HipWeights, kernel: DecayKernel, beta: B) -> f64
+pub fn decay_filtered<B>(hip: HipRow<'_>, kernel: DecayKernel, mut beta: B) -> f64
 where
     B: FnMut(NodeId) -> f64,
 {
-    let mut beta = beta;
     hip.qg(|v, d| kernel.eval(d) * beta(v))
-}
-
-/// [`harmonic`] for node `v` of any [`AdsView`] back end.
-pub fn harmonic_in<V: AdsView + ?Sized>(view: &V, v: NodeId) -> f64 {
-    view.hip_qg(v, |_, d| DecayKernel::Harmonic.eval(d))
-}
-
-/// [`sum_of_distances`] for node `v` of any [`AdsView`] back end.
-pub fn sum_of_distances_in<V: AdsView + ?Sized>(view: &V, v: NodeId) -> f64 {
-    view.hip_qg(v, |_, d| d)
-}
-
-/// [`exponential`] for node `v` of any [`AdsView`] back end.
-pub fn exponential_in<V: AdsView + ?Sized>(view: &V, v: NodeId, base: f64) -> f64 {
-    assert!(base > 1.0, "attenuation base must exceed 1");
-    view.hip_qg(v, |_, d| DecayKernel::Exponential { base }.eval(d))
-}
-
-/// [`decay`] for node `v` of any [`AdsView`] back end.
-pub fn decay_in<V: AdsView + ?Sized>(view: &V, v: NodeId, kernel: DecayKernel) -> f64 {
-    view.hip_qg(v, |_, d| kernel.eval(d))
-}
-
-/// [`decay_filtered`] for node `v` of any [`AdsView`] back end.
-pub fn decay_filtered_in<V, B>(view: &V, v: NodeId, kernel: DecayKernel, mut beta: B) -> f64
-where
-    V: AdsView + ?Sized,
-    B: FnMut(NodeId) -> f64,
-{
-    view.hip_qg(v, |node, d| kernel.eval(d) * beta(node))
 }
 
 #[cfg(test)]
@@ -150,7 +117,7 @@ mod tests {
         let mut stat = RunningStat::new();
         for seed in 0..60 {
             let ads = AdsSet::build(&g, 16, seed);
-            stat.push(harmonic(&ads.hip(0)));
+            stat.push(harmonic(ads.hip(0)));
         }
         let rel = (stat.mean() - truth).abs() / truth;
         assert!(rel < 0.1, "mean {} vs exact {truth}", stat.mean());
@@ -165,7 +132,7 @@ mod tests {
         let mut stat = RunningStat::new();
         for seed in 0..60 {
             let ads = AdsSet::build(&g, 16, seed + 100);
-            stat.push(sum_of_distances(&ads.hip(5)));
+            stat.push(sum_of_distances(ads.hip(5)));
         }
         let rel = (stat.mean() - truth).abs() / truth;
         assert!(rel < 0.1, "mean {} vs exact {truth}", stat.mean());
@@ -178,7 +145,7 @@ mod tests {
         let mut stat = RunningStat::new();
         for seed in 0..80 {
             let ads = AdsSet::build(&g, 16, seed + 500);
-            stat.push(exponential(&ads.hip(2), 2.0));
+            stat.push(exponential(ads.hip(2), 2.0));
         }
         let rel = (stat.mean() - truth).abs() / truth;
         assert!(rel < 0.1, "mean {} vs exact {truth}", stat.mean());
@@ -198,7 +165,7 @@ mod tests {
         let mut stat = RunningStat::new();
         for seed in 0..80 {
             let ads = AdsSet::build(&g, 16, seed + 900);
-            stat.push(decay_filtered(&ads.hip(1), kernel, |v| {
+            stat.push(decay_filtered(ads.hip(1), kernel, |v| {
                 if v % 2 == 1 {
                     1.0
                 } else {
@@ -213,7 +180,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "base must exceed 1")]
     fn exponential_rejects_bad_base() {
-        let hip = HipWeights::from_sorted_items(vec![]);
-        let _ = exponential(&hip, 1.0);
+        let _ = exponential(crate::HipWeights::from_sorted_items(Vec::new()).row(), 1.0);
     }
 }

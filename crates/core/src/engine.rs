@@ -1,30 +1,25 @@
 //! The batch query engine: sharded, allocation-free HIP query serving.
 //!
 //! Sketch queries are embarrassingly parallel — each node's estimate
-//! reads only that node's entries — so serving them one
-//! [`crate::AdsSet::hip`] call at a time leaves both cores and memory
-//! bandwidth idle while paying a `HipWeights` allocation per call.
-//! [`QueryEngine`] answers *batches* (closeness centralities over all
-//! nodes, neighborhood cardinalities, pairwise similarities) by sharding
-//! the request across threads with the same chunking helper the parallel
-//! builders use, running each shard through the allocation-free
-//! [`AdsView`] accessors over the store's precomputed weight column
-//! (`adsbench` times the sweep as `core.engine.harmonic_all_s`).
+//! reads only that node's row — so [`QueryEngine`] answers *batches*
+//! (closeness centralities over all nodes, neighborhood cardinalities,
+//! pairwise similarities) by sharding the request across threads with
+//! the same chunking helper the parallel builders use. Each answer is the
+//! row estimator of [`crate::hip::HipRow`] or [`crate::similarity`]
+//! applied to the zero-copy [`AdsView::row`] of its node, so a batch
+//! answer is bitwise the per-row answer (`adsbench` times the sweep as
+//! `core.engine.harmonic_all_s`).
 //!
 //! The engine is generic over the view, so the same code serves one
-//! [`crate::frozen::FrozenAdsSet`] — a fresh build or a loaded file — and
-//! the serving tier's sharded and generational stores. Results are
-//! bitwise identical across views and thread counts.
-//!
-//! A store read from a **compressed** (format v2) file is no different
-//! here: it was decoded at load into the same full-width columns (see
-//! [`crate::frozen`]), so the batch queries run over identical row
-//! slices and answers stay bitwise identical across formats.
+//! [`crate::frozen::FrozenAdsSet`] — a fresh build or a loaded file, v1
+//! or v2 (decoded at load into the same full-width columns) — and the
+//! serving tier's sharded stores. Results are bitwise identical across
+//! views, formats and thread counts.
 
 use adsketch_graph::NodeId;
 
 use crate::builder::shard_slots;
-use crate::centrality::DecayKernel;
+use crate::centrality::{self, DecayKernel};
 use crate::frozen::FrozenAdsSet;
 use crate::similarity;
 use crate::view::AdsView;
@@ -74,7 +69,9 @@ impl<'a, V: AdsView + Sync> QueryEngine<'a, V> {
     where
         F: Fn(NodeId, f64) -> f64 + Sync,
     {
-        self.batch_map(self.view.num_nodes(), |i| self.view.hip_qg(i as NodeId, &g))
+        self.batch_map(self.view.num_nodes(), |i| {
+            self.view.row(i as NodeId).hip().qg(&g)
+        })
     }
 
     /// Distance-decay closeness centrality `C_α(v)` for every node.
@@ -94,7 +91,7 @@ impl<'a, V: AdsView + Sync> QueryEngine<'a, V> {
     /// `adsketch-serve` wire protocol serves.
     pub fn decay_batch(&self, kernel: DecayKernel, nodes: &[NodeId]) -> Vec<f64> {
         self.batch_map(nodes.len(), |i| {
-            self.view.hip_qg(nodes[i], |_, d| kernel.eval(d))
+            centrality::decay(self.view.row(nodes[i]).hip(), kernel)
         })
     }
 
@@ -112,7 +109,7 @@ impl<'a, V: AdsView + Sync> QueryEngine<'a, V> {
     /// HIP reachability estimate for every node.
     pub fn reachable_all(&self) -> Vec<f64> {
         self.batch_map(self.view.num_nodes(), |i| {
-            self.view.hip_reachable(i as NodeId)
+            self.view.row(i as NodeId).hip().reachable_estimate()
         })
     }
 
@@ -120,7 +117,7 @@ impl<'a, V: AdsView + Sync> QueryEngine<'a, V> {
     pub fn cardinality_batch(&self, queries: &[(NodeId, f64)]) -> Vec<f64> {
         self.batch_map(queries.len(), |i| {
             let (v, d) = queries[i];
-            self.view.hip_cardinality_at(v, d)
+            self.view.row(v).hip().cardinality_at(d)
         })
     }
 
@@ -128,7 +125,7 @@ impl<'a, V: AdsView + Sync> QueryEngine<'a, V> {
     /// node (the per-node ANF curves).
     pub fn neighborhood_function_batch(&self, nodes: &[NodeId]) -> Vec<Vec<(f64, f64)>> {
         self.batch_map(nodes.len(), |i| {
-            self.view.neighborhood_function_of(nodes[i])
+            self.view.row(nodes[i]).hip().neighborhood_function()
         })
     }
 
@@ -137,7 +134,7 @@ impl<'a, V: AdsView + Sync> QueryEngine<'a, V> {
     pub fn jaccard_batch(&self, pairs: &[(NodeId, NodeId)], d: f64) -> Vec<f64> {
         self.batch_map(pairs.len(), |i| {
             let (u, v) = pairs[i];
-            similarity::neighborhood_jaccard_in(self.view, u, v, d)
+            similarity::neighborhood_jaccard(self.view.row(u), self.view.row(v), d)
         })
     }
 }
@@ -146,18 +143,18 @@ impl<'a, V: AdsView + Sync> QueryEngine<'a, V> {
 mod tests {
     use super::*;
     use crate::ads_set::AdsSet;
-    use crate::centrality;
     use adsketch_graph::generators;
 
     #[test]
     fn batch_matches_the_heap_reference_at_every_thread_count() {
         let g = generators::gnp_directed(150, 0.04, 5);
         let ads = AdsSet::build(&g, 4, 11);
-        let per_node: Vec<f64> = (0..ads.num_nodes() as NodeId)
-            .map(|v| centrality::harmonic(&ads.sketch(v).hip_weights()))
+        let per_node: Vec<u64> = (0..ads.num_nodes() as NodeId)
+            .map(|v| centrality::harmonic(ads.sketch(v).hip_weights().row()).to_bits())
             .collect();
         for threads in [1usize, 2, 4, 0] {
             let batch = QueryEngine::with_threads(&ads, threads).harmonic_all();
+            let batch: Vec<u64> = batch.iter().map(|x| x.to_bits()).collect();
             assert_eq!(batch, per_node, "threads = {threads}");
         }
     }
@@ -168,27 +165,50 @@ mod tests {
         let ads = AdsSet::build(&g, 4, 3);
         let engine = QueryEngine::with_threads(&ads, 2);
         let all = engine.harmonic_all();
-        let decay_all = engine.decay_all(centrality::DecayKernel::Exponential { base: 2.0 });
+        let decay_all = engine.decay_all(DecayKernel::Exponential { base: 2.0 });
         let nodes: Vec<NodeId> = (0..90u32).rev().collect();
         let batch = engine.harmonic_batch(&nodes);
-        let decay_batch =
-            engine.decay_batch(centrality::DecayKernel::Exponential { base: 2.0 }, &nodes);
+        let decay_batch = engine.decay_batch(DecayKernel::Exponential { base: 2.0 }, &nodes);
         for (i, &v) in nodes.iter().enumerate() {
-            assert_eq!(batch[i], all[v as usize]);
-            assert_eq!(decay_batch[i], decay_all[v as usize]);
+            assert_eq!(batch[i].to_bits(), all[v as usize].to_bits());
+            assert_eq!(decay_batch[i].to_bits(), decay_all[v as usize].to_bits());
         }
     }
 
     #[test]
-    fn cardinality_batch_matches_hip_weights() {
+    fn cardinality_batch_matches_the_heap_reference() {
         let g = generators::gnp(100, 0.05, 9);
         let ads = AdsSet::build(&g, 8, 2);
         let engine = QueryEngine::with_threads(&ads, 2);
-        let queries: Vec<(NodeId, f64)> = (0..100u32).map(|v| (v, (v % 5) as f64)).collect();
+        // d = −1 selects no entry: the empty sum is +0.0 on both sides.
+        let queries: Vec<(NodeId, f64)> = (0..100u32).map(|v| (v, (v % 6) as f64 - 1.0)).collect();
         let got = engine.cardinality_batch(&queries);
         for (&(v, d), &est) in queries.iter().zip(&got) {
-            assert_eq!(est, ads.sketch(v).hip_weights().cardinality_at(d));
+            let oracle = ads.sketch(v).hip_weights().row().cardinality_at(d);
+            assert_eq!(est.to_bits(), oracle.to_bits(), "node {v}, d = {d}");
         }
+    }
+
+    #[test]
+    fn empty_rows_answer_positive_zero_on_every_sum() {
+        let ads = AdsSet::from_sketches(3, vec![crate::BottomKAds::empty(3); 4]);
+        let engine = QueryEngine::with_threads(&ads, 1);
+        let zero = 0.0f64.to_bits();
+        let nodes: Vec<NodeId> = (0..4).collect();
+        for x in engine
+            .reachable_all()
+            .into_iter()
+            .chain(engine.harmonic_all())
+            .chain(engine.qg_all(|_, d| d))
+            .chain(engine.decay_batch(DecayKernel::Constant, &nodes))
+            .chain(engine.cardinality_batch(&[(0, 1.0), (3, -1.0)]))
+        {
+            assert_eq!(x.to_bits(), zero);
+        }
+        assert!(engine
+            .neighborhood_function_batch(&nodes)
+            .iter()
+            .all(Vec::is_empty));
     }
 
     #[test]
@@ -199,10 +219,16 @@ mod tests {
         let pairs: Vec<(NodeId, NodeId)> = (0..40u32).map(|i| (i, 79 - i)).collect();
         let got = engine.jaccard_batch(&pairs, 3.0);
         for (&(u, v), &est) in pairs.iter().zip(&got) {
-            assert_eq!(
-                est,
-                similarity::neighborhood_jaccard(&ads.sketch(u), &ads.sketch(v), 3.0)
-            );
+            let (a, b) = (ads.sketch(u), ads.sketch(v));
+            let minhash = |s: &crate::BottomKAds| {
+                let mut mh = adsketch_minhash::BottomKSketch::new(s.k());
+                for e in s.entries().iter().filter(|e| e.dist <= 3.0) {
+                    mh.insert_ranked(e.rank, e.node as u64);
+                }
+                mh
+            };
+            let oracle = adsketch_minhash::similarity::jaccard(&minhash(&a), &minhash(&b));
+            assert_eq!(est.to_bits(), oracle.to_bits());
         }
     }
 
@@ -213,7 +239,10 @@ mod tests {
         let nodes: Vec<NodeId> = (0..60).collect();
         let got = QueryEngine::new(&ads).neighborhood_function_batch(&nodes);
         for (&v, nf) in nodes.iter().zip(&got) {
-            assert_eq!(*nf, ads.sketch(v).hip_weights().neighborhood_function());
+            assert_eq!(
+                *nf,
+                ads.sketch(v).hip_weights().row().neighborhood_function()
+            );
         }
     }
 

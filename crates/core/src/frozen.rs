@@ -150,9 +150,8 @@ use std::path::Path;
 
 use adsketch_graph::NodeId;
 
-use crate::entry::AdsEntry;
-use crate::hip::{HipItem, TauScan};
-use crate::view::AdsView;
+use crate::hip::TauScan;
+use crate::view::{AdsView, Row};
 
 #[allow(unsafe_code)] // the workspace's single unsafe module; see its docs
 mod mmap;
@@ -324,15 +323,6 @@ pub struct FrozenAdsSet {
     ranks: Col<f64>,
     /// Precomputed HIP adjusted weights `1/τ`.
     weights: Col<f64>,
-}
-
-/// One row of the store: `ADS(v)`'s slice of each entry column.
-#[derive(Clone, Copy)]
-struct RowSlices<'a> {
-    nodes: &'a [u32],
-    dists: &'a [f64],
-    ranks: &'a [f64],
-    weights: &'a [f64],
 }
 
 impl Clone for FrozenAdsSet {
@@ -780,12 +770,14 @@ impl FrozenAdsSet {
         self.weights.slice(self.region.as_ref())
     }
 
-    /// Row `v`'s four column slices. This is the single access point
-    /// every query goes through, whatever file the store was read from.
+    /// Row `v`: `ADS(v)`'s slice of each entry column. This is the single
+    /// access point every query goes through, whatever file the store
+    /// was read from.
     #[inline]
-    fn row(&self, v: NodeId) -> RowSlices<'_> {
+    pub fn row(&self, v: NodeId) -> Row<'_> {
         let r = self.entry_range(v);
-        RowSlices {
+        Row {
+            k: self.k as usize,
             nodes: &self.nodes()[r.clone()],
             dists: &self.dists()[r.clone()],
             ranks: &self.ranks()[r.clone()],
@@ -839,19 +831,6 @@ impl FrozenAdsSet {
     fn entry_range(&self, v: NodeId) -> std::ops::Range<usize> {
         let offsets = self.offsets();
         offsets[v as usize] as usize..offsets[v as usize + 1] as usize
-    }
-
-    /// The precomputed HIP adjusted weights of `ADS(v)`, in canonical
-    /// order (zero-copy column slice).
-    #[inline]
-    pub fn hip_weights_slice(&self, v: NodeId) -> &[f64] {
-        &self.weights()[self.entry_range(v)]
-    }
-
-    /// The distances of `ADS(v)` in canonical order (zero-copy slice).
-    #[inline]
-    pub fn dists_slice(&self, v: NodeId) -> &[f64] {
-        &self.dists()[self.entry_range(v)]
     }
 
     /// Resident *heap* memory of the store in bytes (struct + owned
@@ -1091,15 +1070,6 @@ impl FrozenAdsSet {
         };
         Ok((store, opts.verify.then_some(checksum)))
     }
-
-    /// Estimated distance distribution of the whole graph: sums every
-    /// node's HIP neighborhood function, excluding each node itself — the
-    /// ANF/HyperANF quantity, estimated sketch-side. Returns `(distance,
-    /// estimated #ordered pairs within distance)` pairs, served from the
-    /// precomputed weight column.
-    pub fn distance_distribution_estimate(&self) -> Vec<(f64, f64)> {
-        crate::view::distance_distribution_estimate(self)
-    }
 }
 
 impl AdsView for FrozenAdsSet {
@@ -1114,57 +1084,8 @@ impl AdsView for FrozenAdsSet {
     }
 
     #[inline]
-    fn entry_count(&self, v: NodeId) -> usize {
-        self.entry_range(v).len()
-    }
-
-    fn for_each_entry(&self, v: NodeId, mut f: impl FnMut(AdsEntry)) {
-        let row = self.row(v);
-        for i in 0..row.nodes.len() {
-            f(AdsEntry::new(row.nodes[i], row.dists[i], row.ranks[i]));
-        }
-    }
-
-    fn for_each_hip(&self, v: NodeId, mut f: impl FnMut(HipItem)) {
-        let row = self.row(v);
-        for i in 0..row.nodes.len() {
-            f(HipItem {
-                node: row.nodes[i],
-                dist: row.dists[i],
-                weight: row.weights[i],
-            });
-        }
-    }
-
-    fn size_at(&self, v: NodeId, d: f64) -> usize {
-        self.dists_slice(v).partition_point(|&x| x <= d)
-    }
-
-    #[inline]
-    fn total_entries(&self) -> usize {
-        self.num_entries()
-    }
-
-    fn minhash_at(&self, v: NodeId, d: f64) -> adsketch_minhash::BottomKSketch {
-        // Insert only the binary-searched distance-≤ d prefix, like the
-        // heap path — not the trait default's full-sketch filter scan.
-        let row = self.row(v);
-        let cut = row.dists.partition_point(|&x| x <= d);
-        let mut sketch = adsketch_minhash::BottomKSketch::new(self.k as usize);
-        for i in 0..cut {
-            sketch.insert_ranked(row.ranks[i], row.nodes[i] as u64);
-        }
-        sketch
-    }
-
-    fn hip_cardinality_at(&self, v: NodeId, d: f64) -> f64 {
-        let row = self.row(v);
-        let cut = row.dists.partition_point(|&x| x <= d);
-        row.weights[..cut].iter().sum()
-    }
-
-    fn hip_reachable(&self, v: NodeId) -> f64 {
-        self.hip_weights_slice(v).iter().sum()
+    fn row(&self, v: NodeId) -> Row<'_> {
+        FrozenAdsSet::row(self, v)
     }
 }
 
@@ -1525,6 +1446,10 @@ mod tests {
         AdsSet::build(&g, 4, 3)
     }
 
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn freeze_is_an_owned_copy() {
         let path = std::env::temp_dir().join("adsketch_frozen_freeze_copy.ads");
@@ -1542,10 +1467,13 @@ mod tests {
         for v in 0..frozen.num_nodes() as NodeId {
             // The heap reference over the same row.
             let hip = frozen.sketch(v).hip_weights();
-            assert_eq!(frozen.hip_weights_of(v), hip);
-            assert_eq!(frozen.hip_reachable(v), hip.reachable_estimate());
+            assert_eq!(frozen.hip(v), hip.row());
+            assert_eq!(bits(frozen.hip(v).weights), bits(hip.row().weights));
             for d in [0.0, 1.0, 2.0, 5.0, f64::INFINITY] {
-                assert_eq!(frozen.hip_cardinality_at(v, d), hip.cardinality_at(d));
+                assert_eq!(
+                    frozen.hip(v).cardinality_at(d).to_bits(),
+                    hip.row().cardinality_at(d).to_bits()
+                );
             }
         }
     }
@@ -1656,15 +1584,12 @@ mod tests {
             // …whose in-range rows equal the unsharded store's rows
             // (entries and precomputed HIP weights alike)…
             for v in rec.start as NodeId..rec.end as NodeId {
-                let mut got = Vec::new();
-                shard.for_each_entry(v, |e| got.push(e));
-                assert_eq!(got.as_slice(), ads.sketch(v).entries());
-                assert_eq!(shard.hip_weights_slice(v), ads.hip_weights_slice(v));
+                assert_eq!(shard.row(v), ads.row(v));
             }
             // …and whose out-of-range rows are empty.
             for v in 0..ads.num_nodes() as NodeId {
                 if (v as u64) < rec.start || (v as u64) >= rec.end {
-                    assert_eq!(shard.entry_count(v), 0, "shard {i}, node {v}");
+                    assert!(shard.row(v).is_empty(), "shard {i}, node {v}");
                 }
             }
         }
@@ -1929,42 +1854,33 @@ mod tests {
         let frozen = sample_set();
         let v2 = FrozenAdsSet::from_bytes(&frozen.to_bytes_format(StoreFormat::V2)).unwrap();
         for v in 0..frozen.num_nodes() as NodeId {
+            let (a, b) = (frozen.hip(v), v2.hip(v));
             assert_eq!(
-                frozen.hip_reachable(v).to_bits(),
-                v2.hip_reachable(v).to_bits()
+                a.reachable_estimate().to_bits(),
+                b.reachable_estimate().to_bits()
             );
             assert_eq!(
-                frozen.hip_cardinality_at(v, 2.0).to_bits(),
-                v2.hip_cardinality_at(v, 2.0).to_bits()
+                a.cardinality_at(2.0).to_bits(),
+                b.cardinality_at(2.0).to_bits()
             );
-            assert_eq!(frozen.size_at(v, 1.0), v2.size_at(v, 1.0));
-            let mut a = Vec::new();
-            let mut b = Vec::new();
-            frozen.for_each_hip(v, |it| {
-                a.push((it.node, it.dist.to_bits(), it.weight.to_bits()))
-            });
-            v2.for_each_hip(v, |it| {
-                b.push((it.node, it.dist.to_bits(), it.weight.to_bits()))
-            });
-            assert_eq!(a, b);
+            assert_eq!(frozen.row(v).size_at(1.0), v2.row(v).size_at(1.0));
         }
-        assert_eq!(
-            frozen.distance_distribution_estimate(),
-            v2.distance_distribution_estimate()
-        );
     }
 
     #[test]
     fn v2_loaded_store_serves_the_same_column_slices() {
         let frozen = sample_set();
         let v2 = FrozenAdsSet::from_bytes(&frozen.to_bytes_format(StoreFormat::V2)).unwrap();
-        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for v in 0..frozen.num_nodes() as NodeId {
-            assert_eq!(
-                bits(v2.hip_weights_slice(v)),
-                bits(frozen.hip_weights_slice(v))
-            );
-            assert_eq!(bits(v2.dists_slice(v)), bits(frozen.dists_slice(v)));
+            let (a, b) = (frozen.row(v), v2.row(v));
+            assert_eq!(a.nodes, b.nodes);
+            for (x, y) in [
+                (a.dists, b.dists),
+                (a.ranks, b.ranks),
+                (a.weights, b.weights),
+            ] {
+                assert_eq!(bits(x), bits(y));
+            }
         }
     }
 
@@ -2048,9 +1964,10 @@ mod tests {
             assert_eq!(shard.format_version(), 2);
             assert_eq!(digest, Some(rec.digest), "digests cover the v2 bytes");
             for v in rec.start..rec.end {
+                let v = v as NodeId;
                 assert_eq!(
-                    whole.hip_reachable(v as NodeId).to_bits(),
-                    shard.hip_reachable(v as NodeId).to_bits()
+                    whole.hip(v).reachable_estimate().to_bits(),
+                    shard.hip(v).reachable_estimate().to_bits()
                 );
             }
         }

@@ -101,65 +101,65 @@ pub struct HipItem {
     pub weight: f64,
 }
 
-/// Adjusted weights of one node's ADS, sorted by `(dist, node)`, with
-/// prefix sums for O(log) cumulative queries.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HipWeights {
-    items: Vec<HipItem>,
-    /// `prefix[i]` = sum of weights of `items[..=i]`.
-    prefix: Vec<f64>,
+/// The HIP half of one node's ADS, borrowed: sampled nodes, distances
+/// and adjusted weights in canonical `(dist, node)` order. A store lends
+/// it through [`crate::view::Row::hip`], an owned [`HipWeights`] through
+/// [`HipWeights::row`]; every HIP estimator is defined here, once.
+///
+/// **Accumulation rule.** Every sum starts at `+0.0` and adds its terms
+/// one at a time in canonical order. An empty sum is therefore `+0.0`
+/// (`Iterator::sum` over `f64` starts at `−0.0`), and one row gives one
+/// bit pattern whichever store or batch path lent it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct HipRow<'a> {
+    /// The sampled nodes.
+    pub nodes: &'a [NodeId],
+    /// Their distances from the row's source.
+    pub dists: &'a [f64],
+    /// Their adjusted weights `1/τ ≥ 1`.
+    pub weights: &'a [f64],
 }
 
-impl HipWeights {
-    /// Wraps items already sorted canonically by `(dist, node)`.
-    pub fn from_sorted_items(items: Vec<HipItem>) -> Self {
-        debug_assert!(items
-            .windows(2)
-            .all(|w| (w[0].dist, w[0].node) <= (w[1].dist, w[1].node)));
-        let mut prefix = Vec::with_capacity(items.len());
-        let mut acc = 0.0;
-        for it in &items {
-            debug_assert!(it.weight >= 0.0 && it.weight.is_finite());
-            acc += it.weight;
-            prefix.push(acc);
-        }
-        Self { items, prefix }
-    }
+/// Sums `terms` under [`HipRow`]'s accumulation rule.
+#[inline]
+fn sum(terms: impl Iterator<Item = f64>) -> f64 {
+    terms.fold(0.0, |acc, x| acc + x)
+}
 
-    /// The weighted items in canonical order.
-    #[inline]
-    pub fn items(&self) -> &[HipItem] {
-        &self.items
-    }
-
+impl<'a> HipRow<'a> {
     /// Number of sketch entries.
     #[inline]
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.nodes.len()
     }
 
     /// True if the sketch was empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.nodes.is_empty()
+    }
+
+    /// The weighted items in canonical order.
+    pub fn items(&self) -> impl ExactSizeIterator<Item = HipItem> + 'a {
+        self.nodes
+            .iter()
+            .zip(self.dists)
+            .zip(self.weights)
+            .map(|((&node, &dist), &weight)| HipItem { node, dist, weight })
     }
 
     /// HIP estimate of the d-neighborhood cardinality `|N_d(v)|`
     /// (nodes within distance ≤ `d`, including the source):
     /// `Σ_{dist ≤ d} a_vj`. Unbiased; CV ≤ `1/sqrt(2(k−1))` (Theorem 5.1).
     pub fn cardinality_at(&self, d: f64) -> f64 {
-        let idx = self.items.partition_point(|e| e.dist <= d);
-        if idx == 0 {
-            0.0
-        } else {
-            self.prefix[idx - 1]
-        }
+        let cut = self.dists.partition_point(|&x| x <= d);
+        sum(self.weights[..cut].iter().copied())
     }
 
     /// HIP estimate of the number of reachable nodes (including the
     /// source).
     pub fn reachable_estimate(&self) -> f64 {
-        self.prefix.last().copied().unwrap_or(0.0)
+        sum(self.weights.iter().copied())
     }
 
     /// The estimated cumulative neighborhood function: for each distinct
@@ -167,10 +167,12 @@ impl HipWeights {
     /// counterpart is `adsketch_graph::exact::neighborhood_function`.
     pub fn neighborhood_function(&self) -> Vec<(f64, f64)> {
         let mut out: Vec<(f64, f64)> = Vec::new();
-        for (it, &cum) in self.items.iter().zip(&self.prefix) {
+        let mut acc = 0.0;
+        for (&dist, &w) in self.dists.iter().zip(self.weights) {
+            acc += w;
             match out.last_mut() {
-                Some(last) if last.0 == it.dist => last.1 = cum,
-                _ => out.push((it.dist, cum)),
+                Some(last) if last.0 == dist => last.1 = acc,
+                _ => out.push((dist, acc)),
             }
         }
         out
@@ -184,10 +186,7 @@ impl HipWeights {
     where
         F: FnMut(NodeId, f64) -> f64,
     {
-        self.items
-            .iter()
-            .map(|it| it.weight * g(it.node, it.dist))
-            .sum()
+        sum(self.items().map(|it| it.weight * g(it.node, it.dist)))
     }
 
     /// HIP estimate of the distance-decay centrality
@@ -213,10 +212,16 @@ impl HipWeights {
             return None;
         }
         let need = q * total;
-        let idx = self.prefix.partition_point(|&c| c < need);
-        self.items
-            .get(idx.min(self.items.len() - 1))
-            .map(|it| it.dist)
+        let mut acc = 0.0;
+        let idx = self
+            .weights
+            .iter()
+            .position(|&w| {
+                acc += w;
+                acc >= need
+            })
+            .unwrap_or(self.len() - 1);
+        Some(self.dists[idx])
     }
 
     /// Compresses to a distance → adjusted-weight list, dropping node
@@ -224,13 +229,50 @@ impl HipWeights {
     /// statistic where `g` depends only on distance).
     pub fn compress_distances(&self) -> Vec<(f64, f64)> {
         let mut out: Vec<(f64, f64)> = Vec::new();
-        for it in &self.items {
+        for (&dist, &w) in self.dists.iter().zip(self.weights) {
             match out.last_mut() {
-                Some(last) if last.0 == it.dist => last.1 += it.weight,
-                _ => out.push((it.dist, it.weight)),
+                Some(last) if last.0 == dist => last.1 += w,
+                _ => out.push((dist, w)),
             }
         }
         out
+    }
+}
+
+/// Owned HIP adjusted weights of one ADS, in canonical `(dist, node)`
+/// order: what the per-sketch flavours and the heap reference compute.
+/// Its estimators are [`HipRow`]'s, through [`HipWeights::row`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct HipWeights {
+    nodes: Vec<NodeId>,
+    dists: Vec<f64>,
+    weights: Vec<f64>,
+}
+
+impl HipWeights {
+    /// Wraps items already sorted canonically by `(dist, node)`.
+    pub fn from_sorted_items(items: Vec<HipItem>) -> Self {
+        debug_assert!(items
+            .windows(2)
+            .all(|w| (w[0].dist, w[0].node) <= (w[1].dist, w[1].node)));
+        debug_assert!(items
+            .iter()
+            .all(|it| it.weight >= 0.0 && it.weight.is_finite()));
+        Self {
+            nodes: items.iter().map(|it| it.node).collect(),
+            dists: items.iter().map(|it| it.dist).collect(),
+            weights: items.iter().map(|it| it.weight).collect(),
+        }
+    }
+
+    /// The weights as a borrowed row.
+    #[inline]
+    pub fn row(&self) -> HipRow<'_> {
+        HipRow {
+            nodes: &self.nodes,
+            dists: &self.dists,
+            weights: &self.weights,
+        }
     }
 }
 
@@ -266,6 +308,7 @@ mod tests {
     #[test]
     fn cardinality_queries() {
         let h = sample();
+        let h = h.row();
         assert_eq!(h.cardinality_at(-0.5), 0.0);
         assert_eq!(h.cardinality_at(0.0), 1.0);
         assert_eq!(h.cardinality_at(1.0), 4.0);
@@ -276,9 +319,8 @@ mod tests {
 
     #[test]
     fn neighborhood_function_merges_equal_distances() {
-        let h = sample();
         assert_eq!(
-            h.neighborhood_function(),
+            sample().row().neighborhood_function(),
             vec![(0.0, 1.0), (1.0, 4.0), (3.0, 8.0)]
         );
     }
@@ -286,6 +328,7 @@ mod tests {
     #[test]
     fn qg_weights_statistics() {
         let h = sample();
+        let h = h.row();
         // g = 1 ⇒ reachability estimate.
         assert_eq!(h.qg(|_, _| 1.0), 8.0);
         // g = dist ⇒ estimated sum of distances.
@@ -296,10 +339,9 @@ mod tests {
 
     #[test]
     fn centrality_combines_alpha_beta() {
-        let h = sample();
         // Threshold kernel at distance 1, filter to even node ids: nodes 0
         // (w=1) and 2 (w=1) qualify; node 5 is odd, node 1 is too far.
-        let c = h.centrality(
+        let c = sample().row().centrality(
             |d| if d <= 1.0 { 1.0 } else { 0.0 },
             |n| if n % 2 == 0 { 1.0 } else { 0.0 },
         );
@@ -309,31 +351,40 @@ mod tests {
     #[test]
     fn distance_quantile_walks_the_step_function() {
         let h = sample(); // cumulative: 1 @0, 4 @1, 8 @3
+        let h = h.row();
         assert_eq!(h.distance_quantile(0.0), Some(0.0));
         assert_eq!(h.distance_quantile(0.1), Some(0.0)); // 0.8 ≤ 1
         assert_eq!(h.distance_quantile(0.5), Some(1.0)); // 4 ≤ 4
         assert_eq!(h.distance_quantile(0.51), Some(3.0));
         assert_eq!(h.distance_quantile(1.0), Some(3.0));
-        let empty = HipWeights::from_sorted_items(vec![]);
-        assert_eq!(empty.distance_quantile(0.5), None);
-    }
-
-    #[test]
-    fn compress_distances_sums_weights() {
-        let h = sample();
         assert_eq!(
-            h.compress_distances(),
-            vec![(0.0, 1.0), (1.0, 3.0), (3.0, 4.0)]
+            HipWeights::from_sorted_items(Vec::new())
+                .row()
+                .distance_quantile(0.5),
+            None
         );
     }
 
     #[test]
-    fn empty_weights() {
-        let h = HipWeights::from_sorted_items(vec![]);
+    fn compress_distances_sums_weights() {
+        assert_eq!(
+            sample().row().compress_distances(),
+            vec![(0.0, 1.0), (1.0, 3.0), (3.0, 4.0)]
+        );
+    }
+
+    /// Empty sums are `+0.0` on every estimator: the accumulation rule.
+    #[test]
+    fn empty_sums_are_positive_zero() {
+        let empty = HipWeights::from_sorted_items(Vec::new());
+        let h = empty.row();
         assert!(h.is_empty());
-        assert_eq!(h.cardinality_at(5.0), 0.0);
-        assert_eq!(h.qg(|_, _| 1.0), 0.0);
+        let zero = 0.0f64.to_bits();
+        assert_eq!(h.cardinality_at(5.0).to_bits(), zero);
+        assert_eq!(h.reachable_estimate().to_bits(), zero);
+        assert_eq!(h.qg(|_, _| 1.0).to_bits(), zero);
         assert!(h.neighborhood_function().is_empty());
+        assert_eq!(sample().row().cardinality_at(-1.0).to_bits(), zero);
     }
 
     /// [`TauScan`]'s tie rule stated over an unsorted bag: τ is the

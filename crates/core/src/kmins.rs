@@ -134,16 +134,16 @@ mod tests {
         let h = RankHasher::new(1);
         let ads = crate::reference::kmins_from_order(4, &order(50), &h);
         let hip = ads.hip_weights();
-        assert_eq!(hip.items()[0].weight, 1.0);
-        assert_eq!(hip.items()[0].dist, 0.0);
+        assert_eq!(hip.row().weights[0], 1.0);
+        assert_eq!(hip.row().dists[0], 0.0);
     }
 
     #[test]
     fn weights_at_least_one() {
         let h = RankHasher::new(2);
         let ads = crate::reference::kmins_from_order(3, &order(200), &h);
-        for it in ads.hip_weights().items() {
-            assert!(it.weight >= 1.0, "weight {}", it.weight);
+        for &w in ads.hip_weights().row().weights {
+            assert!(w >= 1.0, "weight {w}");
         }
     }
 
@@ -169,7 +169,7 @@ mod tests {
         for seed in 0..3000u64 {
             let h = RankHasher::new(seed);
             let ads = crate::reference::kmins_from_order(k, &order(n), &h);
-            err.push(ads.hip_weights().reachable_estimate());
+            err.push(ads.hip_weights().row().reachable_estimate());
         }
         let z = err.relative_bias() / err.bias_std_error();
         assert!(z.abs() < 4.0, "k-mins HIP bias z-score {z}");
@@ -185,7 +185,7 @@ mod tests {
         for seed in 0..1500u64 {
             let h = RankHasher::new(seed + 9_000);
             let ads = crate::reference::kmins_from_order(k, &order(n), &h);
-            hip_err.push(ads.hip_weights().reachable_estimate());
+            hip_err.push(ads.hip_weights().row().reachable_estimate());
             basic_err.push(ads.basic_cardinality_at(f64::INFINITY));
         }
         assert!(
@@ -200,7 +200,7 @@ mod tests {
     fn empty_ads() {
         let ads = KMinsAds::from_records(3, vec![]);
         assert!(ads.is_empty());
-        assert_eq!(ads.hip_weights().reachable_estimate(), 0.0);
+        assert_eq!(ads.hip_weights().row().reachable_estimate(), 0.0);
         assert_eq!(ads.basic_cardinality_at(1.0), 0.0);
     }
 }

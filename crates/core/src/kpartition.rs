@@ -125,7 +125,7 @@ mod tests {
         let h = RankHasher::new(1);
         let ads = crate::reference::kpartition_from_order(8, &order(100), &h);
         let hip = ads.hip_weights();
-        assert_eq!(hip.items()[0].weight, 1.0);
+        assert_eq!(hip.row().weights[0], 1.0);
     }
 
     #[test]
@@ -133,12 +133,11 @@ mod tests {
         let h = RankHasher::new(2);
         let ads = crate::reference::kpartition_from_order(4, &order(300), &h);
         let hip = ads.hip_weights();
-        for it in hip.items() {
-            assert!(it.weight >= 1.0);
-        }
+        let weights = hip.row().weights;
+        assert!(weights.iter().all(|&w| w >= 1.0));
         // τ shrinks as minima shrink ⇒ weights non-decreasing with distance.
-        for w in hip.items().windows(2) {
-            assert!(w[1].weight >= w[0].weight - 1e-12);
+        for w in weights.windows(2) {
+            assert!(w[1] >= w[0] - 1e-12);
         }
     }
 
@@ -161,7 +160,7 @@ mod tests {
         for seed in 0..3000u64 {
             let h = RankHasher::new(seed + 31_000);
             let ads = crate::reference::kpartition_from_order(k, &order(n), &h);
-            err.push(ads.hip_weights().reachable_estimate());
+            err.push(ads.hip_weights().row().reachable_estimate());
         }
         let z = err.relative_bias() / err.bias_std_error();
         assert!(z.abs() < 4.0, "k-partition HIP bias z-score {z}");
@@ -176,7 +175,7 @@ mod tests {
         for seed in 0..1500u64 {
             let h = RankHasher::new(seed + 77_000);
             let ads = crate::reference::kpartition_from_order(k, &order(n), &h);
-            hip_err.push(ads.hip_weights().reachable_estimate());
+            hip_err.push(ads.hip_weights().row().reachable_estimate());
             basic_err.push(ads.basic_cardinality_at(f64::INFINITY));
         }
         assert!(
@@ -194,7 +193,7 @@ mod tests {
         let ads = crate::reference::kpartition_from_order(16, &order(500), &h);
         let hip = ads.hip_weights();
         // Recompute the last item's τ directly.
-        let last = *hip.items().last().unwrap();
+        let last = hip.row().items().last().unwrap();
         let mut minima = [1.0f64; 16];
         for r in ads.records().iter().take(ads.len() - 1) {
             let m = &mut minima[r.bucket as usize];
@@ -210,6 +209,6 @@ mod tests {
     fn empty_ads() {
         let ads = KPartitionAds::from_records(4, vec![]);
         assert!(ads.is_empty());
-        assert_eq!(ads.hip_weights().reachable_estimate(), 0.0);
+        assert_eq!(ads.hip_weights().row().reachable_estimate(), 0.0);
     }
 }

@@ -35,18 +35,18 @@
 //! |---|---|
 //! | [`entry`], [`bottomk`], [`kmins`], [`kpartition`] | the three ADS flavors (Section 2) |
 //! | [`ads_set`] | the [`AdsSet`] alias of the store and its seeded build entry points |
-//! | [`view`] | the [`AdsView`] read-side trait every estimator runs against |
+//! | [`view`] | the [`AdsView`] trait (`k`, `num_nodes`, `row(v)`) and the borrowed [`Row`] the MinHash-extraction estimators run on |
 //! | [`frozen`] | the immutable columnar store every builder returns, with versioned (de)serialization |
 //! | [`engine`] | the sharded batch query engine over any view |
 //! | [`builder`] | PrunedDijkstra, DP and LocalUpdates construction (Section 3), incl. (1+ε)-approximate ADS, each handing its columns to the store |
 //! | [`reference`](mod@reference) | brute-force order-based builders used for validation |
-//! | [`hip`] | adjusted weights and HIP query evaluation (Section 5) |
-//! | [`basic`] | basic (MinHash-extraction) estimators on ADSs (Section 4) |
+//! | [`hip`] | adjusted weights and the HIP estimators, written once on the borrowed [`HipRow`] (Section 5) |
+//! | [`basic`] | basic (MinHash-extraction) estimators on rows (Section 4) |
 //! | [`permutation`] | the permutation cardinality estimator (Section 5.4) |
 //! | [`size_est`] | the ADS-size-only estimator (Section 8) |
-//! | [`centrality`] | closeness/harmonic/decay centralities over HIP weights |
+//! | [`centrality`] | closeness/harmonic/decay centralities over HIP rows |
 //! | [`weighted`] | non-uniform node weights via exponential ranks (Section 9) |
-//! | [`similarity`] | neighborhood Jaccard/union/intersection between nodes from coordinated sketches |
+//! | [`similarity`] | neighborhood Jaccard/union/intersection between two nodes' rows |
 //! | [`tieless`] | the tie-breaking-free ADS of Appendix A |
 //! | [`sim`] | the stream-order simulation harness behind the paper's Figure 2 |
 //!
@@ -58,9 +58,9 @@
 //!
 //! let g = generators::barabasi_albert(300, 3, 42);
 //! let ads = AdsSet::build(&g, 16, 7); // k = 16, seed = 7
-//! let hip = ads.hip(0);
-//! // Estimate how many nodes lie within 2 hops of node 0:
-//! let est = hip.cardinality_at(2.0);
+//! // Node 0's HIP row, borrowed from the store. Estimate how many nodes
+//! // lie within 2 hops of node 0:
+//! let est = ads.hip(0).cardinality_at(2.0);
 //! let exact = adsketch_graph::exact::neighborhood_function(&g, 0).cardinality_at(2.0) as f64;
 //! assert!((est - exact).abs() / exact < 0.8);
 //! ```
@@ -103,8 +103,8 @@ pub use frozen::{
     freeze_sharded, freeze_sharded_format, FrozenAdsSet, FrozenError, LoadOptions, ShardManifest,
     ShardRecord, StoreFormat,
 };
-pub use hip::{HipItem, HipWeights};
-pub use view::AdsView;
+pub use hip::{HipItem, HipRow, HipWeights};
+pub use view::{AdsView, Row};
 
 /// Deterministic uniform ranks `r(v) ~ U[0,1)` for nodes `0..n`.
 ///

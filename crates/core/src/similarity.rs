@@ -6,65 +6,38 @@
 //! bottom-k MinHash sketches of `N_d(u)` and `N_d(v)` from `ADS(u)` and
 //! `ADS(v)` yields *coordinated* samples, from which Jaccard similarity,
 //! union and intersection cardinalities of the two neighborhoods follow —
-//! for any query distance `d`, with no graph access.
-
-//! Each estimator comes in two forms: per-sketch-pair and `_in` (generic
-//! over any [`AdsView`] back end, addressed by node ids) — bitwise
-//! identical; batch evaluation lives in
+//! for any query distance `d`, with no graph access. Each estimator takes
+//! the two nodes' rows; batch evaluation lives in
 //! [`crate::engine::QueryEngine::jaccard_batch`].
 
-use adsketch_graph::NodeId;
 use adsketch_minhash::similarity as mh;
 
-use crate::bottomk::BottomKAds;
-use crate::view::AdsView;
+use crate::view::Row;
 
 /// Estimated Jaccard similarity of `N_d(u)` and `N_d(v)` from the two
 /// nodes' ADSs.
-pub fn neighborhood_jaccard(u: &BottomKAds, v: &BottomKAds, d: f64) -> f64 {
-    assert_eq!(u.k(), v.k(), "sketches must share k");
+pub fn neighborhood_jaccard(u: Row<'_>, v: Row<'_>, d: f64) -> f64 {
+    assert_eq!(u.k, v.k, "sketches must share k");
     mh::jaccard(&u.minhash_at(d), &v.minhash_at(d))
 }
 
 /// Estimated `|N_d(u) ∪ N_d(v)|`.
-pub fn neighborhood_union(u: &BottomKAds, v: &BottomKAds, d: f64) -> f64 {
-    assert_eq!(u.k(), v.k(), "sketches must share k");
+pub fn neighborhood_union(u: Row<'_>, v: Row<'_>, d: f64) -> f64 {
+    assert_eq!(u.k, v.k, "sketches must share k");
     mh::union_cardinality(&u.minhash_at(d), &v.minhash_at(d))
 }
 
 /// Estimated `|N_d(u) ∩ N_d(v)|`.
-pub fn neighborhood_intersection(u: &BottomKAds, v: &BottomKAds, d: f64) -> f64 {
-    assert_eq!(u.k(), v.k(), "sketches must share k");
+pub fn neighborhood_intersection(u: Row<'_>, v: Row<'_>, d: f64) -> f64 {
+    assert_eq!(u.k, v.k, "sketches must share k");
     mh::intersection_cardinality(&u.minhash_at(d), &v.minhash_at(d))
-}
-
-/// [`neighborhood_jaccard`] for nodes `u`, `v` of any [`AdsView`] back
-/// end.
-pub fn neighborhood_jaccard_in<V: AdsView + ?Sized>(view: &V, u: NodeId, v: NodeId, d: f64) -> f64 {
-    mh::jaccard(&view.minhash_at(u, d), &view.minhash_at(v, d))
-}
-
-/// [`neighborhood_union`] for nodes `u`, `v` of any [`AdsView`] back end.
-pub fn neighborhood_union_in<V: AdsView + ?Sized>(view: &V, u: NodeId, v: NodeId, d: f64) -> f64 {
-    mh::union_cardinality(&view.minhash_at(u, d), &view.minhash_at(v, d))
-}
-
-/// [`neighborhood_intersection`] for nodes `u`, `v` of any [`AdsView`]
-/// back end.
-pub fn neighborhood_intersection_in<V: AdsView + ?Sized>(
-    view: &V,
-    u: NodeId,
-    v: NodeId,
-    d: f64,
-) -> f64 {
-    mh::intersection_cardinality(&view.minhash_at(u, d), &view.minhash_at(v, d))
 }
 
 /// The *closeness similarity* profile of two nodes: Jaccard similarity of
 /// their d-neighborhoods at each distance in `ds`. Nodes in similar
 /// positions of the network have profiles near 1 at all scales; the
 /// profile's rise distance is a scale-aware distance proxy.
-pub fn closeness_profile(u: &BottomKAds, v: &BottomKAds, ds: &[f64]) -> Vec<(f64, f64)> {
+pub fn closeness_profile(u: Row<'_>, v: Row<'_>, ds: &[f64]) -> Vec<(f64, f64)> {
     ds.iter()
         .map(|&d| (d, neighborhood_jaccard(u, v, d)))
         .collect()
@@ -83,10 +56,7 @@ mod tests {
         // for d ≥ 1 shifted… simplest exact case: the same node.
         let g = generators::gnp(100, 0.05, 3);
         let ads = AdsSet::build(&g, 8, 5);
-        assert_eq!(
-            neighborhood_jaccard(&ads.sketch(4), &ads.sketch(4), 2.0),
-            1.0
-        );
+        assert_eq!(neighborhood_jaccard(ads.row(4), ads.row(4), 2.0), 1.0);
     }
 
     #[test]
@@ -95,7 +65,7 @@ mod tests {
         // disjoint.
         let g = Graph::undirected(200, &generators::path_edges(200)).unwrap();
         let ads = AdsSet::build(&g, 16, 7);
-        let j = neighborhood_jaccard(&ads.sketch(0), &ads.sketch(199), 5.0);
+        let j = neighborhood_jaccard(ads.row(0), ads.row(199), 5.0);
         assert_eq!(j, 0.0);
     }
 
@@ -107,11 +77,7 @@ mod tests {
         let mut stat = RunningStat::new();
         for seed in 0..150 {
             let ads = AdsSet::build(&g, 16, seed);
-            stat.push(neighborhood_jaccard(
-                &ads.sketch(100),
-                &ads.sketch(101),
-                10.0,
-            ));
+            stat.push(neighborhood_jaccard(ads.row(100), ads.row(101), 10.0));
         }
         assert!(
             (stat.mean() - truth).abs() < 0.07,
@@ -127,12 +93,8 @@ mod tests {
         let mut is = RunningStat::new();
         for seed in 0..200 {
             let ads = AdsSet::build(&g, 16, seed + 500);
-            us.push(neighborhood_union(&ads.sketch(100), &ads.sketch(104), 10.0));
-            is.push(neighborhood_intersection(
-                &ads.sketch(100),
-                &ads.sketch(104),
-                10.0,
-            ));
+            us.push(neighborhood_union(ads.row(100), ads.row(104), 10.0));
+            is.push(neighborhood_intersection(ads.row(100), ads.row(104), 10.0));
         }
         // N_10(100) = [90,110], N_10(104) = [94,114]: union 25, inter 17.
         assert!((us.mean() - 25.0).abs() < 2.0, "union {}", us.mean());
@@ -144,11 +106,7 @@ mod tests {
         // On a path, the similarity of two nearby nodes grows with scale.
         let g = Graph::undirected(300, &generators::path_edges(300)).unwrap();
         let ads = AdsSet::build(&g, 32, 9);
-        let profile = closeness_profile(
-            &ads.sketch(150),
-            &ads.sketch(153),
-            &[2.0, 10.0, 50.0, 140.0],
-        );
+        let profile = closeness_profile(ads.row(150), ads.row(153), &[2.0, 10.0, 50.0, 140.0]);
         assert!(profile.first().unwrap().1 < profile.last().unwrap().1);
     }
 }

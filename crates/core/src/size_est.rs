@@ -13,9 +13,7 @@
 //! when only update *counts* are observable — e.g. watching a black-box
 //! approximate counter being modified.
 
-use adsketch_graph::NodeId;
-
-use crate::bottomk::BottomKAds;
+use crate::view::Row;
 
 /// The Lemma 8.1 estimator `E_s` for a bottom-k ADS prefix of size `s`.
 pub fn size_estimator(s: usize, k: usize) -> f64 {
@@ -27,14 +25,9 @@ pub fn size_estimator(s: usize, k: usize) -> f64 {
     }
 }
 
-/// Applies the size estimator to the prefix of `ads` within distance `d`.
-pub fn cardinality_at(ads: &BottomKAds, d: f64) -> f64 {
-    size_estimator(ads.size_at(d), ads.k())
-}
-
-/// [`cardinality_at`] for node `v` of any [`crate::view::AdsView`].
-pub fn cardinality_at_in<V: crate::view::AdsView + ?Sized>(view: &V, v: NodeId, d: f64) -> f64 {
-    size_estimator(view.size_at(v, d), view.k())
+/// Applies the size estimator to the prefix of `row` within distance `d`.
+pub fn cardinality_at(row: Row<'_>, d: f64) -> f64 {
+    size_estimator(row.size_at(d), row.k)
 }
 
 /// For k = 1 the estimator is simply `2^s − 1`… no: the paper notes it "is
@@ -119,7 +112,7 @@ mod tests {
             let ranks: Vec<f64> = (0..n as u64).map(|v| h.rank(v)).collect();
             let ads = bottomk_from_order(k, &order, &ranks);
             size_err.push(size_estimator(ads.len(), k));
-            hip_err.push(ads.hip_weights().reachable_estimate());
+            hip_err.push(ads.hip_weights().row().reachable_estimate());
         }
         assert!(
             hip_err.nrmse() < size_err.nrmse(),
@@ -142,9 +135,9 @@ mod tests {
         let n = 100usize;
         let order: Vec<(NodeId, f64)> = (0..n).map(|i| (i as NodeId, i as f64)).collect();
         let ranks: Vec<f64> = (0..n as u64).map(|v| h.rank(v)).collect();
-        let ads = bottomk_from_order(4, &order, &ranks);
-        let full = cardinality_at(&ads, f64::INFINITY);
-        let half = cardinality_at(&ads, (n / 2) as f64);
+        let set = crate::AdsSet::from_sketches(4, vec![bottomk_from_order(4, &order, &ranks)]);
+        let full = cardinality_at(set.row(0), f64::INFINITY);
+        let half = cardinality_at(set.row(0), (n / 2) as f64);
         assert!(full >= half);
     }
 }

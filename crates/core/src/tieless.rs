@@ -187,7 +187,7 @@ mod tests {
             let h = RankHasher::new(seed);
             let ranks: Vec<f64> = (0..n as u64).map(|v| h.rank(v)).collect();
             let ads = TielessAds::from_order(k, &order, &ranks);
-            err.push(ads.hip_weights().reachable_estimate());
+            err.push(ads.hip_weights().row().reachable_estimate());
         }
         let z = err.relative_bias() / err.bias_std_error();
         assert!(z.abs() < 4.0, "tieless HIP bias z = {z}");
@@ -204,7 +204,7 @@ mod tests {
             let h = RankHasher::new(seed + 1234);
             let ranks: Vec<f64> = (0..n as u64).map(|v| h.rank(v)).collect();
             let ads = TielessAds::from_order(k, &star_order(n), &ranks);
-            err.push(ads.hip_weights().reachable_estimate());
+            err.push(ads.hip_weights().row().reachable_estimate());
         }
         let z = err.relative_bias() / err.bias_std_error();
         assert!(z.abs() < 4.0, "star HIP bias z = {z}");
@@ -221,9 +221,9 @@ mod tests {
         let stored: Vec<NodeId> = ads.entries().iter().map(|e| e.node).collect();
         assert_eq!(stored, vec![0, 1]);
         let hip = ads.hip_weights();
-        assert_eq!(hip.len(), 1);
-        assert_eq!(hip.items()[0].node, 0);
-        assert!((hip.items()[0].weight - 5.0).abs() < 1e-12); // 1/0.2
+        assert_eq!(hip.row().len(), 1);
+        assert_eq!(hip.row().nodes[0], 0);
+        assert!((hip.row().weights[0] - 5.0).abs() < 1e-12); // 1/0.2
     }
 
     #[test]

@@ -39,8 +39,9 @@ pub fn exponential_ranks(betas: &[f64], seed: u64) -> Vec<f64> {
 /// HIP presence weights for an ADS built over exponential ranks: item `j`
 /// carries `1/p_j` with `p_j = 1 − exp(−β_j·τ_j)`, an unbiased estimate of
 /// the indicator "j is reachable within its distance". Weighted statistics
-/// follow via [`HipWeights::qg`] — e.g. `qg(|v, _| beta[v])` estimates the
-/// total β-weight of the reachable set.
+/// follow via [`crate::HipRow::qg`] on its [`HipWeights::row`] — e.g.
+/// `qg(|v, _| beta[v])` estimates the total β-weight of the reachable
+/// set.
 pub fn weighted_hip(ads: &BottomKAds, betas: &[f64]) -> HipWeights {
     let mut ks = KSmallest::new(ads.k());
     let items = ads
@@ -68,7 +69,9 @@ pub fn weighted_hip(ads: &BottomKAds, betas: &[f64]) -> HipWeights {
 
 /// HIP estimate of the weighted neighborhood `Σ_{d_vj ≤ d} β(j)`.
 pub fn neighborhood_weight_at(ads: &BottomKAds, betas: &[f64], d: f64) -> f64 {
-    weighted_hip(ads, betas).qg(|v, dist| if dist <= d { betas[v as usize] } else { 0.0 })
+    weighted_hip(ads, betas)
+        .row()
+        .qg(|v, dist| if dist <= d { betas[v as usize] } else { 0.0 })
 }
 
 #[cfg(test)]
@@ -143,7 +146,7 @@ mod tests {
         for seed in 0..2000u64 {
             let ranks = exponential_ranks(&betas, seed + 77);
             let ads = bottomk_from_order(k, &order(n), &ranks);
-            err.push(weighted_hip(&ads, &betas).reachable_estimate());
+            err.push(weighted_hip(&ads, &betas).row().reachable_estimate());
         }
         let z = err.relative_bias() / err.bias_std_error();
         assert!(z.abs() < 4.0, "z = {z}");
@@ -168,8 +171,8 @@ mod tests {
         let ranks = exponential_ranks(&betas, 9);
         let ads = bottomk_from_order(4, &order(n), &ranks);
         let hip = weighted_hip(&ads, &betas);
-        for it in hip.items().iter().take(4) {
-            assert_eq!(it.weight, 1.0, "first k nodes are certain inclusions");
+        for &w in &hip.row().weights[..4] {
+            assert_eq!(w, 1.0, "first k nodes are certain inclusions");
         }
     }
 }

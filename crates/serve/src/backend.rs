@@ -21,11 +21,12 @@ use std::path::Path;
 use std::sync::Arc;
 
 use adsketch_core::frozen::SHARD_MANIFEST_FILE;
-use adsketch_core::{AdsView, FrozenAdsSet, LoadOptions, ShardManifest};
+use adsketch_core::{AdsView, FrozenAdsSet, LoadOptions, Row, ShardManifest};
 use adsketch_graph::NodeId;
 
 use crate::error::ServeError;
-use crate::server::{RequestStore, Server};
+use crate::proto::{Request, Response};
+use crate::server::{answer, RequestStore, Server};
 use crate::store::load_shard;
 
 /// One shard of a sharded store, resident in one backend process.
@@ -107,36 +108,8 @@ impl AdsView for BackendStore {
     }
 
     #[inline]
-    fn entry_count(&self, v: NodeId) -> usize {
-        self.shard.entry_count(v)
-    }
-
-    fn for_each_entry(&self, v: NodeId, f: impl FnMut(adsketch_core::AdsEntry)) {
-        self.shard.for_each_entry(v, f)
-    }
-
-    fn for_each_hip(&self, v: NodeId, f: impl FnMut(adsketch_core::HipItem)) {
-        self.shard.for_each_hip(v, f)
-    }
-
-    #[inline]
-    fn size_at(&self, v: NodeId, d: f64) -> usize {
-        self.shard.size_at(v, d)
-    }
-
-    #[inline]
-    fn total_entries(&self) -> usize {
-        self.shard.num_entries()
-    }
-
-    #[inline]
-    fn hip_cardinality_at(&self, v: NodeId, d: f64) -> f64 {
-        self.shard.hip_cardinality_at(v, d)
-    }
-
-    #[inline]
-    fn hip_reachable(&self, v: NodeId) -> f64 {
-        self.shard.hip_reachable(v)
+    fn row(&self, v: NodeId) -> Row<'_> {
+        self.shard.row(v)
     }
 }
 
@@ -144,5 +117,9 @@ impl RequestStore for BackendStore {
     fn owned_range(&self) -> std::ops::Range<u64> {
         let rec = self.manifest.records()[self.index];
         rec.start..rec.end
+    }
+
+    fn answer_request(&self, req: &Request) -> Response {
+        answer(self, req)
     }
 }

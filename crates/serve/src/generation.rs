@@ -15,9 +15,12 @@
 //! every row read and the generation number reported for that frame come
 //! from the same snapshot, so a swap landing between two pipelined
 //! requests is clean (each frame is entirely old or entirely new) and a
-//! swap landing *during* a frame is invisible to it. Answers after a
-//! swap are bitwise identical to a fresh process that loaded the new
-//! generation — gated end-to-end by the `dynamic_e2e` suite.
+//! swap landing *during* a frame is invisible to it. There is no
+//! per-call read path: a `GenerationStore` is a [`RequestStore`] and no
+//! `AdsView`, so no caller can read two generations' rows inside one
+//! batch. Answers after a swap are bitwise identical to a fresh process
+//! that loaded the new generation — gated end-to-end by the
+//! `dynamic_e2e` suite.
 //!
 //! The generation number is what [`crate::proto::Request::GenInfo`]
 //! reports; the router tags its answer-cache entries with it, so a swap
@@ -26,12 +29,8 @@
 
 use std::sync::{Arc, Mutex};
 
-use adsketch_core::{AdsEntry, AdsView, HipItem, HipWeights};
-use adsketch_graph::NodeId;
-use adsketch_minhash::BottomKSketch;
-
 use crate::proto::{Request, Response};
-use crate::server::{answer, RequestStore};
+use crate::server::RequestStore;
 
 /// One published snapshot: a store plus the generation number it was
 /// frozen as.
@@ -88,63 +87,6 @@ impl<S> GenerationStore<S> {
     }
 }
 
-// Per-call delegation so the wrapper satisfies `AdsView`. Single-call
-// reads pin per call; batch request evaluation goes through
-// `answer_request`, which pins once for the whole frame.
-impl<S: AdsView> AdsView for GenerationStore<S> {
-    fn k(&self) -> usize {
-        self.pin().store.k()
-    }
-
-    fn num_nodes(&self) -> usize {
-        self.pin().store.num_nodes()
-    }
-
-    fn entry_count(&self, v: NodeId) -> usize {
-        self.pin().store.entry_count(v)
-    }
-
-    fn for_each_entry(&self, v: NodeId, f: impl FnMut(AdsEntry)) {
-        self.pin().store.for_each_entry(v, f)
-    }
-
-    fn for_each_hip(&self, v: NodeId, f: impl FnMut(HipItem)) {
-        self.pin().store.for_each_hip(v, f)
-    }
-
-    fn size_at(&self, v: NodeId, d: f64) -> usize {
-        self.pin().store.size_at(v, d)
-    }
-
-    // The defaults below re-derive from `for_each_*`; forward them so a
-    // wrapped store's precomputed fast paths (e.g. the frozen store's
-    // stored HIP weights) stay in effect. Either path is bitwise
-    // identical — forwarding preserves the speed, not the answer.
-    fn total_entries(&self) -> usize {
-        self.pin().store.total_entries()
-    }
-
-    fn minhash_at(&self, v: NodeId, d: f64) -> BottomKSketch {
-        self.pin().store.minhash_at(v, d)
-    }
-
-    fn hip_weights_of(&self, v: NodeId) -> HipWeights {
-        self.pin().store.hip_weights_of(v)
-    }
-
-    fn hip_cardinality_at(&self, v: NodeId, d: f64) -> f64 {
-        self.pin().store.hip_cardinality_at(v, d)
-    }
-
-    fn hip_reachable(&self, v: NodeId) -> f64 {
-        self.pin().store.hip_reachable(v)
-    }
-
-    fn neighborhood_function_of(&self, v: NodeId) -> Vec<(f64, f64)> {
-        self.pin().store.neighborhood_function_of(v)
-    }
-}
-
 impl<S: RequestStore> RequestStore for GenerationStore<S> {
     fn owned_range(&self) -> std::ops::Range<u64> {
         self.pin().store.owned_range()
@@ -162,7 +104,7 @@ impl<S: RequestStore> RequestStore for GenerationStore<S> {
             Request::GenInfo => Response::GenInfo {
                 generation: pinned.generation,
             },
-            _ => answer(&pinned.store, req),
+            _ => pinned.store.answer_request(req),
         }
     }
 }
@@ -171,7 +113,7 @@ impl<S: RequestStore> RequestStore for GenerationStore<S> {
 mod tests {
     use super::*;
     use adsketch_core::{AdsSet, QueryEngine};
-    use adsketch_graph::generators;
+    use adsketch_graph::{generators, NodeId};
 
     fn sample(seed: u64) -> AdsSet {
         let g = generators::gnp_directed(60, 0.06, seed);
@@ -206,15 +148,25 @@ mod tests {
     }
 
     #[test]
-    fn view_delegates_to_current_generation() {
+    fn pins_and_answers_follow_the_current_generation() {
         let (a, b) = (sample(3), sample(4));
         let store = GenerationStore::new(a.clone(), 7);
-        assert_eq!(store.k(), a.k());
-        assert_eq!(store.total_entries(), a.total_entries());
-        assert_eq!(store.hip_reachable(5), a.hip_reachable(5));
+        let reachable = Request::Cardinality {
+            queries: vec![(5, f64::INFINITY)],
+        };
+        let check = |generation: u64, want: &AdsSet| {
+            let pinned = store.pin();
+            assert_eq!(pinned.generation, generation);
+            assert_eq!(pinned.store.k(), want.k());
+            assert_eq!(pinned.store.total_entries(), want.total_entries());
+            assert_eq!(
+                store.answer_request(&reachable),
+                Response::Floats(vec![want.hip(5).reachable_estimate()])
+            );
+        };
+        check(7, &a);
         store.swap(b.clone(), 8);
-        assert_eq!(store.total_entries(), b.total_entries());
-        assert_eq!(store.hip_reachable(5), b.hip_reachable(5));
+        check(8, &b);
     }
 
     #[test]

@@ -49,7 +49,7 @@
 //! `SketchPrefix` is the distributed tier's join primitive: it returns,
 //! per queried node `v`, the `(rank, node)` sequence of `ADS(v)`'s
 //! entries within the query distance, in canonical `(dist, node)` order —
-//! exactly the insertion sequence `AdsView::minhash_at` feeds a bottom-k
+//! exactly the insertion sequence `Row::minhash_at` feeds a bottom-k
 //! MinHash sketch. A router answering a *cross-shard* Jaccard pair
 //! fetches each endpoint's prefix from its owning backend, replays the
 //! insertions, and runs the same estimator the local engine runs — so

@@ -47,11 +47,11 @@
 //!   directly. A **cross-shard** pair is answered by fetching each
 //!   endpoint's `(rank, node)` sketch prefix from its owner and
 //!   replaying the insertions into the same bottom-k sketch
-//!   [`AdsView::minhash_at`] builds locally — the similarity is then
+//!   [`Row::minhash_at`] builds locally — the similarity is then
 //!   computed by the same `adsketch_minhash` routine the local engine
 //!   calls, on identical sketches.
 //!
-//! [`AdsView::minhash_at`]: adsketch_core::AdsView::minhash_at
+//! [`Row::minhash_at`]: adsketch_core::Row::minhash_at
 //!
 //! # Replica sets, failover, and health
 //!

@@ -69,21 +69,21 @@ const DRAIN_POLL_BUDGET: u32 = 100;
 /// under continuous client load) would postpone worker exit forever.
 const STOP_DRAIN_WINDOW: Duration = Duration::from_secs(1);
 
-/// A store a [`Server`] can answer queries over: any [`AdsView`] plus a
-/// declaration of which node range this process owns.
+/// A store a [`Server`] can answer queries over: it answers each
+/// request frame and declares which node range this process owns.
 ///
-/// The default implementation owns everything — the single-process
-/// topology. A backend process owning one manifest shard overrides
-/// [`RequestStore::owned_range`] so requests for nodes it does not hold
-/// are rejected with [`ERR_SHARD_RANGE`] instead of silently evaluated
-/// over empty rows.
-pub trait RequestStore: AdsView + Send + Sync {
+/// The row stores ([`ShardedStore`], [`crate::BackendStore`], one
+/// in-memory `FrozenAdsSet`) answer through the crate's [`AdsView`]
+/// evaluator, each over its own rows. [`crate::GenerationStore`] is no
+/// [`AdsView`]: it pins one snapshot per frame and hands the frame to
+/// that snapshot's store, so no answer mixes two generations.
+pub trait RequestStore: Send + Sync {
     /// The contiguous node range `start..end` this process holds rows
     /// for. Nodes inside `0..num_nodes` but outside this range earn an
-    /// [`ERR_SHARD_RANGE`] error frame.
-    fn owned_range(&self) -> std::ops::Range<u64> {
-        0..self.num_nodes() as u64
-    }
+    /// [`ERR_SHARD_RANGE`] error frame: a backend owning one manifest
+    /// shard rejects the nodes it does not hold instead of silently
+    /// evaluating them over empty rows.
+    fn owned_range(&self) -> std::ops::Range<u64>;
 
     /// The frozen generation this store currently serves, reported by
     /// [`Request::GenInfo`]. A plain store loaded once never changes —
@@ -93,24 +93,33 @@ pub trait RequestStore: AdsView + Send + Sync {
         0
     }
 
-    /// Answers one request batch. The default evaluates over `self`
-    /// directly; [`crate::GenerationStore`] overrides this to pin one
-    /// snapshot `Arc` for the whole request, so a concurrent generation
-    /// swap can never mix two generations' rows inside a single answer.
-    fn answer_request(&self, req: &Request) -> Response
-    where
-        Self: Sized,
-    {
+    /// Answers one request batch.
+    fn answer_request(&self, req: &Request) -> Response;
+}
+
+impl RequestStore for ShardedStore {
+    /// A sharded store owns every node: the single-process topology.
+    fn owned_range(&self) -> std::ops::Range<u64> {
+        0..self.num_nodes() as u64
+    }
+
+    fn answer_request(&self, req: &Request) -> Response {
         answer(self, req)
     }
 }
 
-impl RequestStore for ShardedStore {}
-
 // One in-memory store can serve directly too: the dynamic-graph tier
 // swaps live snapshots into a [`crate::GenerationStore`] without writing
 // them to disk first, and tests compare served answers against it.
-impl RequestStore for adsketch_core::FrozenAdsSet {}
+impl RequestStore for adsketch_core::FrozenAdsSet {
+    fn owned_range(&self) -> std::ops::Range<u64> {
+        0..self.num_nodes() as u64
+    }
+
+    fn answer_request(&self, req: &Request) -> Response {
+        answer(self, req)
+    }
+}
 
 /// A bound query server over a [`RequestStore`].
 pub struct Server<S: RequestStore = ShardedStore> {
@@ -537,7 +546,7 @@ pub(crate) fn check_nodes(
 /// are rejected up front when too long, and curve/sketch batches stop
 /// evaluating the moment their running encoded size would overflow a
 /// frame — a legal request can never force an unbounded allocation.
-pub(crate) fn answer<S: RequestStore>(store: &S, req: &Request) -> Response {
+pub(crate) fn answer<S: AdsView + RequestStore>(store: &S, req: &Request) -> Response {
     let n = store.num_nodes() as u64;
     let owned = store.owned_range();
     let check = |nodes: &mut dyn Iterator<Item = NodeId>| check_nodes(nodes, n, &owned);
@@ -587,15 +596,16 @@ pub(crate) fn nf_too_large(batch: usize) -> Response {
 /// Evaluates a neighborhood-function batch with a running encoded-size
 /// bound: per-node curves are computed exactly as
 /// [`QueryEngine::neighborhood_function_batch`] does (same
-/// [`AdsView::neighborhood_function_of`] call, in request order, so the
-/// answers are bitwise identical), but evaluation aborts with an error
-/// frame the moment the response could no longer fit one frame.
-fn neighborhood_function_bounded<S: RequestStore>(store: &S, nodes: &[NodeId]) -> Response {
+/// [`adsketch_core::HipRow::neighborhood_function`] call, in request
+/// order, so the answers are bitwise identical), but evaluation aborts
+/// with an error frame the moment the response could no longer fit one
+/// frame.
+fn neighborhood_function_bounded<S: AdsView>(store: &S, nodes: &[NodeId]) -> Response {
     // type byte + curve count, then per curve 4 + 16·len bytes.
     let mut size = 5u64;
     let mut curves = Vec::with_capacity(nodes.len().min(1 << 16));
     for &v in nodes {
-        let curve = store.neighborhood_function_of(v);
+        let curve = store.row(v).hip().neighborhood_function();
         size += 4 + 16 * curve.len() as u64;
         if size > MAX_FRAME_LEN as u64 {
             return nf_too_large(nodes.len());
@@ -618,21 +628,22 @@ pub(crate) fn sketches_too_large(batch: usize) -> Response {
 }
 
 /// Evaluates a sketch-prefix batch with a running encoded-size bound.
-/// Each sequence is exactly the `(rank, node)` insertion stream the
-/// default [`AdsView::minhash_at`] would feed a bottom-k sketch for the
+/// Each sequence is exactly the `(rank, node)` insertion stream
+/// [`adsketch_core::Row::minhash_at`] feeds a bottom-k sketch for the
 /// same `(v, d)` — the property the router's cross-shard Jaccard replay
 /// relies on.
-fn sketch_prefix_bounded<S: RequestStore>(store: &S, d: f64, nodes: &[NodeId]) -> Response {
+fn sketch_prefix_bounded<S: AdsView>(store: &S, d: f64, nodes: &[NodeId]) -> Response {
     // type byte + sequence count, then per sequence 4 + 12·len bytes.
     let mut size = 5u64;
     let mut seqs = Vec::with_capacity(nodes.len().min(1 << 16));
     for &v in nodes {
-        let mut seq: Vec<(f64, NodeId)> = Vec::new();
-        store.for_each_entry(v, |e| {
-            if e.dist <= d {
-                seq.push((e.rank, e.node));
-            }
-        });
+        let row = store.row(v);
+        let cut = row.size_at(d);
+        let seq: Vec<(f64, NodeId)> = row.ranks[..cut]
+            .iter()
+            .copied()
+            .zip(row.nodes[..cut].iter().copied())
+            .collect();
         size += 4 + 12 * seq.len() as u64;
         if size > MAX_FRAME_LEN as u64 {
             return sketches_too_large(nodes.len());

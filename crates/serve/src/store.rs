@@ -27,8 +27,8 @@
 //!
 //! The manifest itself rejects overlapping or gapped node-range tables,
 //! so after a successful load every node id has exactly one owning shard
-//! and [`ShardedStore`] can implement [`AdsView`] by routing each
-//! per-node access to that shard. Because every row is byte-for-byte the
+//! and [`ShardedStore`] can implement [`AdsView`] by lending each node's
+//! row from that shard. Because every row is byte-for-byte the
 //! row of the unsharded store, **every estimator and every
 //! [`QueryEngine`] batch answers bitwise identically to the unsharded
 //! `FrozenAdsSet`** — the property the serving tier's end-to-end
@@ -37,7 +37,9 @@
 use std::path::{Path, PathBuf};
 
 use adsketch_core::frozen::{shard_file_name, SHARD_MANIFEST_FILE};
-use adsketch_core::{shard_slots, AdsView, FrozenAdsSet, LoadOptions, QueryEngine, ShardManifest};
+use adsketch_core::{
+    shard_slots, AdsView, FrozenAdsSet, LoadOptions, QueryEngine, Row, ShardManifest,
+};
 use adsketch_graph::NodeId;
 
 use crate::error::ServeError;
@@ -211,40 +213,7 @@ impl AdsView for ShardedStore {
     }
 
     #[inline]
-    fn entry_count(&self, v: NodeId) -> usize {
-        self.owner(v).entry_count(v)
-    }
-
-    fn for_each_entry(&self, v: NodeId, f: impl FnMut(adsketch_core::AdsEntry)) {
-        self.owner(v).for_each_entry(v, f)
-    }
-
-    fn for_each_hip(&self, v: NodeId, f: impl FnMut(adsketch_core::HipItem)) {
-        self.owner(v).for_each_hip(v, f)
-    }
-
-    #[inline]
-    fn size_at(&self, v: NodeId, d: f64) -> usize {
-        self.owner(v).size_at(v, d)
-    }
-
-    #[inline]
-    fn total_entries(&self) -> usize {
-        self.manifest.total_entries() as usize
-    }
-
-    // `minhash_at` deliberately stays on the trait default: it streams
-    // the same canonical prefix the shard's own override would insert, so
-    // the resulting sketch is identical, without this crate needing a
-    // direct `adsketch-minhash` dependency.
-
-    #[inline]
-    fn hip_cardinality_at(&self, v: NodeId, d: f64) -> f64 {
-        self.owner(v).hip_cardinality_at(v, d)
-    }
-
-    #[inline]
-    fn hip_reachable(&self, v: NodeId) -> f64 {
-        self.owner(v).hip_reachable(v)
+    fn row(&self, v: NodeId) -> Row<'_> {
+        self.owner(v).row(v)
     }
 }

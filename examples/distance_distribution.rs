@@ -6,6 +6,7 @@
 //! cargo run --release --example distance_distribution
 //! ```
 
+use adsketch::core::view::distance_distribution_estimate;
 use adsketch::core::AdsSet;
 use adsketch::graph::{exact, generators};
 
@@ -28,7 +29,7 @@ fn main() {
     // Sketch-based distance distribution (one ADS build).
     let t0 = std::time::Instant::now();
     let ads = AdsSet::build(&g, 16, 3);
-    let dd_est = ads.distance_distribution_estimate();
+    let dd_est = distance_distribution_estimate(&ads);
     let est_time = t0.elapsed();
 
     // Exact distance distribution (n BFS traversals) for comparison.

@@ -55,7 +55,7 @@ fn main() {
         println!(
             "{:>6} {:>12.1} {:>10.1}",
             v,
-            centrality::harmonic(&ads.hip(v)),
+            centrality::harmonic(ads.hip(v)),
             exact::harmonic_centrality(&g, v)
         );
     }

@@ -52,8 +52,9 @@ fn main() {
 
     // Every answer matches the heap reference bit for bit.
     for v in 0..n as NodeId {
-        let hip = frozen.sketch(v).hip_weights();
-        assert_eq!(harmonic[v as usize], centrality::harmonic(&hip));
+        let weights = frozen.sketch(v).hip_weights();
+        let hip = weights.row();
+        assert_eq!(harmonic[v as usize], centrality::harmonic(hip));
         assert_eq!(within3[v as usize], hip.cardinality_at(3.0));
     }
     println!(

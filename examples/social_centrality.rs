@@ -45,7 +45,7 @@ fn main() {
     // …then rank everyone by estimated harmonic centrality.
     let t1 = std::time::Instant::now();
     let mut scored: Vec<(NodeId, f64)> = (0..n as NodeId)
-        .map(|v| (v, centrality::harmonic(&ads.hip(v))))
+        .map(|v| (v, centrality::harmonic(ads.hip(v))))
         .collect();
     scored.sort_by(|a, b| b.1.total_cmp(&a.1));
     println!("scored all nodes in {:.2?}", t1.elapsed());
@@ -61,7 +61,7 @@ fn main() {
     // premium members (β(j) = 1 iff premium).
     let beta = |v: NodeId| if premium[v as usize] { 1.0 } else { 0.0 };
     let top = scored[0].0;
-    let est = centrality::decay_filtered(&ads.hip(top), DecayKernel::Harmonic, beta);
+    let est = centrality::decay_filtered(ads.hip(top), DecayKernel::Harmonic, beta);
     let exact = exact::centrality_exact(&g, top, |d| if d > 0.0 { 1.0 / d } else { 0.0 }, beta);
     println!(
         "\npremium-only harmonic centrality of the top node {top}: est {est:.1}, exact {exact:.1}"
@@ -72,7 +72,7 @@ fn main() {
     println!("\npremium-weighted exponential influence (α = 2^-d):");
     for &(v, _) in scored.iter().take(3) {
         let inf =
-            centrality::decay_filtered(&ads.hip(v), DecayKernel::Exponential { base: 2.0 }, beta);
+            centrality::decay_filtered(ads.hip(v), DecayKernel::Exponential { base: 2.0 }, beta);
         println!("  node {v:>6}: {inf:.2}");
     }
 }

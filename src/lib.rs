@@ -38,10 +38,11 @@
 //! let g = generators::barabasi_albert(1_000, 4, 1);
 //! let ads = AdsSet::build(&g, 16, 42);
 //!
-//! // Any number of queries, each O(k log n), no more graph traversals:
+//! // Any number of queries, each O(k log n), no more graph traversals.
+//! // `hip(0)` lends node 0's row of the store, zero-copy:
 //! let hip = ads.hip(0);
 //! let within3 = hip.cardinality_at(3.0);   // |N_3(0)| estimate
-//! let hc = centrality::harmonic(&hip);     // harmonic centrality estimate
+//! let hc = centrality::harmonic(hip);      // harmonic centrality estimate
 //! assert!(within3 > 0.0 && hc > 0.0);
 //!
 //! // The set already is the columnar store (HIP weights precomputed):

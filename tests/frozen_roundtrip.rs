@@ -1,78 +1,22 @@
 //! Build → serialize → deserialize round trips must be lossless: every
 //! estimator answers from the restored [`FrozenAdsSet`] **bitwise
-//! identically** to the heap reference over the built [`AdsSet`]'s rows
-//! (`sketch(v)`, weighted by `BottomKAds::hip_weights`), across directed
-//! / weighted / disconnected graphs; corrupted or truncated buffers must
-//! be rejected, identically by every load path.
+//! identically** (`to_bits`) to the oracle over the built [`AdsSet`]'s
+//! rows (`sketch(v)`, weighted by `BottomKAds::hip_weights`; see
+//! `tests/oracle`), across directed / weighted / disconnected graphs and
+//! empty rows; corrupted or truncated buffers must be rejected,
+//! identically by every load path.
 
 use std::path::PathBuf;
 
 use proptest::prelude::*;
 
 use adsketch::core::frozen::Xxh64;
-use adsketch::core::{
-    basic, centrality, similarity, size_est, AdsSet, AdsView, FrozenAdsSet, FrozenError,
-    LoadOptions, QueryEngine,
-};
+use adsketch::core::{centrality, AdsSet, FrozenAdsSet, FrozenError, LoadOptions, QueryEngine};
 use adsketch::graph::{generators, Graph, NodeId};
 use adsketch::util::{Rng64, SplitMix64};
 
-/// Asserts that every estimator of the suite answers from `frozen`
-/// bitwise identically to the heap reference over `ads`'s rows, for
-/// every node (and a pair sample).
-fn assert_estimators_bitwise_equal(ads: &AdsSet, frozen: &FrozenAdsSet) {
-    assert_eq!(frozen.k(), ads.k());
-    assert_eq!(frozen.num_nodes(), ads.num_nodes());
-    assert_eq!(frozen.num_entries(), ads.num_entries());
-    let n = ads.num_nodes() as NodeId;
-    for v in 0..n {
-        // The oracle: row `v` as a heap sketch, weighted by the heap scan.
-        let sketch = ads.sketch(v);
-        let hip = sketch.hip_weights();
-        // HIP estimators.
-        assert_eq!(frozen.hip_weights_of(v), hip, "node {v}: HIP weights");
-        assert_eq!(frozen.hip_reachable(v), hip.reachable_estimate());
-        for d in [0.0, 0.5, 1.0, 2.0, 4.0, f64::INFINITY] {
-            assert_eq!(frozen.hip_cardinality_at(v, d), hip.cardinality_at(d));
-            // Basic (MinHash-extraction) estimator; defined for k > 1.
-            if ads.k() > 1 {
-                assert_eq!(
-                    basic::cardinality_at_in(frozen, v, d),
-                    basic::cardinality_at(&sketch, d)
-                );
-            }
-            // Size-only estimator.
-            assert_eq!(
-                size_est::cardinality_at_in(frozen, v, d),
-                size_est::cardinality_at(&sketch, d)
-            );
-        }
-        // Neighborhood function and centralities.
-        assert_eq!(
-            frozen.neighborhood_function_of(v),
-            hip.neighborhood_function()
-        );
-        assert_eq!(
-            centrality::harmonic_in(frozen, v),
-            centrality::harmonic(&hip)
-        );
-        assert_eq!(
-            centrality::sum_of_distances_in(frozen, v),
-            centrality::sum_of_distances(&hip)
-        );
-        // HIP similarity against a fixed partner.
-        let u = (v + 1) % n.max(1);
-        assert_eq!(
-            similarity::neighborhood_jaccard_in(frozen, v, u, 2.0),
-            similarity::neighborhood_jaccard(&sketch, &ads.sketch(u), 2.0)
-        );
-    }
-    // Whole-graph distance distribution.
-    assert_eq!(
-        frozen.distance_distribution_estimate(),
-        ads.distance_distribution_estimate()
-    );
-}
+mod oracle;
+use oracle::{assert_estimators_match_oracle, with_empty_rows};
 
 fn roundtrip(ads: &AdsSet) -> FrozenAdsSet {
     let frozen = ads.freeze();
@@ -80,6 +24,14 @@ fn roundtrip(ads: &AdsSet) -> FrozenAdsSet {
     let restored = FrozenAdsSet::from_bytes(&bytes).expect("roundtrip");
     assert_eq!(restored, frozen, "from_bytes(to_bytes(_)) must be identity");
     restored
+}
+
+/// Empty rows and `d < 0` make every HIP sum empty: the restored store
+/// answers `+0.0` for each, per row and batched, like the oracle.
+#[test]
+fn empty_rows_and_negative_distances_answer_positive_zero() {
+    let ads = with_empty_rows(&AdsSet::build(&generators::gnp_directed(30, 0.1, 2), 3, 4));
+    assert_estimators_match_oracle(&roundtrip(&ads), &ads);
 }
 
 /// Strategy: a small directed graph as (n, arcs).
@@ -102,7 +54,7 @@ proptest! {
         let g = Graph::directed(n, &arcs).unwrap();
         let ads = AdsSet::build(&g, k, seed);
         let restored = roundtrip(&ads);
-        assert_estimators_bitwise_equal(&ads, &restored);
+        assert_estimators_match_oracle(&restored, &ads);
     }
 
     /// Corrupting any single byte of a serialized store, or truncating it
@@ -158,11 +110,11 @@ fn directed_weighted_disconnected_roundtrips() {
     ] {
         let ads = AdsSet::build(g, k, 11);
         let restored = roundtrip(&ads);
-        assert_estimators_bitwise_equal(&ads, &restored);
+        assert_estimators_match_oracle(&restored, &ads);
         // The batch engine answers from the restored store must match the
         // per-node heap path too, for every thread count.
         let per_node: Vec<f64> = (0..g.num_nodes() as NodeId)
-            .map(|v| centrality::harmonic(&ads.sketch(v).hip_weights()))
+            .map(|v| centrality::harmonic(ads.sketch(v).hip_weights().row()))
             .collect();
         for threads in [1usize, 3, 0] {
             assert_eq!(
@@ -184,7 +136,7 @@ fn save_load_file_roundtrip() {
     let loaded = FrozenAdsSet::load(&path).expect("load");
     std::fs::remove_file(&path).ok();
     assert_eq!(loaded, frozen);
-    assert_estimators_bitwise_equal(&ads, &loaded);
+    assert_estimators_match_oracle(&loaded, &ads);
 }
 
 #[test]
@@ -226,7 +178,7 @@ fn mapped_v1_store_copies_no_column_for_either_parity_of_the_u32_prefix() {
                     );
                 }
                 assert_eq!(mapped, buffered, "parity {parity}, {opts:?}");
-                assert_estimators_bitwise_equal(&ads, &mapped);
+                assert_estimators_match_oracle(&mapped, &ads);
             }
             std::fs::remove_file(&path).ok();
             parity

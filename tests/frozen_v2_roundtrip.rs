@@ -1,9 +1,9 @@
 //! Compressed (format v2) store round trips must be bitwise lossless:
 //! freeze → v2 encode → decode must reproduce every stored bit, and
 //! every estimator must answer from the decoded v2 store **bitwise
-//! identically** to the heap reference over the rows of the [`AdsSet`]
-//! it came from — across
-//! directed / weighted / zero-weight-tie / disconnected graphs. Targeted
+//! identically** (`to_bits`) to the oracle over the rows of the
+//! [`AdsSet`] it came from (see `tests/oracle`) — across directed /
+//! weighted / zero-weight-tie / disconnected graphs and empty rows. Targeted
 //! corruption of the compressed columns (truncated varint, overlong
 //! varint, wrong escape-column length, bad version byte) must surface as
 //! clean typed errors — mirroring `tests/frozen_roundtrip.rs` for the
@@ -17,57 +17,13 @@ use proptest::prelude::*;
 
 use adsketch::core::frozen::Xxh64;
 use adsketch::core::{
-    basic, centrality, similarity, size_est, AdsEntry, AdsSet, AdsView, BottomKAds, FrozenAdsSet,
-    FrozenError, LoadOptions, QueryEngine, StoreFormat,
+    centrality, AdsEntry, AdsSet, BottomKAds, FrozenAdsSet, FrozenError, LoadOptions, QueryEngine,
+    StoreFormat,
 };
 use adsketch::graph::{generators, Graph, NodeId};
 
-/// The estimator battery of `tests/frozen_roundtrip.rs`: every estimator
-/// answers from `frozen` bitwise identically to the heap reference over
-/// `ads`'s rows.
-fn assert_estimators_bitwise_equal(ads: &AdsSet, frozen: &FrozenAdsSet) {
-    assert_eq!(frozen.k(), ads.k());
-    assert_eq!(frozen.num_nodes(), ads.num_nodes());
-    assert_eq!(frozen.num_entries(), ads.num_entries());
-    let n = ads.num_nodes() as NodeId;
-    for v in 0..n {
-        // The oracle: row `v` as a heap sketch, weighted by the heap scan.
-        let sketch = ads.sketch(v);
-        let hip = sketch.hip_weights();
-        assert_eq!(frozen.hip_weights_of(v), hip, "node {v}: HIP weights");
-        assert_eq!(frozen.hip_reachable(v), hip.reachable_estimate());
-        for d in [0.0, 0.5, 1.0, 2.0, 4.0, f64::INFINITY] {
-            assert_eq!(frozen.hip_cardinality_at(v, d), hip.cardinality_at(d));
-            if ads.k() > 1 {
-                assert_eq!(
-                    basic::cardinality_at_in(frozen, v, d),
-                    basic::cardinality_at(&sketch, d)
-                );
-            }
-            assert_eq!(
-                size_est::cardinality_at_in(frozen, v, d),
-                size_est::cardinality_at(&sketch, d)
-            );
-        }
-        assert_eq!(
-            frozen.neighborhood_function_of(v),
-            hip.neighborhood_function()
-        );
-        assert_eq!(
-            centrality::harmonic_in(frozen, v),
-            centrality::harmonic(&hip)
-        );
-        let u = (v + 1) % n.max(1);
-        assert_eq!(
-            similarity::neighborhood_jaccard_in(frozen, v, u, 2.0),
-            similarity::neighborhood_jaccard(&sketch, &ads.sketch(u), 2.0)
-        );
-    }
-    assert_eq!(
-        frozen.distance_distribution_estimate(),
-        ads.distance_distribution_estimate()
-    );
-}
+mod oracle;
+use oracle::{assert_estimators_match_oracle, with_empty_rows};
 
 /// freeze → v2 encode → decode, asserting the round trip is the
 /// identity: the decoded store compares bitwise equal to the original,
@@ -92,6 +48,14 @@ fn roundtrip_v2(ads: &AdsSet) -> FrozenAdsSet {
     restored
 }
 
+/// Empty rows and `d < 0` make every HIP sum empty: the decoded v2
+/// store answers `+0.0` for each, per row and batched, like the oracle.
+#[test]
+fn empty_rows_and_negative_distances_answer_positive_zero_from_v2() {
+    let ads = with_empty_rows(&AdsSet::build(&generators::gnp_directed(30, 0.1, 2), 3, 4));
+    assert_estimators_match_oracle(&roundtrip_v2(&ads), &ads);
+}
+
 /// Strategy: a small directed graph as (n, arcs).
 fn small_digraph() -> impl Strategy<Value = (usize, Vec<(NodeId, NodeId)>)> {
     (2usize..40).prop_flat_map(|n| {
@@ -112,7 +76,7 @@ proptest! {
         let g = Graph::directed(n, &arcs).unwrap();
         let ads = AdsSet::build(&g, k, seed);
         let restored = roundtrip_v2(&ads);
-        assert_estimators_bitwise_equal(&ads, &restored);
+        assert_estimators_match_oracle(&restored, &ads);
     }
 
     /// Corrupting any single byte of a v2 store, or truncating it
@@ -181,11 +145,11 @@ fn directed_weighted_ties_disconnected_v2_roundtrips() {
     ] {
         let ads = AdsSet::build(g, k, 11);
         let restored = roundtrip_v2(&ads);
-        assert_estimators_bitwise_equal(&ads, &restored);
+        assert_estimators_match_oracle(&restored, &ads);
         // The batch engine on the v2 store must match the per-node heap
         // path bitwise, for every thread count.
         let per_node: Vec<f64> = (0..g.num_nodes() as NodeId)
-            .map(|v| centrality::harmonic(&ads.sketch(v).hip_weights()))
+            .map(|v| centrality::harmonic(ads.sketch(v).hip_weights().row()))
             .collect();
         for threads in [1usize, 3, 0] {
             assert_eq!(
@@ -212,7 +176,7 @@ fn v2_save_load_file_roundtrip_all_load_options() {
         let loaded = FrozenAdsSet::load_with(&path, opts).expect("load v2");
         assert_eq!(loaded.format_version(), 2);
         assert_eq!(loaded, frozen);
-        assert_estimators_bitwise_equal(&ads, &loaded);
+        assert_estimators_match_oracle(&loaded, &ads);
     }
     std::fs::remove_file(&path).ok();
 }
@@ -516,8 +480,8 @@ fn golden_fixture_files_encode_and_decode_byte_for_byte() {
     assert_eq!(s1.to_bytes_format(StoreFormat::V2), g2);
     assert_eq!(s2.to_bytes(), g1);
     // And the decoded fixtures answer estimators like the build output.
-    assert_estimators_bitwise_equal(&ads, &s1);
-    assert_estimators_bitwise_equal(&ads, &s2);
+    assert_estimators_match_oracle(&s1, &ads);
+    assert_estimators_match_oracle(&s2, &ads);
 }
 
 /// First slice of "parsers are total": every single-bit corruption of a

@@ -60,8 +60,8 @@ fn graph_and_stream_ads_coincide_on_a_path() {
     }
     // And the HIP weights agree too.
     let hip = graph_sketch.hip_weights();
-    for (hit, sent) in hip.items().iter().zip(stream_entries) {
-        assert!((hit.weight - sent.weight).abs() < 1e-12);
+    for (w, sent) in hip.row().weights.iter().zip(stream_entries) {
+        assert!((w - sent.weight).abs() < 1e-12);
     }
 }
 
@@ -78,8 +78,8 @@ fn estimator_hierarchy_on_a_graph() {
     for seed in 0..400 {
         let ads = AdsSet::build(&g, k, seed);
         hip.push(ads.hip(0).reachable_estimate());
-        bas.push(basic::reachable(&ads.sketch(0)));
-        siz.push(size_est::cardinality_at(&ads.sketch(0), f64::INFINITY));
+        bas.push(basic::reachable(ads.row(0)));
+        siz.push(size_est::cardinality_at(ads.row(0), f64::INFINITY));
     }
     for (name, e) in [("hip", &hip), ("basic", &bas), ("size", &siz)] {
         let z = e.relative_bias() / e.bias_std_error();
@@ -142,11 +142,11 @@ fn flavors_agree_on_reachability_truth() {
         let km = adsketch::core::builder::kmins::build_with_stats(&g, k, &h, 1)
             .unwrap()
             .0;
-        kmins.push(km[0].hip_weights().reachable_estimate());
+        kmins.push(km[0].hip_weights().row().reachable_estimate());
         let kp = adsketch::core::builder::kpartition::build_with_stats(&g, k, &h, 1)
             .unwrap()
             .0;
-        kpart.push(kp[0].hip_weights().reachable_estimate());
+        kpart.push(kp[0].hip_weights().row().reachable_estimate());
     }
     for (name, e) in [("kmins", &kmins), ("kpartition", &kpart)] {
         let z = e.relative_bias() / e.bias_std_error();
@@ -162,7 +162,7 @@ fn centrality_ranking_correlates_with_exact() {
     let g = generators::barabasi_albert(n, 3, 5);
     let ads = AdsSet::build(&g, 32, 9);
     let est: Vec<f64> = (0..n as u32)
-        .map(|v| centrality::harmonic(&ads.hip(v)))
+        .map(|v| centrality::harmonic(ads.hip(v)))
         .collect();
     let exact: Vec<f64> = (0..n as u32)
         .map(|v| exact::harmonic_centrality(&g, v))

@@ -52,10 +52,10 @@ proptest! {
         prop_assert!(ads.len() >= k.min(n));
         let hip = ads.hip_weights();
         let mut last = 0.0;
-        for it in hip.items() {
-            prop_assert!(it.weight >= 1.0 - 1e-12);
-            prop_assert!(it.weight >= last - 1e-12, "weights must not decrease");
-            last = it.weight;
+        for &w in hip.row().weights {
+            prop_assert!(w >= 1.0 - 1e-12);
+            prop_assert!(w >= last - 1e-12, "weights must not decrease");
+            last = w;
         }
     }
 
@@ -67,7 +67,7 @@ proptest! {
         let ranks: Vec<f64> = (0..n as u64).map(|v| h.rank(v)).collect();
         let order: Vec<(NodeId, f64)> = (0..n).map(|i| (i as NodeId, i as f64)).collect();
         let ads = reference::bottomk_from_order(k, &order, &ranks);
-        let est = ads.hip_weights().reachable_estimate();
+        let est = ads.hip_weights().row().reachable_estimate();
         prop_assert!(est >= ads.len() as f64 - 1e-9);
         if n <= k {
             prop_assert!((est - n as f64).abs() < 1e-9, "exact for n ≤ k");
@@ -254,7 +254,8 @@ proptest! {
         let ranks: Vec<f64> = (0..n as u64).map(|v| h.rank(v)).collect();
         let order: Vec<(NodeId, f64)> = (0..n).map(|i| (i as NodeId, i as f64)).collect();
         let ads = reference::bottomk_from_order(k, &order, &ranks);
-        let extracted = ads.minhash_at(cut as f64);
+        let set = AdsSet::from_sketches(k, vec![ads]);
+        let extracted = set.row(0).minhash_at(cut as f64);
         let mut direct = BottomKSketch::new(k);
         for e in 0..=cut.min(n - 1) as u64 {
             direct.insert_ranked(ranks[e as usize], e);

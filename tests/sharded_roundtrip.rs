@@ -1,8 +1,8 @@
 //! Sharded freeze → load round trips must be lossless: every estimator
-//! answers from the loaded [`ShardedStore`] **bitwise identically** to
-//! the heap reference over the rows of the [`AdsSet`] it was written
-//! from, for every shard
-//! count, across directed / weighted / disconnected graphs; corrupted,
+//! answers from the loaded [`ShardedStore`] **bitwise identically**
+//! (`to_bits`) to the oracle over the rows of the [`AdsSet`] it was
+//! written from (see `tests/oracle`), for every shard count, across
+//! directed / weighted / disconnected graphs and empty rows; corrupted,
 //! truncated, swapped, or structurally invalid manifests and shard files
 //! must be rejected — mirroring `tests/frozen_roundtrip.rs` for the
 //! multi-file store.
@@ -13,11 +13,14 @@ use proptest::prelude::*;
 
 use adsketch::core::frozen::{shard_file_name, Xxh64, SHARD_MANIFEST_FILE};
 use adsketch::core::{
-    basic, centrality, freeze_sharded, freeze_sharded_format, similarity, size_est, AdsSet,
-    AdsView, FrozenAdsSet, QueryEngine, ShardManifest, StoreFormat,
+    centrality, freeze_sharded, freeze_sharded_format, AdsSet, FrozenAdsSet, QueryEngine,
+    ShardManifest, StoreFormat,
 };
 use adsketch::graph::{generators, Graph, NodeId};
 use adsketch::serve::{ServeError, ShardedStore};
+
+mod oracle;
+use oracle::{assert_estimators_match_oracle, with_empty_rows};
 
 /// A scratch directory under the target-adjacent temp dir, wiped on
 /// creation and on drop.
@@ -51,46 +54,14 @@ fn roundtrip(ads: &AdsSet, shards: usize, tag: &str) -> (ShardDir, ShardedStore)
     (dir, store)
 }
 
-/// The estimator battery of `tests/frozen_roundtrip.rs`, pointed at a
-/// sharded store.
-fn assert_estimators_bitwise_equal(ads: &AdsSet, store: &ShardedStore) {
-    assert_eq!(store.manifest().k(), ads.k());
-    assert_eq!(AdsView::num_nodes(store), ads.num_nodes());
-    assert_eq!(AdsView::total_entries(store), ads.num_entries());
-    let n = ads.num_nodes() as NodeId;
-    for v in 0..n {
-        // The oracle: row `v` as a heap sketch, weighted by the heap scan.
-        let sketch = ads.sketch(v);
-        let hip = sketch.hip_weights();
-        assert_eq!(store.hip_weights_of(v), hip, "node {v}: HIP weights");
-        assert_eq!(store.hip_reachable(v), hip.reachable_estimate());
-        for d in [0.0, 0.5, 1.0, 2.0, 4.0, f64::INFINITY] {
-            assert_eq!(store.hip_cardinality_at(v, d), hip.cardinality_at(d));
-            if ads.k() > 1 {
-                assert_eq!(
-                    basic::cardinality_at_in(store, v, d),
-                    basic::cardinality_at(&sketch, d)
-                );
-            }
-            assert_eq!(
-                size_est::cardinality_at_in(store, v, d),
-                size_est::cardinality_at(&sketch, d)
-            );
-        }
-        assert_eq!(
-            store.neighborhood_function_of(v),
-            hip.neighborhood_function()
-        );
-        assert_eq!(
-            centrality::harmonic_in(store, v),
-            centrality::harmonic(&hip)
-        );
-        // Cross-shard pair: u and v generally live on different shards.
-        let u = (v + 1) % n.max(1);
-        assert_eq!(
-            similarity::neighborhood_jaccard_in(store, v, u, 2.0),
-            similarity::neighborhood_jaccard(&sketch, &ads.sketch(u), 2.0)
-        );
+/// Empty rows and `d < 0` make every HIP sum empty: the sharded store
+/// answers `+0.0` for each, per row and batched, like the oracle.
+#[test]
+fn empty_rows_and_negative_distances_answer_positive_zero_across_shards() {
+    let ads = with_empty_rows(&AdsSet::build(&generators::gnp_directed(30, 0.1, 2), 3, 4));
+    for shards in [1usize, 3] {
+        let (_dir, store) = roundtrip(&ads, shards, &format!("empty_rows_{shards}"));
+        assert_estimators_match_oracle(&store, &ads);
     }
 }
 
@@ -116,7 +87,7 @@ proptest! {
         let g = Graph::directed(n, &arcs).unwrap();
         let ads = AdsSet::build(&g, k, seed);
         let (_dir, store) = roundtrip(&ads, shards, "prop");
-        assert_estimators_bitwise_equal(&ads, &store);
+        assert_estimators_match_oracle(&store, &ads);
         let frozen = ads.freeze();
         prop_assert_eq!(
             store.engine(2).harmonic_all(),
@@ -148,11 +119,11 @@ fn directed_weighted_disconnected_across_shard_counts() {
         let ads = AdsSet::build(g, k, 11);
         let frozen = ads.freeze();
         let per_node: Vec<f64> = (0..g.num_nodes() as NodeId)
-            .map(|v| centrality::harmonic(&ads.sketch(v).hip_weights()))
+            .map(|v| centrality::harmonic(ads.sketch(v).hip_weights().row()))
             .collect();
         for shards in [1usize, 2, 4] {
             let (_dir, store) = roundtrip(&ads, shards, &format!("{name}_{shards}"));
-            assert_estimators_bitwise_equal(&ads, &store);
+            assert_estimators_match_oracle(&store, &ads);
             // Batch engine over the sharded store, across thread counts.
             for threads in [1usize, 3, 0] {
                 assert_eq!(
@@ -175,7 +146,7 @@ fn more_shards_than_nodes_still_roundtrips() {
     let g = generators::gnp_directed(5, 0.4, 9);
     let ads = AdsSet::build(&g, 2, 1);
     let (_dir, store) = roundtrip(&ads, 9, "overshard");
-    assert_estimators_bitwise_equal(&ads, &store);
+    assert_estimators_match_oracle(&store, &ads);
 }
 
 // ---------------------------------------------------------------------
@@ -341,7 +312,7 @@ fn v2_sharded_freeze_roundtrips_bitwise() {
     for i in 0..store.num_shards() {
         assert_eq!(store.shard(i).format_version(), 2);
     }
-    assert_estimators_bitwise_equal(&ads, &store);
+    assert_estimators_match_oracle(&store, &ads);
     let frozen = ads.freeze();
     assert_eq!(
         store.engine(2).harmonic_all(),
