@@ -189,8 +189,8 @@ fn v2_save_load_file_roundtrip_all_load_options() {
 /// at distances `base(v) + j`, encodes them as v2 and asserts the
 /// distance tag (header byte 41) and a bitwise round trip. Ranks fall
 /// along each row, so every entry is an ADS entry and the weights are
-/// a real freeze's τ chain.
-fn assert_dist_tag_roundtrips(base: fn(usize) -> f64, tag: u8) {
+/// a real freeze's τ chain. `checksum` pins the whole image.
+fn assert_dist_tag_roundtrips(base: fn(usize) -> f64, tag: u8, checksum: u64) {
     const ROWS: usize = 8200;
     const LEN: usize = 16;
     let k = 4;
@@ -208,6 +208,7 @@ fn assert_dist_tag_roundtrips(base: fn(usize) -> f64, tag: u8) {
     let frozen = AdsSet::from_sketches(k, sketches).freeze();
     let v2 = frozen.to_bytes_format(StoreFormat::V2);
     assert_eq!(v2[41], tag, "dist-column tag");
+    assert_eq!(image_checksum(&v2), checksum, "v2 image changed");
     let restored = FrozenAdsSet::from_bytes(&v2).expect("v2 decodes");
     assert_eq!(restored, frozen, "v2 round trip must be bitwise identity");
     assert_eq!(restored.to_bytes_format(StoreFormat::V2), v2);
@@ -216,20 +217,20 @@ fn assert_dist_tag_roundtrips(base: fn(usize) -> f64, tag: u8) {
 #[test]
 fn few_distances_select_the_dict16_tag() {
     // Every row shares the distances 0..16.
-    assert_dist_tag_roundtrips(|_| 0.0, 0);
+    assert_dist_tag_roundtrips(|_| 0.0, 0, 0xb347c2b3bbb3853b);
 }
 
 #[test]
 fn more_than_2_16_repeated_distances_select_the_dict32_tag() {
     // Row pairs share their distances: 65 600 distinct values, each
     // twice, so more than 2¹⁶ codes and at most one per two entries.
-    assert_dist_tag_roundtrips(|v| (v / 2 * 16) as f64, 1);
+    assert_dist_tag_roundtrips(|v| (v / 2 * 16) as f64, 1, 0xb4368f6921782012);
 }
 
 #[test]
 fn all_distinct_distances_select_the_raw_tag() {
     // 131 200 distinct values: a dictionary would outgrow raw bits.
-    assert_dist_tag_roundtrips(|v| (v * 16) as f64, 2);
+    assert_dist_tag_roundtrips(|v| (v * 16) as f64, 2, 0x6f052a303b717257);
 }
 
 // ---------------------------------------------------------------------
@@ -568,4 +569,171 @@ fn generation_1_stores_are_rejected_as_written_by_an_older_build() {
         differing.contains(&7) && differing.iter().all(|&i| i == 7 || (32..40).contains(&i)),
         "v2 images differ at {differing:?}"
     );
+}
+
+// ---------------------------------------------------------------------
+// Multi-block byte pins
+// ---------------------------------------------------------------------
+
+/// The header checksum (bytes 32..40) of a store image. It covers every
+/// other byte, so pinning it pins the whole image.
+fn image_checksum(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes[32..40].try_into().unwrap())
+}
+
+/// The golden fixture holds 30 rows, a single block. These stores span
+/// many blocks, so their checksums pin the block-offset table and every
+/// later block's sections too.
+#[test]
+fn multi_block_v2_images_are_pinned() {
+    let ba = AdsSet::build(&generators::barabasi_albert(3000, 3, 17), 16, 5).freeze();
+    let weighted = AdsSet::build(
+        &generators::random_weighted_digraph(2000, 4, 1.0, 10.0, 23),
+        8,
+        6,
+    )
+    .freeze();
+    for (name, frozen, pinned) in [
+        ("ba3000_k16", &ba, 0x7957939eb7e85ead),
+        ("weighted2000_k8", &weighted, 0x40cd5c254f110fcc),
+    ] {
+        let v2 = frozen.to_bytes_format(StoreFormat::V2);
+        assert_eq!(
+            image_checksum(&v2),
+            pinned,
+            "{name}: v2 image changed (tags {:?})",
+            &v2[40..44]
+        );
+        assert_eq!(&FrozenAdsSet::from_bytes(&v2).expect("v2 decodes"), frozen);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Column escapes planted in the last block
+// ---------------------------------------------------------------------
+
+/// A valid v1 image of 300 rows (five v2 blocks of 64 rows) whose v2
+/// encoding picks every compressed tag.
+fn escape_base() -> Vec<u8> {
+    let frozen = AdsSet::build(&generators::barabasi_albert(300, 3, 31), 4, 8).freeze();
+    assert_eq!(
+        &frozen.to_bytes_format(StoreFormat::V2)[40..44],
+        &[0, 0, 0, 0]
+    );
+    frozen.to_bytes()
+}
+
+/// Byte offsets into a v1 image: `col(c, i)` is entry `i` of the f64
+/// column `c` (0 dists, 1 ranks, 2 weights), `node(i)` its node id, and
+/// `row(v)` the entry span of row `v`.
+struct V1Image<'a> {
+    bytes: &'a [u8],
+    n: usize,
+    entries: usize,
+}
+
+impl<'a> V1Image<'a> {
+    fn new(bytes: &'a [u8]) -> Self {
+        let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+        assert_eq!(bytes[8], 1, "a v1 image");
+        let (n, entries) = (u64_at(16) as usize, u64_at(24) as usize);
+        Self { bytes, n, entries }
+    }
+    fn col(&self, c: usize, i: usize) -> usize {
+        40 + (c * self.entries + i) * 8
+    }
+    fn node(&self, i: usize) -> usize {
+        40 + 3 * self.entries * 8 + (self.n + 1) * 4 + i * 4
+    }
+    fn row(&self, v: usize) -> std::ops::Range<usize> {
+        let at = |v: usize| {
+            let o = 40 + 3 * self.entries * 8 + v * 4;
+            u32::from_le_bytes(self.bytes[o..o + 4].try_into().unwrap()) as usize
+        };
+        at(v)..at(v + 1)
+    }
+    fn f64(&self, at: usize) -> f64 {
+        f64::from_bits(u64::from_le_bytes(
+            self.bytes[at..at + 8].try_into().unwrap(),
+        ))
+    }
+}
+
+/// Re-signs the patched v1 image, encodes the store it holds as v2 and
+/// asserts the tag bytes, the image checksum and a bitwise round trip
+/// through `load`.
+fn assert_escape(
+    mut v1: Vec<u8>,
+    tags: [u8; 4],
+    pinned: u64,
+    load: impl Fn(&[u8]) -> FrozenAdsSet,
+) {
+    resign_store(&mut v1);
+    let store = load(&v1);
+    let v2 = store.to_bytes_format(StoreFormat::V2);
+    assert_eq!(&v2[40..44], &tags, "tag bytes");
+    assert_eq!(image_checksum(&v2), pinned, "v2 image changed");
+    let restored = load(&v2);
+    assert_eq!(restored.format_version(), 2);
+    assert_eq!(restored, store, "v2 round trip must be bitwise identity");
+    assert_eq!(restored.to_bytes(), v1);
+}
+
+fn verified_load(bytes: &[u8]) -> FrozenAdsSet {
+    FrozenAdsSet::from_bytes(bytes).expect("valid image")
+}
+
+#[test]
+fn one_rank_off_the_grid_in_the_last_block_escapes_the_rank_column() {
+    let mut v1 = escape_base();
+    let img = V1Image::new(&v1);
+    // The last entry of the last row: no later entry takes it as τ, so
+    // only the rank column can change encoding.
+    let at = img.col(1, img.row(img.n - 1).end - 1);
+    v1[at..at + 8].copy_from_slice(&1e-20f64.to_bits().to_le_bytes());
+    assert_escape(v1, [0, 0, 1, 0], 0xb596a2b3c2b11f64, verified_load);
+}
+
+#[test]
+fn one_weight_no_earlier_rank_explains_in_the_last_block_escapes_the_weight_column() {
+    let mut v1 = escape_base();
+    let img = V1Image::new(&v1);
+    // Every rank is at most 1, so no `1 / rank` is 0.5.
+    let at = img.col(2, img.row(img.n - 1).end - 1);
+    v1[at..at + 8].copy_from_slice(&0.5f64.to_bits().to_le_bytes());
+    assert_escape(v1, [0, 0, 0, 1], 0x9ebe0fc74281910f, verified_load);
+}
+
+#[test]
+fn one_non_increasing_node_run_in_the_last_block_escapes_the_node_column() {
+    let mut v1 = escape_base();
+    let img = V1Image::new(&v1);
+    // Two neighbours at one distance in a row of the last block: swapping
+    // their ids breaks the canonical order, which a verified load would
+    // reject, so this store only loads trusted.
+    let last_block = (img.n - 1) / 64 * 64;
+    let i = (last_block..img.n)
+        .rev()
+        .flat_map(|v| img.row(v).skip(1).rev())
+        .find(|&i| img.f64(img.col(0, i)).to_bits() == img.f64(img.col(0, i - 1)).to_bits())
+        .expect("a distance run of two in the last block");
+    let (a, b) = (img.node(i - 1), img.node(i));
+    let (x, y) = (v1[a..a + 4].to_vec(), v1[b..b + 4].to_vec());
+    v1[a..a + 4].copy_from_slice(&y);
+    v1[b..b + 4].copy_from_slice(&x);
+    // One file per format: the v1 store stays mapped while the v2 image
+    // is written and loaded.
+    let path = |version: u8| {
+        std::env::temp_dir().join(format!(
+            "adsketch_test_frozen_v2_node_escape.v{version}.ads"
+        ))
+    };
+    let trusted_load = |bytes: &[u8]| {
+        std::fs::write(path(bytes[8]), bytes).unwrap();
+        FrozenAdsSet::load_with(path(bytes[8]), LoadOptions::trusted()).expect("trusted load")
+    };
+    assert_escape(v1, [1, 0, 0, 0], 0x699f044869ac046c, trusted_load);
+    for version in [1, 2] {
+        std::fs::remove_file(path(version)).ok();
+    }
 }
