@@ -475,6 +475,17 @@ pub struct LoadOptions {
     /// (≈ 26 ms for these bytes on warm memory), the order scan and the
     /// first touch of every page — against ≈ 0.1 ms unverified, which
     /// touches the offset table only.
+    ///
+    /// A v2 file is decoded whole either way, and its block decoder
+    /// checks every block as it goes, so an unverified v2 load still
+    /// rejects, as typed errors, what a v1 load cannot see without the
+    /// checksum: section lengths that do not tile a block, escape
+    /// columns of the wrong length, out-of-range dictionary codes, rank
+    /// mantissas and τ back-references, non-canonical or truncated
+    /// varints, and node ids past `u32`. What it skips is the checksum
+    /// and the scan of the decoded rows (node ids below `n`, canonical
+    /// `(dist, node)` order), so bit rot that still decodes yields a
+    /// store with wrong values.
     pub verify: bool,
     /// Map the file with `mmap` instead of reading it whole into a
     /// buffer (default **off**, matching [`FrozenAdsSet::load`]). A v1
@@ -648,8 +659,9 @@ fn write_v1<W: Write + Seek>(k: u32, rows: v2::RowsSource<'_>, w: &mut W) -> std
 }
 
 /// Writes `rows` to a new file in the given format (v1 streams, v2 is
-/// encoded whole first) and returns the header checksum written — the
-/// value a shard manifest pins.
+/// encoded whole first, so a panicking encoder leaves no file behind)
+/// and returns the header checksum written — the value a shard manifest
+/// pins.
 fn write_file(
     k: u32,
     rows: v2::RowsSource<'_>,
@@ -657,12 +669,11 @@ fn write_file(
     format: StoreFormat,
 ) -> std::io::Result<u64> {
     // Unbuffered: both formats hand the file large writes.
-    let mut file = std::fs::File::create(path)?;
     match format {
-        StoreFormat::V1 => write_v1(k, rows, &mut file),
+        StoreFormat::V1 => write_v1(k, rows, &mut std::fs::File::create(path)?),
         StoreFormat::V2 => {
             let image = v2::encode(k, rows);
-            file.write_all(&image)?;
+            std::fs::write(path, &image)?;
             Ok(read_u64(&image, CHECKSUM_OFFSET))
         }
     }

@@ -32,7 +32,7 @@
 //! *verifying reconstruction* of every entry, never by value heuristics,
 //! so a v1 ↔ v2 round trip is bitwise lossless for any store.
 //!
-//! # Block layout and the load path
+//! # Block layout, one pass each way
 //!
 //! Entries are grouped into blocks of [`DEFAULT_ROWS_PER_BLOCK`] rows
 //! (the row count is recorded in the header). Each block encodes its
@@ -42,16 +42,26 @@
 //!
 //! Version 2 is a **file codec**, not a way to hold a store: this module
 //! is the pair [`encode`] (columns → bytes) and [`decode`] (bytes →
-//! columns). Every load path of a v2 file — `from_bytes`, buffered,
-//! mapped, trusted — runs [`decode`] once over the whole image and ends
-//! in the same full-width columns a freeze or a v1 load produces, so
-//! queries never see the compressed form. A verified load checks each
-//! block's sections and decodes it in the same pass.
+//! columns). Each makes one pass over the blocks:
+//!
+//! * [`encode`] assumes the compressed rank, weight and node tags and
+//!   writes each block straight into the image, the weights' τ
+//!   back-references read off one [`TauScan`] per row. It decodes every
+//!   block back and compares it bitwise with its source while the block
+//!   is still in cache. An entry a tag does not reproduce restarts the
+//!   encoder with that one column escaped.
+//! * Every load path of a v2 file — `from_bytes`, buffered, mapped,
+//!   trusted — runs [`decode`] once over the whole image and ends in
+//!   the same full-width columns a freeze or a v1 load produces, so
+//!   queries never see the compressed form. Its one block decoder, the
+//!   one the encoder's self-check runs too, checks each block as it
+//!   decodes it, at every load level: a malformed block is a typed
+//!   error even in a trusted load.
 //!
 //! The full on-disk layout table lives in the [`super`] module docs next
 //! to the v1 table.
 
-use std::collections::HashMap;
+use std::ops::Range;
 
 use super::varint;
 use super::{FrozenError, ParsedHeader, HEADER_LEN};
@@ -272,7 +282,7 @@ impl<'a> Body<'a> {
                 rest.len()
             )));
         }
-        // `decode` reserves its columns by `entries`: bound that by the
+        // `decode` allocates its columns by `entries`: bound that by the
         // bytes actually present before it does. No entry takes fewer
         // than 11 blob bytes: a 2-byte distance code, a 7-byte rank, a
         // 1-byte weight varint and a 1-byte node varint.
@@ -291,155 +301,55 @@ impl<'a> Body<'a> {
         })
     }
 
-    #[inline]
-    fn num_rows(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// The rows and entry span block `b` covers.
-    fn block_extent(&self, b: usize) -> (std::ops::Range<usize>, std::ops::Range<usize>) {
-        let lo = (b * self.rows_per_block).min(self.num_rows());
-        let hi = ((b + 1) * self.rows_per_block).min(self.num_rows());
-        (lo..hi, self.offsets[lo] as usize..self.offsets[hi] as usize)
-    }
-
     /// The encoded bytes of block `b`.
     fn block_span(&self, b: usize) -> &'a [u8] {
         &self.blob[self.block_offsets[b] as usize..self.block_offsets[b + 1] as usize]
     }
+}
 
-    /// Decodes block `b` onto the end of `out`'s four entry columns.
-    /// **Infallible by construction**: the unverified-load contract
-    /// (like v1's) is that structural damage in trusted files yields
-    /// garbage *values*, never panics or out-of-bounds access, so every
-    /// read below is bounds-clamped and shortfalls zero-fill. Verified
-    /// loads ran [`Body::check_block`] first, after which none of the
-    /// fallback branches are reachable.
-    fn decode_block(&self, b: usize, out: &mut Columns) {
-        let (rows, entries) = self.block_extent(b);
-        let count = entries.len();
-        let base = out.nodes.len();
-        out.nodes.resize(base + count, 0);
-        out.dists.resize(base + count, 0.0);
-        out.ranks.resize(base + count, 0.0);
-        out.weights.resize(base + count, 1.0);
-        let nodes = &mut out.nodes[base..];
-        let dists = &mut out.dists[base..];
-        let ranks = &mut out.ranks[base..];
-        let weights = &mut out.weights[base..];
+/// The rows block `b` covers, for `rows_per_block` rows per block over
+/// `n` rows.
+fn block_rows(b: usize, rows_per_block: usize, n: usize) -> Range<usize> {
+    (b * rows_per_block).min(n)..((b + 1) * rows_per_block).min(n)
+}
 
-        let Some(sections) = split_sections(self.block_span(b)) else {
-            return; // short/garbled block header: all-zero fill
-        };
-        let [sec_d, sec_r, sec_w, sec_n] = sections;
+/// What decoding any block of one image takes besides its bytes: the
+/// column tags, the distance dictionary and the CSR offsets, which say
+/// where each row starts.
+#[derive(Clone, Copy)]
+struct Codec<'a> {
+    tags: Tags,
+    dict: &'a [f64],
+    offsets: &'a [u32],
+}
 
-        // Distances first (node-run recovery depends on them).
-        match self.tags.dist {
-            DistTag::Dict16 => {
-                for (i, c) in sec_d.chunks_exact(2).take(count).enumerate() {
-                    let code = u16::from_le_bytes([c[0], c[1]]) as usize;
-                    dists[i] = self.dict.get(code).copied().unwrap_or(0.0);
-                }
-            }
-            DistTag::Dict32 => {
-                for (i, c) in sec_d.chunks_exact(4).take(count).enumerate() {
-                    let code = u32::from_le_bytes(c.try_into().expect("4-byte chunk")) as usize;
-                    dists[i] = self.dict.get(code).copied().unwrap_or(0.0);
-                }
-            }
-            DistTag::Raw => {
-                for (i, c) in sec_d.chunks_exact(8).take(count).enumerate() {
-                    dists[i] =
-                        f64::from_bits(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
-                }
-            }
-        }
-
-        match self.tags.rank {
-            RankTag::Fixed7 => {
-                for (i, c) in sec_r.chunks_exact(7).take(count).enumerate() {
-                    let mut m = [0u8; 8];
-                    m[..7].copy_from_slice(c);
-                    ranks[i] = u64::from_le_bytes(m) as f64 * RANK_INV_SCALE;
-                }
-            }
-            RankTag::Raw => {
-                for (i, c) in sec_r.chunks_exact(8).take(count).enumerate() {
-                    ranks[i] =
-                        f64::from_bits(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
-                }
-            }
-        }
-
-        match self.tags.weight {
-            WeightTag::TauRef => {
-                let mut at = 0usize;
-                'rows: for v in rows.clone() {
-                    let row_lo = self.offsets[v] as usize - entries.start;
-                    let row_hi = self.offsets[v + 1] as usize - entries.start;
-                    for i in row_lo..row_hi {
-                        let Ok((code, used)) = varint::decode(&sec_w[at.min(sec_w.len())..]) else {
-                            break 'rows; // rest keeps the 1.0 fill
-                        };
-                        at += used;
-                        let back = code as usize;
-                        if back > 0 && back <= i - row_lo {
-                            weights[i] = 1.0 / ranks[i - back];
-                        } // code 0 (or out-of-row garbage): keep 1.0
-                    }
-                }
-            }
-            WeightTag::Raw => {
-                for (i, c) in sec_w.chunks_exact(8).take(count).enumerate() {
-                    weights[i] =
-                        f64::from_bits(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
-                }
-            }
-        }
-
-        match self.tags.node {
-            NodeTag::Delta => {
-                let mut at = 0usize;
-                'rows: for v in rows {
-                    let row_lo = self.offsets[v] as usize - entries.start;
-                    let row_hi = self.offsets[v + 1] as usize - entries.start;
-                    for i in row_lo..row_hi {
-                        let Ok((x, used)) = varint::decode(&sec_n[at.min(sec_n.len())..]) else {
-                            break 'rows;
-                        };
-                        at += used;
-                        let same_run = i > row_lo && dists[i].to_bits() == dists[i - 1].to_bits();
-                        nodes[i] = if same_run {
-                            (nodes[i - 1] as u64)
-                                .saturating_add(1)
-                                .saturating_add(x)
-                                .min(u32::MAX as u64) as u32
-                        } else {
-                            x.min(u32::MAX as u64) as u32
-                        };
-                    }
-                }
-            }
-            NodeTag::Raw => {
-                for (i, c) in sec_n.chunks_exact(4).take(count).enumerate() {
-                    nodes[i] = u32::from_le_bytes(c.try_into().expect("4-byte chunk"));
-                }
-            }
-        }
-    }
-
-    /// Structural validation of block `b`'s compressed payload, run by
-    /// every verified load before the block is decoded: the section
-    /// lengths tile the block span exactly; every section parses to
-    /// exactly its length with canonical varints; dictionary codes, rank
-    /// magnitudes and weight back-references are in range. After this
-    /// passes, none of [`Body::decode_block`]'s fallback branches are
-    /// reachable. (Node-id range and canonical `(dist, node)` row order
-    /// are checked on the decoded columns, by the scan v1 loads run.)
-    fn check_block(&self, b: usize) -> Result<(), FrozenError> {
-        let (rows, entries) = self.block_extent(b);
-        let count = entries.len();
-        let span = self.block_span(b);
+impl Codec<'_> {
+    /// Decodes block `b` (the rows `rows`, encoded as `span`) into
+    /// `out`'s four entry columns, the block's first entry at index
+    /// `first`. The one
+    /// block decoder: every v2 load level and the encoder's self-check
+    /// run it. It checks as it decodes and fails on the first fault:
+    /// the section lengths tile the span; each fixed-width section holds
+    /// exactly one value per entry; dictionary codes, rank mantissas and
+    /// weight back-references are in range; varints are canonical and
+    /// each varint section ends with its last row; node ids fit a u32.
+    /// (Node-id range and canonical `(dist, node)` row order are checked
+    /// on the decoded columns, by the scan v1 loads run.)
+    fn decode_block(
+        &self,
+        b: usize,
+        rows: Range<usize>,
+        span: &[u8],
+        out: &mut Columns,
+        first: usize,
+    ) -> Result<(), FrozenError> {
+        let base = self.offsets[rows.start] as usize;
+        let count = self.offsets[rows.end] as usize - base;
+        let at = first..first + count;
+        let nodes = &mut out.nodes[at.clone()];
+        let dists = &mut out.dists[at.clone()];
+        let ranks = &mut out.ranks[at.clone()];
+        let weights = &mut out.weights[at];
         let corrupt = |what: String| FrozenError::Corrupt(format!("block {b}: {what}"));
         let Some([sec_d, sec_r, sec_w, sec_n]) = split_sections(span) else {
             return Err(corrupt(format!(
@@ -447,7 +357,6 @@ impl<'a> Body<'a> {
                 span.len()
             )));
         };
-
         let fixed = |sec: &[u8], width: usize, name: &str| -> Result<(), FrozenError> {
             if sec.len() != count * width {
                 return Err(corrupt(format!(
@@ -459,66 +368,130 @@ impl<'a> Body<'a> {
             }
             Ok(())
         };
+        let code_at = |code: usize| {
+            self.dict
+                .get(code)
+                .copied()
+                .ok_or_else(|| corrupt(format!("dist code {code} out of dictionary")))
+        };
+        let row_span =
+            |v: usize| self.offsets[v] as usize - base..self.offsets[v + 1] as usize - base;
+        let ended = |at: usize, sec: &[u8], name: &str| {
+            if at == sec.len() {
+                Ok(())
+            } else {
+                Err(corrupt(format!(
+                    "{} trailing bytes after the {name} varint stream",
+                    sec.len() - at
+                )))
+            }
+        };
 
+        // Distances first: node runs are recovered from them.
         match self.tags.dist {
             DistTag::Dict16 => {
                 fixed(sec_d, 2, "dist")?;
-                for c in sec_d.chunks_exact(2) {
-                    let code = u16::from_le_bytes([c[0], c[1]]) as usize;
-                    if code >= self.dict.len() {
-                        return Err(corrupt(format!("dist code {code} out of dictionary")));
-                    }
+                for (d, c) in dists.iter_mut().zip(sec_d.chunks_exact(2)) {
+                    *d = code_at(u16::from_le_bytes([c[0], c[1]]) as usize)?;
                 }
             }
             DistTag::Dict32 => {
                 fixed(sec_d, 4, "dist")?;
-                for c in sec_d.chunks_exact(4) {
-                    let code = u32::from_le_bytes(c.try_into().expect("4-byte")) as usize;
-                    if code >= self.dict.len() {
-                        return Err(corrupt(format!("dist code {code} out of dictionary")));
-                    }
+                for (d, c) in dists.iter_mut().zip(sec_d.chunks_exact(4)) {
+                    *d = code_at(u32::from_le_bytes(c.try_into().expect("4-byte")) as usize)?;
                 }
             }
-            DistTag::Raw => fixed(sec_d, 8, "dist")?,
+            DistTag::Raw => {
+                fixed(sec_d, 8, "dist")?;
+                read_raw_f64(sec_d, dists);
+            }
         }
+
         match self.tags.rank {
             RankTag::Fixed7 => {
                 fixed(sec_r, 7, "rank")?;
-                for c in sec_r.chunks_exact(7) {
+                for (r, c) in ranks.iter_mut().zip(sec_r.chunks_exact(7)) {
                     let mut m = [0u8; 8];
                     m[..7].copy_from_slice(c);
-                    if u64::from_le_bytes(m) > 1u64 << 53 {
+                    let m = u64::from_le_bytes(m);
+                    if m > 1 << 53 {
                         return Err(corrupt("rank mantissa exceeds 2^53".into()));
                     }
+                    *r = m as f64 * RANK_INV_SCALE;
                 }
             }
-            RankTag::Raw => fixed(sec_r, 8, "rank")?,
+            RankTag::Raw => {
+                fixed(sec_r, 8, "rank")?;
+                read_raw_f64(sec_r, ranks);
+            }
         }
 
         match self.tags.weight {
-            WeightTag::TauRef => walk_varints(
-                sec_w,
-                "weight",
-                &self.offsets,
-                rows.clone(),
-                b,
-                |i, code| {
-                    if code as usize > i {
-                        Err(format!(
-                            "weight back-reference {code} reaches before entry 0"
-                        ))
-                    } else {
-                        Ok(())
+            WeightTag::TauRef => {
+                let mut at = 0;
+                for v in rows.clone() {
+                    let row = row_span(v);
+                    for i in row.clone() {
+                        let back = varint::read(sec_w, &mut at)
+                            .map_err(|e| corrupt(format!("row {v} weight column: {e}")))?;
+                        weights[i] = if back == 0 {
+                            1.0
+                        } else if back <= (i - row.start) as u64 {
+                            1.0 / ranks[i - back as usize]
+                        } else {
+                            return Err(corrupt(format!(
+                                "row {v}: weight back-reference {back} reaches before entry 0"
+                            )));
+                        };
                     }
-                },
-            )?,
-            WeightTag::Raw => fixed(sec_w, 8, "weight")?,
+                }
+                ended(at, sec_w, "weight")?;
+            }
+            WeightTag::Raw => {
+                fixed(sec_w, 8, "weight")?;
+                read_raw_f64(sec_w, weights);
+            }
         }
+
         match self.tags.node {
-            NodeTag::Delta => walk_varints(sec_n, "node", &self.offsets, rows, b, |_, _| Ok(()))?,
-            NodeTag::Raw => fixed(sec_n, 4, "node")?,
+            NodeTag::Delta => {
+                let mut at = 0;
+                for v in rows {
+                    let row = row_span(v);
+                    let (nodes, dists) = (&mut nodes[row.clone()], &dists[row]);
+                    // One past the previous id, where a distance run
+                    // continues (kept in a register, not re-read).
+                    let mut next = 0u64;
+                    for i in 0..nodes.len() {
+                        let x = varint::read(sec_n, &mut at)
+                            .map_err(|e| corrupt(format!("row {v} node column: {e}")))?;
+                        let id = if i > 0 && dists[i].to_bits() == dists[i - 1].to_bits() {
+                            next.saturating_add(x)
+                        } else {
+                            x
+                        };
+                        nodes[i] = u32::try_from(id)
+                            .map_err(|_| corrupt(format!("row {v}: node id {id} overflows u32")))?;
+                        next = id + 1;
+                    }
+                }
+                ended(at, sec_n, "node")?;
+            }
+            NodeTag::Raw => {
+                fixed(sec_n, 4, "node")?;
+                for (x, c) in nodes.iter_mut().zip(sec_n.chunks_exact(4)) {
+                    *x = u32::from_le_bytes(c.try_into().expect("4-byte"));
+                }
+            }
         }
         Ok(())
+    }
+}
+
+/// Copies little-endian f64 bit patterns out of `sec` into `out`.
+fn read_raw_f64(sec: &[u8], out: &mut [f64]) {
+    for (x, c) in out.iter_mut().zip(sec.chunks_exact(8)) {
+        *x = f64::from_bits(u64::from_le_bytes(c.try_into().expect("8-byte")));
     }
 }
 
@@ -526,12 +499,12 @@ impl<'a> Body<'a> {
 /// parsed first 40 bytes) into full-width columns — the inverse of
 /// [`encode`], and the single end of every v2 load path.
 ///
-/// Always enforced: exact length, the block-offset table, the CSR
-/// offset invariants and the entry-count bound, so the result can be
-/// sliced by its offsets without panicking whatever the blob holds.
-/// `verify` adds the header checksum (one word-at-a-time walk of the
-/// image) and the per-block structural validation; the caller still
-/// owes a verified store the row-order scan shared with v1.
+/// Every load level runs the same checks: exact length, the
+/// block-offset table, the CSR offset invariants, the entry-count bound
+/// and everything the block decoder checks, so a malformed block is an
+/// error, never a store. `verify` adds the header checksum (one
+/// word-at-a-time walk of the image); the caller still owes a verified
+/// store the row-order scan shared with v1.
 pub(super) fn decode(
     buf: &[u8],
     header: &ParsedHeader,
@@ -543,53 +516,27 @@ pub(super) fn decode(
         super::verify_image(buf, header.stored_checksum)?;
     }
     super::validate_offsets(&body.offsets, entries)?;
+    // Zeroed allocations: fresh pages, each written once by its block.
     let mut cols = Columns {
         offsets: Vec::new(),
-        nodes: Vec::with_capacity(entries),
-        dists: Vec::with_capacity(entries),
-        ranks: Vec::with_capacity(entries),
-        weights: Vec::with_capacity(entries),
+        nodes: vec![0; entries],
+        dists: vec![0.0; entries],
+        ranks: vec![0.0; entries],
+        weights: vec![0.0; entries],
     };
+    let codec = Codec {
+        tags: body.tags,
+        dict: &body.dict,
+        offsets: &body.offsets,
+    };
+    let n = body.offsets.len() - 1;
     for b in 0..body.block_offsets.len() - 1 {
-        if verify {
-            body.check_block(b)?;
-        }
-        body.decode_block(b, &mut cols);
+        let rows = block_rows(b, body.rows_per_block, n);
+        let first = body.offsets[rows.start] as usize;
+        codec.decode_block(b, rows, body.block_span(b), &mut cols, first)?;
     }
     cols.offsets = body.offsets;
     Ok(cols)
-}
-
-/// Strict walk of one varint section during validation: every varint
-/// must be canonical, every row's entries must be present, and the
-/// stream must consume the section exactly. `per` sees each decoded
-/// value with its within-row index and may veto it with a message.
-fn walk_varints(
-    sec: &[u8],
-    name: &str,
-    offsets: &[u32],
-    rows: std::ops::Range<usize>,
-    block: usize,
-    mut per: impl FnMut(usize, u64) -> Result<(), String>,
-) -> Result<(), FrozenError> {
-    let corrupt = |what: String| FrozenError::Corrupt(format!("block {block}: {what}"));
-    let mut at = 0usize;
-    for v in rows {
-        let row_len = (offsets[v + 1] - offsets[v]) as usize;
-        for i in 0..row_len {
-            let (x, used) = varint::decode(&sec[at..])
-                .map_err(|e| corrupt(format!("row {v} {name} column: {e}")))?;
-            at += used;
-            per(i, x).map_err(|m| corrupt(format!("row {v}: {m}")))?;
-        }
-    }
-    if at != sec.len() {
-        return Err(corrupt(format!(
-            "{} trailing bytes after the {name} varint stream",
-            sec.len() - at
-        )));
-    }
-    Ok(())
 }
 
 /// Splits a block span into its four sections behind the 16-byte
@@ -615,19 +562,28 @@ fn split_sections(span: &[u8]) -> Option<[&[u8]; 4]> {
 // Encoding
 // ---------------------------------------------------------------------
 
-/// Serializes `rows` to the complete v2 byte image (header, checksum
-/// patched in). Escape tags are chosen by verifying bit-exact
-/// reconstruction of every entry; as final insurance the whole buffer
-/// is decoded back and compared bitwise before being returned.
-pub(super) fn encode(k: u32, rows: RowsSource<'_>) -> Vec<u8> {
-    let n = rows.offsets.len() - 1;
-    let entries = rows.nodes.len();
+/// A column some entry does not reproduce in its compressed encoding.
+enum Escape {
+    Rank,
+    Weight,
+    Node,
+}
 
+/// Serializes `rows` to the complete v2 byte image (header, checksum
+/// patched in). The encoder is optimistic: it starts from the
+/// compressed rank, weight and node tags and writes one block at a
+/// time, straight into the image. If an entry does not reproduce
+/// bit-for-bit under its column's tag, it starts over with that one
+/// column escaped to raw bits, so the tags are those a verification of
+/// every entry picks. Each block is decoded back and compared bitwise
+/// with its source as soon as it is written, while it is still in cache.
+pub(super) fn encode(k: u32, rows: RowsSource<'_>) -> Vec<u8> {
+    let entries = rows.nodes.len();
     // Distance dictionary: sorted distinct bit patterns, exact by
     // construction. Escape only when codes + dictionary would outgrow
     // raw bits (many distinct values, e.g. real-weighted graphs).
     let mut dict = distance_dictionary(rows.dists);
-    let dist_tag = if dict.len() <= 1 << 16 {
+    let dist = if dict.len() <= 1 << 16 {
         DistTag::Dict16
     } else if dict.len() <= entries / 2 {
         DistTag::Dict32
@@ -635,133 +591,39 @@ pub(super) fn encode(k: u32, rows: RowsSource<'_>) -> Vec<u8> {
         dict = Vec::new();
         DistTag::Raw
     };
-    let code_of: HashMap<u64, u32> = dict
-        .iter()
-        .enumerate()
-        .map(|(i, x)| (x.to_bits(), i as u32))
-        .collect();
-
-    // Ranks: 7-byte m·2⁻⁵³ if every entry reproduces bit-for-bit.
-    let rank_tag = if rows.ranks.iter().all(|&r| rank_to_m(r).is_some()) {
-        RankTag::Fixed7
-    } else {
-        RankTag::Raw
+    let mut tags = Tags {
+        node: NodeTag::Delta,
+        dist,
+        rank: RankTag::Fixed7,
+        weight: WeightTag::TauRef,
     };
+    let mut buf = Vec::new();
+    loop {
+        match encode_with(k, rows, tags, &dict, &mut buf) {
+            Ok(()) => return buf,
+            Err(Escape::Rank) => tags.rank = RankTag::Raw,
+            Err(Escape::Weight) => tags.weight = WeightTag::Raw,
+            Err(Escape::Node) => tags.node = NodeTag::Raw,
+        }
+    }
+}
 
-    // Weights: per-entry back-reference to the τ-source entry, verified
-    // by recomputing the identical `1.0 / rank` division.
-    let weight_refs = compute_weight_refs(k, rows);
-    let weight_tag = if weight_refs.is_some() {
-        WeightTag::TauRef
-    } else {
-        WeightTag::Raw
-    };
-
-    // Nodes: delta within distance runs requires the strict canonical
-    // increase; any violation (only possible for stores that skipped
-    // the canonical-order validation) escapes to raw ids.
-    let node_tag = if (0..n).all(|v| {
-        let r = rows.offsets[v] as usize..rows.offsets[v + 1] as usize;
-        r.clone().skip(1).all(|i| {
-            rows.dists[i].to_bits() != rows.dists[i - 1].to_bits()
-                || rows.nodes[i] > rows.nodes[i - 1]
-        })
-    }) {
-        NodeTag::Delta
-    } else {
-        NodeTag::Raw
-    };
-
-    let tags = Tags {
-        node: node_tag,
-        dist: dist_tag,
-        rank: rank_tag,
-        weight: weight_tag,
-    };
-
-    // Emit blocks.
+/// One attempt of [`encode`] under fixed `tags`, into `buf` (cleared
+/// first). See the layout table in the module docs of `frozen.rs`:
+/// header, entry offsets, dictionary, block offsets, blob length, blob.
+fn encode_with(
+    k: u32,
+    rows: RowsSource<'_>,
+    tags: Tags,
+    dict: &[f64],
+    buf: &mut Vec<u8>,
+) -> Result<(), Escape> {
+    let n = rows.offsets.len() - 1;
+    let entries = rows.nodes.len();
     let rpb = DEFAULT_ROWS_PER_BLOCK as usize;
     let num_blocks = n.div_ceil(rpb);
-    let mut blob: Vec<u8> = Vec::new();
-    let mut block_offsets: Vec<u64> = Vec::with_capacity(num_blocks + 1);
-    block_offsets.push(0);
-    let (mut sec_d, mut sec_r, mut sec_w, mut sec_n) =
-        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-    for b in 0..num_blocks {
-        let (lo, hi) = (b * rpb, ((b + 1) * rpb).min(n));
-        let span = rows.offsets[lo] as usize..rows.offsets[hi] as usize;
-        sec_d.clear();
-        sec_r.clear();
-        sec_w.clear();
-        sec_n.clear();
-
-        // The dictionary code of the current distance run, looked up at
-        // each run head (equal bits share one code).
-        let mut code = 0u32;
-        for i in span.clone() {
-            let bits = rows.dists[i].to_bits();
-            if tags.dist != DistTag::Raw && (i == span.start || bits != rows.dists[i - 1].to_bits())
-            {
-                code = code_of[&bits];
-            }
-            match tags.dist {
-                DistTag::Dict16 => sec_d.extend_from_slice(&(code as u16).to_le_bytes()),
-                DistTag::Dict32 => sec_d.extend_from_slice(&code.to_le_bytes()),
-                DistTag::Raw => sec_d.extend_from_slice(&bits.to_le_bytes()),
-            }
-            match tags.rank {
-                RankTag::Fixed7 => {
-                    let m = rank_to_m(rows.ranks[i]).expect("verified above");
-                    sec_r.extend_from_slice(&m.to_le_bytes()[..7]);
-                }
-                RankTag::Raw => sec_r.extend_from_slice(&rows.ranks[i].to_bits().to_le_bytes()),
-            }
-            match tags.weight {
-                WeightTag::TauRef => {
-                    let refs = weight_refs.as_ref().expect("verified above");
-                    varint::encode(refs[i] as u64, &mut sec_w);
-                }
-                WeightTag::Raw => sec_w.extend_from_slice(&rows.weights[i].to_bits().to_le_bytes()),
-            }
-        }
-        for v in lo..hi {
-            let r = rows.offsets[v] as usize..rows.offsets[v + 1] as usize;
-            for i in r.clone() {
-                match tags.node {
-                    NodeTag::Delta => {
-                        let same_run =
-                            i > r.start && rows.dists[i].to_bits() == rows.dists[i - 1].to_bits();
-                        let x = if same_run {
-                            (rows.nodes[i] - rows.nodes[i - 1] - 1) as u64
-                        } else {
-                            rows.nodes[i] as u64
-                        };
-                        varint::encode(x, &mut sec_n);
-                    }
-                    NodeTag::Raw => sec_n.extend_from_slice(&rows.nodes[i].to_le_bytes()),
-                }
-            }
-        }
-
-        for sec in [&sec_d, &sec_r, &sec_w, &sec_n] {
-            assert!(
-                sec.len() <= u32::MAX as usize,
-                "block section exceeds 4 GiB"
-            );
-            blob.extend_from_slice(&(sec.len() as u32).to_le_bytes());
-        }
-        for sec in [&sec_d, &sec_r, &sec_w, &sec_n] {
-            blob.extend_from_slice(sec);
-        }
-        block_offsets.push(blob.len() as u64);
-    }
-
-    // Assemble the buffer (see the layout table in the module docs of
-    // `frozen.rs`): header, entry offsets, dictionary, block offsets,
-    // blob — then patch the checksum over the whole image.
-    let mut buf = Vec::with_capacity(
-        V2_HEADER_LEN + (n + 1) * 4 + 4 + dict.len() * 8 + (num_blocks + 1) * 8 + 8 + blob.len(),
-    );
+    buf.clear();
+    buf.reserve(V2_HEADER_LEN + (n + 1) * 4 + dict.len() * 8 + num_blocks * 24 + entries * 16);
     buf.extend_from_slice(&super::FROZEN_MAGIC);
     buf.extend_from_slice(&2u32.to_le_bytes());
     buf.extend_from_slice(&k.to_le_bytes());
@@ -774,41 +636,185 @@ pub(super) fn encode(k: u32, rows: RowsSource<'_>) -> Vec<u8> {
         buf.extend_from_slice(&o.to_le_bytes());
     }
     buf.extend_from_slice(&(dict.len() as u32).to_le_bytes());
-    for &x in &dict {
+    for &x in dict {
         buf.extend_from_slice(&x.to_bits().to_le_bytes());
     }
-    for &o in &block_offsets {
-        buf.extend_from_slice(&o.to_le_bytes());
+    // The block-offset table and the blob length, patched per block.
+    let table = buf.len();
+    buf.resize(table + (num_blocks + 2) * 8, 0);
+    let blob = buf.len();
+
+    let codec = Codec {
+        tags,
+        dict,
+        offsets: rows.offsets,
+    };
+    let mut scan = TauScan::new((k as usize).max(1));
+    let mut check = Columns::default();
+    for b in 0..num_blocks {
+        let block = block_rows(b, rpb, n);
+        let span = rows.offsets[block.start] as usize..rows.offsets[block.end] as usize;
+        let start = buf.len();
+        encode_block(&codec, rows, block.clone(), &mut scan, buf)?;
+
+        // Self-check, through the decoder every load runs.
+        check.nodes.resize(span.len(), 0);
+        check.dists.resize(span.len(), 0.0);
+        check.ranks.resize(span.len(), 0.0);
+        check.weights.resize(span.len(), 0.0);
+        let decoded = codec.decode_block(b, block, &buf[start..], &mut check, 0);
+        assert!(
+            decoded.is_ok()
+                && check.nodes == rows.nodes[span.clone()]
+                && bits_eq(&check.dists, &rows.dists[span.clone()])
+                && bits_eq(&check.ranks, &rows.ranks[span.clone()])
+                && bits_eq(&check.weights, &rows.weights[span]),
+            "v2 encoder self-verification failed in block {b} ({decoded:?}) — this is a bug"
+        );
+        let end = ((buf.len() - blob) as u64).to_le_bytes();
+        buf[table + (b + 1) * 8..table + (b + 2) * 8].copy_from_slice(&end);
     }
-    buf.extend_from_slice(&(blob.len() as u64).to_le_bytes());
-    buf.extend_from_slice(&blob);
-    let checksum = super::buffer_checksum(&buf);
+    let blob_len = ((buf.len() - blob) as u64).to_le_bytes();
+    buf[blob - 8..blob].copy_from_slice(&blob_len);
+    let checksum = super::buffer_checksum(buf);
     buf[super::CHECKSUM_OFFSET..super::CHECKSUM_OFFSET + 8]
         .copy_from_slice(&checksum.to_le_bytes());
+    Ok(())
+}
 
-    // Final insurance: parse the image back and require bit equality,
-    // through the parser and block decoder `decode` runs — one block at a
-    // time into a reused scratch, so the check stays cache-resident
-    // instead of materializing (and page-faulting) a second store.
-    let body = Body::parse(&buf, n, entries).expect("just-written image parses");
-    assert!(body.offsets == rows.offsets, "v2 encoder lost the offsets");
-    let mut blk = Columns::default();
-    for b in 0..num_blocks {
-        blk.nodes.clear();
-        blk.dists.clear();
-        blk.ranks.clear();
-        blk.weights.clear();
-        body.decode_block(b, &mut blk);
-        let span = body.block_extent(b).1;
-        assert!(
-            blk.nodes == rows.nodes[span.clone()]
-                && bits_eq(&blk.dists, &rows.dists[span.clone()])
-                && bits_eq(&blk.ranks, &rows.ranks[span.clone()])
-                && bits_eq(&blk.weights, &rows.weights[span]),
-            "v2 encoder self-verification failed in block {b} — this is a bug"
-        );
+/// Appends the rows `block` of `src` to `out` as one block: the 16-byte
+/// section-length header, then the dist, rank, weight and node sections
+/// under `cx.tags`. Fails on the first entry a compressed tag does not
+/// reproduce. The weights' back-references come from one [`TauScan`]
+/// per row: the Lemma 5.1 threshold entry, with a backwards search for
+/// exact-tie corner cases and non-HIP weights.
+fn encode_block(
+    cx: &Codec<'_>,
+    src: RowsSource<'_>,
+    block: Range<usize>,
+    scan: &mut TauScan,
+    out: &mut Vec<u8>,
+) -> Result<(), Escape> {
+    let span = src.offsets[block.start] as usize..src.offsets[block.end] as usize;
+    let head = out.len();
+    out.extend_from_slice(&[0u8; 16]);
+    let mut mark = out.len();
+    let mut end_section = |out: &mut Vec<u8>, s: usize| {
+        let len = out.len() - mark;
+        assert!(len <= u32::MAX as usize, "block section exceeds 4 GiB");
+        out[head + s * 4..head + s * 4 + 4].copy_from_slice(&(len as u32).to_le_bytes());
+        mark = out.len();
+    };
+    let row_span = |v: usize| src.offsets[v] as usize..src.offsets[v + 1] as usize;
+
+    let dists = &src.dists[span.clone()];
+    match cx.tags.dist {
+        DistTag::Raw => put_raw_f64(dists, out),
+        dict16_or_32 => {
+            let width = if dict16_or_32 == DistTag::Dict16 {
+                2
+            } else {
+                4
+            };
+            // The code of the current run of equal bits, found by a
+            // search of the sorted dictionary at each run head.
+            let mut code = 0u32;
+            for (i, d) in dists.iter().enumerate() {
+                if i == 0 || d.to_bits() != dists[i - 1].to_bits() {
+                    code = cx
+                        .dict
+                        .binary_search_by(|x| x.total_cmp(d))
+                        .expect("the dictionary holds every distance")
+                        as u32;
+                }
+                out.extend_from_slice(&code.to_le_bytes()[..width]);
+            }
+        }
     }
-    buf
+    end_section(out, 0);
+
+    let ranks = &src.ranks[span.clone()];
+    match cx.tags.rank {
+        RankTag::Fixed7 => {
+            for &r in ranks {
+                let m = rank_to_m(r).ok_or(Escape::Rank)?;
+                out.extend_from_slice(&m.to_le_bytes()[..7]);
+            }
+        }
+        RankTag::Raw => put_raw_f64(ranks, out),
+    }
+    end_section(out, 1);
+
+    match cx.tags.weight {
+        WeightTag::TauRef => {
+            for v in block.clone() {
+                let row = row_span(v);
+                scan.reset();
+                for i in row.clone() {
+                    let w = src.weights[i].to_bits();
+                    let at = (i - row.start) as u32;
+                    let back = if w == 1.0f64.to_bits() {
+                        0
+                    } else {
+                        scan.threshold()
+                            .filter(|&(r, _)| (1.0 / r).to_bits() == w)
+                            .map(|(_, j)| at - j)
+                            .or_else(|| {
+                                // Exact rank ties (or non-HIP weights): any
+                                // earlier entry whose rank reproduces the
+                                // bits will do.
+                                (row.start..i)
+                                    .rev()
+                                    .find(|&j| (1.0 / src.ranks[j]).to_bits() == w)
+                                    .map(|j| (i - j) as u32)
+                            })
+                            .ok_or(Escape::Weight)?
+                    };
+                    varint::encode(back as u64, out);
+                    scan.offer(src.ranks[i], at);
+                }
+            }
+        }
+        WeightTag::Raw => put_raw_f64(&src.weights[span.clone()], out),
+    }
+    end_section(out, 2);
+
+    match cx.tags.node {
+        NodeTag::Delta => {
+            // Strictly increasing ids within a distance run; anything
+            // else (only a store that skipped the canonical-order check
+            // holds it) escapes the column.
+            for v in block {
+                let row = row_span(v);
+                for i in row.clone() {
+                    let same_run =
+                        i > row.start && src.dists[i].to_bits() == src.dists[i - 1].to_bits();
+                    let x = if !same_run {
+                        src.nodes[i]
+                    } else if src.nodes[i] > src.nodes[i - 1] {
+                        src.nodes[i] - src.nodes[i - 1] - 1
+                    } else {
+                        return Err(Escape::Node);
+                    };
+                    varint::encode(x as u64, out);
+                }
+            }
+        }
+        NodeTag::Raw => {
+            for &x in &src.nodes[span] {
+                out.extend_from_slice(&x.to_le_bytes());
+            }
+        }
+    }
+    end_section(out, 3);
+    Ok(())
+}
+
+/// Appends the little-endian bit patterns of `xs` to `out`.
+fn put_raw_f64(xs: &[f64], out: &mut Vec<u8>) {
+    for &x in xs {
+        out.extend_from_slice(&x.to_bits().to_le_bytes());
+    }
 }
 
 /// The sorted distinct bit patterns of `dists`. Only the head of each
@@ -842,45 +848,6 @@ fn rank_to_m(rank: f64) -> Option<u64> {
     } else {
         None
     }
-}
-
-/// Per-entry τ back-references (`0` ⇒ weight exactly 1.0; `c` ⇒ weight
-/// is `1.0 / rank[i − c]`), or `None` if any entry is not reproducible
-/// bit-for-bit. The expected reference is the Lemma 5.1 threshold of the
-/// row's [`TauScan`], with a linear scan fallback for exact-tie corner
-/// cases and non-HIP weights.
-fn compute_weight_refs(k: u32, rows: RowsSource<'_>) -> Option<Vec<u32>> {
-    let n = rows.offsets.len() - 1;
-    let mut refs = vec![0u32; rows.weights.len()];
-    let mut scan = TauScan::new((k as usize).max(1));
-    for v in 0..n {
-        let lo = rows.offsets[v] as usize;
-        let hi = rows.offsets[v + 1] as usize;
-        scan.reset();
-        for (slot, i) in refs[lo..hi].iter_mut().zip(lo..hi) {
-            let w = rows.weights[i];
-            let row_i = (i - lo) as u32;
-            let code = if w.to_bits() == 1.0f64.to_bits() {
-                0
-            } else {
-                let candidate = scan
-                    .threshold()
-                    .filter(|&(r, _)| (1.0 / r).to_bits() == w.to_bits())
-                    .map(|(_, j)| row_i - j);
-                candidate.or_else(|| {
-                    // Exact rank ties (or non-HIP weights): any earlier
-                    // entry whose rank reproduces the bits will do.
-                    (lo..i)
-                        .rev()
-                        .find(|&j| (1.0 / rows.ranks[j]).to_bits() == w.to_bits())
-                        .map(|j| row_i - (j - lo) as u32)
-                })?
-            };
-            *slot = code;
-            scan.offer(rows.ranks[i], row_i);
-        }
-    }
-    Some(refs)
 }
 
 // ---------------------------------------------------------------------

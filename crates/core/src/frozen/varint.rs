@@ -14,8 +14,9 @@
 //!
 //! The decoders never panic on malformed input — truncation and
 //! non-canonical forms surface as typed [`VarintError`]s, which the v2
-//! validator maps to [`super::FrozenError::Corrupt`]. The query-path
-//! block decoder uses the same routines with its own graceful fallback.
+//! block decoder maps to [`super::FrozenError::Corrupt`]. [`decode`] is
+//! the byte-at-a-time definition; [`read`] is the decoder's fast path
+//! and returns exactly what [`decode`] would.
 
 /// Maximum encoded length of a `u64` (⌈64 / 7⌉ bytes).
 pub(crate) const MAX_LEN: usize = 10;
@@ -80,6 +81,63 @@ pub(crate) fn decode(buf: &[u8]) -> Result<(u64, usize), VarintError> {
     Err(VarintError::Truncated)
 }
 
+/// Reads the varint at `buf[*at..]` and advances `*at` past it: the
+/// value, length and error [`decode`] gives for the same bytes, and
+/// `*at` unmoved on an error. One- and two-byte varints each have a
+/// fast path. A longer one that ends within the next 8 bytes is
+/// gathered from one little-endian word; only a varint of 9 or more
+/// bytes, or one within 8 bytes of the end of `buf`, takes the byte
+/// loop.
+#[inline(always)]
+pub(crate) fn read(buf: &[u8], at: &mut usize) -> Result<u64, VarintError> {
+    if let Some(&b0) = buf.get(*at) {
+        if b0 < 0x80 {
+            *at += 1;
+            return Ok(b0 as u64);
+        }
+    }
+    if let Some(&[b0, b1]) = buf.get(*at..).and_then(|r| r.first_chunk::<2>()) {
+        if b1 < 0x80 {
+            if b1 == 0 {
+                return Err(VarintError::Overlong);
+            }
+            *at += 2;
+            return Ok((b0 & 0x7f) as u64 | (b1 as u64) << 7);
+        }
+    }
+    read_long(buf.get(*at..).unwrap_or_default(), at)
+}
+
+/// [`read`] past its fast paths: `rest` opens with at least two
+/// continuation bytes, or ends within two bytes. Out of line: it is
+/// rare in a store's sections, and the fast paths stay small.
+#[inline(never)]
+fn read_long(rest: &[u8], at: &mut usize) -> Result<u64, VarintError> {
+    if let Some(word) = rest.first_chunk::<8>() {
+        let word = u64::from_le_bytes(*word);
+        let stops = !word & 0x8080_8080_8080_8080;
+        if stops != 0 {
+            // 3..=8 bytes, the last one not zero.
+            let len = stops.trailing_zeros() as usize / 8 + 1;
+            if (word >> (8 * (len - 1))) as u8 == 0 {
+                return Err(VarintError::Overlong);
+            }
+            // Drop the bytes past the varint and the continuation bits,
+            // then close the gaps: 7-bit groups pair into 14-bit ones,
+            // those into 28-bit ones, those into the value.
+            let mut x = word & (u64::MAX >> (64 - 8 * len)) & 0x7f7f_7f7f_7f7f_7f7f;
+            x = (x & 0x007f_007f_007f_007f) | ((x & 0x7f00_7f00_7f00_7f00) >> 1);
+            x = (x & 0x0000_3fff_0000_3fff) | ((x & 0x3fff_0000_3fff_0000) >> 2);
+            x = (x & 0x0000_0000_0fff_ffff) | ((x & 0x0fff_ffff_0000_0000) >> 4);
+            *at += len;
+            return Ok(x);
+        }
+    }
+    let (x, used) = decode(rest)?;
+    *at += used;
+    Ok(x)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,5 +200,76 @@ mod tests {
         let mut ok = vec![0xff; 9];
         ok.push(0x01);
         assert_eq!(decode(&ok), Ok((u64::MAX, 10)));
+    }
+
+    /// `read` at `at` in `buf` against `decode` on `buf[at..]`.
+    fn assert_read_agrees(buf: &[u8], at: usize) {
+        let mut pos = at;
+        let got = read(buf, &mut pos).map(|x| (x, pos - at));
+        assert_eq!(got, decode(&buf[at..]), "{:02x?} at {at}", buf);
+        if got.is_err() {
+            assert_eq!(pos, at, "a failed read must not advance");
+        }
+    }
+
+    /// `input` alone (the section ends right after it, so no word read
+    /// fits), behind a prefix, and followed by 16 pad bytes with and
+    /// without the continuation bit (so the word read fits).
+    fn assert_read_agrees_everywhere(input: &[u8]) {
+        assert_read_agrees(input, 0);
+        for pad in [0x00, 0x80, 0xff] {
+            let mut buf = vec![0x05; 3];
+            buf.extend_from_slice(input);
+            assert_read_agrees(&buf, 3);
+            buf.extend_from_slice(&[pad; 16]);
+            assert_read_agrees(&buf, 3);
+            assert_read_agrees(&buf[3..], 0);
+        }
+    }
+
+    #[test]
+    fn read_agrees_with_decode_on_every_short_input() {
+        assert_read_agrees_everywhere(&[]);
+        for a in 0..=255u8 {
+            assert_read_agrees_everywhere(&[a]);
+            for b in 0..=255u8 {
+                assert_read_agrees_everywhere(&[a, b]);
+            }
+        }
+    }
+
+    #[test]
+    fn read_agrees_with_decode_on_long_and_malformed_forms() {
+        let mut forms: Vec<Vec<u8>> = vec![
+            vec![0x80, 0x80],       // truncated 3-byte
+            vec![0xff, 0xff],       // truncated 3-byte
+            vec![0x80, 0x80, 0x00], // overlong 3-byte
+            vec![0xff, 0x80, 0x00], // overlong 3-byte
+            vec![0x80, 0x80, 0x01], // canonical 3-byte
+            vec![0xff; 9],          // truncated 10-byte
+            vec![0x80; 10],         // 11+ bytes: overlong
+            vec![0x80; 11],
+        ];
+        for last in [0x00, 0x01, 0x02, 0x7f] {
+            // 10-byte forms: overlong (0x00), u64::MAX, overflowing.
+            let mut f = vec![0xff; 9];
+            f.push(last);
+            forms.push(f);
+        }
+        // Every canonical length, 1..=10 bytes, at both ends of its range.
+        for bits in [7, 14, 21, 28, 35, 42, 49, 56, 63, 64] {
+            for x in [1u64 << (bits - 7), u64::MAX >> (64 - bits)] {
+                let mut f = Vec::new();
+                encode(x, &mut f);
+                forms.push(f);
+            }
+        }
+        for f in &forms {
+            assert_read_agrees_everywhere(f);
+            // Cut short: every proper prefix.
+            for cut in 0..f.len() {
+                assert_read_agrees_everywhere(&f[..cut]);
+            }
+        }
     }
 }
