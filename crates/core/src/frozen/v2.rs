@@ -711,11 +711,6 @@ fn encode_block(
     match cx.tags.dist {
         DistTag::Raw => put_raw_f64(dists, out),
         dict16_or_32 => {
-            let width = if dict16_or_32 == DistTag::Dict16 {
-                2
-            } else {
-                4
-            };
             // The code of the current run of equal bits, found by a
             // search of the sorted dictionary at each run head.
             let mut code = 0u32;
@@ -727,7 +722,11 @@ fn encode_block(
                         .expect("the dictionary holds every distance")
                         as u32;
                 }
-                out.extend_from_slice(&code.to_le_bytes()[..width]);
+                if dict16_or_32 == DistTag::Dict16 {
+                    out.extend_from_slice(&(code as u16).to_le_bytes());
+                } else {
+                    out.extend_from_slice(&code.to_le_bytes());
+                }
             }
         }
     }
@@ -842,9 +841,11 @@ fn rank_to_m(rank: f64) -> Option<u64> {
     if !(0.0..=1.0).contains(&rank) {
         return None;
     }
-    let m = (rank * RANK_SCALE) as u64;
-    if m <= 1u64 << 53 && (m as f64 * RANK_INV_SCALE).to_bits() == rank.to_bits() {
-        Some(m)
+    // In range, `rank · 2⁵³` is exact and at most 2⁵³, so `m` fits an
+    // i64, whose float conversions are single instructions.
+    let m = (rank * RANK_SCALE) as i64;
+    if (m as f64 * RANK_INV_SCALE).to_bits() == rank.to_bits() {
+        Some(m as u64)
     } else {
         None
     }

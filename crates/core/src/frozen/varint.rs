@@ -40,8 +40,17 @@ impl std::fmt::Display for VarintError {
     }
 }
 
-/// Appends the canonical LEB128 encoding of `x` to `out`.
+/// Appends the canonical LEB128 encoding of `x` to `out`. One- and
+/// two-byte values, nearly all of a store's, take one append each.
 pub(crate) fn encode(mut x: u64, out: &mut Vec<u8>) {
+    if x < 0x80 {
+        out.push(x as u8);
+        return;
+    }
+    if x < 0x4000 {
+        out.extend_from_slice(&[x as u8 | 0x80, (x >> 7) as u8]);
+        return;
+    }
     loop {
         let byte = (x & 0x7f) as u8;
         x >>= 7;
