@@ -15,26 +15,26 @@ fn bench_builders(c: &mut Criterion) {
         let ranks = uniform_ranks(n, 3);
         let k = 16;
         group.bench_with_input(BenchmarkId::new("pruned_dijkstra", n), &n, |b, _| {
-            b.iter(|| pruned_dijkstra::build(&g, k, &ranks).unwrap())
+            b.iter(|| pruned_dijkstra::build_with_stats(&g, k, &ranks).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("dp", n), &n, |b, _| {
-            b.iter(|| dp::build(&g, k, &ranks).unwrap())
+            b.iter(|| dp::build_with_stats(&g, k, &ranks).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("local_updates", n), &n, |b, _| {
-            b.iter(|| local_updates::build(&g, k, &ranks).unwrap())
+            b.iter(|| local_updates::build_with_stats(&g, k, &ranks, 0.0).unwrap())
         });
     }
     // Weighted graph: DP does not apply.
     let gw = generators::random_weighted_digraph(1_000, 6, 0.5, 2.5, 9);
     let ranks = uniform_ranks(1_000, 4);
     group.bench_function("pruned_dijkstra/weighted_1000", |b| {
-        b.iter(|| pruned_dijkstra::build(&gw, 16, &ranks).unwrap())
+        b.iter(|| pruned_dijkstra::build_with_stats(&gw, 16, &ranks).unwrap())
     });
     group.bench_function("local_updates/weighted_1000", |b| {
-        b.iter(|| local_updates::build(&gw, 16, &ranks).unwrap())
+        b.iter(|| local_updates::build_with_stats(&gw, 16, &ranks, 0.0).unwrap())
     });
     group.bench_function("local_updates/weighted_1000_eps0.2", |b| {
-        b.iter(|| local_updates::build_approx_with_stats(&gw, 16, &ranks, 0.2).unwrap())
+        b.iter(|| local_updates::build_with_stats(&gw, 16, &ranks, 0.2).unwrap())
     });
     group.finish();
 }
@@ -57,13 +57,15 @@ fn bench_parallel_matrix(c: &mut Criterion) {
     let ranks = uniform_ranks(n, 3);
     for (regime, g) in &cases {
         group.bench_with_input(BenchmarkId::new("pruned_seq", regime), g, |b, g| {
-            b.iter(|| pruned_dijkstra::build(g, k, &ranks).unwrap())
+            b.iter(|| pruned_dijkstra::build_with_stats(g, k, &ranks).unwrap())
         });
         // threads = 0 ⇒ all cores.
         for threads in [1usize, 2, 4, 0] {
             let id = BenchmarkId::new(format!("parallel_{regime}"), format!("t{threads}"));
             group.bench_with_input(id, g, |b, g| {
-                b.iter(|| pruned_dijkstra::build_parallel(g, k, &ranks, threads).unwrap())
+                b.iter(|| {
+                    pruned_dijkstra::build_parallel_with_stats(g, k, &ranks, threads).unwrap()
+                })
             });
         }
     }

@@ -6,20 +6,19 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use adsketch_core::{basic, centrality, AdsSet, QueryEngine};
+use adsketch_core::{basic, centrality, reference, AdsSet, QueryEngine};
 use adsketch_graph::{generators, NodeId};
 
 fn bench_queries(c: &mut Criterion) {
     let n = 5_000;
     let g = generators::barabasi_albert(n, 4, 11);
     let ads = AdsSet::build(&g, 16, 5);
-    let sketch = ads.sketch(0);
     let row = ads.row(0);
     let hip = row.hip();
 
     let mut group = c.benchmark_group("queries");
     group.bench_function("hip_weights_derive", |b| {
-        b.iter(|| black_box(sketch.hip_weights()))
+        b.iter(|| black_box(reference::hip_weights(row.k, row.entries())))
     });
     group.bench_function("hip_cardinality_at", |b| {
         b.iter(|| black_box(hip.cardinality_at(black_box(3.0))))

@@ -12,7 +12,7 @@
 
 use adsketch_bench::table::f;
 use adsketch_bench::{arg_u64, Table};
-use adsketch_core::{basic, reference, AdsSet};
+use adsketch_core::{basic, reference};
 use adsketch_graph::NodeId;
 use adsketch_util::stats::ErrorStats;
 use adsketch_util::RankHasher;
@@ -40,7 +40,7 @@ fn main() {
             let h = RankHasher::new(seed * 11 + 3);
             let ranks: Vec<f64> = (0..n as u64).map(|v| h.rank(v)).collect();
             let ads = reference::bottomk_from_order(k, &order, &ranks);
-            let set = AdsSet::from_sketches(k, vec![ads]);
+            let set = reference::from_sketches(k, vec![ads]);
             let g = |_: NodeId, d: f64| if d < cutoff { 1.0 } else { 0.0 };
             hip_err.push(set.hip(0).qg(g));
             naive_err.push(basic::naive_qg(set.row(0), g));

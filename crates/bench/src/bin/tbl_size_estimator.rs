@@ -8,7 +8,7 @@
 
 use adsketch_bench::table::f;
 use adsketch_bench::{arg_u64, Table};
-use adsketch_core::{reference, size_est, AdsSet};
+use adsketch_core::{reference, size_est};
 use adsketch_graph::NodeId;
 use adsketch_util::stats::{cv_basic, cv_hip, ErrorStats};
 use adsketch_util::RankHasher;
@@ -33,7 +33,7 @@ fn main() {
                 let ranks: Vec<f64> = (0..n as u64).map(|v| h.rank(v)).collect();
                 let ads = reference::bottomk_from_order(k, &order, &ranks);
                 se.push(size_est::size_estimator(ads.len(), k));
-                let set = AdsSet::from_sketches(k, vec![ads]);
+                let set = reference::from_sketches(k, vec![ads]);
                 be.push(adsketch_core::basic::reachable(set.row(0)));
                 he.push(set.hip(0).reachable_estimate());
             }

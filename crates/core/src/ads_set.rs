@@ -10,7 +10,6 @@
 
 use adsketch_graph::{Graph, NodeId};
 
-use crate::bottomk::BottomKAds;
 use crate::frozen::FrozenAdsSet;
 use crate::hip::HipRow;
 use crate::uniform_ranks;
@@ -28,63 +27,35 @@ impl FrozenAdsSet {
     /// # Panics
     ///
     /// If `k == 0` (the `Result`-returning
-    /// [`crate::builder::pruned_dijkstra::build`] reports it as
+    /// [`crate::builder::pruned_dijkstra::build_with_stats`] reports it as
     /// [`crate::error::CoreError::InvalidK`] instead). Construction cannot otherwise
     /// fail for a valid [`Graph`].
     pub fn build(g: &Graph, k: usize, seed: u64) -> Self {
         let ranks = uniform_ranks(g.num_nodes(), seed);
-        crate::builder::pruned_dijkstra::build(g, k, &ranks)
+        crate::builder::pruned_dijkstra::build_with_stats(g, k, &ranks)
             .expect("uniform ranks are always valid; k must be at least 1")
+            .0
     }
 
     /// Like [`AdsSet::build`], fanning the PrunedDijkstra searches out over
     /// `threads` threads (`0` ⇒ all cores). The result is bitwise identical
     /// to [`AdsSet::build`] with the same `seed` for every thread count —
-    /// see [`crate::builder::pruned_dijkstra::build_parallel`].
+    /// see [`crate::builder::pruned_dijkstra::build_parallel_with_stats`].
     ///
     /// # Panics
     ///
     /// If `k == 0`, like [`AdsSet::build`].
     pub fn build_parallel(g: &Graph, k: usize, seed: u64, threads: usize) -> Self {
         let ranks = uniform_ranks(g.num_nodes(), seed);
-        crate::builder::pruned_dijkstra::build_parallel(g, k, &ranks, threads)
+        crate::builder::pruned_dijkstra::build_parallel_with_stats(g, k, &ranks, threads)
             .expect("uniform ranks are always valid; k must be at least 1")
-    }
-
-    /// The store of pre-built sketches (one per node, each in canonical
-    /// order) — how the brute-force oracle's sketches become a set.
-    pub fn from_sketches(k: usize, sketches: Vec<BottomKAds>) -> Self {
-        assert!(sketches.iter().all(|s| s.k() == k), "mixed k in ADS set");
-        let total = sketches.iter().map(BottomKAds::len).sum();
-        let mut offsets = Vec::with_capacity(sketches.len() + 1);
-        let (mut nodes, mut dists, mut ranks) = (
-            Vec::with_capacity(total),
-            Vec::with_capacity(total),
-            Vec::with_capacity(total),
-        );
-        offsets.push(0);
-        for s in &sketches {
-            for e in s.entries() {
-                nodes.push(e.node);
-                dists.push(e.dist);
-                ranks.push(e.rank);
-            }
-            offsets.push(u32::try_from(nodes.len()).expect("at most 2^32 − 1 entries"));
-        }
-        Self::from_columns(k, offsets, nodes, dists, ranks)
+            .0
     }
 
     /// A copy of this set. Kept for callers written against the build →
     /// freeze → save pipeline: a build already is the store.
     pub fn freeze(&self) -> FrozenAdsSet {
         self.clone()
-    }
-
-    /// Row `v` copied out as a standalone [`BottomKAds`]: the input of
-    /// the heap reference ([`BottomKAds::hip_weights`]) the stored
-    /// weights are tested against.
-    pub fn sketch(&self, v: NodeId) -> BottomKAds {
-        BottomKAds::from_entries(self.k(), self.row(v).entries().collect())
     }
 
     /// The HIP half of row `v` (see [`crate::hip`]): zero-copy slices of
@@ -123,7 +94,9 @@ mod tests {
         assert_eq!(ads.k(), 4);
         assert_eq!(ads.num_nodes(), 120);
         for v in 0..120 {
-            assert_eq!(ads.sketch(v).validate(), Ok(()), "node {v}");
+            let entries = ads.row(v).entries().collect();
+            let sketch = crate::reference::BottomKAds::from_entries(4, entries);
+            assert_eq!(sketch.validate(), Ok(()), "node {v}");
         }
         assert!(ads.num_entries() >= 120, "every node samples itself");
         let hip = ads.hip(0);
@@ -167,32 +140,5 @@ mod tests {
             (est_final - truth).abs() / truth < 0.1,
             "estimated pairs {est_final}, exact {truth}"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "mixed k")]
-    fn from_sketches_rejects_mixed_k() {
-        let a = BottomKAds::empty(2);
-        let b = BottomKAds::empty(3);
-        let _ = AdsSet::from_sketches(2, vec![a, b]);
-    }
-
-    /// The oracle's sketches go in and come back out row for row, and the
-    /// weight column equals the heap reference bit for bit.
-    #[test]
-    fn from_sketches_roundtrips_rows_and_matches_the_heap_weights() {
-        let g = generators::gnp_directed(80, 0.06, 4);
-        let ranks = uniform_ranks(80, 21);
-        let sketches: Vec<BottomKAds> = (0..80)
-            .map(|v| {
-                let order = adsketch_graph::dijkstra::dijkstra_order_canonical(&g, v);
-                crate::reference::bottomk_from_order(3, &order, &ranks)
-            })
-            .collect();
-        let set = AdsSet::from_sketches(3, sketches.clone());
-        for (v, s) in sketches.iter().enumerate() {
-            assert_eq!(&set.sketch(v as NodeId), s, "node {v}");
-            assert_eq!(set.hip(v as NodeId), s.hip_weights().row(), "node {v}");
-        }
     }
 }

@@ -51,7 +51,7 @@ where
 mod tests {
     use super::*;
     use crate::ads_set::AdsSet;
-    use crate::reference::bottomk_from_order;
+    use crate::reference::{bottomk_from_order, from_sketches, BottomKAds};
     use adsketch_util::stats::ErrorStats;
     use adsketch_util::RankHasher;
 
@@ -61,7 +61,7 @@ mod tests {
         let h = RankHasher::new(seed);
         let ranks: Vec<f64> = (0..n as u64).map(|v| h.rank(v)).collect();
         let order: Vec<(NodeId, f64)> = (0..n).map(|i| (i as NodeId, i as f64)).collect();
-        AdsSet::from_sketches(k, vec![bottomk_from_order(k, &order, &ranks)])
+        from_sketches(k, vec![bottomk_from_order(k, &order, &ranks)])
     }
 
     #[test]
@@ -128,7 +128,7 @@ mod tests {
 
     #[test]
     fn naive_qg_empty() {
-        let set = AdsSet::from_sketches(4, vec![crate::BottomKAds::empty(4)]);
+        let set = from_sketches(4, vec![BottomKAds::from_entries(4, Vec::new())]);
         assert_eq!(naive_qg(set.row(0), |_, _| 1.0), 0.0);
     }
 }

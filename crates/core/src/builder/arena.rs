@@ -468,9 +468,10 @@ mod tests {
                 let set = arena.finish();
                 assert_eq!(set.num_nodes(), n);
                 for (v, entries) in sorted.iter().enumerate() {
-                    let row = set.sketch(v as NodeId);
-                    assert_eq!(row.entries(), entries.as_slice(), "{}", at(v));
-                    assert_eq!(set.hip(v as NodeId), row.hip_weights().row(), "{}", at(v));
+                    let row = set.row(v as NodeId);
+                    assert!(row.entries().eq(entries.iter().copied()), "{}", at(v));
+                    let oracle = crate::reference::hip_weights(row.k, row.entries());
+                    assert_eq!(row.hip(), oracle.row(), "{}", at(v));
                 }
             }
         }

@@ -14,13 +14,9 @@ use crate::ads_set::AdsSet;
 use crate::builder::{validate_ranks, BuildStats, LiveSketch};
 use crate::error::CoreError;
 
-/// Builds the forward bottom-k ADS set of an unweighted graph.
-pub fn build(g: &Graph, k: usize, ranks: &[f64]) -> Result<AdsSet, CoreError> {
-    build_with_stats(g, k, ranks).map(|(s, _)| s)
-}
-
-/// Like [`build`], also returning work counters (`rounds` = eccentricity
-/// bound actually reached). `k` must lie in `1..=65535`.
+/// Builds the forward bottom-k ADS set of an unweighted graph, with work
+/// counters (`rounds` = eccentricity bound actually reached). `k` must
+/// lie in `1..=65535`.
 pub fn build_with_stats(
     g: &Graph,
     k: usize,
@@ -107,7 +103,7 @@ mod tests {
     fn rejects_weighted_graphs() {
         let g = Graph::directed_weighted(2, &[(0, 1, 2.0)]).unwrap();
         assert_eq!(
-            build(&g, 2, &[0.1, 0.2]).unwrap_err(),
+            build_with_stats(&g, 2, &[0.1, 0.2]).unwrap_err(),
             CoreError::RequiresUnweighted
         );
     }
@@ -117,8 +113,10 @@ mod tests {
         for seed in 0..6u64 {
             let g = generators::gnp_directed(80, 0.05, seed);
             let ranks = uniform_ranks(80, seed + 400);
-            let dp = build(&g, 3, &ranks).unwrap();
-            let pd = crate::builder::pruned_dijkstra::build(&g, 3, &ranks).unwrap();
+            let dp = build_with_stats(&g, 3, &ranks).unwrap().0;
+            let pd = crate::builder::pruned_dijkstra::build_with_stats(&g, 3, &ranks)
+                .unwrap()
+                .0;
             assert_eq!(dp, pd, "seed {seed}");
         }
     }
@@ -128,7 +126,7 @@ mod tests {
         for seed in 0..4u64 {
             let g = generators::gnp(60, 0.07, seed + 17);
             let ranks = uniform_ranks(60, seed + 500);
-            let dp = build(&g, 2, &ranks).unwrap();
+            let dp = build_with_stats(&g, 2, &ranks).unwrap().0;
             let brute = crate::reference::build_bottomk(&g, 2, &ranks);
             assert_eq!(dp, brute, "seed {seed}");
         }
@@ -150,7 +148,7 @@ mod tests {
     fn star_graph_with_ties() {
         let g = Graph::undirected(30, &generators::star_edges(30)).unwrap();
         let ranks = uniform_ranks(30, 9);
-        let dp = build(&g, 3, &ranks).unwrap();
+        let dp = build_with_stats(&g, 3, &ranks).unwrap().0;
         let brute = crate::reference::build_bottomk(&g, 3, &ranks);
         assert_eq!(dp, brute);
     }
@@ -187,11 +185,11 @@ mod tests {
     #[test]
     fn empty_and_singleton_graphs() {
         let g = Graph::directed(0, &[]).unwrap();
-        let set = build(&g, 2, &[]).unwrap();
+        let set = build_with_stats(&g, 2, &[]).unwrap().0;
         assert_eq!(set.num_nodes(), 0);
 
         let g1 = Graph::directed(1, &[]).unwrap();
-        let set1 = build(&g1, 2, &[0.4]).unwrap();
-        assert_eq!(set1.sketch(0).len(), 1);
+        let set1 = build_with_stats(&g1, 2, &[0.4]).unwrap().0;
+        assert_eq!(set1.row(0).len(), 1);
     }
 }

@@ -114,24 +114,12 @@ impl Kernel {
     }
 }
 
-/// Builds the exact forward bottom-k ADS set (ε = 0).
-pub fn build(g: &Graph, k: usize, ranks: &[f64]) -> Result<AdsSet, CoreError> {
-    build_approx_with_stats(g, k, ranks, 0.0).map(|(s, _)| s)
-}
-
-/// Like [`build`] with work counters.
-pub fn build_with_stats(
-    g: &Graph,
-    k: usize,
-    ranks: &[f64],
-) -> Result<(AdsSet, BuildStats), CoreError> {
-    build_approx_with_stats(g, k, ranks, 0.0)
-}
-
-/// `(1+ε)`-approximate construction: candidate entries must beat the k-th
-/// smallest rank within distance `(1+ε)·d`, trading sketch exactness for a
+/// Builds the forward bottom-k ADS set, with work counters. With
+/// `epsilon = 0` the set is exact; with `epsilon > 0` it is the
+/// `(1+ε)`-approximate ADS: candidate entries must beat the k-th smallest
+/// rank within distance `(1+ε)·d`, trading sketch exactness for a
 /// provably logarithmic retraction overhead (paper, Section 3).
-pub fn build_approx_with_stats(
+pub fn build_with_stats(
     g: &Graph,
     k: usize,
     ranks: &[f64],
@@ -292,8 +280,10 @@ mod tests {
         for seed in 0..6u64 {
             let g = generators::random_weighted_digraph(50, 4, 0.5, 2.5, seed);
             let ranks = uniform_ranks(50, seed + 600);
-            let lu = build(&g, 3, &ranks).unwrap();
-            let pd = crate::builder::pruned_dijkstra::build(&g, 3, &ranks).unwrap();
+            let lu = build_with_stats(&g, 3, &ranks, 0.0).unwrap().0;
+            let pd = crate::builder::pruned_dijkstra::build_with_stats(&g, 3, &ranks)
+                .unwrap()
+                .0;
             assert_eq!(lu, pd, "seed {seed}");
         }
     }
@@ -303,7 +293,7 @@ mod tests {
         for seed in 0..4u64 {
             let g = generators::gnp(50, 0.08, seed + 31);
             let ranks = uniform_ranks(50, seed + 700);
-            let lu = build(&g, 2, &ranks).unwrap();
+            let lu = build_with_stats(&g, 2, &ranks, 0.0).unwrap().0;
             let brute = crate::reference::build_bottomk(&g, 2, &ranks);
             assert_eq!(lu, brute, "seed {seed}");
         }
@@ -315,8 +305,10 @@ mod tests {
             generators::assign_uniform_weights(&generators::gnp_edges(40, 0.1, 3), 0.5, 2.0, 4);
         let g = Graph::undirected_weighted(40, &edges).unwrap();
         let ranks = uniform_ranks(40, 5);
-        let lu = build(&g, 4, &ranks).unwrap();
-        let pd = crate::builder::pruned_dijkstra::build(&g, 4, &ranks).unwrap();
+        let lu = build_with_stats(&g, 4, &ranks, 0.0).unwrap().0;
+        let pd = crate::builder::pruned_dijkstra::build_with_stats(&g, 4, &ranks)
+            .unwrap()
+            .0;
         assert_eq!(lu, pd);
     }
 
@@ -325,7 +317,7 @@ mod tests {
         let g = generators::gnp(5, 0.5, 1);
         let ranks = uniform_ranks(5, 1);
         assert!(matches!(
-            build_approx_with_stats(&g, 2, &ranks, -0.5),
+            build_with_stats(&g, 2, &ranks, -0.5),
             Err(CoreError::InvalidEpsilon { .. })
         ));
     }
@@ -336,9 +328,9 @@ mod tests {
         // shortcut edges later undercut.
         let g = generators::random_weighted_digraph(80, 5, 0.1, 10.0, 12);
         let ranks = uniform_ranks(80, 13);
-        let (exact, exact_stats) = build_with_stats(&g, 4, &ranks).unwrap();
+        let (exact, exact_stats) = build_with_stats(&g, 4, &ranks, 0.0).unwrap();
         let eps = 0.25;
-        let (approx, approx_stats) = build_approx_with_stats(&g, 4, &ranks, eps).unwrap();
+        let (approx, approx_stats) = build_with_stats(&g, 4, &ranks, eps).unwrap();
         assert!(
             approx_stats.insertions <= exact_stats.insertions,
             "ε-rule must not insert more ({} vs {})",
@@ -349,15 +341,13 @@ mod tests {
         // approximate one must fail the (1+ε)-relaxed threshold, i.e. the
         // approx sketch holds k entries within (1+ε)·d with lower ranks.
         for v in 0..80u32 {
-            let ex = exact.sketch(v);
-            let ap = approx.sketch(v);
-            for e in ex.entries() {
-                if ap.get(e.node).is_some() {
+            let ap = approx.row(v);
+            for e in exact.row(v).entries() {
+                if ap.nodes.contains(&e.node) {
                     continue;
                 }
                 let blockers = ap
                     .entries()
-                    .iter()
                     .filter(|b| {
                         b.dist <= e.dist * (1.0 + eps) && (b.rank, b.node) < (e.rank, e.node)
                     })
@@ -386,12 +376,15 @@ mod tests {
         let g = Graph::directed_weighted(20, &arcs).unwrap();
         // Transposed propagation: messages flow 19→…→0.
         let ranks = uniform_ranks(20, 21);
-        let (set, _stats) = build_with_stats(&g, 2, &ranks).unwrap();
-        let pd = crate::builder::pruned_dijkstra::build(&g, 2, &ranks).unwrap();
+        let (set, _stats) = build_with_stats(&g, 2, &ranks, 0.0).unwrap();
+        let pd = crate::builder::pruned_dijkstra::build_with_stats(&g, 2, &ranks)
+            .unwrap()
+            .0;
         assert_eq!(set, pd);
         // The shortest distance must win for node 19 in ADS(0) if present.
-        if let Some(e) = set.sketch(0).get(19) {
-            assert_eq!(e.dist, 19.0);
+        let row = set.row(0);
+        if let Some(i) = row.nodes.iter().position(|&x| x == 19) {
+            assert_eq!(row.dists[i], 19.0);
         }
     }
 
@@ -573,8 +566,8 @@ mod tests {
         let second = dyn_ads.snapshot();
         assert_eq!(first.k(), 2);
         // The earlier snapshot is unaffected by later inserts.
-        assert!(first.sketch(0).get(2).is_none());
-        assert!(second.sketch(0).get(2).is_some());
+        assert!(!first.row(0).nodes.contains(&2));
+        assert!(second.row(0).nodes.contains(&2));
         // A clone carries the sketches but none of the mailbox scratch.
         assert!(dyn_ads.kernel.inbox.capacity() > 0);
         let mut twin = dyn_ads.clone();

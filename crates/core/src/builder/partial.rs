@@ -169,11 +169,11 @@ impl LiveSketch {
 
     /// The held entries as an immutable sketch.
     #[cfg(test)]
-    pub fn to_ads(&self, k: usize) -> crate::bottomk::BottomKAds {
+    pub fn to_ads(&self, k: usize) -> crate::reference::BottomKAds {
         let entries = (0..self.nodes.len())
             .map(|i| crate::entry::AdsEntry::new(self.nodes[i], self.dists[i], self.ranks[i]))
             .collect();
-        crate::bottomk::BottomKAds::from_entries(k, entries)
+        crate::reference::BottomKAds::from_entries(k, entries)
     }
 }
 
@@ -266,7 +266,11 @@ mod tests {
                     let dist = 0.5 * rng.range_usize(32) as f64;
                     let key = (ranks[node as usize], node);
                     let held = purify(k, &offers, &ranks);
-                    let copy = held.get(node).map(|e| e.dist);
+                    let copy = held
+                        .entries()
+                        .iter()
+                        .find(|e| e.node == node)
+                        .map(|e| e.dist);
                     let blockers = held
                         .entries()
                         .iter()

@@ -27,10 +27,10 @@
 //!   [`builder` module docs](crate::builder)), and the canonical pop-time
 //!   test is kept for everything that does enter the frontier.
 //!
-//! [`build_parallel`] additionally fans the searches out over threads in
-//! rank-ordered waves (see the `waves` module); its output is
-//! bitwise identical to [`build`]. The oracle every builder is tested
-//! against is the brute force in [`crate::reference`].
+//! [`build_parallel_with_stats`] additionally fans the searches out over
+//! threads in rank-ordered waves (see the `waves` module); its set is
+//! bitwise identical to [`build_with_stats`]'s. The oracle every builder
+//! is tested against is the brute force in [`crate::reference`].
 
 use adsketch_graph::{FrontierVisitor, Graph, NodeId, Visit};
 
@@ -39,12 +39,8 @@ use crate::builder::waves::{rank_order, run_core_parallel, SearchScratch};
 use crate::builder::{validate_k, validate_ranks, BuildStats, PartialAdsArena};
 use crate::error::CoreError;
 
-/// Builds the forward bottom-k ADS set of `g` for the given node ranks.
-pub fn build(g: &Graph, k: usize, ranks: &[f64]) -> Result<AdsSet, CoreError> {
-    build_with_stats(g, k, ranks).map(|(set, _)| set)
-}
-
-/// Like [`build`], also returning work counters.
+/// Builds the forward bottom-k ADS set of `g` for the given node ranks,
+/// with work counters.
 pub fn build_with_stats(
     g: &Graph,
     k: usize,
@@ -56,24 +52,14 @@ pub fn build_with_stats(
 
 /// Wave-parallel PrunedDijkstra over `threads` threads (`0` ⇒ all cores).
 ///
-/// Output is **bitwise identical** to [`build`] for every graph, rank
-/// assignment and thread count: sources are searched concurrently in
-/// rank-ordered waves against frozen sketch state, then merged by a
-/// deterministic rank-order replay that re-applies the exact sequential
-/// admission test (see the `builder::waves` module for the argument).
-pub fn build_parallel(
-    g: &Graph,
-    k: usize,
-    ranks: &[f64],
-    threads: usize,
-) -> Result<AdsSet, CoreError> {
-    build_parallel_with_stats(g, k, ranks, threads).map(|(set, _)| set)
-}
-
-/// Like [`build_parallel`], also returning work counters. `stats.rounds`
-/// is the number of waves; relaxations include the waves' bounded
-/// over-exploration and therefore vary with `threads` (the sketch set
-/// does not).
+/// The set is **bitwise identical** to [`build_with_stats`]'s for every
+/// graph, rank assignment and thread count: sources are searched
+/// concurrently in rank-ordered waves against frozen sketch state, then
+/// merged by a deterministic rank-order replay that re-applies the exact
+/// sequential admission test (see the `builder::waves` module for the
+/// argument). `stats.rounds` is the number of waves; relaxations include
+/// the waves' bounded over-exploration and therefore vary with `threads`
+/// (the sketch set does not).
 pub fn build_parallel_with_stats(
     g: &Graph,
     k: usize,
@@ -193,7 +179,7 @@ mod tests {
         for seed in 0..5u64 {
             let g = generators::gnp_directed(60, 0.08, seed);
             let ranks = uniform_ranks(60, seed + 100);
-            let fast = build(&g, 3, &ranks).unwrap();
+            let fast = build_with_stats(&g, 3, &ranks).unwrap().0;
             let slow = crate::reference::build_bottomk(&g, 3, &ranks);
             assert_eq!(fast, slow, "seed {seed}");
         }
@@ -204,7 +190,7 @@ mod tests {
         for seed in 0..5u64 {
             let g = generators::random_weighted_digraph(50, 4, 0.5, 3.0, seed);
             let ranks = uniform_ranks(50, seed + 200);
-            let fast = build(&g, 4, &ranks).unwrap();
+            let fast = build_with_stats(&g, 4, &ranks).unwrap().0;
             let slow = crate::reference::build_bottomk(&g, 4, &ranks);
             assert_eq!(fast, slow, "seed {seed}");
         }
@@ -217,7 +203,7 @@ mod tests {
         for seed in 0..5u64 {
             let g = generators::gnp(70, 0.06, seed + 9);
             let ranks = uniform_ranks(70, seed + 300);
-            let fast = build(&g, 2, &ranks).unwrap();
+            let fast = build_with_stats(&g, 2, &ranks).unwrap().0;
             let slow = crate::reference::build_bottomk(&g, 2, &ranks);
             assert_eq!(fast, slow, "seed {seed}");
         }
@@ -228,13 +214,13 @@ mod tests {
         // Two disjoint triangles.
         let g = Graph::undirected(6, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]).unwrap();
         let ranks = uniform_ranks(6, 4);
-        let set = build(&g, 8, &ranks).unwrap();
+        let set = build_with_stats(&g, 8, &ranks).unwrap().0;
         for v in 0..3u32 {
-            assert_eq!(set.sketch(v).len(), 3, "k ≥ n: whole component sampled");
-            assert!(set.sketch(v).entries().iter().all(|e| e.node < 3));
+            assert_eq!(set.row(v).len(), 3, "k ≥ n: whole component sampled");
+            assert!(set.row(v).nodes.iter().all(|&x| x < 3));
         }
         for v in 3..6u32 {
-            assert!(set.sketch(v).entries().iter().all(|e| e.node >= 3));
+            assert!(set.row(v).nodes.iter().all(|&x| x >= 3));
         }
     }
 
@@ -242,9 +228,9 @@ mod tests {
     fn k_at_least_n_samples_everything() {
         let g = generators::gnp(30, 0.2, 1);
         let ranks = uniform_ranks(30, 2);
-        let set = build(&g, 64, &ranks).unwrap();
+        let set = build_with_stats(&g, 64, &ranks).unwrap().0;
         let reach = adsketch_graph::bfs::reachable_count(&g, 0);
-        assert_eq!(set.sketch(0).len(), reach);
+        assert_eq!(set.row(0).len(), reach);
         // HIP estimate is exact when everything is sampled with weight 1.
         let hip = set.hip(0);
         assert!((hip.reachable_estimate() - reach as f64).abs() < 1e-9);
@@ -271,10 +257,11 @@ mod tests {
         // Path 0→1→2: ADS(0) samples downstream nodes, ADS(2) only itself.
         let g = Graph::directed(3, &[(0, 1), (1, 2)]).unwrap();
         let ranks = uniform_ranks(3, 5);
-        let set = build(&g, 4, &ranks).unwrap();
-        assert_eq!(set.sketch(0).len(), 3);
-        assert_eq!(set.sketch(2).len(), 1);
-        assert_eq!(set.sketch(0).get(2).unwrap().dist, 2.0);
+        let set = build_with_stats(&g, 4, &ranks).unwrap().0;
+        let row = set.row(0);
+        assert_eq!((row.len(), set.row(2).len()), (3, 1));
+        let at = row.nodes.iter().position(|&x| x == 2).unwrap();
+        assert_eq!(row.dists[at], 2.0);
     }
 
     #[test]
@@ -299,10 +286,12 @@ mod tests {
             }
             let g = Graph::directed_weighted(n, &arcs).unwrap();
             let ranks = uniform_ranks(n, seed + 900);
-            let fast = build(&g, 3, &ranks).unwrap();
+            let fast = build_with_stats(&g, 3, &ranks).unwrap().0;
             let slow = crate::reference::build_bottomk(&g, 3, &ranks);
             assert_eq!(fast, slow, "seed {seed}");
-            let lu = crate::builder::local_updates::build(&g, 3, &ranks).unwrap();
+            let lu = crate::builder::local_updates::build_with_stats(&g, 3, &ranks, 0.0)
+                .unwrap()
+                .0;
             assert_eq!(lu, slow, "local updates, seed {seed}");
         }
     }
@@ -311,33 +300,34 @@ mod tests {
     fn rejects_bad_ranks() {
         let g = generators::gnp(10, 0.3, 1);
         assert!(matches!(
-            build(&g, 2, &[0.5; 9]),
+            build_with_stats(&g, 2, &[0.5; 9]),
             Err(CoreError::RankCountMismatch { .. })
         ));
         let mut bad = uniform_ranks(10, 1);
         bad[3] = f64::NAN;
         assert!(matches!(
-            build(&g, 2, &bad),
+            build_with_stats(&g, 2, &bad),
             Err(CoreError::InvalidRank { .. })
         ));
         assert!(matches!(
-            build_parallel(&g, 2, &bad, 2),
+            build_parallel_with_stats(&g, 2, &bad, 2),
             Err(CoreError::InvalidRank { .. })
         ));
         // k = 0 is a typed error from every static entry point, not an
         // arena panic.
         let ranks = uniform_ranks(10, 1);
         let zero_k = Err(CoreError::InvalidK { k: 0 });
-        assert_eq!(build(&g, 0, &ranks), zero_k);
         assert_eq!(build_with_stats(&g, 0, &ranks).map(|(s, _)| s), zero_k);
         for threads in [1, 2] {
-            assert_eq!(build_parallel(&g, 0, &ranks, threads), zero_k);
+            let set = build_parallel_with_stats(&g, 0, &ranks, threads).map(|(s, _)| s);
+            assert_eq!(set, zero_k);
         }
         assert_eq!(
             build_tieless_entries(&g, 0, &ranks),
             Err(CoreError::InvalidK { k: 0 })
         );
-        assert_eq!(crate::builder::dp::build(&g, 0, &ranks), zero_k);
+        let dp = crate::builder::dp::build_with_stats(&g, 0, &ranks).map(|(s, _)| s);
+        assert_eq!(dp, zero_k);
     }
 
     #[test]
@@ -353,13 +343,8 @@ mod tests {
         let level1 = center.iter().filter(|e| e.dist == 1.0).count();
         assert!(level1 <= k, "level-1 entries {level1} exceed k");
         // Canonical ADS would include far more level-1 leaves.
-        let canonical = build(&g, k, &ranks).unwrap();
-        let canon_level1 = canonical
-            .sketch(0)
-            .entries()
-            .iter()
-            .filter(|e| e.dist == 1.0)
-            .count();
+        let canonical = build_with_stats(&g, k, &ranks).unwrap().0;
+        let canon_level1 = canonical.row(0).dists.iter().filter(|&&d| d == 1.0).count();
         assert!(
             canon_level1 > k,
             "canonical keeps {canon_level1} > k under ties"

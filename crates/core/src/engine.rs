@@ -143,14 +143,21 @@ impl<'a, V: AdsView + Sync> QueryEngine<'a, V> {
 mod tests {
     use super::*;
     use crate::ads_set::AdsSet;
+    use crate::hip::HipWeights;
+    use crate::reference::{from_sketches, hip_weights, BottomKAds};
     use adsketch_graph::generators;
+
+    /// Row `v` weighed by the heap reference.
+    fn oracle(ads: &AdsSet, v: NodeId) -> HipWeights {
+        hip_weights(ads.k(), ads.row(v).entries())
+    }
 
     #[test]
     fn batch_matches_the_heap_reference_at_every_thread_count() {
         let g = generators::gnp_directed(150, 0.04, 5);
         let ads = AdsSet::build(&g, 4, 11);
         let per_node: Vec<u64> = (0..ads.num_nodes() as NodeId)
-            .map(|v| centrality::harmonic(ads.sketch(v).hip_weights().row()).to_bits())
+            .map(|v| centrality::harmonic(oracle(&ads, v).row()).to_bits())
             .collect();
         for threads in [1usize, 2, 4, 0] {
             let batch = QueryEngine::with_threads(&ads, threads).harmonic_all();
@@ -184,14 +191,14 @@ mod tests {
         let queries: Vec<(NodeId, f64)> = (0..100u32).map(|v| (v, (v % 6) as f64 - 1.0)).collect();
         let got = engine.cardinality_batch(&queries);
         for (&(v, d), &est) in queries.iter().zip(&got) {
-            let oracle = ads.sketch(v).hip_weights().row().cardinality_at(d);
-            assert_eq!(est.to_bits(), oracle.to_bits(), "node {v}, d = {d}");
+            let want = oracle(&ads, v).row().cardinality_at(d);
+            assert_eq!(est.to_bits(), want.to_bits(), "node {v}, d = {d}");
         }
     }
 
     #[test]
     fn empty_rows_answer_positive_zero_on_every_sum() {
-        let ads = AdsSet::from_sketches(3, vec![crate::BottomKAds::empty(3); 4]);
+        let ads = from_sketches(3, vec![BottomKAds::from_entries(3, Vec::new()); 4]);
         let engine = QueryEngine::with_threads(&ads, 1);
         let zero = 0.0f64.to_bits();
         let nodes: Vec<NodeId> = (0..4).collect();
@@ -219,16 +226,15 @@ mod tests {
         let pairs: Vec<(NodeId, NodeId)> = (0..40u32).map(|i| (i, 79 - i)).collect();
         let got = engine.jaccard_batch(&pairs, 3.0);
         for (&(u, v), &est) in pairs.iter().zip(&got) {
-            let (a, b) = (ads.sketch(u), ads.sketch(v));
-            let minhash = |s: &crate::BottomKAds| {
-                let mut mh = adsketch_minhash::BottomKSketch::new(s.k());
-                for e in s.entries().iter().filter(|e| e.dist <= 3.0) {
+            let minhash = |x: NodeId| {
+                let mut mh = adsketch_minhash::BottomKSketch::new(ads.k());
+                for e in ads.row(x).entries().filter(|e| e.dist <= 3.0) {
                     mh.insert_ranked(e.rank, e.node as u64);
                 }
                 mh
             };
-            let oracle = adsketch_minhash::similarity::jaccard(&minhash(&a), &minhash(&b));
-            assert_eq!(est.to_bits(), oracle.to_bits());
+            let want = adsketch_minhash::similarity::jaccard(&minhash(u), &minhash(v));
+            assert_eq!(est.to_bits(), want.to_bits());
         }
     }
 
@@ -239,16 +245,13 @@ mod tests {
         let nodes: Vec<NodeId> = (0..60).collect();
         let got = QueryEngine::new(&ads).neighborhood_function_batch(&nodes);
         for (&v, nf) in nodes.iter().zip(&got) {
-            assert_eq!(
-                *nf,
-                ads.sketch(v).hip_weights().row().neighborhood_function()
-            );
+            assert_eq!(*nf, oracle(&ads, v).row().neighborhood_function());
         }
     }
 
     #[test]
     fn empty_batches_and_empty_view() {
-        let ads = AdsSet::from_sketches(2, vec![]);
+        let ads = from_sketches(2, vec![]);
         let engine = QueryEngine::new(&ads);
         assert!(engine.harmonic_all().is_empty());
         assert!(engine.cardinality_batch(&[]).is_empty());

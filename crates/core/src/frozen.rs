@@ -11,7 +11,7 @@
 //! A builder hands its finished `nodes / dists / ranks` columns over
 //! whole; the store adds the weight column in one pass per row, writing
 //! `1/τ` with τ read off a sorted array of the row's ≤ k lowest ranks so
-//! far (Lemma 5.1; no heap). [`crate::BottomKAds::hip_scan`] computes
+//! far (Lemma 5.1; no heap). [`crate::reference::hip_weights`] computes
 //! the same weights through a heap and stays as the reference they are
 //! tested against. The v2 encoder runs the same scan to find each
 //! weight's τ entry.
@@ -1449,6 +1449,7 @@ pub fn freeze_sharded_format(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::BottomKAds;
     use crate::AdsSet;
     use adsketch_graph::generators;
 
@@ -1477,7 +1478,7 @@ mod tests {
         let frozen = sample_set();
         for v in 0..frozen.num_nodes() as NodeId {
             // The heap reference over the same row.
-            let hip = frozen.sketch(v).hip_weights();
+            let hip = crate::reference::hip_weights(frozen.k(), frozen.row(v).entries());
             assert_eq!(frozen.hip(v), hip.row());
             assert_eq!(bits(frozen.hip(v).weights), bits(hip.row().weights));
             for d in [0.0, 1.0, 2.0, 5.0, f64::INFINITY] {
@@ -1510,7 +1511,7 @@ mod tests {
 
     #[test]
     fn empty_set_roundtrips() {
-        let frozen = AdsSet::from_sketches(2, vec![]);
+        let frozen = crate::reference::from_sketches(2, vec![]);
         assert_eq!(frozen.num_nodes(), 0);
         let restored = FrozenAdsSet::from_bytes(&frozen.to_bytes()).unwrap();
         assert_eq!(restored, frozen);
@@ -1621,12 +1622,13 @@ mod tests {
             let manifest = freeze_sharded_format(&ads, 3, &dir, format).unwrap();
             for (i, rec) in manifest.records().iter().enumerate() {
                 let rows = (0..ads.num_nodes() as NodeId)
-                    .map(|v| match (rec.start..rec.end).contains(&(v as u64)) {
-                        true => ads.sketch(v),
-                        false => crate::BottomKAds::empty(ads.k()),
+                    .map(|v| {
+                        let kept = (rec.start..rec.end).contains(&(v as u64));
+                        let entries = ads.row(v).entries().filter(|_| kept).collect();
+                        BottomKAds::from_entries(ads.k(), entries)
                     })
                     .collect();
-                let range_store = AdsSet::from_sketches(ads.k(), rows);
+                let range_store = crate::reference::from_sketches(ads.k(), rows);
                 let written = std::fs::read(dir.join(shard_file_name(i))).unwrap();
                 assert_eq!(
                     written,

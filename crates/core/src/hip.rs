@@ -10,10 +10,11 @@
 //! entries.
 //!
 //! The flavor-specific HIP probability computations live with their sketch
-//! types ([`crate::bottomk`], [`crate::kmins`], [`crate::kpartition`],
-//! [`crate::tieless`], [`crate::weighted`]); they all produce this type.
-//! The frozen store's freeze and its v2 encoder share one heap-free
-//! bottom-k threshold scan, `TauScan`.
+//! types ([`crate::kmins`], [`crate::kpartition`], [`crate::tieless`],
+//! [`crate::weighted`]); they all produce this type, as does the bottom-k
+//! heap oracle [`crate::reference::hip_weights`]. The frozen store's
+//! freeze and its v2 encoder share one heap-free bottom-k threshold scan,
+//! `TauScan`.
 
 use adsketch_graph::NodeId;
 
@@ -445,10 +446,9 @@ mod tests {
 
                 // Freeze path: an ADS row, whose every entry enters.
                 let ads = crate::reference::bottomk_from_order(k, &order, &ranks);
-                let mut oracle = Vec::new();
-                ads.hip_scan(|it| oracle.push(it.weight));
+                let oracle = crate::reference::hip_weights(k, ads.entries().iter().copied());
                 scan.reset();
-                for (at, (e, w)) in ads.entries().iter().zip(&oracle).enumerate() {
+                for (at, (e, w)) in ads.entries().iter().zip(oracle.row().weights).enumerate() {
                     let t = scan.threshold();
                     let tau = t.map_or(1.0, |(r, _)| r);
                     assert_eq!(

@@ -33,13 +33,13 @@
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`entry`], [`bottomk`], [`kmins`], [`kpartition`] | the three ADS flavors (Section 2) |
+//! | [`entry`], [`kmins`], [`kpartition`] | ADS entries and the k-mins / k-partition flavors (Section 2); the bottom-k flavor is the store's row |
 //! | [`ads_set`] | the [`AdsSet`] alias of the store and its seeded build entry points |
 //! | [`view`] | the [`AdsView`] trait (`k`, `num_nodes`, `row(v)`) and the borrowed [`Row`] the MinHash-extraction estimators run on |
 //! | [`frozen`] | the immutable columnar store every builder returns, with versioned (de)serialization |
 //! | [`engine`] | the sharded batch query engine over any view |
 //! | [`builder`] | PrunedDijkstra, DP and LocalUpdates construction (Section 3), incl. (1+ε)-approximate ADS, each handing its columns to the store |
-//! | [`reference`](mod@reference) | brute-force order-based builders used for validation |
+//! | [`reference`](mod@reference) | brute-force order-based builders, the oracle's `BottomKAds` and its heap HIP scan, used for validation |
 //! | [`hip`] | adjusted weights and the HIP estimators, written once on the borrowed [`HipRow`] (Section 5) |
 //! | [`basic`] | basic (MinHash-extraction) estimators on rows (Section 4) |
 //! | [`permutation`] | the permutation cardinality estimator (Section 5.4) |
@@ -73,7 +73,6 @@
 
 pub mod ads_set;
 pub mod basic;
-pub mod bottomk;
 pub mod builder;
 pub mod centrality;
 pub mod engine;
@@ -93,7 +92,6 @@ pub mod view;
 pub mod weighted;
 
 pub use ads_set::AdsSet;
-pub use bottomk::BottomKAds;
 pub use builder::local_updates::DynamicAds;
 pub use builder::{shard_slots, thread_count};
 pub use engine::QueryEngine;

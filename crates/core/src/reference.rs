@@ -1,4 +1,5 @@
-//! Brute-force, order-based ADS construction.
+//! Brute-force, order-based ADS construction, and the heap oracle the
+//! store is validated against.
 //!
 //! The ADS of a node depends only on the sequence of `(node, distance)`
 //! pairs in canonical closeness order and on the random ranks (paper,
@@ -8,6 +9,11 @@
 //! definitions literally. They are the correctness oracle for the scalable
 //! builders in [`crate::builder`], and the only builders needed by the
 //! simulation harness.
+//!
+//! [`BottomKAds`] is the bottom-k sketch they produce, and
+//! [`hip_weights`] the one heap scan that weighs it: the reference the
+//! store's heap-free weight column is tested against bit for bit. No
+//! serving path uses either.
 
 use adsketch_graph::dijkstra::dijkstra_order_canonical;
 use adsketch_graph::{Graph, NodeId};
@@ -15,15 +21,154 @@ use adsketch_util::topk::KSmallest;
 use adsketch_util::RankHasher;
 
 use crate::ads_set::AdsSet;
-use crate::bottomk::BottomKAds;
-use crate::entry::AdsEntry;
+use crate::entry::{key_cmp, AdsEntry};
+use crate::hip::{HipItem, HipWeights};
 use crate::kmins::{KMinsAds, KMinsRecord};
 use crate::kpartition::{KPartRecord, KPartitionAds};
 
+/// A bottom-k ADS of one node (paper, Section 2, equation (4)): entries
+/// in canonical `(dist, node)` order, node `j` present iff its rank is
+/// among the k smallest of the nodes strictly closer to the source.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BottomKAds {
+    k: usize,
+    entries: Vec<AdsEntry>,
+}
+
+impl BottomKAds {
+    /// Wraps entries that are already in canonical order and satisfy the
+    /// bottom-k ADS inclusion invariant. Validates in debug builds; use
+    /// [`BottomKAds::validate`] to check explicitly.
+    pub fn from_entries(k: usize, entries: Vec<AdsEntry>) -> Self {
+        assert!(k >= 1);
+        let ads = Self { k, entries };
+        debug_assert_eq!(ads.validate(), Ok(()));
+        ads
+    }
+
+    /// The sketch parameter k.
+    #[inline]
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
+    /// Number of entries.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// True if the sketch has no entries.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// The entries in canonical `(dist, node)` order.
+    #[inline]
+    pub fn entries(&self) -> &[AdsEntry] {
+        &self.entries
+    }
+
+    /// Checks the structural invariants: canonical strict ordering, finite
+    /// non-negative ranks and distances, and the bottom-k inclusion rule
+    /// (each entry's rank is below the k-th smallest among closer entries).
+    pub fn validate(&self) -> Result<(), String> {
+        let mut ks = KSmallest::new(self.k);
+        let mut prev: Option<&AdsEntry> = None;
+        for (i, e) in self.entries.iter().enumerate() {
+            if !(e.dist.is_finite() && e.dist >= 0.0) {
+                return Err(format!("entry {i}: invalid distance {}", e.dist));
+            }
+            if !(e.rank.is_finite() && e.rank >= 0.0) {
+                return Err(format!("entry {i}: invalid rank {}", e.rank));
+            }
+            if let Some(p) = prev {
+                if p.cmp_canonical(e) != std::cmp::Ordering::Less {
+                    return Err(format!(
+                        "entries {i}−1 and {i} out of canonical order: ({}, {}) vs ({}, {})",
+                        p.dist, p.node, e.dist, e.node
+                    ));
+                }
+            }
+            if !ks.would_enter(e.rank, e.node as u64) {
+                return Err(format!(
+                    "entry {i} (node {}) violates the bottom-k inclusion rule",
+                    e.node
+                ));
+            }
+            ks.offer(e.rank, e.node as u64);
+            prev = Some(e);
+        }
+        Ok(())
+    }
+}
+
+/// The HIP adjusted weights of a bottom-k ADS's entries, given in
+/// canonical order (paper, Section 5.1, Lemma 5.1): entry `j`'s HIP
+/// probability is `τ_vj`, the k-th smallest rank among closer entries (1
+/// while fewer than k are closer), and its adjusted weight is `1/τ_vj`.
+///
+/// Ranks must lie in `[0, 1]` (uniform); weighted sketches use
+/// [`crate::weighted::weighted_hip`] instead. Weigh a store row with
+/// `hip_weights(row.k, row.entries())`, an oracle sketch with
+/// `hip_weights(ads.k(), ads.entries().iter().copied())`.
+///
+/// The threshold is tracked in a `KSmallest` heap, `O(len · log k)` on
+/// every call. No build runs this: the store computes the same weights
+/// in its own heap-free pass as it takes over a builder's columns, and
+/// this scan is the reference that pass is tested against bit for bit.
+pub fn hip_weights(k: usize, entries: impl IntoIterator<Item = AdsEntry>) -> HipWeights {
+    let mut ks = KSmallest::new(k);
+    let items = entries
+        .into_iter()
+        .map(|e| {
+            debug_assert!(
+                (0.0..=1.0).contains(&e.rank),
+                "uniform HIP requires ranks in [0,1]; got {}",
+                e.rank
+            );
+            let tau = ks.threshold_rank_or(1.0);
+            let entered = ks.offer(e.rank, e.node as u64);
+            debug_assert!(entered, "every ADS entry is a prefix bottom-k member");
+            HipItem {
+                node: e.node,
+                dist: e.dist,
+                weight: 1.0 / tau,
+            }
+        })
+        .collect();
+    HipWeights::from_sorted_items(items)
+}
+
+/// The store of pre-built sketches (one per node, each in canonical
+/// order): how the oracle's sketches become a set.
+pub fn from_sketches(k: usize, sketches: Vec<BottomKAds>) -> AdsSet {
+    assert!(sketches.iter().all(|s| s.k == k), "mixed k in ADS set");
+    let total = sketches.iter().map(BottomKAds::len).sum();
+    let mut offsets = Vec::with_capacity(sketches.len() + 1);
+    let (mut nodes, mut dists, mut ranks) = (
+        Vec::with_capacity(total),
+        Vec::with_capacity(total),
+        Vec::with_capacity(total),
+    );
+    offsets.push(0);
+    for s in &sketches {
+        for e in &s.entries {
+            nodes.push(e.node);
+            dists.push(e.dist);
+            ranks.push(e.rank);
+        }
+        offsets.push(u32::try_from(nodes.len()).expect("at most 2^32 − 1 entries"));
+    }
+    AdsSet::from_columns(k, offsets, nodes, dists, ranks)
+}
+
 fn assert_canonical_order(order: &[(NodeId, f64)]) {
     debug_assert!(
-        order.windows(2).all(|w| (w[0].1, w[0].0) < (w[1].1, w[1].0)
-            || (w[0].1.total_cmp(&w[1].1).then(w[0].0.cmp(&w[1].0)) == std::cmp::Ordering::Less)),
+        order
+            .windows(2)
+            .all(|w| key_cmp((w[0].1, w[0].0), (w[1].1, w[1].0)).is_lt()),
         "order must be sorted by (dist, node)"
     );
 }
@@ -120,7 +265,7 @@ pub fn build_bottomk(g: &Graph, k: usize, ranks: &[f64]) -> AdsSet {
             bottomk_from_order(k, &order, ranks)
         })
         .collect();
-    AdsSet::from_sketches(k, sketches)
+    from_sketches(k, sketches)
 }
 
 /// Brute-force forward k-mins ADS set.
@@ -313,13 +458,135 @@ mod tests {
         let ranks = crate::uniform_ranks(4, 3);
         let set = build_bottomk(&g, 2, &ranks);
         for v in 0..4 {
-            let ads = set.sketch(v);
+            let row = set.row(v);
+            let ads = BottomKAds::from_entries(2, row.entries().collect());
             assert!(ads.validate().is_ok());
             // k = 2 over a 4-cycle: at least 2 entries, at most 4.
             assert!(ads.len() >= 2 && ads.len() <= 4);
             // Self entry always present at distance 0.
-            assert_eq!(ads.entries()[0].node, v);
-            assert_eq!(ads.entries()[0].dist, 0.0);
+            assert_eq!((row.nodes[0], row.dists[0]), (v, 0.0));
+        }
+    }
+
+    /// Bypasses the `from_entries` debug validation for invariant-violation
+    /// tests.
+    fn raw(k: usize, entries: Vec<AdsEntry>) -> BottomKAds {
+        BottomKAds { k, entries }
+    }
+
+    /// The heap scan's weights over a sketch's entries.
+    fn weights_of(ads: &BottomKAds) -> Vec<f64> {
+        hip_weights(ads.k(), ads.entries().iter().copied())
+            .row()
+            .weights
+            .to_vec()
+    }
+
+    #[test]
+    fn hip_weights_bottom1() {
+        // k = 1 over Example 2.1's ADS(a): τ of each entry is the minimum
+        // rank among closer entries.
+        let ads = bottomk_from_order(1, &forward_order_from_a(), &EX_RANKS);
+        let w = weights_of(&ads);
+        assert_eq!(w[0], 1.0); // first node: τ = 1
+        assert!((w[1] - 1.0 / 0.5).abs() < 1e-12);
+        assert!((w[2] - 1.0 / 0.4).abs() < 1e-12);
+        assert!((w[3] - 1.0 / 0.2).abs() < 1e-12);
+    }
+
+    #[test]
+    fn hip_weights_first_k_are_one() {
+        let ads = BottomKAds::from_entries(
+            3,
+            vec![
+                AdsEntry::new(0, 0.0, 0.9),
+                AdsEntry::new(1, 1.0, 0.8),
+                AdsEntry::new(2, 2.0, 0.7),
+                AdsEntry::new(3, 3.0, 0.1),
+            ],
+        );
+        let w = weights_of(&ads);
+        assert_eq!(&w[..3], &[1.0, 1.0, 1.0]);
+        assert!((w[3] - 1.0 / 0.9).abs() < 1e-12); // τ = 3rd smallest of {.9,.8,.7}
+    }
+
+    #[test]
+    fn hip_weights_nondecreasing_in_distance() {
+        // Paper, Section 5.1: adjusted weights increase with distance.
+        let ads = BottomKAds::from_entries(
+            2,
+            vec![
+                AdsEntry::new(0, 0.0, 0.6),
+                AdsEntry::new(1, 1.0, 0.5),
+                AdsEntry::new(2, 2.0, 0.3),
+                AdsEntry::new(3, 3.0, 0.2),
+                AdsEntry::new(4, 4.0, 0.1),
+            ],
+        );
+        let w = weights_of(&ads);
+        for pair in w.windows(2) {
+            assert!(pair[1] >= pair[0], "weights must not decrease: {w:?}");
+        }
+    }
+
+    #[test]
+    fn validate_rejects_out_of_order() {
+        let ads = raw(
+            1,
+            vec![AdsEntry::new(0, 1.0, 0.1), AdsEntry::new(1, 0.5, 0.05)],
+        );
+        assert!(ads.validate().unwrap_err().contains("canonical order"));
+    }
+
+    #[test]
+    fn validate_rejects_inclusion_violation() {
+        // Second entry's rank (0.8) is not below the min of closer ranks
+        // (0.5) for k = 1.
+        let ads = raw(
+            1,
+            vec![AdsEntry::new(0, 0.0, 0.5), AdsEntry::new(1, 1.0, 0.8)],
+        );
+        assert!(ads.validate().unwrap_err().contains("inclusion"));
+    }
+
+    #[test]
+    fn validate_rejects_bad_values() {
+        let ads = raw(1, vec![AdsEntry::new(0, f64::NAN, 0.5)]);
+        assert!(ads.validate().is_err());
+        let ads = raw(1, vec![AdsEntry::new(0, 0.0, f64::INFINITY)]);
+        assert!(ads.validate().is_err());
+    }
+
+    #[test]
+    fn empty_ads() {
+        let ads = BottomKAds::from_entries(4, Vec::new());
+        assert!(ads.is_empty());
+        assert_eq!(ads.validate(), Ok(()));
+        assert!(weights_of(&ads).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "mixed k")]
+    fn from_sketches_rejects_mixed_k() {
+        let a = BottomKAds::from_entries(2, Vec::new());
+        let b = BottomKAds::from_entries(3, Vec::new());
+        let _ = from_sketches(2, vec![a, b]);
+    }
+
+    /// The oracle's sketches go in and come back out row for row, and the
+    /// weight column equals the heap reference bit for bit.
+    #[test]
+    fn from_sketches_roundtrips_rows_and_matches_the_heap_weights() {
+        let g = adsketch_graph::generators::gnp_directed(80, 0.06, 4);
+        let ranks = crate::uniform_ranks(80, 21);
+        let sketches: Vec<BottomKAds> = (0..80)
+            .map(|v| bottomk_from_order(3, &dijkstra_order_canonical(&g, v), &ranks))
+            .collect();
+        let set = from_sketches(3, sketches.clone());
+        for (v, s) in sketches.iter().enumerate() {
+            let row = set.row(v as NodeId);
+            assert!(row.entries().eq(s.entries().iter().copied()), "node {v}");
+            assert_eq!(row.hip(), hip_weights(3, row.entries()).row(), "node {v}");
         }
     }
 }

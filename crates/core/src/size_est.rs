@@ -112,7 +112,8 @@ mod tests {
             let ranks: Vec<f64> = (0..n as u64).map(|v| h.rank(v)).collect();
             let ads = bottomk_from_order(k, &order, &ranks);
             size_err.push(size_estimator(ads.len(), k));
-            hip_err.push(ads.hip_weights().row().reachable_estimate());
+            let hip = crate::reference::hip_weights(k, ads.entries().iter().copied());
+            hip_err.push(hip.row().reachable_estimate());
         }
         assert!(
             hip_err.nrmse() < size_err.nrmse(),
@@ -135,7 +136,7 @@ mod tests {
         let n = 100usize;
         let order: Vec<(NodeId, f64)> = (0..n).map(|i| (i as NodeId, i as f64)).collect();
         let ranks: Vec<f64> = (0..n as u64).map(|v| h.rank(v)).collect();
-        let set = crate::AdsSet::from_sketches(4, vec![bottomk_from_order(4, &order, &ranks)]);
+        let set = crate::reference::from_sketches(4, vec![bottomk_from_order(4, &order, &ranks)]);
         let full = cardinality_at(set.row(0), f64::INFINITY);
         let half = cardinality_at(set.row(0), (n / 2) as f64);
         assert!(full >= half);

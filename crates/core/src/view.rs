@@ -10,7 +10,7 @@
 //! against the serving tier's stores that route each node to one of
 //! several of them. All lend the same rows, so estimator answers are
 //! **bitwise identical** across them; `tests/frozen_roundtrip.rs` checks
-//! them against the heap reference [`crate::BottomKAds::hip_weights`].
+//! them against the heap reference [`crate::reference::hip_weights`].
 //!
 //! The store keeps its entries struct-of-arrays, and a row is four
 //! slices of those columns plus `k`: lending one is zero-copy and
@@ -155,7 +155,7 @@ pub fn distance_distribution_estimate<V: AdsView + ?Sized>(view: &V) -> Vec<(f64
 mod tests {
     use super::*;
     use crate::ads_set::AdsSet;
-    use crate::bottomk::BottomKAds;
+    use crate::reference::{from_sketches, hip_weights, BottomKAds};
     use adsketch_graph::generators;
 
     #[test]
@@ -164,10 +164,8 @@ mod tests {
         let ads = AdsSet::build(&g, 4, 9);
         for v in [0u32, 7, 50, 119] {
             let row = ads.row(v);
-            let sketch = ads.sketch(v);
             assert_eq!(row.k, ads.k());
-            assert_eq!(row.entries().collect::<Vec<_>>(), sketch.entries());
-            assert_eq!(row.hip(), sketch.hip_weights().row());
+            assert_eq!(row.hip(), hip_weights(row.k, row.entries()).row());
             for d in [-1.0, 0.0, 1.0, 2.5, f64::INFINITY] {
                 let within: Vec<AdsEntry> = row.entries().filter(|e| e.dist <= d).collect();
                 assert_eq!(row.size_at(d), within.len());
@@ -182,7 +180,7 @@ mod tests {
 
     /// One row lent by a store built from hand-made sketches.
     fn single_row_set(k: usize, entries: Vec<AdsEntry>) -> AdsSet {
-        AdsSet::from_sketches(k, vec![BottomKAds::from_entries(k, entries)])
+        from_sketches(k, vec![BottomKAds::from_entries(k, entries)])
     }
 
     #[test]

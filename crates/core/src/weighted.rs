@@ -14,8 +14,8 @@
 use adsketch_util::topk::KSmallest;
 use adsketch_util::RankHasher;
 
-use crate::bottomk::BottomKAds;
 use crate::hip::{HipItem, HipWeights};
+use crate::view::Row;
 
 /// Exponential ranks for weighted nodes: `r(v) = −ln(1−u_v)/β_v`.
 ///
@@ -36,17 +36,16 @@ pub fn exponential_ranks(betas: &[f64], seed: u64) -> Vec<f64> {
         .collect()
 }
 
-/// HIP presence weights for an ADS built over exponential ranks: item `j`
+/// HIP presence weights for an ADS row built over exponential ranks: item `j`
 /// carries `1/p_j` with `p_j = 1 − exp(−β_j·τ_j)`, an unbiased estimate of
 /// the indicator "j is reachable within its distance". Weighted statistics
 /// follow via [`crate::HipRow::qg`] on its [`HipWeights::row`] — e.g.
 /// `qg(|v, _| beta[v])` estimates the total β-weight of the reachable
 /// set.
-pub fn weighted_hip(ads: &BottomKAds, betas: &[f64]) -> HipWeights {
-    let mut ks = KSmallest::new(ads.k());
-    let items = ads
+pub fn weighted_hip(row: Row<'_>, betas: &[f64]) -> HipWeights {
+    let mut ks = KSmallest::new(row.k);
+    let items = row
         .entries()
-        .iter()
         .map(|e| {
             let tau = ks.threshold_rank_or(f64::INFINITY);
             let beta = betas[e.node as usize];
@@ -67,9 +66,10 @@ pub fn weighted_hip(ads: &BottomKAds, betas: &[f64]) -> HipWeights {
     HipWeights::from_sorted_items(items)
 }
 
-/// HIP estimate of the weighted neighborhood `Σ_{d_vj ≤ d} β(j)`.
-pub fn neighborhood_weight_at(ads: &BottomKAds, betas: &[f64], d: f64) -> f64 {
-    weighted_hip(ads, betas)
+/// HIP estimate of the weighted neighborhood `Σ_{d_vj ≤ d} β(j)` from an
+/// ADS row built over exponential ranks.
+pub fn neighborhood_weight_at(row: Row<'_>, betas: &[f64], d: f64) -> f64 {
+    weighted_hip(row, betas)
         .row()
         .qg(|v, dist| if dist <= d { betas[v as usize] } else { 0.0 })
 }
@@ -77,12 +77,16 @@ pub fn neighborhood_weight_at(ads: &BottomKAds, betas: &[f64], d: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference::bottomk_from_order;
+    use crate::reference::{bottomk_from_order, from_sketches};
+    use crate::AdsSet;
     use adsketch_graph::NodeId;
     use adsketch_util::stats::ErrorStats;
 
-    fn order(n: usize) -> Vec<(NodeId, f64)> {
-        (0..n).map(|i| (i as NodeId, i as f64)).collect()
+    /// The one-row store of the ADS over nodes `0..n` at distances
+    /// `0..n`: its row 0 is the sketch under test.
+    fn one_row(k: usize, n: usize, ranks: &[f64]) -> AdsSet {
+        let order: Vec<(NodeId, f64)> = (0..n).map(|i| (i as NodeId, i as f64)).collect();
+        from_sketches(k, vec![bottomk_from_order(k, &order, ranks)])
     }
 
     #[test]
@@ -102,13 +106,9 @@ mod tests {
         let runs = 2000;
         for seed in 0..runs {
             let ranks = exponential_ranks(&betas, seed);
-            let ads = bottomk_from_order(k, &order(n), &ranks);
-            if ads.get(100).is_some() {
-                heavy += 1;
-            }
-            if ads.get(101).is_some() {
-                light += 1;
-            }
+            let ads = one_row(k, n, &ranks);
+            heavy += ads.row(0).nodes.contains(&100) as u32;
+            light += ads.row(0).nodes.contains(&101) as u32;
         }
         assert!(
             heavy > light * 5,
@@ -126,8 +126,8 @@ mod tests {
         let mut err = ErrorStats::new(truth);
         for seed in 0..2000u64 {
             let ranks = exponential_ranks(&betas, seed + 11);
-            let ads = bottomk_from_order(k, &order(n), &ranks);
-            err.push(neighborhood_weight_at(&ads, &betas, f64::INFINITY));
+            let ads = one_row(k, n, &ranks);
+            err.push(neighborhood_weight_at(ads.row(0), &betas, f64::INFINITY));
         }
         let z = err.relative_bias() / err.bias_std_error();
         assert!(z.abs() < 4.0, "weighted HIP bias z = {z}");
@@ -145,8 +145,8 @@ mod tests {
         let mut err = ErrorStats::new(n as f64);
         for seed in 0..2000u64 {
             let ranks = exponential_ranks(&betas, seed + 77);
-            let ads = bottomk_from_order(k, &order(n), &ranks);
-            err.push(weighted_hip(&ads, &betas).row().reachable_estimate());
+            let ads = one_row(k, n, &ranks);
+            err.push(weighted_hip(ads.row(0), &betas).row().reachable_estimate());
         }
         let z = err.relative_bias() / err.bias_std_error();
         assert!(z.abs() < 4.0, "z = {z}");
@@ -157,9 +157,9 @@ mod tests {
         let n = 100usize;
         let betas = vec![2.0; n];
         let ranks = exponential_ranks(&betas, 5);
-        let ads = bottomk_from_order(4, &order(n), &ranks);
-        let half = neighborhood_weight_at(&ads, &betas, 49.0);
-        let full = neighborhood_weight_at(&ads, &betas, f64::INFINITY);
+        let ads = one_row(4, n, &ranks);
+        let half = neighborhood_weight_at(ads.row(0), &betas, 49.0);
+        let full = neighborhood_weight_at(ads.row(0), &betas, f64::INFINITY);
         assert!(half <= full);
         assert!(full > 0.0);
     }
@@ -169,8 +169,8 @@ mod tests {
         let n = 50usize;
         let betas: Vec<f64> = (0..n).map(|i| 1.0 + i as f64).collect();
         let ranks = exponential_ranks(&betas, 9);
-        let ads = bottomk_from_order(4, &order(n), &ranks);
-        let hip = weighted_hip(&ads, &betas);
+        let ads = one_row(4, n, &ranks);
+        let hip = weighted_hip(ads.row(0), &betas);
         for &w in &hip.row().weights[..4] {
             assert_eq!(w, 1.0, "first k nodes are certain inclusions");
         }

@@ -7,9 +7,11 @@
 //! existing loader — plus nothing else: generations are immutable once
 //! published and independently verifiable via their manifests. A
 //! `CURRENT` file at the root names the latest published generation and
-//! is flipped by write-to-temp + atomic rename, so readers either see
-//! the previous generation or the complete new one, never a torn
-//! pointer.
+//! is flipped by write-to-temp + rename, so while the OS survives,
+//! readers either see the previous generation or the complete new one,
+//! never a torn pointer. Nothing is fsynced, so after an OS crash or
+//! power loss the pointer or the files it names can fail their load
+//! with a typed error (see the crate docs, "Crash safety").
 //!
 //! The ingestor is locked only long enough to **snapshot** the live
 //! sketches — their columns concatenated into the store, HIP weights
@@ -152,6 +154,10 @@ impl Freezer {
             std::fs::remove_dir_all(&dir)?;
         }
         let manifest = freeze_sharded_format(&snapshot, self.shards, &dir, self.format)?;
+        // The rename is atomic for a process crash. Neither the shard
+        // files nor the temp file is fsynced first, so after an OS crash
+        // or power loss CURRENT may name files that never reached the
+        // disk (their checksums fail the load) or be empty (unparseable).
         let tmp = self.root.join(format!(".CURRENT.tmp.{generation}"));
         std::fs::write(&tmp, format!("{}\n", generation_dir_name(generation)))?;
         std::fs::rename(&tmp, self.root.join(CURRENT_FILE))?;

@@ -21,17 +21,29 @@
 //!
 //! # Crash safety
 //!
-//! Edges are applied to the in-memory sketches first and journaled
-//! immediately after, so the log is always a *prefix* of what was
-//! applied: a crash loses at most the unflushed suffix, never invents
-//! edges, and [`Ingestor::open`] rebuilds exactly the logged prefix by
-//! replay (incremental maintenance is deterministic, so the rebuilt
-//! sketches are bitwise the ones that were live). The last log segment
-//! may be torn mid-record by a crash; recovery keeps its longest valid
-//! checksummed prefix and truncates the rest. Frozen generations are
-//! immutable once written and `CURRENT` is flipped by atomic rename, so
-//! a crash mid-freeze leaves at worst an orphaned partial directory the
-//! next freeze overwrites — never a half-published generation.
+//! What follows holds for a **process** crash, where the OS keeps every
+//! byte already written. Edges are applied to the in-memory sketches
+//! first and journaled immediately after, so the log is always a
+//! *prefix* of what was applied: a crash loses at most the unflushed
+//! suffix, never invents edges, and [`Ingestor::open`] rebuilds exactly
+//! the logged prefix by replay (incremental maintenance is deterministic,
+//! so the rebuilt sketches are bitwise the ones that were live). The last
+//! log segment may be torn mid-record by a crash; recovery keeps its
+//! longest valid checksummed prefix and truncates the rest. Frozen
+//! generations are immutable once written and `CURRENT` is flipped by
+//! rename, so a crash mid-freeze leaves at worst an orphaned partial
+//! directory the next freeze overwrites — never a half-published
+//! generation.
+//!
+//! Nothing is ever fsynced: not the log, not the shard files, not
+//! `CURRENT`'s temp file before the rename. After an OS crash or power
+//! loss, bytes the process had written may be lost or damaged. The
+//! checksums make damage a typed error, never a silent one: a damaged
+//! interior log segment fails [`EdgeLog::open`], and a published
+//! generation whose files did not reach the disk fails its load. Damage
+//! on the last log segment is indistinguishable from a torn tail and is
+//! truncated with it, so recovery may replay fewer edges than were
+//! flushed.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

@@ -303,8 +303,11 @@ impl EdgeLog {
         Ok(seq)
     }
 
-    /// Flushes buffered records to the OS (no fsync — the recovery
-    /// contract already tolerates a torn tail).
+    /// Flushes buffered records to the OS, not to the disk: there is no
+    /// fsync. The records survive a process crash; after an OS crash or
+    /// power loss they may be lost or damaged, and the recovery contract
+    /// (see the module docs) makes that a typed error or a truncated
+    /// tail, never a wrong edge.
     pub fn flush(&mut self) -> Result<(), IngestError> {
         self.writer.flush()?;
         Ok(())

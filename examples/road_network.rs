@@ -56,7 +56,8 @@ fn main() {
     let k = 32;
     let t0 = std::time::Instant::now();
     let ranks = uniform_ranks(n, 11);
-    let ads: AdsSet = pruned_dijkstra::build(&g, k, &ranks).expect("valid ranks");
+    let (ads, _): (AdsSet, _) =
+        pruned_dijkstra::build_with_stats(&g, k, &ranks).expect("valid ranks");
     println!("sketched every intersection in {:.2?}", t0.elapsed());
 
     // "How many intersections are reachable within a T-minute drive?"

@@ -7,7 +7,7 @@
 //! cargo run --release --example save_load_query
 //! ```
 
-use adsketch::core::{centrality, AdsSet, FrozenAdsSet, QueryEngine};
+use adsketch::core::{centrality, reference, AdsSet, FrozenAdsSet, QueryEngine};
 use adsketch::graph::{generators, NodeId};
 
 /// CI runs every example with `ADSKETCH_EXAMPLE_TINY=1` (see ci.yml).
@@ -52,7 +52,7 @@ fn main() {
 
     // Every answer matches the heap reference bit for bit.
     for v in 0..n as NodeId {
-        let weights = frozen.sketch(v).hip_weights();
+        let weights = reference::hip_weights(frozen.k(), frozen.row(v).entries());
         let hip = weights.row();
         assert_eq!(harmonic[v as usize], centrality::harmonic(hip));
         assert_eq!(within3[v as usize], hip.cardinality_at(3.0));

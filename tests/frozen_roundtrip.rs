@@ -1,8 +1,7 @@
 //! Build → serialize → deserialize round trips must be lossless: every
 //! estimator answers from the restored [`FrozenAdsSet`] **bitwise
 //! identically** (`to_bits`) to the oracle over the built [`AdsSet`]'s
-//! rows (`sketch(v)`, weighted by `BottomKAds::hip_weights`; see
-//! `tests/oracle`), across directed / weighted / disconnected graphs and
+//! rows (weighted by `reference::hip_weights`; see `tests/oracle`), across directed / weighted / disconnected graphs and
 //! empty rows; corrupted or truncated buffers must be rejected,
 //! identically by every load path.
 
@@ -11,7 +10,9 @@ use std::path::PathBuf;
 use proptest::prelude::*;
 
 use adsketch::core::frozen::Xxh64;
-use adsketch::core::{centrality, AdsSet, FrozenAdsSet, FrozenError, LoadOptions, QueryEngine};
+use adsketch::core::{
+    centrality, reference, AdsSet, FrozenAdsSet, FrozenError, LoadOptions, QueryEngine,
+};
 use adsketch::graph::{generators, Graph, NodeId};
 use adsketch::util::{Rng64, SplitMix64};
 
@@ -114,7 +115,9 @@ fn directed_weighted_disconnected_roundtrips() {
         // The batch engine answers from the restored store must match the
         // per-node heap path too, for every thread count.
         let per_node: Vec<f64> = (0..g.num_nodes() as NodeId)
-            .map(|v| centrality::harmonic(ads.sketch(v).hip_weights().row()))
+            .map(|v| {
+                centrality::harmonic(reference::hip_weights(ads.k(), ads.row(v).entries()).row())
+            })
             .collect();
         for threads in [1usize, 3, 0] {
             assert_eq!(

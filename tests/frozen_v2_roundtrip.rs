@@ -16,9 +16,9 @@ use std::path::PathBuf;
 use proptest::prelude::*;
 
 use adsketch::core::frozen::Xxh64;
+use adsketch::core::reference::{self, BottomKAds};
 use adsketch::core::{
-    centrality, AdsEntry, AdsSet, BottomKAds, FrozenAdsSet, FrozenError, LoadOptions, QueryEngine,
-    StoreFormat,
+    centrality, AdsEntry, AdsSet, FrozenAdsSet, FrozenError, LoadOptions, QueryEngine, StoreFormat,
 };
 use adsketch::graph::{generators, Graph, NodeId};
 
@@ -149,7 +149,9 @@ fn directed_weighted_ties_disconnected_v2_roundtrips() {
         // The batch engine on the v2 store must match the per-node heap
         // path bitwise, for every thread count.
         let per_node: Vec<f64> = (0..g.num_nodes() as NodeId)
-            .map(|v| centrality::harmonic(ads.sketch(v).hip_weights().row()))
+            .map(|v| {
+                centrality::harmonic(reference::hip_weights(ads.k(), ads.row(v).entries()).row())
+            })
             .collect();
         for threads in [1usize, 3, 0] {
             assert_eq!(
@@ -205,7 +207,7 @@ fn assert_dist_tag_roundtrips(base: fn(usize) -> f64, tag: u8, checksum: u64) {
             BottomKAds::from_entries(k, entries)
         })
         .collect();
-    let frozen = AdsSet::from_sketches(k, sketches).freeze();
+    let frozen = reference::from_sketches(k, sketches);
     let v2 = frozen.to_bytes_format(StoreFormat::V2);
     assert_eq!(v2[41], tag, "dist-column tag");
     assert_eq!(image_checksum(&v2), checksum, "v2 image changed");

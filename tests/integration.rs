@@ -4,14 +4,30 @@
 
 use adsketch::core::builder::{dp, local_updates, pruned_dijkstra};
 use adsketch::core::{basic, centrality, reference, size_est, uniform_ranks, AdsSet};
-use adsketch::graph::{exact, generators, Graph};
+use adsketch::graph::{exact, generators, Graph, NodeId};
 use adsketch::stream::streaming_ads::FirstOccurrenceAds;
 use adsketch::util::stats::{cv_basic, cv_hip, ErrorStats};
 use adsketch::util::RankHasher;
 
+/// Asserts that every entry's rank is its node's rank, bit for bit: an
+/// entry samples a node, so the store's rank column repeats `ranks`.
+#[track_caller]
+fn assert_entry_ranks_are_node_ranks(set: &AdsSet, ranks: &[f64], what: &str) {
+    for v in 0..set.num_nodes() as NodeId {
+        let row = set.row(v);
+        for (i, &node) in row.nodes.iter().enumerate() {
+            assert_eq!(
+                row.ranks[i].to_bits(),
+                ranks[node as usize].to_bits(),
+                "{what}: row {v}, entry {i} (node {node})"
+            );
+        }
+    }
+}
+
 /// All three scalable builders and the brute force agree bitwise on an
 /// unweighted digraph; the two weighted-capable ones agree on a weighted
-/// one.
+/// one. On both, every builder's entry ranks are its input's node ranks.
 #[test]
 fn all_builders_agree_end_to_end() {
     let k = 4;
@@ -19,15 +35,43 @@ fn all_builders_agree_end_to_end() {
     let g = generators::gnp_directed(120, 0.04, 99);
     let ranks = uniform_ranks(g.num_nodes(), 1);
     let brute = reference::build_bottomk(&g, k, &ranks);
-    assert_eq!(pruned_dijkstra::build(&g, k, &ranks).unwrap(), brute);
-    assert_eq!(dp::build(&g, k, &ranks).unwrap(), brute);
-    assert_eq!(local_updates::build(&g, k, &ranks).unwrap(), brute);
+    let built = [
+        (
+            "pruned dijkstra",
+            pruned_dijkstra::build_with_stats(&g, k, &ranks),
+        ),
+        ("dp", dp::build_with_stats(&g, k, &ranks)),
+        (
+            "local updates",
+            local_updates::build_with_stats(&g, k, &ranks, 0.0),
+        ),
+    ];
+    assert_entry_ranks_are_node_ranks(&brute, &ranks, "brute force");
+    for (what, set) in built {
+        let (set, _) = set.unwrap();
+        assert_eq!(set, brute, "{what}");
+        assert_entry_ranks_are_node_ranks(&set, &ranks, what);
+    }
     // Weighted directed.
     let gw = generators::random_weighted_digraph(90, 4, 0.5, 4.5, 5);
     let ranks_w = uniform_ranks(gw.num_nodes(), 2);
     let brute_w = reference::build_bottomk(&gw, k, &ranks_w);
-    assert_eq!(pruned_dijkstra::build(&gw, k, &ranks_w).unwrap(), brute_w);
-    assert_eq!(local_updates::build(&gw, k, &ranks_w).unwrap(), brute_w);
+    let built_w = [
+        (
+            "pruned dijkstra",
+            pruned_dijkstra::build_with_stats(&gw, k, &ranks_w),
+        ),
+        (
+            "local updates",
+            local_updates::build_with_stats(&gw, k, &ranks_w, 0.0),
+        ),
+    ];
+    assert_entry_ranks_are_node_ranks(&brute_w, &ranks_w, "weighted brute force");
+    for (what, set) in built_w {
+        let (set, _) = set.unwrap();
+        assert_eq!(set, brute_w, "weighted {what}");
+        assert_entry_ranks_are_node_ranks(&set, &ranks_w, what);
+    }
 }
 
 /// A path digraph's ADS equals the first-occurrence streaming ADS over the
@@ -42,8 +86,7 @@ fn graph_and_stream_ads_coincide_on_a_path() {
     let arcs: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
     let g = Graph::directed(n, &arcs).unwrap();
     let ads = AdsSet::build(&g, k, seed); // uses RankHasher(seed) ranks
-    let graph_sketch = ads.sketch(0);
-    let graph_entries = graph_sketch.entries();
+    let graph_entries: Vec<_> = ads.row(0).entries().collect();
 
     let mut stream = FirstOccurrenceAds::new(k, seed);
     for e in 0..n as u64 {
@@ -59,7 +102,7 @@ fn graph_and_stream_ads_coincide_on_a_path() {
         assert_eq!(gent.rank, sent.rank);
     }
     // And the HIP weights agree too.
-    let hip = graph_sketch.hip_weights();
+    let hip = reference::hip_weights(k, ads.row(0).entries());
     for (w, sent) in hip.row().weights.iter().zip(stream_entries) {
         assert!((w - sent.weight).abs() < 1e-12);
     }
@@ -233,9 +276,9 @@ fn weighted_node_sketches_on_graph() {
     let mut err = ErrorStats::new(truth);
     for seed in 0..400 {
         let ranks = weighted::exponential_ranks(&betas, seed);
-        let ads = pruned_dijkstra::build(&g, 8, &ranks).unwrap();
+        let (ads, _) = pruned_dijkstra::build_with_stats(&g, 8, &ranks).unwrap();
         err.push(weighted::neighborhood_weight_at(
-            &ads.sketch(0),
+            ads.row(0),
             &betas,
             f64::INFINITY,
         ));

@@ -2,15 +2,14 @@
 //! estimator, per row and through the batch engine, answers from a view
 //! bitwise identically to the oracle over the rows of the [`AdsSet`] it
 //! came from. The oracle weights each row with the heap scan
-//! (`BottomKAds::hip_weights`) and extracts MinHash sketches by inserting
+//! (`reference::hip_weights`) and extracts MinHash sketches by inserting
 //! every entry within `d`.
 
 #![allow(dead_code)]
 
+use adsketch::core::reference::{self, BottomKAds};
 use adsketch::core::view::distance_distribution_estimate;
-use adsketch::core::{
-    basic, centrality, similarity, size_est, AdsSet, AdsView, BottomKAds, QueryEngine,
-};
+use adsketch::core::{basic, centrality, similarity, size_est, AdsSet, AdsView, QueryEngine, Row};
 use adsketch::graph::NodeId;
 use adsketch::minhash::{similarity as mh, BottomKSketch};
 
@@ -35,9 +34,9 @@ fn assert_curve_bits(got: &[(f64, f64)], want: &[(f64, f64)], what: &str) {
 
 /// The bottom-k MinHash sketch of `N_d(v)`: every entry of the oracle
 /// row within `d`, inserted.
-fn minhash_oracle(sketch: &BottomKAds, d: f64) -> BottomKSketch {
-    let mut mh = BottomKSketch::new(sketch.k());
-    for e in sketch.entries().iter().filter(|e| e.dist <= d) {
+fn minhash_oracle(row: Row<'_>, d: f64) -> BottomKSketch {
+    let mut mh = BottomKSketch::new(row.k);
+    for e in row.entries().filter(|e| e.dist <= d) {
         mh.insert_ranked(e.rank, e.node as u64);
     }
     mh
@@ -61,16 +60,12 @@ pub fn assert_estimators_match_oracle<V: AdsView + Sync>(view: &V, ads: &AdsSet)
         .map(|&d| engine.cardinality_batch(&nodes.iter().map(|&v| (v, d)).collect::<Vec<_>>()))
         .collect();
     for v in 0..n {
-        let sketch = ads.sketch(v);
-        let weights = sketch.hip_weights();
+        let sketch = ads.row(v);
+        let weights = reference::hip_weights(k, sketch.entries());
         let (row, want) = (view.row(v), weights.row());
         let hip = row.hip();
         let at = |what: &str| format!("node {v}: {what}");
-        assert!(
-            row.entries().eq(sketch.entries().iter().copied()),
-            "{}",
-            at("entries")
-        );
+        assert!(row.entries().eq(sketch.entries()), "{}", at("entries"));
         assert_eq!(hip.len(), want.len(), "{}", at("row length"));
         for (&g, &w) in hip.weights.iter().zip(want.weights) {
             assert_bits(g, w, &at("HIP weight"));
@@ -90,10 +85,10 @@ pub fn assert_estimators_match_oracle<V: AdsView + Sync>(view: &V, ads: &AdsSet)
             assert_bits(cards[i][v as usize], card, &at(&format!("batch at {d}")));
             // Basic (MinHash-extraction) estimator; defined for k > 1.
             if k > 1 {
-                let basic = minhash_oracle(&sketch, d).estimate();
+                let basic = minhash_oracle(sketch, d).estimate();
                 assert_bits(basic::cardinality_at(row, d), basic, &at("basic"));
             }
-            let within = sketch.entries().iter().filter(|e| e.dist <= d).count();
+            let within = sketch.entries().filter(|e| e.dist <= d).count();
             let size = size_est::size_estimator(within, k);
             assert_bits(size_est::cardinality_at(row, d), size, &at("size-only"));
         }
@@ -119,8 +114,8 @@ pub fn assert_estimators_match_oracle<V: AdsView + Sync>(view: &V, ads: &AdsSet)
         // sharded store in general.
         let u = (v + 1) % n.max(1);
         let j = mh::jaccard(
-            &minhash_oracle(&sketch, 2.0),
-            &minhash_oracle(&ads.sketch(u), 2.0),
+            &minhash_oracle(sketch, 2.0),
+            &minhash_oracle(ads.row(u), 2.0),
         );
         let got = similarity::neighborhood_jaccard(row, view.row(u), 2.0);
         assert_bits(got, j, &at("jaccard"));
@@ -141,10 +136,10 @@ pub fn assert_estimators_match_oracle<V: AdsView + Sync>(view: &V, ads: &AdsSet)
 /// among built ones.
 pub fn with_empty_rows(ads: &AdsSet) -> AdsSet {
     let rows = (0..ads.num_nodes() as NodeId)
-        .map(|v| match v % 3 {
-            1 => BottomKAds::empty(ads.k()),
-            _ => ads.sketch(v),
+        .map(|v| {
+            let entries = ads.row(v).entries().filter(|_| v % 3 != 1).collect();
+            BottomKAds::from_entries(ads.k(), entries)
         })
         .collect();
-    AdsSet::from_sketches(ads.k(), rows)
+    reference::from_sketches(ads.k(), rows)
 }

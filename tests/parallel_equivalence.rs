@@ -24,8 +24,8 @@ fn textbook_settles(g: &Graph, oracle: &AdsSet) -> u64 {
     let gt = g.transpose();
     let mut holders: Vec<Vec<u32>> = vec![Vec::new(); n];
     for v in 0..n as u32 {
-        for e in oracle.sketch(v).entries() {
-            holders[e.node as usize].push(v);
+        for &x in oracle.row(v).nodes {
+            holders[x as usize].push(v);
         }
     }
     let mut seen_by = vec![u32::MAX; n];
@@ -162,12 +162,12 @@ fn disconnected_components() {
     let g = Graph::undirected(8, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]).unwrap();
     let ranks = uniform_ranks(8, 4);
     assert_all_equivalent(&g, 8, &ranks, "disconnected");
-    let set = pruned_dijkstra::build_parallel(&g, 8, &ranks, 4).unwrap();
+    let (set, _) = pruned_dijkstra::build_parallel_with_stats(&g, 8, &ranks, 4).unwrap();
     for v in 0..3u32 {
-        assert!(set.sketch(v).entries().iter().all(|e| e.node < 3));
+        assert!(set.row(v).nodes.iter().all(|&x| x < 3));
     }
     for v in 6..8u32 {
-        assert_eq!(set.sketch(v).len(), 1, "isolated node samples only itself");
+        assert_eq!(set.row(v).len(), 1, "isolated node samples only itself");
     }
 }
 

@@ -50,7 +50,7 @@ proptest! {
         prop_assert_eq!(ads.validate(), Ok(()));
         prop_assert!(ads.len() <= n);
         prop_assert!(ads.len() >= k.min(n));
-        let hip = ads.hip_weights();
+        let hip = reference::hip_weights(k, ads.entries().iter().copied());
         let mut last = 0.0;
         for &w in hip.row().weights {
             prop_assert!(w >= 1.0 - 1e-12);
@@ -67,7 +67,9 @@ proptest! {
         let ranks: Vec<f64> = (0..n as u64).map(|v| h.rank(v)).collect();
         let order: Vec<(NodeId, f64)> = (0..n).map(|i| (i as NodeId, i as f64)).collect();
         let ads = reference::bottomk_from_order(k, &order, &ranks);
-        let est = ads.hip_weights().row().reachable_estimate();
+        let est = reference::hip_weights(k, ads.entries().iter().copied())
+            .row()
+            .reachable_estimate();
         prop_assert!(est >= ads.len() as f64 - 1e-9);
         if n <= k {
             prop_assert!((est - n as f64).abs() < 1e-9, "exact for n ≤ k");
@@ -81,7 +83,7 @@ proptest! {
     fn pruned_dijkstra_equals_brute_force((n, arcs) in small_digraph(), seed in 0u64..1_000, k in 1usize..5) {
         let g = Graph::directed(n, &arcs).unwrap();
         let ranks = uniform_ranks(n, seed);
-        let fast = pruned_dijkstra::build(&g, k, &ranks).unwrap();
+        let (fast, _) = pruned_dijkstra::build_with_stats(&g, k, &ranks).unwrap();
         let slow = reference::build_bottomk(&g, k, &ranks);
         prop_assert_eq!(fast, slow);
     }
@@ -168,7 +170,7 @@ proptest! {
     fn local_updates_equals_brute_force((n, arcs) in small_digraph(), seed in 0u64..1_000) {
         let g = Graph::directed(n, &arcs).unwrap();
         let ranks = uniform_ranks(n, seed);
-        let fast = local_updates::build(&g, 2, &ranks).unwrap();
+        let (fast, _) = local_updates::build_with_stats(&g, 2, &ranks, 0.0).unwrap();
         let slow = reference::build_bottomk(&g, 2, &ranks);
         prop_assert_eq!(fast, slow);
     }
@@ -254,7 +256,7 @@ proptest! {
         let ranks: Vec<f64> = (0..n as u64).map(|v| h.rank(v)).collect();
         let order: Vec<(NodeId, f64)> = (0..n).map(|i| (i as NodeId, i as f64)).collect();
         let ads = reference::bottomk_from_order(k, &order, &ranks);
-        let set = AdsSet::from_sketches(k, vec![ads]);
+        let set = reference::from_sketches(k, vec![ads]);
         let extracted = set.row(0).minhash_at(cut as f64);
         let mut direct = BottomKSketch::new(k);
         for e in 0..=cut.min(n - 1) as u64 {

@@ -13,8 +13,8 @@ use proptest::prelude::*;
 
 use adsketch::core::frozen::{shard_file_name, Xxh64, SHARD_MANIFEST_FILE};
 use adsketch::core::{
-    centrality, freeze_sharded, freeze_sharded_format, AdsSet, FrozenAdsSet, QueryEngine,
-    ShardManifest, StoreFormat,
+    centrality, freeze_sharded, freeze_sharded_format, reference, AdsSet, FrozenAdsSet,
+    QueryEngine, ShardManifest, StoreFormat,
 };
 use adsketch::graph::{generators, Graph, NodeId};
 use adsketch::serve::{ServeError, ShardedStore};
@@ -119,7 +119,9 @@ fn directed_weighted_disconnected_across_shard_counts() {
         let ads = AdsSet::build(g, k, 11);
         let frozen = ads.freeze();
         let per_node: Vec<f64> = (0..g.num_nodes() as NodeId)
-            .map(|v| centrality::harmonic(ads.sketch(v).hip_weights().row()))
+            .map(|v| {
+                centrality::harmonic(reference::hip_weights(ads.k(), ads.row(v).entries()).row())
+            })
             .collect();
         for shards in [1usize, 2, 4] {
             let (_dir, store) = roundtrip(&ads, shards, &format!("{name}_{shards}"));
