@@ -15,22 +15,20 @@
 //!
 //! The ingestor is locked only long enough to **snapshot** the live
 //! sketches — their columns concatenated into the store, HIP weights
-//! computed on the way — and read the stream counters; the expensive
-//! part — sharding, encoding, writing, checksumming — runs outside the
-//! lock,
-//! so ingest continues while a freeze is in flight. [`spawn_freezer`]
-//! wraps this in a background thread with a publish callback, which is
-//! how a serving process chains a hot-swap
-//! (`adsketch_serve::GenerationStore::swap`) onto each new generation.
+//! computed on the way — and read its edge count; the expensive part —
+//! sharding, encoding, writing, checksumming — runs outside the lock,
+//! so ingest continues while a freeze is in flight. A caller that wants
+//! periodic generations runs [`Freezer::freeze`] on a thread of its own
+//! and chains a hot-swap (`adsketch_serve::GenerationStore::swap`) onto
+//! each [`FrozenGeneration`] it returns.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Mutex;
+use std::time::Instant;
 
 use adsketch_core::{freeze_sharded_format, ShardManifest, StoreFormat};
 
-use crate::pipeline::{IngestStats, Ingestor};
+use crate::pipeline::Ingestor;
 use crate::IngestError;
 
 /// The root-level pointer file naming the latest published generation.
@@ -73,8 +71,6 @@ pub struct FrozenGeneration {
     pub manifest: ShardManifest,
     /// Edges the snapshot covers (the log prefix it equals).
     pub edges: u64,
-    /// Stream counters at snapshot time.
-    pub stats: IngestStats,
     /// Wall-clock spent freezing (snapshot + encode + write).
     pub freeze_seconds: f64,
 }
@@ -85,10 +81,7 @@ pub struct Freezer {
     root: PathBuf,
     shards: usize,
     format: StoreFormat,
-    /// Edge-stream window the per-generation recency stats cover.
-    stats_window: u64,
     next_gen: u64,
-    frozen_edges: u64,
 }
 
 impl Freezer {
@@ -118,17 +111,8 @@ impl Freezer {
             root,
             shards,
             format,
-            stats_window: 10_000,
             next_gen,
-            frozen_edges: 0,
         })
-    }
-
-    /// Sets the recency window (in edges) the per-generation stream
-    /// stats cover.
-    pub fn stats_window(mut self, window: u64) -> Self {
-        self.stats_window = window;
-        self
     }
 
     /// The generation number the next freeze will publish.
@@ -141,10 +125,10 @@ impl Freezer {
     /// `CURRENT` to it.
     pub fn freeze(&mut self, ingestor: &Mutex<Ingestor>) -> Result<FrozenGeneration, IngestError> {
         let started = Instant::now();
-        let (snapshot, stats) = {
+        let (snapshot, edges) = {
             let mut ing = ingestor.lock().expect("ingestor lock");
             ing.flush()?; // the journal covers everything the snapshot holds
-            (ing.snapshot(), ing.stats(self.stats_window))
+            (ing.snapshot(), ing.edges())
         };
         let generation = self.next_gen;
         let dir = self.root.join(generation_dir_name(generation));
@@ -162,88 +146,14 @@ impl Freezer {
         std::fs::write(&tmp, format!("{}\n", generation_dir_name(generation)))?;
         std::fs::rename(&tmp, self.root.join(CURRENT_FILE))?;
         self.next_gen += 1;
-        self.frozen_edges = stats.edges;
         Ok(FrozenGeneration {
             generation,
             dir,
             manifest,
-            edges: stats.edges,
-            stats,
+            edges,
             freeze_seconds: started.elapsed().as_secs_f64(),
         })
     }
-
-    /// [`Freezer::freeze`], but only if edges arrived since the last
-    /// published generation (or nothing was ever published). Returns
-    /// `None` when the stream is quiescent.
-    pub fn freeze_if_dirty(
-        &mut self,
-        ingestor: &Mutex<Ingestor>,
-    ) -> Result<Option<FrozenGeneration>, IngestError> {
-        let edges = ingestor.lock().expect("ingestor lock").edges();
-        if self.next_gen > 1 && edges == self.frozen_edges {
-            return Ok(None);
-        }
-        self.freeze(ingestor).map(Some)
-    }
-}
-
-/// A running background freezer; [`FreezerHandle::stop`] joins it.
-#[derive(Debug)]
-pub struct FreezerHandle {
-    stop: Arc<AtomicBool>,
-    join: std::thread::JoinHandle<Result<u64, IngestError>>,
-}
-
-impl FreezerHandle {
-    /// Signals the freeze loop to exit, performs one final freeze if
-    /// edges arrived since the last generation, and returns how many
-    /// generations the loop published in total.
-    pub fn stop(self) -> Result<u64, IngestError> {
-        self.stop.store(true, Ordering::SeqCst);
-        self.join.join().expect("freezer thread")
-    }
-}
-
-/// Spawns the background freeze loop: every `interval`, publish a new
-/// generation if the stream moved, and hand it to `on_freeze` (the
-/// serving process's hot-swap hook). The loop exits promptly on
-/// [`FreezerHandle::stop`], after one final catch-up freeze.
-pub fn spawn_freezer<F>(
-    mut freezer: Freezer,
-    ingestor: Arc<Mutex<Ingestor>>,
-    interval: Duration,
-    mut on_freeze: F,
-) -> FreezerHandle
-where
-    F: FnMut(&FrozenGeneration) + Send + 'static,
-{
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop_flag = Arc::clone(&stop);
-    let join = std::thread::spawn(move || {
-        let mut published = 0u64;
-        let tick = Duration::from_millis(2).min(interval);
-        let mut since_freeze = Duration::ZERO;
-        while !stop_flag.load(Ordering::SeqCst) {
-            std::thread::sleep(tick);
-            since_freeze += tick;
-            if since_freeze < interval {
-                continue;
-            }
-            since_freeze = Duration::ZERO;
-            if let Some(generation) = freezer.freeze_if_dirty(&ingestor)? {
-                on_freeze(&generation);
-                published += 1;
-            }
-        }
-        // Catch-up freeze so the final generation covers the whole log.
-        if let Some(generation) = freezer.freeze_if_dirty(&ingestor)? {
-            on_freeze(&generation);
-            published += 1;
-        }
-        Ok(published)
-    });
-    FreezerHandle { stop, join }
 }
 
 #[cfg(test)]
@@ -252,6 +162,7 @@ mod tests {
     use adsketch_core::frozen::{shard_file_name, SHARD_MANIFEST_FILE};
     use adsketch_core::{AdsSet, FrozenAdsSet, QueryEngine, ShardManifest};
     use adsketch_graph::Graph;
+    use std::sync::mpsc::sync_channel;
 
     struct Scratch(PathBuf);
 
@@ -309,11 +220,9 @@ mod tests {
                 .ingest((i + 5) % 30, (i + 9) % 30, 2.0)
                 .unwrap();
         }
-        let g2 = freezer.freeze_if_dirty(&ingestor).unwrap().expect("dirty");
+        let g2 = freezer.freeze(&ingestor).unwrap();
         assert_eq!(g2.generation, 2);
         assert_eq!(g2.edges, 30);
-        // Quiescent: no third generation.
-        assert!(freezer.freeze_if_dirty(&ingestor).unwrap().is_none());
         let (current, dir) = current_generation(s.0.join("store")).unwrap().unwrap();
         assert_eq!(current, 2);
         assert_eq!(dir, g2.dir);
@@ -337,6 +246,26 @@ mod tests {
                 assert!(e.to_string().contains("shard count"), "{e}");
             }
             other => panic!("expected InvalidInput, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    #[test]
+    fn damaged_current_pointer_is_a_typed_error() {
+        let s = Scratch::new("damaged_current");
+        std::fs::create_dir_all(&s.0).unwrap();
+        for raw in ["", "gen-x\n"] {
+            std::fs::write(s.0.join(CURRENT_FILE), raw).unwrap();
+            assert!(
+                matches!(current_generation(&s.0), Err(IngestError::TornLog { .. })),
+                "CURRENT = {raw:?}"
+            );
+            assert!(
+                matches!(
+                    Freezer::new(&s.0, 1, StoreFormat::V1),
+                    Err(IngestError::TornLog { .. })
+                ),
+                "CURRENT = {raw:?}"
+            );
         }
     }
 
@@ -386,36 +315,36 @@ mod tests {
     }
 
     #[test]
-    fn background_freezer_publishes_while_ingest_continues() {
-        let s = Scratch::new("bg");
-        let ingestor = Arc::new(Mutex::new(
-            Ingestor::open(s.0.join("log"), 40, 4, 3, 256).unwrap(),
-        ));
-        let freezer = Freezer::new(s.0.join("store"), 2, StoreFormat::V1).unwrap();
-        let seen: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-        let seen_sink = Arc::clone(&seen);
-        let handle = spawn_freezer(
-            freezer,
-            Arc::clone(&ingestor),
-            Duration::from_millis(10),
-            move |g| seen_sink.lock().unwrap().push(g.generation),
-        );
-        for i in 0..400u32 {
-            ingestor
-                .lock()
-                .unwrap()
-                .ingest(i % 40, (i + 1) % 40, 1.0)
-                .unwrap();
-            if i % 50 == 0 {
-                std::thread::sleep(Duration::from_millis(5));
+    fn concurrent_freezes_publish_while_ingest_continues() {
+        let s = Scratch::new("concurrent");
+        let ingestor = Mutex::new(Ingestor::open(s.0.join("log"), 40, 4, 3, 256).unwrap());
+        let mut freezer = Freezer::new(s.0.join("store"), 2, StoreFormat::V1).unwrap();
+        // Rendezvous channel: each generation the ingesting side receives
+        // was frozen while it kept ingesting; hanging up stops the loop.
+        let (tx, rx) = sync_channel(0);
+        let mut seen = Vec::new();
+        std::thread::scope(|scope| {
+            scope.spawn(|| loop {
+                let generation = freezer.freeze(&ingestor).unwrap().generation;
+                if tx.send(generation).is_err() {
+                    break;
+                }
+            });
+            for i in 0..400u32 {
+                ingestor
+                    .lock()
+                    .unwrap()
+                    .ingest(i % 40, (i + 1) % 40, 1.0)
+                    .unwrap();
+                if i % 50 == 49 {
+                    seen.push(rx.recv().unwrap());
+                }
             }
-        }
-        let published = handle.stop().unwrap();
-        assert!(published >= 1, "at least the catch-up freeze publishes");
-        let seen = seen.lock().unwrap();
-        assert_eq!(seen.len() as u64, published);
+            drop(rx);
+        });
+        // Catch-up freeze so the final generation covers the whole stream.
+        seen.push(freezer.freeze(&ingestor).unwrap().generation);
         assert!(seen.windows(2).all(|w| w[0] < w[1]), "monotone: {seen:?}");
-        // The final generation covers the whole stream.
         let (current, dir) = current_generation(s.0.join("store")).unwrap().unwrap();
         assert_eq!(current, *seen.last().unwrap());
         let live = ingestor.lock().unwrap().snapshot();

@@ -7,17 +7,18 @@
 //! one at a time to a [`adsketch_core::DynamicAds`] whose sketches stay
 //! **bitwise identical** to a from-scratch batch build after every
 //! single insertion (the workspace's standing invariant, extended to
-//! dynamic graphs). A background [`Freezer`] periodically snapshots the
-//! live sketches into numbered frozen *generations* — ordinary sharded
-//! store directories any loader can open — while ingest continues, and a
-//! serving process hot-swaps to each new generation with
-//! `adsketch_serve::GenerationStore`.
+//! dynamic graphs). The log and the sketches are the whole ingest state.
+//! A [`Freezer`] snapshots the live sketches into numbered frozen
+//! *generations* — ordinary sharded store directories any loader can
+//! open — while ingest continues (the caller runs [`Freezer::freeze`] on
+//! a thread of its own), and a serving process hot-swaps to each new
+//! generation with `adsketch_serve::GenerationStore`.
 //!
 //! | module | contents |
 //! |---|---|
 //! | [`log`] | [`EdgeLog`]: segmented append-only edge journal (magic `ADSKELG1`), chained FNV-1a checksums, torn-tail crash recovery |
-//! | [`pipeline`] | [`Ingestor`]: log + [`adsketch_core::DynamicAds`] + per-stream distinct/recency counters, replay-on-open |
-//! | [`freezer`] | [`Freezer`]: numbered `gen-NNNN/` sharded stores, atomic `CURRENT` pointer, background freeze thread |
+//! | [`pipeline`] | [`Ingestor`]: log + [`adsketch_core::DynamicAds`], replay-on-open |
+//! | [`freezer`] | [`Freezer`]: numbered `gen-NNNN/` sharded stores, atomic `CURRENT` pointer, snapshot under a brief lock and write outside it |
 //!
 //! # Crash safety
 //!
@@ -52,9 +53,9 @@ pub mod freezer;
 pub mod log;
 pub mod pipeline;
 
-pub use freezer::{current_generation, spawn_freezer, Freezer, FreezerHandle, FrozenGeneration};
+pub use freezer::{current_generation, Freezer, FrozenGeneration};
 pub use log::{EdgeLog, EdgeLogEntry};
-pub use pipeline::{IngestStats, Ingestor};
+pub use pipeline::Ingestor;
 
 /// Everything that can go wrong in the ingest tier.
 #[derive(Debug)]
@@ -77,13 +78,15 @@ pub enum IngestError {
         /// The version the segment header claims.
         version: u32,
     },
-    /// A log segment other than the last is truncated or fails its
-    /// chained checksum — torn tails are only survivable on the final
-    /// segment (a crash interrupts at most one append).
+    /// Damaged ingest state on disk: a log segment other than the last
+    /// is truncated or fails its chained checksum — torn tails are only
+    /// survivable on the final segment (a crash interrupts at most one
+    /// append) — or the freezer root's `CURRENT` pointer is empty or
+    /// does not parse as `gen-<number>`.
     TornLog {
-        /// The offending segment file.
+        /// The offending segment or `CURRENT` file.
         path: std::path::PathBuf,
-        /// What the replayer found.
+        /// What the reader found.
         detail: String,
     },
     /// Segment base sequence numbers don't chain contiguously — a
@@ -115,7 +118,7 @@ impl std::fmt::Display for IngestError {
                 path.display()
             ),
             IngestError::TornLog { path, detail } => {
-                write!(f, "torn edge log at {}: {detail}", path.display())
+                write!(f, "damaged ingest state at {}: {detail}", path.display())
             }
             IngestError::SeqGap { expected, found } => write!(
                 f,

@@ -159,12 +159,18 @@ impl EdgeLog {
     /// `segment_cap` is the record count at which the writer rotates to
     /// a new segment file; it applies to newly written segments and
     /// does not need to match the cap the existing segments were
-    /// written with.
+    /// written with. A `segment_cap` of 0 is an [`IngestError::Io`] of
+    /// kind `InvalidInput`.
     pub fn open(
         dir: impl AsRef<Path>,
         segment_cap: u64,
     ) -> Result<(Self, Vec<EdgeLogEntry>), IngestError> {
-        assert!(segment_cap >= 1, "segment capacity must be ≥ 1");
+        if segment_cap == 0 {
+            return Err(IngestError::Io(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "segment capacity must be ≥ 1",
+            )));
+        }
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
         let mut segs: Vec<(u64, PathBuf)> = Vec::new();

@@ -1,4 +1,4 @@
-//! The ingest pipeline: journal + live sketches + stream counters.
+//! The ingest pipeline: journal + live sketches.
 //!
 //! An [`Ingestor`] owns one [`EdgeLog`] and one
 //! [`adsketch_core::DynamicAds`] and keeps them in lockstep: every
@@ -8,54 +8,32 @@
 //! incremental maintenance is exact — the sketches after `m` insertions
 //! are bitwise the batch build of those `m` edges — replaying the log
 //! into a fresh `DynamicAds` reproduces the live sketches bit for bit.
-//!
-//! Alongside the graph sketches, the ingestor feeds the edge stream's
-//! endpoints into the stream tier's distinct counters
-//! ([`FirstOccurrenceAds`], [`RecencyAds`]) with the edge sequence
-//! number as the timestamp, so freezer stats can report (estimated) how
-//! many distinct nodes the stream has ever touched and how many it
-//! touched recently — at `O(k)` memory, without scanning the graph.
+//! The log and the sketches are the whole ingest state: nothing else is
+//! derived from the stream.
 
 use std::path::Path;
 
-use adsketch_core::{AdsSet, DynamicAds};
-use adsketch_stream::streaming_ads::{FirstOccurrenceAds, RecencyAds};
+use adsketch_core::{uniform_ranks, AdsSet, DynamicAds};
 
 use crate::log::{EdgeLog, EdgeLogEntry};
 use crate::IngestError;
 
-/// Seed domain separators so the stream counters draw ranks independent
-/// of the graph sketches'.
-const TOUCHED_SEED_TAG: u64 = 0x746f_7563_6865_6421; // "touched!"
-const RECENT_SEED_TAG: u64 = 0x7265_6365_6e74_6c79; // "recently"
-
-/// Point-in-time counters over the ingested stream.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IngestStats {
-    /// Edges applied to the live sketches (= edges journaled).
-    pub edges: u64,
-    /// Estimated distinct nodes ever touched by any edge endpoint.
-    pub distinct_endpoints: f64,
-    /// Estimated distinct nodes touched by the last `window` edges (the
-    /// window the stats were asked with).
-    pub recent_endpoints: f64,
-}
-
-/// The ingest pipeline: edge journal + incremental ADS + stream
-/// counters, opened from (and recovered by) the log directory.
+/// The ingest pipeline: edge journal + incremental ADS, opened from
+/// (and recovered by) the log directory.
 #[derive(Debug)]
 pub struct Ingestor {
     log: EdgeLog,
     ads: DynamicAds,
-    touched: FirstOccurrenceAds,
-    recent: RecencyAds,
 }
 
 impl Ingestor {
     /// Opens the ingest pipeline over the edge log in `dir`, replaying
     /// any recovered history into a fresh `n`-node, parameter-`k`
     /// incremental sketch set. Deterministic: the same log, `n`, `k`,
-    /// and `seed` always rebuild bitwise-identical sketches.
+    /// and `seed` always rebuild bitwise-identical sketches. A `k`
+    /// outside `1..=65535` is an [`IngestError::Core`]
+    /// ([`adsketch_core::CoreError::InvalidK`]); a `segment_cap` of 0 is
+    /// an [`IngestError::Io`] of kind `InvalidInput`.
     pub fn open(
         dir: impl AsRef<Path>,
         n: usize,
@@ -63,37 +41,20 @@ impl Ingestor {
         seed: u64,
         segment_cap: u64,
     ) -> Result<Self, IngestError> {
+        let mut ads = DynamicAds::with_ranks(k, uniform_ranks(n, seed))?;
         let (log, replayed) = EdgeLog::open(dir, segment_cap)?;
-        let mut ingestor = Ingestor {
-            log,
-            ads: DynamicAds::new(n, k, seed),
-            touched: FirstOccurrenceAds::new(k, seed ^ TOUCHED_SEED_TAG),
-            recent: RecencyAds::new(k, seed ^ RECENT_SEED_TAG),
-        };
-        for EdgeLogEntry { seq, u, v, w } in replayed {
-            ingestor.ads.insert_edge(u, v, w)?;
-            ingestor.observe_endpoints(u, v, seq);
+        for EdgeLogEntry { u, v, w, .. } in replayed {
+            ads.insert_edge(u, v, w)?;
         }
-        Ok(ingestor)
+        Ok(Ingestor { log, ads })
     }
 
-    fn observe_endpoints(&mut self, u: u32, v: u32, seq: u64) {
-        let t = seq as f64;
-        self.touched.observe(u64::from(u), t);
-        self.touched.observe(u64::from(v), t);
-        self.recent.observe(u64::from(u), t);
-        self.recent.observe(u64::from(v), t);
-    }
-
-    /// Applies one edge to the live sketches, journals it, and feeds the
-    /// stream counters. Returns the edge's sequence number. A rejected
-    /// edge (endpoint out of range, bad weight) changes nothing and is
-    /// **not** journaled.
+    /// Applies one edge to the live sketches and journals it. Returns
+    /// the edge's sequence number. A rejected edge (endpoint out of
+    /// range, bad weight) changes nothing and is **not** journaled.
     pub fn ingest(&mut self, u: u32, v: u32, w: f64) -> Result<u64, IngestError> {
         self.ads.insert_edge(u, v, w)?;
-        let seq = self.log.append(u, v, w)?;
-        self.observe_endpoints(u, v, seq);
-        Ok(seq)
+        self.log.append(u, v, w)
     }
 
     /// Flushes the journal's buffered records to the OS.
@@ -121,18 +82,6 @@ impl Ingestor {
     /// the batch build of every edge ingested so far.
     pub fn snapshot(&self) -> AdsSet {
         self.ads.snapshot()
-    }
-
-    /// Stream counters at this instant; `window` is the number of most
-    /// recent edges the recency estimate covers.
-    pub fn stats(&self, window: u64) -> IngestStats {
-        let edges = self.edges();
-        let t_min = edges.saturating_sub(window) as f64;
-        IngestStats {
-            edges,
-            distinct_endpoints: self.touched.distinct(),
-            recent_endpoints: self.recent.distinct_since(t_min),
-        }
     }
 }
 
@@ -185,7 +134,7 @@ mod tests {
     }
 
     #[test]
-    fn reopen_replays_to_identical_sketches_and_counters() {
+    fn reopen_replays_to_identical_sketches() {
         let s = Scratch::new("reopen");
         let edges = sample_edges(40, 120, 5);
         let mut ing = Ingestor::open(&s.0, 40, 4, 9, 32).unwrap();
@@ -194,12 +143,10 @@ mod tests {
         }
         ing.flush().unwrap();
         let live = ing.snapshot();
-        let live_stats = ing.stats(50);
         drop(ing);
         let recovered = Ingestor::open(&s.0, 40, 4, 9, 32).unwrap();
         assert_eq!(recovered.edges(), edges.len() as u64);
         assert_eq!(recovered.snapshot(), live);
-        assert_eq!(recovered.stats(50), live_stats);
     }
 
     #[test]
@@ -222,21 +169,25 @@ mod tests {
     }
 
     #[test]
-    fn stream_counters_track_the_stream_not_the_graph() {
-        let s = Scratch::new("counters");
-        let mut ing = Ingestor::open(&s.0, 100, 16, 3, 1024).unwrap();
-        // 30 edges over nodes 0..10, then 10 edges over nodes 90..100.
-        for i in 0..30u32 {
-            ing.ingest(i % 10, (i + 1) % 10, 1.0).unwrap();
+    fn k_outside_the_u16_range_is_a_typed_error() {
+        for k in [0, 65_536] {
+            let s = Scratch::new(&format!("k{k}"));
+            match Ingestor::open(&s.0, 10, k, 1, 32) {
+                Err(IngestError::Core(CoreError::InvalidK { k: got })) if got == k => {}
+                other => panic!("k = {k}: expected InvalidK, got {:?}", other.map(|_| ())),
+            }
         }
-        for i in 0..10u32 {
-            ing.ingest(90 + (i % 5), 95 + (i % 5), 1.0).unwrap();
+    }
+
+    #[test]
+    fn zero_segment_cap_is_rejected_at_open() {
+        let s = Scratch::new("zero_cap");
+        match Ingestor::open(&s.0, 10, 4, 1, 0) {
+            Err(IngestError::Io(e)) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput);
+                assert!(e.to_string().contains("segment capacity"), "{e}");
+            }
+            other => panic!("expected InvalidInput, got {:?}", other.map(|_| ())),
         }
-        let stats = ing.stats(10);
-        assert_eq!(stats.edges, 40);
-        // ~20 distinct endpoints ever; only the 90.. band recently.
-        assert!(stats.distinct_endpoints > 10.0);
-        assert!(stats.recent_endpoints <= stats.distinct_endpoints);
-        assert!(stats.recent_endpoints > 0.0);
     }
 }
