@@ -112,9 +112,10 @@ fn main() {
     );
     println!(
         "resident counts the owned columns by capacity (per node); v1 is the exact full-width\n\
-         serialized length (header + CSR offsets + node/dist/rank/weight columns,\n\
-         28 B/entry amortized); v2 is the compressed format (per-row delta+varint\n\
-         node ids, dictionary-coded distances, 7-byte rank mantissas, 1/τ weight\n\
-         back-references — bitwise-lossless, escape columns where needed)."
+         serialized length (exactly 20 B/entry for the node/dist/weight columns + 12 B/node\n\
+         for the CSR offsets and the rank table + 40 B header); v2 is the compressed format\n\
+         (per-row delta+varint node ids, dictionary-coded distances, 1/τ weight\n\
+         back-references, a 7-byte rank mantissa per node — bitwise-lossless, escape\n\
+         columns where needed)."
     );
 }

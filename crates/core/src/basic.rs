@@ -35,8 +35,8 @@ where
     // The sampled nodes: the row's k lowest-ranked entries.
     let mut by_rank: Vec<usize> = (0..row.len()).collect();
     by_rank.sort_unstable_by(|&a, &b| {
-        row.ranks[a]
-            .total_cmp(&row.ranks[b])
+        row.rank(a)
+            .total_cmp(&row.rank(b))
             .then(row.nodes[a].cmp(&row.nodes[b]))
     });
     by_rank.truncate(row.k);

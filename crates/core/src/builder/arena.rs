@@ -259,32 +259,35 @@ impl PartialAdsArena {
     }
 
     /// One canonically sorted entry vector per node (the bottom-1 passes
-    /// of k-mins and k-partition, and the tieless entry lists).
-    pub fn into_per_node(self) -> Vec<Vec<AdsEntry>> {
-        let (offsets, nodes, dists, ranks) = self.into_columns();
+    /// of k-mins and k-partition, and the tieless entry lists), each
+    /// entry ranked by its node's `rank_of`.
+    pub fn into_per_node(self, rank_of: &[f64]) -> Vec<Vec<AdsEntry>> {
+        let (offsets, nodes, dists) = self.into_columns(rank_of);
         offsets
             .windows(2)
             .map(|r| {
                 (r[0] as usize..r[1] as usize)
-                    .map(|i| AdsEntry::new(nodes[i], dists[i], ranks[i]))
+                    .map(|i| AdsEntry::new(nodes[i], dists[i], rank_of[nodes[i] as usize]))
                     .collect()
             })
             .collect()
     }
 
-    /// Finishes construction into the columnar store.
-    pub fn finish(self) -> FrozenAdsSet {
+    /// Finishes construction into the columnar store over the builder's
+    /// per-node ranks.
+    pub fn finish(self, rank_of: &[f64]) -> FrozenAdsSet {
         let k = self.k;
-        let (offsets, nodes, dists, ranks) = self.into_columns();
-        FrozenAdsSet::from_columns(k, offsets, nodes, dists, ranks)
+        let (offsets, nodes, dists) = self.into_columns(rank_of);
+        FrozenAdsSet::from_columns(k, offsets, nodes, dists, rank_of.to_vec())
     }
 
-    /// The CSR `offsets / nodes / dists / ranks` columns of every row.
+    /// The CSR `offsets / nodes / dists` columns of every row; an entry's
+    /// rank is its node's `rank_of`, so none is written out.
     /// Row `v` is its prefix followed by its spilled entries: each left
     /// the prefix as its maximum, and the maximum only decreases, so they
     /// arrived in descending canonical order and are written back to
     /// front. No row is sorted and no per-node vector is allocated.
-    fn into_columns(self) -> (Vec<u32>, Vec<NodeId>, Vec<f64>, Vec<f64>) {
+    fn into_columns(self, rank_of: &[f64]) -> (Vec<u32>, Vec<NodeId>, Vec<f64>) {
         let n = self.len.len();
         // `ends[v]` becomes the end of row `v`, then (writing spilled
         // entries back to front) the next free slot below it.
@@ -305,11 +308,14 @@ impl PartialAdsArena {
         let total = total as usize;
         let mut nodes = vec![0; total];
         let mut dists = vec![0.0; total];
-        let mut ranks = vec![0.0; total];
         let mut put = |i: usize, e: &AdsEntry| {
+            debug_assert_eq!(
+                e.rank.to_bits(),
+                rank_of[e.node as usize].to_bits(),
+                "an entry's rank is its node's rank"
+            );
             nodes[i] = e.node;
             dists[i] = e.dist;
-            ranks[i] = e.rank;
         };
         for (v, &start) in offsets[..n].iter().enumerate() {
             for (i, e) in (start as usize..).zip(self.row(v as NodeId)) {
@@ -330,7 +336,7 @@ impl PartialAdsArena {
             }),
             "finished rows must be in canonical order"
         );
-        (offsets, nodes, dists, ranks)
+        (offsets, nodes, dists)
     }
 }
 
@@ -341,9 +347,12 @@ mod tests {
     use crate::tieless::TielessAds;
     use adsketch_util::rng::{Rng64, SplitMix64};
 
+    /// One past the largest node id [`drive`] offers.
+    const SOURCE_IDS: usize = 160;
+
     /// A random rank-monotone workload on an `n`-node arena: sources
-    /// `100..160` in increasing rank, each offered to about 60% of the
-    /// nodes at a small integer distance (so exact ties are frequent).
+    /// `100..SOURCE_IDS` in increasing rank, each offered to about 60% of
+    /// the nodes at a small integer distance (so exact ties are frequent).
     /// Returns the per-node offers and the per-node ranks.
     fn drive(
         seed: u64,
@@ -351,9 +360,9 @@ mod tests {
         mut insert: impl FnMut(NodeId, NodeId, f64, f64),
     ) -> (Vec<Vec<(NodeId, f64)>>, Vec<f64>) {
         let mut rng = SplitMix64::new(seed);
-        let mut ranks = vec![0.0; 160];
+        let mut ranks = vec![0.0; SOURCE_IDS];
         let mut offers: Vec<Vec<(NodeId, f64)>> = vec![Vec::new(); n];
-        for (src, milli) in (100..160u32).zip(1..) {
+        for (src, milli) in (100..SOURCE_IDS as u32).zip(1..) {
             ranks[src as usize] = milli as f64 / 100.0;
             for v in 0..n as NodeId {
                 if rng.bernoulli(0.6) {
@@ -429,7 +438,9 @@ mod tests {
                 expect[v as usize].push(AdsEntry::new(node, dist, rank));
             }
         }
-        let per_node = arena.into_per_node();
+        // Node `100 + i` carries rank `0.01 · i`, as inserted.
+        let rank_of: Vec<f64> = (0..160).map(|x| 0.01 * (x - 100) as f64).collect();
+        let per_node = arena.into_per_node(&rank_of);
         for v in 0..n {
             let mut e = expect[v].clone();
             e.sort_unstable_by(AdsEntry::cmp_canonical);
@@ -440,13 +451,15 @@ mod tests {
     /// The finishers write each row without sorting it: the rows must
     /// equal the sorted regrouping of prefix and spill log, in both insert
     /// regimes, and the store's weights the heap reference, under
-    /// workloads with frequent spills and exact ties.
+    /// workloads with frequent spills and exact ties. The arena has a row
+    /// for every source id, so the sources' ranks are the store's table;
+    /// only the first `n` rows are offered entries.
     #[test]
     fn finishers_write_the_sorted_rows_and_the_heap_weights() {
         for (seed, n, k) in [(0u64, 12usize, 1usize), (1, 12, 3), (2, 9, 8)] {
             for tieless in [false, true] {
-                let mut arena = PartialAdsArena::new(n, k);
-                drive(seed + 70, n, |v, src, dist, rank| {
+                let mut arena = PartialAdsArena::new(SOURCE_IDS, k);
+                let (_, ranks) = drive(seed + 70, n, |v, src, dist, rank| {
                     if tieless {
                         arena.insert_rank_monotone_tieless(v, src, dist, rank);
                     } else {
@@ -454,19 +467,19 @@ mod tests {
                     }
                 });
                 let at = |v| format!("seed {seed}, tieless {tieless}, node {v}");
-                let sorted: Vec<Vec<AdsEntry>> = (0..n as NodeId)
+                let sorted: Vec<Vec<AdsEntry>> = (0..SOURCE_IDS as NodeId)
                     .map(|v| arena.sorted_entries_of(v))
                     .collect();
                 assert_eq!(
-                    arena.clone().into_per_node(),
+                    arena.clone().into_per_node(&ranks),
                     sorted,
                     "seed {seed}, tieless {tieless}"
                 );
                 if tieless {
                     continue;
                 }
-                let set = arena.finish();
-                assert_eq!(set.num_nodes(), n);
+                let set = arena.finish(&ranks);
+                assert_eq!(set.num_nodes(), SOURCE_IDS);
                 for (v, entries) in sorted.iter().enumerate() {
                     let row = set.row(v as NodeId);
                     assert!(row.entries().eq(entries.iter().copied()), "{}", at(v));
@@ -541,7 +554,7 @@ mod tests {
         let arena = PartialAdsArena::new(3, 2);
         assert_eq!(arena.num_nodes(), 3);
         assert!(arena.sorted_entries_of(1).is_empty());
-        let set = arena.finish();
+        let set = arena.finish(&[1.0; 3]);
         assert_eq!(set.num_nodes(), 3);
         assert_eq!(set.num_entries(), 0);
     }

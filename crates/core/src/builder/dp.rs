@@ -90,7 +90,7 @@ pub fn build_with_stats(
         frontier = new_frontier;
     }
 
-    Ok((LiveSketch::store(k, &sketches), stats))
+    Ok((LiveSketch::store(k, &sketches, ranks), stats))
 }
 
 #[cfg(test)]

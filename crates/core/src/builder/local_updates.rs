@@ -138,7 +138,10 @@ pub fn build_with_stats(
         kernel.inbox.extend(hello);
     }
     kernel.run_rounds(|t| gt.arcs(t));
-    Ok((LiveSketch::store(k, &kernel.sketches), kernel.stats))
+    Ok((
+        LiveSketch::store(k, &kernel.sketches, &kernel.ranks),
+        kernel.stats,
+    ))
 }
 
 /// An incrementally maintained exact bottom-k ADS set over a growing
@@ -265,7 +268,7 @@ impl DynamicAds {
     /// live state keeps accepting edges; this is the freezer's snapshot
     /// point.
     pub fn snapshot(&self) -> AdsSet {
-        LiveSketch::store(self.kernel.k, &self.kernel.sketches)
+        LiveSketch::store(self.kernel.k, &self.kernel.sketches, &self.kernel.ranks)
     }
 }
 

@@ -148,23 +148,27 @@ impl LiveSketch {
     }
 
     /// Every node's held entries, row `v` from `sketches[v]`, as the
-    /// columnar store: the columns are concatenated as they are.
-    pub fn store(k: usize, sketches: &[LiveSketch]) -> FrozenAdsSet {
+    /// columnar store over the builder's per-node `rank_of`: the node and
+    /// distance columns are concatenated as they are, and each held
+    /// entry's rank is its node's.
+    pub fn store(k: usize, sketches: &[LiveSketch], rank_of: &[f64]) -> FrozenAdsSet {
         let total = sketches.iter().map(|s| s.nodes.len()).sum();
         let mut offsets = Vec::with_capacity(sketches.len() + 1);
-        let (mut nodes, mut dists, mut ranks) = (
-            Vec::with_capacity(total),
-            Vec::with_capacity(total),
-            Vec::with_capacity(total),
-        );
+        let (mut nodes, mut dists) = (Vec::with_capacity(total), Vec::with_capacity(total));
         offsets.push(0);
         for s in sketches {
+            debug_assert!(
+                s.nodes
+                    .iter()
+                    .zip(&s.ranks)
+                    .all(|(&node, r)| r.to_bits() == rank_of[node as usize].to_bits()),
+                "an entry's rank is its node's rank"
+            );
             nodes.extend_from_slice(&s.nodes);
             dists.extend_from_slice(&s.dists);
-            ranks.extend_from_slice(&s.ranks);
             offsets.push(u32::try_from(nodes.len()).expect("at most 2^32 − 1 entries"));
         }
-        FrozenAdsSet::from_columns(k, offsets, nodes, dists, ranks)
+        FrozenAdsSet::from_columns(k, offsets, nodes, dists, rank_of.to_vec())
     }
 
     /// The held entries as an immutable sketch.

@@ -47,7 +47,7 @@ pub fn build_with_stats(
     ranks: &[f64],
 ) -> Result<(AdsSet, BuildStats), CoreError> {
     let (arena, stats) = run_core(g, k, ranks, None, false)?;
-    Ok((arena.finish(), stats))
+    Ok((arena.finish(ranks), stats))
 }
 
 /// Wave-parallel PrunedDijkstra over `threads` threads (`0` ⇒ all cores).
@@ -67,7 +67,7 @@ pub fn build_parallel_with_stats(
     threads: usize,
 ) -> Result<(AdsSet, BuildStats), CoreError> {
     let (arena, stats) = run_core_parallel(g, k, ranks, threads)?;
-    Ok((arena.finish(), stats))
+    Ok((arena.finish(ranks), stats))
 }
 
 /// Tieless (Appendix A) variant: at most k entries per distinct distance,
@@ -79,7 +79,7 @@ pub fn build_tieless_entries(
     ranks: &[f64],
 ) -> Result<Vec<Vec<crate::entry::AdsEntry>>, CoreError> {
     let (arena, _) = run_core(g, k, ranks, None, true)?;
-    Ok(arena.into_per_node())
+    Ok(arena.into_per_node(ranks))
 }
 
 /// Sequential search driver: one source's mutable view of the arena and

@@ -8,23 +8,27 @@
 //! allocation. Its layout is struct-of-arrays CSR with the HIP adjusted
 //! weights precomputed inline.
 //!
-//! A builder hands its finished `nodes / dists / ranks` columns over
-//! whole; the store adds the weight column in one pass per row, writing
-//! `1/τ` with τ read off a sorted array of the row's ≤ k lowest ranks so
-//! far (Lemma 5.1; no heap). [`crate::reference::hip_weights`] computes
-//! the same weights through a heap and stays as the reference they are
+//! A builder hands its finished `nodes / dists` columns over whole,
+//! with the per-node rank table it ran on: an entry samples a node, so
+//! its rank is that node's (paper, Section 2), and the store keeps one
+//! `rank_of: [f64; n]` table instead of a rank per entry. It adds the
+//! weight column in one pass per row, writing `1/τ` with τ read off a
+//! sorted array of the row's ≤ k lowest ranks `rank_of[node]` so far
+//! (Lemma 5.1; no heap). [`crate::reference::hip_weights`] computes the
+//! same weights through a heap and stays as the reference they are
 //! tested against. The v2 encoder runs the same scan to find each
 //! weight's τ entry.
 //!
 //! # On-disk format (version 1)
 //!
 //! [`FrozenAdsSet::to_bytes`] serializes to one contiguous little-endian
-//! buffer: a 40-byte header followed by the five column arrays, widest
-//! elements first and without padding:
+//! buffer: a 40-byte header followed by the four column arrays and the
+//! rank table, widest elements first and without padding — 20 bytes per
+//! entry and 12 per node:
 //!
 //! ```text
 //! offset  size          field
-//! 0       8             magic  = b"ADSKFRZ2" (container generation 2)
+//! 0       8             magic  = b"ADSKFRZ3" (container generation 3)
 //! 8       4             format version (u32, = 1: the body layout id)
 //! 12      4             k (u32)
 //! 16      8             n = number of nodes (u64)
@@ -32,8 +36,8 @@
 //! 32      8             XXH64 (seed 0; see `Xxh64`) of every other byte of
 //!                       the buffer (header with this field zeroed + payload)
 //! 40      E*8           dists    (f64 bits)
-//! ...     E*8           ranks    (f64 bits)
 //! ...     E*8           weights  (f64 bits, HIP adjusted weights)
+//! ...     n*8           rank_of  (f64 bits; rank_of[x] is node x's rank)
 //! ...     (n+1)*4       offsets  (u32; offsets[v]..offsets[v+1] is ADS(v))
 //! ...     E*4           nodes    (u32 node ids)
 //! ```
@@ -41,13 +45,15 @@
 //! The header is 8-aligned and every `f64` column is a multiple of 8
 //! bytes, so in a (page-aligned) mapping each column starts naturally
 //! aligned for its element type whatever `n` and `E` are: a mapped v1
-//! store views all five columns in place and copies none.
+//! store views all five arrays in place and copies none.
 //!
-//! Distances, ranks and weights round-trip through `f64::to_bits`, so
+//! Distances, weights and ranks round-trip through `f64::to_bits`, so
 //! deserialization is lossless. [`FrozenAdsSet::from_bytes`] rejects a
 //! wrong magic, an unknown version, a truncated or oversized buffer, a
 //! checksum mismatch, and structurally corrupt payloads (non-monotone
 //! offsets, out-of-range node ids, entries out of canonical order).
+//! Every load, trusted ones included, checks that each node id indexes
+//! the rank table.
 //! [`FrozenAdsSet::save`] streams this format column by column without
 //! materializing the whole buffer. Every load parses one complete image
 //! slice, whatever holds it: `from_bytes` the caller's buffer, the
@@ -55,11 +61,13 @@
 //! the mapping itself.
 //!
 //! The trailing digit of the magic is the **container generation**: it
-//! changes when the header, checksum or column order change for both
-//! body layouts at once. Files of generation 1 (`ADSKFRZ1`: FNV-1a
-//! checksums, `u32` columns first) are rejected with
-//! [`FrozenError::LegacyGeneration`] by every load path — there is no
-//! legacy reader; re-freeze to upgrade.
+//! changes when the header, checksum or column set change for both
+//! body layouts at once. Generation 3 moved the ranks from a per-entry
+//! column into the per-node table, in both layouts. Files of generation
+//! 1 (`ADSKFRZ1`: FNV-1a checksums, `u32` columns first) and generation
+//! 2 (`ADSKFRZ2`: a per-entry rank column, 28 bytes per v1 entry) are
+//! rejected with [`FrozenError::LegacyGeneration`] by every load path —
+//! there is no legacy reader; re-freeze to upgrade.
 //!
 //! # On-disk format (version 2, compressed)
 //!
@@ -67,12 +75,12 @@
 //! opt-in compressed format (v1 stays the default and every reader
 //! accepts both, dispatching on the header's version field). The header
 //! shares its first 40 bytes with v1 — same magic, same checksum
-//! convention — followed by four per-column encoding tags and the block
+//! convention — followed by four encoding tags and the block
 //! granularity:
 //!
 //! ```text
 //! offset  size          field
-//! 0       8             magic  = b"ADSKFRZ2"
+//! 0       8             magic  = b"ADSKFRZ3"
 //! 8       4             format version (u32, = 2)
 //! 12      4             k (u32)
 //! 16      8             n = number of nodes (u64)
@@ -80,10 +88,11 @@
 //! 32      8             XXH64 checksum (as in v1: this field zeroed)
 //! 40      1             node-column tag   (0 delta+varint, 1 raw u32)
 //! 41      1             dist-column tag   (0 dict u16, 1 dict u32, 2 raw f64 bits)
-//! 42      1             rank-column tag   (0 fixed 7-byte m·2⁻⁵³, 1 raw f64 bits)
+//! 42      1             rank-table tag    (0 fixed 7-byte m·2⁻⁵³, 1 raw f64 bits)
 //! 43      1             weight-column tag (0 varint τ back-reference, 1 raw f64 bits)
 //! 44      4             R = rows per block (u32)
 //! 48      (n+1)*4       offsets  (u32, identical to the v1 column)
+//! ...     n*7 or n*8    rank_of  (per the rank-table tag)
 //! ...     4             D = distance-dictionary size (u32)
 //! ...     D*8           distance dictionary (distinct f64 bits, ascending)
 //! ...     (B+1)*8       block byte offsets into the blob (u64),
@@ -92,13 +101,14 @@
 //! ...     blob          per-block payloads, back to back
 //! ```
 //!
-//! Each block's payload is column-major: a 16-byte header of four u32
-//! section lengths, then the `[dists][ranks][weights][nodes]` sections
-//! for that block's entries. A `1` (or for dists `2`) tag byte marks a
-//! whole column *escaped* to raw full-width values; the encoder picks
-//! tags by **verifying bit-exact reconstruction of every entry**, so
-//! v1 ↔ v2 round trips are bitwise lossless for any store and every
-//! estimator answers bit-identically on either format. Version 2 exists
+//! Each block's payload is column-major: a 12-byte header of three u32
+//! section lengths, then the `[dists][nodes][weights]` sections for that
+//! block's entries. A `1` (or for dists `2`) tag byte marks a whole
+//! column *escaped* to raw full-width values. The rank table's tag comes
+//! from one scan of the table; the encoder picks the other tags by
+//! **verifying bit-exact reconstruction of every entry**, so v1 ↔ v2
+//! round trips are bitwise lossless for any store and every estimator
+//! answers bit-identically on either format. Version 2 exists
 //! on disk only: every load of a v2 file decodes it once, whole, into
 //! the same full-width columns a freeze or a v1 load produces (see
 //! `frozen/v2.rs`), so once loaded the two formats cost the same memory
@@ -165,7 +175,7 @@ pub use xxh64::Xxh64;
 /// Magic bytes identifying a serialized frozen ADS store. The last byte
 /// is the container generation (header, checksum function, v1 column
 /// order); the header's version field selects the body layout within it.
-pub const FROZEN_MAGIC: [u8; 8] = *b"ADSKFRZ2";
+pub const FROZEN_MAGIC: [u8; 8] = *b"ADSKFRZ3";
 /// The default on-disk format version ([`StoreFormat::V1`], full-width
 /// columns). Writers opt into the compressed version 2 via
 /// [`StoreFormat::V2`]; readers accept both.
@@ -177,14 +187,15 @@ pub const FROZEN_FORMAT_VERSION_V2: u32 = 2;
 /// every load path dispatches on the header's version field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StoreFormat {
-    /// Version 1: full-width columns (u32 node, f64 dist/rank/weight),
-    /// 28 bytes per entry. The default; fastest to write, and the only
-    /// format whose mapped loads are zero-decode (and so can exceed RAM).
+    /// Version 1: full-width columns (u32 node, f64 dist/weight), 20
+    /// bytes per entry, plus the 8-byte-per-node rank table. The default;
+    /// fastest to write, and the only format whose mapped loads are
+    /// zero-decode (and so can exceed RAM).
     #[default]
     V1,
     /// Version 2: compressed block-columnar encoding (delta+varint node
-    /// ids, dictionary distances, 7-byte ranks, τ-back-reference
-    /// weights — each with a bit-exact raw escape). Typically 2–3×
+    /// ids, dictionary distances, τ-back-reference weights, a 7-byte rank
+    /// per node — each with a bit-exact raw escape). Typically 4–5×
     /// smaller than v1 on unit-weight graphs; every load decodes it
     /// once into the full-width in-memory columns. Bitwise-lossless: a
     /// v1 ↔ v2 round trip reproduces every stored bit.
@@ -295,10 +306,11 @@ enum Image<'a> {
 /// An immutable, struct-of-arrays ADS set: what every builder returns.
 ///
 /// CSR-style layout: node `v`'s entries occupy the index range
-/// `offsets[v]..offsets[v+1]` of the four parallel columns. The
+/// `offsets[v]..offsets[v+1]` of the three parallel entry columns. The
 /// `weights` column holds the HIP adjusted weights (Lemma 5.1),
 /// computed once when the builder hands over its columns — queries never
-/// rerun the bottom-k threshold scan.
+/// rerun the bottom-k threshold scan. An entry samples a node, so its
+/// rank is that node's: one `n`-entry table `rank_of` holds them.
 ///
 /// Columns are either owned heap `Vec`s (a build, `from_bytes`, the
 /// buffered loaders, every load of a v2 file) or zero-copy views into a
@@ -319,10 +331,10 @@ pub struct FrozenAdsSet {
     nodes: Col<NodeId>,
     /// Distances from each sketch's source.
     dists: Col<f64>,
-    /// The sampled nodes' random ranks.
-    ranks: Col<f64>,
     /// Precomputed HIP adjusted weights `1/τ`.
     weights: Col<f64>,
+    /// Every node's random rank, indexed by node id (`n` elements).
+    rank_of: Col<f64>,
 }
 
 impl Clone for FrozenAdsSet {
@@ -337,17 +349,18 @@ impl Clone for FrozenAdsSet {
                 self.offsets().to_vec(),
                 self.nodes().to_vec(),
                 self.dists().to_vec(),
-                self.ranks().to_vec(),
                 self.weights().to_vec(),
+                self.rank_of().to_vec(),
             )
         }
     }
 }
 
 impl PartialEq for FrozenAdsSet {
-    /// Logical equality over `k`, the offsets, and the entry columns
-    /// (floats compared bitwise) — a mapped store and its owned copy
-    /// compare equal, and so do a v1 store and its v2 re-encoding.
+    /// Logical equality over `k`, the offsets, the entry columns and the
+    /// rank table (floats compared bitwise) — a mapped store and its
+    /// owned copy compare equal, and so do a v1 store and its v2
+    /// re-encoding.
     fn eq(&self, other: &Self) -> bool {
         let bits_eq = |a: &[f64], b: &[f64]| {
             a.iter()
@@ -358,8 +371,8 @@ impl PartialEq for FrozenAdsSet {
             && self.offsets() == other.offsets()
             && self.nodes() == other.nodes()
             && bits_eq(self.dists(), other.dists())
-            && bits_eq(self.ranks(), other.ranks())
             && bits_eq(self.weights(), other.weights())
+            && bits_eq(self.rank_of(), other.rank_of())
     }
 }
 
@@ -369,7 +382,7 @@ pub enum FrozenError {
     /// The buffer does not start with [`FROZEN_MAGIC`].
     BadMagic,
     /// The file is a frozen store of an earlier container generation
-    /// (`ADSKFRZ1`), which this build has no reader for.
+    /// (`ADSKFRZ1` or `ADSKFRZ2`), which this build has no reader for.
     LegacyGeneration,
     /// The format version is not one this build understands.
     UnsupportedVersion(u32),
@@ -399,9 +412,9 @@ impl fmt::Display for FrozenError {
             FrozenError::BadMagic => write!(f, "not a frozen ADS store (bad magic)"),
             FrozenError::LegacyGeneration => write!(
                 f,
-                "frozen ADS store written by an older build (container generation 1, \
-                 magic ADSKFRZ1); this build reads generation 2 only — re-freeze the \
-                 sketches to upgrade"
+                "frozen ADS store written by an older build (container generation 1 \
+                 or 2, magic ADSKFRZ1 or ADSKFRZ2); this build reads generation 3 only \
+                 — re-freeze the sketches to upgrade"
             ),
             FrozenError::UnsupportedVersion(v) => {
                 write!(
@@ -467,25 +480,26 @@ pub struct LoadOptions {
     /// Verify the header checksum and the full structural invariants
     /// (default **on**). Turning this off is the warm-restart fast path
     /// for files this process (or a trusted peer) already verified:
-    /// header sanity, exact length, and offset-table invariants are
-    /// still enforced, but the checksum walk and the O(E)
-    /// canonical-order scan are skipped. What that buys, measured on a
-    /// 116 MB mapped v1 store (4.1M entries, `adsbench` `offline_unit`):
-    /// a verified load takes ≈ 43 ms — the word-at-a-time XXH64 walk
-    /// (≈ 26 ms for these bytes on warm memory), the order scan and the
-    /// first touch of every page — against ≈ 0.1 ms unverified, which
-    /// touches the offset table only.
+    /// header sanity, exact length, the offset-table invariants and the
+    /// node-id range (every id indexes the rank table) are still
+    /// enforced, but the checksum walk and the canonical-order scan are
+    /// skipped. What that buys, measured on an 80 MB mapped v1 store
+    /// (4.0M entries, `adsbench` `offline_unit`, 2-vCPU host): a
+    /// verified load takes ≈ 34 ms — the word-at-a-time XXH64 walk, the
+    /// order scan and the first touch of every page — against ≈ 3 ms
+    /// unverified, which touches the offset table and the 16 MB node
+    /// column only.
     ///
-    /// A v2 file is decoded whole either way, and its block decoder
-    /// checks every block as it goes, so an unverified v2 load still
-    /// rejects, as typed errors, what a v1 load cannot see without the
-    /// checksum: section lengths that do not tile a block, escape
+    /// Both formats check every node id against the rank table at every
+    /// level. A v2 file is decoded whole either way, and its block
+    /// decoder checks every block as it goes, so an unverified v2 load
+    /// still rejects, as typed errors, what a v1 load cannot see without
+    /// the checksum: section lengths that do not tile a block, escape
     /// columns of the wrong length, out-of-range dictionary codes, rank
-    /// mantissas and τ back-references, non-canonical or truncated
-    /// varints, and node ids past `u32`. What it skips is the checksum
-    /// and the scan of the decoded rows (node ids below `n`, canonical
-    /// `(dist, node)` order), so bit rot that still decodes yields a
-    /// store with wrong values.
+    /// mantissas and τ back-references, and non-canonical or truncated
+    /// varints. What it skips is the checksum and the scan of the
+    /// decoded rows for canonical `(dist, node)` order, so bit rot that
+    /// still decodes yields a store with wrong values.
     pub verify: bool,
     /// Map the file with `mmap` instead of reading it whole into a
     /// buffer (default **off**, matching [`FrozenAdsSet::load`]). A v1
@@ -552,7 +566,7 @@ struct ParsedHeader {
 /// Validates magic/version/counts of the 40 common store-header bytes.
 fn parse_store_header(header: &[u8; HEADER_LEN]) -> Result<ParsedHeader, FrozenError> {
     if header[..8] != FROZEN_MAGIC {
-        return Err(if header[..8] == *b"ADSKFRZ1" {
+        return Err(if matches!(&header[..8], b"ADSKFRZ1" | b"ADSKFRZ2") {
             FrozenError::LegacyGeneration
         } else {
             FrozenError::BadMagic
@@ -575,7 +589,8 @@ fn parse_store_header(header: &[u8; HEADER_LEN]) -> Result<ParsedHeader, FrozenE
         )));
     }
     // All arithmetic in u128: header fields are untrusted.
-    let expected_len = HEADER_LEN as u128 + (n as u128 + 1) * 4 + entries as u128 * (4 + 3 * 8);
+    let expected_len =
+        HEADER_LEN as u128 + (n as u128 + 1) * 4 + n as u128 * 8 + entries as u128 * (4 + 2 * 8);
     Ok(ParsedHeader {
         version,
         k,
@@ -605,6 +620,18 @@ fn validate_offsets(offsets: &[u32], entries: usize) -> Result<(), FrozenError> 
         ));
     }
     Ok(())
+}
+
+/// Every sampled node id is below `n`, so the rank-table gather
+/// `rank_of[node]` is total. Every v1 load runs it, trusted ones too (v2
+/// blocks check each id as they decode it).
+fn validate_node_ids(nodes: &[NodeId], n: usize) -> Result<(), FrozenError> {
+    match nodes.iter().copied().max() {
+        Some(max) if max as usize >= n => Err(FrozenError::Corrupt(format!(
+            "sampled node id {max} out of range for {n} nodes"
+        ))),
+        _ => Ok(()),
+    }
 }
 
 /// Bytes of one column encoded, hashed and written per `write` call by
@@ -646,7 +673,7 @@ fn write_v1<W: Write + Seek>(k: u32, rows: v2::RowsSource<'_>, w: &mut W) -> std
     hash.update(&header);
     w.write_all(&header)?;
     let mut chunk = vec![0u8; ENCODE_CHUNK_BYTES];
-    for col in [rows.dists, rows.ranks, rows.weights] {
+    for col in [rows.dists, rows.weights, rows.rank_of] {
         emit(col, |x| x.to_bits().to_le_bytes(), &mut chunk, &mut hash, w)?;
     }
     for col in [rows.offsets, rows.nodes] {
@@ -686,8 +713,8 @@ impl FrozenAdsSet {
         offsets: Vec<u32>,
         nodes: Vec<NodeId>,
         dists: Vec<f64>,
-        ranks: Vec<f64>,
         weights: Vec<f64>,
+        rank_of: Vec<f64>,
     ) -> Self {
         Self {
             k,
@@ -696,15 +723,16 @@ impl FrozenAdsSet {
             offsets: Col::Owned(offsets),
             nodes: Col::Owned(nodes),
             dists: Col::Owned(dists),
-            ranks: Col::Owned(ranks),
             weights: Col::Owned(weights),
+            rank_of: Col::Owned(rank_of),
         }
     }
 
     /// Takes over a builder's entry columns — `offsets[v]..offsets[v+1]`
-    /// is row `v`, each row in canonical `(dist, node)` order — and adds
-    /// the HIP adjusted weight of every entry: one pass per row, `1/τ`
-    /// with τ the k-th smallest rank before the entry (1 while fewer than
+    /// is row `v`, each row in canonical `(dist, node)` order — with the
+    /// per-node rank table the builder ran on, and adds the HIP adjusted
+    /// weight of every entry: one pass per row, `1/τ` with τ the k-th
+    /// smallest rank `rank_of[node]` before the entry (1 while fewer than
     /// k precede it). This is the uniform-rank weight of Lemma 5.1; a set
     /// built over non-uniform ranks takes its estimates from
     /// [`crate::weighted::weighted_hip`] instead.
@@ -713,19 +741,21 @@ impl FrozenAdsSet {
         offsets: Vec<u32>,
         nodes: Vec<NodeId>,
         dists: Vec<f64>,
-        ranks: Vec<f64>,
+        rank_of: Vec<f64>,
     ) -> Self {
+        assert_eq!(offsets.len(), rank_of.len() + 1, "one rank per node");
         debug_assert_eq!(offsets.first(), Some(&0));
         debug_assert_eq!(
             *offsets.last().expect("n + 1 offsets") as usize,
             nodes.len()
         );
-        debug_assert!(dists.len() == nodes.len() && ranks.len() == nodes.len());
-        let mut weights = Vec::with_capacity(ranks.len());
+        debug_assert_eq!(dists.len(), nodes.len());
+        let mut weights = Vec::with_capacity(nodes.len());
         let mut scan = TauScan::new(k);
         for row in offsets.windows(2) {
             scan.reset();
-            for (at, &rank) in ranks[row[0] as usize..row[1] as usize].iter().enumerate() {
+            for (at, &node) in nodes[row[0] as usize..row[1] as usize].iter().enumerate() {
+                let rank = rank_of[node as usize];
                 let tau = scan.threshold().map_or(1.0, |(t, _)| t);
                 let entered = scan.offer(rank, at as u32);
                 // An exact rank tie with τ keeps the held slot (the
@@ -737,7 +767,7 @@ impl FrozenAdsSet {
                 weights.push(1.0 / tau);
             }
         }
-        Self::from_owned_cols(k as u32, offsets, nodes, dists, ranks, weights)
+        Self::from_owned_cols(k as u32, offsets, nodes, dists, weights, rank_of)
     }
 
     /// All five columns, borrowed: the writers' input.
@@ -746,8 +776,8 @@ impl FrozenAdsSet {
             offsets: self.offsets(),
             nodes: self.nodes(),
             dists: self.dists(),
-            ranks: self.ranks(),
             weights: self.weights(),
+            rank_of: self.rank_of(),
         }
     }
 
@@ -769,21 +799,21 @@ impl FrozenAdsSet {
         self.dists.slice(self.region.as_ref())
     }
 
-    /// The rank column (`E` elements).
-    #[inline]
-    fn ranks(&self) -> &[f64] {
-        self.ranks.slice(self.region.as_ref())
-    }
-
     /// The HIP adjusted-weight column (`E` elements).
     #[inline]
     fn weights(&self) -> &[f64] {
         self.weights.slice(self.region.as_ref())
     }
 
-    /// Row `v`: `ADS(v)`'s slice of each entry column. This is the single
-    /// access point every query goes through, whatever file the store
-    /// was read from.
+    /// The per-node rank table (`n` elements).
+    #[inline]
+    pub(crate) fn rank_of(&self) -> &[f64] {
+        self.rank_of.slice(self.region.as_ref())
+    }
+
+    /// Row `v`: `ADS(v)`'s slice of each entry column, and the rank
+    /// table. This is the single access point every query goes through,
+    /// whatever file the store was read from.
     #[inline]
     pub fn row(&self, v: NodeId) -> Row<'_> {
         let r = self.entry_range(v);
@@ -791,8 +821,8 @@ impl FrozenAdsSet {
             k: self.k as usize,
             nodes: &self.nodes()[r.clone()],
             dists: &self.dists()[r.clone()],
-            ranks: &self.ranks()[r.clone()],
             weights: &self.weights()[r],
+            rank_of: self.rank_of(),
         }
     }
 
@@ -859,15 +889,15 @@ impl FrozenAdsSet {
             + owned(&self.offsets)
             + owned(&self.nodes)
             + owned(&self.dists)
-            + owned(&self.ranks)
             + owned(&self.weights)
+            + owned(&self.rank_of)
     }
 
     /// Exact length of [`FrozenAdsSet::to_bytes`]'s (always version-1)
     /// output in bytes. v2 output lengths depend on the data; measure
     /// [`FrozenAdsSet::to_bytes_format`]'s result instead.
     pub fn serialized_len(&self) -> usize {
-        HEADER_LEN + self.offsets().len() * 4 + self.num_entries() * 4 + self.num_entries() * 3 * 8
+        HEADER_LEN + self.offsets().len() * 4 + self.num_nodes() * 8 + self.num_entries() * 20
     }
 
     /// Serializes to the version-1 on-disk format (one contiguous
@@ -896,8 +926,8 @@ impl FrozenAdsSet {
     /// [`FrozenAdsSet::from_bytes`] and every [`FrozenAdsSet::load_with`]
     /// level. It runs the header checks, then hands a v2 image to its
     /// decoder. For v1 it checks the exact length (truncation, trailing
-    /// bytes), the checksum under `verify`, and the offset invariants, or
-    /// under `verify` the full structural scan. Only the backing of a v1
+    /// bytes), the checksum under `verify`, and the offset invariants and
+    /// node-id range, or under `verify` the full structural scan. Only the backing of a v1
     /// store's columns depends on `image`: views of a mapping, or owned
     /// vectors decoded out of borrowed bytes.
     ///
@@ -943,7 +973,7 @@ impl FrozenAdsSet {
             at += bytes;
             at - bytes..at
         };
-        let (dists, ranks, weights) = (next(entries * 8), next(entries * 8), next(entries * 8));
+        let (dists, weights, rank_of) = (next(entries * 8), next(entries * 8), next(n * 8));
         let (offsets, nodes) = (next((n + 1) * 4), next(entries * 4));
         let store = Self {
             k: parsed.k,
@@ -951,8 +981,8 @@ impl FrozenAdsSet {
             offsets: Col::from_image(buf, region, offsets),
             nodes: Col::from_image(buf, region, nodes),
             dists: Col::from_image(buf, region, dists),
-            ranks: Col::from_image(buf, region, ranks),
             weights: Col::from_image(buf, region, weights),
+            rank_of: Col::from_image(buf, region, rank_of),
             region: match image {
                 Image::Bytes(_) => None,
                 Image::Mapped(region) => Some(region),
@@ -962,6 +992,7 @@ impl FrozenAdsSet {
             store.validate_structure()?;
         } else {
             validate_offsets(store.offsets(), store.num_entries())?;
+            validate_node_ids(store.nodes(), n)?;
         }
         Ok((store, parsed.stored_checksum))
     }
@@ -980,8 +1011,8 @@ impl FrozenAdsSet {
                 cols.offsets,
                 cols.nodes,
                 cols.dists,
-                cols.ranks,
                 cols.weights,
+                cols.rank_of,
             )
         };
         if verify {
@@ -1005,14 +1036,10 @@ impl FrozenAdsSet {
     fn validate_structure(&self) -> Result<(), FrozenError> {
         validate_offsets(self.offsets(), self.num_entries())?;
         let n = self.num_nodes();
+        validate_node_ids(self.nodes(), n)?;
         let (nodes, dists) = (self.nodes(), self.dists());
         for v in 0..n as NodeId {
             let r = self.entry_range(v);
-            if nodes[r.clone()].iter().any(|&nd| nd as usize >= n) {
-                return Err(FrozenError::Corrupt(format!(
-                    "node {v}: sampled node id out of range"
-                )));
-            }
             let ds = &dists[r.clone()];
             let ns = &nodes[r];
             let in_order = ds.windows(2).zip(ns.windows(2)).all(|(d, nd)| {
@@ -1050,9 +1077,10 @@ impl FrozenAdsSet {
     ///
     /// All of [`FrozenAdsSet::load`]'s rejections apply whenever
     /// `opts.verify` is on, regardless of backing; with `verify` off,
-    /// header sanity, exact file length, and the offset-table invariants
-    /// are still enforced (queries can never slice out of bounds), but
-    /// bit rot in the entry columns goes undetected by design.
+    /// header sanity, exact file length, the offset-table invariants and
+    /// the node-id range are still enforced (queries can never slice or
+    /// index out of bounds), but bit rot in the entry columns goes
+    /// undetected by design.
     pub fn load_with(path: impl AsRef<Path>, opts: LoadOptions) -> Result<Self, FrozenError> {
         Ok(Self::load_with_digest(path, opts)?.0)
     }
@@ -1316,7 +1344,12 @@ impl ShardManifest {
                 self.n
             )));
         }
-        let sum: u64 = self.records.iter().map(|r| r.entries).sum();
+        // Checked: the counts are untrusted, and the checksum is no MAC.
+        let sum = self
+            .records
+            .iter()
+            .try_fold(0u64, |sum, r| sum.checked_add(r.entries))
+            .ok_or_else(|| FrozenError::Corrupt("shard entry counts overflow u64".into()))?;
         if sum != self.entries {
             return Err(FrozenError::Corrupt(format!(
                 "shard entry counts sum to {sum}, manifest records {}",
@@ -1387,7 +1420,8 @@ pub fn freeze_sharded(
 /// Shard `i` covers all `n` rows, so it is a valid store with the usual
 /// in-range node-id invariant, but only its rows `lo..hi` hold entries:
 /// its offsets are rebased to that range and its entry columns are the
-/// range's slices of `ads`, written without a copy.
+/// range's slices of `ads`, written without a copy. Every shard carries
+/// the whole rank table, since its rows may sample any node.
 ///
 /// Every shard of one freeze is written in the same format, and the
 /// manifest's per-shard digests are the header checksums of the bytes
@@ -1425,8 +1459,8 @@ pub fn freeze_sharded_format(
             offsets: &offsets,
             nodes: &all.nodes[span.clone()],
             dists: &all.dists[span.clone()],
-            ranks: &all.ranks[span.clone()],
             weights: &all.weights[span.clone()],
+            rank_of: all.rank_of,
         };
         let digest = write_file(ads.k, rows, &dir.join(shard_file_name(i)), format)?;
         records.push(ShardRecord {
@@ -1610,9 +1644,10 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A shard file is written from slices of the store's columns. Its
-    /// bytes must equal the image of a store built from the same rows
-    /// with every other row empty, in both formats.
+    /// A shard file is written from slices of the store's columns and the
+    /// whole rank table. Its bytes must equal the image of a store built
+    /// from the same rows, with every other row empty, over the same
+    /// table, in both formats.
     #[test]
     fn shard_files_equal_the_images_of_their_row_range_stores() {
         let ads = sample_set();
@@ -1628,7 +1663,14 @@ mod tests {
                         BottomKAds::from_entries(ads.k(), entries)
                     })
                     .collect();
-                let range_store = crate::reference::from_sketches(ads.k(), rows);
+                let rows = crate::reference::from_sketches(ads.k(), rows);
+                let range_store = FrozenAdsSet::from_columns(
+                    ads.k(),
+                    rows.offsets().to_vec(),
+                    rows.nodes().to_vec(),
+                    rows.dists().to_vec(),
+                    ads.rank_of().to_vec(),
+                );
                 let written = std::fs::read(dir.join(shard_file_name(i))).unwrap();
                 assert_eq!(
                     written,
@@ -1889,8 +1931,8 @@ mod tests {
             assert_eq!(a.nodes, b.nodes);
             for (x, y) in [
                 (a.dists, b.dists),
-                (a.ranks, b.ranks),
                 (a.weights, b.weights),
+                (a.rank_of, b.rank_of),
             ] {
                 assert_eq!(bits(x), bits(y));
             }

@@ -1,9 +1,10 @@
 //! The compressed (version 2) frozen-store representation.
 //!
-//! Version 1 stores every entry full-width (28 B: u32 node, f64 dist,
-//! f64 rank, f64 HIP weight). The entries are heavily redundant, and all
-//! of the redundancy can be removed *without changing a single stored
-//! bit* (the workspace-wide bitwise-identity gate):
+//! Version 1 stores every entry full-width (20 B: u32 node, f64 dist,
+//! f64 HIP weight) next to an 8-byte-per-node rank table. The entries
+//! are heavily redundant, and all of the redundancy can be removed
+//! *without changing a single stored bit* (the workspace-wide
+//! bitwise-identity gate):
 //!
 //! * **Distances** repeat: a unit-weight graph has a handful of distinct
 //!   hop counts, so the distinct `f64` bit patterns go into a sorted
@@ -11,21 +12,20 @@
 //!   (u16/u32). The dictionary holds exact bit patterns, so decoding is
 //!   exact by construction; if the distinct set is too large for a
 //!   dictionary to pay off, the column *escapes* to raw 8-byte bits.
-//! * **Ranks** produced by the unweighted sampler are exactly `m·2⁻⁵³`
-//!   with `m < 2⁵³` (53 explicit hash bits), so `m` in 7 fixed bytes
-//!   reproduces the f64 bit-for-bit. The encoder verifies that property
-//!   for every entry and escapes the whole column to raw bits when any
-//!   entry fails (e.g. weighted-sampler `−ln(u)/w` ranks).
-//! * **HIP weights** are `1/τ` where `τ` is either `1.0` or the rank of
-//!   an *earlier entry of the same row* (Lemma 5.1's threshold). Each
-//!   weight stores a varint back-reference to that entry (`0` ⇒ weight
-//!   exactly `1.0`) and is rebuilt at decode time by the identical
-//!   division — verified bit-for-bit per entry at encode time, raw-bits
-//!   escape otherwise.
 //! * **Node ids** within one distance level are strictly increasing
 //!   (canonical `(dist, node)` order), so runs delta+varint-compress;
 //!   run boundaries are recovered from the already-decoded distance
 //!   codes. Escape: raw 4-byte ids.
+//! * **HIP weights** are `1/τ` where `τ` is either `1.0` or the rank of
+//!   the node an *earlier entry of the same row* samples (Lemma 5.1's
+//!   threshold). Each weight stores a varint back-reference to that
+//!   entry (`0` ⇒ weight exactly `1.0`) and is rebuilt at decode time by
+//!   the identical division `1.0 / rank_of[node]` — verified bit-for-bit
+//!   per entry at encode time, raw-bits escape otherwise.
+//! * **Ranks** live in one per-node table. The unweighted sampler's are
+//!   exactly `m·2⁻⁵³` (`m ≤ 2⁵³`), so 7 bytes of `m` reproduce each one
+//!   bit-for-bit; one scan of the table picks that, or raw bits when a
+//!   rank is off the grid (e.g. weighted-sampler `−ln(u)/w` ranks).
 //!
 //! Whether each column is compressed or escaped is a whole-column
 //! decision recorded in four header tag bytes; the encoder chooses by
@@ -36,27 +36,28 @@
 //!
 //! Entries are grouped into blocks of [`DEFAULT_ROWS_PER_BLOCK`] rows
 //! (the row count is recorded in the header). Each block encodes its
-//! entries column-major — four sections `[dists][ranks][weights][nodes]`
-//! behind a 16-byte section-length header — so decoding runs four tight
-//! homogeneous loops instead of a per-entry interleaved parse.
+//! entries column-major — three sections `[dists][nodes][weights]`, in
+//! decode order, behind a 12-byte section-length header — so decoding
+//! runs three tight loops instead of a per-entry interleaved parse.
 //!
 //! Version 2 is a **file codec**, not a way to hold a store: this module
 //! is the pair [`encode`] (columns → bytes) and [`decode`] (bytes →
 //! columns). Each makes one pass over the blocks:
 //!
-//! * [`encode`] assumes the compressed rank, weight and node tags and
-//!   writes each block straight into the image, the weights' τ
-//!   back-references read off one [`TauScan`] per row. It decodes every
-//!   block back and compares it bitwise with its source while the block
-//!   is still in cache. An entry a tag does not reproduce restarts the
-//!   encoder with that one column escaped.
+//! * [`encode`] assumes the compressed weight and node tags and writes
+//!   each block straight into the image, the weights' τ back-references
+//!   read off one [`TauScan`] per row. It decodes every block back and
+//!   compares it bitwise with its source while the block is still in
+//!   cache. An entry a tag does not reproduce restarts the encoder with
+//!   that one column escaped.
 //! * Every load path of a v2 file — `from_bytes`, buffered, mapped,
 //!   trusted — runs [`decode`] once over the whole image and ends in
 //!   the same full-width columns a freeze or a v1 load produces, so
 //!   queries never see the compressed form. Its one block decoder, the
 //!   one the encoder's self-check runs too, checks each block as it
-//!   decodes it, at every load level: a malformed block is a typed
-//!   error even in a trusted load.
+//!   decodes it, at every load level: a malformed block — a node id
+//!   past the rank table included — is a typed error even in a trusted
+//!   load.
 //!
 //! The full on-disk layout table lives in the [`super`] module docs next
 //! to the v1 table.
@@ -107,12 +108,12 @@ pub(super) enum DistTag {
     Raw = 2,
 }
 
-/// How the rank column is encoded (header byte 42).
+/// How the per-node rank table is encoded (header byte 42).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum RankTag {
-    /// 7-byte little-endian `m` with `rank = m·2⁻⁵³` exactly.
+    /// 7-byte little-endian `m` per node with `rank = m·2⁻⁵³` exactly.
     Fixed7 = 0,
-    /// Raw f64 bits per entry (escape: some rank is not an `m·2⁻⁵³`).
+    /// Raw f64 bits per node (escape: some rank is not an `m·2⁻⁵³`).
     Raw = 1,
 }
 
@@ -120,7 +121,7 @@ pub(super) enum RankTag {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum WeightTag {
     /// Varint back-reference: `0` ⇒ weight exactly `1.0`; `c > 0` ⇒
-    /// weight rebuilt as `1.0 / rank[i − c]` of the same row.
+    /// weight rebuilt as `1.0 / rank_of[nodes[i − c]]` of the same row.
     TauRef = 0,
     /// Raw f64 bits per entry (escape: some weight is not reproducible).
     Raw = 1,
@@ -146,58 +147,51 @@ impl Tags {
     }
 
     fn from_bytes(b: [u8; 4]) -> Result<Self, FrozenError> {
-        let node = match b[0] {
-            0 => NodeTag::Delta,
-            1 => NodeTag::Raw,
-            t => return Err(FrozenError::Corrupt(format!("unknown node-column tag {t}"))),
-        };
-        let dist = match b[1] {
-            0 => DistTag::Dict16,
-            1 => DistTag::Dict32,
-            2 => DistTag::Raw,
-            t => return Err(FrozenError::Corrupt(format!("unknown dist-column tag {t}"))),
-        };
-        let rank = match b[2] {
-            0 => RankTag::Fixed7,
-            1 => RankTag::Raw,
-            t => return Err(FrozenError::Corrupt(format!("unknown rank-column tag {t}"))),
-        };
-        let weight = match b[3] {
-            0 => WeightTag::TauRef,
-            1 => WeightTag::Raw,
-            t => {
-                return Err(FrozenError::Corrupt(format!(
-                    "unknown weight-column tag {t}"
-                )))
-            }
-        };
+        let bad = |what: &str, t: u8| Err(FrozenError::Corrupt(format!("unknown {what} tag {t}")));
         Ok(Self {
-            node,
-            dist,
-            rank,
-            weight,
+            node: match b[0] {
+                0 => NodeTag::Delta,
+                1 => NodeTag::Raw,
+                t => return bad("node-column", t),
+            },
+            dist: match b[1] {
+                0 => DistTag::Dict16,
+                1 => DistTag::Dict32,
+                2 => DistTag::Raw,
+                t => return bad("dist-column", t),
+            },
+            rank: match b[2] {
+                0 => RankTag::Fixed7,
+                1 => RankTag::Raw,
+                t => return bad("rank-table", t),
+            },
+            weight: match b[3] {
+                0 => WeightTag::TauRef,
+                1 => WeightTag::Raw,
+                t => return bad("weight-column", t),
+            },
         })
     }
 }
 
-/// Borrowed full-width columns — the encoder's input.
+/// Borrowed full-width columns and the rank table — the encoder's input.
 #[derive(Clone, Copy)]
 pub(super) struct RowsSource<'a> {
     pub offsets: &'a [u32],
     pub nodes: &'a [u32],
     pub dists: &'a [f64],
-    pub ranks: &'a [f64],
     pub weights: &'a [f64],
+    pub rank_of: &'a [f64],
 }
 
-/// Owned full-width columns — what [`decode`] returns.
+/// Owned full-width columns and the rank table — what [`decode`] returns.
 #[derive(Default)]
 pub(super) struct Columns {
     pub offsets: Vec<u32>,
     pub nodes: Vec<u32>,
     pub dists: Vec<f64>,
-    pub ranks: Vec<f64>,
     pub weights: Vec<f64>,
+    pub rank_of: Vec<f64>,
 }
 
 // ---------------------------------------------------------------------
@@ -211,6 +205,8 @@ struct Body<'a> {
     rows_per_block: usize,
     /// The CSR entry offsets (`n + 1` values, the v1 column).
     offsets: Vec<u32>,
+    /// The per-node rank table (`n` values).
+    rank_of: Vec<f64>,
     /// Sorted distinct distance bit patterns (empty under `DistTag::Raw`).
     dict: Vec<f64>,
     /// `num_blocks + 1` blob-relative byte offsets; block `b`'s encoding
@@ -239,8 +235,9 @@ impl<'a> Body<'a> {
     /// Slices a complete v2 image (`buf` is the whole file, its 40
     /// common header bytes already parsed into `n` and `entries`) and
     /// runs every check that does not need the blocks decoded: exact
-    /// length, the block-offset table, and the entry count against the
-    /// blob length. Runs at **every** load level.
+    /// length, the rank table's mantissas, the block-offset table, and
+    /// the entry count against the blob length. Runs at **every** load
+    /// level.
     fn parse(buf: &'a [u8], n: usize, entries: usize) -> Result<Self, FrozenError> {
         let whole = buf.len() as u64;
         let mut rest = &buf[HEADER_LEN..];
@@ -255,6 +252,21 @@ impl<'a> Body<'a> {
             .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte")))
             .collect();
 
+        let rank_of = match tags.rank {
+            RankTag::Fixed7 => {
+                let mut rank_of = Vec::with_capacity(n);
+                for c in take(&mut rest, n as u64 * 7, whole)?.chunks_exact(7) {
+                    let m = u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], 0]);
+                    if m > 1 << 53 {
+                        return Err(FrozenError::Corrupt("rank mantissa exceeds 2^53".into()));
+                    }
+                    rank_of.push(m as f64 * RANK_INV_SCALE);
+                }
+                rank_of
+            }
+            RankTag::Raw => raw_f64s(take(&mut rest, n as u64 * 8, whole)?),
+        };
+
         let d = take(&mut rest, 4, whole)?.try_into().expect("4 bytes");
         let d = u32::from_le_bytes(d) as u64;
         if d > entries.max(1) as u64 {
@@ -262,10 +274,7 @@ impl<'a> Body<'a> {
                 "distance dictionary of {d} values exceeds the entry count {entries}"
             )));
         }
-        let dict = take(&mut rest, d * 8, whole)?
-            .chunks_exact(8)
-            .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8-byte"))))
-            .collect();
+        let dict = raw_f64s(take(&mut rest, d * 8, whole)?);
 
         let block_offsets: Vec<u64> = take(&mut rest, (num_blocks + 1) * 8, whole)?
             .chunks_exact(8)
@@ -284,17 +293,18 @@ impl<'a> Body<'a> {
         }
         // `decode` allocates its columns by `entries`: bound that by the
         // bytes actually present before it does. No entry takes fewer
-        // than 11 blob bytes: a 2-byte distance code, a 7-byte rank, a
-        // 1-byte weight varint and a 1-byte node varint.
-        if entries as u64 * 11 > blob_len {
+        // than 4 blob bytes: a 2-byte distance code, a 1-byte node varint
+        // and a 1-byte weight varint.
+        if entries as u64 * 4 > blob_len {
             return Err(FrozenError::Corrupt(format!(
-                "{entries} entries cannot fit a {blob_len}-byte blob (at least 11 bytes each)"
+                "{entries} entries cannot fit a {blob_len}-byte blob (at least 4 bytes each)"
             )));
         }
         Ok(Self {
             tags,
             rows_per_block: rpb as usize,
             offsets,
+            rank_of,
             dict,
             block_offsets,
             blob,
@@ -314,27 +324,27 @@ fn block_rows(b: usize, rows_per_block: usize, n: usize) -> Range<usize> {
 }
 
 /// What decoding any block of one image takes besides its bytes: the
-/// column tags, the distance dictionary and the CSR offsets, which say
-/// where each row starts.
+/// column tags, the distance dictionary, the CSR offsets, which say
+/// where each row starts, and the rank table the weights divide by.
 #[derive(Clone, Copy)]
 struct Codec<'a> {
     tags: Tags,
     dict: &'a [f64],
     offsets: &'a [u32],
+    rank_of: &'a [f64],
 }
 
 impl Codec<'_> {
     /// Decodes block `b` (the rows `rows`, encoded as `span`) into
-    /// `out`'s four entry columns, the block's first entry at index
-    /// `first`. The one
-    /// block decoder: every v2 load level and the encoder's self-check
-    /// run it. It checks as it decodes and fails on the first fault:
-    /// the section lengths tile the span; each fixed-width section holds
-    /// exactly one value per entry; dictionary codes, rank mantissas and
-    /// weight back-references are in range; varints are canonical and
-    /// each varint section ends with its last row; node ids fit a u32.
-    /// (Node-id range and canonical `(dist, node)` row order are checked
-    /// on the decoded columns, by the scan v1 loads run.)
+    /// `out`'s entry columns, the block's first entry at index `first`.
+    /// The one block decoder: every v2 load level and the encoder's
+    /// self-check run it. It checks as it decodes and fails on the first
+    /// fault: the section lengths tile the span; each fixed-width section
+    /// holds one value per entry; dictionary codes and weight
+    /// back-references are in range; varints are canonical and each
+    /// varint section ends with its last row; every node id is below `n`
+    /// before a weight gathers its rank. (Canonical `(dist, node)` row
+    /// order is checked on the decoded columns, by the scan v1 loads run.)
     fn decode_block(
         &self,
         b: usize,
@@ -348,10 +358,10 @@ impl Codec<'_> {
         let at = first..first + count;
         let nodes = &mut out.nodes[at.clone()];
         let dists = &mut out.dists[at.clone()];
-        let ranks = &mut out.ranks[at.clone()];
         let weights = &mut out.weights[at];
+        let n = self.rank_of.len();
         let corrupt = |what: String| FrozenError::Corrupt(format!("block {b}: {what}"));
-        let Some([sec_d, sec_r, sec_w, sec_n]) = split_sections(span) else {
+        let Some([sec_d, sec_n, sec_w]) = split_sections(span) else {
             return Err(corrupt(format!(
                 "section lengths do not tile the {}-byte block span",
                 span.len()
@@ -374,17 +384,18 @@ impl Codec<'_> {
                 .copied()
                 .ok_or_else(|| corrupt(format!("dist code {code} out of dictionary")))
         };
+        let node_id = |id: u64| {
+            (id < n as u64)
+                .then_some(id as u32)
+                .ok_or_else(|| corrupt(format!("node id {id} out of range for {n} nodes")))
+        };
         let row_span =
             |v: usize| self.offsets[v] as usize - base..self.offsets[v + 1] as usize - base;
-        let ended = |at: usize, sec: &[u8], name: &str| {
-            if at == sec.len() {
-                Ok(())
-            } else {
-                Err(corrupt(format!(
-                    "{} trailing bytes after the {name} varint stream",
-                    sec.len() - at
-                )))
-            }
+        let ended = |at: usize, sec: &[u8], name: &str| match sec.len() - at {
+            0 => Ok(()),
+            extra => Err(corrupt(format!(
+                "{extra} trailing bytes after the {name} varint stream"
+            ))),
         };
 
         // Distances first: node runs are recovered from them.
@@ -407,29 +418,42 @@ impl Codec<'_> {
             }
         }
 
-        match self.tags.rank {
-            RankTag::Fixed7 => {
-                fixed(sec_r, 7, "rank")?;
-                for (r, c) in ranks.iter_mut().zip(sec_r.chunks_exact(7)) {
-                    let mut m = [0u8; 8];
-                    m[..7].copy_from_slice(c);
-                    let m = u64::from_le_bytes(m);
-                    if m > 1 << 53 {
-                        return Err(corrupt("rank mantissa exceeds 2^53".into()));
+        // Nodes next: the weights gather their ranks.
+        match self.tags.node {
+            NodeTag::Delta => {
+                let mut at = 0;
+                for v in rows.clone() {
+                    let row = row_span(v);
+                    let (nodes, dists) = (&mut nodes[row.clone()], &dists[row]);
+                    // One past the previous id, where a distance run
+                    // continues (kept in a register, not re-read).
+                    let mut next = 0u64;
+                    for i in 0..nodes.len() {
+                        let x = varint::read(sec_n, &mut at)
+                            .map_err(|e| corrupt(format!("row {v} node column: {e}")))?;
+                        let id = if i > 0 && dists[i].to_bits() == dists[i - 1].to_bits() {
+                            next.saturating_add(x)
+                        } else {
+                            x
+                        };
+                        nodes[i] = node_id(id)?;
+                        next = id + 1;
                     }
-                    *r = m as f64 * RANK_INV_SCALE;
                 }
+                ended(at, sec_n, "node")?;
             }
-            RankTag::Raw => {
-                fixed(sec_r, 8, "rank")?;
-                read_raw_f64(sec_r, ranks);
+            NodeTag::Raw => {
+                fixed(sec_n, 4, "node")?;
+                for (x, c) in nodes.iter_mut().zip(sec_n.chunks_exact(4)) {
+                    *x = node_id(u32::from_le_bytes(c.try_into().expect("4-byte")) as u64)?;
+                }
             }
         }
 
         match self.tags.weight {
             WeightTag::TauRef => {
                 let mut at = 0;
-                for v in rows.clone() {
+                for v in rows {
                     let row = row_span(v);
                     for i in row.clone() {
                         let back = varint::read(sec_w, &mut at)
@@ -437,7 +461,7 @@ impl Codec<'_> {
                         weights[i] = if back == 0 {
                             1.0
                         } else if back <= (i - row.start) as u64 {
-                            1.0 / ranks[i - back as usize]
+                            1.0 / self.rank_of[nodes[i - back as usize] as usize]
                         } else {
                             return Err(corrupt(format!(
                                 "row {v}: weight back-reference {back} reaches before entry 0"
@@ -452,38 +476,6 @@ impl Codec<'_> {
                 read_raw_f64(sec_w, weights);
             }
         }
-
-        match self.tags.node {
-            NodeTag::Delta => {
-                let mut at = 0;
-                for v in rows {
-                    let row = row_span(v);
-                    let (nodes, dists) = (&mut nodes[row.clone()], &dists[row]);
-                    // One past the previous id, where a distance run
-                    // continues (kept in a register, not re-read).
-                    let mut next = 0u64;
-                    for i in 0..nodes.len() {
-                        let x = varint::read(sec_n, &mut at)
-                            .map_err(|e| corrupt(format!("row {v} node column: {e}")))?;
-                        let id = if i > 0 && dists[i].to_bits() == dists[i - 1].to_bits() {
-                            next.saturating_add(x)
-                        } else {
-                            x
-                        };
-                        nodes[i] = u32::try_from(id)
-                            .map_err(|_| corrupt(format!("row {v}: node id {id} overflows u32")))?;
-                        next = id + 1;
-                    }
-                }
-                ended(at, sec_n, "node")?;
-            }
-            NodeTag::Raw => {
-                fixed(sec_n, 4, "node")?;
-                for (x, c) in nodes.iter_mut().zip(sec_n.chunks_exact(4)) {
-                    *x = u32::from_le_bytes(c.try_into().expect("4-byte"));
-                }
-            }
-        }
         Ok(())
     }
 }
@@ -493,6 +485,13 @@ fn read_raw_f64(sec: &[u8], out: &mut [f64]) {
     for (x, c) in out.iter_mut().zip(sec.chunks_exact(8)) {
         *x = f64::from_bits(u64::from_le_bytes(c.try_into().expect("8-byte")));
     }
+}
+
+/// The little-endian f64 bit patterns `bytes` holds, collected.
+fn raw_f64s(bytes: &[u8]) -> Vec<f64> {
+    let mut out = vec![0.0; bytes.len() / 8];
+    read_raw_f64(bytes, &mut out);
+    out
 }
 
 /// Decodes a complete v2 image (`buf` is the whole file, `header` its
@@ -518,16 +517,16 @@ pub(super) fn decode(
     super::validate_offsets(&body.offsets, entries)?;
     // Zeroed allocations: fresh pages, each written once by its block.
     let mut cols = Columns {
-        offsets: Vec::new(),
         nodes: vec![0; entries],
         dists: vec![0.0; entries],
-        ranks: vec![0.0; entries],
         weights: vec![0.0; entries],
+        ..Columns::default()
     };
     let codec = Codec {
         tags: body.tags,
         dict: &body.dict,
         offsets: &body.offsets,
+        rank_of: &body.rank_of,
     };
     let n = body.offsets.len() - 1;
     for b in 0..body.block_offsets.len() - 1 {
@@ -536,26 +535,24 @@ pub(super) fn decode(
         codec.decode_block(b, rows, body.block_span(b), &mut cols, first)?;
     }
     cols.offsets = body.offsets;
+    cols.rank_of = body.rank_of;
     Ok(cols)
 }
 
-/// Splits a block span into its four sections behind the 16-byte
+/// Splits a block span into its three sections behind the 12-byte
 /// length header; `None` unless the lengths tile the span exactly.
-fn split_sections(span: &[u8]) -> Option<[&[u8]; 4]> {
-    if span.len() < 16 {
+fn split_sections(span: &[u8]) -> Option<[&[u8]; 3]> {
+    if span.len() < 12 {
         return None;
     }
     let len = |i: usize| u32::from_le_bytes(span[i * 4..i * 4 + 4].try_into().unwrap()) as usize;
-    let (l0, l1, l2, l3) = (len(0), len(1), len(2), len(3));
-    let total = l0.checked_add(l1)?.checked_add(l2)?.checked_add(l3)?;
-    if total != span.len() - 16 {
+    let (l0, l1, l2) = (len(0), len(1), len(2));
+    if l0.checked_add(l1)?.checked_add(l2)? != span.len() - 12 {
         return None;
     }
-    let body = &span[16..];
-    let (s0, rest) = body.split_at(l0);
-    let (s1, rest) = rest.split_at(l1);
-    let (s2, s3) = rest.split_at(l2);
-    Some([s0, s1, s2, s3])
+    let (s0, rest) = span[12..].split_at(l0);
+    let (s1, s2) = rest.split_at(l1);
+    Some([s0, s1, s2])
 }
 
 // ---------------------------------------------------------------------
@@ -564,19 +561,19 @@ fn split_sections(span: &[u8]) -> Option<[&[u8]; 4]> {
 
 /// A column some entry does not reproduce in its compressed encoding.
 enum Escape {
-    Rank,
     Weight,
     Node,
 }
 
 /// Serializes `rows` to the complete v2 byte image (header, checksum
-/// patched in). The encoder is optimistic: it starts from the
-/// compressed rank, weight and node tags and writes one block at a
-/// time, straight into the image. If an entry does not reproduce
-/// bit-for-bit under its column's tag, it starts over with that one
-/// column escaped to raw bits, so the tags are those a verification of
-/// every entry picks. Each block is decoded back and compared bitwise
-/// with its source as soon as it is written, while it is still in cache.
+/// patched in). The rank table's tag comes from one scan of the table.
+/// The encoder is optimistic about the rest: it starts from the
+/// compressed weight and node tags and writes one block at a time,
+/// straight into the image. If an entry does not reproduce bit-for-bit
+/// under its column's tag, it starts over with that one column escaped
+/// to raw bits, so the tags are those a verification of every entry
+/// picks. Each block is decoded back and compared bitwise with its
+/// source as soon as it is written, while it is still in cache.
 pub(super) fn encode(k: u32, rows: RowsSource<'_>) -> Vec<u8> {
     let entries = rows.nodes.len();
     // Distance dictionary: sorted distinct bit patterns, exact by
@@ -591,17 +588,21 @@ pub(super) fn encode(k: u32, rows: RowsSource<'_>) -> Vec<u8> {
         dict = Vec::new();
         DistTag::Raw
     };
+    let on_grid = rows.rank_of.iter().all(|&r| rank_to_m(r).is_some());
     let mut tags = Tags {
         node: NodeTag::Delta,
         dist,
-        rank: RankTag::Fixed7,
+        rank: if on_grid {
+            RankTag::Fixed7
+        } else {
+            RankTag::Raw
+        },
         weight: WeightTag::TauRef,
     };
     let mut buf = Vec::new();
     loop {
         match encode_with(k, rows, tags, &dict, &mut buf) {
             Ok(()) => return buf,
-            Err(Escape::Rank) => tags.rank = RankTag::Raw,
             Err(Escape::Weight) => tags.weight = WeightTag::Raw,
             Err(Escape::Node) => tags.node = NodeTag::Raw,
         }
@@ -610,7 +611,8 @@ pub(super) fn encode(k: u32, rows: RowsSource<'_>) -> Vec<u8> {
 
 /// One attempt of [`encode`] under fixed `tags`, into `buf` (cleared
 /// first). See the layout table in the module docs of `frozen.rs`:
-/// header, entry offsets, dictionary, block offsets, blob length, blob.
+/// header, entry offsets, rank table, dictionary, block offsets, blob
+/// length, blob.
 fn encode_with(
     k: u32,
     rows: RowsSource<'_>,
@@ -623,7 +625,7 @@ fn encode_with(
     let rpb = DEFAULT_ROWS_PER_BLOCK as usize;
     let num_blocks = n.div_ceil(rpb);
     buf.clear();
-    buf.reserve(V2_HEADER_LEN + (n + 1) * 4 + dict.len() * 8 + num_blocks * 24 + entries * 16);
+    buf.reserve(V2_HEADER_LEN + n * 12 + dict.len() * 8 + num_blocks * 24 + entries * 8);
     buf.extend_from_slice(&super::FROZEN_MAGIC);
     buf.extend_from_slice(&2u32.to_le_bytes());
     buf.extend_from_slice(&k.to_le_bytes());
@@ -634,6 +636,13 @@ fn encode_with(
     buf.extend_from_slice(&DEFAULT_ROWS_PER_BLOCK.to_le_bytes());
     for &o in rows.offsets {
         buf.extend_from_slice(&o.to_le_bytes());
+    }
+    match tags.rank {
+        RankTag::Fixed7 => rows.rank_of.iter().for_each(|&r| {
+            let m = rank_to_m(r).expect("the table scan picked Fixed7");
+            buf.extend_from_slice(&m.to_le_bytes()[..7]);
+        }),
+        RankTag::Raw => put_raw_f64(rows.rank_of, buf),
     }
     buf.extend_from_slice(&(dict.len() as u32).to_le_bytes());
     for &x in dict {
@@ -648,6 +657,7 @@ fn encode_with(
         tags,
         dict,
         offsets: rows.offsets,
+        rank_of: rows.rank_of,
     };
     let mut scan = TauScan::new((k as usize).max(1));
     let mut check = Columns::default();
@@ -660,14 +670,12 @@ fn encode_with(
         // Self-check, through the decoder every load runs.
         check.nodes.resize(span.len(), 0);
         check.dists.resize(span.len(), 0.0);
-        check.ranks.resize(span.len(), 0.0);
         check.weights.resize(span.len(), 0.0);
         let decoded = codec.decode_block(b, block, &buf[start..], &mut check, 0);
         assert!(
             decoded.is_ok()
                 && check.nodes == rows.nodes[span.clone()]
                 && bits_eq(&check.dists, &rows.dists[span.clone()])
-                && bits_eq(&check.ranks, &rows.ranks[span.clone()])
                 && bits_eq(&check.weights, &rows.weights[span]),
             "v2 encoder self-verification failed in block {b} ({decoded:?}) — this is a bug"
         );
@@ -682,12 +690,13 @@ fn encode_with(
     Ok(())
 }
 
-/// Appends the rows `block` of `src` to `out` as one block: the 16-byte
-/// section-length header, then the dist, rank, weight and node sections
-/// under `cx.tags`. Fails on the first entry a compressed tag does not
+/// Appends the rows `block` of `src` to `out` as one block: the 12-byte
+/// section-length header, then the dist, node and weight sections under
+/// `cx.tags`. Fails on the first entry a compressed tag does not
 /// reproduce. The weights' back-references come from one [`TauScan`]
-/// per row: the Lemma 5.1 threshold entry, with a backwards search for
-/// exact-tie corner cases and non-HIP weights.
+/// per row over the sampled nodes' ranks: the Lemma 5.1 threshold
+/// entry, with a backwards search for exact-tie corner cases and
+/// non-HIP weights.
 fn encode_block(
     cx: &Codec<'_>,
     src: RowsSource<'_>,
@@ -697,7 +706,7 @@ fn encode_block(
 ) -> Result<(), Escape> {
     let span = src.offsets[block.start] as usize..src.offsets[block.end] as usize;
     let head = out.len();
-    out.extend_from_slice(&[0u8; 16]);
+    out.extend_from_slice(&[0u8; 12]);
     let mut mark = out.len();
     let mut end_section = |out: &mut Vec<u8>, s: usize| {
         let len = out.len() - mark;
@@ -706,6 +715,7 @@ fn encode_block(
         mark = out.len();
     };
     let row_span = |v: usize| src.offsets[v] as usize..src.offsets[v + 1] as usize;
+    let rank = |i: usize| src.rank_of[src.nodes[i] as usize];
 
     let dists = &src.dists[span.clone()];
     match cx.tags.dist {
@@ -732,21 +742,38 @@ fn encode_block(
     }
     end_section(out, 0);
 
-    let ranks = &src.ranks[span.clone()];
-    match cx.tags.rank {
-        RankTag::Fixed7 => {
-            for &r in ranks {
-                let m = rank_to_m(r).ok_or(Escape::Rank)?;
-                out.extend_from_slice(&m.to_le_bytes()[..7]);
+    match cx.tags.node {
+        NodeTag::Delta => {
+            // Strictly increasing ids within a distance run; anything
+            // else (only a store that skipped the canonical-order check
+            // holds it) escapes the column.
+            for v in block.clone() {
+                let row = row_span(v);
+                for i in row.clone() {
+                    let same_run =
+                        i > row.start && src.dists[i].to_bits() == src.dists[i - 1].to_bits();
+                    let x = if !same_run {
+                        src.nodes[i]
+                    } else if src.nodes[i] > src.nodes[i - 1] {
+                        src.nodes[i] - src.nodes[i - 1] - 1
+                    } else {
+                        return Err(Escape::Node);
+                    };
+                    varint::encode(x as u64, out);
+                }
             }
         }
-        RankTag::Raw => put_raw_f64(ranks, out),
+        NodeTag::Raw => {
+            for &x in &src.nodes[span.clone()] {
+                out.extend_from_slice(&x.to_le_bytes());
+            }
+        }
     }
     end_section(out, 1);
 
     match cx.tags.weight {
         WeightTag::TauRef => {
-            for v in block.clone() {
+            for v in block {
                 let row = row_span(v);
                 scan.reset();
                 for i in row.clone() {
@@ -764,48 +791,19 @@ fn encode_block(
                                 // bits will do.
                                 (row.start..i)
                                     .rev()
-                                    .find(|&j| (1.0 / src.ranks[j]).to_bits() == w)
+                                    .find(|&j| (1.0 / rank(j)).to_bits() == w)
                                     .map(|j| (i - j) as u32)
                             })
                             .ok_or(Escape::Weight)?
                     };
                     varint::encode(back as u64, out);
-                    scan.offer(src.ranks[i], at);
+                    scan.offer(rank(i), at);
                 }
             }
         }
-        WeightTag::Raw => put_raw_f64(&src.weights[span.clone()], out),
+        WeightTag::Raw => put_raw_f64(&src.weights[span], out),
     }
     end_section(out, 2);
-
-    match cx.tags.node {
-        NodeTag::Delta => {
-            // Strictly increasing ids within a distance run; anything
-            // else (only a store that skipped the canonical-order check
-            // holds it) escapes the column.
-            for v in block {
-                let row = row_span(v);
-                for i in row.clone() {
-                    let same_run =
-                        i > row.start && src.dists[i].to_bits() == src.dists[i - 1].to_bits();
-                    let x = if !same_run {
-                        src.nodes[i]
-                    } else if src.nodes[i] > src.nodes[i - 1] {
-                        src.nodes[i] - src.nodes[i - 1] - 1
-                    } else {
-                        return Err(Escape::Node);
-                    };
-                    varint::encode(x as u64, out);
-                }
-            }
-        }
-        NodeTag::Raw => {
-            for &x in &src.nodes[span] {
-                out.extend_from_slice(&x.to_le_bytes());
-            }
-        }
-    }
-    end_section(out, 3);
     Ok(())
 }
 
@@ -925,12 +923,13 @@ mod tests {
 
         let zeros = vec![0u32; dists.len()];
         let fzeros = vec![0.0f64; dists.len()];
+        let rank_of = vec![0.0f64; offsets.len() - 1];
         let rows = RowsSource {
             offsets: &offsets,
             nodes: &zeros,
             dists: &dists,
-            ranks: &fzeros,
             weights: &fzeros,
+            rank_of: &rank_of,
         };
         let image = encode(4, rows);
         let body = Body::parse(&image, offsets.len() - 1, dists.len()).expect("parses");

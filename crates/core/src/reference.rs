@@ -142,26 +142,49 @@ pub fn hip_weights(k: usize, entries: impl IntoIterator<Item = AdsEntry>) -> Hip
 }
 
 /// The store of pre-built sketches (one per node, each in canonical
-/// order): how the oracle's sketches become a set.
+/// order): how the oracle's sketches become a set. The store's rank table
+/// is read off the entries: a node no row samples gets rank 1.0, and
+/// empty rows are appended until every sampled id names a row.
+///
+/// # Panics
+///
+/// If the sketches mix values of k, or one node is sampled with two
+/// different ranks (an entry's rank is its node's rank).
 pub fn from_sketches(k: usize, sketches: Vec<BottomKAds>) -> AdsSet {
     assert!(sketches.iter().all(|s| s.k == k), "mixed k in ADS set");
+    let mut rank_of: Vec<Option<f64>> = vec![None; sketches.len()];
+    for e in sketches.iter().flat_map(|s| &s.entries) {
+        let v = e.node as usize;
+        if v >= rank_of.len() {
+            rank_of.resize(v + 1, None);
+        }
+        let held = *rank_of[v].get_or_insert(e.rank);
+        assert!(
+            held.to_bits() == e.rank.to_bits(),
+            "node {v} sampled with two ranks ({held} and {})",
+            e.rank
+        );
+    }
+    let rank_of: Vec<f64> = rank_of.into_iter().map(|r| r.unwrap_or(1.0)).collect();
+    store_over(k, &sketches, &rank_of)
+}
+
+/// The store of `sketches`, row `v` from `sketches[v]` (empty past their
+/// end), over the per-node ranks `rank_of`.
+fn store_over(k: usize, sketches: &[BottomKAds], rank_of: &[f64]) -> AdsSet {
     let total = sketches.iter().map(BottomKAds::len).sum();
-    let mut offsets = Vec::with_capacity(sketches.len() + 1);
-    let (mut nodes, mut dists, mut ranks) = (
-        Vec::with_capacity(total),
-        Vec::with_capacity(total),
-        Vec::with_capacity(total),
-    );
+    let mut offsets = Vec::with_capacity(rank_of.len() + 1);
+    let (mut nodes, mut dists) = (Vec::with_capacity(total), Vec::with_capacity(total));
     offsets.push(0);
-    for s in &sketches {
+    for s in sketches {
         for e in &s.entries {
             nodes.push(e.node);
             dists.push(e.dist);
-            ranks.push(e.rank);
         }
         offsets.push(u32::try_from(nodes.len()).expect("at most 2^32 − 1 entries"));
     }
-    AdsSet::from_columns(k, offsets, nodes, dists, ranks)
+    offsets.resize(rank_of.len() + 1, nodes.len() as u32);
+    AdsSet::from_columns(k, offsets, nodes, dists, rank_of.to_vec())
 }
 
 fn assert_canonical_order(order: &[(NodeId, f64)]) {
@@ -256,16 +279,17 @@ pub fn kpartition_from_order(
 }
 
 /// Brute-force forward bottom-k ADS set for a graph: one exact Dijkstra per
-/// node. O(n·m log n) — the validation oracle for the scalable builders.
+/// node, over the rank table `ranks`. O(n·m log n) — the validation
+/// oracle for the scalable builders.
 pub fn build_bottomk(g: &Graph, k: usize, ranks: &[f64]) -> AdsSet {
     assert_eq!(ranks.len(), g.num_nodes());
-    let sketches = (0..g.num_nodes() as NodeId)
+    let sketches: Vec<BottomKAds> = (0..g.num_nodes() as NodeId)
         .map(|v| {
             let order = dijkstra_order_canonical(g, v);
             bottomk_from_order(k, &order, ranks)
         })
         .collect();
-    from_sketches(k, sketches)
+    store_over(k, &sketches, ranks)
 }
 
 /// Brute-force forward k-mins ADS set.
@@ -571,6 +595,30 @@ mod tests {
         let a = BottomKAds::from_entries(2, Vec::new());
         let b = BottomKAds::from_entries(3, Vec::new());
         let _ = from_sketches(2, vec![a, b]);
+    }
+
+    #[test]
+    #[should_panic(expected = "two ranks")]
+    fn from_sketches_rejects_a_node_sampled_with_two_ranks() {
+        let a = BottomKAds::from_entries(2, vec![AdsEntry::new(1, 0.0, 0.5)]);
+        let b = BottomKAds::from_entries(2, vec![AdsEntry::new(1, 0.0, 0.25)]);
+        let _ = from_sketches(2, vec![a, b]);
+    }
+
+    /// One row over node ids past the row count: empty rows are appended
+    /// until every id names a row, and unsampled nodes rank 1.0.
+    #[test]
+    fn from_sketches_pads_rows_to_the_largest_sampled_id() {
+        let row = BottomKAds::from_entries(
+            1,
+            vec![AdsEntry::new(0, 0.0, 0.5), AdsEntry::new(3, 1.0, 0.25)],
+        );
+        let set = from_sketches(1, vec![row.clone()]);
+        assert_eq!(set.num_nodes(), 4);
+        assert!(set.row(0).entries().eq(row.entries().iter().copied()));
+        assert!((1..4).all(|v| set.row(v).is_empty()));
+        let ranks: Vec<f64> = (0..4).map(|v| set.rank_of()[v]).collect();
+        assert_eq!(ranks, [0.5, 1.0, 1.0, 0.25]);
     }
 
     /// The oracle's sketches go in and come back out row for row, and the

@@ -12,8 +12,10 @@
 //! **bitwise identical** across them; `tests/frozen_roundtrip.rs` checks
 //! them against the heap reference [`crate::reference::hip_weights`].
 //!
-//! The store keeps its entries struct-of-arrays, and a row is four
-//! slices of those columns plus `k`: lending one is zero-copy and
+//! The store keeps its entries struct-of-arrays, and a row is three
+//! slices of those columns, the store's per-node rank table and `k`: an
+//! entry samples a node, so its rank is that node's rank, read through
+//! [`Row::rank`]. Lending a row is zero-copy and
 //! allocation-free, which is what the batch
 //! [`crate::engine::QueryEngine`] runs on. The store has one in-memory
 //! layout whichever file format it was read from — the **compressed**
@@ -22,15 +24,18 @@
 //! v1's, so the bitwise-identity guarantee above holds across formats
 //! too.
 
+use std::fmt;
+
 use adsketch_graph::NodeId;
 use adsketch_minhash::BottomKSketch;
 
 use crate::entry::AdsEntry;
 use crate::hip::HipRow;
 
-/// One node's ADS, borrowed from a store: the sketch parameter and the
-/// entry columns' slices, each in canonical `(dist, node)` order.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// One node's ADS, borrowed from a store: the sketch parameter, the
+/// entry columns' slices, each in canonical `(dist, node)` order, and the
+/// store's rank table, which [`Row::rank`] reads.
+#[derive(Clone, Copy)]
 pub struct Row<'a> {
     /// The sketch parameter k.
     pub k: usize,
@@ -38,10 +43,36 @@ pub struct Row<'a> {
     pub nodes: &'a [NodeId],
     /// Their distances from the row's source.
     pub dists: &'a [f64],
-    /// Their random ranks.
-    pub ranks: &'a [f64],
     /// Their HIP adjusted weights `1/τ`.
     pub weights: &'a [f64],
+    /// The store's random rank of every node, indexed by node id. Every
+    /// load checks each sampled id against it.
+    pub(crate) rank_of: &'a [f64],
+}
+
+impl PartialEq for Row<'_> {
+    /// Entry-wise equality (ranks through [`Row::rank`]), whichever
+    /// table lends the ranks.
+    fn eq(&self, other: &Self) -> bool {
+        self.k == other.k
+            && self.nodes == other.nodes
+            && self.dists == other.dists
+            && self.weights == other.weights
+            && (0..self.len()).all(|i| self.rank(i) == other.rank(i))
+    }
+}
+
+impl fmt::Debug for Row<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let ranks: Vec<f64> = (0..self.len()).map(|i| self.rank(i)).collect();
+        f.debug_struct("Row")
+            .field("k", &self.k)
+            .field("nodes", &self.nodes)
+            .field("dists", &self.dists)
+            .field("ranks", &ranks)
+            .field("weights", &self.weights)
+            .finish()
+    }
 }
 
 impl<'a> Row<'a> {
@@ -67,13 +98,19 @@ impl<'a> Row<'a> {
         }
     }
 
+    /// The random rank of entry `i`: the rank of the node it samples.
+    #[inline]
+    pub fn rank(&self, i: usize) -> f64 {
+        self.rank_of[self.nodes[i] as usize]
+    }
+
     /// The entries in canonical order.
     pub fn entries(&self) -> impl ExactSizeIterator<Item = AdsEntry> + 'a {
+        let rank_of = self.rank_of;
         self.nodes
             .iter()
             .zip(self.dists)
-            .zip(self.ranks)
-            .map(|((&node, &dist), &rank)| AdsEntry::new(node, dist, rank))
+            .map(move |(&node, &dist)| AdsEntry::new(node, dist, rank_of[node as usize]))
     }
 
     /// Number of entries within distance `d`: the canonical prefix
@@ -89,8 +126,8 @@ impl<'a> Row<'a> {
     pub fn minhash_at(&self, d: f64) -> BottomKSketch {
         let cut = self.size_at(d);
         let mut sketch = BottomKSketch::new(self.k);
-        for (&rank, &node) in self.ranks[..cut].iter().zip(&self.nodes[..cut]) {
-            sketch.insert_ranked(rank, node as u64);
+        for &node in &self.nodes[..cut] {
+            sketch.insert_ranked(self.rank_of[node as usize], node as u64);
         }
         sketch
     }

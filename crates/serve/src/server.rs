@@ -639,11 +639,7 @@ fn sketch_prefix_bounded<S: AdsView>(store: &S, d: f64, nodes: &[NodeId]) -> Res
     for &v in nodes {
         let row = store.row(v);
         let cut = row.size_at(d);
-        let seq: Vec<(f64, NodeId)> = row.ranks[..cut]
-            .iter()
-            .copied()
-            .zip(row.nodes[..cut].iter().copied())
-            .collect();
+        let seq: Vec<(f64, NodeId)> = (0..cut).map(|i| (row.rank(i), row.nodes[i])).collect();
         size += 4 + 12 * seq.len() as u64;
         if size > MAX_FRAME_LEN as u64 {
             return sketches_too_large(nodes.len());

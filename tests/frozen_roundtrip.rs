@@ -10,8 +10,10 @@ use std::path::PathBuf;
 use proptest::prelude::*;
 
 use adsketch::core::frozen::Xxh64;
+use adsketch::core::frozen::SHARD_MANIFEST_FILE;
 use adsketch::core::{
-    centrality, reference, AdsSet, FrozenAdsSet, FrozenError, LoadOptions, QueryEngine,
+    centrality, freeze_sharded, reference, AdsSet, FrozenAdsSet, FrozenError, LoadOptions,
+    QueryEngine, ShardManifest,
 };
 use adsketch::graph::{generators, Graph, NodeId};
 use adsketch::util::{Rng64, SplitMix64};
@@ -237,7 +239,8 @@ fn no_panic<T>(what: &str, load: impl FnOnce() -> T) -> T {
 /// image, `from_bytes`, the buffered load and the verified mapped load
 /// give the same verdict — the same store or the same error variant —
 /// and nothing panics. A store the trusted load accepts (it skips the
-/// checksum and the order scan) must still answer a full sweep.
+/// checksum and the order scan) must still answer a full sweep, and a
+/// rank-table gather for every entry.
 #[test]
 fn all_load_paths_agree_on_mutated_golden_fixtures() {
     for name in ["golden_ba30_k3.v1.ads", "golden_ba30_k3.v2.ads"] {
@@ -276,10 +279,41 @@ fn all_load_paths_agree_on_mutated_golden_fixtures() {
             });
             if let Ok(store) = trusted {
                 no_panic(&what("trusted sweep"), || {
-                    QueryEngine::new(&store).harmonic_all()
+                    QueryEngine::new(&store).harmonic_all();
+                    let n = store.num_nodes() as NodeId;
+                    (0..n)
+                        .map(|v| store.row(v).minhash_at(f64::INFINITY).len())
+                        .sum::<usize>()
                 });
             }
         }
         std::fs::remove_file(&path).ok();
+    }
+}
+
+/// Hostile inputs, manifest slice: the same mutations of a sharded
+/// store's manifest either fail to parse, as a typed error, or parse to
+/// a manifest that writes back exactly the mutated bytes. Nothing
+/// panics.
+#[test]
+fn mutated_shard_manifests_are_typed_errors_or_exact_roundtrips() {
+    let ads = AdsSet::build(&generators::gnp_directed(60, 0.07, 21), 3, 5);
+    let dir = std::env::temp_dir().join("adsketch_test_mutation_manifest");
+    std::fs::remove_dir_all(&dir).ok();
+    freeze_sharded(&ads, 4, &dir).expect("freeze_sharded");
+    let good = std::fs::read(dir.join(SHARD_MANIFEST_FILE)).expect("manifest");
+    std::fs::remove_dir_all(&dir).ok();
+    let mut rng = SplitMix64::new(0x5EED_0000 ^ good.len() as u64);
+    for case in 0..400 {
+        let bytes = mutate(&good, case, &mut rng);
+        let what = format!("case {case} ({} bytes)", bytes.len());
+        let parsed = no_panic(&what, || ShardManifest::from_bytes(&bytes));
+        if let Ok(manifest) = parsed {
+            assert_eq!(
+                manifest.to_bytes(),
+                bytes,
+                "{what}: parsed, but not exactly"
+            );
+        }
     }
 }

@@ -188,10 +188,11 @@ fn v2_save_load_file_roundtrip_all_load_options() {
 // ---------------------------------------------------------------------
 
 /// Freezes 8200 synthetic rows of 16 entries (131 200 entries), row `v`
-/// at distances `base(v) + j`, encodes them as v2 and asserts the
-/// distance tag (header byte 41) and a bitwise round trip. Ranks fall
-/// along each row, so every entry is an ADS entry and the weights are
-/// a real freeze's τ chain. `checksum` pins the whole image.
+/// sampling nodes `v + j` at distances `base(v) + j`, encodes them as v2
+/// and asserts the distance tag (header byte 41) and a bitwise round
+/// trip. Node `x` ranks `(2¹⁴ − x) / 2¹⁴`, so ranks fall along each row,
+/// every entry is an ADS entry and the weights are a real freeze's τ
+/// chain. `checksum` pins the whole image.
 fn assert_dist_tag_roundtrips(base: fn(usize) -> f64, tag: u8, checksum: u64) {
     const ROWS: usize = 8200;
     const LEN: usize = 16;
@@ -200,8 +201,9 @@ fn assert_dist_tag_roundtrips(base: fn(usize) -> f64, tag: u8, checksum: u64) {
         .map(|v| {
             let entries = (0..LEN)
                 .map(|j| {
-                    let node = ((v + j) % ROWS) as NodeId;
-                    AdsEntry::new(node, base(v) + j as f64, (LEN - j) as f64 / 32.0)
+                    let node = (v + j) as NodeId;
+                    let rank = ((1 << 14) - node) as f64 / (1 << 14) as f64;
+                    AdsEntry::new(node, base(v) + j as f64, rank)
                 })
                 .collect();
             BottomKAds::from_entries(k, entries)
@@ -219,20 +221,20 @@ fn assert_dist_tag_roundtrips(base: fn(usize) -> f64, tag: u8, checksum: u64) {
 #[test]
 fn few_distances_select_the_dict16_tag() {
     // Every row shares the distances 0..16.
-    assert_dist_tag_roundtrips(|_| 0.0, 0, 0xb347c2b3bbb3853b);
+    assert_dist_tag_roundtrips(|_| 0.0, 0, 0x8820e2e3759d731e);
 }
 
 #[test]
 fn more_than_2_16_repeated_distances_select_the_dict32_tag() {
     // Row pairs share their distances: 65 600 distinct values, each
     // twice, so more than 2¹⁶ codes and at most one per two entries.
-    assert_dist_tag_roundtrips(|v| (v / 2 * 16) as f64, 1, 0xb4368f6921782012);
+    assert_dist_tag_roundtrips(|v| (v / 2 * 16) as f64, 1, 0x6ecb3957fb1071fa);
 }
 
 #[test]
 fn all_distinct_distances_select_the_raw_tag() {
     // 131 200 distinct values: a dictionary would outgrow raw bits.
-    assert_dist_tag_roundtrips(|v| (v * 16) as f64, 2, 0x6f052a303b717257);
+    assert_dist_tag_roundtrips(|v| (v * 16) as f64, 2, 0xc2b97f4652887508);
 }
 
 // ---------------------------------------------------------------------
@@ -242,7 +244,7 @@ fn all_distinct_distances_select_the_raw_tag() {
 /// Byte-level v2 container geometry, parsed from a valid buffer so tests
 /// can corrupt precisely one compressed column and re-sign the checksum.
 struct V2Layout {
-    /// Tag bytes `[node, dist, rank, weight]` (header bytes 40..44).
+    /// Tag bytes `[node, dist, rank table, weight]` (header bytes 40..44).
     tags: [u8; 4],
     /// Absolute offset of the first block's span inside the file.
     block0: usize,
@@ -255,9 +257,10 @@ fn parse_v2_layout(bytes: &[u8]) -> V2Layout {
     let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
     assert_eq!(u32_at(8), 2, "fixture must be a v2 store");
     let n = u64_at(16);
-    let tags = bytes[40..44].try_into().unwrap();
+    let tags: [u8; 4] = bytes[40..44].try_into().unwrap();
     let rows_per_block = u32_at(44);
-    let dict_at = 48 + (n + 1) * 4;
+    let rank_bytes = if tags[2] == 0 { 7 } else { 8 };
+    let dict_at = 48 + (n + 1) * 4 + n * rank_bytes;
     let dict_len = u32_at(dict_at);
     let blocks_at = dict_at + 4 + dict_len * 8;
     let num_blocks = n.div_ceil(rows_per_block);
@@ -272,15 +275,15 @@ fn parse_v2_layout(bytes: &[u8]) -> V2Layout {
 }
 
 /// The start and length (within the file) of block 0's node section —
-/// the last of the four per-block column sections.
+/// the second of the three per-block column sections.
 fn node_section(bytes: &[u8], lay: &V2Layout) -> (usize, usize) {
     let span = lay.block0;
     let len = |i: usize| {
         u32::from_le_bytes(bytes[span + i * 4..span + i * 4 + 4].try_into().unwrap()) as usize
     };
-    let (l0, l1, l2, l3) = (len(0), len(1), len(2), len(3));
-    assert_eq!(16 + l0 + l1 + l2 + l3, lay.block0_len, "sections tile");
-    (span + 16 + l0 + l1 + l2, l3)
+    let (l0, l1, l2) = (len(0), len(1), len(2));
+    assert_eq!(12 + l0 + l1 + l2, lay.block0_len, "sections tile");
+    (span + 12 + l0, l1)
 }
 
 /// Recomputes and patches a store buffer's header checksum, so tests can
@@ -296,7 +299,8 @@ fn resign_store(bytes: &mut [u8]) {
 }
 
 /// A v2 buffer whose encoder picked every compressed representation:
-/// delta-coded nodes, dict16 distances, 7-byte ranks, τ-ref weights.
+/// delta-coded nodes, dict16 distances, a 7-byte rank table, τ-ref
+/// weights.
 fn fully_compressed_sample() -> Vec<u8> {
     let g = generators::gnp_directed(60, 0.08, 21);
     let bytes = AdsSet::build(&g, 3, 5)
@@ -308,7 +312,7 @@ fn fully_compressed_sample() -> Vec<u8> {
     assert_eq!(
         lay.tags,
         [0, 0, 0, 0],
-        "sample must use delta nodes / dict16 dists / fixed7 ranks / tau-ref weights"
+        "sample must use delta nodes / dict16 dists / fixed7 rank table / tau-ref weights"
     );
     bytes
 }
@@ -350,16 +354,16 @@ fn overlong_varint_in_node_column_is_a_clean_typed_error() {
 fn wrong_escape_column_length_is_a_clean_typed_error() {
     let mut bytes = fully_compressed_sample();
     let lay = parse_v2_layout(&bytes);
-    // Move 7 bytes from the rank section's declared length into the
-    // weight section's: the four lengths still tile the block span
-    // exactly, but the fixed-width rank column no longer matches its
-    // tag's 7-bytes-per-entry shape.
+    // Move 2 bytes from the dist section's declared length into the
+    // node section's: the three lengths still tile the block span
+    // exactly, but the fixed-width dist column no longer matches its
+    // tag's 2-bytes-per-entry shape.
     let span = lay.block0;
-    let rank_len = u32::from_le_bytes(bytes[span + 4..span + 8].try_into().unwrap());
-    assert!(rank_len >= 7, "block 0 must hold at least one rank");
-    bytes[span + 4..span + 8].copy_from_slice(&(rank_len - 7).to_le_bytes());
-    let weight_len = u32::from_le_bytes(bytes[span + 8..span + 12].try_into().unwrap());
-    bytes[span + 8..span + 12].copy_from_slice(&(weight_len + 7).to_le_bytes());
+    let dist_len = u32::from_le_bytes(bytes[span..span + 4].try_into().unwrap());
+    assert!(dist_len >= 2, "block 0 must hold at least one distance");
+    bytes[span..span + 4].copy_from_slice(&(dist_len - 2).to_le_bytes());
+    let node_len = u32::from_le_bytes(bytes[span + 4..span + 8].try_into().unwrap());
+    bytes[span + 4..span + 8].copy_from_slice(&(node_len + 2).to_le_bytes());
     resign_store(&mut bytes);
     let err = FrozenAdsSet::from_bytes(&bytes).unwrap_err();
     assert!(matches!(err, FrozenError::Corrupt(_)), "{err:?}");
@@ -429,13 +433,59 @@ fn forged_entry_count_is_a_clean_typed_error_at_every_load_level() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A node id forged past the rank table and re-signed, in the v1 and the
+/// v2 golden image: every load level rejects it as a typed error — the
+/// trusted loads too, which index the table by node id — and none
+/// panics.
+#[test]
+fn forged_node_id_past_the_rank_table_is_a_typed_error_at_every_load_level() {
+    // v1: the last entry's node id becomes n.
+    let mut v1 = std::fs::read(fixture_path("golden_ba30_k3.v1.ads")).unwrap();
+    let (n, at) = {
+        let img = V1Image::new(&v1);
+        (img.n, img.node(img.entries - 1))
+    };
+    v1[at..at + 4].copy_from_slice(&(n as u32).to_le_bytes());
+    // v2: block 0's first node varint heads a distance run, so it is an
+    // absolute id; it becomes 127.
+    let mut v2 = std::fs::read(fixture_path("golden_ba30_k3.v2.ads")).unwrap();
+    let (at, _) = node_section(&v2, &parse_v2_layout(&v2));
+    assert!(n < 127 && v2[at] & 0x80 == 0, "a one-byte varint below n");
+    v2[at] = 127;
+    for (name, mut bytes) in [("v1", v1), ("v2", v2)] {
+        resign_store(&mut bytes);
+        let check = |res: Result<FrozenAdsSet, FrozenError>, how: &str| {
+            let err = res.expect_err(how);
+            assert!(
+                matches!(err, FrozenError::Corrupt(_)),
+                "{name}, {how}: {err:?}"
+            );
+            assert!(
+                err.to_string().contains("out of range"),
+                "{name}, {how}: {err}"
+            );
+        };
+        check(FrozenAdsSet::from_bytes(&bytes), "from_bytes");
+        let path = std::env::temp_dir().join(format!("adsketch_test_forged_node.{name}.ads"));
+        std::fs::write(&path, &bytes).unwrap();
+        for opts in [
+            LoadOptions::default(),
+            LoadOptions::mapped(),
+            LoadOptions::trusted(),
+        ] {
+            check(FrozenAdsSet::load_with(&path, opts), &format!("{opts:?}"));
+        }
+        std::fs::remove_file(&path).ok();
+    }
+}
+
 // ---------------------------------------------------------------------
 // Golden fixtures: committed byte images of both formats
 // ---------------------------------------------------------------------
 
 /// The fixture store: tiny, deterministic, and fully exercising the
-/// compressed columns (delta nodes, dict16 dists, fixed7 ranks, τ-ref
-/// weights).
+/// compressed columns (delta nodes, dict16 dists, τ-ref weights) and the
+/// fixed7 rank table.
 fn golden_store() -> (AdsSet, FrozenAdsSet) {
     let g = generators::barabasi_albert(30, 2, 42);
     let ads = AdsSet::build(&g, 3, 9);
@@ -529,12 +579,18 @@ fn every_single_bit_flip_of_the_v2_golden_fixture_is_a_typed_error() {
     assert_every_single_bit_flip_is_a_typed_error("golden_ba30_k3.v2.ads");
 }
 
-/// The fixtures of container generation 1 (`ADSKFRZ1`, FNV-1a checksums,
-/// u32 columns first), kept to pin how an older build's files fail:
-/// typed, at every load level, before any byte of the body is trusted.
+/// The fixtures of container generations 1 (`ADSKFRZ1`, FNV-1a
+/// checksums, u32 columns first) and 2 (`ADSKFRZ2`, a per-entry rank
+/// column), kept to pin how an older build's files fail: typed, at every
+/// load level, before any byte of the body is trusted.
 #[test]
 fn generation_1_stores_are_rejected_as_written_by_an_older_build() {
-    for name in ["legacy_gen1.v1.ads", "legacy_gen1.v2.ads"] {
+    for name in [
+        "legacy_gen1.v1.ads",
+        "legacy_gen1.v2.ads",
+        "legacy_gen2.v1.ads",
+        "legacy_gen2.v2.ads",
+    ] {
         let path = fixture_path(name);
         let check = |res: Result<FrozenAdsSet, FrozenError>, how: &str| {
             let err = res.expect_err(how);
@@ -560,11 +616,11 @@ fn generation_1_stores_are_rejected_as_written_by_an_older_build() {
             check(FrozenAdsSet::load_with(&path, opts), &format!("{opts:?}"));
         }
     }
-    // The generation bump moved nothing in the v2 body: the regenerated
-    // fixture differs from the legacy one in the magic's generation digit
-    // and the 8 checksum bytes only.
+    // The bump to generation 2 moved nothing in the v2 body: the two
+    // legacy fixtures differ in the magic's generation digit and the 8
+    // checksum bytes only.
     let old = std::fs::read(fixture_path("legacy_gen1.v2.ads")).unwrap();
-    let new = std::fs::read(fixture_path("golden_ba30_k3.v2.ads")).unwrap();
+    let new = std::fs::read(fixture_path("legacy_gen2.v2.ads")).unwrap();
     assert_eq!(old.len(), new.len());
     let differing: Vec<usize> = (0..old.len()).filter(|&i| old[i] != new[i]).collect();
     assert!(
@@ -596,8 +652,8 @@ fn multi_block_v2_images_are_pinned() {
     )
     .freeze();
     for (name, frozen, pinned) in [
-        ("ba3000_k16", &ba, 0x7957939eb7e85ead),
-        ("weighted2000_k8", &weighted, 0x40cd5c254f110fcc),
+        ("ba3000_k16", &ba, 0x1b96b7cb3e3dd52d),
+        ("weighted2000_k8", &weighted, 0x0c56f849734ee35c),
     ] {
         let v2 = frozen.to_bytes_format(StoreFormat::V2);
         assert_eq!(
@@ -625,9 +681,10 @@ fn escape_base() -> Vec<u8> {
     frozen.to_bytes()
 }
 
-/// Byte offsets into a v1 image: `col(c, i)` is entry `i` of the f64
-/// column `c` (0 dists, 1 ranks, 2 weights), `node(i)` its node id, and
-/// `row(v)` the entry span of row `v`.
+/// Byte offsets into a v1 image: `dist(i)` and `weight(i)` are entry
+/// `i` of the two f64 entry columns, `rank(x)` node `x`'s slot in the
+/// rank table, `node(i)` entry `i`'s node id, and `row(v)` the entry
+/// span of row `v`.
 struct V1Image<'a> {
     bytes: &'a [u8],
     n: usize,
@@ -641,15 +698,24 @@ impl<'a> V1Image<'a> {
         let (n, entries) = (u64_at(16) as usize, u64_at(24) as usize);
         Self { bytes, n, entries }
     }
-    fn col(&self, c: usize, i: usize) -> usize {
-        40 + (c * self.entries + i) * 8
+    fn dist(&self, i: usize) -> usize {
+        40 + i * 8
+    }
+    fn weight(&self, i: usize) -> usize {
+        40 + (self.entries + i) * 8
+    }
+    fn rank(&self, x: usize) -> usize {
+        40 + (2 * self.entries + x) * 8
+    }
+    fn offset(&self, v: usize) -> usize {
+        40 + (2 * self.entries + self.n) * 8 + v * 4
     }
     fn node(&self, i: usize) -> usize {
-        40 + 3 * self.entries * 8 + (self.n + 1) * 4 + i * 4
+        self.offset(self.n + 1) + i * 4
     }
     fn row(&self, v: usize) -> std::ops::Range<usize> {
         let at = |v: usize| {
-            let o = 40 + 3 * self.entries * 8 + v * 4;
+            let o = self.offset(v);
             u32::from_le_bytes(self.bytes[o..o + 4].try_into().unwrap()) as usize
         };
         at(v)..at(v + 1)
@@ -686,14 +752,20 @@ fn verified_load(bytes: &[u8]) -> FrozenAdsSet {
 }
 
 #[test]
-fn one_rank_off_the_grid_in_the_last_block_escapes_the_rank_column() {
+fn one_nodes_rank_off_the_grid_escapes_the_rank_table() {
     let mut v1 = escape_base();
     let img = V1Image::new(&v1);
-    // The last entry of the last row: no later entry takes it as τ, so
-    // only the rank column can change encoding.
-    let at = img.col(1, img.row(img.n - 1).end - 1);
+    // A node whose rank is no entry's τ (no weight is its reciprocal), so
+    // only the rank table can change encoding.
+    let x = (0..img.n)
+        .find(|&x| {
+            let w = (1.0 / img.f64(img.rank(x))).to_bits();
+            (0..img.entries).all(|i| img.f64(img.weight(i)).to_bits() != w)
+        })
+        .expect("a node whose rank is no τ");
+    let at = img.rank(x);
     v1[at..at + 8].copy_from_slice(&1e-20f64.to_bits().to_le_bytes());
-    assert_escape(v1, [0, 0, 1, 0], 0xb596a2b3c2b11f64, verified_load);
+    assert_escape(v1, [0, 0, 1, 0], 0x0524a15fc83dd0e8, verified_load);
 }
 
 #[test]
@@ -701,9 +773,9 @@ fn one_weight_no_earlier_rank_explains_in_the_last_block_escapes_the_weight_colu
     let mut v1 = escape_base();
     let img = V1Image::new(&v1);
     // Every rank is at most 1, so no `1 / rank` is 0.5.
-    let at = img.col(2, img.row(img.n - 1).end - 1);
+    let at = img.weight(img.row(img.n - 1).end - 1);
     v1[at..at + 8].copy_from_slice(&0.5f64.to_bits().to_le_bytes());
-    assert_escape(v1, [0, 0, 0, 1], 0x9ebe0fc74281910f, verified_load);
+    assert_escape(v1, [0, 0, 0, 1], 0x70302b9469417f99, verified_load);
 }
 
 #[test]
@@ -717,7 +789,7 @@ fn one_non_increasing_node_run_in_the_last_block_escapes_the_node_column() {
     let i = (last_block..img.n)
         .rev()
         .flat_map(|v| img.row(v).skip(1).rev())
-        .find(|&i| img.f64(img.col(0, i)).to_bits() == img.f64(img.col(0, i - 1)).to_bits())
+        .find(|&i| img.f64(img.dist(i)).to_bits() == img.f64(img.dist(i - 1)).to_bits())
         .expect("a distance run of two in the last block");
     let (a, b) = (img.node(i - 1), img.node(i));
     let (x, y) = (v1[a..a + 4].to_vec(), v1[b..b + 4].to_vec());
@@ -734,7 +806,7 @@ fn one_non_increasing_node_run_in_the_last_block_escapes_the_node_column() {
         std::fs::write(path(bytes[8]), bytes).unwrap();
         FrozenAdsSet::load_with(path(bytes[8]), LoadOptions::trusted()).expect("trusted load")
     };
-    assert_escape(v1, [1, 0, 0, 0], 0x699f044869ac046c, trusted_load);
+    assert_escape(v1, [1, 0, 0, 0], 0xe61de91c259482e2, trusted_load);
     for version in [1, 2] {
         std::fs::remove_file(path(version)).ok();
     }

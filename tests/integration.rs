@@ -10,14 +10,15 @@ use adsketch::util::stats::{cv_basic, cv_hip, ErrorStats};
 use adsketch::util::RankHasher;
 
 /// Asserts that every entry's rank is its node's rank, bit for bit: an
-/// entry samples a node, so the store's rank column repeats `ranks`.
+/// entry samples a node, so the store's rank table is the builder's
+/// `ranks`.
 #[track_caller]
 fn assert_entry_ranks_are_node_ranks(set: &AdsSet, ranks: &[f64], what: &str) {
     for v in 0..set.num_nodes() as NodeId {
         let row = set.row(v);
         for (i, &node) in row.nodes.iter().enumerate() {
             assert_eq!(
-                row.ranks[i].to_bits(),
+                row.rank(i).to_bits(),
                 ranks[node as usize].to_bits(),
                 "{what}: row {v}, entry {i} (node {node})"
             );

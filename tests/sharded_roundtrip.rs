@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use adsketch::core::frozen::{shard_file_name, Xxh64, SHARD_MANIFEST_FILE};
 use adsketch::core::{
     centrality, freeze_sharded, freeze_sharded_format, reference, AdsSet, FrozenAdsSet,
-    QueryEngine, ShardManifest, StoreFormat,
+    FrozenError, QueryEngine, ShardManifest, StoreFormat,
 };
 use adsketch::graph::{generators, Graph, NodeId};
 use adsketch::serve::{ServeError, ShardedStore};
@@ -248,6 +248,23 @@ fn rejects_shard_entry_sum_mismatch_with_valid_checksum() {
     resign_manifest(&mut bytes);
     std::fs::write(&path, &bytes).unwrap();
     assert!(ShardedStore::load(dir.path()).is_err());
+}
+
+/// Entry counts of `u64::MAX` and `1` (and `0` for the third shard),
+/// re-signed: their sum overflows, which must be a typed error and not
+/// an arithmetic panic.
+#[test]
+fn rejects_shard_entry_counts_whose_sum_overflows_with_valid_checksum() {
+    let (dir, _ads) = sample_dir("manifest_entry_overflow");
+    let mut bytes = std::fs::read(manifest_path(&dir)).unwrap();
+    for (shard, entries) in [(0, u64::MAX), (1, 1), (2, 0)] {
+        let at = 44 + shard * 32 + 16;
+        bytes[at..at + 8].copy_from_slice(&entries.to_le_bytes());
+    }
+    resign_manifest(&mut bytes);
+    let err = ShardManifest::from_bytes(&bytes).unwrap_err();
+    assert!(matches!(err, FrozenError::Corrupt(_)), "{err:?}");
+    assert!(err.to_string().contains("overflow"), "{err}");
 }
 
 #[test]
