@@ -109,10 +109,11 @@
 //! **verifying bit-exact reconstruction of every entry**, so v1 ↔ v2
 //! round trips are bitwise lossless for any store and every estimator
 //! answers bit-identically on either format. Version 2 exists
-//! on disk only: every load of a v2 file decodes it once, whole, into
-//! the same full-width columns a freeze or a v1 load produces (see
-//! `frozen/v2.rs`), so once loaded the two formats cost the same memory
-//! and answer at the same speed. The larger-than-RAM path is a mapped
+//! on disk only: every load of a v2 file decodes it once, whole (one
+//! chunk of blocks per core), into the same full-width columns a
+//! freeze or a v1 load produces (see `frozen/v2.rs`), so once loaded
+//! the two formats cost the same memory and answer at the same speed.
+//! The larger-than-RAM path is a mapped
 //! **v1** store: page-cache backed and zero-decode. A version this build
 //! does not know is [`FrozenError::UnsupportedVersion`].
 //!
@@ -497,9 +498,9 @@ pub struct LoadOptions {
     /// the checksum: section lengths that do not tile a block, escape
     /// columns of the wrong length, out-of-range dictionary codes, rank
     /// mantissas and τ back-references, and non-canonical or truncated
-    /// varints. What it skips is the checksum and the scan of the
-    /// decoded rows for canonical `(dist, node)` order, so bit rot that
-    /// still decodes yields a store with wrong values.
+    /// varints. What it skips is the checksum and the block decoder's
+    /// check of each decoded row's canonical `(dist, node)` order, so bit
+    /// rot that still decodes yields a store with wrong values.
     pub verify: bool,
     /// Map the file with `mmap` instead of reading it whole into a
     /// buffer (default **off**, matching [`FrozenAdsSet::load`]). A v1
@@ -634,6 +635,23 @@ fn validate_node_ids(nodes: &[NodeId], n: usize) -> Result<(), FrozenError> {
     }
 }
 
+/// Row `v`'s entries (`dists`, `nodes`) are in strictly increasing
+/// canonical `(dist, node)` order. Verified v1 loads scan every row with
+/// it; verified v2 loads check each block's rows as they decode it.
+fn check_row_order(v: usize, dists: &[f64], nodes: &[NodeId]) -> Result<(), FrozenError> {
+    let in_order = dists
+        .windows(2)
+        .zip(nodes.windows(2))
+        .all(|(d, nd)| d[0].total_cmp(&d[1]).then(nd[0].cmp(&nd[1])) == std::cmp::Ordering::Less);
+    if in_order {
+        Ok(())
+    } else {
+        Err(FrozenError::Corrupt(format!(
+            "node {v}: entries out of canonical (dist, node) order"
+        )))
+    }
+}
+
 /// Bytes of one column encoded, hashed and written per `write` call by
 /// the v1 writer: large enough that a 100 MB shard is a few hundred
 /// syscalls, small enough to stay cache-resident between the three.
@@ -699,7 +717,7 @@ fn write_file(
     match format {
         StoreFormat::V1 => write_v1(k, rows, &mut std::fs::File::create(path)?),
         StoreFormat::V2 => {
-            let image = v2::encode(k, rows);
+            let image = v2::encode(k, rows, 0);
             std::fs::write(path, &image)?;
             Ok(read_u64(&image, CHECKSUM_OFFSET))
         }
@@ -918,7 +936,7 @@ impl FrozenAdsSet {
     pub fn to_bytes_format(&self, format: StoreFormat) -> Vec<u8> {
         match format {
             StoreFormat::V1 => self.to_bytes(),
-            StoreFormat::V2 => v2::encode(self.k, self.columns()),
+            StoreFormat::V2 => v2::encode(self.k, self.columns(), 0),
         }
     }
 
@@ -1003,8 +1021,8 @@ impl FrozenAdsSet {
         parsed: &ParsedHeader,
         verify: bool,
     ) -> Result<Self, FrozenError> {
-        let cols = v2::decode(image, parsed, verify)?;
-        let store = Self {
+        let cols = v2::decode(image, parsed, verify, 0)?;
+        Ok(Self {
             version: FROZEN_FORMAT_VERSION_V2,
             ..Self::from_owned_cols(
                 parsed.k,
@@ -1014,11 +1032,7 @@ impl FrozenAdsSet {
                 cols.weights,
                 cols.rank_of,
             )
-        };
-        if verify {
-            store.validate_structure()?;
-        }
-        Ok(store)
+        })
     }
 
     /// Deserializes a buffer produced by [`FrozenAdsSet::to_bytes`] or
@@ -1038,18 +1052,9 @@ impl FrozenAdsSet {
         let n = self.num_nodes();
         validate_node_ids(self.nodes(), n)?;
         let (nodes, dists) = (self.nodes(), self.dists());
-        for v in 0..n as NodeId {
-            let r = self.entry_range(v);
-            let ds = &dists[r.clone()];
-            let ns = &nodes[r];
-            let in_order = ds.windows(2).zip(ns.windows(2)).all(|(d, nd)| {
-                d[0].total_cmp(&d[1]).then(nd[0].cmp(&nd[1])) == std::cmp::Ordering::Less
-            });
-            if !in_order {
-                return Err(FrozenError::Corrupt(format!(
-                    "node {v}: entries out of canonical (dist, node) order"
-                )));
-            }
+        for v in 0..n {
+            let r = self.entry_range(v as NodeId);
+            check_row_order(v, &dists[r.clone()], &nodes[r])?;
         }
         Ok(())
     }

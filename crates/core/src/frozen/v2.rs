@@ -32,7 +32,7 @@
 //! *verifying reconstruction* of every entry, never by value heuristics,
 //! so a v1 ↔ v2 round trip is bitwise lossless for any store.
 //!
-//! # Block layout, one pass each way
+//! # Block layout, one pass each way, one chunk per core
 //!
 //! Entries are grouped into blocks of [`DEFAULT_ROWS_PER_BLOCK`] rows
 //! (the row count is recorded in the header). Each block encodes its
@@ -42,14 +42,16 @@
 //!
 //! Version 2 is a **file codec**, not a way to hold a store: this module
 //! is the pair [`encode`] (columns → bytes) and [`decode`] (bytes →
-//! columns). Each makes one pass over the blocks:
+//! columns). Each makes one pass over the blocks, which are independent,
+//! in one contiguous chunk per core:
 //!
-//! * [`encode`] assumes the compressed weight and node tags and writes
-//!   each block straight into the image, the weights' τ back-references
-//!   read off one [`TauScan`] per row. It decodes every block back and
-//!   compares it bitwise with its source while the block is still in
-//!   cache. An entry a tag does not reproduce restarts the encoder with
-//!   that one column escaped.
+//! * [`encode`] assumes the compressed weight and node tags. Each chunk
+//!   writes its blocks into its own buffer, the weights' τ
+//!   back-references read off one [`TauScan`] per row, and decodes every
+//!   block back and compares it bitwise with its source while the block
+//!   is still in cache. An entry a tag does not reproduce, in any chunk,
+//!   restarts the encoder with that one column escaped, so the bytes do
+//!   not depend on the chunking.
 //! * Every load path of a v2 file — `from_bytes`, buffered, mapped,
 //!   trusted — runs [`decode`] once over the whole image and ends in
 //!   the same full-width columns a freeze or a v1 load produces, so
@@ -57,7 +59,7 @@
 //!   one the encoder's self-check runs too, checks each block as it
 //!   decodes it, at every load level: a malformed block — a node id
 //!   past the rank table included — is a typed error even in a trusted
-//!   load.
+//!   load, and a verified load checks canonical row order there too.
 //!
 //! The full on-disk layout table lives in the [`super`] module docs next
 //! to the v1 table.
@@ -66,6 +68,7 @@ use std::ops::Range;
 
 use super::varint;
 use super::{FrozenError, ParsedHeader, HEADER_LEN};
+use crate::builder::{shard_slots, thread_count};
 use crate::hip::TauScan;
 
 /// Serialized v2 header length: the 40 common bytes plus four column
@@ -185,13 +188,29 @@ pub(super) struct RowsSource<'a> {
 }
 
 /// Owned full-width columns and the rank table — what [`decode`] returns.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub(super) struct Columns {
     pub offsets: Vec<u32>,
     pub nodes: Vec<u32>,
     pub dists: Vec<f64>,
     pub weights: Vec<f64>,
     pub rank_of: Vec<f64>,
+}
+
+/// Consecutive entries of the `(nodes, dists, weights)` columns,
+/// borrowed mutably: what a block decodes into.
+type EntriesMut<'a> = (&'a mut [u32], &'a mut [f64], &'a mut [f64]);
+
+/// Splits the first `len` entries off the front of `rest`.
+fn split_front<'a>(rest: &mut EntriesMut<'a>, len: usize) -> EntriesMut<'a> {
+    let (nodes, dists, weights) = std::mem::take(rest);
+    let (n, d, w) = (
+        nodes.split_at_mut(len),
+        dists.split_at_mut(len),
+        weights.split_at_mut(len),
+    );
+    *rest = (n.1, d.1, w.1);
+    (n.0, d.0, w.0)
 }
 
 // ---------------------------------------------------------------------
@@ -323,6 +342,12 @@ fn block_rows(b: usize, rows_per_block: usize, n: usize) -> Range<usize> {
     (b * rows_per_block).min(n)..((b + 1) * rows_per_block).min(n)
 }
 
+/// The entries the blocks `blocks` of a store with CSR `offsets` cover.
+fn block_entries(blocks: &Range<usize>, rows_per_block: usize, offsets: &[u32]) -> Range<usize> {
+    let row = |b: usize| (b * rows_per_block).min(offsets.len() - 1);
+    offsets[row(blocks.start)] as usize..offsets[row(blocks.end)] as usize
+}
+
 /// What decoding any block of one image takes besides its bytes: the
 /// column tags, the distance dictionary, the CSR offsets, which say
 /// where each row starts, and the rank table the weights divide by.
@@ -336,29 +361,27 @@ struct Codec<'a> {
 
 impl Codec<'_> {
     /// Decodes block `b` (the rows `rows`, encoded as `span`) into
-    /// `out`'s entry columns, the block's first entry at index `first`.
+    /// `out`, exactly the block's entries.
     /// The one block decoder: every v2 load level and the encoder's
     /// self-check run it. It checks as it decodes and fails on the first
     /// fault: the section lengths tile the span; each fixed-width section
     /// holds one value per entry; dictionary codes and weight
     /// back-references are in range; varints are canonical and each
     /// varint section ends with its last row; every node id is below `n`
-    /// before a weight gathers its rank. (Canonical `(dist, node)` row
-    /// order is checked on the decoded columns, by the scan v1 loads run.)
+    /// before a weight gathers its rank; with `check_order`, every row's
+    /// canonical `(dist, node)` order.
     fn decode_block(
         &self,
         b: usize,
         rows: Range<usize>,
         span: &[u8],
-        out: &mut Columns,
-        first: usize,
+        out: EntriesMut<'_>,
+        check_order: bool,
     ) -> Result<(), FrozenError> {
         let base = self.offsets[rows.start] as usize;
         let count = self.offsets[rows.end] as usize - base;
-        let at = first..first + count;
-        let nodes = &mut out.nodes[at.clone()];
-        let dists = &mut out.dists[at.clone()];
-        let weights = &mut out.weights[at];
+        let (nodes, dists, weights) = out;
+        debug_assert!(nodes.len() == count && dists.len() == count && weights.len() == count);
         let n = self.rank_of.len();
         let corrupt = |what: String| FrozenError::Corrupt(format!("block {b}: {what}"));
         let Some([sec_d, sec_n, sec_w]) = split_sections(span) else {
@@ -453,7 +476,7 @@ impl Codec<'_> {
         match self.tags.weight {
             WeightTag::TauRef => {
                 let mut at = 0;
-                for v in rows {
+                for v in rows.clone() {
                     let row = row_span(v);
                     for i in row.clone() {
                         let back = varint::read(sec_w, &mut at)
@@ -474,6 +497,12 @@ impl Codec<'_> {
             WeightTag::Raw => {
                 fixed(sec_w, 8, "weight")?;
                 read_raw_f64(sec_w, weights);
+            }
+        }
+        if check_order {
+            for v in rows {
+                let row = row_span(v);
+                super::check_row_order(v, &dists[row.clone()], &nodes[row])?;
             }
         }
         Ok(())
@@ -502,12 +531,15 @@ fn raw_f64s(bytes: &[u8]) -> Vec<f64> {
 /// block-offset table, the CSR offset invariants, the entry-count bound
 /// and everything the block decoder checks, so a malformed block is an
 /// error, never a store. `verify` adds the header checksum (one
-/// word-at-a-time walk of the image); the caller still owes a verified
-/// store the row-order scan shared with v1.
+/// word-at-a-time walk of the image) and the block decoder's row-order
+/// check, so a verified result needs no further scan. The blocks are
+/// decoded in one chunk per thread (`0`: per core), and a fault is the
+/// lowest-numbered faulty block's.
 pub(super) fn decode(
     buf: &[u8],
     header: &ParsedHeader,
     verify: bool,
+    threads: usize,
 ) -> Result<Columns, FrozenError> {
     let entries = header.entries as usize;
     let body = Body::parse(buf, header.n as usize, entries)?;
@@ -528,15 +560,46 @@ pub(super) fn decode(
         offsets: &body.offsets,
         rank_of: &body.rank_of,
     };
-    let n = body.offsets.len() - 1;
-    for b in 0..body.block_offsets.len() - 1 {
-        let rows = block_rows(b, body.rows_per_block, n);
-        let first = body.offsets[rows.start] as usize;
-        codec.decode_block(b, rows, body.block_span(b), &mut cols, first)?;
-    }
+    let (n, rpb) = (body.offsets.len() - 1, body.rows_per_block);
+    let entries_of = |blocks: &Range<usize>| block_entries(blocks, rpb, &body.offsets).len();
+    // One slot per chunk: its blocks, their entries, its first fault.
+    let mut rest: EntriesMut = (&mut cols.nodes, &mut cols.dists, &mut cols.weights);
+    let mut chunks: Vec<_> = chunk_blocks(&body.offsets, rpb, thread_count(threads))
+        .into_iter()
+        .map(|blocks| (split_front(&mut rest, entries_of(&blocks)), blocks, Ok(())))
+        .collect();
+    let threads = chunks.len();
+    shard_slots(
+        &mut chunks,
+        threads,
+        || (),
+        |_, _, (out, blocks, res)| {
+            *res = blocks.clone().try_for_each(|b| {
+                let block = split_front(out, entries_of(&(b..b + 1)));
+                let rows = block_rows(b, rpb, n);
+                codec.decode_block(b, rows, body.block_span(b), block, verify)
+            });
+        },
+    );
+    chunks.into_iter().try_for_each(|(_, _, res)| res)?;
     cols.offsets = body.offsets;
     cols.rank_of = body.rank_of;
     Ok(cols)
+}
+
+/// Cuts the blocks of a store with CSR `offsets` into at most `threads`
+/// contiguous chunks of about equal entry counts: a block joins the
+/// chunk its first entry's share of all entries falls in. Empty stores
+/// have no blocks and no chunks.
+fn chunk_blocks(offsets: &[u32], rows_per_block: usize, threads: usize) -> Vec<Range<usize>> {
+    let n = offsets.len() - 1;
+    let entries = (offsets[n] as u64).max(1);
+    let share = |b: usize| offsets[b * rows_per_block] as u64 * threads.max(1) as u64 / entries;
+    let blocks: Vec<usize> = (0..n.div_ceil(rows_per_block)).collect();
+    blocks
+        .chunk_by(|&a, &b| share(a) == share(b))
+        .map(|c| c[0]..c[c.len() - 1] + 1)
+        .collect()
 }
 
 /// Splits a block span into its three sections behind the 12-byte
@@ -568,13 +631,14 @@ enum Escape {
 /// Serializes `rows` to the complete v2 byte image (header, checksum
 /// patched in). The rank table's tag comes from one scan of the table.
 /// The encoder is optimistic about the rest: it starts from the
-/// compressed weight and node tags and writes one block at a time,
-/// straight into the image. If an entry does not reproduce bit-for-bit
-/// under its column's tag, it starts over with that one column escaped
-/// to raw bits, so the tags are those a verification of every entry
-/// picks. Each block is decoded back and compared bitwise with its
-/// source as soon as it is written, while it is still in cache.
-pub(super) fn encode(k: u32, rows: RowsSource<'_>) -> Vec<u8> {
+/// compressed weight and node tags and encodes the blocks in one chunk
+/// per thread (`0`: per core). If an entry does not reproduce
+/// bit-for-bit under its column's tag, it starts over with that column
+/// escaped to raw bits, so the tags are those a verification of every
+/// entry picks, whatever the chunking. Each block is decoded back and
+/// compared bitwise with its source as soon as it is written, while it
+/// is still in cache.
+pub(super) fn encode(k: u32, rows: RowsSource<'_>, threads: usize) -> Vec<u8> {
     let entries = rows.nodes.len();
     // Distance dictionary: sorted distinct bit patterns, exact by
     // construction. Escape only when codes + dictionary would outgrow
@@ -601,10 +665,9 @@ pub(super) fn encode(k: u32, rows: RowsSource<'_>) -> Vec<u8> {
     };
     let mut buf = Vec::new();
     loop {
-        match encode_with(k, rows, tags, &dict, &mut buf) {
+        match encode_with(k, rows, tags, &dict, threads, &mut buf) {
             Ok(()) => return buf,
-            Err(Escape::Weight) => tags.weight = WeightTag::Raw,
-            Err(Escape::Node) => tags.node = NodeTag::Raw,
+            Err(escaped) => tags = escaped,
         }
     }
 }
@@ -612,14 +675,16 @@ pub(super) fn encode(k: u32, rows: RowsSource<'_>) -> Vec<u8> {
 /// One attempt of [`encode`] under fixed `tags`, into `buf` (cleared
 /// first). See the layout table in the module docs of `frozen.rs`:
 /// header, entry offsets, rank table, dictionary, block offsets, blob
-/// length, blob.
+/// length, blob. Fails with `tags` with every column some chunk found
+/// unreproducible escaped.
 fn encode_with(
     k: u32,
     rows: RowsSource<'_>,
     tags: Tags,
     dict: &[f64],
+    threads: usize,
     buf: &mut Vec<u8>,
-) -> Result<(), Escape> {
+) -> Result<(), Tags> {
     let n = rows.offsets.len() - 1;
     let entries = rows.nodes.len();
     let rpb = DEFAULT_ROWS_PER_BLOCK as usize;
@@ -648,7 +713,7 @@ fn encode_with(
     for &x in dict {
         buf.extend_from_slice(&x.to_bits().to_le_bytes());
     }
-    // The block-offset table and the blob length, patched per block.
+    // The block-offset table and the blob length, filled in below.
     let table = buf.len();
     buf.resize(table + (num_blocks + 2) * 8, 0);
     let blob = buf.len();
@@ -659,19 +724,88 @@ fn encode_with(
         offsets: rows.offsets,
         rank_of: rows.rank_of,
     };
+    // One slot per chunk: its blocks, their bytes (the first chunk's
+    // behind the header tables), and the first escape it hits.
+    let mut chunks: Vec<_> = chunk_blocks(rows.offsets, rpb, thread_count(threads))
+        .into_iter()
+        .map(|blocks| (blocks, Vec::new(), None))
+        .collect();
+    if let Some((_, first, _)) = chunks.first_mut() {
+        *first = std::mem::take(buf);
+    }
+    let threads = chunks.len();
+    shard_slots(
+        &mut chunks,
+        threads,
+        || (),
+        |_, _, (blocks, out, escape)| {
+            *escape = encode_chunk(&codec, k, rows, blocks.clone(), out).err();
+        },
+    );
+    let mut escaped = tags;
+    for (_, _, escape) in &chunks {
+        match escape {
+            Some(Escape::Weight) => escaped.weight = WeightTag::Raw,
+            Some(Escape::Node) => escaped.node = NodeTag::Raw,
+            None => {}
+        }
+    }
+    if escaped != tags {
+        return Err(escaped);
+    }
+    let mut chunks = chunks.into_iter().map(|(_, bytes, _)| bytes);
+    if let Some(first) = chunks.next() {
+        *buf = first;
+    }
+    chunks.for_each(|bytes| buf.extend_from_slice(&bytes));
+    // Each block opens with its three section lengths.
+    let mut end = blob;
+    for b in 1..=num_blocks {
+        let len =
+            |at: usize| u32::from_le_bytes(buf[at..at + 4].try_into().expect("4 bytes")) as usize;
+        end += 12 + len(end) + len(end + 4) + len(end + 8);
+        let at = table + b * 8;
+        buf[at..at + 8].copy_from_slice(&((end - blob) as u64).to_le_bytes());
+    }
+    let blob_len = ((buf.len() - blob) as u64).to_le_bytes();
+    buf[blob - 8..blob].copy_from_slice(&blob_len);
+    let checksum = super::buffer_checksum(buf);
+    buf[super::CHECKSUM_OFFSET..super::CHECKSUM_OFFSET + 8]
+        .copy_from_slice(&checksum.to_le_bytes());
+    Ok(())
+}
+
+/// Appends the blocks `blocks` of `rows` to `out`, each encoded under
+/// `cx.tags` and self-checked, with a [`TauScan`] of the chunk's own.
+fn encode_chunk(
+    cx: &Codec<'_>,
+    k: u32,
+    rows: RowsSource<'_>,
+    blocks: Range<usize>,
+    out: &mut Vec<u8>,
+) -> Result<(), Escape> {
+    let n = rows.offsets.len() - 1;
+    let rpb = DEFAULT_ROWS_PER_BLOCK as usize;
+    out.reserve(block_entries(&blocks, rpb, rows.offsets).len() * 8);
     let mut scan = TauScan::new((k as usize).max(1));
     let mut check = Columns::default();
-    for b in 0..num_blocks {
+    for b in blocks {
         let block = block_rows(b, rpb, n);
-        let span = rows.offsets[block.start] as usize..rows.offsets[block.end] as usize;
-        let start = buf.len();
-        encode_block(&codec, rows, block.clone(), &mut scan, buf)?;
+        let span = block_entries(&(b..b + 1), rpb, rows.offsets);
+        let start = out.len();
+        encode_block(cx, rows, block.clone(), &mut scan, out)?;
 
-        // Self-check, through the decoder every load runs.
+        // Self-check, through the decoder every load runs. Row order is
+        // not checked: a trusted out-of-order store must still encode.
         check.nodes.resize(span.len(), 0);
         check.dists.resize(span.len(), 0.0);
         check.weights.resize(span.len(), 0.0);
-        let decoded = codec.decode_block(b, block, &buf[start..], &mut check, 0);
+        let into = (
+            &mut check.nodes[..],
+            &mut check.dists[..],
+            &mut check.weights[..],
+        );
+        let decoded = cx.decode_block(b, block, &out[start..], into, false);
         assert!(
             decoded.is_ok()
                 && check.nodes == rows.nodes[span.clone()]
@@ -679,14 +813,7 @@ fn encode_with(
                 && bits_eq(&check.weights, &rows.weights[span]),
             "v2 encoder self-verification failed in block {b} ({decoded:?}) — this is a bug"
         );
-        let end = ((buf.len() - blob) as u64).to_le_bytes();
-        buf[table + (b + 1) * 8..table + (b + 2) * 8].copy_from_slice(&end);
     }
-    let blob_len = ((buf.len() - blob) as u64).to_le_bytes();
-    buf[blob - 8..blob].copy_from_slice(&blob_len);
-    let checksum = super::buffer_checksum(buf);
-    buf[super::CHECKSUM_OFFSET..super::CHECKSUM_OFFSET + 8]
-        .copy_from_slice(&checksum.to_le_bytes());
     Ok(())
 }
 
@@ -889,7 +1016,233 @@ fn check_block_offsets(block_offsets: &[u64], blob_len: u64) -> Result<(), Froze
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frozen::{buffer_checksum, parse_store_header, FrozenAdsSet, CHECKSUM_OFFSET};
+    use crate::AdsSet;
+    use adsketch_graph::generators;
     use adsketch_util::rng::{Rng64, SplitMix64};
+
+    /// A store's columns, copied out so a test can plant faults in them.
+    fn owned(store: &FrozenAdsSet) -> Columns {
+        let c = store.columns();
+        Columns {
+            offsets: c.offsets.to_vec(),
+            nodes: c.nodes.to_vec(),
+            dists: c.dists.to_vec(),
+            weights: c.weights.to_vec(),
+            rank_of: c.rank_of.to_vec(),
+        }
+    }
+
+    fn source(c: &Columns) -> RowsSource<'_> {
+        RowsSource {
+            offsets: &c.offsets,
+            nodes: &c.nodes,
+            dists: &c.dists,
+            weights: &c.weights,
+            rank_of: &c.rank_of,
+        }
+    }
+
+    /// The two stores `multi_block_v2_images_are_pinned` pins (47 and 32
+    /// blocks), with their `k`.
+    fn ba3000() -> (u32, Columns) {
+        let store = AdsSet::build(&generators::barabasi_albert(3000, 3, 17), 16, 5).freeze();
+        (16, owned(&store))
+    }
+
+    fn weighted2000() -> (u32, Columns) {
+        let g = generators::random_weighted_digraph(2000, 4, 1.0, 10.0, 23);
+        (8, owned(&AdsSet::build(&g, 8, 6).freeze()))
+    }
+
+    fn decode_image(image: &[u8], verify: bool, threads: usize) -> Result<Columns, FrozenError> {
+        let header = parse_store_header(image[..HEADER_LEN].try_into().unwrap())?;
+        decode(image, &header, verify, threads)
+    }
+
+    fn assert_same_columns(a: &Columns, b: &Columns, what: &str) {
+        assert_eq!(a.offsets, b.offsets, "{what}: offsets");
+        assert_eq!(a.nodes, b.nodes, "{what}: nodes");
+        assert!(bits_eq(&a.dists, &b.dists), "{what}: dists");
+        assert!(bits_eq(&a.weights, &b.weights), "{what}: weights");
+        assert!(bits_eq(&a.rank_of, &b.rank_of), "{what}: rank table");
+    }
+
+    /// The first entry of a row in `rows` whose distance equals the
+    /// previous entry's: swapping the two ids breaks canonical order.
+    fn distance_tie(c: &Columns, rows: Range<usize>) -> (usize, usize) {
+        rows.flat_map(|v| {
+            (c.offsets[v] as usize + 1..c.offsets[v + 1] as usize).map(move |i| (v, i))
+        })
+        .find(|&(_, i)| c.dists[i].to_bits() == c.dists[i - 1].to_bits())
+        .expect("a distance tie")
+    }
+
+    /// The rows of block `b` at the default block size.
+    fn rows_of(c: &Columns, b: usize) -> Range<usize> {
+        block_rows(b, DEFAULT_ROWS_PER_BLOCK as usize, c.offsets.len() - 1)
+    }
+
+    /// Sets the first distance code of block `b` of a `Dict16` image past
+    /// any dictionary and re-signs the image.
+    fn plant_bad_dist_code(image: &mut [u8], b: usize) {
+        let header = parse_store_header(image[..HEADER_LEN].try_into().unwrap()).unwrap();
+        let body = Body::parse(image, header.n as usize, header.entries as usize).unwrap();
+        assert_eq!(body.tags.dist, DistTag::Dict16);
+        let at = image.len() - body.blob.len() + body.block_offsets[b] as usize + 12;
+        image[at..at + 2].copy_from_slice(&u16::MAX.to_le_bytes());
+        let checksum = buffer_checksum(image);
+        image[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 8].copy_from_slice(&checksum.to_le_bytes());
+    }
+
+    /// Every store encodes to the same bytes and decodes to the same
+    /// columns whatever the thread count: one that splits 47 blocks
+    /// unevenly, one with more threads than blocks, and an empty store.
+    #[test]
+    fn images_and_columns_do_not_depend_on_the_thread_count() {
+        let golden = AdsSet::build(&generators::barabasi_albert(30, 2, 42), 3, 9).freeze();
+        let empty = Columns {
+            offsets: vec![0],
+            ..Columns::default()
+        };
+        let (ba_k, ba) = ba3000();
+        let (w_k, weighted) = weighted2000();
+        let stores = [
+            ("ba3000_k16", ba_k, ba, 47),
+            ("weighted2000_k8", w_k, weighted, 32),
+            ("golden", 3, owned(&golden), 1),
+            ("empty", 4, empty, 0),
+        ];
+        for (name, k, cols, blocks) in stores {
+            let one = encode(k, source(&cols), 1);
+            assert_eq!(encode(k, source(&cols), 0), one, "{name}: every core");
+            for threads in 1..=4 {
+                let chunks = chunk_blocks(&cols.offsets, DEFAULT_ROWS_PER_BLOCK as usize, threads);
+                assert_eq!(
+                    chunks.len(),
+                    threads.min(blocks),
+                    "{name}: {threads} chunks"
+                );
+                let what = format!("{name}, {threads} threads");
+                assert!(
+                    encode(k, source(&cols), threads) == one,
+                    "{what}: image changed"
+                );
+                for verify in [true, false] {
+                    let back = decode_image(&one, verify, threads).expect("decodes");
+                    assert_same_columns(&back, &cols, &what);
+                }
+            }
+        }
+    }
+
+    /// An escape restarts the whole encode, whichever chunk finds it: a
+    /// weight no rank explains and a broken node run, each planted in
+    /// the first or the last block, give the same tags and the same
+    /// bytes at every thread count.
+    #[test]
+    fn escapes_in_the_first_or_last_block_give_the_same_tags_at_every_thread_count() {
+        let (k, base) = ba3000();
+        let last = (base.offsets.len() - 1).div_ceil(DEFAULT_ROWS_PER_BLOCK as usize) - 1;
+        // (block of a weight no rank explains, block of a broken node
+        // run, the tags they must give)
+        let cases = [
+            (0, None, [0, 0, 0, 1]),
+            (last, None, [0, 0, 0, 1]),
+            (last, Some(0), [1, 0, 0, 1]),
+            (0, Some(last), [1, 0, 0, 1]),
+        ];
+        for (weight_in, node_run_in, tags) in cases {
+            let what = format!("weight in block {weight_in}, node run in {node_run_in:?}");
+            let mut cols = base.clone();
+            // Every rank is at most 1, so no 1/rank is 0.5.
+            let i = cols.offsets[rows_of(&cols, weight_in).start] as usize;
+            cols.weights[i] = 0.5;
+            if let Some(b) = node_run_in {
+                let (_, i) = distance_tie(&cols, rows_of(&cols, b));
+                cols.nodes.swap(i - 1, i);
+            }
+            let one = encode(k, source(&cols), 1);
+            assert_eq!(&one[40..44], &tags, "{what}: tags");
+            for threads in 2..=4 {
+                let image = encode(k, source(&cols), threads);
+                assert_eq!(&image[40..44], &tags, "{what}, {threads} threads: tags");
+                assert!(image == one, "{what}, {threads} threads: image changed");
+                let back = decode_image(&image, false, threads).expect("a trusted decode");
+                assert_same_columns(&back, &cols, &what);
+            }
+        }
+    }
+
+    /// The order check folded into the block decoder gives a verified
+    /// decode the verdict a verified v1 load gives, at every thread
+    /// count; a trusted decode still accepts the store.
+    #[test]
+    fn a_row_out_of_order_fails_a_verified_decode_as_it_fails_a_v1_load() {
+        let (k, mut cols) = ba3000();
+        let (v, i) = distance_tie(&cols, rows_of(&cols, 20));
+        cols.nodes.swap(i - 1, i);
+        let want = format!("node {v}: entries out of canonical (dist, node) order");
+        let image = encode(k, source(&cols), 1);
+        for threads in 1..=4 {
+            match decode_image(&image, true, threads) {
+                Err(FrozenError::Corrupt(msg)) => assert_eq!(msg, want, "{threads} threads"),
+                other => panic!("{threads} threads: {:?}", other.map(|_| ())),
+            }
+            let trusted = decode_image(&image, false, threads).expect("a trusted decode");
+            assert_same_columns(&trusted, &cols, "trusted");
+        }
+        let verdict = |bytes: &[u8]| {
+            FrozenAdsSet::from_bytes(bytes)
+                .map(drop)
+                .unwrap_err()
+                .to_string()
+        };
+        let v1 = FrozenAdsSet::from_owned_cols(
+            k,
+            cols.offsets,
+            cols.nodes,
+            cols.dists,
+            cols.weights,
+            cols.rank_of,
+        )
+        .to_bytes();
+        assert_eq!(verdict(&image), verdict(&v1));
+        assert!(verdict(&image).ends_with(&want));
+    }
+
+    /// With faults in two blocks that different chunks decode, every
+    /// thread count reports the lower block's, whichever kind of fault
+    /// comes first.
+    #[test]
+    fn faults_in_two_chunks_report_the_lower_blocks_at_every_thread_count() {
+        let (k, base) = ba3000();
+        let (lo, hi) = (1, 45);
+        for threads in 2..=4 {
+            let chunks = chunk_blocks(&base.offsets, DEFAULT_ROWS_PER_BLOCK as usize, threads);
+            let chunk_of = |b: usize| chunks.iter().position(|c| c.contains(&b));
+            assert_ne!(chunk_of(lo), chunk_of(hi), "{threads} threads");
+        }
+        for (order_in, code_in) in [(lo, hi), (hi, lo)] {
+            let mut cols = base.clone();
+            let (v, i) = distance_tie(&cols, rows_of(&cols, order_in));
+            cols.nodes.swap(i - 1, i);
+            let mut image = encode(k, source(&cols), 1);
+            plant_bad_dist_code(&mut image, code_in);
+            let order = format!("node {v}: entries out of canonical (dist, node) order");
+            let code = format!("block {code_in}: dist code 65535 out of dictionary");
+            for threads in 1..=4 {
+                let msg = |verify: bool| match decode_image(&image, verify, threads) {
+                    Err(FrozenError::Corrupt(msg)) => msg,
+                    other => panic!("{threads} threads: {:?}", other.map(|_| ())),
+                };
+                // A trusted decode checks no order: only the code fault.
+                assert_eq!(msg(false), code, "trusted, {threads} threads");
+                let first = if order_in < code_in { &order } else { &code };
+                assert_eq!(&msg(true), first, "verified, {threads} threads");
+            }
+        }
+    }
 
     /// Rows whose distances go up and down (as in a store that skipped
     /// the canonical-order check), with repeats inside and across rows:
@@ -931,7 +1284,7 @@ mod tests {
             weights: &fzeros,
             rank_of: &rank_of,
         };
-        let image = encode(4, rows);
+        let image = encode(4, rows, 0);
         let body = Body::parse(&image, offsets.len() - 1, dists.len()).expect("parses");
         assert_eq!(body.tags.dist, DistTag::Dict16);
         assert_eq!(bits(&body.dict), bits(&expected));

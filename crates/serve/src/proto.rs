@@ -228,12 +228,19 @@ pub(crate) fn kernel_to_wire(k: DecayKernel) -> (u8, u64) {
     }
 }
 
+/// The inverse of [`kernel_to_wire`]. A parameterless kernel must carry
+/// zero bits, so every accepted body re-encodes to itself.
 pub(crate) fn kernel_from_wire(tag: u8, bits: u64) -> Result<DecayKernel, ServeError> {
     Ok(match tag {
         0 => DecayKernel::Threshold(f64::from_bits(bits)),
         1 => DecayKernel::Exponential {
             base: f64::from_bits(bits),
         },
+        2 | 3 if bits != 0 => {
+            return Err(ServeError::Protocol(format!(
+                "decay-kernel tag {tag} takes no parameter, got bits {bits:#x}"
+            )))
+        }
         2 => DecayKernel::Harmonic,
         3 => DecayKernel::Constant,
         _ => {
@@ -552,11 +559,9 @@ impl Response {
             TYPE_ERROR => {
                 let code = c.u16()?;
                 let len = c.count(1)?;
-                let bytes = c.take(len)?;
-                Response::Error {
-                    code,
-                    message: String::from_utf8_lossy(bytes).into_owned(),
-                }
+                let message = String::from_utf8(c.take(len)?.to_vec())
+                    .map_err(|_| ServeError::Protocol("error message is not valid UTF-8".into()))?;
+                Response::Error { code, message }
             }
             t => {
                 return Err(ServeError::Protocol(format!(
@@ -635,6 +640,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, ServeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adsketch_util::rng::{Rng64, SplitMix64};
 
     fn roundtrip_request(req: Request) {
         let body = req.encode();
@@ -760,6 +766,165 @@ mod tests {
         bad.extend_from_slice(&1u32.to_le_bytes());
         bad.extend_from_slice(&[9, 0, 0]);
         assert!(Response::decode(&bad).is_err());
+    }
+
+    /// One mutation of `good`, chosen by `case`: a truncation, a run of
+    /// its own bytes copied elsewhere, appended noise, or a few bit flips.
+    fn mutate(good: &[u8], case: usize, rng: &mut SplitMix64) -> Vec<u8> {
+        let mut bytes = good.to_vec();
+        match case % 4 {
+            0 => bytes.truncate(rng.range_usize(good.len())),
+            1 => {
+                let len = 1 + rng.range_usize(64.min(good.len()));
+                let from = rng.range_usize(good.len() - len + 1);
+                let to = rng.range_usize(good.len() - len + 1);
+                bytes[to..to + len].copy_from_slice(&good[from..from + len]);
+            }
+            2 => bytes.extend((0..1 + rng.range_usize(64)).map(|_| rng.next_u64() as u8)),
+            _ => {
+                for _ in 0..2 + rng.range_usize(7) {
+                    let bit = rng.range_usize(good.len() * 8);
+                    bytes[bit / 8] ^= 1 << (bit % 8);
+                }
+            }
+        }
+        bytes
+    }
+
+    /// Heap bytes a `Vec` holds.
+    fn held<T>(v: &Vec<T>) -> usize {
+        v.capacity() * std::mem::size_of::<T>()
+    }
+
+    /// Heap bytes a decoded request or response holds. Every count is
+    /// checked against the bytes left before a `Vec` is sized by it, and
+    /// no element is more than 6× its wire size, so a decoded body never
+    /// holds more than 6 bytes per body byte.
+    fn request_heap(r: &Request) -> usize {
+        match r {
+            Request::Harmonic { nodes }
+            | Request::Decay { nodes, .. }
+            | Request::NeighborhoodFunction { nodes }
+            | Request::SketchPrefix { nodes, .. } => held(nodes),
+            Request::Cardinality { queries } => held(queries),
+            Request::Jaccard { pairs, .. } => held(pairs),
+            Request::Health | Request::GenInfo => 0,
+        }
+    }
+
+    fn response_heap(r: &Response) -> usize {
+        match r {
+            Response::Floats(xs) => held(xs),
+            Response::Curves(cs) => held(cs) + cs.iter().map(held).sum::<usize>(),
+            Response::Sketches(ss) => held(ss) + ss.iter().map(held).sum::<usize>(),
+            Response::Partial(slots) => held(slots),
+            Response::Error { message, .. } => message.capacity(),
+            Response::Health { .. } | Response::GenInfo { .. } => 0,
+        }
+    }
+
+    /// Hostile inputs, wire slice: 400 mutations each of valid request
+    /// and response bodies either fail to decode, as a typed error, or
+    /// decode to a value that encodes back to exactly the mutated body,
+    /// within the body's allocation bound. Nothing panics.
+    #[test]
+    fn mutated_bodies_are_typed_errors_or_exact_roundtrips() {
+        let requests = [
+            Request::Harmonic {
+                nodes: vec![0, 7, 1 << 20, u32::MAX - 1],
+            },
+            Request::Decay {
+                kernel: DecayKernel::Exponential { base: 2.5 },
+                nodes: vec![3, 1, 4],
+            },
+            Request::Decay {
+                kernel: DecayKernel::Harmonic,
+                nodes: vec![5],
+            },
+            Request::Cardinality {
+                queries: vec![(0, 0.0), (9, f64::INFINITY), (2, 1.5)],
+            },
+            Request::NeighborhoodFunction { nodes: vec![5, 6] },
+            Request::Jaccard {
+                d: 3.0,
+                pairs: vec![(0, 1), (2, 3)],
+            },
+            Request::SketchPrefix {
+                d: f64::INFINITY,
+                nodes: vec![0, 42],
+            },
+            Request::Health,
+            Request::GenInfo,
+        ];
+        let responses = [
+            Response::Floats(vec![0.0, -0.0, 1.5, f64::NAN]),
+            Response::Curves(vec![vec![(1.0, 2.0), (2.0, 3.5)], vec![]]),
+            Response::Sketches(vec![vec![(0.25, 3), (0.5, 1)], vec![], vec![(1.0, 7)]]),
+            Response::Partial(vec![
+                BatchSlot::Value(-0.0),
+                BatchSlot::Down(ERR_SHARD_DOWN),
+                BatchSlot::Value(1.0),
+            ]),
+            Response::Health { start: 7, end: 9 },
+            Response::GenInfo { generation: 3 },
+            Response::Error {
+                code: ERR_NODE_RANGE,
+                message: "node 99 out of range".into(),
+            },
+        ];
+        let requests: Vec<Vec<u8>> = requests.iter().map(Request::encode).collect();
+        let responses: Vec<Vec<u8>> = responses.iter().map(Response::encode).collect();
+        let no_panic = |what: &str, f: &dyn Fn() -> Option<(Vec<u8>, usize)>| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+                .unwrap_or_else(|_| panic!("{what} panicked"))
+        };
+        type Decoder = dyn Fn(&[u8]) -> Option<(Vec<u8>, usize)>;
+        let request: &Decoder = &|b| {
+            Request::decode(b)
+                .ok()
+                .map(|r| (r.encode(), request_heap(&r)))
+        };
+        let response: &Decoder = &|b| {
+            Response::decode(b)
+                .ok()
+                .map(|r| (r.encode(), response_heap(&r)))
+        };
+        for (kind, goods, decode) in [
+            ("request", &requests, request),
+            ("response", &responses, response),
+        ] {
+            let mut rng = SplitMix64::new(0x5EED_0000 ^ goods.len() as u64);
+            for case in 0..400 {
+                let bytes = mutate(&goods[case % goods.len()], case, &mut rng);
+                let what = format!("{kind} case {case} ({} bytes)", bytes.len());
+                if let Some((encoded, heap)) = no_panic(&what, &|| decode(&bytes)) {
+                    assert_eq!(encoded, bytes, "{what}: decoded, but not exactly");
+                    assert!(heap <= 6 * bytes.len(), "{what}: {heap} heap bytes");
+                }
+            }
+        }
+    }
+
+    /// Two bodies that used to decode to a value that encodes
+    /// differently: parameter bits on a parameterless kernel, which the
+    /// mutation test finds, and an error message that is not UTF-8, the
+    /// same fault, which its 400 cases happen to miss.
+    #[test]
+    fn non_canonical_bodies_are_rejected() {
+        let mut body = Request::Decay {
+            kernel: DecayKernel::Constant,
+            nodes: vec![1],
+        }
+        .encode();
+        body[2] = 1;
+        assert!(Request::decode(&body).is_err());
+        let mut body = Response::Error {
+            code: 1,
+            message: "ab".into(),
+        }
+        .encode();
+        *body.last_mut().unwrap() = 0xff;
+        assert!(Response::decode(&body).is_err());
     }
 
     #[test]

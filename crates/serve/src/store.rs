@@ -13,7 +13,11 @@
 //! columns stay views of the mapping and replicas share the kernel page
 //! cache; a v2 shard is decoded out of the mapping into owned
 //! full-width columns, so both answer from the same layout) and
-//! verifying for each shard:
+//! verifying for each shard. A v2 decode itself runs one chunk of blocks
+//! per core, so a multi-shard v2 load nests one decode per core inside
+//! one thread per shard: correct, but not tuned, and no benchmark
+//! workload serves a multi-shard v2 store. For each shard the load
+//! verifies:
 //!
 //! * the store-level format checks (magic, version, checksum, structure —
 //!   [`adsketch_core::FrozenAdsSet::load_with_digest`]), one
