@@ -14,13 +14,17 @@
 //! * entries pushed out of the k-prefix are *never* consulted again
 //!   (the prefix max only decreases), they just belong to the final ADS.
 //!
-//! So the arena keeps one flat `n × min(k, n)` prefix buffer (sorted per
-//! node, O(1) reject, ≤ k-entry memmove per insert, zero reallocation)
-//! plus a global append-only overflow log of displaced entries, written
-//! straight into the store's columns when construction finishes
-//! ([`PartialAdsArena::finish`]). The layout also makes the
-//! read-only admission probe ([`PartialAdsArena::would_insert`]) O(1),
-//! which is what the wave scheduler hammers from worker threads.
+//! So the arena keeps each node's k-prefix, sorted by `(dist, node)`, in
+//! two flat `n × min(k, n)` columns, distances and node ids: 12 B per slot,
+//! zero reallocation. An insert binary-searches the row's distances and
+//! reads node ids only inside a run of equal distances. Displaced entries
+//! go to one append-only spill log of `(dist, node, owner)`, 16 B each.
+//! The finishers ([`PartialAdsArena::finish`],
+//! [`PartialAdsArena::into_per_node`]) write both straight into the
+//! store's columns. No slot stores a rank: every node has one (paper,
+//! Sec. 2), admission never reads it, and the arena owns the `rank_of`
+//! table it is built with, reading it only in its increasing-rank
+//! `debug_assert!` and handing it on when it finishes.
 //!
 //! # The admission-threshold array
 //!
@@ -28,30 +32,26 @@
 //! `kth_dist[v]` is the distance of the k-th canonically-smallest entry in
 //! `v`'s partial sketch, `+∞` while the sketch holds fewer than k entries.
 //! It is refreshed on every insert (`debug_assert!`-checked against the
-//! prefix row each time) and backs the hot admission probes with a single
-//! 8-byte load — the prefix row is only touched to break exact distance
-//! ties by node id. **Threshold monotonicity** is the invariant everything
-//! rests on: inserts only ever tighten `kth_dist[v]`, so a candidate that
-//! fails the probe against a *stale* threshold can never pass against a
-//! current one. That is what makes the probe safe to use as a relax-time
-//! frontier filter (push-time pruning in the builders) and safe to read
-//! concurrently from frozen state in the wave scheduler.
+//! prefix distance column each time) and backs the hot admission probes
+//! with a single 8-byte load — the node column is only touched to break
+//! an exact distance tie by node id. **Threshold monotonicity** is the
+//! invariant everything rests on: inserts only ever tighten `kth_dist[v]`,
+//! so a candidate that fails the probe against a *stale* threshold can
+//! never pass against a current one. That is what makes the probe safe to
+//! use as a relax-time frontier filter (push-time pruning in the builders)
+//! and safe to read concurrently from frozen state in the wave scheduler.
 //!
 //! Only the rank-monotone insert regimes live here (canonical and
 //! tieless — everything the PrunedDijkstra-family builders need); DP's
 //! distance-monotone regime and the general retraction regime both run on
 //! [`crate::builder::LiveSketch`].
 
+use std::cmp::Ordering;
+
 use adsketch_graph::NodeId;
 
 use crate::entry::AdsEntry;
 use crate::frozen::FrozenAdsSet;
-
-const PLACEHOLDER: AdsEntry = AdsEntry {
-    node: 0,
-    dist: 0.0,
-    rank: 0.0,
-};
 
 /// Sketches-under-construction for every node, arena-backed.
 #[derive(Debug, Clone)]
@@ -60,49 +60,51 @@ pub(crate) struct PartialAdsArena {
     /// Prefix row width: `min(k, n)` (a sketch never holds more distinct
     /// sources than nodes, so wider rows would be dead weight for k ≥ n).
     width: usize,
-    /// `n × width` row-major buffer; row `v` holds `len[v]` entries in
-    /// canonical `(dist, node)` order — the k canonically-smallest entries
-    /// of `v`'s sketch so far.
-    prefix: Vec<AdsEntry>,
+    /// `n × width` row-major columns; row `v` holds the `len[v]` canonically
+    /// smallest entries of `v`'s sketch so far, in canonical order.
+    pdist: Vec<f64>,
+    pnode: Vec<NodeId>,
     /// Per-node prefix lengths.
     len: Vec<u32>,
-    /// Entries displaced from some prefix, in arrival order (parallel
-    /// owner ids in `overflow_owner`). Unordered; grouped at finish.
-    overflow: Vec<AdsEntry>,
-    overflow_owner: Vec<NodeId>,
+    /// Entries displaced from some prefix, as `(dist, node, owner)` in
+    /// arrival order. Unordered across owners; grouped at finish.
+    spill: Vec<(f64, NodeId, NodeId)>,
     /// Admission thresholds: `kth_dist[v]` = distance of the k-th
     /// canonically-smallest entry of `v`'s sketch, `+∞` while under-full.
     /// Monotone non-increasing over the build (see module docs).
     kth_dist: Vec<f64>,
+    /// The builder's per-node ranks: an entry's rank is its node's.
+    rank_of: Vec<f64>,
 }
 
 impl PartialAdsArena {
-    /// An arena for `n` nodes with sketch parameter `k`, all sketches
-    /// empty.
-    pub fn new(n: usize, k: usize) -> Self {
+    /// An arena with sketch parameter `k` for the `rank_of.len()` nodes
+    /// ranked by `rank_of`, all sketches empty.
+    pub fn new(k: usize, rank_of: Vec<f64>) -> Self {
+        let n = rank_of.len();
         let width = k.min(n);
         Self {
             k,
             width,
-            prefix: vec![PLACEHOLDER; n * width],
+            pdist: vec![0.0; n * width],
+            pnode: vec![0; n * width],
             len: vec![0; n],
-            overflow: Vec::new(),
-            overflow_owner: Vec::new(),
+            spill: Vec::new(),
             kth_dist: vec![f64::INFINITY; n],
+            rank_of,
         }
     }
 
-    /// `v`'s current k-prefix, canonically sorted.
+    /// The first slot of `v`'s prefix row and its length.
     #[inline]
-    fn row(&self, v: NodeId) -> &[AdsEntry] {
-        let off = v as usize * self.width;
-        &self.prefix[off..off + self.len[v as usize] as usize]
+    fn span(&self, v: NodeId) -> (usize, usize) {
+        (v as usize * self.width, self.len[v as usize] as usize)
     }
 
     /// Read-only rank-monotone admission probe: would
     /// [`Self::insert_rank_monotone`] accept `(node, dist)` into `v`'s
     /// sketch right now? O(1): one compare against the flat threshold
-    /// array; the prefix row is read only to break an exact distance tie
+    /// array; the node column is read only to break an exact distance tie
     /// by node id. Safe to call concurrently on a shared `&self` — this is
     /// both the frozen-state prune test of the wave scheduler *and* the
     /// relax-time frontier filter of the sequential builder (threshold
@@ -123,7 +125,7 @@ impl PartialAdsArena {
         // k entries; the id tie-break against the k-th smallest key
         // decides. (Search distances are finite, so dist == t == +∞ cannot
         // happen.)
-        self.prefix[v as usize * self.width + self.k - 1].node > node
+        self.pnode[v as usize * self.width + self.k - 1] > node
     }
 
     /// Relax-time admission probe for the *tieless* (Appendix A) regime:
@@ -140,90 +142,96 @@ impl PartialAdsArena {
     /// PrunedDijkstra insert: sources arrive in increasing rank, so every
     /// held entry out-ranks the candidate and the inclusion test reduces to
     /// "fewer than k entries are closer". Returns `true` if inserted.
-    pub fn insert_rank_monotone(&mut self, v: NodeId, node: NodeId, dist: f64, rank: f64) -> bool {
+    pub fn insert_rank_monotone(&mut self, v: NodeId, node: NodeId, dist: f64) -> bool {
         if !self.would_insert(v, node, dist) {
             return false;
         }
-        let pos = match self.row(v).binary_search_by(|e| e.cmp_key(dist, node)) {
-            Ok(_) => return false, // duplicate key (cannot happen across distinct sources)
-            Err(p) => p,
-        };
         debug_assert!(
-            self.row(v).iter().all(|e| (e.rank, e.node) < (rank, node)),
+            {
+                let (off, l) = self.span(v);
+                let rank = self.rank_of[node as usize];
+                self.pnode[off..off + l]
+                    .iter()
+                    .all(|&x| (self.rank_of[x as usize], x) < (rank, node))
+            },
             "sources must be processed in increasing rank"
         );
-        self.insert_at(v, pos, AdsEntry::new(node, dist, rank));
-        true
+        self.insert(v, node, dist)
     }
 
     /// Tieless (Appendix A) rank-monotone insert: blocked by entries at
     /// distance ≤ `dist`, so at most k nodes per distinct distance
-    /// survive. (Entries in overflow always sit at distances beyond the
-    /// prefix horizon, so the prefix alone decides here too.)
-    pub fn insert_rank_monotone_tieless(
-        &mut self,
-        v: NodeId,
-        node: NodeId,
-        dist: f64,
-        rank: f64,
-    ) -> bool {
+    /// survive. (Spilled entries always sit at distances beyond the prefix
+    /// horizon, so the prefix alone decides here too.)
+    pub fn insert_rank_monotone_tieless(&mut self, v: NodeId, node: NodeId, dist: f64) -> bool {
         if !self.tieless_admits(v, dist) {
             return false;
         }
         debug_assert!(
-            self.row(v).partition_point(|e| e.dist <= dist) < self.k,
+            {
+                let (off, l) = self.span(v);
+                self.pdist[off..off + l].partition_point(|&d| d <= dist) < self.k
+            },
             "threshold probe must agree with the positional tieless test"
         );
-        let pos = match self.row(v).binary_search_by(|e| e.cmp_key(dist, node)) {
-            Ok(_) => return false,
-            Err(p) => p,
-        };
-        debug_assert!(pos < self.k, "tieless admits only into the k-prefix");
-        self.insert_at(v, pos, AdsEntry::new(node, dist, rank));
-        true
+        self.insert(v, node, dist)
     }
 
-    /// Inserts into `v`'s prefix row at `pos`, spilling the displaced
-    /// prefix maximum (if the row is full) into the overflow log.
-    fn insert_at(&mut self, v: NodeId, pos: usize, e: AdsEntry) {
-        let off = v as usize * self.width;
-        let l = self.len[v as usize] as usize;
+    /// Inserts the admitted `(node, dist)` into `v`'s prefix row at its
+    /// canonical position, spilling the displaced prefix maximum (if the
+    /// row is full) into the spill log. `false` on a duplicate key (which
+    /// distinct sources cannot produce).
+    fn insert(&mut self, v: NodeId, node: NodeId, dist: f64) -> bool {
+        let (off, l) = self.span(v);
+        let row = off..off + l;
+        let mut pos = off + self.pdist[row.clone()].partition_point(|&d| d < dist);
+        // Inside a run of equal distances the node id decides.
+        while pos < row.end && self.pdist[pos] == dist {
+            match self.pnode[pos].cmp(&node) {
+                Ordering::Less => pos += 1,
+                Ordering::Equal => return false,
+                Ordering::Greater => break,
+            }
+        }
         // A full row below k (width = n < k) cannot receive another entry:
-        // that would require more distinct sources than the graph has
-        // nodes. The admission tests guarantee pos < l whenever l == width.
+        // that would take more distinct sources than the graph has nodes.
         debug_assert!(
-            pos < l || l < self.width,
+            pos < row.end || l < self.width,
             "more distinct sources than nodes"
         );
-        if l == self.width {
-            self.overflow.push(self.prefix[off + l - 1]);
-            self.overflow_owner.push(v);
-            self.prefix
-                .copy_within(off + pos..off + l - 1, off + pos + 1);
+        debug_assert!(pos - off < self.k, "admission lands in the k-prefix");
+        let end = if l == self.width {
+            let last = row.end - 1;
+            self.spill.push((self.pdist[last], self.pnode[last], v));
+            last
         } else {
-            self.prefix.copy_within(off + pos..off + l, off + pos + 1);
             self.len[v as usize] += 1;
-        }
-        self.prefix[off + pos] = e;
+            row.end
+        };
+        self.pdist.copy_within(pos..end, pos + 1);
+        self.pnode.copy_within(pos..end, pos + 1);
+        self.pdist[pos] = dist;
+        self.pnode[pos] = node;
         // Threshold maintenance: once the prefix reaches k entries, the
         // k-th smallest distance is the row maximum. It only ever
         // decreases from here (inserts land before it and push it left),
         // which is the monotonicity the relax-time filter relies on.
         if self.len[v as usize] as usize == self.k {
-            self.kth_dist[v as usize] = self.prefix[off + self.k - 1].dist;
+            self.kth_dist[v as usize] = self.pdist[off + self.k - 1];
         }
         debug_assert!(
             self.threshold_consistent(v),
             "kth_dist[{v}] diverged from the prefix row"
         );
+        true
     }
 
-    /// Consistency of `kth_dist[v]` with the prefix row — the invariant
-    /// `debug_assert!`-checked on every insert.
+    /// Consistency of `kth_dist[v]` with the prefix distance column — the
+    /// invariant `debug_assert!`-checked on every insert.
     fn threshold_consistent(&self, v: NodeId) -> bool {
-        let l = self.len[v as usize] as usize;
+        let (off, l) = self.span(v);
         let expect = if l == self.k {
-            self.prefix[v as usize * self.width + self.k - 1].dist
+            self.pdist[off + self.k - 1]
         } else {
             f64::INFINITY
         };
@@ -236,23 +244,20 @@ impl PartialAdsArena {
         self.kth_dist[v as usize]
     }
 
-    /// Number of nodes covered.
-    #[cfg(test)]
-    pub fn num_nodes(&self) -> usize {
-        self.len.len()
-    }
-
     /// `v`'s full sketch so far, canonically sorted (test diagnostics —
     /// production reads happen via the bulk finishers below).
     #[cfg(test)]
     pub fn sorted_entries_of(&self, v: NodeId) -> Vec<AdsEntry> {
-        let mut out: Vec<AdsEntry> = self.row(v).to_vec();
+        let entry = |node: NodeId, dist| AdsEntry::new(node, dist, self.rank_of[node as usize]);
+        let (off, l) = self.span(v);
+        let mut out: Vec<AdsEntry> = (off..off + l)
+            .map(|i| entry(self.pnode[i], self.pdist[i]))
+            .collect();
         out.extend(
-            self.overflow_owner
+            self.spill
                 .iter()
-                .zip(&self.overflow)
-                .filter(|(&o, _)| o == v)
-                .map(|(_, e)| *e),
+                .filter(|s| s.2 == v)
+                .map(|&(dist, node, _)| entry(node, dist)),
         );
         out.sort_unstable_by(AdsEntry::cmp_canonical);
         out
@@ -260,9 +265,9 @@ impl PartialAdsArena {
 
     /// One canonically sorted entry vector per node (the bottom-1 passes
     /// of k-mins and k-partition, and the tieless entry lists), each
-    /// entry ranked by its node's `rank_of`.
-    pub fn into_per_node(self, rank_of: &[f64]) -> Vec<Vec<AdsEntry>> {
-        let (offsets, nodes, dists) = self.into_columns(rank_of);
+    /// entry ranked by its node's rank in the arena's table.
+    pub fn into_per_node(self) -> Vec<Vec<AdsEntry>> {
+        let (offsets, nodes, dists, rank_of) = self.into_columns();
         offsets
             .windows(2)
             .map(|r| {
@@ -273,26 +278,26 @@ impl PartialAdsArena {
             .collect()
     }
 
-    /// Finishes construction into the columnar store over the builder's
-    /// per-node ranks.
-    pub fn finish(self, rank_of: &[f64]) -> FrozenAdsSet {
+    /// Finishes construction into the columnar store over the arena's
+    /// rank table.
+    pub fn finish(self) -> FrozenAdsSet {
         let k = self.k;
-        let (offsets, nodes, dists) = self.into_columns(rank_of);
-        FrozenAdsSet::from_columns(k, offsets, nodes, dists, rank_of.to_vec())
+        let (offsets, nodes, dists, rank_of) = self.into_columns();
+        FrozenAdsSet::from_columns(k, offsets, nodes, dists, rank_of)
     }
 
-    /// The CSR `offsets / nodes / dists` columns of every row; an entry's
-    /// rank is its node's `rank_of`, so none is written out.
-    /// Row `v` is its prefix followed by its spilled entries: each left
-    /// the prefix as its maximum, and the maximum only decreases, so they
-    /// arrived in descending canonical order and are written back to
-    /// front. No row is sorted and no per-node vector is allocated.
-    fn into_columns(self, rank_of: &[f64]) -> (Vec<u32>, Vec<NodeId>, Vec<f64>) {
+    /// The CSR `offsets / nodes / dists` columns of every row, and the
+    /// rank table. Row `v` is its prefix followed by its spilled entries:
+    /// each left the prefix as its maximum, and the maximum only
+    /// decreases, so they arrived in descending canonical order and are
+    /// written back to front. No row is sorted and no per-node vector is
+    /// allocated.
+    fn into_columns(self) -> (Vec<u32>, Vec<NodeId>, Vec<f64>, Vec<f64>) {
         let n = self.len.len();
         // `ends[v]` becomes the end of row `v`, then (writing spilled
         // entries back to front) the next free slot below it.
         let mut ends: Vec<u32> = self.len.clone();
-        for &v in &self.overflow_owner {
+        for &(_, _, v) in &self.spill {
             ends[v as usize] += 1;
         }
         let mut offsets = Vec::with_capacity(n + 1);
@@ -308,23 +313,17 @@ impl PartialAdsArena {
         let total = total as usize;
         let mut nodes = vec![0; total];
         let mut dists = vec![0.0; total];
-        let mut put = |i: usize, e: &AdsEntry| {
-            debug_assert_eq!(
-                e.rank.to_bits(),
-                rank_of[e.node as usize].to_bits(),
-                "an entry's rank is its node's rank"
-            );
-            nodes[i] = e.node;
-            dists[i] = e.dist;
-        };
         for (v, &start) in offsets[..n].iter().enumerate() {
-            for (i, e) in (start as usize..).zip(self.row(v as NodeId)) {
-                put(i, e);
-            }
+            let (off, l) = self.span(v as NodeId);
+            let out = start as usize..start as usize + l;
+            dists[out.clone()].copy_from_slice(&self.pdist[off..off + l]);
+            nodes[out].copy_from_slice(&self.pnode[off..off + l]);
         }
-        for (&v, e) in self.overflow_owner.iter().zip(&self.overflow) {
+        for &(dist, node, v) in &self.spill {
             ends[v as usize] -= 1;
-            put(ends[v as usize] as usize, e);
+            let i = ends[v as usize] as usize;
+            nodes[i] = node;
+            dists[i] = dist;
         }
         debug_assert!(
             offsets.windows(2).all(|r| {
@@ -336,7 +335,7 @@ impl PartialAdsArena {
             }),
             "finished rows must be in canonical order"
         );
-        (offsets, nodes, dists)
+        (offsets, nodes, dists, self.rank_of)
     }
 }
 
@@ -350,29 +349,35 @@ mod tests {
     /// One past the largest node id [`drive`] offers.
     const SOURCE_IDS: usize = 160;
 
-    /// A random rank-monotone workload on an `n`-node arena: sources
-    /// `100..SOURCE_IDS` in increasing rank, each offered to about 60% of
-    /// the nodes at a small integer distance (so exact ties are frequent).
-    /// Returns the per-node offers and the per-node ranks.
+    /// The rank table of [`drive`]'s sources `100..SOURCE_IDS`: increasing
+    /// with the id (the other nodes are never offered).
+    fn source_ranks() -> Vec<f64> {
+        (0..SOURCE_IDS)
+            .map(|x| x.saturating_sub(99) as f64 / 100.0)
+            .collect()
+    }
+
+    /// A random rank-monotone workload on the first `n` rows of an arena
+    /// over [`source_ranks`]: sources `100..SOURCE_IDS` in increasing rank,
+    /// each offered to about 60% of the rows at a small integer distance
+    /// (so exact ties are frequent). Returns the per-row offers.
     fn drive(
         seed: u64,
         n: usize,
-        mut insert: impl FnMut(NodeId, NodeId, f64, f64),
-    ) -> (Vec<Vec<(NodeId, f64)>>, Vec<f64>) {
+        mut insert: impl FnMut(NodeId, NodeId, f64),
+    ) -> Vec<Vec<(NodeId, f64)>> {
         let mut rng = SplitMix64::new(seed);
-        let mut ranks = vec![0.0; SOURCE_IDS];
         let mut offers: Vec<Vec<(NodeId, f64)>> = vec![Vec::new(); n];
-        for (src, milli) in (100..SOURCE_IDS as u32).zip(1..) {
-            ranks[src as usize] = milli as f64 / 100.0;
+        for src in 100..SOURCE_IDS as u32 {
             for v in 0..n as NodeId {
                 if rng.bernoulli(0.6) {
                     let dist = rng.range_usize(6) as f64;
-                    insert(v, src, dist, ranks[src as usize]);
+                    insert(v, src, dist);
                     offers[v as usize].push((src, dist));
                 }
             }
         }
-        (offers, ranks)
+        offers
     }
 
     #[test]
@@ -380,11 +385,12 @@ mod tests {
         // The canonical rule over everything offered, regardless of offer
         // order (k small enough that prefix spills are frequent).
         let (n, k) = (12usize, 3usize);
+        let ranks = source_ranks();
         for seed in 0..5u64 {
-            let mut arena = PartialAdsArena::new(n, k);
-            let (offers, ranks) = drive(seed, n, |v, src, dist, rank| {
+            let mut arena = PartialAdsArena::new(k, ranks.clone());
+            let offers = drive(seed, n, |v, src, dist| {
                 let a = arena.would_insert(v, src, dist);
-                let b = arena.insert_rank_monotone(v, src, dist, rank);
+                let b = arena.insert_rank_monotone(v, src, dist);
                 assert_eq!(a, b, "would_insert must predict insert");
             });
             for v in 0..n as NodeId {
@@ -398,13 +404,75 @@ mod tests {
         }
     }
 
+    /// Runs of one distance longer than k, with source ids unrelated to
+    /// the rank order: the insert walks the node column inside the run,
+    /// and `would_insert` breaks the tie on the k-th held id. Candidates
+    /// fall below the run's first held id, between held ids, and above
+    /// the k-th held id; all three must occur, and the rows must equal
+    /// the canonical rule's.
+    #[test]
+    fn tie_runs_longer_than_k_are_ordered_by_node() {
+        let (n, k, sources) = (6usize, 4usize, 240usize);
+        for seed in 0..4u64 {
+            let mut rng = SplitMix64::new(seed + 400);
+            // Ranks are a random permutation of the ids, so the sources
+            // arrive (in increasing rank) in random id order.
+            let mut order: Vec<NodeId> = (0..sources as NodeId).collect();
+            rng.shuffle(&mut order);
+            let mut ranks = vec![0.0; sources];
+            for (i, &src) in order.iter().enumerate() {
+                ranks[src as usize] = (i + 1) as f64 / (sources + 1) as f64;
+            }
+            let mut arena = PartialAdsArena::new(k, ranks.clone());
+            let mut offers: Vec<Vec<(NodeId, f64)>> = vec![Vec::new(); n];
+            // Ties against a full row: (below, between, above) the held ids.
+            let mut seen = [0usize; 3];
+            for (i, &src) in order.iter().enumerate() {
+                for v in 0..n as NodeId {
+                    // One distance, behind fewer than k closer entries.
+                    let dist = if i % 97 == v as usize { 2.0 } else { 3.0 };
+                    if arena.threshold(v) == dist {
+                        let held: Vec<NodeId> = arena
+                            .sorted_entries_of(v)
+                            .iter()
+                            .take(k)
+                            .filter(|e| e.dist == dist)
+                            .map(|e| e.node)
+                            .collect();
+                        let case = if src < held[0] {
+                            0
+                        } else if src < held[held.len() - 1] {
+                            1
+                        } else {
+                            2
+                        };
+                        seen[case] += 1;
+                    }
+                    let predicted = arena.would_insert(v, src, dist);
+                    let inserted = arena.insert_rank_monotone(v, src, dist);
+                    assert_eq!(predicted, inserted, "seed {seed}, node {v}, src {src}");
+                    offers[v as usize].push((src, dist));
+                }
+            }
+            assert!(seen.iter().all(|&c| c > 0), "seed {seed}: cases {seen:?}");
+            for v in 0..n as NodeId {
+                let got = arena.sorted_entries_of(v);
+                let run = got.iter().filter(|e| e.dist == 3.0).count();
+                assert!(run > k, "seed {seed}, node {v}: run of {run}");
+                let want = purify(k, &offers[v as usize], &ranks);
+                assert_eq!(got, want.entries(), "seed {seed}, node {v}");
+            }
+        }
+    }
+
     #[test]
     fn tieless_matches_the_appendix_a_oracle() {
         let (n, k) = (10usize, 2usize);
+        let ranks = source_ranks();
         for seed in 0..5u64 {
-            let mut arena = PartialAdsArena::new(n, k);
-            let (offers, ranks) = drive(seed + 20, n, |v, src, dist, rank| {
-                arena.insert_rank_monotone_tieless(v, src, dist, rank);
+            let mut arena = PartialAdsArena::new(k, ranks.clone());
+            let offers = drive(seed + 20, n, |v, src, dist| {
+                arena.insert_rank_monotone_tieless(v, src, dist);
             });
             for v in 0..n as NodeId {
                 let mut order = offers[v as usize].clone();
@@ -425,22 +493,21 @@ mod tests {
         // nothing inserted may be lost and the final order is canonical.
         let n = 3usize;
         let k = 2usize;
-        let mut arena = PartialAdsArena::new(n, k);
+        // Node `100 + i` carries rank `0.01 · i`.
+        let rank_of: Vec<f64> = (0..160).map(|x| 0.01 * (x - 100) as f64).collect();
+        let mut arena = PartialAdsArena::new(k, rank_of.clone());
         let mut expect: Vec<Vec<AdsEntry>> = vec![Vec::new(); n];
         for step in 0..20u32 {
             for v in 0..n as NodeId {
                 let node = 100 + step * 3 + v;
                 let dist = (40 - step as i64) as f64 + 0.1 * v as f64;
-                let rank = 0.01 * (step * 3 + v) as f64;
                 // Decreasing distances: every insert is admitted and
                 // spills once the prefix is full.
-                assert!(arena.insert_rank_monotone(v, node, dist, rank));
-                expect[v as usize].push(AdsEntry::new(node, dist, rank));
+                assert!(arena.insert_rank_monotone(v, node, dist));
+                expect[v as usize].push(AdsEntry::new(node, dist, rank_of[node as usize]));
             }
         }
-        // Node `100 + i` carries rank `0.01 · i`, as inserted.
-        let rank_of: Vec<f64> = (0..160).map(|x| 0.01 * (x - 100) as f64).collect();
-        let per_node = arena.into_per_node(&rank_of);
+        let per_node = arena.into_per_node();
         for v in 0..n {
             let mut e = expect[v].clone();
             e.sort_unstable_by(AdsEntry::cmp_canonical);
@@ -458,12 +525,12 @@ mod tests {
     fn finishers_write_the_sorted_rows_and_the_heap_weights() {
         for (seed, n, k) in [(0u64, 12usize, 1usize), (1, 12, 3), (2, 9, 8)] {
             for tieless in [false, true] {
-                let mut arena = PartialAdsArena::new(SOURCE_IDS, k);
-                let (_, ranks) = drive(seed + 70, n, |v, src, dist, rank| {
+                let mut arena = PartialAdsArena::new(k, source_ranks());
+                drive(seed + 70, n, |v, src, dist| {
                     if tieless {
-                        arena.insert_rank_monotone_tieless(v, src, dist, rank);
+                        arena.insert_rank_monotone_tieless(v, src, dist);
                     } else {
-                        arena.insert_rank_monotone(v, src, dist, rank);
+                        arena.insert_rank_monotone(v, src, dist);
                     }
                 });
                 let at = |v| format!("seed {seed}, tieless {tieless}, node {v}");
@@ -471,14 +538,14 @@ mod tests {
                     .map(|v| arena.sorted_entries_of(v))
                     .collect();
                 assert_eq!(
-                    arena.clone().into_per_node(&ranks),
+                    arena.clone().into_per_node(),
                     sorted,
                     "seed {seed}, tieless {tieless}"
                 );
                 if tieless {
                     continue;
                 }
-                let set = arena.finish(&ranks);
+                let set = arena.finish();
                 assert_eq!(set.num_nodes(), SOURCE_IDS);
                 for (v, entries) in sorted.iter().enumerate() {
                     let row = set.row(v as NodeId);
@@ -495,9 +562,9 @@ mod tests {
         // width = min(k, n): the narrow prefix must still admit up to n
         // distinct sources per node when k ≥ n.
         let n = 4usize;
-        let mut arena = PartialAdsArena::new(n, 64);
+        let mut arena = PartialAdsArena::new(64, (0..n).map(|x| 0.1 * x as f64).collect());
         for src in 0..n as u32 {
-            assert!(arena.insert_rank_monotone(0, src, (n as u32 - src) as f64, 0.1 * src as f64));
+            assert!(arena.insert_rank_monotone(0, src, (n as u32 - src) as f64));
         }
         assert_eq!(arena.sorted_entries_of(0).len(), n);
     }
@@ -505,19 +572,20 @@ mod tests {
     #[test]
     fn threshold_tracks_kth_distance_and_only_tightens() {
         let k = 3;
-        let mut arena = PartialAdsArena::new(8, k);
+        // Ranks increase with the id, as the sources 10, 11, … arrive.
+        let mut arena = PartialAdsArena::new(k, (0..16).map(|x| 0.1 * x as f64).collect());
         assert!(arena.threshold(0).is_infinite(), "under-full ⇒ +∞");
         // Fill node 0's prefix: threshold snaps to the k-th distance.
-        assert!(arena.insert_rank_monotone(0, 10, 5.0, 0.1));
-        assert!(arena.insert_rank_monotone(0, 11, 3.0, 0.2));
+        assert!(arena.insert_rank_monotone(0, 10, 5.0));
+        assert!(arena.insert_rank_monotone(0, 11, 3.0));
         assert!(arena.threshold(0).is_infinite(), "still under-full");
-        assert!(arena.insert_rank_monotone(0, 12, 7.0, 0.3));
+        assert!(arena.insert_rank_monotone(0, 12, 7.0));
         assert_eq!(arena.threshold(0), 7.0);
         // A closer insert displaces the maximum: threshold tightens.
-        assert!(arena.insert_rank_monotone(0, 13, 1.0, 0.4));
+        assert!(arena.insert_rank_monotone(0, 13, 1.0));
         assert_eq!(arena.threshold(0), 5.0);
         // Rejected candidates leave it untouched.
-        assert!(!arena.insert_rank_monotone(0, 14, 9.0, 0.5));
+        assert!(!arena.insert_rank_monotone(0, 14, 9.0));
         assert_eq!(arena.threshold(0), 5.0);
         // Exact-tie admission is decided by node id against the k-th
         // entry (node 10 at distance 5): id 9 < 10 admits, id 15 > 10
@@ -534,14 +602,13 @@ mod tests {
             let mut rng = SplitMix64::new(seed + 50);
             let n = 10usize;
             let k = 3usize;
-            let mut arena = PartialAdsArena::new(n, k);
-            for (src, milli) in (0..50u32).zip(1..) {
-                let rank = milli as f64 / 100.0;
+            let mut arena = PartialAdsArena::new(k, (0..150).map(|x| x as f64 / 200.0).collect());
+            for src in 100..150u32 {
                 for v in 0..n as NodeId {
                     if rng.bernoulli(0.5) {
                         let dist = rng.range_usize(4) as f64;
                         let probe = arena.tieless_admits(v, dist);
-                        let inserted = arena.insert_rank_monotone_tieless(v, src + 100, dist, rank);
+                        let inserted = arena.insert_rank_monotone_tieless(v, src, dist);
                         assert_eq!(probe, inserted, "seed {seed}, src {src}, node {v}");
                     }
                 }
@@ -551,10 +618,9 @@ mod tests {
 
     #[test]
     fn empty_arena() {
-        let arena = PartialAdsArena::new(3, 2);
-        assert_eq!(arena.num_nodes(), 3);
+        let arena = PartialAdsArena::new(2, vec![1.0; 3]);
         assert!(arena.sorted_entries_of(1).is_empty());
-        let set = arena.finish(&[1.0; 3]);
+        let set = arena.finish();
         assert_eq!(set.num_nodes(), 3);
         assert_eq!(set.num_entries(), 0);
     }

@@ -38,7 +38,7 @@ pub fn build_with_stats(
             let sources = &buckets[b];
             if !sources.is_empty() {
                 *out = run_core(g, 1, &ranks, Some(sources), false)
-                    .map(|(arena, s)| (arena.into_per_node(&ranks), s));
+                    .map(|(arena, s)| (arena.into_per_node(), s));
             }
         },
     );

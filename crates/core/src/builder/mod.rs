@@ -20,6 +20,10 @@
 //! PrunedDijkstra's arena writes its prefix rows and spill log into the
 //! store's columns, and the live sketches of DP and LocalUpdates are
 //! concatenated into them. No per-node sketch is materialized on the way.
+//! The arena stores no rank: its prefix rows are two columns, distances
+//! and node ids (12 B per slot), its spill log holds `(dist, node, owner)`
+//! (16 B per entry), and the `rank_of` table it owns goes on to the store.
+//! (`LiveSketch` still carries a rank per entry.)
 //!
 //! The other two flavors have one builder each, [`kmins::build_with_stats`]
 //! and [`kpartition::build_with_stats`]: k independent bottom-1 runs of

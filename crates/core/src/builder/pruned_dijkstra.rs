@@ -15,8 +15,9 @@
 //!   ([`adsketch_graph::Graph::is_unit_weight`]) the per-source search is a
 //!   pruned level-synchronous BFS instead of binary-heap Dijkstra; the
 //!   visit sequence is identical, the heap cost is gone.
-//! * **Arena-backed sketch state** — the n partial sketches live in one
-//!   contiguous buffer with per-node spans instead of n separate `Vec`s.
+//! * **Arena-backed sketch state** — the n partial sketches' k-prefixes
+//!   live in two flat columns (distances and node ids, no ranks) plus one
+//!   spill log, instead of n separate `Vec`s.
 //! * **Relax-time frontier pruning** — the textbook algorithm discovers
 //!   that a sketch rejects the source at *pop* time, after the candidate
 //!   already paid a full frontier push + pop. The builder instead consults
@@ -47,7 +48,7 @@ pub fn build_with_stats(
     ranks: &[f64],
 ) -> Result<(AdsSet, BuildStats), CoreError> {
     let (arena, stats) = run_core(g, k, ranks, None, false)?;
-    Ok((arena.finish(ranks), stats))
+    Ok((arena.finish(), stats))
 }
 
 /// Wave-parallel PrunedDijkstra over `threads` threads (`0` ⇒ all cores).
@@ -67,7 +68,7 @@ pub fn build_parallel_with_stats(
     threads: usize,
 ) -> Result<(AdsSet, BuildStats), CoreError> {
     let (arena, stats) = run_core_parallel(g, k, ranks, threads)?;
-    Ok((arena.finish(ranks), stats))
+    Ok((arena.finish(), stats))
 }
 
 /// Tieless (Appendix A) variant: at most k entries per distinct distance,
@@ -79,7 +80,7 @@ pub fn build_tieless_entries(
     ranks: &[f64],
 ) -> Result<Vec<Vec<crate::entry::AdsEntry>>, CoreError> {
     let (arena, _) = run_core(g, k, ranks, None, true)?;
-    Ok(arena.into_per_node(ranks))
+    Ok(arena.into_per_node())
 }
 
 /// Sequential search driver: one source's mutable view of the arena and
@@ -95,7 +96,6 @@ struct SeqDriver<'a> {
     arena: &'a mut PartialAdsArena,
     stats: &'a mut BuildStats,
     src: NodeId,
-    rank: f64,
     tieless: bool,
 }
 
@@ -119,10 +119,9 @@ impl FrontierVisitor for SeqDriver<'_> {
     fn visit(&mut self, v: NodeId, d: f64) -> Visit {
         self.stats.relaxations += 1;
         let inserted = if self.tieless {
-            self.arena
-                .insert_rank_monotone_tieless(v, self.src, d, self.rank)
+            self.arena.insert_rank_monotone_tieless(v, self.src, d)
         } else {
-            self.arena.insert_rank_monotone(v, self.src, d, self.rank)
+            self.arena.insert_rank_monotone(v, self.src, d)
         };
         if inserted {
             self.stats.insertions += 1;
@@ -149,7 +148,7 @@ pub(crate) fn run_core(
     validate_k(k)?;
     let gt = g.transpose();
     let order = rank_order(ranks, sources, n);
-    let mut arena = PartialAdsArena::new(n, k);
+    let mut arena = PartialAdsArena::new(k, ranks.to_vec());
     let mut stats = BuildStats::default();
     let mut scratch = SearchScratch::for_graph(&gt);
     for &u in &order {
@@ -160,7 +159,6 @@ pub(crate) fn run_core(
             arena: &mut arena,
             stats: &mut stats,
             src: u,
-            rank: ranks[u as usize],
             tieless,
         };
         scratch.run(&gt, u, &mut driver);

@@ -183,7 +183,7 @@ pub(crate) fn run_core_parallel(
     crate::builder::validate_k(k)?;
     let gt = g.transpose();
     let order = rank_order(ranks, None, n);
-    let mut arena = PartialAdsArena::new(n, k);
+    let mut arena = PartialAdsArena::new(k, ranks.to_vec());
     let mut stats = BuildStats::default();
     let mut merged = 0usize;
     while merged < order.len() {
@@ -217,14 +217,12 @@ pub(crate) fn run_core_parallel(
             );
         }
         // Merge phase: sequential rank-order replay with re-pruning.
-        for (i, slot) in slots.into_iter().enumerate() {
-            let u = wave[i];
-            let r_u = ranks[u as usize];
+        for (&u, slot) in wave.iter().zip(slots) {
             stats.relaxations += slot.relaxations;
             stats.heap_pushes += slot.heap_pushes;
             stats.pruned_at_relax += slot.pruned_at_relax;
             for (v, d) in slot.candidates {
-                if arena.insert_rank_monotone(v, u, d, r_u) {
+                if arena.insert_rank_monotone(v, u, d) {
                     stats.insertions += 1;
                 }
             }

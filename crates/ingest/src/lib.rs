@@ -30,7 +30,9 @@
 //! the logged prefix by replay (incremental maintenance is deterministic,
 //! so the rebuilt sketches are bitwise the ones that were live). The last
 //! log segment may be torn mid-record by a crash; recovery keeps its
-//! longest valid checksummed prefix and truncates the rest. Frozen
+//! longest valid checksummed prefix and truncates the rest (a segment
+//! cut inside its header, right after a rotation, gets the header
+//! written again). Frozen
 //! generations are immutable once written and `CURRENT` is flipped by
 //! rename, so a crash mid-freeze leaves at worst an orphaned partial
 //! directory the next freeze overwrites — never a half-published

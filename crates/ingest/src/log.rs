@@ -18,10 +18,12 @@
 //! recovered entries. A torn tail (partial record or digest mismatch) is
 //! legal **only on the last segment** — that is the one a crash can
 //! interrupt mid-append — and is repaired by truncating the file back to
-//! its longest valid prefix. The same damage on an earlier segment, a
-//! bad magic, or a sequence-number gap between segments is corruption
-//! and fails the open with a typed [`IngestError`]; an edge log never
-//! silently drops interior history.
+//! its longest valid prefix. A last segment cut inside its header (a
+//! crash after a rotation created the file but before its buffered
+//! header reached it) is repaired by writing the header again. The same
+//! damage on an earlier segment, a bad magic, or a sequence-number gap
+//! between segments is corruption and fails the open with a typed
+//! [`IngestError`]; an edge log never silently drops interior history.
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
@@ -106,9 +108,32 @@ struct ReplayedSegment {
     hasher: Fnv1a64,
 }
 
-fn replay_segment(path: &Path) -> Result<ReplayedSegment, IngestError> {
+/// The header of a segment whose first record is `base_seq`.
+fn segment_header(base_seq: u64) -> [u8; HEADER_LEN] {
+    let mut header = [0u8; HEADER_LEN];
+    header[..8].copy_from_slice(&SEGMENT_MAGIC);
+    header[8..12].copy_from_slice(&LOG_VERSION.to_le_bytes());
+    header[12..20].copy_from_slice(&base_seq.to_le_bytes());
+    header
+}
+
+/// Replays one segment. `last_base` is the base sequence the segment
+/// must have if it is the log's last one: a last segment that holds a
+/// strict prefix of that header (a crash between creating the file and
+/// flushing its header) replays as empty, with `valid_len` 0.
+fn replay_segment(path: &Path, last_base: Option<u64>) -> Result<ReplayedSegment, IngestError> {
     let mut bytes = Vec::new();
     File::open(path)?.read_to_end(&mut bytes)?;
+    if let Some(base_seq) = last_base {
+        if bytes.len() < HEADER_LEN && segment_header(base_seq).starts_with(&bytes) {
+            return Ok(ReplayedSegment {
+                base_seq,
+                entries: Vec::new(),
+                valid_len: 0,
+                hasher: Fnv1a64::new(),
+            });
+        }
+    }
     if bytes.len() < HEADER_LEN || bytes[..8] != SEGMENT_MAGIC {
         return Err(IngestError::BadMagic { path: path.into() });
     }
@@ -190,7 +215,8 @@ impl EdgeLog {
         let mut entries: Vec<EdgeLogEntry> = Vec::new();
         let mut tail: Option<(u64, PathBuf, u64, u64, Fnv1a64)> = None;
         for (pos, (idx, path)) in segs.iter().enumerate() {
-            let seg = replay_segment(path)?;
+            let last = pos + 1 == segs.len();
+            let seg = replay_segment(path, last.then_some(entries.len() as u64))?;
             if seg.base_seq != entries.len() as u64 {
                 return Err(IngestError::SeqGap {
                     expected: entries.len() as u64,
@@ -198,7 +224,7 @@ impl EdgeLog {
                 });
             }
             let file_len = std::fs::metadata(path)?.len();
-            if seg.valid_len != file_len && pos + 1 != segs.len() {
+            if seg.valid_len != file_len && !last {
                 return Err(IngestError::TornLog {
                     path: path.clone(),
                     detail: format!(
@@ -226,6 +252,8 @@ impl EdgeLog {
 
         let next_seq = entries.len() as u64;
         let log = match tail {
+            // A torn header: write it again.
+            Some((idx, _, 0, ..)) => Self::fresh_segment(dir, segment_cap, idx, next_seq)?,
             // Resume the last segment if it still has room under the
             // *current* cap; otherwise rotate past it.
             Some((idx, path, valid_len, records, hasher)) if records < segment_cap => {
@@ -264,10 +292,7 @@ impl EdgeLog {
         base_seq: u64,
     ) -> Result<EdgeLog, IngestError> {
         let path = dir.join(segment_file_name(segment_index));
-        let mut header = [0u8; HEADER_LEN];
-        header[..8].copy_from_slice(&SEGMENT_MAGIC);
-        header[8..12].copy_from_slice(&LOG_VERSION.to_le_bytes());
-        header[12..20].copy_from_slice(&base_seq.to_le_bytes());
+        let header = segment_header(base_seq);
         let mut writer = BufWriter::new(File::create(&path)?);
         writer.write_all(&header)?;
         let mut hasher = Fnv1a64::new();
@@ -358,6 +383,7 @@ impl SeekEnd for BufWriter<File> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adsketch_util::rng::{Rng64, SplitMix64};
 
     struct Scratch(PathBuf);
 
@@ -484,6 +510,143 @@ mod tests {
             Err(IngestError::BadMagic { .. }) => {}
             other => panic!("expected BadMagic, got {other:?}"),
         }
+    }
+
+    /// One hostile edit of a segment file: bit flips, a truncation,
+    /// appended bytes, or one header field (magic, version, base
+    /// sequence) overwritten with a random or an off-by-one value.
+    fn mutate(good: &[u8], case: usize, rng: &mut SplitMix64) -> Vec<u8> {
+        let mut bytes = good.to_vec();
+        match case % 4 {
+            0 => {
+                for _ in 0..1 + rng.range_usize(4) {
+                    let bit = rng.range_usize(good.len() * 8);
+                    bytes[bit / 8] ^= 1 << (bit % 8);
+                }
+            }
+            1 => bytes.truncate(rng.range_usize(good.len())),
+            2 => bytes.extend((0..1 + rng.range_usize(60)).map(|_| rng.next_u64() as u8)),
+            _ => {
+                let (at, len) = [(0, 8), (8, 4), (12, 8)][rng.range_usize(3)];
+                let old = u64::from_le_bytes({
+                    let mut b = [0u8; 8];
+                    b[..len].copy_from_slice(&good[at..at + len]);
+                    b
+                });
+                let new = match rng.range_usize(3) {
+                    0 => rng.next_u64(),
+                    1 => old.wrapping_add(1),
+                    _ => old.wrapping_sub(1),
+                };
+                bytes[at..at + len].copy_from_slice(&new.to_le_bytes()[..len]);
+            }
+        }
+        bytes
+    }
+
+    /// Hostile inputs, edge-log slice: 400 mutations of one segment of a
+    /// 3-segment log. Every open either fails with a typed error or
+    /// replays a bit-exact prefix of the appended edges, and a log that
+    /// opens resumes its chain: one more append replays after it on the
+    /// next open. Every truncation of the last segment opens. Nothing
+    /// panics.
+    #[test]
+    fn mutated_segments_are_typed_errors_or_exact_prefixes() {
+        let s = Scratch::new("mutation");
+        let (mut log, _) = EdgeLog::open(&s.0, 4).unwrap();
+        fill(&mut log, 10); // segments: 4 + 4 + 2
+        drop(log);
+        let (_, appended) = EdgeLog::open(&s.0, 4).unwrap();
+        let goods: Vec<Vec<u8>> = (0..3)
+            .map(|i| std::fs::read(s.0.join(segment_file_name(i))).unwrap())
+            .collect();
+        let same = |a: &[EdgeLogEntry], b: &[EdgeLogEntry]| {
+            let key = |e: &EdgeLogEntry| (e.seq, e.u, e.v, e.w.to_bits());
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| key(x) == key(y))
+        };
+        let mut rng = SplitMix64::new(0x5EED_0000 ^ 3);
+        let mut opened = 0;
+        for case in 0..400 {
+            let seg = rng.range_usize(3);
+            let bytes = mutate(&goods[seg], case, &mut rng);
+            let cap = [1, 3, 4, 100][rng.range_usize(4)];
+            let what = format!(
+                "case {case}: segment {seg}, {} bytes, cap {cap}",
+                bytes.len()
+            );
+            std::fs::remove_dir_all(&s.0).unwrap();
+            std::fs::create_dir_all(&s.0).unwrap();
+            for (i, good) in goods.iter().enumerate() {
+                let file = if i == seg { &bytes } else { good };
+                std::fs::write(s.0.join(segment_file_name(i as u64)), file).unwrap();
+            }
+            let open = || EdgeLog::open(&s.0, cap);
+            let opened_log =
+                std::panic::catch_unwind(open).unwrap_or_else(|_| panic!("{what}: panicked"));
+            // A crash leaves any prefix of the last segment: that must
+            // always recover.
+            if seg == 2 && case % 4 == 1 {
+                assert!(opened_log.is_ok(), "{what}: {:?}", opened_log.err());
+            }
+            let Ok((mut log, replayed)) = opened_log else {
+                continue;
+            };
+            opened += 1;
+            let n = replayed.len();
+            assert!(
+                same(&replayed, &appended[..n.min(10)]),
+                "{what}: not a prefix"
+            );
+            assert_eq!(log.next_seq(), n as u64, "{what}");
+            log.append(7, 8, 9.5).unwrap();
+            log.flush().unwrap();
+            drop(log);
+            let (_, again) = EdgeLog::open(&s.0, cap).unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert!(same(&again[..n], &replayed), "{what}: history moved");
+            assert_eq!(
+                (again.len(), again[n].u, again[n].v, again[n].w),
+                (n + 1, 7, 8, 9.5),
+                "{what}: the resumed append"
+            );
+        }
+        assert!(opened > 0 && opened < 400, "{opened} of 400 cases opened");
+    }
+
+    /// A crash right after a rotation leaves the new segment shorter than
+    /// its header (the header sits in the writer's buffer): the open
+    /// writes the header again and the log resumes. The mutation test
+    /// found this as a `BadMagic` on a truncated last segment.
+    #[test]
+    fn torn_header_on_the_last_segment_is_written_again() {
+        for cut in [0, 7, 13, HEADER_LEN - 1] {
+            let s = Scratch::new(&format!("torn_header_{cut}"));
+            let (mut log, _) = EdgeLog::open(&s.0, 4).unwrap();
+            fill(&mut log, 9); // segments: 4 + 4 + 1
+            drop(log);
+            let path = s.0.join(segment_file_name(2));
+            let header = std::fs::read(&path).unwrap()[..cut].to_vec();
+            std::fs::write(&path, &header).unwrap();
+            let (mut log, replayed) = EdgeLog::open(&s.0, 4).unwrap();
+            assert_eq!((replayed.len(), log.segments()), (8, 3), "cut {cut}");
+            fill(&mut log, 2);
+            drop(log);
+            let (_, replayed) = EdgeLog::open(&s.0, 4).unwrap();
+            assert_eq!(replayed.len(), 10, "cut {cut}");
+            assert_eq!(replayed[8].u, 0, "cut {cut}: the resumed append");
+            // An interior segment cut the same way is still corruption,
+            // and so is a short last segment that is not a header prefix.
+            std::fs::write(s.0.join(segment_file_name(1)), &header).unwrap();
+            assert!(EdgeLog::open(&s.0, 4).is_err(), "cut {cut}");
+        }
+        let s = Scratch::new("torn_header_garbage");
+        let (mut log, _) = EdgeLog::open(&s.0, 4).unwrap();
+        fill(&mut log, 5);
+        drop(log);
+        std::fs::write(s.0.join(segment_file_name(1)), b"ADSKELG2").unwrap();
+        assert!(matches!(
+            EdgeLog::open(&s.0, 4),
+            Err(IngestError::BadMagic { .. })
+        ));
     }
 
     #[test]
