@@ -114,8 +114,8 @@ fn main() {
         "resident counts the owned columns by capacity (per node); v1 is the exact full-width\n\
          serialized length (exactly 20 B/entry for the node/dist/weight columns + 12 B/node\n\
          for the CSR offsets and the rank table + 40 B header); v2 is the compressed format\n\
-         (per-row delta+varint node ids, dictionary-coded distances, 1/τ weight\n\
-         back-references, a 7-byte rank mantissa per node — bitwise-lossless, escape\n\
-         columns where needed)."
+         (per-row delta+varint node ids, dictionary-coded distances, a 7-byte rank\n\
+         mantissa per node, no weight bytes: every load derives the 1/τ weights —\n\
+         bitwise-lossless, escape columns where needed)."
     );
 }

@@ -12,12 +12,12 @@
 //! with the per-node rank table it ran on: an entry samples a node, so
 //! its rank is that node's (paper, Section 2), and the store keeps one
 //! `rank_of: [f64; n]` table instead of a rank per entry. It adds the
-//! weight column in one pass per row, writing `1/τ` with τ read off a
-//! sorted array of the row's ≤ k lowest ranks `rank_of[node]` so far
-//! (Lemma 5.1; no heap). [`crate::reference::hip_weights`] computes the
-//! same weights through a heap and stays as the reference they are
-//! tested against. The v2 encoder runs the same scan to find each
-//! weight's τ entry.
+//! weight column in one pass per row, writing `1/τ` with τ the k-th
+//! smallest rank `rank_of[node]` before the entry (Lemma 5.1), read off
+//! the branchless sorted-slot kernel `hip::tau_scan` (no heap).
+//! [`crate::reference::hip_weights`] computes the same weights through a
+//! heap and stays as the reference they are tested against. A v2 file
+//! stores no weights: every v2 load derives them with the same kernel.
 //!
 //! # On-disk format (version 1)
 //!
@@ -89,7 +89,8 @@
 //! 40      1             node-column tag   (0 delta+varint, 1 raw u32)
 //! 41      1             dist-column tag   (0 dict u16, 1 dict u32, 2 raw f64 bits)
 //! 42      1             rank-table tag    (0 fixed 7-byte m·2⁻⁵³, 1 raw f64 bits)
-//! 43      1             weight-column tag (0 varint τ back-reference, 1 raw f64 bits)
+//! 43      1             weight-column tag (2 derived: no bytes, 1 raw f64 bits;
+//!                       0, τ back-references, is an older build's)
 //! 44      4             R = rows per block (u32)
 //! 48      (n+1)*4       offsets  (u32, identical to the v1 column)
 //! ...     n*7 or n*8    rank_of  (per the rank-table tag)
@@ -103,9 +104,13 @@
 //!
 //! Each block's payload is column-major: a 12-byte header of three u32
 //! section lengths, then the `[dists][nodes][weights]` sections for that
-//! block's entries. A `1` (or for dists `2`) tag byte marks a whole
-//! column *escaped* to raw full-width values. The rank table's tag comes
-//! from one scan of the table; the encoder picks the other tags by
+//! block's entries. Under the derived weight tag the weight section is
+//! empty: the decoder rebuilds each row's weights from its node ids and
+//! the rank table, as a freeze computes them. A `1` (or for dists `2`)
+//! tag byte marks a whole column *escaped* to raw full-width values. A
+//! weight tag of `0` (the per-entry τ back-references an older build
+//! wrote) is [`FrozenError::LegacyGeneration`]. The rank table's tag
+//! comes from one scan of the table; the encoder picks the other tags by
 //! **verifying bit-exact reconstruction of every entry**, so v1 ↔ v2
 //! round trips are bitwise lossless for any store and every estimator
 //! answers bit-identically on either format. Version 2 exists
@@ -161,7 +166,7 @@ use std::path::Path;
 
 use adsketch_graph::NodeId;
 
-use crate::hip::TauScan;
+use crate::hip::tau_scan;
 use crate::view::{AdsView, Row};
 
 #[allow(unsafe_code)] // the workspace's single unsafe module; see its docs
@@ -195,11 +200,13 @@ pub enum StoreFormat {
     #[default]
     V1,
     /// Version 2: compressed block-columnar encoding (delta+varint node
-    /// ids, dictionary distances, τ-back-reference weights, a 7-byte rank
-    /// per node — each with a bit-exact raw escape). Typically 4–5×
-    /// smaller than v1 on unit-weight graphs; every load decodes it
-    /// once into the full-width in-memory columns. Bitwise-lossless: a
-    /// v1 ↔ v2 round trip reproduces every stored bit.
+    /// ids, dictionary distances, a 7-byte rank per node, and no weight
+    /// bytes: every load derives the HIP weights from the rows and the
+    /// rank table — each column with a bit-exact raw escape). About 5×
+    /// smaller than v1 on unit-weight graphs (≈ 3.7 B per entry); every
+    /// load decodes it once into the full-width in-memory columns.
+    /// Bitwise-lossless: a v1 ↔ v2 round trip reproduces every stored
+    /// bit.
     V2,
 }
 
@@ -382,8 +389,10 @@ impl PartialEq for FrozenAdsSet {
 pub enum FrozenError {
     /// The buffer does not start with [`FROZEN_MAGIC`].
     BadMagic,
-    /// The file is a frozen store of an earlier container generation
-    /// (`ADSKFRZ1` or `ADSKFRZ2`), which this build has no reader for.
+    /// The file was written by an older build this one has no reader
+    /// for: a store of an earlier container generation (`ADSKFRZ1` or
+    /// `ADSKFRZ2`), or a version-2 store whose weights are τ
+    /// back-references (weight tag 0; this build derives them).
     LegacyGeneration,
     /// The format version is not one this build understands.
     UnsupportedVersion(u32),
@@ -414,8 +423,10 @@ impl fmt::Display for FrozenError {
             FrozenError::LegacyGeneration => write!(
                 f,
                 "frozen ADS store written by an older build (container generation 1 \
-                 or 2, magic ADSKFRZ1 or ADSKFRZ2); this build reads generation 3 only \
-                 — re-freeze the sketches to upgrade"
+                 or 2, magic ADSKFRZ1 or ADSKFRZ2, or a version-2 body storing its \
+                 weights as τ back-references, weight tag 0); this build reads \
+                 generation 3 with derived version-2 weights only — re-freeze the \
+                 sketches to upgrade"
             ),
             FrozenError::UnsupportedVersion(v) => {
                 write!(
@@ -496,9 +507,9 @@ pub struct LoadOptions {
     /// decoder checks every block as it goes, so an unverified v2 load
     /// still rejects, as typed errors, what a v1 load cannot see without
     /// the checksum: section lengths that do not tile a block, escape
-    /// columns of the wrong length, out-of-range dictionary codes, rank
-    /// mantissas and τ back-references, and non-canonical or truncated
-    /// varints. What it skips is the checksum and the block decoder's
+    /// columns of the wrong length, a weight byte under derived weights,
+    /// out-of-range dictionary codes and rank mantissas, and
+    /// non-canonical or truncated varints. What it skips is the checksum and the block decoder's
     /// check of each decoded row's canonical `(dist, node)` order, so bit
     /// rot that still decodes yields a store with wrong values.
     pub verify: bool,
@@ -749,9 +760,10 @@ impl FrozenAdsSet {
     /// Takes over a builder's entry columns — `offsets[v]..offsets[v+1]`
     /// is row `v`, each row in canonical `(dist, node)` order — with the
     /// per-node rank table the builder ran on, and adds the HIP adjusted
-    /// weight of every entry: one pass per row, `1/τ` with τ the k-th
-    /// smallest rank `rank_of[node]` before the entry (1 while fewer than
-    /// k precede it). This is the uniform-rank weight of Lemma 5.1; a set
+    /// weight of every entry: one pass per row of the kernel every v2
+    /// load runs too, `1/τ` with τ the k-th smallest rank `rank_of[node]`
+    /// before the entry (1 while fewer than k precede it). This is the
+    /// uniform-rank weight of Lemma 5.1; a set
     /// built over non-uniform ranks takes its estimates from
     /// [`crate::weighted::weighted_hip`] instead.
     pub(crate) fn from_columns(
@@ -768,23 +780,16 @@ impl FrozenAdsSet {
             nodes.len()
         );
         debug_assert_eq!(dists.len(), nodes.len());
-        let mut weights = Vec::with_capacity(nodes.len());
-        let mut scan = TauScan::new(k);
-        for row in offsets.windows(2) {
-            scan.reset();
-            for (at, &node) in nodes[row[0] as usize..row[1] as usize].iter().enumerate() {
-                let rank = rank_of[node as usize];
-                let tau = scan.threshold().map_or(1.0, |(t, _)| t);
-                let entered = scan.offer(rank, at as u32);
-                // An exact rank tie with τ keeps the held slot (the
-                // oracle's heap breaks it by node id); τ is the same.
-                debug_assert!(
-                    entered || rank == tau,
-                    "every ADS entry is a prefix bottom-k member"
-                );
-                weights.push(1.0 / tau);
-            }
-        }
+        let mut weights = vec![0.0; nodes.len()];
+        tau_scan(k, &offsets, &nodes, &rank_of, |i, rank, tau| {
+            // An exact rank tie with τ keeps the held slot (the oracle's
+            // heap breaks it by node id); τ is the same.
+            debug_assert!(
+                tau.is_none_or(|t| rank <= t),
+                "every ADS entry is a prefix bottom-k member"
+            );
+            weights[i] = 1.0 / tau.unwrap_or(1.0);
+        });
         Self::from_owned_cols(k as u32, offsets, nodes, dists, weights, rank_of)
     }
 

@@ -16,12 +16,13 @@
 //!   (canonical `(dist, node)` order), so runs delta+varint-compress;
 //!   run boundaries are recovered from the already-decoded distance
 //!   codes. Escape: raw 4-byte ids.
-//! * **HIP weights** are `1/τ` where `τ` is either `1.0` or the rank of
-//!   the node an *earlier entry of the same row* samples (Lemma 5.1's
-//!   threshold). Each weight stores a varint back-reference to that
-//!   entry (`0` ⇒ weight exactly `1.0`) and is rebuilt at decode time by
-//!   the identical division `1.0 / rank_of[node]` — verified bit-for-bit
-//!   per entry at encode time, raw-bits escape otherwise.
+//! * **HIP weights** are not stored. Each is `1/τ`, τ the k-th smallest
+//!   rank of the entries before it in its row (Lemma 5.1), so the row's
+//!   node ids and the rank table determine every weight, and the decoder
+//!   rebuilds them with the freeze's own kernel, [`tau_scan`]. The
+//!   encoder checks the rebuilt weights bit for bit against the store's
+//!   and escapes the column to raw bits if any differs (only a store
+//!   whose weights no freeze wrote, such as a forged v1 file, does).
 //! * **Ranks** live in one per-node table. The unweighted sampler's are
 //!   exactly `m·2⁻⁵³` (`m ≤ 2⁵³`), so 7 bytes of `m` reproduce each one
 //!   bit-for-bit; one scan of the table picks that, or raw bits when a
@@ -37,25 +38,26 @@
 //! Entries are grouped into blocks of [`DEFAULT_ROWS_PER_BLOCK`] rows
 //! (the row count is recorded in the header). Each block encodes its
 //! entries column-major — three sections `[dists][nodes][weights]`, in
-//! decode order, behind a 12-byte section-length header — so decoding
-//! runs three tight loops instead of a per-entry interleaved parse.
+//! decode order, behind a 12-byte section-length header; the weight
+//! section is empty unless the column escaped — so decoding runs tight
+//! loops instead of a per-entry interleaved parse.
 //!
 //! Version 2 is a **file codec**, not a way to hold a store: this module
 //! is the pair [`encode`] (columns → bytes) and [`decode`] (bytes →
 //! columns). Each makes one pass over the blocks, which are independent,
 //! in one contiguous chunk per core:
 //!
-//! * [`encode`] assumes the compressed weight and node tags. Each chunk
-//!   writes its blocks into its own buffer, the weights' τ
-//!   back-references read off one [`TauScan`] per row, and decodes every
-//!   block back and compares it bitwise with its source while the block
-//!   is still in cache. An entry a tag does not reproduce, in any chunk,
-//!   restarts the encoder with that one column escaped, so the bytes do
-//!   not depend on the chunking.
+//! * [`encode`] assumes the derived weights and the compressed node
+//!   tag. Each chunk writes its blocks into its own buffer and decodes
+//!   every block back, its weights rebuilt, and compares it bitwise with
+//!   its source while the block is still in cache. An entry a tag does
+//!   not reproduce, in any chunk, restarts the encoder with that one
+//!   column escaped, so the bytes do not depend on the chunking.
 //! * Every load path of a v2 file — `from_bytes`, buffered, mapped,
 //!   trusted — runs [`decode`] once over the whole image and ends in
 //!   the same full-width columns a freeze or a v1 load produces, so
-//!   queries never see the compressed form. Its one block decoder, the
+//!   queries never see the compressed form. Each chunk rebuilds the
+//!   weights of the blocks it decodes. Its one block decoder, the
 //!   one the encoder's self-check runs too, checks each block as it
 //!   decodes it, at every load level: a malformed block — a node id
 //!   past the rank table included — is a typed error even in a trusted
@@ -69,7 +71,7 @@ use std::ops::Range;
 use super::varint;
 use super::{FrozenError, ParsedHeader, HEADER_LEN};
 use crate::builder::{shard_slots, thread_count};
-use crate::hip::TauScan;
+use crate::hip::tau_scan;
 
 /// Serialized v2 header length: the 40 common bytes plus four column
 /// tags and the u32 rows-per-block.
@@ -120,14 +122,15 @@ pub(super) enum RankTag {
     Raw = 1,
 }
 
-/// How the HIP-weight column is encoded (header byte 43).
+/// How the HIP-weight column is encoded (header byte 43). Tag 0, a varint
+/// τ back-reference per entry, is an older build's and a
+/// [`FrozenError::LegacyGeneration`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum WeightTag {
-    /// Varint back-reference: `0` ⇒ weight exactly `1.0`; `c > 0` ⇒
-    /// weight rebuilt as `1.0 / rank_of[nodes[i − c]]` of the same row.
-    TauRef = 0,
     /// Raw f64 bits per entry (escape: some weight is not reproducible).
     Raw = 1,
+    /// No bytes: every weight is rebuilt from the row and the rank table.
+    Derived = 2,
 }
 
 /// The four per-column encoding decisions of one v2 store.
@@ -169,8 +172,9 @@ impl Tags {
                 t => return bad("rank-table", t),
             },
             weight: match b[3] {
-                0 => WeightTag::TauRef,
+                0 => return Err(FrozenError::LegacyGeneration),
                 1 => WeightTag::Raw,
+                2 => WeightTag::Derived,
                 t => return bad("weight-column", t),
             },
         })
@@ -312,11 +316,11 @@ impl<'a> Body<'a> {
         }
         // `decode` allocates its columns by `entries`: bound that by the
         // bytes actually present before it does. No entry takes fewer
-        // than 4 blob bytes: a 2-byte distance code, a 1-byte node varint
-        // and a 1-byte weight varint.
-        if entries as u64 * 4 > blob_len {
+        // than 3 blob bytes: a 2-byte distance code and a 1-byte node
+        // varint.
+        if entries as u64 * 3 > blob_len {
             return Err(FrozenError::Corrupt(format!(
-                "{entries} entries cannot fit a {blob_len}-byte blob (at least 4 bytes each)"
+                "{entries} entries cannot fit a {blob_len}-byte blob (at least 3 bytes each)"
             )));
         }
         Ok(Self {
@@ -350,10 +354,12 @@ fn block_entries(blocks: &Range<usize>, rows_per_block: usize, offsets: &[u32]) 
 
 /// What decoding any block of one image takes besides its bytes: the
 /// column tags, the distance dictionary, the CSR offsets, which say
-/// where each row starts, and the rank table the weights divide by.
+/// where each row starts, and the `k` and rank table the weights derive
+/// from.
 #[derive(Clone, Copy)]
 struct Codec<'a> {
     tags: Tags,
+    k: usize,
     dict: &'a [f64],
     offsets: &'a [u32],
     rank_of: &'a [f64],
@@ -365,10 +371,10 @@ impl Codec<'_> {
     /// The one block decoder: every v2 load level and the encoder's
     /// self-check run it. It checks as it decodes and fails on the first
     /// fault: the section lengths tile the span; each fixed-width section
-    /// holds one value per entry; dictionary codes and weight
-    /// back-references are in range; varints are canonical and each
-    /// varint section ends with its last row; every node id is below `n`
-    /// before a weight gathers its rank; with `check_order`, every row's
+    /// holds one value per entry and a derived weight column none;
+    /// dictionary codes are in range; varints are canonical and the node
+    /// section ends with its last row; every node id is below `n` before
+    /// the weights gather its rank; with `check_order`, every row's
     /// canonical `(dist, node)` order.
     fn decode_block(
         &self,
@@ -414,12 +420,6 @@ impl Codec<'_> {
         };
         let row_span =
             |v: usize| self.offsets[v] as usize - base..self.offsets[v + 1] as usize - base;
-        let ended = |at: usize, sec: &[u8], name: &str| match sec.len() - at {
-            0 => Ok(()),
-            extra => Err(corrupt(format!(
-                "{extra} trailing bytes after the {name} varint stream"
-            ))),
-        };
 
         // Distances first: node runs are recovered from them.
         match self.tags.dist {
@@ -463,7 +463,12 @@ impl Codec<'_> {
                         next = id + 1;
                     }
                 }
-                ended(at, sec_n, "node")?;
+                if at < sec_n.len() {
+                    return Err(corrupt(format!(
+                        "{} trailing bytes after the node varint stream",
+                        sec_n.len() - at
+                    )));
+                }
             }
             NodeTag::Raw => {
                 fixed(sec_n, 4, "node")?;
@@ -474,25 +479,17 @@ impl Codec<'_> {
         }
 
         match self.tags.weight {
-            WeightTag::TauRef => {
-                let mut at = 0;
-                for v in rows.clone() {
-                    let row = row_span(v);
-                    for i in row.clone() {
-                        let back = varint::read(sec_w, &mut at)
-                            .map_err(|e| corrupt(format!("row {v} weight column: {e}")))?;
-                        weights[i] = if back == 0 {
-                            1.0
-                        } else if back <= (i - row.start) as u64 {
-                            1.0 / self.rank_of[nodes[i - back as usize] as usize]
-                        } else {
-                            return Err(corrupt(format!(
-                                "row {v}: weight back-reference {back} reaches before entry 0"
-                            )));
-                        };
-                    }
+            WeightTag::Derived => {
+                if !sec_w.is_empty() {
+                    return Err(corrupt(format!(
+                        "weight section is {} bytes under the derived-weight tag, which stores none",
+                        sec_w.len()
+                    )));
                 }
-                ended(at, sec_w, "weight")?;
+                let offsets = &self.offsets[rows.start..=rows.end];
+                tau_scan(self.k, offsets, nodes, self.rank_of, |i, _, tau| {
+                    weights[i] = 1.0 / tau.unwrap_or(1.0)
+                });
             }
             WeightTag::Raw => {
                 fixed(sec_w, 8, "weight")?;
@@ -556,6 +553,7 @@ pub(super) fn decode(
     };
     let codec = Codec {
         tags: body.tags,
+        k: header.k as usize,
         dict: &body.dict,
         offsets: &body.offsets,
         rank_of: &body.rank_of,
@@ -622,7 +620,8 @@ fn split_sections(span: &[u8]) -> Option<[&[u8]; 3]> {
 // Encoding
 // ---------------------------------------------------------------------
 
-/// A column some entry does not reproduce in its compressed encoding.
+/// A column some entry does not reproduce in its compressed encoding
+/// (for the weights: the weights rebuilt from the rows differ).
 enum Escape {
     Weight,
     Node,
@@ -631,7 +630,7 @@ enum Escape {
 /// Serializes `rows` to the complete v2 byte image (header, checksum
 /// patched in). The rank table's tag comes from one scan of the table.
 /// The encoder is optimistic about the rest: it starts from the
-/// compressed weight and node tags and encodes the blocks in one chunk
+/// derived weight and compressed node tags and encodes the blocks in one chunk
 /// per thread (`0`: per core). If an entry does not reproduce
 /// bit-for-bit under its column's tag, it starts over with that column
 /// escaped to raw bits, so the tags are those a verification of every
@@ -661,7 +660,7 @@ pub(super) fn encode(k: u32, rows: RowsSource<'_>, threads: usize) -> Vec<u8> {
         } else {
             RankTag::Raw
         },
-        weight: WeightTag::TauRef,
+        weight: WeightTag::Derived,
     };
     let mut buf = Vec::new();
     loop {
@@ -720,6 +719,7 @@ fn encode_with(
 
     let codec = Codec {
         tags,
+        k: k as usize,
         dict,
         offsets: rows.offsets,
         rank_of: rows.rank_of,
@@ -739,7 +739,7 @@ fn encode_with(
         threads,
         || (),
         |_, _, (blocks, out, escape)| {
-            *escape = encode_chunk(&codec, k, rows, blocks.clone(), out).err();
+            *escape = encode_chunk(&codec, rows, blocks.clone(), out).err();
         },
     );
     let mut escaped = tags;
@@ -776,10 +776,10 @@ fn encode_with(
 }
 
 /// Appends the blocks `blocks` of `rows` to `out`, each encoded under
-/// `cx.tags` and self-checked, with a [`TauScan`] of the chunk's own.
+/// `cx.tags` and self-checked: weights the block decoder does not rebuild
+/// bit for bit escape their column.
 fn encode_chunk(
     cx: &Codec<'_>,
-    k: u32,
     rows: RowsSource<'_>,
     blocks: Range<usize>,
     out: &mut Vec<u8>,
@@ -787,13 +787,12 @@ fn encode_chunk(
     let n = rows.offsets.len() - 1;
     let rpb = DEFAULT_ROWS_PER_BLOCK as usize;
     out.reserve(block_entries(&blocks, rpb, rows.offsets).len() * 8);
-    let mut scan = TauScan::new((k as usize).max(1));
     let mut check = Columns::default();
     for b in blocks {
         let block = block_rows(b, rpb, n);
         let span = block_entries(&(b..b + 1), rpb, rows.offsets);
         let start = out.len();
-        encode_block(cx, rows, block.clone(), &mut scan, out)?;
+        encode_block(cx, rows, block.clone(), out)?;
 
         // Self-check, through the decoder every load runs. Row order is
         // not checked: a trusted out-of-order store must still encode.
@@ -809,26 +808,24 @@ fn encode_chunk(
         assert!(
             decoded.is_ok()
                 && check.nodes == rows.nodes[span.clone()]
-                && bits_eq(&check.dists, &rows.dists[span.clone()])
-                && bits_eq(&check.weights, &rows.weights[span]),
+                && bits_eq(&check.dists, &rows.dists[span.clone()]),
             "v2 encoder self-verification failed in block {b} ({decoded:?}) — this is a bug"
         );
+        if !bits_eq(&check.weights, &rows.weights[span]) {
+            return Err(Escape::Weight);
+        }
     }
     Ok(())
 }
 
 /// Appends the rows `block` of `src` to `out` as one block: the 12-byte
 /// section-length header, then the dist, node and weight sections under
-/// `cx.tags`. Fails on the first entry a compressed tag does not
-/// reproduce. The weights' back-references come from one [`TauScan`]
-/// per row over the sampled nodes' ranks: the Lemma 5.1 threshold
-/// entry, with a backwards search for exact-tie corner cases and
-/// non-HIP weights.
+/// `cx.tags` (a derived weight section is empty). Fails on the first
+/// node run the delta tag does not reproduce.
 fn encode_block(
     cx: &Codec<'_>,
     src: RowsSource<'_>,
     block: Range<usize>,
-    scan: &mut TauScan,
     out: &mut Vec<u8>,
 ) -> Result<(), Escape> {
     let span = src.offsets[block.start] as usize..src.offsets[block.end] as usize;
@@ -842,7 +839,6 @@ fn encode_block(
         mark = out.len();
     };
     let row_span = |v: usize| src.offsets[v] as usize..src.offsets[v + 1] as usize;
-    let rank = |i: usize| src.rank_of[src.nodes[i] as usize];
 
     let dists = &src.dists[span.clone()];
     match cx.tags.dist {
@@ -899,35 +895,7 @@ fn encode_block(
     end_section(out, 1);
 
     match cx.tags.weight {
-        WeightTag::TauRef => {
-            for v in block {
-                let row = row_span(v);
-                scan.reset();
-                for i in row.clone() {
-                    let w = src.weights[i].to_bits();
-                    let at = (i - row.start) as u32;
-                    let back = if w == 1.0f64.to_bits() {
-                        0
-                    } else {
-                        scan.threshold()
-                            .filter(|&(r, _)| (1.0 / r).to_bits() == w)
-                            .map(|(_, j)| at - j)
-                            .or_else(|| {
-                                // Exact rank ties (or non-HIP weights): any
-                                // earlier entry whose rank reproduces the
-                                // bits will do.
-                                (row.start..i)
-                                    .rev()
-                                    .find(|&j| (1.0 / rank(j)).to_bits() == w)
-                                    .map(|j| (i - j) as u32)
-                            })
-                            .ok_or(Escape::Weight)?
-                    };
-                    varint::encode(back as u64, out);
-                    scan.offer(rank(i), at);
-                }
-            }
-        }
+        WeightTag::Derived => {}
         WeightTag::Raw => put_raw_f64(&src.weights[span], out),
     }
     end_section(out, 2);
@@ -1240,6 +1208,39 @@ mod tests {
                 assert_eq!(msg(false), code, "trusted, {threads} threads");
                 let first = if order_in < code_in { &order } else { &code };
                 assert_eq!(&msg(true), first, "verified, {threads} threads");
+            }
+        }
+    }
+
+    /// `decode` sizes its columns by the header's entry count, so
+    /// `Body::parse` first bounds it by the blob at 3 bytes per entry (a
+    /// 2-byte distance code and a 1-byte node varint): one entry more
+    /// than that is `Corrupt` at every load level, before any column is
+    /// allocated.
+    #[test]
+    fn an_undersized_blob_is_corrupt_before_the_columns_are_allocated() {
+        let (k, cols) = ba3000();
+        let mut image = encode(k, source(&cols), 1);
+        let n = cols.offsets.len() - 1;
+        let blob = Body::parse(&image, n, cols.nodes.len())
+            .expect("parses")
+            .blob
+            .len();
+        let fits = blob / 3;
+        assert!(Body::parse(&image, n, fits).is_ok(), "{fits} entries fit");
+        let want = format!(
+            "{} entries cannot fit a {blob}-byte blob (at least 3 bytes each)",
+            fits + 1
+        );
+        match Body::parse(&image, n, fits + 1).err() {
+            Some(FrozenError::Corrupt(msg)) => assert_eq!(msg, want),
+            other => panic!("{other:?}"),
+        }
+        image[24..32].copy_from_slice(&(fits as u64 + 1).to_le_bytes());
+        for verify in [true, false] {
+            match decode_image(&image, verify, 1).err() {
+                Some(FrozenError::Corrupt(msg)) => assert_eq!(msg, want, "verify {verify}"),
+                other => panic!("verify {verify}: {other:?}"),
             }
         }
     }

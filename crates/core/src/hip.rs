@@ -12,82 +12,100 @@
 //! The flavor-specific HIP probability computations live with their sketch
 //! types ([`crate::kmins`], [`crate::kpartition`], [`crate::tieless`],
 //! [`crate::weighted`]); they all produce this type, as does the bottom-k
-//! heap oracle [`crate::reference::hip_weights`]. The frozen store's
-//! freeze and its v2 encoder share one heap-free bottom-k threshold scan,
-//! `TauScan`.
+//! heap oracle [`crate::reference::hip_weights`]. The frozen store derives
+//! its weight column with one heap-free, branchless bottom-k threshold
+//! kernel, `tau_scan`: a freeze runs it over every row, and so does every
+//! v2 load, whose files store no weights, and the v2 encoder's check of
+//! each block it writes.
 
 use adsketch_graph::NodeId;
 
-/// The Lemma 5.1 threshold scan over one ADS row: the ≤ k smallest ranks
-/// offered so far, with their row positions, in ascending rank order.
+/// Lemma 5.1's threshold for every entry of the rows `offsets` delimits.
+/// `nodes` holds the rows' entries from entry `offsets[0]` on, so a v2
+/// block passes its own slices and a freeze the whole store's. For entry
+/// `i` (an index into `nodes`) it calls `sink(i, rank, τ)` with the
+/// entry's rank `rank_of[nodes[i]]` and τ, the k-th smallest rank of the
+/// entries before it in its row: `None` while fewer than k precede it
+/// (τ is then 1, the supremum of the rank domain). The entry's HIP weight
+/// is `1/τ`.
 ///
-/// Every bottom-k ADS entry enters its prefix's bottom-k, so τ of entry
-/// `i` is the largest held rank before `i` is offered, and a sorted array
-/// of at most k slots (one insertion step per offer) replaces a heap. An
-/// equal rank is placed before the ranks already held, and at capacity
-/// only a strictly smaller rank enters, so among tied ranks the threshold
-/// slot is the oldest one: the position the v2 encoder's τ
-/// back-references name.
-#[derive(Debug)]
-pub(crate) struct TauScan {
+/// A sorted array of `W ≥ k` slots holds the k smallest ranks offered so
+/// far behind `W − k` slots of −∞, so τ is the last slot. An offer
+/// rebuilds every slot from a copy of the old array without a branch,
+/// `t[j] = s[j] < r ? s[j] : (s[j−1] < r ? r : s[j−1])`, which inserts
+/// `r` before the ranks it ties with and drops the last slot. On a sorted
+/// array that is the value `max(s[j−1], min(s[j], r))`, the form it is
+/// computed in, with `s[−1] = −∞`. The slots are pairs, `[[f64; 2]; W/2]`:
+/// each pair's lower neighbours are the previous pair's top and its own
+/// bottom, which the compiler keeps in vector registers instead of
+/// shifting the array through memory. `W` is a compile-time constant, the
+/// smallest bucket that fits k; past the widest bucket the same body runs
+/// over `⌈k/2⌉` pairs in a `Vec`. Every rank table, NaN and infinities
+/// included, gives some τ and never a panic: a v2 load runs this over an
+/// untrusted image.
+pub(crate) fn tau_scan(
     k: usize,
-    /// `(rank, position in row)`, ascending by rank; at most `k` slots.
-    slots: Vec<(f64, u32)>,
+    offsets: &[u32],
+    nodes: &[NodeId],
+    rank_of: &[f64],
+    mut sink: impl FnMut(usize, f64, Option<f64>),
+) {
+    // A row shorter than k never reaches its k-th rank, so capping k at
+    // the longest row changes no τ and bounds the slots by the entries.
+    let longest = offsets.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
+    let k = k.min(longest as usize).max(1);
+    let sink = &mut sink;
+    match k {
+        1..=4 => scan_rows([[0.0; 2]; 2], k, offsets, nodes, rank_of, sink),
+        5..=8 => scan_rows([[0.0; 2]; 4], k, offsets, nodes, rank_of, sink),
+        9..=16 => scan_rows([[0.0; 2]; 8], k, offsets, nodes, rank_of, sink),
+        17..=32 => scan_rows([[0.0; 2]; 16], k, offsets, nodes, rank_of, sink),
+        33..=64 => scan_rows([[0.0; 2]; 32], k, offsets, nodes, rank_of, sink),
+        _ => {
+            let pairs = vec![[0.0; 2]; k.div_ceil(2)];
+            scan_rows(pairs, k, offsets, nodes, rank_of, sink)
+        }
+    }
 }
 
-impl TauScan {
-    /// An empty scan keeping the `k` smallest ranks.
-    pub(crate) fn new(k: usize) -> Self {
-        assert!(k > 0, "k must be positive");
-        Self {
-            k,
-            slots: Vec::with_capacity(k),
-        }
-    }
-
-    /// Forgets every slot: the next offer starts a new row.
-    #[inline]
-    pub(crate) fn reset(&mut self) {
-        self.slots.clear();
-    }
-
-    /// The current threshold `(τ, position)`: the k-th smallest rank
-    /// offered so far and the row position it came from, or `None` while
-    /// fewer than k ranks are held (τ is then 1, the supremum of the rank
-    /// domain).
-    #[inline]
-    pub(crate) fn threshold(&self) -> Option<(f64, u32)> {
-        if self.slots.len() == self.k {
-            self.slots.last().copied()
+/// The body of [`tau_scan`] over the slot pairs `fresh` (at least k
+/// slots, their values ignored).
+#[inline(always)]
+fn scan_rows<S: Clone + AsRef<[[f64; 2]]> + AsMut<[[f64; 2]]>>(
+    mut fresh: S,
+    k: usize,
+    offsets: &[u32],
+    nodes: &[NodeId],
+    rank_of: &[f64],
+    sink: &mut impl FnMut(usize, f64, Option<f64>),
+) {
+    let (base, last) = (offsets[0] as usize, fresh.as_ref().len() - 1);
+    // Every row starts from −∞ up to the last k slots, which are +∞.
+    let held_from = 2 * (last + 1) - k;
+    for (j, slot) in fresh.as_mut().as_flattened_mut().iter_mut().enumerate() {
+        *slot = if j < held_from {
+            f64::NEG_INFINITY
         } else {
-            None
-        }
+            f64::INFINITY
+        };
     }
-
-    /// Offers the rank of the entry at row position `at`; returns whether
-    /// it was kept. Once k slots are full a rank enters only if it is
-    /// strictly below the threshold, and the threshold slot is dropped.
-    #[inline]
-    pub(crate) fn offer(&mut self, rank: f64, at: u32) -> bool {
-        let mut i = self.slots.len();
-        if i == self.k {
-            if rank.partial_cmp(&self.slots[i - 1].0) != Some(std::cmp::Ordering::Less) {
-                return false;
+    let (mut slots, mut old) = (fresh.clone(), fresh.clone());
+    for row in offsets.windows(2) {
+        slots.clone_from(&fresh);
+        for (at, i) in (row[0] as usize - base..row[1] as usize - base).enumerate() {
+            let r = rank_of[nodes[i] as usize];
+            sink(i, r, (at >= k).then_some(slots.as_ref()[last][1]));
+            old.clone_from(&slots);
+            let mut below_pair = f64::NEG_INFINITY;
+            for (t, s) in slots.as_mut().iter_mut().zip(old.as_ref()) {
+                let lo = [below_pair, s[0]];
+                for l in 0..2 {
+                    let below = if s[l] < r { s[l] } else { r };
+                    t[l] = if lo[l] < below { below } else { lo[l] };
+                }
+                below_pair = s[1];
             }
-            // The threshold slot is dropped: shifted over or overwritten.
-            i -= 1;
-        } else {
-            // Grows by one slot; the step below fills it.
-            self.slots.push((rank, at));
         }
-        // Insertion step: every held rank ≥ `rank` moves one slot up.
-        let slots = &mut self.slots[..];
-        while i > 0 && !slots[i - 1].0.total_cmp(&rank).is_lt() {
-            slots[i] = slots[i - 1];
-            i -= 1;
-        }
-        slots[i] = (rank, at);
-        true
     }
 }
 
@@ -388,48 +406,142 @@ mod tests {
         assert_eq!(sample().row().cardinality_at(-1.0).to_bits(), zero);
     }
 
-    /// [`TauScan`]'s tie rule stated over an unsorted bag: τ is the
-    /// largest held rank, the oldest of tied ones, and at capacity only a
-    /// strictly smaller rank enters, evicting it.
-    struct BagModel {
-        k: usize,
-        held: Vec<(f64, u32)>,
+    /// The kernel's weights `1/τ` for the rows `offsets` delimits, `nodes`
+    /// holding their entries from `offsets[0]` on.
+    fn kernel_weights(k: usize, offsets: &[u32], nodes: &[NodeId], rank_of: &[f64]) -> Vec<f64> {
+        let mut weights = vec![f64::NAN; nodes.len()];
+        tau_scan(k, offsets, nodes, rank_of, |i, _, tau| {
+            weights[i] = 1.0 / tau.unwrap_or(1.0)
+        });
+        weights
     }
 
-    impl BagModel {
-        fn threshold(&self) -> Option<(f64, u32)> {
-            if self.held.len() < self.k {
-                return None;
+    /// The τ kernel at every slot-width edge and past the widest one,
+    /// over one call of many rows whose entries start past offset 0, as a
+    /// v2 block's do: empty rows, rows shorter than k, and rows of coarse
+    /// ranks `j/8` with exact ties. ADS rows' weights equal the heap
+    /// oracle `reference::hip_weights` bit for bit, and every row's, raw
+    /// offer streams included, equals `1/τ` of a `KSmallest` fed the same
+    /// ranks. A rank table of NaN, ±0.0, ±∞, values above 1 and
+    /// subnormals yields weights, never a panic.
+    #[test]
+    fn tau_kernel_matches_the_oracles_at_every_width() {
+        use adsketch_util::rng::{Rng64, SplitMix64};
+        use adsketch_util::topk::KSmallest;
+
+        let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut rng = SplitMix64::new(0x5eed_7a05);
+        for k in [
+            1usize, 2, 3, 4, 5, 8, 9, 15, 16, 17, 32, 33, 63, 64, 65, 128,
+        ] {
+            let (mut offsets, mut nodes) = (vec![5u32], Vec::new());
+            let mut rank_of: Vec<f64> = Vec::new();
+            let (mut heap_w, mut oracle_w) = (Vec::new(), Vec::new());
+            for row in 0..60 {
+                let len = match row % 4 {
+                    0 => rng.range_usize(k + 1),
+                    _ => rng.range_usize(3 * k + 8),
+                };
+                // This row's nodes get fresh ids, ranked coarsely (exact
+                // ties) in every third row.
+                let first = rank_of.len() as NodeId;
+                rank_of.extend((0..len).map(|_| match row % 3 {
+                    0 => (1 + rng.range_usize(8)) as f64 / 8.0,
+                    _ => rng.open_unit_f64(),
+                }));
+                let levels = 1 + rng.range_usize(4);
+                let mut order: Vec<(NodeId, f64)> = (first..first + len as NodeId)
+                    .map(|v| (v, rng.range_usize(levels) as f64))
+                    .collect();
+                order.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+                let row_nodes: Vec<NodeId> = if row % 2 == 0 {
+                    // An ADS row: only its entries, so the heap oracle's
+                    // every-entry-entered rule holds.
+                    let ads = crate::reference::bottomk_from_order(k, &order, &rank_of);
+                    let w = crate::reference::hip_weights(k, ads.entries().iter().copied());
+                    oracle_w.extend(w.row().weights);
+                    ads.entries().iter().map(|e| e.node).collect()
+                } else {
+                    // A raw stream: offers that do not enter included.
+                    let ids: Vec<NodeId> = order.iter().map(|o| o.0).collect();
+                    oracle_w.extend(std::iter::repeat_n(f64::NAN, ids.len()));
+                    ids
+                };
+                let mut heap = KSmallest::new(k);
+                for (at, &v) in row_nodes.iter().enumerate() {
+                    heap_w.push(1.0 / heap.threshold_rank_or(1.0));
+                    heap.offer(rank_of[v as usize], at as u64);
+                }
+                nodes.extend(row_nodes);
+                offsets.push(5 + nodes.len() as u32);
             }
-            self.held
-                .iter()
-                .copied()
-                .max_by(|a, b| a.0.total_cmp(&b.0).then(b.1.cmp(&a.1)))
+            let got = kernel_weights(k, &offsets, &nodes, &rank_of);
+            assert_eq!(bits(&got), bits(&heap_w), "k = {k}: weights vs KSmallest");
+            for (i, (g, o)) in got.iter().zip(&oracle_w).enumerate() {
+                if !o.is_nan() {
+                    assert_eq!(
+                        g.to_bits(),
+                        o.to_bits(),
+                        "k = {k}, entry {i}: vs hip_weights"
+                    );
+                }
+            }
+            assert!(
+                oracle_w.iter().any(|o| !o.is_nan()),
+                "k = {k}: ADS rows ran"
+            );
         }
 
-        fn offer(&mut self, rank: f64, at: u32) -> bool {
-            match self.threshold() {
-                None => {}
-                Some(t) if rank < t.0 => self.held.retain(|&h| h != t),
-                Some(_) => return false,
-            }
-            self.held.push((rank, at));
-            true
+        // Totality: hostile rank tables only need to give some weights.
+        let odd = [
+            f64::NAN,
+            -0.0,
+            0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            2.5,
+            f64::MIN_POSITIVE / 4.0,
+            1.0,
+        ];
+        for k in [1usize, 3, 16, 17, 64, 65, 128] {
+            let rank_of: Vec<f64> = (0..200)
+                .map(|_| match rng.range_usize(3) {
+                    0 => odd[rng.range_usize(odd.len())],
+                    _ => rng.open_unit_f64(),
+                })
+                .collect();
+            let nodes: Vec<NodeId> = (0..3 * k + 40)
+                .map(|_| rng.range_usize(rank_of.len()) as NodeId)
+                .collect();
+            let offsets = [0, 3, 3, nodes.len() as u32 / 2, nodes.len() as u32];
+            assert_eq!(
+                kernel_weights(k, &offsets, &nodes, &rank_of).len(),
+                nodes.len()
+            );
         }
     }
 
     /// The kernel against the `KSmallest` heap oracle on SplitMix64 rows:
     /// every k of interest, rows shorter than k, coarse ranks with exact
     /// ties, few distance levels (equal distances), and raw rank streams
-    /// whose offers need not enter (what the v2 encoder feeds it).
+    /// whose offers need not enter.
     #[test]
     fn tau_scan_matches_heap_oracle() {
         use adsketch_util::rng::{Rng64, SplitMix64};
         use adsketch_util::topk::KSmallest;
 
+        // τ and rank of every entry of one row, through the kernel.
+        let scan = |k: usize, ranks: &[f64]| {
+            let nodes: Vec<NodeId> = (0..ranks.len() as NodeId).collect();
+            let mut out = Vec::new();
+            tau_scan(k, &[0, ranks.len() as u32], &nodes, ranks, |i, r, t| {
+                assert_eq!(i, out.len(), "entries in row order");
+                out.push((r, t));
+            });
+            out
+        };
         let mut rng = SplitMix64::new(0x7a05_ca11);
         for k in [1usize, 2, 3, 16, 64] {
-            let mut scan = TauScan::new(k);
             for row in 0..150 {
                 let len = rng.range_usize(4 * k + 8);
                 let levels = 1 + rng.range_usize(4);
@@ -447,56 +559,34 @@ mod tests {
                 // Freeze path: an ADS row, whose every entry enters.
                 let ads = crate::reference::bottomk_from_order(k, &order, &ranks);
                 let oracle = crate::reference::hip_weights(k, ads.entries().iter().copied());
-                scan.reset();
-                for (at, (e, w)) in ads.entries().iter().zip(oracle.row().weights).enumerate() {
-                    let t = scan.threshold();
-                    let tau = t.map_or(1.0, |(r, _)| r);
+                let row_ranks: Vec<f64> = ads.entries().iter().map(|e| e.rank).collect();
+                let taus = scan(k, &row_ranks);
+                for (at, ((r, t), w)) in taus.into_iter().zip(oracle.row().weights).enumerate() {
+                    let tau = t.unwrap_or(1.0);
                     assert_eq!(
                         (1.0 / tau).to_bits(),
                         w.to_bits(),
                         "k = {k}, row {row}, entry {at}: weight vs heap oracle"
                     );
-                    if let Some((_, pos)) = t {
-                        let r = ads.entries()[pos as usize].rank;
-                        assert_eq!(
-                            (1.0 / r).to_bits(),
-                            w.to_bits(),
-                            "k = {k}, row {row}, entry {at}: 1/rank[threshold position]"
-                        );
-                    }
-                    let entered = scan.offer(e.rank, at as u32);
                     assert!(
-                        entered || e.rank == tau,
+                        t.is_none_or(|t| r <= t),
                         "k = {k}, row {row}: ADS entry left out"
                     );
                 }
 
-                // v2 path: the raw stream, offers that do not enter included.
+                // The raw stream, offers that do not enter included.
                 let mut heap = KSmallest::new(k);
-                let mut bag = BagModel {
-                    k,
-                    held: Vec::new(),
-                };
-                scan.reset();
-                for (at, &r) in ranks.iter().enumerate() {
-                    let at = at as u32;
-                    let t = scan.threshold();
+                for (at, (r, t)) in scan(k, &ranks).into_iter().enumerate() {
                     assert_eq!(
-                        t.map(|(r, _)| r.to_bits()),
+                        t.map(f64::to_bits),
                         heap.threshold().map(|h| h.rank.to_bits()),
                         "k = {k}, row {row}, offer {at}: τ vs heap oracle"
                     );
                     assert_eq!(
-                        t,
-                        bag.threshold(),
-                        "k = {k}, row {row}, offer {at}: threshold position vs tie rule"
-                    );
-                    assert_eq!(
-                        scan.offer(r, at),
-                        bag.offer(r, at),
+                        t.is_none_or(|t| r < t),
+                        heap.offer(r, at as u64),
                         "k = {k}, row {row}, offer {at}: entered"
                     );
-                    heap.offer(r, at as u64);
                 }
             }
         }

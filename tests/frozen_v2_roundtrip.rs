@@ -221,20 +221,20 @@ fn assert_dist_tag_roundtrips(base: fn(usize) -> f64, tag: u8, checksum: u64) {
 #[test]
 fn few_distances_select_the_dict16_tag() {
     // Every row shares the distances 0..16.
-    assert_dist_tag_roundtrips(|_| 0.0, 0, 0x8820e2e3759d731e);
+    assert_dist_tag_roundtrips(|_| 0.0, 0, 0x1e339f232eac3b4d);
 }
 
 #[test]
 fn more_than_2_16_repeated_distances_select_the_dict32_tag() {
     // Row pairs share their distances: 65 600 distinct values, each
     // twice, so more than 2¹⁶ codes and at most one per two entries.
-    assert_dist_tag_roundtrips(|v| (v / 2 * 16) as f64, 1, 0x6ecb3957fb1071fa);
+    assert_dist_tag_roundtrips(|v| (v / 2 * 16) as f64, 1, 0xfa3abca4c79b96c9);
 }
 
 #[test]
 fn all_distinct_distances_select_the_raw_tag() {
     // 131 200 distinct values: a dictionary would outgrow raw bits.
-    assert_dist_tag_roundtrips(|v| (v * 16) as f64, 2, 0xc2b97f4652887508);
+    assert_dist_tag_roundtrips(|v| (v * 16) as f64, 2, 0xf739a64fd0cc9cb6);
 }
 
 // ---------------------------------------------------------------------
@@ -250,6 +250,9 @@ struct V2Layout {
     block0: usize,
     /// Byte length of the first block's span.
     block0_len: usize,
+    /// Absolute offset of the block-offset table (the blob length's u64
+    /// follows it).
+    block_table: usize,
 }
 
 fn parse_v2_layout(bytes: &[u8]) -> V2Layout {
@@ -271,6 +274,7 @@ fn parse_v2_layout(bytes: &[u8]) -> V2Layout {
         tags,
         block0: blob_at + b0,
         block0_len: b1 - b0,
+        block_table: blocks_at,
     }
 }
 
@@ -299,7 +303,7 @@ fn resign_store(bytes: &mut [u8]) {
 }
 
 /// A v2 buffer whose encoder picked every compressed representation:
-/// delta-coded nodes, dict16 distances, a 7-byte rank table, τ-ref
+/// delta-coded nodes, dict16 distances, a 7-byte rank table, derived
 /// weights.
 fn fully_compressed_sample() -> Vec<u8> {
     let g = generators::gnp_directed(60, 0.08, 21);
@@ -311,8 +315,8 @@ fn fully_compressed_sample() -> Vec<u8> {
     // loudly if the encoder's tag choices ever change out from under it.
     assert_eq!(
         lay.tags,
-        [0, 0, 0, 0],
-        "sample must use delta nodes / dict16 dists / fixed7 rank table / tau-ref weights"
+        [0, 0, 0, 2],
+        "sample must use delta nodes / dict16 dists / fixed7 rank table / derived weights"
     );
     bytes
 }
@@ -401,6 +405,50 @@ fn unknown_column_tag_is_a_clean_typed_error() {
     assert!(err.to_string().contains("tag"), "{err}");
 }
 
+/// Derived weights store no bytes: a block whose weight section holds
+/// one, with every length, offset and the checksum consistent, is a
+/// typed error at every load level.
+#[test]
+fn a_weight_byte_under_derived_weights_is_a_typed_error_at_every_load_level() {
+    let mut bytes = fully_compressed_sample();
+    let lay = parse_v2_layout(&bytes);
+    assert_eq!(
+        lay.block0 + lay.block0_len,
+        bytes.len(),
+        "one block, last in the file"
+    );
+    let weight_len = lay.block0 + 8;
+    bytes[weight_len..weight_len + 4].copy_from_slice(&1u32.to_le_bytes());
+    // Block 1's offset (the end of block 0) and the blob length grow by
+    // the one byte appended.
+    for at in [lay.block_table + 8, lay.block_table + 16] {
+        let grown = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) + 1;
+        bytes[at..at + 8].copy_from_slice(&grown.to_le_bytes());
+    }
+    bytes.push(0);
+    resign_store(&mut bytes);
+    let check = |res: Result<FrozenAdsSet, FrozenError>, how: &str| {
+        let err = res.expect_err(how);
+        assert!(matches!(err, FrozenError::Corrupt(_)), "{how}: {err:?}");
+        assert!(
+            err.to_string()
+                .ends_with("block 0: weight section is 1 bytes under the derived-weight tag, which stores none"),
+            "{how}: {err}"
+        );
+    };
+    check(FrozenAdsSet::from_bytes(&bytes), "from_bytes");
+    let path = std::env::temp_dir().join("adsketch_test_frozen_v2_weight_byte.ads");
+    std::fs::write(&path, &bytes).unwrap();
+    for opts in [
+        LoadOptions::default(),
+        LoadOptions::mapped(),
+        LoadOptions::trusted(),
+    ] {
+        check(FrozenAdsSet::load_with(&path, opts), &format!("{opts:?}"));
+    }
+    std::fs::remove_file(&path).ok();
+}
+
 #[test]
 fn forged_entry_count_is_a_clean_typed_error_at_every_load_level() {
     let mut bytes = fully_compressed_sample();
@@ -484,8 +532,8 @@ fn forged_node_id_past_the_rank_table_is_a_typed_error_at_every_load_level() {
 // ---------------------------------------------------------------------
 
 /// The fixture store: tiny, deterministic, and fully exercising the
-/// compressed columns (delta nodes, dict16 dists, τ-ref weights) and the
-/// fixed7 rank table.
+/// compressed columns (delta nodes, dict16 dists, derived weights) and
+/// the fixed7 rank table.
 fn golden_store() -> (AdsSet, FrozenAdsSet) {
     let g = generators::barabasi_albert(30, 2, 42);
     let ads = AdsSet::build(&g, 3, 9);
@@ -629,6 +677,39 @@ fn generation_1_stores_are_rejected_as_written_by_an_older_build() {
     );
 }
 
+/// The golden v2 image of the build before weights were derived: the
+/// same store with a varint τ back-reference per weight (weight tag 0).
+/// Every load level rejects it as an older build's file, typed, and
+/// names the tag.
+#[test]
+fn tau_back_reference_stores_are_rejected_as_written_by_an_older_build() {
+    let path = fixture_path("legacy_tauref.v2.ads");
+    let bytes = std::fs::read(&path).unwrap();
+    assert_eq!((&bytes[..8], bytes[8], bytes[43]), (&b"ADSKFRZ3"[..], 2, 0));
+    let check = |res: Result<FrozenAdsSet, FrozenError>, how: &str| {
+        let err = res.expect_err(how);
+        assert!(
+            matches!(err, FrozenError::LegacyGeneration),
+            "{how}: {err:?}"
+        );
+        let msg = err.to_string();
+        assert!(
+            msg.contains("older build")
+                && msg.contains("weight tag 0")
+                && msg.contains("re-freeze"),
+            "{how}: {msg}"
+        );
+    };
+    check(FrozenAdsSet::from_bytes(&bytes), "from_bytes");
+    for opts in [
+        LoadOptions::default(),
+        LoadOptions::mapped(),
+        LoadOptions::trusted(),
+    ] {
+        check(FrozenAdsSet::load_with(&path, opts), &format!("{opts:?}"));
+    }
+}
+
 // ---------------------------------------------------------------------
 // Multi-block byte pins
 // ---------------------------------------------------------------------
@@ -652,8 +733,8 @@ fn multi_block_v2_images_are_pinned() {
     )
     .freeze();
     for (name, frozen, pinned) in [
-        ("ba3000_k16", &ba, 0x1b96b7cb3e3dd52d),
-        ("weighted2000_k8", &weighted, 0x0c56f849734ee35c),
+        ("ba3000_k16", &ba, 0x653b9901c539ec3f),
+        ("weighted2000_k8", &weighted, 0x60ba4eb246cb96d4),
     ] {
         let v2 = frozen.to_bytes_format(StoreFormat::V2);
         assert_eq!(
@@ -676,7 +757,7 @@ fn escape_base() -> Vec<u8> {
     let frozen = AdsSet::build(&generators::barabasi_albert(300, 3, 31), 4, 8).freeze();
     assert_eq!(
         &frozen.to_bytes_format(StoreFormat::V2)[40..44],
-        &[0, 0, 0, 0]
+        &[0, 0, 0, 2]
     );
     frozen.to_bytes()
 }
@@ -755,17 +836,22 @@ fn verified_load(bytes: &[u8]) -> FrozenAdsSet {
 fn one_nodes_rank_off_the_grid_escapes_the_rank_table() {
     let mut v1 = escape_base();
     let img = V1Image::new(&v1);
-    // A node whose rank is no entry's τ (no weight is its reciprocal), so
-    // only the rank table can change encoding.
+    // A node whose rank is no entry's τ (no weight is its reciprocal) and
+    // below 1/2, where floats are finer than the 2⁻⁵³ grid: one ulp up
+    // takes it off the grid but keeps its order against every other
+    // rank, so every weight still derives and only the rank table can
+    // change encoding.
     let x = (0..img.n)
         .find(|&x| {
-            let w = (1.0 / img.f64(img.rank(x))).to_bits();
-            (0..img.entries).all(|i| img.f64(img.weight(i)).to_bits() != w)
+            let r = img.f64(img.rank(x));
+            let w = (1.0 / r).to_bits();
+            r < 0.5 && (0..img.entries).all(|i| img.f64(img.weight(i)).to_bits() != w)
         })
         .expect("a node whose rank is no τ");
     let at = img.rank(x);
-    v1[at..at + 8].copy_from_slice(&1e-20f64.to_bits().to_le_bytes());
-    assert_escape(v1, [0, 0, 1, 0], 0x0524a15fc83dd0e8, verified_load);
+    let off_grid = img.f64(at).next_up();
+    v1[at..at + 8].copy_from_slice(&off_grid.to_bits().to_le_bytes());
+    assert_escape(v1, [0, 0, 1, 2], 0x64f2680174c83eb1, verified_load);
 }
 
 #[test]
@@ -806,7 +892,7 @@ fn one_non_increasing_node_run_in_the_last_block_escapes_the_node_column() {
         std::fs::write(path(bytes[8]), bytes).unwrap();
         FrozenAdsSet::load_with(path(bytes[8]), LoadOptions::trusted()).expect("trusted load")
     };
-    assert_escape(v1, [1, 0, 0, 0], 0xe61de91c259482e2, trusted_load);
+    assert_escape(v1, [1, 0, 0, 2], 0xe36f51efd853952e, trusted_load);
     for version in [1, 2] {
         std::fs::remove_file(path(version)).ok();
     }
