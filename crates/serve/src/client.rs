@@ -20,22 +20,43 @@ use adsketch_graph::NodeId;
 
 use crate::error::ServeError;
 use crate::proto::{
-    read_frame, write_frame, BatchSlot, Request, Response, MAX_FRAME_LEN, WIRE_MAGIC, WIRE_VERSION,
+    read_frame, write_frame, BatchSlot, Request, Response, WIRE_MAGIC, WIRE_VERSION,
 };
 
-/// Partial progress of an incremental frame read: [`Client::recv_step`]
-/// can give up at a deadline *without* desynchronizing the stream,
-/// because the bytes read so far stay parked here and the next call
-/// resumes exactly where this one stopped. This is what makes hedged
-/// reads safe — the router can poll two replicas' connections in
-/// alternation and neither ever loses frame alignment.
-#[derive(Default)]
-struct FrameRx {
-    head: [u8; 4],
-    /// Bytes filled of the current stage (header until `body` exists,
-    /// then body).
-    filled: usize,
-    body: Option<Vec<u8>>,
+/// A reader that gives up once `deadline` passes: each `read` waits at
+/// most the time left, so a frame read through it is bounded as a whole.
+struct DeadlineRead<'a> {
+    reader: &'a mut BufReader<TcpStream>,
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl Read for DeadlineRead<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let timed_out =
+            || std::io::Error::new(std::io::ErrorKind::TimedOut, "response deadline exceeded");
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(timed_out());
+        }
+        // Bytes already buffered need no wait (and no syscall).
+        if self.reader.buffer().is_empty() {
+            self.stream.set_read_timeout(Some(left))?;
+        }
+        self.reader.read(buf).map_err(|e| match e.kind() {
+            std::io::ErrorKind::WouldBlock => timed_out(),
+            _ => e,
+        })
+    }
+}
+
+/// Decodes one response frame body; `None` (end of stream before any
+/// byte of a frame) means the server hung up on the request.
+fn decode_response(body: Option<Vec<u8>>) -> Result<Response, ServeError> {
+    let body = body.ok_or_else(|| {
+        ServeError::Protocol("server closed the connection before responding".into())
+    })?;
+    Response::decode(&body)
 }
 
 /// A blocking connection to an `adsketch-serve` server.
@@ -45,7 +66,6 @@ pub struct Client {
     /// A third handle onto the same socket, used to unwedge a pipeline
     /// whose reader failed while the writer is still blocked.
     stream: TcpStream,
-    rx: FrameRx,
 }
 
 impl Client {
@@ -96,7 +116,6 @@ impl Client {
             reader,
             writer,
             stream,
-            rx: FrameRx::default(),
         })
     }
 
@@ -111,7 +130,7 @@ impl Client {
     /// Sends one request and blocks on its response frame.
     pub fn request(&mut self, req: &Request) -> Result<Response, ServeError> {
         self.send(req)?;
-        self.recv_response()
+        decode_response(read_frame(&mut self.reader)?)
     }
 
     /// Writes and flushes one request frame without reading anything —
@@ -123,67 +142,18 @@ impl Client {
         Ok(())
     }
 
-    /// Blocks on the next response frame (the gather half).
-    pub(crate) fn recv_response(&mut self) -> Result<Response, ServeError> {
-        self.read_response()
-    }
-
-    /// Waits up to `wait` for the next response frame. `Ok(None)` means
-    /// the deadline passed with the frame still incomplete — the partial
-    /// progress is retained (see [`FrameRx`]) and a later `recv_step`
-    /// resumes it, so timing out never desynchronizes the connection.
-    /// Any `Err` other than a timeout leaves the connection unusable.
-    pub(crate) fn recv_step(&mut self, wait: Duration) -> Result<Option<Response>, ServeError> {
-        let deadline = Instant::now() + wait;
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Ok(None);
-            }
-            self.stream.set_read_timeout(Some(remaining))?;
-            let read = match &mut self.rx.body {
-                None => self.reader.read(&mut self.rx.head[self.rx.filled..]),
-                Some(body) => self.reader.read(&mut body[self.rx.filled..]),
-            };
-            match read {
-                Ok(0) => {
-                    let clean = self.rx.body.is_none() && self.rx.filled == 0;
-                    return Err(ServeError::Protocol(if clean {
-                        "server closed the connection before responding".into()
-                    } else {
-                        "connection closed mid frame".into()
-                    }));
-                }
-                Ok(m) => {
-                    self.rx.filled += m;
-                    if self.rx.body.is_none() && self.rx.filled == 4 {
-                        let len = u32::from_le_bytes(self.rx.head);
-                        if len > MAX_FRAME_LEN {
-                            return Err(ServeError::Protocol(format!(
-                                "frame length {len} exceeds MAX_FRAME_LEN ({MAX_FRAME_LEN})"
-                            )));
-                        }
-                        self.rx.body = Some(vec![0u8; len as usize]);
-                        self.rx.filled = 0;
-                    }
-                    if let Some(body) = &self.rx.body {
-                        if self.rx.filled == body.len() {
-                            let body = self.rx.body.take().expect("frame body");
-                            self.rx.filled = 0;
-                            return Response::decode(&body).map(Some);
-                        }
-                    }
-                }
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    return Ok(None)
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(ServeError::Io(e)),
-            }
-        }
+    /// Reads the next response frame whole within `wait` (the gather
+    /// half). The time left is recomputed before every `read`, so the
+    /// bound covers the frame, not each read: a peer that drips its
+    /// answer byte by byte still times out after `wait`. Any `Err`, a
+    /// timeout included, leaves the connection unusable.
+    pub(crate) fn recv_within(&mut self, wait: Duration) -> Result<Response, ServeError> {
+        let mut rx = DeadlineRead {
+            reader: &mut self.reader,
+            stream: &self.stream,
+            deadline: Instant::now() + wait,
+        };
+        decode_response(read_frame(&mut rx)?)
     }
 
     /// Pipelines a whole slice of requests: a scoped writer thread
@@ -197,7 +167,6 @@ impl Client {
             reader,
             writer,
             stream,
-            rx: _,
         } = self;
         std::thread::scope(|s| {
             let sender = s.spawn(|| -> Result<(), ServeError> {
@@ -210,15 +179,7 @@ impl Client {
             let mut responses = Vec::with_capacity(reqs.len());
             let mut read_err = None;
             for _ in 0..reqs.len() {
-                let next = read_frame(reader).and_then(|body| {
-                    let body = body.ok_or_else(|| {
-                        ServeError::Protocol(
-                            "server closed the connection before responding".into(),
-                        )
-                    })?;
-                    Response::decode(&body)
-                });
-                match next {
+                match read_frame(reader).and_then(decode_response) {
                     Ok(resp) => responses.push(resp),
                     Err(e) => {
                         read_err = Some(e);
@@ -240,13 +201,6 @@ impl Client {
                 }
             }
         })
-    }
-
-    fn read_response(&mut self) -> Result<Response, ServeError> {
-        let body = read_frame(&mut self.reader)?.ok_or_else(|| {
-            ServeError::Protocol("server closed the connection before responding".into())
-        })?;
-        Response::decode(&body)
     }
 
     fn floats(&mut self, req: &Request) -> Result<Vec<f64>, ServeError> {

@@ -35,8 +35,8 @@
 //! [`Router`] processes in front: the router partitions each client
 //! batch by the manifest's node-range table, scatters over pipelined
 //! backend connections — round-robin across a shard's healthy replicas,
-//! with circuit-breaker health tracking, failover, exponential-backoff
-//! reconnects, and optional hedged reads — and merges in request order.
+//! with circuit-breaker health tracking, failover, and
+//! exponential-backoff reconnects — and merges in request order.
 //! Failures stay typed and bounded: deadlines and retries cap every
 //! exchange, a dead shard yields a [`proto::ERR_BACKEND`] error frame
 //! (or, opted in via [`RouterConfig::degraded`], a

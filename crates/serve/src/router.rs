@@ -41,8 +41,8 @@
 //!   owning shard, whose replicas hold byte-for-byte the unsharded rows —
 //!   merging is pure index placement, no arithmetic. Because replicas of
 //!   a shard are interchangeable *bitwise*, the router is free to spread
-//!   legs across them, fail a leg over, or hedge it — none of which can
-//!   change a single answer bit.
+//!   legs across them or fail a leg over — neither of which can change a
+//!   single answer bit.
 //! * Jaccard pairs whose endpoints share a shard go to that shard
 //!   directly. A **cross-shard** pair is answered by fetching each
 //!   endpoint's `(rank, node)` sketch prefix from its owner and
@@ -67,18 +67,12 @@
 //! A request that finds **every** replica of a needed shard open fails
 //! fast — no connect timeouts on the hot path.
 //!
-//! With [`RouterConfig::hedge_delay`] set, a leg that has not answered
-//! after the delay is duplicated to a second healthy replica and the
-//! first answer wins. This is safe precisely because answers are bitwise
-//! identical; the loser's frame is drained (or its connection retired —
-//! connections are generation-counted) so pipelined replies can never
-//! cross-pair.
-//!
 //! # Failure semantics
 //!
-//! Backends are contacted with a bounded connect timeout, every read is
-//! bounded by a read deadline, and each leg gets replica failover plus a
-//! bounded retry. By default the router is all-or-nothing: if a required
+//! Backends are contacted with a bounded connect timeout, every response
+//! frame is read whole within one read deadline (a replica that stalls
+//! or drips its answer costs one deadline), and each leg gets replica
+//! failover plus a bounded retry. By default the router is all-or-nothing: if a required
 //! shard stays unreachable, the *whole* request is answered with one
 //! [`ERR_BACKEND`] error frame — never a hang, never a partially merged
 //! answer — and the client's connection stays usable. With
@@ -108,7 +102,7 @@ use std::collections::{HashMap, HashSet};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use adsketch_core::{thread_count, ShardManifest, ShardRecord};
 use adsketch_graph::NodeId;
@@ -126,14 +120,6 @@ use crate::server::{
     batch_too_large, check_nodes, nf_too_large, serve_pool, sketches_too_large, ServerHandle, Wake,
 };
 
-/// How long each alternating poll on a hedged pair of connections waits
-/// before giving the other racer a turn.
-const HEDGE_POLL: Duration = Duration::from_millis(2);
-
-/// How long the hedge loser gets to deliver its (already-answered) frame
-/// before its connection is retired instead of drained.
-const LOSER_DRAIN: Duration = Duration::from_millis(2);
-
 /// Deadlines, retry budget, and replica-set policy for the router's
 /// backend connections.
 #[derive(Debug, Clone)]
@@ -141,9 +127,8 @@ pub struct RouterConfig {
     /// Bound on each TCP connect (and handshake read) to a backend
     /// replica. Default **1 s**.
     pub connect_timeout: Duration,
-    /// Deadline for one replica to answer one leg. With hedging enabled
-    /// the hedge fires partway through this window; the window itself is
-    /// unchanged. Default **2 s**.
+    /// Deadline for one replica to deliver one whole response frame
+    /// (per leg, and per prober ping). Default **2 s**.
     pub read_timeout: Duration,
     /// Extra failover passes after the first. Each pass offers the leg
     /// to every dialable replica of the shard at most once, so a shard
@@ -176,12 +161,6 @@ pub struct RouterConfig {
     /// by the endpoint's own cooldown). Shutdown does not wait out this
     /// interval — the prober is condvar-nudged. Default **100 ms**.
     pub probe_interval: Duration,
-    /// Hedged reads: when set, a leg silent for this long is duplicated
-    /// to a second healthy replica of the same shard and the first
-    /// answer wins (identical bits either way). `None` disables hedging.
-    /// Values at or above [`RouterConfig::read_timeout`] never fire.
-    /// Default **None**.
-    pub hedge_delay: Option<Duration>,
     /// Degraded mode: answer float-valued batches with a
     /// [`Response::Partial`] frame carrying [`ERR_SHARD_DOWN`] slots for
     /// queries whose shard has no reachable replica, instead of failing
@@ -212,7 +191,6 @@ impl Default for RouterConfig {
             backoff_cap: Duration::from_secs(2),
             failure_threshold: 3,
             probe_interval: Duration::from_millis(100),
-            hedge_delay: None,
             degraded: false,
             cache_bytes: 0,
         }
@@ -435,9 +413,10 @@ fn poll_serving_generation(
 /// One bounded `GenInfo` poll against one endpoint; `None` if the
 /// endpoint is unreachable or misbehaves (the sweep just skips it).
 fn poll_generation(addr: &SocketAddr, config: &RouterConfig) -> Option<u64> {
-    let mut client = Client::connect_timeout(addr, config.connect_timeout).ok()?;
-    client.set_read_timeout(Some(config.read_timeout)).ok()?;
-    client.gen_info().ok()
+    match probe_exchange(addr, &Request::GenInfo, config)? {
+        Response::GenInfo { generation } => Some(generation),
+        _ => None,
+    }
 }
 
 /// One half-open probe: connect, handshake, `Health` ping. The endpoint
@@ -445,33 +424,28 @@ fn poll_generation(addr: &SocketAddr, config: &RouterConfig) -> Option<u64> {
 /// range the manifest assigns its shard — a replica wired to the wrong
 /// shard stays fenced off instead of serving wrong-shard errors.
 fn probe(addr: &SocketAddr, record: &ShardRecord, config: &RouterConfig) -> bool {
-    let mut client = match Client::connect_timeout(addr, config.connect_timeout) {
-        Ok(c) => c,
-        Err(_) => return false,
-    };
-    if client.set_read_timeout(Some(config.read_timeout)).is_err() {
-        return false;
-    }
-    match client.health() {
-        Ok((start, end)) => start == record.start && end == record.end,
-        Err(_) => false,
-    }
+    matches!(
+        probe_exchange(addr, &Request::Health, config),
+        Some(Response::Health { start, end }) if start == record.start && end == record.end
+    )
+}
+
+/// One prober request on a fresh connection, bounded like a leg: the
+/// connect by `connect_timeout`, the whole reply frame by
+/// `read_timeout`. `None` on any failure.
+fn probe_exchange(addr: &SocketAddr, req: &Request, config: &RouterConfig) -> Option<Response> {
+    let mut client = Client::connect_timeout(addr, config.connect_timeout).ok()?;
+    client.send(req).ok()?;
+    client.recv_within(config.read_timeout).ok()
 }
 
 /// One sub-request of a scatter: the target shard plus the request to
 /// send it. Legs to the same connection are pipelined in slice order.
 type Leg = (usize, Request);
 
-/// Which racer of a hedged wait a poll belongs to.
-#[derive(Clone, Copy, PartialEq)]
-enum Racer {
-    Primary,
-    Hedge,
-}
-
 /// A worker thread's view of the backend fleet: one lazily (re)connected
 /// client per `(shard, replica)` endpoint, plus the bookkeeping that
-/// keeps pipelined frames paired across failover and hedging.
+/// keeps pipelined frames paired across failover.
 struct Fleet {
     manifest: Arc<ShardManifest>,
     addrs: Arc<Vec<Vec<SocketAddr>>>,
@@ -485,7 +459,7 @@ struct Fleet {
     epochs: Vec<Vec<u64>>,
     /// Frames sent but not yet gathered per endpoint. An endpoint with
     /// in-flight frames must not serve an out-of-band exchange (its next
-    /// frames belong to earlier legs) nor host a hedge.
+    /// frames belong to earlier legs).
     inflight: Vec<Vec<u32>>,
     /// Round-robin cursor per shard.
     rr: Vec<usize>,
@@ -601,141 +575,20 @@ impl Fleet {
         None
     }
 
-    /// One poll step on an endpoint's connection that has a frame due.
-    fn step(
-        &mut self,
-        shard: usize,
-        rep: usize,
-        wait: Duration,
-    ) -> Result<Option<Response>, ServeError> {
-        self.conns[shard][rep]
+    /// Waits out one leg already in flight on `(shard, rep)`: one whole
+    /// response frame within [`RouterConfig::read_timeout`]. On success
+    /// the circuit breaker hears about it; on failure the endpoint is
+    /// failed and the caller decides about failover and retrying.
+    fn await_response(&mut self, shard: usize, rep: usize) -> Result<Response, ServeError> {
+        let res = self.conns[shard][rep]
             .as_mut()
-            .expect("stepping a live connection")
-            .recv_step(wait)
-    }
-
-    /// Primes a hedge: a *different* replica, circuit fully closed, with
-    /// no frames in flight on its connection (so the hedged response is
-    /// the very next frame it delivers). Sends `req` on it.
-    fn send_hedge(&mut self, shard: usize, primary: usize, req: &Request) -> Option<usize> {
-        let reps = self.addrs[shard].len();
-        let start = self.rr[shard];
-        self.rr[shard] = (start + 1) % reps;
-        for i in 0..reps {
-            let rep = (start + i) % reps;
-            if rep == primary
-                || self.inflight[shard][rep] > 0
-                || self.health.tier(shard, rep) != Tier::Available
-            {
-                continue;
-            }
-            match self.try_send(shard, rep, req) {
-                Ok(()) => return Some(rep),
-                Err(_) => self.fail(shard, rep),
-            }
+            .expect("awaiting a live connection")
+            .recv_within(self.config.read_timeout);
+        match res {
+            Ok(_) => self.health.record_success(shard, rep),
+            Err(_) => self.fail(shard, rep),
         }
-        None
-    }
-
-    /// The hedge loser still owes one response frame (already computed —
-    /// the winner answered the same request). Give it a brief chance to
-    /// deliver so the warm connection survives; otherwise retire the
-    /// connection, whose epoch bump strands the frame harmlessly. Either
-    /// way the *next* frame read from this endpoint pairs with the next
-    /// request — no cross-pairing.
-    fn settle_loser(&mut self, shard: usize, rep: usize) {
-        let drained = matches!(
-            self.conns[shard][rep]
-                .as_mut()
-                .map(|c| c.recv_step(LOSER_DRAIN)),
-            Some(Ok(Some(_)))
-        );
-        if !drained {
-            self.drop_conn(shard, rep);
-        }
-    }
-
-    /// Waits out one leg already in flight on `(shard, rep)`, hedging to
-    /// a second replica once [`RouterConfig::hedge_delay`] passes. On
-    /// success the circuit breaker hears about it; on failure the
-    /// endpoint(s) are failed and the caller decides about retrying.
-    fn await_response(
-        &mut self,
-        shard: usize,
-        rep: usize,
-        req: &Request,
-    ) -> Result<Response, ServeError> {
-        let deadline = Instant::now() + self.config.read_timeout;
-        let hedge_at = self
-            .config
-            .hedge_delay
-            .filter(|_| self.addrs[shard].len() > 1)
-            .map(|d| Instant::now() + d);
-        // Phase 1: the primary alone, up to the hedge point (or the whole
-        // window when hedging is off).
-        let phase1 = hedge_at.map_or(deadline, |t| t.min(deadline));
-        match self.step(shard, rep, phase1.saturating_duration_since(Instant::now())) {
-            Ok(Some(resp)) => {
-                self.health.record_success(shard, rep);
-                return Ok(resp);
-            }
-            Ok(None) => {}
-            Err(e) => {
-                self.fail(shard, rep);
-                return Err(e);
-            }
-        }
-        if hedge_at.is_none() || Instant::now() >= deadline {
-            self.fail(shard, rep);
-            return Err(timeout_error());
-        }
-        // Phase 2: race the straggler against a hedge, alternating short
-        // polls. recv_step keeps partial frame progress across polls, so
-        // neither connection can desynchronize.
-        let mut primary = Some(rep);
-        let mut hedge = self.send_hedge(shard, rep, req);
-        let mut last_err: Option<ServeError> = None;
-        while primary.is_some() || hedge.is_some() {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let slice = HEDGE_POLL.min(deadline.saturating_duration_since(now));
-            for who in [Racer::Primary, Racer::Hedge] {
-                let racer = match who {
-                    Racer::Primary => primary,
-                    Racer::Hedge => hedge,
-                };
-                let Some(r) = racer else { continue };
-                match self.step(shard, r, slice) {
-                    Ok(Some(resp)) => {
-                        self.health.record_success(shard, r);
-                        let loser = match who {
-                            Racer::Primary => hedge,
-                            Racer::Hedge => primary,
-                        };
-                        if let Some(l) = loser {
-                            self.settle_loser(shard, l);
-                        }
-                        return Ok(resp);
-                    }
-                    Ok(None) => {}
-                    Err(e) => {
-                        self.fail(shard, r);
-                        match who {
-                            Racer::Primary => primary = None,
-                            Racer::Hedge => hedge = None,
-                        }
-                        last_err = Some(e);
-                    }
-                }
-            }
-        }
-        // Deadline passed (or both racers errored out).
-        for r in [primary, hedge].into_iter().flatten() {
-            self.fail(shard, r);
-        }
-        Err(last_err.unwrap_or_else(timeout_error))
+        res
     }
 
     /// One request/response with any replica of `shard`: round-robin
@@ -760,7 +613,7 @@ impl Fleet {
                     Ok(()) => {
                         let epoch = self.epochs[shard][rep];
                         self.inflight[shard][rep] += 1;
-                        let res = self.await_response(shard, rep, req);
+                        let res = self.await_response(shard, rep);
                         self.leg_done(shard, rep, epoch);
                         match res {
                             Ok(resp) => return Ok(resp),
@@ -807,7 +660,7 @@ impl Fleet {
             .map(|((shard, req), sent)| {
                 if let Some((rep, epoch)) = sent {
                     if self.epochs[*shard][rep] == epoch {
-                        let res = self.await_response(*shard, rep, req);
+                        let res = self.await_response(*shard, rep);
                         self.leg_done(*shard, rep, epoch);
                         if let Ok(resp) = res {
                             return Ok(resp);
@@ -1369,14 +1222,6 @@ fn merge_rows<T>(
     Ok(wrap(merged))
 }
 
-/// The typed error for a leg that timed out without a protocol failure.
-fn timeout_error() -> ServeError {
-    ServeError::Io(std::io::Error::new(
-        std::io::ErrorKind::TimedOut,
-        "backend response deadline exceeded",
-    ))
-}
-
 /// Collapses a slot vector: all-Value ⇒ the classic bitwise
 /// [`Response::Floats`]; any down slot ⇒ [`Response::Partial`].
 fn finish_floats(slots: Vec<BatchSlot>, any_down: bool) -> Response {
@@ -1422,4 +1267,79 @@ fn unexpected(shard: usize, resp: Response) -> ServeError {
         other => format!("answered an unexpected response: {other:?}"),
     };
     ServeError::Backend { shard, message }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::io::{Read, Write};
+    use std::thread::JoinHandle;
+    use std::time::Instant;
+
+    use super::*;
+    use crate::proto::{write_frame, WIRE_VERSION};
+
+    /// Gap between the bytes a dripping endpoint sends: far inside any
+    /// read timeout below, so only a whole-frame deadline can fire.
+    const DRIP: Duration = Duration::from_millis(80);
+
+    /// A one-connection endpoint that accepts the handshake, reads one
+    /// request and answers `reply` one byte per [`DRIP`].
+    fn dripping_endpoint(reply: Response) -> (SocketAddr, JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let join = std::thread::spawn(move || {
+            let Ok((mut conn, _)) = listener.accept() else {
+                return;
+            };
+            let mut frame = Vec::new();
+            write_frame(&mut frame, &reply.encode()).expect("encode");
+            let mut accept = [1u8; 5];
+            accept[1..].copy_from_slice(&WIRE_VERSION.to_le_bytes());
+            let mut buf = [0u8; 64];
+            let _ = conn.read_exact(&mut buf[..12]);
+            let _ = conn.write_all(&accept);
+            let _ = conn.read(&mut buf);
+            for byte in frame {
+                std::thread::sleep(DRIP);
+                if conn.write_all(&[byte]).is_err() {
+                    return;
+                }
+            }
+        });
+        (addr, join)
+    }
+
+    #[test]
+    fn prober_reads_give_up_on_a_dripping_endpoint_within_one_read_timeout() {
+        let config = RouterConfig {
+            read_timeout: Duration::from_millis(250),
+            ..RouterConfig::default()
+        };
+        // A 21-byte Health frame and a 13-byte GenInfo frame take 1.7 s
+        // and 1.0 s to drip, though no single read waits longer than
+        // 80 ms.
+        let record = ShardRecord {
+            start: 0,
+            end: 10,
+            entries: 0,
+            digest: 0,
+        };
+        let (addr, join) = dripping_endpoint(Response::Health { start: 0, end: 10 });
+        let t0 = Instant::now();
+        assert!(!probe(&addr, &record, &config));
+        assert!(t0.elapsed() < 2 * config.read_timeout, "{:?}", t0.elapsed());
+        join.join().expect("drip thread");
+
+        let (addr, join) = dripping_endpoint(Response::GenInfo { generation: 3 });
+        let t0 = Instant::now();
+        assert_eq!(poll_generation(&addr, &config), None);
+        assert!(t0.elapsed() < 2 * config.read_timeout, "{:?}", t0.elapsed());
+        join.join().expect("drip thread");
+
+        // Control: given time for the whole frame, the same endpoint
+        // answers.
+        let (addr, join) = dripping_endpoint(Response::GenInfo { generation: 3 });
+        assert_eq!(poll_generation(&addr, &RouterConfig::default()), Some(3));
+        join.join().expect("drip thread");
+    }
 }

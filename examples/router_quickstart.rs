@@ -1,7 +1,7 @@
 //! The distributed serving topology end to end: build →
 //! `freeze_sharded` → a **replica set** of backend processes per shard
-//! (each loads only its own shard) → a stateless router in front, with
-//! hedged reads enabled → batch-query the router — verifying every
+//! (each loads only its own shard) → a stateless router in front →
+//! batch-query the router — verifying every
 //! merged answer is bitwise identical to the local [`QueryEngine`] on
 //! the unsharded store, including cross-shard Jaccard pairs — then kill
 //! one replica and query straight through the hole.
@@ -61,15 +61,16 @@ fn main() {
     }
 
     // A stateless router in front: it holds no sketch data, only the
-    // manifest's node-range table and the replica addresses. Hedged
-    // reads are safe to enable because replicas answer identical bits.
+    // manifest's node-range table and the replica addresses.
     let manifest = ShardManifest::load(dir.join(SHARD_MANIFEST_FILE)).expect("manifest");
-    let config = RouterConfig {
-        hedge_delay: Some(std::time::Duration::from_millis(20)),
-        ..RouterConfig::default()
-    };
-    let router = Router::bind("127.0.0.1:0", manifest, backend_addrs.clone(), 2, config)
-        .expect("bind router");
+    let router = Router::bind(
+        "127.0.0.1:0",
+        manifest,
+        backend_addrs.clone(),
+        2,
+        RouterConfig::default(),
+    )
+    .expect("bind router");
     let addr = router.local_addr().expect("router addr");
     let handle = router.handle();
     let router_thread = std::thread::spawn(move || router.run());

@@ -32,7 +32,6 @@ pub fn fast_config() -> RouterConfig {
         backoff_base: Duration::from_millis(10),
         backoff_cap: Duration::from_millis(100),
         probe_interval: Duration::from_millis(25),
-        hedge_delay: None,
         degraded: false,
         cache_bytes: 0,
     }
@@ -382,6 +381,13 @@ pub const STALL: u8 = 5;
 /// connection looks alive but the handshake reply never comes.
 pub const BLACKHOLE: u8 = 6;
 
+/// Relay to the backend like [`HEALTHY`], but after the handshake reply
+/// forward the backend's replies one byte per [`DRIP_INTERVAL`]: every
+/// single read is quick, only a whole frame is slow.
+pub const DRIP: u8 = 7;
+/// The gap between two bytes in [`DRIP`] mode.
+pub const DRIP_INTERVAL: Duration = Duration::from_millis(20);
+
 /// A TCP proxy in front of a real backend whose failure mode can be
 /// switched at runtime. Switching also severs standing connections —
 /// mid-frame, if a frame is in flight — so the router notices
@@ -444,6 +450,22 @@ fn handshake_accept(conn: &mut TcpStream) -> bool {
     conn.write_all(&accept).is_ok()
 }
 
+/// [`DRIP`]'s backend-to-client half: the 5-byte handshake reply in one
+/// write, then one byte per [`DRIP_INTERVAL`] until either side closes.
+fn drip(up: &mut TcpStream, client: &mut TcpStream) {
+    let mut reply = [0u8; 5];
+    if up.read_exact(&mut reply).is_err() || client.write_all(&reply).is_err() {
+        return;
+    }
+    let mut byte = [0u8; 1];
+    while up.read_exact(&mut byte).is_ok() {
+        std::thread::sleep(DRIP_INTERVAL);
+        if client.write_all(&byte).is_err() {
+            return;
+        }
+    }
+}
+
 fn proxy_loop(
     listener: TcpListener,
     upstream: SocketAddr,
@@ -460,7 +482,7 @@ fn proxy_loop(
             live.lock().expect("live list").push(clone);
         }
         match mode.load(Ordering::SeqCst) {
-            HEALTHY => {
+            m @ (HEALTHY | DRIP) => {
                 let Ok(up) = TcpStream::connect(upstream) else {
                     let _ = client.shutdown(std::net::Shutdown::Both);
                     continue;
@@ -478,7 +500,12 @@ fn proxy_loop(
                     let _ = up.shutdown(std::net::Shutdown::Both);
                 });
                 std::thread::spawn(move || {
-                    let _ = std::io::copy(&mut u2, &mut c2);
+                    if m == DRIP {
+                        let _ = c2.set_nodelay(true);
+                        drip(&mut u2, &mut c2);
+                    } else {
+                        let _ = std::io::copy(&mut u2, &mut c2);
+                    }
                     let _ = c2.shutdown(std::net::Shutdown::Both);
                 });
             }

@@ -3,7 +3,8 @@
 //! scenario the router must answer with a **typed error frame** within
 //! its deadline — never a panic, never a hang, never a silently partial
 //! merge — and must recover on the next request once the backend is
-//! healthy again. The last test pins the circuit breaker's other
+//! healthy again. A replica that drips its answers one byte at a time
+//! must cost one read deadline per frame, then fail over. The last test pins the circuit breaker's other
 //! promise: a backend that *stays* dead sees a bounded, backed-off dial
 //! rate instead of one connect attempt per incoming request.
 
@@ -21,7 +22,7 @@ use adsketch::serve::{Client, RouterConfig};
 
 use common::{
     assert_backend_error, dead_port, fast_config, spawn_backend, spawn_router, FlakyProxy, Scratch,
-    BLACKHOLE, GARBAGE, HEALTHY, REFUSE, REJECT_HANDSHAKE, STALL, TRUNCATE,
+    BLACKHOLE, DRIP, DRIP_INTERVAL, GARBAGE, HEALTHY, REFUSE, REJECT_HANDSHAKE, STALL, TRUNCATE,
 };
 
 /// Generous wall-clock ceiling: deadlines + retries + CI slack. The
@@ -205,6 +206,53 @@ fn corrupt_backend_frames_yield_typed_errors_then_clean_recovery() {
 
 /// A listener that counts every accepted connection and hangs up — a
 /// permanently dead backend whose dial pressure is observable.
+#[test]
+fn a_dripping_replica_costs_one_read_timeout_per_frame_then_fails_over() {
+    let g = generators::gnp(50, 0.1, 17);
+    let ads = AdsSet::build(&g, 3, 9);
+    let frozen = ads.freeze();
+    let scratch = Scratch::new("faults_drip");
+    freeze_sharded(&ads, 1, &scratch.0).expect("freeze_sharded");
+
+    let (b0a_addr, b0a_handle, b0a_join) = spawn_backend(&scratch.0, 0);
+    let (b0b_addr, b0b_handle, b0b_join) = spawn_backend(&scratch.0, 0);
+    // Replica 0 answers, but one byte per 20 ms: no single read comes
+    // near the 400 ms read timeout, while a whole 50-node harmonic
+    // frame (409 bytes) takes ≈ 8 s.
+    let proxy = FlakyProxy::spawn(b0a_addr);
+    proxy.set_mode(DRIP);
+    let config = fast_config();
+    let read_timeout = config.read_timeout;
+    assert!(DRIP_INTERVAL * 4 < read_timeout);
+    let (addr, r_handle, r_join) =
+        spawn_router(&scratch.0, vec![vec![proxy.addr, b0b_addr]], 1, config);
+
+    let mut client = Client::connect(addr).expect("connect router");
+    let nodes: Vec<NodeId> = (0..50).collect();
+    // The first leg goes to replica 0 (round-robin starts there), pays
+    // one deadline for the whole frame and fails over to replica 1.
+    let t0 = Instant::now();
+    let served = client.harmonic(&nodes).expect("failed-over answer");
+    let took = t0.elapsed();
+    assert_eq!(served, QueryEngine::new(&frozen).harmonic_batch(&nodes));
+    assert!(
+        took >= read_timeout,
+        "the leg never went through the dripping replica: {took:?}"
+    );
+    assert!(
+        took < 2 * read_timeout,
+        "the read deadline did not cover the whole frame: {took:?}"
+    );
+
+    drop(proxy);
+    r_handle.shutdown();
+    r_join.join().expect("router thread").expect("router run");
+    for (h, j) in [(b0a_handle, b0a_join), (b0b_handle, b0b_join)] {
+        h.shutdown();
+        j.join().expect("backend thread").expect("backend run");
+    }
+}
+
 fn counting_refuser() -> (SocketAddr, Arc<AtomicUsize>, Arc<AtomicBool>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind counter");
     let addr = listener.local_addr().expect("addr");
@@ -244,7 +292,6 @@ fn dead_backend_sees_a_bounded_dial_rate_not_per_request_hammering() {
         backoff_base: Duration::from_millis(50),
         backoff_cap: Duration::from_millis(200),
         probe_interval: Duration::from_millis(25),
-        hedge_delay: None,
         degraded: false,
         cache_bytes: 0,
     };
