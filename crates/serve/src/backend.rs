@@ -78,11 +78,6 @@ impl BackendStore {
         &self.manifest
     }
 
-    /// Which manifest shard this store holds.
-    pub fn shard_index(&self) -> usize {
-        self.index
-    }
-
     /// Binds a backend server over this store (a thin convenience over
     /// [`Server::bind`]).
     pub fn into_server(

@@ -13,6 +13,7 @@
 
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use adsketch_core::centrality::DecayKernel;
@@ -23,25 +24,36 @@ use crate::proto::{
     read_frame, write_frame, BatchSlot, Request, Response, WIRE_MAGIC, WIRE_VERSION,
 };
 
-/// A reader that gives up once `deadline` passes: each `read` waits at
-/// most the time left, so a frame read through it is bounded as a whole.
+/// A reader that gives up once `deadline` passes (`None`: never). The
+/// socket's read timeout is the client's bound, so a read that starts
+/// before the deadline ends within one more bound: a message read
+/// through it fails within twice the bound however the peer spaces its
+/// bytes, and the read path makes no syscall beyond its reads.
 struct DeadlineRead<'a> {
     reader: &'a mut BufReader<TcpStream>,
-    stream: &'a TcpStream,
-    deadline: Instant,
+    deadline: Option<Instant>,
+}
+
+impl<'a> DeadlineRead<'a> {
+    /// A deadline one bound (`bound_ns`, `0` for none) from now.
+    fn new(reader: &'a mut BufReader<TcpStream>, bound_ns: &AtomicU64) -> Self {
+        let ns = bound_ns.load(Ordering::Relaxed);
+        let deadline = (ns > 0).then(|| Instant::now() + Duration::from_nanos(ns));
+        Self { reader, deadline }
+    }
+
+    /// Reads and decodes one response frame.
+    fn response(mut self) -> Result<Response, ServeError> {
+        decode_response(read_frame(&mut self)?)
+    }
 }
 
 impl Read for DeadlineRead<'_> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         let timed_out =
             || std::io::Error::new(std::io::ErrorKind::TimedOut, "response deadline exceeded");
-        let left = self.deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() {
+        if self.deadline.is_some_and(|d| Instant::now() >= d) {
             return Err(timed_out());
-        }
-        // Bytes already buffered need no wait (and no syscall).
-        if self.reader.buffer().is_empty() {
-            self.stream.set_read_timeout(Some(left))?;
         }
         self.reader.read(buf).map_err(|e| match e.kind() {
             std::io::ErrorKind::WouldBlock => timed_out(),
@@ -66,39 +78,49 @@ pub struct Client {
     /// A third handle onto the same socket, used to unwedge a pipeline
     /// whose reader failed while the writer is still blocked.
     stream: TcpStream,
+    /// The bound on reading one response frame, in nanoseconds (`0`:
+    /// none). The socket's read timeout always equals it.
+    read_timeout_ns: AtomicU64,
 }
 
 impl Client {
     /// Connects and performs the protocol handshake.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, ServeError> {
         let stream = TcpStream::connect(addr)?;
-        Self::handshake(stream)
+        Self::handshake(stream, None)
     }
 
     /// Like [`Client::connect`], but bounds the TCP connect **and the
-    /// handshake reply** — a backend that is down fails fast instead of
-    /// waiting out the OS default (which can be minutes), and a backend
-    /// that accepts the connection but never answers the handshake
-    /// cannot hang the caller either. The handshake deadline is cleared
-    /// before returning; use [`Client::set_read_timeout`] to bound
-    /// subsequent reads.
+    /// whole handshake reply** by `timeout` — a backend that is down
+    /// fails fast instead of waiting out the OS default (which can be
+    /// minutes), and a backend that accepts the connection but never
+    /// answers the handshake, or drips it, cannot hang the caller either
+    /// (it gives up within twice `timeout`, as
+    /// [`Client::set_read_timeout`] describes). The handshake bound is
+    /// cleared before returning; use [`Client::set_read_timeout`] to
+    /// bound subsequent responses.
     pub fn connect_timeout(addr: &SocketAddr, timeout: Duration) -> Result<Self, ServeError> {
         let stream = TcpStream::connect_timeout(addr, timeout)?;
-        stream.set_read_timeout(Some(timeout))?;
-        let client = Self::handshake(stream)?;
+        let client = Self::handshake(stream, Some(timeout))?;
         client.set_read_timeout(None)?;
         Ok(client)
     }
 
-    fn handshake(stream: TcpStream) -> Result<Self, ServeError> {
+    fn handshake(stream: TcpStream, timeout: Option<Duration>) -> Result<Self, ServeError> {
         stream.set_nodelay(true)?;
-        let mut writer = BufWriter::new(stream.try_clone()?);
-        let mut reader = BufReader::new(stream.try_clone()?);
-        writer.write_all(&WIRE_MAGIC)?;
-        writer.write_all(&WIRE_VERSION.to_le_bytes())?;
-        writer.flush()?;
+        let mut client = Self {
+            reader: BufReader::new(stream.try_clone()?),
+            writer: BufWriter::new(stream.try_clone()?),
+            stream,
+            read_timeout_ns: AtomicU64::new(0),
+        };
+        client.set_read_timeout(timeout)?;
+        client.writer.write_all(&WIRE_MAGIC)?;
+        client.writer.write_all(&WIRE_VERSION.to_le_bytes())?;
+        client.writer.flush()?;
         let mut reply = [0u8; 5];
-        reader.read_exact(&mut reply).map_err(|e| {
+        let mut rx = DeadlineRead::new(&mut client.reader, &client.read_timeout_ns);
+        rx.read_exact(&mut reply).map_err(|e| {
             if e.kind() == std::io::ErrorKind::UnexpectedEof {
                 ServeError::Protocol("server closed during handshake".into())
             } else {
@@ -112,25 +134,28 @@ impl Client {
                  we speak {WIRE_VERSION})"
             )));
         }
-        Ok(Self {
-            reader,
-            writer,
-            stream,
-        })
+        Ok(client)
     }
 
-    /// Bounds every subsequent blocking read on this connection. `None`
-    /// removes the bound. A read that times out surfaces as
-    /// [`ServeError::Io`] with kind `WouldBlock`/`TimedOut`.
+    /// Bounds every subsequent response: a response frame that has not
+    /// arrived whole `timeout` after its read began fails, however the
+    /// server spaces its bytes. The last read may still wait out one
+    /// more `timeout`, so a call gives up within twice `timeout` at
+    /// worst (once `timeout` for a server that sends nothing). `None`
+    /// removes the bound. A response that times out surfaces as
+    /// [`ServeError::Io`] with kind `TimedOut`, and leaves the
+    /// connection unusable.
     pub fn set_read_timeout(&self, timeout: Option<Duration>) -> Result<(), ServeError> {
         self.stream.set_read_timeout(timeout)?;
+        let ns = timeout.map_or(0, |t| u64::try_from(t.as_nanos()).unwrap_or(u64::MAX));
+        self.read_timeout_ns.store(ns, Ordering::Relaxed);
         Ok(())
     }
 
     /// Sends one request and blocks on its response frame.
     pub fn request(&mut self, req: &Request) -> Result<Response, ServeError> {
         self.send(req)?;
-        decode_response(read_frame(&mut self.reader)?)
+        self.recv()
     }
 
     /// Writes and flushes one request frame without reading anything —
@@ -142,18 +167,11 @@ impl Client {
         Ok(())
     }
 
-    /// Reads the next response frame whole within `wait` (the gather
-    /// half). The time left is recomputed before every `read`, so the
-    /// bound covers the frame, not each read: a peer that drips its
-    /// answer byte by byte still times out after `wait`. Any `Err`, a
-    /// timeout included, leaves the connection unusable.
-    pub(crate) fn recv_within(&mut self, wait: Duration) -> Result<Response, ServeError> {
-        let mut rx = DeadlineRead {
-            reader: &mut self.reader,
-            stream: &self.stream,
-            deadline: Instant::now() + wait,
-        };
-        decode_response(read_frame(&mut rx)?)
+    /// Reads the next response frame within the read bound (the gather
+    /// half). Any `Err`, a timeout included, leaves the connection
+    /// unusable.
+    pub(crate) fn recv(&mut self) -> Result<Response, ServeError> {
+        DeadlineRead::new(&mut self.reader, &self.read_timeout_ns).response()
     }
 
     /// Pipelines a whole slice of requests: a scoped writer thread
@@ -161,12 +179,14 @@ impl Client {
     /// arbitrarily deep pipelines can never deadlock on full socket
     /// buffers (the reader always drains while the writer fills).
     /// Responses come back index-aligned with `reqs` — the server
-    /// answers strictly in order.
+    /// answers strictly in order. The read bound applies to each
+    /// response frame.
     pub fn pipeline(&mut self, reqs: &[Request]) -> Result<Vec<Response>, ServeError> {
         let Self {
             reader,
             writer,
             stream,
+            read_timeout_ns,
         } = self;
         std::thread::scope(|s| {
             let sender = s.spawn(|| -> Result<(), ServeError> {
@@ -179,7 +199,7 @@ impl Client {
             let mut responses = Vec::with_capacity(reqs.len());
             let mut read_err = None;
             for _ in 0..reqs.len() {
-                match read_frame(reader).and_then(decode_response) {
+                match DeadlineRead::new(reader, read_timeout_ns).response() {
                     Ok(resp) => responses.push(resp),
                     Err(e) => {
                         read_err = Some(e);

@@ -33,8 +33,8 @@
 //! Each shard runs as a **replica set** of processes (every replica a
 //! [`BackendStore`] behind the same [`Server`]), any number of stateless
 //! [`Router`] processes in front: the router partitions each client
-//! batch by the manifest's node-range table, scatters over pipelined
-//! backend connections — round-robin across a shard's healthy replicas,
+//! batch by the manifest's node-range table, scatters one leg per shard
+//! — round-robin across a shard's healthy replicas,
 //! with circuit-breaker health tracking, failover, and
 //! exponential-backoff reconnects — and merges in request order.
 //! Failures stay typed and bounded: deadlines and retries cap every

@@ -50,10 +50,11 @@
 //! per queried node `v`, the `(rank, node)` sequence of `ADS(v)`'s
 //! entries within the query distance, in canonical `(dist, node)` order —
 //! exactly the insertion sequence `Row::minhash_at` feeds a bottom-k
-//! MinHash sketch. A router answering a *cross-shard* Jaccard pair
-//! fetches each endpoint's prefix from its owning backend, replays the
-//! insertions, and runs the same estimator the local engine runs — so
-//! even answers that need two shards' data stay bitwise identical.
+//! MinHash sketch. A router answering a Jaccard batch with a
+//! *cross-shard* pair fetches each endpoint's prefix from its owning
+//! backend, replays the insertions, and runs the same estimator the
+//! local engine runs — so even answers that need two shards' data stay
+//! bitwise identical.
 //!
 //! Kernel tags encode [`DecayKernel`]: `0` Threshold (parameter = `d`),
 //! `1` Exponential (parameter = `base`), `2` Harmonic, `3` Constant
@@ -77,8 +78,6 @@ pub const WIRE_VERSION: u32 = 1;
 /// garbage length prefixes before allocating.
 pub const MAX_FRAME_LEN: u32 = 1 << 26;
 
-/// Error code: the client's protocol version is not supported.
-pub const ERR_VERSION: u16 = 1;
 /// Error code: unknown message type or undecodable payload.
 pub const ERR_MALFORMED: u16 = 2;
 /// Error code: a node id in the request is out of range for the store.

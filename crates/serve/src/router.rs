@@ -8,8 +8,9 @@
 //!
 //! # One request path
 //!
-//! An incoming batch is pre-validated exactly as the single-process
-//! server would validate it. Every batch kind then takes the same steps:
+//! An incoming batch passes the single-process server's own admission
+//! check, over the whole keyspace. Every batch kind then takes the same
+//! steps:
 //!
 //! 1. **Cache peel.** For the float kinds (harmonic, decay, cardinality,
 //!    Jaccard), items the answer cache holds are set aside; only the
@@ -17,9 +18,10 @@
 //! 2. **Partition.** Items are grouped by owning shard, each group in
 //!    request order.
 //! 3. **One-shard shortcut or scatter.** A batch owned by one shard is
-//!    forwarded verbatim. Otherwise each shard gets a leg of the same
-//!    kind and parameters over its own items, pipelined over backend
-//!    connections.
+//!    forwarded verbatim. Otherwise each shard gets one leg of the same
+//!    kind and parameters over its own items. All legs are sent before
+//!    any answer is read, and since no shard gets two, no backend
+//!    connection ever carries more than one frame in flight.
 //! 4. **Merge.** Answers land back at their request indices. Floats
 //!    merge slot by slot, so degraded mode can leave a dead shard's slots
 //!    `Down`. Curves and sketch prefixes merge all-or-nothing, within
@@ -28,8 +30,10 @@
 //!    slot never does), and the peeled hits are spliced back in.
 //!
 //! A Jaccard pair whose endpoints live on different shards has no single
-//! owner. It is the one item whose merge does arithmetic, so a batch
-//! holding such pairs takes its own cold step in place of steps 3–4.
+//! owner. A batch holding such a pair takes its own cold step in place
+//! of steps 2–4: one `SketchPrefix` leg to each shard that owns an
+//! endpoint, then every pair of the batch computed at the router from
+//! the replayed prefixes.
 //!
 //! # Merge guarantee
 //!
@@ -43,13 +47,15 @@
 //!   a shard are interchangeable *bitwise*, the router is free to spread
 //!   legs across them or fail a leg over — neither of which can change a
 //!   single answer bit.
-//! * Jaccard pairs whose endpoints share a shard go to that shard
-//!   directly. A **cross-shard** pair is answered by fetching each
-//!   endpoint's `(rank, node)` sketch prefix from its owner and
-//!   replaying the insertions into the same bottom-k sketch
-//!   [`Row::minhash_at`] builds locally — the similarity is then
-//!   computed by the same `adsketch_minhash` routine the local engine
-//!   calls, on identical sketches.
+//! * A Jaccard batch whose pairs each sit on one shard goes to those
+//!   shards like a per-node batch. A batch with a **cross-shard** pair is
+//!   answered whole by fetching each endpoint's `(rank, node)` sketch
+//!   prefix from its owner and replaying the insertions into the same
+//!   bottom-k sketch [`Row::minhash_at`] builds locally. The paper's
+//!   sketches are coordinated (every node's sketch draws on one rank per
+//!   node), so the similarity, computed by the same `adsketch_minhash`
+//!   routine the local engine calls on identical sketches, is the same
+//!   bits whichever shards the endpoints live on.
 //!
 //! [`Row::minhash_at`]: adsketch_core::Row::minhash_at
 //!
@@ -71,7 +77,8 @@
 //!
 //! Backends are contacted with a bounded connect timeout, every response
 //! frame is read whole within one read deadline (a replica that stalls
-//! or drips its answer costs one deadline), and each leg gets replica
+//! or drips its answer costs one deadline, plus at most the read under
+//! way when it passes), and each leg gets replica
 //! failover plus a bounded retry. By default the router is all-or-nothing: if a required
 //! shard stays unreachable, the *whole* request is answered with one
 //! [`ERR_BACKEND`] error frame — never a hang, never a partially merged
@@ -116,9 +123,7 @@ use crate::proto::{
     kernel_to_wire, BatchSlot, Request, Response, ERR_BACKEND, ERR_RESPONSE_TOO_LARGE,
     ERR_SHARD_DOWN, MAX_FRAME_LEN,
 };
-use crate::server::{
-    batch_too_large, check_nodes, nf_too_large, serve_pool, sketches_too_large, ServerHandle, Wake,
-};
+use crate::server::{nf_too_large, reject, serve_pool, sketches_too_large, ServerHandle, Wake};
 
 /// Deadlines, retry budget, and replica-set policy for the router's
 /// backend connections.
@@ -128,7 +133,8 @@ pub struct RouterConfig {
     /// replica. Default **1 s**.
     pub connect_timeout: Duration,
     /// Deadline for one replica to deliver one whole response frame
-    /// (per leg, and per prober ping). Default **2 s**.
+    /// (per leg, and per prober ping); the read under way when it passes
+    /// may finish first, within one more deadline. Default **2 s**.
     pub read_timeout: Duration,
     /// Extra failover passes after the first. Each pass offers the leg
     /// to every dialable replica of the shard at most once, so a shard
@@ -435,32 +441,23 @@ fn probe(addr: &SocketAddr, record: &ShardRecord, config: &RouterConfig) -> bool
 /// `read_timeout`. `None` on any failure.
 fn probe_exchange(addr: &SocketAddr, req: &Request, config: &RouterConfig) -> Option<Response> {
     let mut client = Client::connect_timeout(addr, config.connect_timeout).ok()?;
-    client.send(req).ok()?;
-    client.recv_within(config.read_timeout).ok()
+    client.set_read_timeout(Some(config.read_timeout)).ok()?;
+    client.request(req).ok()
 }
 
 /// One sub-request of a scatter: the target shard plus the request to
-/// send it. Legs to the same connection are pipelined in slice order.
+/// send it. A scatter holds at most one leg per shard.
 type Leg = (usize, Request);
 
 /// A worker thread's view of the backend fleet: one lazily (re)connected
-/// client per `(shard, replica)` endpoint, plus the bookkeeping that
-/// keeps pipelined frames paired across failover.
+/// client per `(shard, replica)` endpoint. A scatter sends one leg per
+/// shard, so no connection ever has more than one frame in flight.
 struct Fleet {
     manifest: Arc<ShardManifest>,
     addrs: Arc<Vec<Vec<SocketAddr>>>,
     config: RouterConfig,
     health: Arc<HealthTracker>,
     conns: Vec<Vec<Option<Client>>>,
-    /// Bumped whenever an endpoint's connection is dropped; a pipelined
-    /// leg remembers the epoch it was sent under, so the gather phase
-    /// can tell "response still in flight" from "connection was
-    /// replaced".
-    epochs: Vec<Vec<u64>>,
-    /// Frames sent but not yet gathered per endpoint. An endpoint with
-    /// in-flight frames must not serve an out-of-band exchange (its next
-    /// frames belong to earlier legs).
-    inflight: Vec<Vec<u32>>,
     /// Round-robin cursor per shard.
     rr: Vec<usize>,
     /// The router-wide answer cache (shared across workers); `None`
@@ -492,35 +489,16 @@ impl Fleet {
                 .iter()
                 .map(|&r| (0..r).map(|_| None).collect())
                 .collect(),
-            epochs: sizes.iter().map(|&r| vec![0; r]).collect(),
-            inflight: sizes.iter().map(|&r| vec![0; r]).collect(),
             rr: vec![0; sizes.len()],
         }
     }
 
-    /// Drops an endpoint's connection (its request/response pairing can
-    /// no longer be trusted after any failure). The epoch bump strands
-    /// any frames still in flight on it — their legs re-exchange.
-    fn drop_conn(&mut self, shard: usize, rep: usize) {
-        self.conns[shard][rep] = None;
-        self.epochs[shard][rep] += 1;
-        self.inflight[shard][rep] = 0;
-    }
-
     /// Records a failure with the circuit breaker and retires the
-    /// connection.
+    /// connection (its request/response pairing can no longer be
+    /// trusted).
     fn fail(&mut self, shard: usize, rep: usize) {
         self.health.record_failure(shard, rep);
-        self.drop_conn(shard, rep);
-    }
-
-    /// A gathered leg releases its in-flight slot — unless the
-    /// connection was already replaced (the epoch guard prevents
-    /// decrementing a successor connection's count).
-    fn leg_done(&mut self, shard: usize, rep: usize, epoch: u64) {
-        if self.epochs[shard][rep] == epoch {
-            self.inflight[shard][rep] = self.inflight[shard][rep].saturating_sub(1);
-        }
+        self.conns[shard][rep] = None;
     }
 
     /// Round-robin choice of the replica to carry the next leg to
@@ -544,32 +522,34 @@ impl Fleet {
         cooling
     }
 
-    /// Dials (if needed) and sends one frame to an endpoint.
+    /// Dials (if needed) and sends one frame to an endpoint; a failure
+    /// fails the endpoint. A fresh connection reads every response frame
+    /// whole within [`RouterConfig::read_timeout`].
     fn try_send(&mut self, shard: usize, rep: usize, req: &Request) -> Result<(), ServeError> {
-        if self.conns[shard][rep].is_none() {
-            let client =
-                Client::connect_timeout(&self.addrs[shard][rep], self.config.connect_timeout)?;
-            self.conns[shard][rep] = Some(client);
+        let conn = &mut self.conns[shard][rep];
+        let res = match conn {
+            Some(client) => client.send(req),
+            None => Client::connect_timeout(&self.addrs[shard][rep], self.config.connect_timeout)
+                .and_then(|client| {
+                    client.set_read_timeout(Some(self.config.read_timeout))?;
+                    conn.insert(client).send(req)
+                }),
+        };
+        if res.is_err() {
+            self.fail(shard, rep);
         }
-        self.conns[shard][rep]
-            .as_mut()
-            .expect("just connected")
-            .send(req)
+        res
     }
 
     /// Scatter-phase send of one leg with replica failover: returns the
-    /// endpoint and epoch the request is in flight on, or `None` when no
-    /// replica would take it (the gather phase then runs the full
-    /// exchange fallback).
-    fn send_leg(&mut self, shard: usize, req: &Request) -> Option<(usize, u64)> {
+    /// endpoint the request is in flight on, or `None` when no replica
+    /// would take it (the gather phase then runs the full exchange
+    /// fallback).
+    fn send_leg(&mut self, shard: usize, req: &Request) -> Option<usize> {
         for _ in 0..self.addrs[shard].len() {
             let rep = self.pick(shard)?;
-            match self.try_send(shard, rep, req) {
-                Ok(()) => {
-                    self.inflight[shard][rep] += 1;
-                    return Some((rep, self.epochs[shard][rep]));
-                }
-                Err(_) => self.fail(shard, rep),
+            if self.try_send(shard, rep, req).is_ok() {
+                return Some(rep);
             }
         }
         None
@@ -583,7 +563,7 @@ impl Fleet {
         let res = self.conns[shard][rep]
             .as_mut()
             .expect("awaiting a live connection")
-            .recv_within(self.config.read_timeout);
+            .recv();
         match res {
             Ok(_) => self.health.record_success(shard, rep),
             Err(_) => self.fail(shard, rep),
@@ -602,28 +582,12 @@ impl Fleet {
             for _ in 0..self.addrs[shard].len() {
                 let Some(rep) = self.pick(shard) else { break };
                 attempted = true;
-                // An endpoint with frames in flight cannot serve an
-                // out-of-band exchange (its next frames belong to other
-                // legs): retire the connection — the epoch bump makes the
-                // stranded legs re-exchange — and dial fresh.
-                if self.inflight[shard][rep] > 0 {
-                    self.drop_conn(shard, rep);
-                }
-                match self.try_send(shard, rep, req) {
-                    Ok(()) => {
-                        let epoch = self.epochs[shard][rep];
-                        self.inflight[shard][rep] += 1;
-                        let res = self.await_response(shard, rep);
-                        self.leg_done(shard, rep, epoch);
-                        match res {
-                            Ok(resp) => return Ok(resp),
-                            Err(e) => last = Some(e),
-                        }
-                    }
-                    Err(e) => {
-                        self.fail(shard, rep);
-                        last = Some(e);
-                    }
+                match self
+                    .try_send(shard, rep, req)
+                    .and_then(|()| self.await_response(shard, rep))
+                {
+                    Ok(resp) => return Ok(resp),
+                    Err(e) => last = Some(e),
                 }
             }
             if !attempted {
@@ -642,30 +606,27 @@ impl Fleet {
         })
     }
 
-    /// Scatter/gather: pipelines every leg's send (with replica
-    /// failover) before reading any response, then gathers in leg order.
-    /// Each leg resolves independently — a failed leg falls back to a
-    /// fresh [`Fleet::exchange`], and only if that also fails does the
-    /// leg's slot carry an error (degraded mode answers around it;
-    /// strict mode fails the whole request).
+    /// Scatter/gather over one leg per shard: sends every leg (with
+    /// replica failover) before reading any response, then gathers in leg
+    /// order. With one leg per shard no connection carries two frames, so
+    /// a failed leg falls back to a fresh [`Fleet::exchange`] on its own
+    /// shard, and only if that also fails does the leg's slot carry an
+    /// error (degraded mode answers around it; strict mode fails the
+    /// whole request).
     fn scatter(&mut self, legs: &[Leg]) -> Vec<Result<Response, ServeError>> {
-        let sent: Vec<Option<(usize, u64)>> = legs
+        debug_assert!(
+            legs.windows(2).all(|w| w[0].0 < w[1].0),
+            "one leg per shard, shards ascending"
+        );
+        let sent: Vec<Option<usize>> = legs
             .iter()
             .map(|(shard, req)| self.send_leg(*shard, req))
             .collect();
-        // Gather in leg order (which is per-connection send order, so
-        // pipelined responses pair up correctly).
         legs.iter()
             .zip(sent)
-            .map(|((shard, req), sent)| {
-                if let Some((rep, epoch)) = sent {
-                    if self.epochs[*shard][rep] == epoch {
-                        let res = self.await_response(*shard, rep);
-                        self.leg_done(*shard, rep, epoch);
-                        if let Ok(resp) = res {
-                            return Ok(resp);
-                        }
-                    }
+            .map(|((shard, req), rep)| {
+                if let Some(Ok(resp)) = rep.map(|rep| self.await_response(*shard, rep)) {
+                    return Ok(resp);
                 }
                 self.exchange(*shard, req)
             })
@@ -673,27 +634,25 @@ impl Fleet {
     }
 
     /// Groups a batch's item indices by owning shard: shards ascending,
-    /// each index list in request order. A Jaccard pair whose endpoints
-    /// live on different shards has no owner; its index goes to the
-    /// second list instead, which stays empty for every other kind.
-    fn partition(&self, req: &Request) -> (Vec<(usize, Vec<usize>)>, Vec<usize>) {
+    /// each index list in request order. `None` when a Jaccard pair's
+    /// endpoints live on different shards: such a pair has no owner.
+    fn partition(&self, req: &Request) -> Option<Vec<(usize, Vec<usize>)>> {
         let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.addrs.len()];
-        let mut cross: Vec<usize> = Vec::new();
         for i in 0..item_count(req) {
             let (u, v) = endpoints(req, i);
             let shard = self.manifest.shard_of(u as u64);
-            if u == v || self.manifest.shard_of(v as u64) == shard {
-                by_shard[shard].push(i);
-            } else {
-                cross.push(i);
+            if self.manifest.shard_of(v as u64) != shard {
+                return None;
             }
+            by_shard[shard].push(i);
         }
-        let parts = by_shard
-            .into_iter()
-            .enumerate()
-            .filter(|(_, idxs)| !idxs.is_empty())
-            .collect();
-        (parts, cross)
+        Some(
+            by_shard
+                .into_iter()
+                .enumerate()
+                .filter(|(_, idxs)| !idxs.is_empty())
+                .collect(),
+        )
     }
 
     /// Answers one client request. Infallible at this level: every
@@ -723,39 +682,10 @@ impl Fleet {
 
     fn try_route(&mut self, req: &Request) -> Result<Response, ServeError> {
         let n = self.manifest.num_nodes() as u64;
-        let all = 0..n;
-        // Pre-validate in the same iteration order as the single-process
-        // server, so invalid batches earn byte-identical error frames
+        // The single-process server's admission check over the whole
+        // keyspace: invalid batches earn byte-identical error frames
         // without touching any backend.
-        let precheck = match req {
-            Request::Harmonic { nodes }
-            | Request::Decay { nodes, .. }
-            | Request::NeighborhoodFunction { nodes }
-            | Request::SketchPrefix { nodes, .. } => {
-                check_nodes(&mut nodes.iter().copied(), n, &all)
-            }
-            Request::Cardinality { queries } => {
-                check_nodes(&mut queries.iter().map(|q| q.0), n, &all)
-            }
-            Request::Jaccard { pairs, .. } => {
-                check_nodes(&mut pairs.iter().flat_map(|&(u, v)| [u, v]), n, &all)
-            }
-            Request::Health | Request::GenInfo => None,
-        };
-        if let Some(err) = precheck {
-            return Ok(err);
-        }
-        let too_large = match req {
-            Request::Harmonic { .. }
-            | Request::Decay { .. }
-            | Request::Cardinality { .. }
-            | Request::Jaccard { .. } => batch_too_large(item_count(req)),
-            Request::NeighborhoodFunction { .. }
-            | Request::SketchPrefix { .. }
-            | Request::Health
-            | Request::GenInfo => None,
-        };
-        if let Some(err) = too_large {
+        if let Some(err) = reject(req, n, &(0..n)) {
             return Ok(err);
         }
         match req {
@@ -834,10 +764,9 @@ impl Fleet {
     /// Partition, then the one-shard shortcut or a scatter, then the
     /// merge back into request order.
     fn route_cold(&mut self, req: &Request) -> Result<Response, ServeError> {
-        let (parts, cross) = self.partition(req);
-        if !cross.is_empty() {
-            return self.route_jaccard_cross(req, &parts, &cross);
-        }
+        let Some(parts) = self.partition(req) else {
+            return self.route_jaccard_cross(req);
+        };
         let count = item_count(req);
         let structured = matches!(
             req,
@@ -887,23 +816,19 @@ impl Fleet {
                 },
                 Response::Sketches,
             ),
-            _ => {
-                let (slots, any_down) = self.merge_floats(count, &parts, results)?;
-                Ok(finish_floats(slots, any_down))
-            }
+            _ => self.merge_floats(count, &parts, results),
         }
     }
 
     /// The float arm of the merge: each leg's answers land at their
-    /// request indices. A leg lost to a dead shard leaves its slots at
-    /// the `Down` initialiser in degraded mode (the returned flag says
-    /// so) and fails the request otherwise.
+    /// request indices. A leg lost to a dead shard leaves its slots
+    /// `Down` in degraded mode and fails the request otherwise.
     fn merge_floats(
         &self,
         count: usize,
         parts: &[(usize, Vec<usize>)],
         results: Vec<Result<Response, ServeError>>,
-    ) -> Result<(Vec<BatchSlot>, bool), ServeError> {
+    ) -> Result<Response, ServeError> {
         let mut out = vec![BatchSlot::Down(ERR_SHARD_DOWN); count];
         let mut any_down = false;
         for ((shard, idxs), res) in parts.iter().zip(results) {
@@ -922,55 +847,41 @@ impl Fleet {
                 Err(e) => return Err(e),
             }
         }
-        Ok((out, any_down))
+        Ok(finish_floats(out, any_down))
     }
 
-    /// The cold step of a Jaccard batch holding cross-shard pairs.
-    /// Same-shard pairs still go to their owner as float legs. For the
-    /// cross pairs, each endpoint's sketch prefix is fetched from its
-    /// owner and replayed (see the module docs for why this stays
+    /// The cold step of a Jaccard batch holding a cross-shard pair:
+    /// every pair is answered from sketch prefixes. One `SketchPrefix`
+    /// leg per shard fetches the prefixes of the endpoints it owns, and
+    /// the router replays them (see the module docs for why this stays
     /// bitwise identical). Degraded mode: a down shard takes out exactly
-    /// the pairs that need it — same-shard pairs it owns, cross pairs
-    /// with an endpoint on it.
-    fn route_jaccard_cross(
-        &mut self,
-        req: &Request,
-        parts: &[(usize, Vec<usize>)],
-        cross: &[usize],
-    ) -> Result<Response, ServeError> {
+    /// the pairs with an endpoint on it.
+    fn route_jaccard_cross(&mut self, req: &Request) -> Result<Response, ServeError> {
         let Request::Jaccard { d, pairs } = req else {
             unreachable!("only Jaccard pairs cross shards");
         };
         let d = *d;
-        // Deduplicated prefix nodes needed per shard for the cross pairs.
+        // Deduplicated prefix nodes needed per shard.
         let mut need: Vec<Vec<NodeId>> = vec![Vec::new(); self.addrs.len()];
         let mut seen: HashSet<NodeId> = HashSet::new();
-        for &i in cross {
-            for v in [pairs[i].0, pairs[i].1] {
-                if seen.insert(v) {
-                    need[self.manifest.shard_of(v as u64)].push(v);
-                }
+        for v in pairs.iter().flat_map(|&(u, v)| [u, v]) {
+            if seen.insert(v) {
+                need[self.manifest.shard_of(v as u64)].push(v);
             }
         }
-        let need: Vec<(usize, Vec<NodeId>)> = need
+        let legs: Vec<Leg> = need
             .into_iter()
             .enumerate()
             .filter(|(_, nodes)| !nodes.is_empty())
+            .map(|(shard, nodes)| (shard, Request::SketchPrefix { d, nodes }))
             .collect();
-        let legs: Vec<Leg> = parts
-            .iter()
-            .map(|(shard, idxs)| (*shard, select(req, idxs)))
-            .chain(need.iter().map(|(shard, nodes)| {
-                let nodes = nodes.clone();
-                (*shard, Request::SketchPrefix { d, nodes })
-            }))
-            .collect();
-        let mut results = self.scatter(&legs);
-        let prefixes = results.split_off(parts.len());
-        let (mut out, mut any_down) = self.merge_floats(pairs.len(), parts, results)?;
+        let results = self.scatter(&legs);
         let k = self.manifest.k();
         let mut sketches: HashMap<NodeId, BottomKSketch> = HashMap::new();
-        for ((shard, nodes), res) in need.iter().zip(prefixes) {
+        for ((shard, leg), res) in legs.iter().zip(results) {
+            let Request::SketchPrefix { nodes, .. } = leg else {
+                unreachable!("prefix legs only");
+            };
             let seqs = match res {
                 Ok(Response::Sketches(ss)) if ss.len() == nodes.len() => Ok(ss),
                 // The one-shot prefix fetch overflowed a frame; split it
@@ -981,35 +892,30 @@ impl Fleet {
                 Ok(other) => return Err(unexpected(*shard, other)),
                 Err(e) => Err(e),
             };
-            let seqs = match seqs {
-                Ok(seqs) => seqs,
-                Err(e) if self.degrade(&e) => {
-                    // The missing sketches mark the cross pairs below.
-                    any_down = true;
-                    continue;
+            match seqs {
+                Ok(seqs) => {
+                    for (&v, seq) in nodes.iter().zip(seqs) {
+                        sketches.insert(v, replay(k, &seq));
+                    }
                 }
+                // The missing sketches mark their pairs down below.
+                Err(e) if self.degrade(&e) => {}
                 Err(e) => return Err(e),
-            };
-            for (&v, seq) in nodes.iter().zip(seqs) {
-                sketches.insert(v, replay(k, &seq));
             }
         }
-        for &i in cross {
-            let (u, v) = pairs[i];
-            match (sketches.get(&u), sketches.get(&v)) {
-                (Some(su), Some(sv)) => {
-                    debug_assert!(
-                        matches!(out[i], BatchSlot::Down(_)),
-                        "slot {i} written twice"
-                    );
-                    out[i] = BatchSlot::Value(similarity::jaccard(su, sv));
+        let mut any_down = false;
+        let out = pairs
+            .iter()
+            .map(|(u, v)| match (sketches.get(u), sketches.get(v)) {
+                (Some(su), Some(sv)) => BatchSlot::Value(similarity::jaccard(su, sv)),
+                // An endpoint's shard was down (strict mode never gets
+                // here: a failed prefix leg already returned Err above).
+                _ => {
+                    any_down = true;
+                    BatchSlot::Down(ERR_SHARD_DOWN)
                 }
-                // An endpoint's prefix shard was down; the slot stays
-                // typed-down (strict mode never gets here — a failed
-                // prefix leg already returned Err above).
-                _ => any_down = true,
-            }
-        }
+            })
+            .collect();
         Ok(finish_floats(out, any_down))
     }
 

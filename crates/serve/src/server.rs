@@ -31,12 +31,18 @@
 //! listener awake. The accept loop stops taking connections; workers
 //! notice the flag at their next frame boundary (connection sockets run
 //! a short read timeout as a poll interval), finish the request in
-//! flight, and exit. A request whose bytes have *started* to arrive is
-//! committed: the worker keeps reading (within a bounded drain budget)
-//! and answers it before exiting, so an accepted pipeline never loses a
-//! response to shutdown. [`Server::run`] returns once the pool drains.
+//! flight, and exit. A frame is *committed* once any byte of it has
+//! arrived, bytes the worker has already buffered included: the worker
+//! keeps reading it (within a bounded drain budget) and answers it
+//! before exiting, so an accepted pipeline never loses a response to
+//! shutdown. [`Server::run`] returns once the pool drains.
+//!
+//! Frames are read with the clients' own [`crate::proto::read_frame`].
+//! A frame it cannot read (say, an oversized length prefix) earns one
+//! [`ERR_MALFORMED`] frame and the connection closes; an undecodable
+//! body earns the same error and the connection stays open.
 
-use std::io::{Read, Write};
+use std::io::{BufReader, BufWriter, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -48,8 +54,8 @@ use adsketch_graph::NodeId;
 
 use crate::error::ServeError;
 use crate::proto::{
-    write_frame, Request, Response, ERR_MALFORMED, ERR_NODE_RANGE, ERR_RESPONSE_TOO_LARGE,
-    ERR_SHARD_RANGE, MAX_FRAME_LEN, WIRE_MAGIC, WIRE_VERSION,
+    read_frame, write_frame, Request, Response, ERR_MALFORMED, ERR_NODE_RANGE,
+    ERR_RESPONSE_TOO_LARGE, ERR_SHARD_RANGE, MAX_FRAME_LEN, WIRE_MAGIC, WIRE_VERSION,
 };
 use crate::store::ShardedStore;
 
@@ -331,105 +337,96 @@ fn worker_loop<H: FnMut(&Request) -> Response>(
     }
 }
 
-/// Outcome of a poll-aware exact read.
-enum ReadOutcome {
-    /// The buffer was filled.
-    Full,
-    /// Clean EOF before any byte of the buffer.
-    Eof,
-    /// The stop flag flipped while waiting at a clean boundary.
-    Stopped,
+/// A connection's read half as the server sees it: each blocking read
+/// waits in [`POLL_INTERVAL`] slices (the socket's read timeout) and
+/// checks the stop flag between them. Before shutdown it waits as long
+/// as the peer takes. After shutdown, a read at a frame boundary is a
+/// clean end of stream, and a frame that has started gets at most
+/// [`DRAIN_POLL_BUDGET`] more polls.
+struct Polled<'a> {
+    stream: TcpStream,
+    stop: &'a AtomicBool,
+    /// No byte of the next frame has arrived yet (a read of `n > 0`
+    /// bytes clears it).
+    boundary: bool,
+    /// Polls waited out after shutdown within the current frame.
+    drain_polls: u32,
 }
 
-/// Fills `buf` from a stream whose read timeout doubles as the shutdown
-/// poll interval.
-///
-/// Shutdown semantics: with `committed` false and no byte of `buf` read
-/// yet, a flipped stop flag returns [`ReadOutcome::Stopped`] — the
-/// connection is between messages and can be dropped cleanly. But once
-/// any byte has arrived (or the caller marked the read `committed`,
-/// i.e. a frame header was already consumed), the peer has an accepted
-/// request in flight — keep reading through [`DRAIN_POLL_BUDGET`] extra
-/// poll intervals so the request can still be answered, and only then
-/// give up with a timeout error.
-fn read_full(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    stop: &AtomicBool,
-    committed: bool,
-) -> std::io::Result<ReadOutcome> {
-    let mut filled = 0;
-    let mut drain_polls = 0u32;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) if filled == 0 => return Ok(ReadOutcome::Eof),
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "connection closed mid message",
-                ))
-            }
-            Ok(m) => filled += m,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if stop.load(Ordering::SeqCst) {
-                    if !committed && filled == 0 {
-                        return Ok(ReadOutcome::Stopped);
-                    }
-                    drain_polls += 1;
-                    if drain_polls >= DRAIN_POLL_BUDGET {
-                        return Err(std::io::Error::new(
-                            std::io::ErrorKind::TimedOut,
-                            "shutdown drain budget exhausted mid message",
-                        ));
-                    }
+impl Read for Polled<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        loop {
+            let e = match self.stream.read(buf) {
+                Ok(n) => {
+                    self.boundary &= n == 0;
+                    return Ok(n);
                 }
+                Err(e) => e,
+            };
+            match e.kind() {
+                ErrorKind::WouldBlock | ErrorKind::TimedOut => {}
+                ErrorKind::Interrupted => continue,
+                _ => return Err(e),
             }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
+            // A poll interval passed without a byte.
+            if !self.stop.load(Ordering::SeqCst) {
+                continue;
+            }
+            if self.boundary {
+                return Ok(0);
+            }
+            self.drain_polls += 1;
+            if self.drain_polls >= DRAIN_POLL_BUDGET {
+                return Err(std::io::Error::new(
+                    ErrorKind::TimedOut,
+                    "shutdown drain budget exhausted mid frame",
+                ));
+            }
         }
     }
-    Ok(ReadOutcome::Full)
 }
 
 /// Handshake + request/response loop for one connection, answering each
 /// decoded request through `handler`.
 fn serve_connection<H: FnMut(&Request) -> Response>(
-    mut stream: TcpStream,
+    stream: TcpStream,
     stop: &AtomicBool,
     handler: &mut H,
 ) -> Result<(), ServeError> {
     stream.set_read_timeout(Some(POLL_INTERVAL))?;
     stream.set_nodelay(true)?;
+    let mut writer = BufWriter::new(stream.try_clone()?);
+    let mut reader = BufReader::new(Polled {
+        stream,
+        stop,
+        boundary: true,
+        drain_polls: 0,
+    });
 
-    // Handshake: 8-byte magic + u32 client version.
+    // Handshake: 8-byte magic + u32 client version. End of stream here
+    // (the peer hung up, or shutdown came first) is a clean close.
     let mut hello = [0u8; 12];
-    match read_full(&mut stream, &mut hello, stop, false)? {
-        ReadOutcome::Full => {}
-        ReadOutcome::Eof | ReadOutcome::Stopped => return Ok(()),
+    if reader.read_exact(&mut hello).is_err() {
+        return Ok(());
     }
     let version = u32::from_le_bytes(hello[8..12].try_into().expect("4B"));
-    if hello[..8] != WIRE_MAGIC || version != WIRE_VERSION {
-        let mut reject = [0u8; 5];
-        reject[1..5].copy_from_slice(&WIRE_VERSION.to_le_bytes());
-        let _ = stream.write_all(&reject);
+    let accepted = hello[..8] == WIRE_MAGIC && version == WIRE_VERSION;
+    writer.write_all(&[accepted as u8])?;
+    writer.write_all(&WIRE_VERSION.to_le_bytes())?;
+    writer.flush()?;
+    if !accepted {
         return Err(ServeError::Protocol(format!(
             "handshake rejected (magic {:02x?}, version {version})",
             &hello[..8]
         )));
     }
-    let mut accept = [1u8; 5];
-    accept[1..5].copy_from_slice(&WIRE_VERSION.to_le_bytes());
-    stream.write_all(&accept)?;
 
     // Request frames, answered in order until EOF or shutdown. A frame
-    // whose header has started to arrive is committed — it gets its
-    // answer even if shutdown lands mid-read. After shutdown, already
-    // pipelined requests keep draining for [`STOP_DRAIN_WINDOW`]; then
-    // the connection closes even if the peer is still writing.
-    let mut writer = std::io::BufWriter::new(stream.try_clone()?);
+    // with any byte arrived (bytes already buffered count) is committed:
+    // it gets its answer even if shutdown lands mid-read. After
+    // shutdown, already pipelined requests keep draining for
+    // [`STOP_DRAIN_WINDOW`]; then the connection closes even if the peer
+    // is still writing.
     let mut stop_seen: Option<Instant> = None;
     loop {
         if stop.load(Ordering::SeqCst) {
@@ -438,31 +435,25 @@ fn serve_connection<H: FnMut(&Request) -> Response>(
                 return Ok(());
             }
         }
-        let mut len_buf = [0u8; 4];
-        match read_full(&mut stream, &mut len_buf, stop, false)? {
-            ReadOutcome::Full => {}
-            ReadOutcome::Eof | ReadOutcome::Stopped => return Ok(()),
-        }
-        let len = u32::from_le_bytes(len_buf);
-        if len > MAX_FRAME_LEN {
-            write_frame(
-                &mut writer,
-                &Response::Error {
+        let boundary = reader.buffer().is_empty();
+        let polled = reader.get_mut();
+        polled.boundary = boundary;
+        polled.drain_polls = 0;
+        let body = match read_frame(&mut reader) {
+            Ok(Some(body)) => body,
+            Ok(None) => return Ok(()),
+            // A broken frame leaves nothing to resynchronise on: say so
+            // once and hang up.
+            Err(e) => {
+                let frame = Response::Error {
                     code: ERR_MALFORMED,
-                    message: format!("frame length {len} exceeds MAX_FRAME_LEN"),
-                }
-                .encode(),
-            )?;
-            writer.flush()?;
-            return Err(ServeError::Protocol("oversized frame".into()));
-        }
-        let mut body = vec![0u8; len as usize];
-        match read_full(&mut stream, &mut body, stop, true)? {
-            ReadOutcome::Full => {}
-            // Mid-frame EOF: nothing sensible left to answer. (Stopped is
-            // unreachable on a committed read.)
-            ReadOutcome::Eof | ReadOutcome::Stopped => return Ok(()),
-        }
+                    message: e.to_string(),
+                };
+                write_frame(&mut writer, &frame.encode())?;
+                writer.flush()?;
+                return Err(e);
+            }
+        };
         let response = match Request::decode(&body) {
             Ok(req) => handler(&req),
             Err(e) => Response::Error {
@@ -494,9 +485,9 @@ fn serve_connection<H: FnMut(&Request) -> Response>(
 /// `count × 8` answer bits) still fits in [`MAX_FRAME_LEN`] — checked
 /// *before* any estimator work, so an oversized-but-legal request costs
 /// nothing but an error frame.
-pub(crate) const MAX_FLOAT_BATCH: usize = (MAX_FRAME_LEN as usize - 5) / 8;
+const MAX_FLOAT_BATCH: usize = (MAX_FRAME_LEN as usize - 5) / 8;
 
-pub(crate) fn batch_too_large(count: usize) -> Option<Response> {
+fn batch_too_large(count: usize) -> Option<Response> {
     (count > MAX_FLOAT_BATCH).then(|| Response::Error {
         code: ERR_RESPONSE_TOO_LARGE,
         message: format!(
@@ -506,37 +497,55 @@ pub(crate) fn batch_too_large(count: usize) -> Option<Response> {
     })
 }
 
-/// The error frame for a node outside the store entirely — shared with
-/// the router so pre-validation there produces byte-identical frames.
-pub(crate) fn node_range_error(bad: NodeId, n: u64) -> Response {
-    Response::Error {
-        code: ERR_NODE_RANGE,
-        message: format!("node {bad} out of range (store covers {n} nodes)"),
-    }
-}
-
-/// Walks `nodes`, returning the error frame for the first node outside
-/// `0..n` (or outside `owned`, for a backend holding one shard).
-pub(crate) fn check_nodes(
-    nodes: &mut dyn Iterator<Item = NodeId>,
+/// The error frame for the first node outside `0..n` (or outside
+/// `owned`, for a backend holding one shard).
+fn check_nodes(
+    nodes: impl IntoIterator<Item = NodeId>,
     n: u64,
     owned: &std::ops::Range<u64>,
 ) -> Option<Response> {
-    for v in nodes {
-        if (v as u64) >= n {
-            return Some(node_range_error(v, n));
+    let v = nodes
+        .into_iter()
+        .find(|&v| v as u64 >= n || !owned.contains(&(v as u64)))?;
+    let (code, message) = if v as u64 >= n {
+        (
+            ERR_NODE_RANGE,
+            format!("node {v} out of range (store covers {n} nodes)"),
+        )
+    } else {
+        let (start, end) = (owned.start, owned.end);
+        let message = format!("node {v} is outside this backend's shard range {start}..{end}");
+        (ERR_SHARD_RANGE, message)
+    };
+    Some(Response::Error { code, message })
+}
+
+/// Admission: the error frame a request earns before any estimator work,
+/// or `None` to answer it. The first node outside `0..n` or `owned`, in
+/// wire order, wins; then a float batch whose answers cannot fit one
+/// frame. The server checks against its owned range, the router against
+/// the whole keyspace, so an invalid batch earns the same frame from
+/// either.
+pub(crate) fn reject(req: &Request, n: u64, owned: &std::ops::Range<u64>) -> Option<Response> {
+    let (bad, floats) = match req {
+        Request::Harmonic { nodes } | Request::Decay { nodes, .. } => (
+            check_nodes(nodes.iter().copied(), n, owned),
+            Some(nodes.len()),
+        ),
+        Request::NeighborhoodFunction { nodes } | Request::SketchPrefix { nodes, .. } => {
+            (check_nodes(nodes.iter().copied(), n, owned), None)
         }
-        if !owned.contains(&(v as u64)) {
-            return Some(Response::Error {
-                code: ERR_SHARD_RANGE,
-                message: format!(
-                    "node {v} is outside this backend's shard range {}..{}",
-                    owned.start, owned.end
-                ),
-            });
-        }
-    }
-    None
+        Request::Cardinality { queries } => (
+            check_nodes(queries.iter().map(|q| q.0), n, owned),
+            Some(queries.len()),
+        ),
+        Request::Jaccard { pairs, .. } => (
+            check_nodes(pairs.iter().flat_map(|&(u, v)| [u, v]), n, owned),
+            Some(pairs.len()),
+        ),
+        Request::Health | Request::GenInfo => (None, None),
+    };
+    bad.or_else(|| batch_too_large(floats?))
 }
 
 /// Evaluates one request batch over the store. All estimator work runs
@@ -547,27 +556,18 @@ pub(crate) fn check_nodes(
 /// evaluating the moment their running encoded size would overflow a
 /// frame — a legal request can never force an unbounded allocation.
 pub(crate) fn answer<S: AdsView + RequestStore>(store: &S, req: &Request) -> Response {
-    let n = store.num_nodes() as u64;
     let owned = store.owned_range();
-    let check = |nodes: &mut dyn Iterator<Item = NodeId>| check_nodes(nodes, n, &owned);
+    if let Some(err) = reject(req, store.num_nodes() as u64, &owned) {
+        return err;
+    }
     let engine = QueryEngine::with_threads(store, 1);
     match req {
-        Request::Harmonic { nodes } => check(&mut nodes.iter().copied())
-            .or_else(|| batch_too_large(nodes.len()))
-            .unwrap_or_else(|| Response::Floats(engine.harmonic_batch(nodes))),
-        Request::Decay { kernel, nodes } => check(&mut nodes.iter().copied())
-            .or_else(|| batch_too_large(nodes.len()))
-            .unwrap_or_else(|| Response::Floats(engine.decay_batch(*kernel, nodes))),
-        Request::Cardinality { queries } => check(&mut queries.iter().map(|q| q.0))
-            .or_else(|| batch_too_large(queries.len()))
-            .unwrap_or_else(|| Response::Floats(engine.cardinality_batch(queries))),
-        Request::NeighborhoodFunction { nodes } => check(&mut nodes.iter().copied())
-            .unwrap_or_else(|| neighborhood_function_bounded(store, nodes)),
-        Request::Jaccard { d, pairs } => check(&mut pairs.iter().flat_map(|&(u, v)| [u, v]))
-            .or_else(|| batch_too_large(pairs.len()))
-            .unwrap_or_else(|| Response::Floats(engine.jaccard_batch(pairs, *d))),
-        Request::SketchPrefix { d, nodes } => check(&mut nodes.iter().copied())
-            .unwrap_or_else(|| sketch_prefix_bounded(store, *d, nodes)),
+        Request::Harmonic { nodes } => Response::Floats(engine.harmonic_batch(nodes)),
+        Request::Decay { kernel, nodes } => Response::Floats(engine.decay_batch(*kernel, nodes)),
+        Request::Cardinality { queries } => Response::Floats(engine.cardinality_batch(queries)),
+        Request::NeighborhoodFunction { nodes } => neighborhood_function_bounded(store, nodes),
+        Request::Jaccard { d, pairs } => Response::Floats(engine.jaccard_batch(pairs, *d)),
+        Request::SketchPrefix { d, nodes } => sketch_prefix_bounded(store, *d, nodes),
         // Liveness + ownership ping: no sketch data touched, so a prober
         // can hammer this cheaply.
         Request::Health => Response::Health {

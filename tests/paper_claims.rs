@@ -14,10 +14,17 @@
 //! errors rise and fall together, so a run counts once however many
 //! nodes it has. Every tolerance below is a sampling error over `R`
 //! runs, derived next to its assert and never tuned to the data.
+//!
+//! The stream half (Figure 2, Sections 5.4 and 5.6) drives
+//! `core::sim`: an ADS's estimators see only the ranks of the nodes in
+//! distance order, so a run is one stream of distinct elements, each
+//! from its own fixed seed, and the truth is the count streamed so far.
 
+use adsketch::core::sim::{BaseBHipSim, StreamSim};
 use adsketch::core::{AdsSet, FrozenAdsSet, StoreFormat};
 use adsketch::graph::{exact, generators, Graph, NodeId};
-use adsketch::util::stats::cv_hip;
+use adsketch::util::ranks::BaseB;
+use adsketch::util::stats::{cv_basic, cv_hip};
 
 const K: usize = 16;
 /// Independent runs: components.
@@ -118,4 +125,115 @@ fn bottom_k_ads_sizes_and_hip_reachability_error_match_the_paper() {
         bias.abs() <= tol,
         "HIP reachability mean relative error {bias:+.4} over {R} runs exceeds ±{tol:.4}"
     );
+}
+
+/// The NRMSE of `estimates` of `truth` over independent runs, and its
+/// relative sampling error: the standard error of the mean squared
+/// relative error over the runs, halved for the square root
+/// (δ√x / √x = δx / 2x). For normal errors that is ≈ 1/√(2R); an
+/// estimator with heavier tails gets the wider error its runs show.
+fn nrmse(estimates: &[f64], truth: f64) -> (f64, f64) {
+    let sq: Vec<f64> = estimates
+        .iter()
+        .map(|e| (e / truth - 1.0).powi(2))
+        .collect();
+    let runs = sq.len() as f64;
+    let mse = sq.iter().sum::<f64>() / runs;
+    let var = sq.iter().map(|s| (s - mse).powi(2)).sum::<f64>() / (runs - 1.0);
+    (mse.sqrt(), (var / runs).sqrt() / (2.0 * mse))
+}
+
+#[test]
+fn bottom_k_hip_and_basic_nrmse_match_figure_2() {
+    // The k = 10 panel of Figure 2, at a cardinality far past k.
+    const K: usize = 10;
+    const N: u64 = 2000;
+    const RUNS: u64 = 1000;
+    let (mut hip, mut basic) = (Vec::new(), Vec::new());
+    for run in 0..RUNS {
+        let mut sim = StreamSim::new(K, 0xf162_0000 + run, None);
+        for _ in 0..N {
+            sim.step();
+        }
+        hip.push(sim.bottomk_hip());
+        basic.push(sim.bottomk_basic());
+    }
+
+    // Theorem 5.1: the bottom-k HIP estimate has CV at most
+    // 1/√(2(k−1)). The measured NRMSE stays below the bound times
+    // 1 + 3 sampling errors but for a 0.3% chance.
+    let (got, rse) = nrmse(&hip, N as f64);
+    assert!(
+        got <= cv_hip(K) * (1.0 + 3.0 * rse),
+        "bottom-k HIP NRMSE {got:.4} over {RUNS} runs exceeds 1/√(2(k−1)) = {:.4} × (1 + 3·{rse:.4})",
+        cv_hip(K)
+    );
+
+    // Section 4.2: the basic estimator (k−1)/τ_k has CV 1/√(k−2) as
+    // n → ∞; at n its CV is that times √(1 − (k−1)/n), 0.2% lower here.
+    // The measured NRMSE is within 3 sampling errors of the limit but
+    // for a 0.3% chance.
+    let (got, rse) = nrmse(&basic, N as f64);
+    assert!(
+        (got / cv_basic(K) - 1.0).abs() <= 3.0 * rse,
+        "bottom-k basic NRMSE {got:.4} over {RUNS} runs is not 1/√(k−2) = {:.4} ± 3·{rse:.4}",
+        cv_basic(K)
+    );
+}
+
+#[test]
+fn permutation_beats_hip_at_the_end_of_its_domain() {
+    // Section 5.4: once a stream has covered its whole domain, the
+    // permutation estimator knows far more than HIP does.
+    const K: usize = 10;
+    const N: u64 = 500;
+    const RUNS: u64 = 500;
+    let (mut hip, mut perm) = (Vec::new(), Vec::new());
+    for run in 0..RUNS {
+        let mut sim = StreamSim::new(K, 0x5e54_0000 + run, Some(N));
+        for _ in 0..N {
+            sim.step();
+        }
+        hip.push(sim.bottomk_hip());
+        perm.push(sim.permutation().expect("domain given"));
+    }
+    // The permutation NRMSE is below HIP's with both sampling errors
+    // against it: each is off by at most 3 of its own sampling errors
+    // but for a 0.3% chance.
+    let (hip, hip_rse) = nrmse(&hip, N as f64);
+    let (perm, perm_rse) = nrmse(&perm, N as f64);
+    assert!(
+        perm * (1.0 + 3.0 * perm_rse) <= hip * (1.0 - 3.0 * hip_rse),
+        "permutation NRMSE {perm:.4} (± 3·{perm_rse:.4}) is not below HIP's {hip:.4} \
+         (± 3·{hip_rse:.4}) at the end of a {N}-element domain"
+    );
+}
+
+#[test]
+fn base_b_hip_nrmse_matches_section_5_6() {
+    // Section 5.6: HIP over ranks rounded to powers of b has CV
+    // ≈ √((1+b)/(4(k−1))), the full-rank bound inflated by √((1+b)/2).
+    const K: usize = 16;
+    const N: u64 = 5000;
+    const RUNS: u64 = 1000;
+    for b in [2.0, std::f64::consts::SQRT_2] {
+        let base = BaseB::new(b);
+        let estimates: Vec<f64> = (0..RUNS)
+            .map(|run| {
+                let mut sim = BaseBHipSim::new(K, base, 0xba5e_0000 + run);
+                for _ in 0..N {
+                    sim.step();
+                }
+                sim.estimate()
+            })
+            .collect();
+        // Within 3 sampling errors of the analysis but for a 0.3% chance.
+        let (got, rse) = nrmse(&estimates, N as f64);
+        let want = ((1.0 + b) / (4.0 * (K - 1) as f64)).sqrt();
+        assert!(
+            (got / want - 1.0).abs() <= 3.0 * rse,
+            "base-{b} HIP NRMSE {got:.4} over {RUNS} runs is not √((1+b)/(4(k−1))) = {want:.4} \
+             ± 3·{rse:.4}"
+        );
+    }
 }

@@ -10,11 +10,16 @@ mod common;
 use proptest::prelude::*;
 
 use adsketch::core::centrality::DecayKernel;
-use adsketch::core::{AdsSet, QueryEngine};
-use adsketch::graph::{generators, NodeId};
-use adsketch::serve::{Client, Request, Response, RouterConfig, ServeError};
+use std::sync::{Arc, Mutex};
 
-use common::{assert_routed_equals_local, fast_path_config, ReplicaFleet};
+use adsketch::core::frozen::SHARD_MANIFEST_FILE;
+use adsketch::core::{freeze_sharded, AdsSet, QueryEngine, ShardManifest};
+use adsketch::graph::{generators, NodeId};
+use adsketch::serve::{
+    BackendStore, Client, Request, RequestStore, Response, RouterConfig, ServeError, Server,
+};
+
+use common::{assert_routed_equals_local, fast_path_config, spawn_router, ReplicaFleet, Scratch};
 
 /// Freezes `ads` into `shards` backend processes (in-process servers,
 /// one [`adsketch::serve::BackendStore`] each, one replica per shard)
@@ -119,6 +124,93 @@ fn pipelined_and_concurrent_clients_get_ordered_identical_answers() {
             });
         }
     });
+}
+
+/// A backend that records the type byte of every batch it answers.
+struct Recording {
+    store: BackendStore,
+    seen: Mutex<Vec<u8>>,
+}
+
+impl RequestStore for Recording {
+    fn owned_range(&self) -> std::ops::Range<u64> {
+        self.store.owned_range()
+    }
+
+    fn answer_request(&self, req: &Request) -> Response {
+        // The prober's pings are not batches.
+        if !matches!(req, Request::Health | Request::GenInfo) {
+            self.seen.lock().expect("seen lock").push(req.encode()[0]);
+        }
+        self.store.answer_request(req)
+    }
+}
+
+/// A Jaccard batch with a cross-shard pair is answered whole from sketch
+/// prefixes: each shard owning an endpoint gets exactly one
+/// `SketchPrefix` leg, same-shard pairs included. A batch whose pairs
+/// each sit on one shard goes out as one Jaccard leg per shard.
+#[test]
+fn a_cross_shard_jaccard_batch_sends_one_prefix_leg_per_shard() {
+    const JACCARD: u8 = 0x05;
+    const SKETCH_PREFIX: u8 = 0x06;
+    let g = generators::gnp(40, 0.1, 21);
+    let ads = AdsSet::build(&g, 3, 4);
+    let frozen = ads.freeze();
+    let local = QueryEngine::new(&frozen);
+    let scratch = Scratch::new("eqv_jaccard_legs");
+    freeze_sharded(&ads, 2, &scratch.0).expect("freeze_sharded");
+    let manifest = ShardManifest::load(scratch.0.join(SHARD_MANIFEST_FILE)).expect("manifest");
+    let split = manifest.records()[0].end as NodeId;
+    let backends: Vec<_> = (0..2)
+        .map(|shard| {
+            let store = Arc::new(Recording {
+                store: BackendStore::load(&scratch.0, shard).expect("load shard"),
+                seen: Mutex::new(Vec::new()),
+            });
+            let server = Server::bind("127.0.0.1:0", Arc::clone(&store), 1).expect("bind");
+            let addr = server.local_addr().expect("addr");
+            let handle = server.handle();
+            (
+                store,
+                addr,
+                handle,
+                std::thread::spawn(move || server.run()),
+            )
+        })
+        .collect();
+    let replicas = backends.iter().map(|b| vec![b.1]).collect();
+    let (addr, r_handle, r_join) = spawn_router(&scratch.0, replicas, 1, RouterConfig::default());
+    let mut client = Client::connect(addr).expect("connect router");
+    let take_seen = |shard: usize| -> Vec<u8> {
+        std::mem::take(&mut *backends[shard].0.seen.lock().expect("seen lock"))
+    };
+
+    // Same-shard pairs on both shards, plus one cross-shard pair.
+    let pairs = [(0, 1), (split, split + 1), (2, split + 2), (3, 3)];
+    assert_eq!(
+        client.jaccard(2.0, &pairs).expect("jaccard"),
+        local.jaccard_batch(&pairs, 2.0)
+    );
+    assert_eq!(take_seen(0), [SKETCH_PREFIX]);
+    assert_eq!(take_seen(1), [SKETCH_PREFIX]);
+
+    // No pair crosses: one Jaccard leg per shard.
+    let pairs = [(0, 1), (split, split + 1), (3, 3)];
+    assert_eq!(
+        client.jaccard(2.0, &pairs).expect("jaccard"),
+        local.jaccard_batch(&pairs, 2.0)
+    );
+    assert_eq!(take_seen(0), [JACCARD]);
+    assert_eq!(take_seen(1), [JACCARD]);
+
+    drop(client);
+    r_handle.shutdown();
+    r_join.join().expect("router thread").expect("router run");
+    for (_, _, handle, join) in backends {
+        handle.shutdown();
+        join.join().expect("backend thread").expect("backend run");
+    }
 }
 
 #[test]

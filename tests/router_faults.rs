@@ -10,6 +10,7 @@
 
 mod common;
 
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -18,7 +19,8 @@ use std::time::{Duration, Instant};
 use adsketch::core::frozen::SHARD_MANIFEST_FILE;
 use adsketch::core::{freeze_sharded, AdsSet, QueryEngine, ShardManifest};
 use adsketch::graph::{generators, NodeId};
-use adsketch::serve::{Client, RouterConfig};
+use adsketch::serve::proto::WIRE_VERSION;
+use adsketch::serve::{Client, RouterConfig, ServeError};
 
 use common::{
     assert_backend_error, dead_port, fast_config, spawn_backend, spawn_router, FlakyProxy, Scratch,
@@ -251,6 +253,80 @@ fn a_dripping_replica_costs_one_read_timeout_per_frame_then_fails_over() {
         h.shutdown();
         j.join().expect("backend thread").expect("backend run");
     }
+}
+
+/// The client's own read bound covers a whole response frame, as the
+/// router's leg deadline does: a server that drips its answer cannot
+/// hold a client for frame length × the timeout.
+#[test]
+fn client_read_timeout_bounds_a_dripped_response_frame() {
+    let g = generators::gnp(80, 0.1, 5);
+    let ads = AdsSet::build(&g, 2, 1);
+    let scratch = Scratch::new("faults_client_drip");
+    freeze_sharded(&ads, 1, &scratch.0).expect("freeze_sharded");
+    let (b_addr, b_handle, b_join) = spawn_backend(&scratch.0, 0);
+    let proxy = FlakyProxy::spawn(b_addr);
+    proxy.set_mode(DRIP);
+    let timeout = Duration::from_millis(400);
+    assert!(DRIP_INTERVAL * 4 < timeout);
+    let mut client = Client::connect(proxy.addr).expect("connect through the proxy");
+    client
+        .set_read_timeout(Some(timeout))
+        .expect("read timeout");
+    // A 64-node answer is 521 bytes on the wire: ≈ 10 s at one byte per
+    // DRIP_INTERVAL, though no single read waits longer than 20 ms.
+    let nodes: Vec<NodeId> = (0..64).collect();
+    let t0 = Instant::now();
+    let err = client.harmonic(&nodes).unwrap_err();
+    let took = t0.elapsed();
+    assert!(
+        took < 2 * timeout,
+        "the read bound did not cover the whole frame: {took:?}"
+    );
+    assert!(
+        matches!(&err, ServeError::Io(e) if e.kind() == std::io::ErrorKind::TimedOut),
+        "{err}"
+    );
+
+    drop(client);
+    drop(proxy);
+    b_handle.shutdown();
+    b_join.join().expect("backend thread").expect("backend run");
+}
+
+/// `Client::connect_timeout` bounds the whole handshake reply, not each
+/// read of it.
+#[test]
+fn connect_timeout_bounds_a_dripped_handshake_reply() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let timeout = Duration::from_millis(250);
+    // Five bytes 150 ms apart: each read is quick, the reply takes
+    // 750 ms, three times the timeout.
+    let gap = Duration::from_millis(150);
+    let join = std::thread::spawn(move || {
+        let Ok((mut conn, _)) = listener.accept() else {
+            return;
+        };
+        let mut hello = [0u8; 12];
+        if conn.read_exact(&mut hello).is_err() {
+            return;
+        }
+        let mut accept = [1u8; 5];
+        accept[1..].copy_from_slice(&WIRE_VERSION.to_le_bytes());
+        for byte in accept {
+            std::thread::sleep(gap);
+            if conn.write_all(&[byte]).is_err() {
+                return;
+            }
+        }
+    });
+    let t0 = Instant::now();
+    let res = Client::connect_timeout(&addr, timeout);
+    let took = t0.elapsed();
+    assert!(res.is_err(), "a dripped handshake must time out");
+    assert!(took < 2 * timeout, "handshake bound exceeded: {took:?}");
+    join.join().expect("drip thread");
 }
 
 fn counting_refuser() -> (SocketAddr, Arc<AtomicUsize>, Arc<AtomicBool>) {

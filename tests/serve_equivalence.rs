@@ -313,6 +313,139 @@ fn shutdown_drains_a_request_caught_mid_frame() {
     assert_eq!(n, 0, "server must close, not answer past shutdown");
 }
 
+/// A raw socket past the handshake, so a test controls every byte on
+/// the wire.
+fn raw_connect(addr: SocketAddr) -> std::net::TcpStream {
+    use std::io::{Read, Write};
+
+    use adsketch::serve::proto::{WIRE_MAGIC, WIRE_VERSION};
+
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("read timeout");
+    stream.write_all(&WIRE_MAGIC).expect("magic");
+    stream
+        .write_all(&WIRE_VERSION.to_le_bytes())
+        .expect("version");
+    let mut reply = [0u8; 5];
+    stream.read_exact(&mut reply).expect("handshake reply");
+    assert_eq!(reply[0], 1, "handshake accepted");
+    stream
+}
+
+/// One framed request body: the length prefix, then the body.
+fn framed(body: &[u8]) -> Vec<u8> {
+    let mut frame = (body.len() as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(body);
+    frame
+}
+
+/// Reads one response frame off a raw socket.
+fn read_response(stream: &mut std::net::TcpStream) -> Response {
+    use std::io::Read;
+
+    let mut len = [0u8; 4];
+    stream.read_exact(&mut len).expect("response length");
+    let mut body = vec![0u8; u32::from_le_bytes(len) as usize];
+    stream.read_exact(&mut body).expect("response body");
+    Response::decode(&body).expect("response decodes")
+}
+
+/// The server closed the connection: the next read sees end of stream.
+fn assert_closed(stream: &mut std::net::TcpStream) {
+    use std::io::Read;
+
+    let mut byte = [0u8; 1];
+    assert_eq!(stream.read(&mut byte).expect("clean close"), 0);
+}
+
+fn assert_malformed(resp: Response) {
+    match resp {
+        Response::Error { code, .. } => assert_eq!(code, adsketch::serve::proto::ERR_MALFORMED),
+        other => panic!("expected an ERR_MALFORMED frame, got {other:?}"),
+    }
+}
+
+/// The server's framing over a raw socket: what a length prefix, an
+/// undecodable body, a bad handshake, a dripped request and two requests
+/// in one write each get back.
+#[test]
+fn raw_socket_framing_is_answered_frame_by_frame() {
+    use std::io::{Read, Write};
+
+    use adsketch::serve::proto::{MAX_FRAME_LEN, WIRE_MAGIC, WIRE_VERSION};
+
+    let g = generators::gnp(20, 0.2, 13);
+    let ads = AdsSet::build(&g, 2, 7);
+    let frozen = ads.freeze();
+    let local = QueryEngine::new(&frozen);
+    let guard = spawn_server(&ads, 1, 1, "framing");
+    let harmonic = |nodes: &[NodeId]| {
+        Request::Harmonic {
+            nodes: nodes.to_vec(),
+        }
+        .encode()
+    };
+    let expect_floats = |resp: Response, nodes: &[NodeId]| match resp {
+        Response::Floats(xs) => assert_eq!(xs, local.harmonic_batch(nodes)),
+        other => panic!("expected Floats, got {other:?}"),
+    };
+
+    // An oversized length prefix: one ERR_MALFORMED frame, then the
+    // server hangs up.
+    let mut stream = raw_connect(guard.addr);
+    stream
+        .write_all(&(MAX_FRAME_LEN + 1).to_le_bytes())
+        .expect("oversized prefix");
+    assert_malformed(read_response(&mut stream));
+    assert_closed(&mut stream);
+
+    // An undecodable body: ERR_MALFORMED, and the connection still
+    // answers the next request.
+    let mut stream = raw_connect(guard.addr);
+    stream
+        .write_all(&framed(&[0x7f, 1, 2, 3]))
+        .expect("garbage");
+    assert_malformed(read_response(&mut stream));
+    stream.write_all(&framed(&harmonic(&[0, 1]))).expect("next");
+    expect_floats(read_response(&mut stream), &[0, 1]);
+    // The server has one worker: hang up so it takes the next connection.
+    drop(stream);
+
+    // A bad magic or a bad version: the 5-byte reject (status 0 and the
+    // server's version), then end of stream.
+    for (magic, version) in [(*b"ADSKWIR0", WIRE_VERSION), (WIRE_MAGIC, WIRE_VERSION + 1)] {
+        let mut stream = std::net::TcpStream::connect(guard.addr).expect("connect");
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .expect("read timeout");
+        stream.write_all(&magic).expect("magic");
+        stream.write_all(&version.to_le_bytes()).expect("version");
+        let mut reply = [0u8; 5];
+        stream.read_exact(&mut reply).expect("reject reply");
+        assert_eq!(reply[0], 0, "handshake rejected");
+        assert_eq!(reply[1..], WIRE_VERSION.to_le_bytes());
+        assert_closed(&mut stream);
+    }
+
+    // A request written one byte at a time is answered.
+    let mut stream = raw_connect(guard.addr);
+    for byte in framed(&harmonic(&[2, 3, 4])) {
+        stream.write_all(&[byte]).expect("one byte");
+        std::thread::sleep(std::time::Duration::from_millis(2));
+    }
+    expect_floats(read_response(&mut stream), &[2, 3, 4]);
+
+    // Two requests in one write are answered in order.
+    let mut both = framed(&harmonic(&[5]));
+    both.extend(framed(&harmonic(&[6, 7])));
+    stream.write_all(&both).expect("two frames");
+    expect_floats(read_response(&mut stream), &[5]);
+    expect_floats(read_response(&mut stream), &[6, 7]);
+}
+
 proptest! {
     /// Random tiny graph, random shard count: a served mixed batch is
     /// bitwise identical to the local engine.
