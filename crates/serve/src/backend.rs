@@ -21,7 +21,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use adsketch_core::frozen::SHARD_MANIFEST_FILE;
-use adsketch_core::{AdsView, FrozenAdsSet, LoadOptions, Row, ShardManifest};
+use adsketch_core::{AdsView, FrozenAdsSet, Row, ShardManifest};
 use adsketch_graph::NodeId;
 
 use crate::error::ServeError;
@@ -41,22 +41,8 @@ impl BackendStore {
     /// Loads shard `index` (and the manifest) from a directory written by
     /// [`adsketch_core::freeze_sharded`], verifying the shard exactly as
     /// [`crate::ShardedStore::load`] would — columns mapped in place
-    /// where the platform supports it. Equivalent to
-    /// [`BackendStore::load_with`] with [`LoadOptions::mapped`].
+    /// where the platform supports it.
     pub fn load(dir: impl AsRef<Path>, index: usize) -> Result<Self, ServeError> {
-        Self::load_with(dir, index, LoadOptions::mapped())
-    }
-
-    /// [`BackendStore::load`] with explicit [`LoadOptions`]. Passing
-    /// [`LoadOptions::trusted`] is the warm-restart fast path: a replica
-    /// that already verified this store directory once remaps it without
-    /// re-hashing a few hundred megabytes of columns, making backend
-    /// cold-start effectively O(1).
-    pub fn load_with(
-        dir: impl AsRef<Path>,
-        index: usize,
-        opts: LoadOptions,
-    ) -> Result<Self, ServeError> {
         let dir = dir.as_ref();
         let manifest = ShardManifest::load(dir.join(SHARD_MANIFEST_FILE))?;
         if index >= manifest.num_shards() {
@@ -65,7 +51,7 @@ impl BackendStore {
                 manifest.num_shards()
             )));
         }
-        let shard = load_shard(dir, &manifest, index, opts)?;
+        let shard = load_shard(dir, &manifest, index)?;
         Ok(Self {
             manifest,
             index,

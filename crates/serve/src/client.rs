@@ -20,9 +20,7 @@ use adsketch_core::centrality::DecayKernel;
 use adsketch_graph::NodeId;
 
 use crate::error::ServeError;
-use crate::proto::{
-    read_frame, write_frame, BatchSlot, Request, Response, WIRE_MAGIC, WIRE_VERSION,
-};
+use crate::proto::{read_frame, write_frame, Request, Response, WIRE_MAGIC, WIRE_VERSION};
 
 /// A reader that gives up once `deadline` passes (`None`: never). The
 /// socket's read timeout is the client's bound, so a read that starts
@@ -301,29 +299,6 @@ impl Client {
             Response::Error { code, message } => Err(ServeError::Remote { code, message }),
             other => Err(ServeError::Protocol(format!(
                 "expected a GenInfo response, got {other:?}"
-            ))),
-        }
-    }
-
-    /// Sends a float-batch request, accepting a degraded-mode
-    /// [`Response::Partial`] answer: each slot comes back as `Ok(value)`
-    /// (bitwise identical to the local engine) or `Err(code)`
-    /// ([`crate::proto::ERR_SHARD_DOWN`] — every replica of the shard
-    /// owning that query was down). Against a strict router or a plain
-    /// backend, every slot is `Ok`.
-    pub fn floats_partial(&mut self, req: &Request) -> Result<Vec<Result<f64, u16>>, ServeError> {
-        match self.request(req)? {
-            Response::Floats(xs) => Ok(xs.into_iter().map(Ok).collect()),
-            Response::Partial(slots) => Ok(slots
-                .into_iter()
-                .map(|slot| match slot {
-                    BatchSlot::Value(x) => Ok(x),
-                    BatchSlot::Down(code) => Err(code),
-                })
-                .collect()),
-            Response::Error { code, message } => Err(ServeError::Remote { code, message }),
-            other => Err(ServeError::Protocol(format!(
-                "expected a Floats or Partial response, got {other:?}"
             ))),
         }
     }

@@ -38,11 +38,9 @@
 //! with circuit-breaker health tracking, failover, and
 //! exponential-backoff reconnects — and merges in request order.
 //! Failures stay typed and bounded: deadlines and retries cap every
-//! exchange, a dead shard yields a [`proto::ERR_BACKEND`] error frame
-//! (or, opted in via [`RouterConfig::degraded`], a
-//! [`Response::Partial`] frame whose [`proto::BatchSlot::Down`] slots
-//! carry [`proto::ERR_SHARD_DOWN`] for exactly the affected queries) —
-//! never a hang, never a silently partial answer.
+//! exchange, and a batch that needs a shard with no reachable replica
+//! gets one [`proto::ERR_BACKEND`] error frame. Every batch is answered
+//! whole or refused whole — never a hang, never a partial answer.
 //!
 //! # Quick example
 //!
@@ -96,7 +94,7 @@ pub use cache::CacheStatsHandle;
 pub use client::Client;
 pub use error::ServeError;
 pub use generation::GenerationStore;
-pub use proto::{BatchSlot, Request, Response};
+pub use proto::{Request, Response};
 pub use router::{Router, RouterConfig};
 pub use server::{RequestStore, Server, ServerHandle};
 pub use store::ShardedStore;

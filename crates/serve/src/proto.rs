@@ -41,7 +41,6 @@
 //! | `0x81` Floats | `u32 count`, then `count × u64` — `f64::to_bits` of each answer, so transport is lossless and served answers stay **bitwise identical** to the local engine |
 //! | `0x82` Curves | `u32 count`, then per curve `u32 len` + `len × (u64 dist bits, u64 value bits)` |
 //! | `0x83` Sketches | `u32 count`, then per node `u32 len` + `len × (u64 rank bits, u32 node id)` |
-//! | `0x84` Partial | `u32 count`, then per slot a `u8` tag: `0` + `u64` answer bits (the query succeeded, bitwise identical to the local engine) or `1` + `u16` error code (the shard owning that query is down) |
 //! | `0x85` Health | `u64 range start`, `u64 range end` — the node range this server owns |
 //! | `0x86` GenInfo | `u64 generation` — the frozen generation currently served (`0` for a store that never swaps) |
 //! | `0xEE` Error | `u16 code`, `u32 message length`, then the UTF-8 message |
@@ -55,6 +54,10 @@
 //! backend, replays the insertions, and runs the same estimator the
 //! local engine runs — so even answers that need two shards' data stay
 //! bitwise identical.
+//!
+//! Response type `0x84` and error code `7` are retired and never reused:
+//! every batch is answered whole or refused with one error frame, and
+//! decoders reject `0x84` like any unknown type.
 //!
 //! Kernel tags encode [`DecayKernel`]: `0` Threshold (parameter = `d`),
 //! `1` Exponential (parameter = `base`), `2` Harmonic, `3` Constant
@@ -90,14 +93,9 @@ pub const ERR_RESPONSE_TOO_LARGE: u16 = 4;
 pub const ERR_SHARD_RANGE: u16 = 5;
 /// Error code: a shard backend required by the request could not be
 /// reached (or kept failing) within the router's deadline and retry
-/// budget. In the router's default all-or-nothing mode the whole request
-/// gets this error frame instead of a partial merge.
+/// budget. The whole request gets this error frame, never a partial
+/// merge.
 pub const ERR_BACKEND: u16 = 6;
-/// Error code: every replica of the shard owning this query was down, so
-/// this slot of a degraded-mode [`Response::Partial`] batch has no
-/// answer. Only appears inside `Partial` frames, never as a whole-frame
-/// [`Response::Error`].
-pub const ERR_SHARD_DOWN: u16 = 7;
 
 const TYPE_HARMONIC: u8 = 0x01;
 const TYPE_DECAY: u8 = 0x02;
@@ -110,12 +108,9 @@ const TYPE_GEN_INFO: u8 = 0x08;
 const TYPE_FLOATS: u8 = 0x81;
 const TYPE_CURVES: u8 = 0x82;
 const TYPE_SKETCHES: u8 = 0x83;
-const TYPE_PARTIAL: u8 = 0x84;
 const TYPE_HEALTH_REPLY: u8 = 0x85;
 const TYPE_GEN_INFO_REPLY: u8 = 0x86;
 const TYPE_ERROR: u8 = 0xEE;
-const SLOT_VALUE: u8 = 0;
-const SLOT_DOWN: u8 = 1;
 
 /// One client request: a batch of queries of a single kind.
 #[derive(Debug, Clone, PartialEq)]
@@ -170,17 +165,6 @@ pub enum Request {
     GenInfo,
 }
 
-/// One slot of a degraded-mode [`Response::Partial`] batch.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum BatchSlot {
-    /// The query succeeded; the answer is bitwise identical to the local
-    /// engine's.
-    Value(f64),
-    /// The shard owning this query had no reachable replica; the code is
-    /// [`ERR_SHARD_DOWN`].
-    Down(u16),
-}
-
 /// One server response (answers frame `i` pairs with request frame `i`).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
@@ -191,10 +175,6 @@ pub enum Response {
     /// One `(rank, node)` MinHash insertion sequence per queried node, in
     /// canonical order (answers a [`Request::SketchPrefix`]).
     Sketches(Vec<Vec<(f64, NodeId)>>),
-    /// A degraded-mode float batch: one slot per query, each either a
-    /// successful answer or a typed [`ERR_SHARD_DOWN`] marker. Only a
-    /// router with `RouterConfig::degraded` enabled emits this frame.
-    Partial(Vec<BatchSlot>),
     /// Answers [`Request::Health`]: the `[start, end)` node range this
     /// server owns (a backend reports its shard record; a router reports
     /// the full keyspace).
@@ -453,22 +433,6 @@ impl Response {
                     }
                 }
             }
-            Response::Partial(slots) => {
-                out.push(TYPE_PARTIAL);
-                out.extend_from_slice(&(slots.len() as u32).to_le_bytes());
-                for &slot in slots {
-                    match slot {
-                        BatchSlot::Value(x) => {
-                            out.push(SLOT_VALUE);
-                            out.extend_from_slice(&x.to_bits().to_le_bytes());
-                        }
-                        BatchSlot::Down(code) => {
-                            out.push(SLOT_DOWN);
-                            out.extend_from_slice(&code.to_le_bytes());
-                        }
-                    }
-                }
-            }
             Response::Health { start, end } => {
                 out.push(TYPE_HEALTH_REPLY);
                 out.extend_from_slice(&start.to_le_bytes());
@@ -527,23 +491,6 @@ impl Response {
                     seqs.push(seq);
                 }
                 Response::Sketches(seqs)
-            }
-            TYPE_PARTIAL => {
-                // Smallest slot is 3 bytes (tag + u16 code).
-                let count = c.count(3)?;
-                let mut slots = Vec::with_capacity(count);
-                for _ in 0..count {
-                    slots.push(match c.u8()? {
-                        SLOT_VALUE => BatchSlot::Value(c.f64()?),
-                        SLOT_DOWN => BatchSlot::Down(c.u16()?),
-                        t => {
-                            return Err(ServeError::Protocol(format!(
-                                "unknown partial-batch slot tag {t}"
-                            )))
-                        }
-                    });
-                }
-                Response::Partial(slots)
             }
             TYPE_HEALTH_REPLY => {
                 let start = c.u64()?;
@@ -712,27 +659,6 @@ mod tests {
         roundtrip_response(Response::GenInfo {
             generation: u64::MAX,
         });
-        // Partial slots carry raw bits too — NaN values survive.
-        let partial = Response::Partial(vec![
-            BatchSlot::Value(-0.0),
-            BatchSlot::Down(ERR_SHARD_DOWN),
-            BatchSlot::Value(nan),
-        ]);
-        let body = partial.encode();
-        match Response::decode(&body).unwrap() {
-            Response::Partial(slots) => {
-                assert_eq!(slots[1], BatchSlot::Down(ERR_SHARD_DOWN));
-                match (slots[0], slots[2]) {
-                    (BatchSlot::Value(a), BatchSlot::Value(b)) => {
-                        assert_eq!(a.to_bits(), (-0.0f64).to_bits());
-                        assert_eq!(b.to_bits(), nan.to_bits());
-                    }
-                    other => panic!("wrong slots: {other:?}"),
-                }
-            }
-            other => panic!("wrong variant: {other:?}"),
-        }
-        roundtrip_response(Response::Partial(vec![]));
     }
 
     #[test]
@@ -760,11 +686,16 @@ mod tests {
         // Same for GenInfo, and its reply needs its full u64.
         assert!(Request::decode(&[TYPE_GEN_INFO, 0]).is_err());
         assert!(Response::decode(&[TYPE_GEN_INFO_REPLY, 1, 2, 3]).is_err());
-        // Unknown partial-slot tag.
-        let mut bad = vec![TYPE_PARTIAL];
-        bad.extend_from_slice(&1u32.to_le_bytes());
-        bad.extend_from_slice(&[9, 0, 0]);
-        assert!(Response::decode(&bad).is_err());
+        // The retired type 0x84, with a body its old decoder accepted
+        // (one value slot), is an unknown type like any other.
+        let mut retired = vec![0x84];
+        retired.extend_from_slice(&1u32.to_le_bytes());
+        retired.push(0);
+        retired.extend_from_slice(&1.5f64.to_bits().to_le_bytes());
+        assert!(matches!(
+            Response::decode(&retired),
+            Err(ServeError::Protocol(_))
+        ));
     }
 
     /// One mutation of `good`, chosen by `case`: a truncation, a run of
@@ -816,7 +747,6 @@ mod tests {
             Response::Floats(xs) => held(xs),
             Response::Curves(cs) => held(cs) + cs.iter().map(held).sum::<usize>(),
             Response::Sketches(ss) => held(ss) + ss.iter().map(held).sum::<usize>(),
-            Response::Partial(slots) => held(slots),
             Response::Error { message, .. } => message.capacity(),
             Response::Health { .. } | Response::GenInfo { .. } => 0,
         }
@@ -859,11 +789,6 @@ mod tests {
             Response::Floats(vec![0.0, -0.0, 1.5, f64::NAN]),
             Response::Curves(vec![vec![(1.0, 2.0), (2.0, 3.5)], vec![]]),
             Response::Sketches(vec![vec![(0.25, 3), (0.5, 1)], vec![], vec![(1.0, 7)]]),
-            Response::Partial(vec![
-                BatchSlot::Value(-0.0),
-                BatchSlot::Down(ERR_SHARD_DOWN),
-                BatchSlot::Value(1.0),
-            ]),
             Response::Health { start: 7, end: 9 },
             Response::GenInfo { generation: 3 },
             Response::Error {

@@ -22,12 +22,11 @@
 //!    kind and parameters over its own items. All legs are sent before
 //!    any answer is read, and since no shard gets two, no backend
 //!    connection ever carries more than one frame in flight.
-//! 4. **Merge.** Answers land back at their request indices. Floats
-//!    merge slot by slot, so degraded mode can leave a dead shard's slots
-//!    `Down`. Curves and sketch prefixes merge all-or-nothing, within
-//!    one frame.
-//! 5. **Cache fill.** Served float answers go into the cache (a `Down`
-//!    slot never does), and the peeled hits are spliced back in.
+//! 4. **Merge.** One merge for every kind: each leg's answers land back
+//!    at their request indices, and the first failed leg fails the whole
+//!    request. Curves and sketch prefixes must also fit one frame.
+//! 5. **Cache fill.** Served float answers go into the cache, and the
+//!    peeled hits are spliced back in. A failed batch adds nothing.
 //!
 //! A Jaccard pair whose endpoints live on different shards has no single
 //! owner. A batch holding such a pair takes its own cold step in place
@@ -79,16 +78,12 @@
 //! frame is read whole within one read deadline (a replica that stalls
 //! or drips its answer costs one deadline, plus at most the read under
 //! way when it passes), and each leg gets replica
-//! failover plus a bounded retry. By default the router is all-or-nothing: if a required
-//! shard stays unreachable, the *whole* request is answered with one
-//! [`ERR_BACKEND`] error frame — never a hang, never a partially merged
-//! answer — and the client's connection stays usable. With
-//! [`RouterConfig::degraded`] enabled, float-valued batches (harmonic,
-//! decay, cardinality, Jaccard) instead come back as a
-//! [`Response::Partial`] frame: per-request [`ERR_SHARD_DOWN`] slots for
-//! exactly the queries owned by dead shards, bitwise-correct answers for
-//! everything else. Curve and sketch batches stay all-or-nothing in
-//! either mode.
+//! failover plus a bounded retry. Every batch is answered whole or
+//! refused whole: if a required shard stays unreachable, the request is
+//! answered with one [`ERR_BACKEND`] error frame — never a hang, never a
+//! partially merged answer — and the client's connection stays usable.
+//! A batch the answer cache holds whole needs no backend, so it is still
+//! answered while a shard is down.
 //!
 //! # Serving generation
 //!
@@ -120,8 +115,7 @@ use crate::client::Client;
 use crate::error::ServeError;
 use crate::health::{HealthTracker, Tier};
 use crate::proto::{
-    kernel_to_wire, BatchSlot, Request, Response, ERR_BACKEND, ERR_RESPONSE_TOO_LARGE,
-    ERR_SHARD_DOWN, MAX_FRAME_LEN,
+    kernel_to_wire, Request, Response, ERR_BACKEND, ERR_RESPONSE_TOO_LARGE, MAX_FRAME_LEN,
 };
 use crate::server::{nf_too_large, reject, serve_pool, sketches_too_large, ServerHandle, Wake};
 
@@ -167,13 +161,6 @@ pub struct RouterConfig {
     /// by the endpoint's own cooldown). Shutdown does not wait out this
     /// interval — the prober is condvar-nudged. Default **100 ms**.
     pub probe_interval: Duration,
-    /// Degraded mode: answer float-valued batches with a
-    /// [`Response::Partial`] frame carrying [`ERR_SHARD_DOWN`] slots for
-    /// queries whose shard has no reachable replica, instead of failing
-    /// the whole batch with [`ERR_BACKEND`]. Clients must opt in to
-    /// handling the `0x84` frame, so this defaults to **false**
-    /// (all-or-nothing).
-    pub degraded: bool,
     /// Byte budget for the router's **answer cache**: a sharded LRU over
     /// per-node float answers (harmonic, decay, cardinality, Jaccard)
     /// keyed by `(request kind, parameter bits, node)`. The frozen store
@@ -197,7 +184,6 @@ impl Default for RouterConfig {
             backoff_cap: Duration::from_secs(2),
             failure_threshold: 3,
             probe_interval: Duration::from_millis(100),
-            degraded: false,
             cache_bytes: 0,
         }
     }
@@ -611,8 +597,7 @@ impl Fleet {
     /// order. With one leg per shard no connection carries two frames, so
     /// a failed leg falls back to a fresh [`Fleet::exchange`] on its own
     /// shard, and only if that also fails does the leg's slot carry an
-    /// error (degraded mode answers around it; strict mode fails the
-    /// whole request).
+    /// error.
     fn scatter(&mut self, legs: &[Leg]) -> Vec<Result<Response, ServeError>> {
         debug_assert!(
             legs.windows(2).all(|w| w[0].0 < w[1].0),
@@ -700,17 +685,6 @@ impl Fleet {
         }
     }
 
-    /// Whether degraded mode should answer around this error (a shard
-    /// that is down / failing) rather than fail the request (protocol
-    /// violations still do).
-    fn degrade(&self, e: &ServeError) -> bool {
-        self.config.degraded
-            && matches!(
-                e,
-                ServeError::Backend { .. } | ServeError::ShardUnavailable { .. }
-            )
-    }
-
     /// The answer cache plus one key per item, or `None` when the cache
     /// is off or the batch kind is structured (curves and sketch
     /// prefixes are never cached).
@@ -767,25 +741,14 @@ impl Fleet {
         let Some(parts) = self.partition(req) else {
             return self.route_jaccard_cross(req);
         };
-        let count = item_count(req);
-        let structured = matches!(
-            req,
-            Request::NeighborhoodFunction { .. } | Request::SketchPrefix { .. }
-        );
         if let [(shard, _)] = parts[..] {
             // One owner: forward the batch verbatim, through `exchange`
             // rather than `scatter` (a scattered leg makes one more
             // attempt before its `exchange` fallback, so the dial count
-            // would differ). A dead owner turns a float batch into all
-            // `Down` slots in degraded mode.
-            return match self.exchange(shard, req) {
-                Err(e) if !structured && self.degrade(&e) => Ok(Response::Partial(vec![
-                    BatchSlot::Down(ERR_SHARD_DOWN);
-                    count
-                ])),
-                res => res,
-            };
+            // would differ).
+            return self.exchange(shard, req);
         }
+        let count = item_count(req);
         let legs: Vec<Leg> = parts
             .iter()
             .map(|(shard, idxs)| (*shard, select(req, idxs)))
@@ -816,46 +779,19 @@ impl Fleet {
                 },
                 Response::Sketches,
             ),
-            _ => self.merge_floats(count, &parts, results),
+            _ => merge(count, &parts, results, |resp| match resp {
+                Response::Floats(xs) => Ok(xs),
+                other => Err(other),
+            })
+            .map(Response::Floats),
         }
-    }
-
-    /// The float arm of the merge: each leg's answers land at their
-    /// request indices. A leg lost to a dead shard leaves its slots
-    /// `Down` in degraded mode and fails the request otherwise.
-    fn merge_floats(
-        &self,
-        count: usize,
-        parts: &[(usize, Vec<usize>)],
-        results: Vec<Result<Response, ServeError>>,
-    ) -> Result<Response, ServeError> {
-        let mut out = vec![BatchSlot::Down(ERR_SHARD_DOWN); count];
-        let mut any_down = false;
-        for ((shard, idxs), res) in parts.iter().zip(results) {
-            match res {
-                Ok(resp) => {
-                    let xs = expect_floats(*shard, resp, idxs.len())?;
-                    for (&i, x) in idxs.iter().zip(xs) {
-                        debug_assert!(
-                            matches!(out[i], BatchSlot::Down(_)),
-                            "slot {i} written twice"
-                        );
-                        out[i] = BatchSlot::Value(x);
-                    }
-                }
-                Err(e) if self.degrade(&e) => any_down = true,
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(finish_floats(out, any_down))
     }
 
     /// The cold step of a Jaccard batch holding a cross-shard pair:
     /// every pair is answered from sketch prefixes. One `SketchPrefix`
     /// leg per shard fetches the prefixes of the endpoints it owns, and
     /// the router replays them (see the module docs for why this stays
-    /// bitwise identical). Degraded mode: a down shard takes out exactly
-    /// the pairs with an endpoint on it.
+    /// bitwise identical). The first failed leg fails the request.
     fn route_jaccard_cross(&mut self, req: &Request) -> Result<Response, ServeError> {
         let Request::Jaccard { d, pairs } = req else {
             unreachable!("only Jaccard pairs cross shards");
@@ -882,41 +818,26 @@ impl Fleet {
             let Request::SketchPrefix { nodes, .. } = leg else {
                 unreachable!("prefix legs only");
             };
-            let seqs = match res {
-                Ok(Response::Sketches(ss)) if ss.len() == nodes.len() => Ok(ss),
+            let seqs = match res? {
+                Response::Sketches(ss) if ss.len() == nodes.len() => ss,
                 // The one-shot prefix fetch overflowed a frame; split it
                 // until it fits.
-                Ok(Response::Error { code, .. }) if code == ERR_RESPONSE_TOO_LARGE => {
-                    self.fetch_prefixes_split(*shard, d, nodes)
-                }
-                Ok(other) => return Err(unexpected(*shard, other)),
-                Err(e) => Err(e),
+                Response::Error {
+                    code: ERR_RESPONSE_TOO_LARGE,
+                    ..
+                } => self.fetch_prefixes_split(*shard, d, nodes)?,
+                other => return Err(unexpected(*shard, other)),
             };
-            match seqs {
-                Ok(seqs) => {
-                    for (&v, seq) in nodes.iter().zip(seqs) {
-                        sketches.insert(v, replay(k, &seq));
-                    }
-                }
-                // The missing sketches mark their pairs down below.
-                Err(e) if self.degrade(&e) => {}
-                Err(e) => return Err(e),
+            for (&v, seq) in nodes.iter().zip(seqs) {
+                sketches.insert(v, replay(k, &seq));
             }
         }
-        let mut any_down = false;
-        let out = pairs
-            .iter()
-            .map(|(u, v)| match (sketches.get(u), sketches.get(v)) {
-                (Some(su), Some(sv)) => BatchSlot::Value(similarity::jaccard(su, sv)),
-                // An endpoint's shard was down (strict mode never gets
-                // here: a failed prefix leg already returned Err above).
-                _ => {
-                    any_down = true;
-                    BatchSlot::Down(ERR_SHARD_DOWN)
-                }
-            })
-            .collect();
-        Ok(finish_floats(out, any_down))
+        Ok(Response::Floats(
+            pairs
+                .iter()
+                .map(|(u, v)| similarity::jaccard(&sketches[u], &sketches[v]))
+                .collect(),
+        ))
     }
 
     /// Fetches sketch prefixes with recursive halving when a batch's
@@ -997,24 +918,6 @@ fn splice_floats(
                     .collect(),
             )
         }
-        Response::Partial(slots) if slots.len() == miss.len() => {
-            // Only successful answers are remembered — a Down slot must
-            // not outlive its shard's outage.
-            for (&i, slot) in miss.iter().zip(&slots) {
-                if let BatchSlot::Value(x) = slot {
-                    cache.insert(keys[i], x.to_bits());
-                }
-            }
-            let mut served = slots.into_iter();
-            Response::Partial(
-                hits.into_iter()
-                    .map(|h| match h {
-                        Some(bits) => BatchSlot::Value(f64::from_bits(bits)),
-                        None => served.next().expect("one served slot per miss"),
-                    })
-                    .collect(),
-            )
-        }
         other => other,
     }
 }
@@ -1079,43 +982,64 @@ fn select(req: &Request, idxs: &[usize]) -> Request {
     }
 }
 
-/// The structured arm of the merge (curves, sketch prefixes). Strict:
-/// the first failed leg fails the request. Bounded: a leg or a merged
-/// batch that overflows one frame, at `entry_bytes` per row entry on
-/// the wire, answers with the `too_large` frame the single-process
-/// server sends for the whole batch. `rows` unpacks a leg's answer and
-/// `wrap` packs the merged one.
+/// The one merge: each leg's answers land at their request indices.
+/// Strict: the first failed leg fails the request, and so does a leg
+/// whose answer `unpack` refuses (an error frame where data was due, a
+/// wrong variant) or whose count is off.
+fn merge<T>(
+    count: usize,
+    parts: &[(usize, Vec<usize>)],
+    results: Vec<Result<Response, ServeError>>,
+    unpack: fn(Response) -> Result<Vec<T>, Response>,
+) -> Result<Vec<T>, ServeError> {
+    let mut out: Vec<Option<T>> = (0..count).map(|_| None).collect();
+    for ((shard, idxs), res) in parts.iter().zip(results) {
+        let leg = unpack(res?).map_err(|other| unexpected(*shard, other))?;
+        if leg.len() != idxs.len() {
+            return Err(ServeError::Backend {
+                shard: *shard,
+                message: format!("answered {} items for a leg of {}", leg.len(), idxs.len()),
+            });
+        }
+        for (&i, x) in idxs.iter().zip(leg) {
+            debug_assert!(out[i].is_none(), "slot {i} written twice");
+            out[i] = Some(x);
+        }
+    }
+    Ok(out
+        .into_iter()
+        .map(|x| x.expect("every slot written by its leg"))
+        .collect())
+}
+
+/// [`merge`] for the row kinds (curves, sketch prefixes), bounded by one
+/// frame: a leg or a merged batch that overflows one frame, at
+/// `entry_bytes` per row entry on the wire, answers with the `too_large`
+/// frame the single-process server sends for the whole batch. `wrap`
+/// packs the merged rows.
 fn merge_rows<T>(
     count: usize,
     parts: &[(usize, Vec<usize>)],
     results: Vec<Result<Response, ServeError>>,
     entry_bytes: u64,
     too_large: fn(usize) -> Response,
-    rows: fn(Response) -> Result<Vec<Vec<T>>, Response>,
+    unpack: fn(Response) -> Result<Vec<Vec<T>>, Response>,
     wrap: fn(Vec<Vec<T>>) -> Response,
 ) -> Result<Response, ServeError> {
-    let resps = results.into_iter().collect::<Result<Vec<_>, _>>()?;
-    let mut out: Vec<Option<Vec<T>>> = (0..count).map(|_| None).collect();
-    for ((shard, idxs), resp) in parts.iter().zip(resps) {
-        let leg = match rows(resp) {
-            Ok(leg) if leg.len() == idxs.len() => leg,
-            Ok(leg) => return Err(unexpected(*shard, wrap(leg))),
-            // A leg too big for one frame means the merged batch is too.
-            Err(Response::Error {
+    // A leg too big for one frame means the merged batch is too.
+    let leg_too_large = |res: &Result<Response, ServeError>| {
+        matches!(
+            res,
+            Ok(Response::Error {
                 code: ERR_RESPONSE_TOO_LARGE,
                 ..
-            }) => return Ok(too_large(count)),
-            Err(other) => return Err(unexpected(*shard, other)),
-        };
-        for (&i, row) in idxs.iter().zip(leg) {
-            debug_assert!(out[i].is_none(), "slot {i} written twice");
-            out[i] = Some(row);
-        }
+            })
+        )
+    };
+    if results.iter().any(leg_too_large) {
+        return Ok(too_large(count));
     }
-    let merged: Vec<Vec<T>> = out
-        .into_iter()
-        .map(|row| row.expect("every slot written by its leg"))
-        .collect();
+    let merged = merge(count, parts, results, unpack)?;
     // The merged frame obeys the bound each backend enforced on its leg:
     // type byte and row count, then a length word per row.
     let size = 5 + merged
@@ -1128,24 +1052,6 @@ fn merge_rows<T>(
     Ok(wrap(merged))
 }
 
-/// Collapses a slot vector: all-Value ⇒ the classic bitwise
-/// [`Response::Floats`]; any down slot ⇒ [`Response::Partial`].
-fn finish_floats(slots: Vec<BatchSlot>, any_down: bool) -> Response {
-    if any_down {
-        Response::Partial(slots)
-    } else {
-        Response::Floats(
-            slots
-                .into_iter()
-                .map(|s| match s {
-                    BatchSlot::Value(x) => x,
-                    BatchSlot::Down(_) => unreachable!("no down slots"),
-                })
-                .collect(),
-        )
-    }
-}
-
 /// Rebuilds the bottom-k MinHash sketch from a served `(rank, node)`
 /// insertion sequence — the same insertions, in the same order, as the
 /// local `minhash_at`.
@@ -1155,13 +1061,6 @@ fn replay(k: usize, seq: &[(f64, NodeId)]) -> BottomKSketch {
         sketch.insert_ranked(rank, node as u64);
     }
     sketch
-}
-
-fn expect_floats(shard: usize, resp: Response, want: usize) -> Result<Vec<f64>, ServeError> {
-    match resp {
-        Response::Floats(xs) if xs.len() == want => Ok(xs),
-        other => Err(unexpected(shard, other)),
-    }
 }
 
 /// A response the merge cannot use (an error frame where data was due,

@@ -62,20 +62,8 @@ impl ShardedStore {
     /// [`adsketch_core::freeze_sharded`], mapping every shard's columns
     /// in place (zero-copy where the platform supports it) in parallel
     /// and verifying every integrity property listed in the
-    /// [module docs](self). Equivalent to [`ShardedStore::load_with`]
-    /// with [`LoadOptions::mapped`].
+    /// [module docs](self).
     pub fn load(dir: impl AsRef<Path>) -> Result<Self, ServeError> {
-        Self::load_with(dir, LoadOptions::mapped())
-    }
-
-    /// [`ShardedStore::load`] with explicit [`LoadOptions`]: `map` picks
-    /// zero-copy vs. copying column backing (each shard file read whole
-    /// and decoded; both go through one parser), and `verify: false` skips
-    /// the checksum walk, the manifest comparison that rests on it, and
-    /// the canonical-order scan for warm restarts of already-verified
-    /// store directories (manifest parsing, parameter agreement, and
-    /// range checks always run).
-    pub fn load_with(dir: impl AsRef<Path>, opts: LoadOptions) -> Result<Self, ServeError> {
         let dir = dir.as_ref();
         let manifest = ShardManifest::load(dir.join(SHARD_MANIFEST_FILE))?;
         let mut slots: Vec<Option<Result<FrozenAdsSet, ServeError>>> =
@@ -84,7 +72,7 @@ impl ShardedStore {
             &mut slots,
             0,
             || (),
-            |(), i, slot| *slot = Some(load_shard(dir, &manifest, i, opts)),
+            |(), i, slot| *slot = Some(load_shard(dir, &manifest, i)),
         );
         let mut shards = Vec::with_capacity(manifest.num_shards());
         for slot in slots {
@@ -133,41 +121,39 @@ impl ShardedStore {
     }
 }
 
-/// Brings one shard off disk (mapped or copied per `opts`), verifying
-/// digest and cross-shard consistency against the manifest. Shared with
-/// the distributed tier's [`crate::backend::BackendStore`], which loads
+/// Brings one shard off disk, mapped and verified, checking its digest
+/// and cross-shard consistency against the manifest. Shared with the
+/// distributed tier's [`crate::backend::BackendStore`], which loads
 /// exactly one shard this way.
 pub(crate) fn load_shard(
     dir: &Path,
     manifest: &ShardManifest,
     i: usize,
-    opts: LoadOptions,
 ) -> Result<FrozenAdsSet, ServeError> {
     let rec = manifest.records()[i];
     let path: PathBuf = dir.join(shard_file_name(i));
     // Trailing bytes are rejected by the store loader itself, so nothing
     // appended to a shard file can hide behind its header checksum.
-    let (shard, digest) = FrozenAdsSet::load_with_digest(&path, opts).map_err(|e| match e {
-        adsketch_core::FrozenError::Io(ref io) if io.kind() == std::io::ErrorKind::NotFound => {
-            ServeError::Store(format!("shard {i} missing: {}", path.display()))
-        }
-        e => ServeError::from(e),
-    })?;
-    if opts.verify {
-        let digest = digest.expect("verified loads return the checksum they verified");
-        if digest != rec.digest {
-            // The checksum pins the exact bytes, including the store-format
-            // version — re-encoding a shard in another format (say v1 → v2)
-            // without re-freezing the manifest lands here, so name the
-            // format we actually read to make that case self-explanatory.
-            return Err(ServeError::Store(format!(
-                "shard {i}: file digest {digest:#018x} (a format-v{} store) does not match the \
-                 manifest's {:#018x} (corrupt file, a shard from a different freeze, or a shard \
-                 re-encoded in a different format version than the manifest was computed over)",
-                shard.format_version(),
-                rec.digest
-            )));
-        }
+    let (shard, digest) =
+        FrozenAdsSet::load_with_digest(&path, LoadOptions::mapped()).map_err(|e| match e {
+            adsketch_core::FrozenError::Io(ref io) if io.kind() == std::io::ErrorKind::NotFound => {
+                ServeError::Store(format!("shard {i} missing: {}", path.display()))
+            }
+            e => ServeError::from(e),
+        })?;
+    let digest = digest.expect("verified loads return the checksum they verified");
+    if digest != rec.digest {
+        // The checksum pins the exact bytes, including the store-format
+        // version — re-encoding a shard in another format (say v1 → v2)
+        // without re-freezing the manifest lands here, so name the
+        // format we actually read to make that case self-explanatory.
+        return Err(ServeError::Store(format!(
+            "shard {i}: file digest {digest:#018x} (a format-v{} store) does not match the \
+             manifest's {:#018x} (corrupt file, a shard from a different freeze, or a shard \
+             re-encoded in a different format version than the manifest was computed over)",
+            shard.format_version(),
+            rec.digest
+        )));
     }
     if shard.k() != manifest.k() {
         return Err(ServeError::Store(format!(

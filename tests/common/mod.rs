@@ -32,7 +32,6 @@ pub fn fast_config() -> RouterConfig {
         backoff_base: Duration::from_millis(10),
         backoff_cap: Duration::from_millis(100),
         probe_interval: Duration::from_millis(25),
-        degraded: false,
         cache_bytes: 0,
     }
 }

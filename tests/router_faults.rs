@@ -368,7 +368,6 @@ fn dead_backend_sees_a_bounded_dial_rate_not_per_request_hammering() {
         backoff_base: Duration::from_millis(50),
         backoff_cap: Duration::from_millis(200),
         probe_interval: Duration::from_millis(25),
-        degraded: false,
         cache_bytes: 0,
     };
     let (addr, r_handle, r_join) =

@@ -1,8 +1,8 @@
 //! Replica-aware routing: the router must survive the death of any
 //! minority of a shard's replica set with **zero client-visible
 //! errors** and bitwise-identical answers — across fleet shapes, worker
-//! counts, kills mid-pipeline, a stalled replica, and (opt-in) graceful
-//! degradation when a whole replica set is down.
+//! counts, kills mid-pipeline and a stalled replica. A shard whose whole
+//! replica set is down fails every batch that needs it, whole.
 
 mod common;
 
@@ -15,12 +15,11 @@ use proptest::prelude::*;
 
 use adsketch::core::{freeze_sharded, AdsSet, FrozenAdsSet, QueryEngine};
 use adsketch::graph::{generators, NodeId};
-use adsketch::serve::proto::ERR_SHARD_DOWN;
-use adsketch::serve::{Client, Request, RouterConfig, ServeError};
+use adsketch::serve::{Client, Request, RouterConfig};
 
 use common::{
-    assert_routed_equals_local, dead_port, fast_config, spawn_backend, spawn_router,
-    spawn_router_with_stats, FlakyProxy, ReplicaFleet, Scratch, STALL, TRUNCATE,
+    assert_backend_error, assert_routed_equals_local, dead_port, fast_config, spawn_backend,
+    spawn_router, spawn_router_with_stats, FlakyProxy, ReplicaFleet, Scratch, STALL, TRUNCATE,
 };
 
 #[test]
@@ -282,142 +281,108 @@ fn a_stalled_replica_costs_one_read_timeout_then_fails_over() {
     }
 }
 
+/// Kills shard 1 of a two-shard fleet with the answer cache on, after
+/// only the even nodes and the cross-shard pair `(0, 39)` were warmed.
+/// Every batch is then answered whole or refused whole: a batch the
+/// cache holds whole still answers bitwise, one uncached item on the
+/// dead shard earns one `ERR_BACKEND` frame for the whole batch (its
+/// live-shard items included) and leaves the cache as it was, and the
+/// live shard alone still answers and fills the cache.
 #[test]
-fn degraded_mode_serves_typed_slots_for_dead_shards() {
-    degraded_drill("rep_degraded", 0);
-}
-
-#[test]
-fn degraded_mode_with_the_answer_cache_serves_cached_slots_and_never_caches_down() {
-    degraded_drill("rep_degraded_cache", 1 << 20);
-}
-
-/// Kills shard 1 of a two-shard degraded-mode fleet and checks every
-/// slot of the batches that follow. With `cache_bytes > 0` only the even
-/// nodes (and the cross pair `(0, 39)`) are warmed while healthy: those
-/// must keep answering from the cache, bitwise, while every other slot
-/// of the dead shard is typed down and never enters the cache.
-fn degraded_drill(tag: &str, cache_bytes: usize) {
+fn a_dead_shard_fails_whole_batches_and_the_cache_answers_whole_ones() {
     let g = generators::gnp(40, 0.1, 17);
     let ads = AdsSet::build(&g, 2, 9);
     let frozen = ads.freeze();
     let local = QueryEngine::new(&frozen);
-    let scratch = Scratch::new(tag);
+    let scratch = Scratch::new("rep_dead_shard_cache");
     freeze_sharded(&ads, 2, &scratch.0).expect("freeze_sharded");
     let manifest = adsketch::core::ShardManifest::load(
         scratch.0.join(adsketch::core::frozen::SHARD_MANIFEST_FILE),
     )
     .expect("manifest");
     let shard0_end = manifest.records()[0].end as NodeId;
+    assert!((2..38).contains(&shard0_end), "split at {shard0_end}");
 
     let (b0_addr, b0_handle, b0_join) = spawn_backend(&scratch.0, 0);
     let (b1_addr, b1_handle, b1_join) = spawn_backend(&scratch.0, 1);
     let mut config = fast_config();
-    config.degraded = true;
     config.failure_threshold = 3;
-    config.cache_bytes = cache_bytes;
+    config.cache_bytes = 1 << 20;
     let (addr, r_handle, r_join, stats) =
         spawn_router_with_stats(&scratch.0, vec![vec![b0_addr], vec![b1_addr]], 1, config);
-    let cached = |v: NodeId| cache_bytes > 0 && v.is_multiple_of(2);
-    let bits = |slot: &Result<f64, u16>| slot.map(f64::to_bits);
+    let stats = stats.expect("cache on");
 
     let mut client = Client::connect(addr).expect("connect");
-    let all: Vec<NodeId> = (0..40).collect();
-    let baseline = local.harmonic_batch(&all);
-    // Healthy: degraded mode is invisible — plain Floats, all Ok. With
-    // the cache on, only the even nodes are asked (and so cached).
-    let warm: Vec<NodeId> = all
-        .iter()
-        .copied()
-        .filter(|&v| cache_bytes == 0 || cached(v))
-        .collect();
-    let slots = client
-        .floats_partial(&Request::Harmonic {
-            nodes: warm.clone(),
-        })
-        .expect("healthy partial");
+    let evens: Vec<NodeId> = (0..40).step_by(2).collect();
+    let cross = [(0, 39)];
+    // Healthy: warm the even nodes of both shards and one cross pair.
     assert_eq!(
-        slots
-            .iter()
-            .map(|s| *s.as_ref().expect("ok"))
-            .collect::<Vec<_>>(),
-        local.harmonic_batch(&warm)
+        client.harmonic(&evens).expect("healthy harmonic"),
+        local.harmonic_batch(&evens)
     );
-    let warm_pair = [(0, 39)];
     assert_eq!(
-        client.jaccard(2.0, &warm_pair).expect("healthy jaccard"),
-        local.jaccard_batch(&warm_pair, 2.0)
+        client.jaccard(2.0, &cross).expect("healthy jaccard"),
+        local.jaccard_batch(&cross, 2.0)
     );
-    let resident = || stats.as_ref().map_or(0, |s| s.resident_entries());
-    let resident_before = resident();
+    let warmed = stats.resident_entries();
+    assert_eq!(warmed, evens.len() + cross.len());
 
-    // Shard 1's only replica dies: spanning float batches now answer
-    // with typed per-request slots — values for shard 0's nodes and for
-    // cached nodes (still bitwise identical), ERR_SHARD_DOWN for exactly
-    // the rest of shard 1's.
     b1_handle.shutdown();
     b1_join
         .join()
         .expect("backend thread")
         .expect("backend run");
+
     for round in 0..3 {
-        let slots = client
-            .floats_partial(&Request::Harmonic { nodes: all.clone() })
-            .expect("degraded partial");
-        assert_eq!(slots.len(), all.len());
-        for (&v, slot) in all.iter().zip(&slots) {
-            if v < shard0_end || cached(v) {
-                assert_eq!(
-                    bits(slot),
-                    Ok(baseline[v as usize].to_bits()),
-                    "round {round}, node {v}"
-                );
-            } else {
-                assert_eq!(slot, &Err(ERR_SHARD_DOWN), "round {round}, node {v}");
-            }
-        }
+        // Batches the cache holds whole need no backend: bitwise, per
+        // node and as a cross-shard pair.
+        assert_eq!(
+            client.harmonic(&evens).expect("cached harmonic"),
+            local.harmonic_batch(&evens),
+            "round {round}"
+        );
+        assert_eq!(
+            client.jaccard(2.0, &cross).expect("cached jaccard"),
+            local.jaccard_batch(&cross, 2.0),
+            "round {round}"
+        );
+        // One uncached item on the dead shard fails the whole batch,
+        // the live shard's uncached items included, and caches nothing.
+        let mut one_dead = evens.clone();
+        one_dead.push(39);
+        one_dead.extend((1..shard0_end).step_by(2));
+        let message = assert_backend_error(client.harmonic(&one_dead).unwrap_err());
+        assert!(message.contains("shard 1"), "round {round}: {message}");
+        // The same for a batch the dead shard owns alone (the one-shard
+        // shortcut) and for an uncached pair that crosses to it.
+        assert_backend_error(client.harmonic(&[38, 39]).unwrap_err());
+        assert_backend_error(client.jaccard(2.0, &[(0, 1), (1, 38)]).unwrap_err());
+        // Curves are never cached, so they fail whole too.
+        assert_backend_error(client.neighborhood_function(&evens).unwrap_err());
+        assert_eq!(stats.resident_entries(), warmed, "round {round}");
     }
-    // Only the live shard's misses were filled: a Down slot never is.
-    let live_misses = (0..shard0_end).filter(|&v| !cached(v)).count();
-    if cache_bytes > 0 {
-        assert_eq!(resident() - resident_before, live_misses);
-    }
-    // A batch owned entirely by the dead shard: every uncached slot down
-    // (the single-shard shortcut degrades too), and nothing new cached.
-    let dead_only: Vec<NodeId> = (shard0_end..40).collect();
-    let slots = client
-        .floats_partial(&Request::Harmonic {
-            nodes: dead_only.clone(),
-        })
-        .expect("all-down partial");
-    for (&v, slot) in dead_only.iter().zip(&slots) {
-        if cached(v) {
-            assert_eq!(bits(slot), Ok(baseline[v as usize].to_bits()), "node {v}");
-        } else {
-            assert_eq!(slot, &Err(ERR_SHARD_DOWN), "node {v}");
-        }
-    }
-    if cache_bytes > 0 {
-        assert_eq!(resident() - resident_before, live_misses);
-    }
-    // Jaccard: same-shard pairs on the live shard still answer bitwise;
-    // any pair touching the dead shard is typed down unless cached.
-    let pairs: Vec<(NodeId, NodeId)> = vec![(0, 1), (0, 39), (39, 38), (1, 38)];
-    let want = local.jaccard_batch(&pairs, 2.0);
-    let slots = client
-        .floats_partial(&Request::Jaccard { d: 2.0, pairs })
-        .expect("degraded jaccard");
-    assert_eq!(bits(&slots[0]), Ok(want[0].to_bits()));
-    if cache_bytes > 0 {
-        assert_eq!(bits(&slots[1]), Ok(want[1].to_bits()));
-    } else {
-        assert_eq!(slots[1], Err(ERR_SHARD_DOWN));
-    }
-    assert_eq!(slots[2], Err(ERR_SHARD_DOWN));
-    assert_eq!(slots[3], Err(ERR_SHARD_DOWN));
-    // Curve batches stay all-or-nothing even in degraded mode.
-    let err = client.neighborhood_function(&all).unwrap_err();
-    assert!(matches!(err, ServeError::Remote { .. }));
+
+    // An uncached batch on the live shard alone is answered bitwise,
+    // then cached: the repeat adds no entry and misses nothing.
+    let live_odds: Vec<NodeId> = (1..shard0_end).step_by(2).collect();
+    let live_pairs = [(0, 1), (1, 2)];
+    assert_eq!(
+        client.harmonic(&live_odds).expect("live shard serves"),
+        local.harmonic_batch(&live_odds)
+    );
+    assert_eq!(
+        client.jaccard(2.0, &live_pairs).expect("live jaccard"),
+        local.jaccard_batch(&live_pairs, 2.0)
+    );
+    let filled = warmed + live_odds.len() + live_pairs.len();
+    assert_eq!(stats.resident_entries(), filled);
+    let misses = stats.misses();
+    assert_eq!(
+        client.harmonic(&live_odds).expect("cached live shard"),
+        local.harmonic_batch(&live_odds)
+    );
+    assert_eq!(stats.misses(), misses);
+    assert_eq!(stats.resident_entries(), filled);
 
     r_handle.shutdown();
     r_join.join().expect("router thread").expect("router run");
