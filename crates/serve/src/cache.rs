@@ -24,8 +24,9 @@
 //! Only single-float answer kinds are cached (harmonic, decay,
 //! cardinality, Jaccard). Curve and sketch-prefix responses are
 //! variable-sized and serve as building blocks for other queries; they
-//! bypass the cache entirely. Degraded-mode `Down` slots are never
-//! inserted — a shard outage must not be remembered past its recovery.
+//! bypass the cache entirely. Only answers a backend served go in: a
+//! batch that fails adds no entry, so a shard outage is never
+//! remembered past its recovery.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

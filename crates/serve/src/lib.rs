@@ -37,8 +37,9 @@
 //! — round-robin across a shard's healthy replicas,
 //! with circuit-breaker health tracking, failover, and
 //! exponential-backoff reconnects — and merges in request order.
-//! Failures stay typed and bounded: deadlines and retries cap every
-//! exchange, and a batch that needs a shard with no reachable replica
+//! Failures stay typed and bounded: deadlines cap every attempt, a leg
+//! makes at most two attempts per replica of its shard, and a batch
+//! that needs a shard with no reachable replica
 //! gets one [`proto::ERR_BACKEND`] error frame. Every batch is answered
 //! whole or refused whole — never a hang, never a partial answer.
 //!

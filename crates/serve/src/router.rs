@@ -12,27 +12,28 @@
 //! check, over the whole keyspace. Every batch kind then takes the same
 //! steps:
 //!
-//! 1. **Cache peel.** For the float kinds (harmonic, decay, cardinality,
-//!    Jaccard), items the answer cache holds are set aside; only the
-//!    misses go on.
-//! 2. **Partition.** Items are grouped by owning shard, each group in
-//!    request order.
-//! 3. **One-shard shortcut or scatter.** A batch owned by one shard is
-//!    forwarded verbatim. Otherwise each shard gets one leg of the same
-//!    kind and parameters over its own items. All legs are sent before
-//!    any answer is read, and since no shard gets two, no backend
-//!    connection ever carries more than one frame in flight.
-//! 4. **Merge.** One merge for every kind: each leg's answers land back
-//!    at their request indices, and the first failed leg fails the whole
-//!    request. Curves and sketch prefixes must also fit one frame.
-//! 5. **Cache fill.** Served float answers go into the cache, and the
-//!    peeled hits are spliced back in. A failed batch adds nothing.
+//! 1. **Cache hits.** For the float kinds (harmonic, decay, cardinality,
+//!    Jaccard), items the answer cache holds go straight into their
+//!    output slots; only the misses go on.
+//! 2. **Partition.** The misses are grouped by owning shard, each group
+//!    in request order.
+//! 3. **Scatter.** Each shard gets one leg of the same kind and
+//!    parameters over its own items, also when one shard owns them all.
+//!    All legs are sent before any answer is read, and since no shard
+//!    gets two, no backend connection ever carries more than one frame
+//!    in flight.
+//! 4. **Merge.** One merge for every kind: each leg's answers land at
+//!    their request indices, in the slots that already hold the cache
+//!    hits, and the first failed leg fails the whole request. Curves and
+//!    sketch prefixes must also fit one frame.
+//! 5. **Cache fill.** Served float answers go into the cache. A failed
+//!    batch adds nothing.
 //!
 //! A Jaccard pair whose endpoints live on different shards has no single
-//! owner. A batch holding such a pair takes its own cold step in place
-//! of steps 2–4: one `SketchPrefix` leg to each shard that owns an
-//! endpoint, then every pair of the batch computed at the router from
-//! the replayed prefixes.
+//! owner. A batch whose misses hold such a pair takes its own cold step
+//! in place of steps 2–3: one `SketchPrefix` leg to each shard that owns
+//! an endpoint, then every missed pair computed at the router from the
+//! replayed prefixes, merged as one more part.
 //!
 //! # Merge guarantee
 //!
@@ -61,8 +62,11 @@
 //! # Replica sets, failover, and health
 //!
 //! `Router::bind` takes one *list* of addresses per shard. Legs
-//! round-robin across a shard's healthy replicas; a failed leg fails
-//! over to the next healthy replica *before* spending the retry budget.
+//! round-robin across a shard's healthy replicas. Each attempt of a leg
+//! reads one whole answer frame; a failed attempt fails the endpoint and
+//! sends the leg to the next replica in line, and a leg to a shard of
+//! `R` replicas makes at most 2 × `R` attempts, whether it is one of
+//! many, carries a batch one shard owns, or re-fetches sketch prefixes.
 //! A shared circuit breaker (the crate-internal `health` module) tracks
 //! every endpoint:
 //! consecutive failures escalate a jittered exponential cooldown and
@@ -77,8 +81,8 @@
 //! Backends are contacted with a bounded connect timeout, every response
 //! frame is read whole within one read deadline (a replica that stalls
 //! or drips its answer costs one deadline, plus at most the read under
-//! way when it passes), and each leg gets replica
-//! failover plus a bounded retry. Every batch is answered whole or
+//! way when it passes), and each leg gets at most 2 × `R` attempts
+//! across its shard's `R` replicas. Every batch is answered whole or
 //! refused whole: if a required shard stays unreachable, the request is
 //! answered with one [`ERR_BACKEND`] error frame — never a hang, never a
 //! partially merged answer — and the client's connection stays usable.
@@ -97,8 +101,12 @@
 //! generation, and generations only move forward (a replica rejoins the
 //! fleet at the current or a newer generation, never an older one), so a
 //! cached entry's bits always came from the generation its key names.
-//! Static frozen fleets never swap, report generation `0` forever, and
-//! pay nothing.
+//! Static frozen fleets never swap and report generation `0` forever,
+//! but still pay one fresh-connection `GenInfo` poll per endpoint per
+//! `probe_interval`. A backend whose workers are all held by router
+//! connections cannot answer that poll until one frees, because each
+//! connection holds a worker; until then the poll times out and the
+//! sweep skips the endpoint.
 
 use std::collections::{HashMap, HashSet};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
@@ -119,8 +127,12 @@ use crate::proto::{
 };
 use crate::server::{nf_too_large, reject, serve_pool, sketches_too_large, ServerHandle, Wake};
 
-/// Deadlines, retry budget, and replica-set policy for the router's
-/// backend connections.
+/// Passes a leg makes over its shard's replica set: a leg to a shard of
+/// `R` replicas makes at most `LEG_PASSES × R` attempts.
+const LEG_PASSES: usize = 2;
+
+/// Deadlines and replica-set policy for the router's backend
+/// connections.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
     /// Bound on each TCP connect (and handshake read) to a backend
@@ -130,12 +142,6 @@ pub struct RouterConfig {
     /// (per leg, and per prober ping); the read under way when it passes
     /// may finish first, within one more deadline. Default **2 s**.
     pub read_timeout: Duration,
-    /// Extra failover passes after the first. Each pass offers the leg
-    /// to every dialable replica of the shard at most once, so a shard
-    /// with `R` live replicas sees at most `(retries + 1) × R` attempts
-    /// before the leg is failed — failover across replicas does **not**
-    /// consume the retry budget, it multiplies it. Default **1**.
-    pub retries: u32,
     /// First post-failure reconnect cooldown for an endpoint; doubles on
     /// every consecutive failure (deterministic per-endpoint jitter in
     /// `[0.75, 1.0)` of nominal) until [`RouterConfig::backoff_cap`].
@@ -151,10 +157,9 @@ pub struct RouterConfig {
     /// does), and a request needing a shard whose replicas are *all*
     /// open fails fast without any dial — so this bounds how long a dead
     /// replica can keep eating `connect_timeout`s on the hot path.
-    /// `retries` interaction: one failed request can record up to
-    /// `(retries + 1) × R + 1` failures across a shard's endpoints, so a
-    /// threshold at or below that can open a circuit from a single
-    /// request. Default **3**.
+    /// A failed leg records up to 2 × `R` failures across its shard's
+    /// `R` endpoints, so a threshold at or below that can open a circuit
+    /// from a single request. Default **3**.
     pub failure_threshold: u32,
     /// Cadence of the background half-open prober that re-checks open
     /// circuits (each probe is one `Health` ping, rate-limited further
@@ -166,9 +171,9 @@ pub struct RouterConfig {
     /// keyed by `(request kind, parameter bits, node)`. The frozen store
     /// is immutable per generation, so cached answers never need
     /// invalidation, and because they are stored as `f64::to_bits` a hit
-    /// replays the *exact* bits the backend served — batch requests peel
-    /// cached nodes off before the scatter and splice them back in merge
-    /// order, preserving bitwise identity verbatim. `0` disables the
+    /// replays the *exact* bits the backend served — a batch's hits go
+    /// straight into the merge's output slots and only its misses are
+    /// scattered, preserving bitwise identity verbatim. `0` disables the
     /// cache (the default: fault-injection and failover tests rely on
     /// every query reaching a backend).
     pub cache_bytes: usize,
@@ -179,7 +184,6 @@ impl Default for RouterConfig {
         Self {
             connect_timeout: Duration::from_secs(1),
             read_timeout: Duration::from_secs(2),
-            retries: 1,
             backoff_base: Duration::from_millis(50),
             backoff_cap: Duration::from_secs(2),
             failure_threshold: 3,
@@ -435,6 +439,9 @@ fn probe_exchange(addr: &SocketAddr, req: &Request, config: &RouterConfig) -> Op
 /// send it. A scatter holds at most one leg per shard.
 type Leg = (usize, Request);
 
+/// The request indices one shard answers, in request order.
+type Part = (usize, Vec<usize>);
+
 /// A worker thread's view of the backend fleet: one lazily (re)connected
 /// client per `(shard, replica)` endpoint. A scatter sends one leg per
 /// shard, so no connection ever has more than one frame in flight.
@@ -508,10 +515,13 @@ impl Fleet {
         cooling
     }
 
-    /// Dials (if needed) and sends one frame to an endpoint; a failure
-    /// fails the endpoint. A fresh connection reads every response frame
-    /// whole within [`RouterConfig::read_timeout`].
-    fn try_send(&mut self, shard: usize, rep: usize, req: &Request) -> Result<(), ServeError> {
+    /// Sends one attempt of a leg to the replica [`Fleet::pick`] gives
+    /// next, dialing it if needed, and returns that replica. A failed
+    /// send fails the endpoint. `None` when every circuit is open. A
+    /// fresh connection reads every response frame whole within
+    /// [`RouterConfig::read_timeout`].
+    fn attempt(&mut self, shard: usize, req: &Request) -> Option<Result<usize, ServeError>> {
+        let rep = self.pick(shard)?;
         let conn = &mut self.conns[shard][rep];
         let res = match conn {
             Some(client) => client.send(req),
@@ -524,60 +534,36 @@ impl Fleet {
         if res.is_err() {
             self.fail(shard, rep);
         }
-        res
+        Some(res.map(|()| rep))
     }
 
-    /// Scatter-phase send of one leg with replica failover: returns the
-    /// endpoint the request is in flight on, or `None` when no replica
-    /// would take it (the gather phase then runs the full exchange
-    /// fallback).
-    fn send_leg(&mut self, shard: usize, req: &Request) -> Option<usize> {
-        for _ in 0..self.addrs[shard].len() {
-            let rep = self.pick(shard)?;
-            if self.try_send(shard, rep, req).is_ok() {
-                return Some(rep);
-            }
-        }
-        None
-    }
-
-    /// Waits out one leg already in flight on `(shard, rep)`: one whole
-    /// response frame within [`RouterConfig::read_timeout`]. On success
-    /// the circuit breaker hears about it; on failure the endpoint is
-    /// failed and the caller decides about failover and retrying.
-    fn await_response(&mut self, shard: usize, rep: usize) -> Result<Response, ServeError> {
-        let res = self.conns[shard][rep]
-            .as_mut()
-            .expect("awaiting a live connection")
-            .recv();
-        match res {
-            Ok(_) => self.health.record_success(shard, rep),
-            Err(_) => self.fail(shard, rep),
-        }
-        res
-    }
-
-    /// One request/response with any replica of `shard`: round-robin
-    /// with failover across replicas, then up to `retries` more full
-    /// passes. Finding every circuit open fails fast with
-    /// [`ServeError::ShardUnavailable`] — no dial at all.
-    fn exchange(&mut self, shard: usize, req: &Request) -> Result<Response, ServeError> {
+    /// The attempt loop of one leg, whose first attempt the scatter sent:
+    /// read one whole response frame; on a failure, fail the endpoint and
+    /// send to the replica [`Fleet::pick`] gives next, until
+    /// [`LEG_PASSES`] × `R` attempts are spent. A leg that finds every
+    /// circuit open is [`ServeError::ShardUnavailable`], with no dial; any
+    /// other failed leg is [`ServeError::Backend`] with the last error.
+    fn gather(
+        &mut self,
+        shard: usize,
+        req: &Request,
+        mut first: Option<Result<usize, ServeError>>,
+    ) -> Result<Response, ServeError> {
         let mut last: Option<ServeError> = None;
-        for _pass in 0..=self.config.retries {
-            let mut attempted = false;
-            for _ in 0..self.addrs[shard].len() {
-                let Some(rep) = self.pick(shard) else { break };
-                attempted = true;
-                match self
-                    .try_send(shard, rep, req)
-                    .and_then(|()| self.await_response(shard, rep))
-                {
-                    Ok(resp) => return Ok(resp),
-                    Err(e) => last = Some(e),
-                }
-            }
-            if !attempted {
+        for _ in 0..LEG_PASSES * self.addrs[shard].len() {
+            let Some(sent) = first.take().or_else(|| self.attempt(shard, req)) else {
                 break;
+            };
+            let res = sent.and_then(|rep| {
+                let conn = self.conns[shard][rep].as_mut();
+                conn.expect("a sent attempt holds its connection")
+                    .recv()
+                    .inspect(|_| self.health.record_success(shard, rep))
+                    .inspect_err(|_| self.fail(shard, rep))
+            });
+            match res {
+                Ok(resp) => return Ok(resp),
+                Err(e) => last = Some(e),
             }
         }
         Err(match last {
@@ -592,38 +578,31 @@ impl Fleet {
         })
     }
 
-    /// Scatter/gather over one leg per shard: sends every leg (with
-    /// replica failover) before reading any response, then gathers in leg
-    /// order. With one leg per shard no connection carries two frames, so
-    /// a failed leg falls back to a fresh [`Fleet::exchange`] on its own
-    /// shard, and only if that also fails does the leg's slot carry an
-    /// error.
+    /// Scatter/gather over one leg per shard: sends the first attempt of
+    /// every leg before reading any response, then runs each leg's
+    /// attempt loop in leg order. With one leg per shard no connection
+    /// carries two frames.
     fn scatter(&mut self, legs: &[Leg]) -> Vec<Result<Response, ServeError>> {
         debug_assert!(
             legs.windows(2).all(|w| w[0].0 < w[1].0),
             "one leg per shard, shards ascending"
         );
-        let sent: Vec<Option<usize>> = legs
+        let sent: Vec<Option<Result<usize, ServeError>>> = legs
             .iter()
-            .map(|(shard, req)| self.send_leg(*shard, req))
+            .map(|(shard, req)| self.attempt(*shard, req))
             .collect();
         legs.iter()
             .zip(sent)
-            .map(|((shard, req), rep)| {
-                if let Some(Ok(resp)) = rep.map(|rep| self.await_response(*shard, rep)) {
-                    return Ok(resp);
-                }
-                self.exchange(*shard, req)
-            })
+            .map(|((shard, req), sent)| self.gather(*shard, req, sent))
             .collect()
     }
 
-    /// Groups a batch's item indices by owning shard: shards ascending,
-    /// each index list in request order. `None` when a Jaccard pair's
+    /// Groups the item indices `idxs` by owning shard: shards ascending,
+    /// each index list in `idxs` order. `None` when a Jaccard pair's
     /// endpoints live on different shards: such a pair has no owner.
-    fn partition(&self, req: &Request) -> Option<Vec<(usize, Vec<usize>)>> {
+    fn partition(&self, req: &Request, idxs: &[usize]) -> Option<Vec<Part>> {
         let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.addrs.len()];
-        for i in 0..item_count(req) {
+        for &i in idxs {
             let (u, v) = endpoints(req, i);
             let shard = self.manifest.shard_of(u as u64);
             if self.manifest.shard_of(v as u64) != shard {
@@ -720,40 +699,35 @@ impl Fleet {
         Some((Arc::clone(cache), keys))
     }
 
-    /// The one request path (module docs): peel cached answers, serve
-    /// the misses cold, then fill the cache and splice the hits back in.
-    /// With the cache off, or for a structured kind, the peel is empty.
+    /// The one request path (module docs). Curves and sketch prefixes are
+    /// never cached, so every item of theirs misses.
     fn route_items(&mut self, req: &Request) -> Result<Response, ServeError> {
-        let Some((cache, keys)) = self.cache_keys(req) else {
-            return self.route_cold(req);
+        let cached = self.cache_keys(req);
+        let slots: Vec<Option<f64>> = match &cached {
+            Some((cache, keys)) => keys
+                .iter()
+                .map(|k| cache.get(k).map(f64::from_bits))
+                .collect(),
+            None => vec![None; item_count(req)],
         };
-        let (hits, miss) = peel(&cache, &keys);
-        if miss.is_empty() {
-            return Ok(all_hits(hits));
-        }
-        let resp = self.route_cold(&select(req, &miss))?;
-        Ok(splice_floats(&cache, &keys, hits, &miss, resp))
-    }
-
-    /// Partition, then the one-shard shortcut or a scatter, then the
-    /// merge back into request order.
-    fn route_cold(&mut self, req: &Request) -> Result<Response, ServeError> {
-        let Some(parts) = self.partition(req) else {
-            return self.route_jaccard_cross(req);
+        let count = slots.len();
+        let miss: Vec<usize> = (0..count).filter(|&i| slots[i].is_none()).collect();
+        let (parts, results) = match self.partition(req, &miss) {
+            Some(parts) => {
+                let legs: Vec<Leg> = parts
+                    .iter()
+                    .map(|(shard, idxs)| (*shard, select(req, idxs)))
+                    .collect();
+                (parts, self.scatter(&legs))
+            }
+            // A cross-shard pair: the prefix step answers every miss as
+            // one part. Its shard number is never read, since the step
+            // reports its own failures.
+            None => {
+                let res = self.route_jaccard_cross(req, &miss);
+                (vec![(0, miss)], vec![res])
+            }
         };
-        if let [(shard, _)] = parts[..] {
-            // One owner: forward the batch verbatim, through `exchange`
-            // rather than `scatter` (a scattered leg makes one more
-            // attempt before its `exchange` fallback, so the dial count
-            // would differ).
-            return self.exchange(shard, req);
-        }
-        let count = item_count(req);
-        let legs: Vec<Leg> = parts
-            .iter()
-            .map(|(shard, idxs)| (*shard, select(req, idxs)))
-            .collect();
-        let results = self.scatter(&legs);
         match req {
             Request::NeighborhoodFunction { .. } => merge_rows(
                 count,
@@ -779,24 +753,37 @@ impl Fleet {
                 },
                 Response::Sketches,
             ),
-            _ => merge(count, &parts, results, |resp| match resp {
-                Response::Floats(xs) => Ok(xs),
-                other => Err(other),
-            })
-            .map(Response::Floats),
+            _ => {
+                let xs = merge(slots, &parts, results, |resp| match resp {
+                    Response::Floats(xs) => Ok(xs),
+                    other => Err(other),
+                })?;
+                if let Some((cache, keys)) = cached {
+                    for &i in parts.iter().flat_map(|(_, idxs)| idxs) {
+                        cache.insert(keys[i], xs[i].to_bits());
+                    }
+                }
+                Ok(Response::Floats(xs))
+            }
         }
     }
 
-    /// The cold step of a Jaccard batch holding a cross-shard pair:
-    /// every pair is answered from sketch prefixes. One `SketchPrefix`
-    /// leg per shard fetches the prefixes of the endpoints it owns, and
-    /// the router replays them (see the module docs for why this stays
-    /// bitwise identical). The first failed leg fails the request.
-    fn route_jaccard_cross(&mut self, req: &Request) -> Result<Response, ServeError> {
+    /// The cold step for the pairs at `miss` of a Jaccard batch holding a
+    /// cross-shard pair: every one is answered from sketch prefixes. One
+    /// `SketchPrefix` leg per shard fetches the prefixes of the endpoints
+    /// it owns, and the router replays them (see the module docs for why
+    /// this stays bitwise identical). The first failed leg fails the
+    /// request.
+    fn route_jaccard_cross(
+        &mut self,
+        req: &Request,
+        miss: &[usize],
+    ) -> Result<Response, ServeError> {
         let Request::Jaccard { d, pairs } = req else {
             unreachable!("only Jaccard pairs cross shards");
         };
         let d = *d;
+        let pairs: Vec<(NodeId, NodeId)> = miss.iter().map(|&i| pairs[i]).collect();
         // Deduplicated prefix nodes needed per shard.
         let mut need: Vec<Vec<NodeId>> = vec![Vec::new(); self.addrs.len()];
         let mut seen: HashSet<NodeId> = HashSet::new();
@@ -840,21 +827,25 @@ impl Fleet {
         ))
     }
 
-    /// Fetches sketch prefixes with recursive halving when a batch's
-    /// response cannot fit one frame.
+    /// Fetches sketch prefixes as a one-leg scatter, with recursive
+    /// halving when a batch's response cannot fit one frame.
     fn fetch_prefixes_split(
         &mut self,
         shard: usize,
         d: f64,
         nodes: &[NodeId],
     ) -> Result<Vec<Vec<(f64, NodeId)>>, ServeError> {
-        let resp = self.exchange(
+        let leg = (
             shard,
-            &Request::SketchPrefix {
+            Request::SketchPrefix {
                 d,
                 nodes: nodes.to_vec(),
             },
-        )?;
+        );
+        let resp = self
+            .scatter(std::slice::from_ref(&leg))
+            .pop()
+            .expect("one result per leg")?;
         match resp {
             Response::Sketches(ss) if ss.len() == nodes.len() => Ok(ss),
             Response::Error { code, .. } if code == ERR_RESPONSE_TOO_LARGE && nodes.len() > 1 => {
@@ -865,60 +856,6 @@ impl Fleet {
             }
             other => Err(unexpected(shard, other)),
         }
-    }
-}
-
-/// Looks every key up in the answer cache: per-index hit bits plus the
-/// indices that must still be served.
-fn peel(cache: &AnswerCache, keys: &[CacheKey]) -> (Vec<Option<u64>>, Vec<usize>) {
-    let hits: Vec<Option<u64>> = keys.iter().map(|k| cache.get(k)).collect();
-    let miss: Vec<usize> = hits
-        .iter()
-        .enumerate()
-        .filter_map(|(i, h)| h.is_none().then_some(i))
-        .collect();
-    (hits, miss)
-}
-
-/// A fully cache-answered batch: every slot's exact bits, no backend
-/// touched.
-fn all_hits(hits: Vec<Option<u64>>) -> Response {
-    Response::Floats(
-        hits.into_iter()
-            .map(|h| f64::from_bits(h.expect("all slots hit")))
-            .collect(),
-    )
-}
-
-/// Splices cached bits back into a miss-only served response (in merge
-/// order: hit slots keep their cached bits, miss slots consume the
-/// served answers in request order), inserting freshly served values
-/// into the cache on the way through. Responses that carry no per-query
-/// answers (whole-request error frames) pass through untouched, exactly
-/// as the uncached path would have returned them.
-fn splice_floats(
-    cache: &AnswerCache,
-    keys: &[CacheKey],
-    hits: Vec<Option<u64>>,
-    miss: &[usize],
-    resp: Response,
-) -> Response {
-    match resp {
-        Response::Floats(xs) if xs.len() == miss.len() => {
-            for (&i, &x) in miss.iter().zip(&xs) {
-                cache.insert(keys[i], x.to_bits());
-            }
-            let mut served = xs.into_iter();
-            Response::Floats(
-                hits.into_iter()
-                    .map(|h| match h {
-                        Some(bits) => f64::from_bits(bits),
-                        None => served.next().expect("one served answer per miss"),
-                    })
-                    .collect(),
-            )
-        }
-        other => other,
     }
 }
 
@@ -950,8 +887,7 @@ fn endpoints(req: &Request, i: usize) -> (NodeId, NodeId) {
 }
 
 /// The same request kind and parameters over the chosen items, in
-/// `idxs` order: how a batch is cut into per-shard legs and into its
-/// cache misses.
+/// `idxs` order: how a batch's misses are cut into per-shard legs.
 fn select(req: &Request, idxs: &[usize]) -> Request {
     fn pick<T: Copy>(items: &[T], idxs: &[usize]) -> Vec<T> {
         idxs.iter().map(|&i| items[i]).collect()
@@ -982,17 +918,17 @@ fn select(req: &Request, idxs: &[usize]) -> Request {
     }
 }
 
-/// The one merge: each leg's answers land at their request indices.
-/// Strict: the first failed leg fails the request, and so does a leg
-/// whose answer `unpack` refuses (an error frame where data was due, a
-/// wrong variant) or whose count is off.
+/// The one merge: each part's answers land at their request indices, in
+/// `slots` that already hold the batch's cache hits. Strict: the first
+/// failed leg fails the request, and so does a leg whose answer `unpack`
+/// refuses (an error frame where data was due, a wrong variant) or whose
+/// count is off.
 fn merge<T>(
-    count: usize,
-    parts: &[(usize, Vec<usize>)],
+    mut slots: Vec<Option<T>>,
+    parts: &[Part],
     results: Vec<Result<Response, ServeError>>,
     unpack: fn(Response) -> Result<Vec<T>, Response>,
 ) -> Result<Vec<T>, ServeError> {
-    let mut out: Vec<Option<T>> = (0..count).map(|_| None).collect();
     for ((shard, idxs), res) in parts.iter().zip(results) {
         let leg = unpack(res?).map_err(|other| unexpected(*shard, other))?;
         if leg.len() != idxs.len() {
@@ -1002,13 +938,13 @@ fn merge<T>(
             });
         }
         for (&i, x) in idxs.iter().zip(leg) {
-            debug_assert!(out[i].is_none(), "slot {i} written twice");
-            out[i] = Some(x);
+            debug_assert!(slots[i].is_none(), "slot {i} written twice");
+            slots[i] = Some(x);
         }
     }
-    Ok(out
+    Ok(slots
         .into_iter()
-        .map(|x| x.expect("every slot written by its leg"))
+        .map(|x| x.expect("every slot a cache hit or written by its leg"))
         .collect())
 }
 
@@ -1019,7 +955,7 @@ fn merge<T>(
 /// packs the merged rows.
 fn merge_rows<T>(
     count: usize,
-    parts: &[(usize, Vec<usize>)],
+    parts: &[Part],
     results: Vec<Result<Response, ServeError>>,
     entry_bytes: u64,
     too_large: fn(usize) -> Response,
@@ -1039,7 +975,7 @@ fn merge_rows<T>(
     if results.iter().any(leg_too_large) {
         return Ok(too_large(count));
     }
-    let merged = merge(count, parts, results, unpack)?;
+    let merged = merge((0..count).map(|_| None).collect(), parts, results, unpack)?;
     // The merged frame obeys the bound each backend enforced on its leg:
     // type byte and row count, then a length word per row.
     let size = 5 + merged

@@ -27,7 +27,6 @@ pub fn fast_config() -> RouterConfig {
     RouterConfig {
         connect_timeout: Duration::from_millis(250),
         read_timeout: Duration::from_millis(400),
-        retries: 1,
         failure_threshold: 25,
         backoff_base: Duration::from_millis(10),
         backoff_cap: Duration::from_millis(100),

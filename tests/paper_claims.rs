@@ -20,11 +20,15 @@
 //! distance order, so a run is one stream of distinct elements, each
 //! from its own fixed seed, and the truth is the count streamed so far.
 
+use adsketch::core::builder::{kmins, kpartition};
+use adsketch::core::kmins::KMinsAds;
+use adsketch::core::kpartition::KPartitionAds;
 use adsketch::core::sim::{BaseBHipSim, StreamSim};
 use adsketch::core::{AdsSet, FrozenAdsSet, StoreFormat};
 use adsketch::graph::{exact, generators, Graph, NodeId};
 use adsketch::util::ranks::BaseB;
 use adsketch::util::stats::{cv_basic, cv_hip};
+use adsketch::util::RankHasher;
 
 const K: usize = 16;
 /// Independent runs: components.
@@ -63,6 +67,66 @@ fn through_the_files(g: &Graph) -> FrozenAdsSet {
 /// `H_n`, the n-th harmonic number.
 fn harmonic(n: usize) -> f64 {
     (1..=n).map(|i| 1.0 / i as f64).sum()
+}
+
+/// `H⁽²⁾_n = Σ_{i ≤ n} 1/i²`.
+fn harmonic2(n: usize) -> f64 {
+    (1..=n).map(|i| 1.0 / (i * i) as f64).sum()
+}
+
+#[test]
+fn k_mins_and_k_partition_ads_sizes_match_lemma_2_2() {
+    let g = components();
+    let hasher = RankHasher::new(0x5eed_2014);
+    let (c, k, runs) = (C as f64, K as f64, R as f64);
+
+    // Lemma 2.2, k-mins: k independent bottom-1 ADSs over the same n
+    // reachable nodes. Entry i of one is in with probability 1/i,
+    // independently of the others, so a sketch holds k·H_n entries on
+    // average, with variance k(H_n − H⁽²⁾_n). Counting one draw per run,
+    // as the bottom-k assert does, the mean over R runs is within 3
+    // standard errors of the expectation but for a 0.3% chance.
+    let (sketches, _) = kmins::build_with_stats(&g, K, &hasher, 0).expect("k-mins build");
+    let mean = sketches.iter().map(KMinsAds::len).sum::<usize>() as f64 / (R * C) as f64;
+    let expected = k * harmonic(C);
+    let tol = 3.0 * (k * (harmonic(C) - harmonic2(C)) / runs).sqrt();
+    assert!(
+        (mean - expected).abs() <= tol,
+        "mean k-mins ADS size {mean:.3}, Lemma 2.2 expects {expected:.3} ± {tol:.3}"
+    );
+
+    // Lemma 2.2, k-partition: each node falls in one of k buckets, and
+    // bucket j holds a bottom-1 ADS over its B_j reachable nodes, where
+    // B_j ~ Binomial(n, 1/k). Given the buckets, bucket j holds H_{B_j}
+    // entries on average with variance H_{B_j} − H⁽²⁾_{B_j}, so a sketch
+    // holds k·E[H_B] on average (not k·H_{n/k}, which is 1% higher here).
+    // Its variance is E[Σ_j (H_{B_j} − H⁽²⁾_{B_j})] + Var(Σ_j H_{B_j}).
+    // Multinomial counts are negatively associated and H is increasing,
+    // so no two buckets' H_{B_j} covary positively, and the variance is
+    // at most k·(E[H_B − H⁽²⁾_B] + Var H_B). Three standard errors of
+    // that, one draw per run.
+    let p = 1.0 / k;
+    let (mut pmf, mut h, mut h2) = ((1.0 - p).powi(C as i32), 0.0, 0.0);
+    let (mut e_h, mut e_h2, mut e_hh) = (0.0, 0.0, 0.0);
+    for b in 0..=C {
+        if b > 0 {
+            pmf *= (c - (b - 1) as f64) / b as f64 * p / (1.0 - p);
+            h += 1.0 / b as f64;
+            h2 += 1.0 / (b * b) as f64;
+        }
+        e_h += pmf * h;
+        e_h2 += pmf * h2;
+        e_hh += pmf * h * h;
+    }
+    let (sketches, _) = kpartition::build_with_stats(&g, K, &hasher, 0).expect("k-partition build");
+    let mean = sketches.iter().map(KPartitionAds::len).sum::<usize>() as f64 / (R * C) as f64;
+    let expected = k * e_h;
+    let var = k * (e_h - e_h2 + e_hh - e_h * e_h);
+    let tol = 3.0 * (var / runs).sqrt();
+    assert!(
+        (mean - expected).abs() <= tol,
+        "mean k-partition ADS size {mean:.3}, Lemma 2.2 expects {expected:.3} ± {tol:.3}"
+    );
 }
 
 #[test]

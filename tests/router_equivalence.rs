@@ -317,6 +317,58 @@ fn fast_path_full_battery_identical_cold_and_hot() {
 }
 
 #[test]
+fn partial_cache_hits_merge_with_cross_shard_jaccard_misses() {
+    let g = generators::gnp_directed(80, 0.06, 23);
+    let ads = AdsSet::build(&g, 4, 3);
+    let frozen = ads.freeze();
+    let local = QueryEngine::new(&frozen);
+    let guard = ReplicaFleet::spawn(&ads, 2, 1, 2, "eqv_partial_hits", fast_path_config());
+    let stats = guard.cache_stats.as_ref().expect("cache enabled");
+    let range = |shard: usize| {
+        let mut backend = Client::connect(guard.slots[shard][0].addr).expect("connect backend");
+        let (start, end) = backend.health().expect("backend health");
+        (start as NodeId, end as NodeId)
+    };
+    let ((s0, e0), (s1, e1)) = (range(0), range(1));
+    assert!(e0 - s0 >= 8 && e1 - s1 >= 8, "both shards hold 8 nodes");
+    let d = 2.0;
+    let bits = |xs: Vec<f64>| xs.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+    let mut client = Client::connect(guard.addr).expect("connect");
+
+    // Warm three pairs that each sit on one shard.
+    let warm = [(s0, s0 + 1), (s1 + 2, s1 + 3), (s0 + 4, s0 + 5)];
+    client.jaccard(d, &warm).expect("warm-up batch");
+    // One batch mixing the warmed pairs with four uncached pairs that
+    // cross shards: the hits fill their slots, the misses go through the
+    // prefix step, and one merge answers them all.
+    let cross = [
+        (s0 + 6, s1),
+        (s1 + 7, s0 + 2),
+        (s0 + 3, s1 + 5),
+        (s1 + 6, s0 + 7),
+    ];
+    let batch = [
+        cross[0], warm[0], cross[1], cross[2], warm[1], warm[2], cross[3],
+    ];
+    let want = bits(local.jaccard_batch(&batch, d));
+    let (hits, misses, resident) = (stats.hits(), stats.misses(), stats.resident_entries());
+    assert_eq!(bits(client.jaccard(d, &batch).expect("mixed batch")), want);
+    assert_eq!(stats.hits() - hits, warm.len() as u64);
+    assert_eq!(stats.misses() - misses, cross.len() as u64);
+    assert_eq!(stats.resident_entries() - resident, cross.len());
+
+    // The repeat is all hits and adds nothing.
+    let (hits, misses, resident) = (stats.hits(), stats.misses(), stats.resident_entries());
+    assert_eq!(
+        bits(client.jaccard(d, &batch).expect("repeated batch")),
+        want
+    );
+    assert_eq!(stats.hits() - hits, batch.len() as u64);
+    assert_eq!(stats.misses(), misses);
+    assert_eq!(stats.resident_entries(), resident);
+}
+
+#[test]
 fn cache_evicts_instead_of_growing_past_its_budget() {
     let g = generators::barabasi_albert(300, 2, 13);
     let ads = AdsSet::build(&g, 3, 5);

@@ -4,9 +4,10 @@
 //! its deadline — never a panic, never a hang, never a silently partial
 //! merge — and must recover on the next request once the backend is
 //! healthy again. A replica that drips its answers one byte at a time
-//! must cost one read deadline per frame, then fail over. The last test pins the circuit breaker's other
+//! must cost one read deadline per frame, then fail over. One test pins the circuit breaker's other
 //! promise: a backend that *stays* dead sees a bounded, backed-off dial
-//! rate instead of one connect attempt per incoming request.
+//! rate instead of one connect attempt per incoming request. The last
+//! pins the attempt budget: every leg makes at most 2 × R attempts.
 
 mod common;
 
@@ -363,7 +364,6 @@ fn dead_backend_sees_a_bounded_dial_rate_not_per_request_hammering() {
     let config = RouterConfig {
         connect_timeout: Duration::from_millis(250),
         read_timeout: Duration::from_millis(400),
-        retries: 1,
         failure_threshold: 3,
         backoff_base: Duration::from_millis(50),
         backoff_cap: Duration::from_millis(200),
@@ -400,6 +400,66 @@ fn dead_backend_sees_a_bounded_dial_rate_not_per_request_hammering() {
 
     counter_stop.store(true, Ordering::SeqCst);
     let _ = TcpStream::connect(dead_addr);
+    r_handle.shutdown();
+    r_join.join().expect("router thread").expect("router run");
+    b0_handle.shutdown();
+    b0_join
+        .join()
+        .expect("backend thread")
+        .expect("backend run");
+}
+
+/// Every leg spends one budget of 2 × R attempts, whether it is one leg
+/// of a scatter or carries a batch one shard owns: a dead two-replica
+/// shard is dialed 2 + 2 times per request either way.
+#[test]
+fn every_leg_spends_one_attempt_budget_on_a_dead_replica_set() {
+    let g = generators::gnp(40, 0.1, 5);
+    let ads = AdsSet::build(&g, 2, 3);
+    let scratch = Scratch::new("faults_leg_budget");
+    freeze_sharded(&ads, 2, &scratch.0).expect("freeze_sharded");
+    let manifest = ShardManifest::load(scratch.0.join(SHARD_MANIFEST_FILE)).expect("manifest");
+    assert_eq!(manifest.shard_of(39), 1, "node 39 lives on shard 1");
+
+    let (b0_addr, b0_handle, b0_join) = spawn_backend(&scratch.0, 0);
+    let (dead_a, dials_a, stop_a) = counting_refuser();
+    let (dead_b, dials_b, stop_b) = counting_refuser();
+    // The prober's `GenInfo` polls dial every endpoint each interval; at
+    // a 30 s interval none falls inside this test.
+    let config = RouterConfig {
+        probe_interval: Duration::from_secs(30),
+        ..fast_config()
+    };
+    let backoff_cap = config.backoff_cap;
+    let (addr, r_handle, r_join) = spawn_router(
+        &scratch.0,
+        vec![vec![b0_addr], vec![dead_a, dead_b]],
+        1,
+        config,
+    );
+    let dials = || {
+        (
+            dials_a.load(Ordering::SeqCst),
+            dials_b.load(Ordering::SeqCst),
+        )
+    };
+
+    let mut client = Client::connect(addr).expect("connect router");
+    // A scattered batch: shard 0's leg answers, shard 1's leg fails.
+    let all: Vec<NodeId> = (0..40).collect();
+    assert_backend_error(client.harmonic(&all).unwrap_err());
+    assert_eq!(dials(), (2, 2), "a scattered leg");
+    // Past the backoff cap both dead endpoints are available again, so
+    // the next leg starts from the same health state.
+    std::thread::sleep(2 * backoff_cap);
+    // A batch shard 1 owns whole: a one-leg scatter, the same budget.
+    assert_backend_error(client.harmonic(&[39]).unwrap_err());
+    assert_eq!(dials(), (4, 4), "a one-shard batch");
+
+    for (stop, dead) in [(stop_a, dead_a), (stop_b, dead_b)] {
+        stop.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(dead);
+    }
     r_handle.shutdown();
     r_join.join().expect("router thread").expect("router run");
     b0_handle.shutdown();

@@ -175,8 +175,7 @@ fn mid_pipeline_replica_loss_never_breaks_response_pairing() {
     let (b0b_addr, b0b_handle, b0b_join) = spawn_backend(&scratch.0, 0);
     let (b1_addr, b1_handle, b1_join) = spawn_backend(&scratch.0, 1);
     let proxy = FlakyProxy::spawn(b0a_addr);
-    let mut config = fast_config();
-    config.retries = 2;
+    let config = fast_config();
     let (addr, r_handle, r_join) = spawn_router(
         &scratch.0,
         vec![vec![proxy.addr, b0b_addr], vec![b1_addr]],
@@ -353,8 +352,8 @@ fn a_dead_shard_fails_whole_batches_and_the_cache_answers_whole_ones() {
         one_dead.extend((1..shard0_end).step_by(2));
         let message = assert_backend_error(client.harmonic(&one_dead).unwrap_err());
         assert!(message.contains("shard 1"), "round {round}: {message}");
-        // The same for a batch the dead shard owns alone (the one-shard
-        // shortcut) and for an uncached pair that crosses to it.
+        // The same for a batch the dead shard owns alone (a one-leg
+        // scatter) and for an uncached pair that crosses to it.
         assert_backend_error(client.harmonic(&[38, 39]).unwrap_err());
         assert_backend_error(client.jaccard(2.0, &[(0, 1), (1, 38)]).unwrap_err());
         // Curves are never cached, so they fail whole too.
