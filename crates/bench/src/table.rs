@@ -2,7 +2,7 @@
 
 use std::fmt::Write as _;
 
-/// An aligned plain-text table (also exportable as CSV).
+/// An aligned plain-text table.
 #[derive(Debug, Clone, Default)]
 pub struct Table {
     header: Vec<String>,
@@ -56,32 +56,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders as CSV.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let esc = |s: &str| {
-            if s.contains(',') || s.contains('"') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
-        out.push_str(
-            &self
-                .header
-                .iter()
-                .map(|h| esc(h))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Formats a float with 4 significant decimals (experiment convention).
@@ -110,15 +84,6 @@ mod tests {
     fn rejects_ragged_rows() {
         let mut t = Table::new(vec!["a", "b"]);
         t.row(vec!["1"]);
-    }
-
-    #[test]
-    fn csv_escapes() {
-        let mut t = Table::new(vec!["a", "b"]);
-        t.row(vec!["x,y", "q\"z"]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"x,y\""));
-        assert!(csv.contains("\"q\"\"z\""));
     }
 
     #[test]

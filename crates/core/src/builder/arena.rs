@@ -8,9 +8,7 @@
 //! * a candidate is admitted iff fewer than k existing entries precede it
 //!   canonically, i.e. iff it beats the k-th canonically-smallest entry —
 //!   only the **k-prefix** of the sketch ever decides admission;
-//! * admitted entries land at canonical position < k (for the tieless
-//!   rule too: < k entries at distance ≤ d implies < k entries canonically
-//!   before the candidate);
+//! * admitted entries land at canonical position < k;
 //! * entries pushed out of the k-prefix are *never* consulted again
 //!   (the prefix max only decreases), they just belong to the final ADS.
 //!
@@ -32,7 +30,7 @@
 //! `kth_dist[v]` is the distance of the k-th canonically-smallest entry in
 //! `v`'s partial sketch, `+∞` while the sketch holds fewer than k entries.
 //! It is refreshed on every insert (`debug_assert!`-checked against the
-//! prefix distance column each time) and backs the hot admission probes
+//! prefix distance column each time) and backs the hot admission probe
 //! with a single 8-byte load — the node column is only touched to break
 //! an exact distance tie by node id. **Threshold monotonicity** is the
 //! invariant everything rests on: inserts only ever tighten `kth_dist[v]`,
@@ -41,9 +39,9 @@
 //! use as a relax-time frontier filter (push-time pruning in the builders)
 //! and safe to read concurrently from frozen state in the wave scheduler.
 //!
-//! Only the rank-monotone insert regimes live here (canonical and
-//! tieless — everything the PrunedDijkstra-family builders need); DP's
-//! distance-monotone regime and the general retraction regime both run on
+//! Only the canonical rank-monotone insert regime lives here (everything
+//! the PrunedDijkstra-family builders need); DP's distance-monotone regime
+//! and the general retraction regime both run on
 //! [`crate::builder::LiveSketch`].
 
 use std::cmp::Ordering;
@@ -128,17 +126,6 @@ impl PartialAdsArena {
         self.pnode[v as usize * self.width + self.k - 1] > node
     }
 
-    /// Relax-time admission probe for the *tieless* (Appendix A) regime:
-    /// a candidate at distance `dist` is admissible iff fewer than k
-    /// entries sit at distance ≤ `dist`, i.e. iff `dist` lies strictly
-    /// below the k-th smallest distance. Exact (no tie slack: the tieless
-    /// rule has no id tie-break), O(1), and stale-safe like
-    /// [`Self::would_insert`].
-    #[inline]
-    pub fn tieless_admits(&self, v: NodeId, dist: f64) -> bool {
-        dist < self.kth_dist[v as usize]
-    }
-
     /// PrunedDijkstra insert: sources arrive in increasing rank, so every
     /// held entry out-ranks the candidate and the inclusion test reduces to
     /// "fewer than k entries are closer". Returns `true` if inserted.
@@ -155,24 +142,6 @@ impl PartialAdsArena {
                     .all(|&x| (self.rank_of[x as usize], x) < (rank, node))
             },
             "sources must be processed in increasing rank"
-        );
-        self.insert(v, node, dist)
-    }
-
-    /// Tieless (Appendix A) rank-monotone insert: blocked by entries at
-    /// distance ≤ `dist`, so at most k nodes per distinct distance
-    /// survive. (Spilled entries always sit at distances beyond the prefix
-    /// horizon, so the prefix alone decides here too.)
-    pub fn insert_rank_monotone_tieless(&mut self, v: NodeId, node: NodeId, dist: f64) -> bool {
-        if !self.tieless_admits(v, dist) {
-            return false;
-        }
-        debug_assert!(
-            {
-                let (off, l) = self.span(v);
-                self.pdist[off..off + l].partition_point(|&d| d <= dist) < self.k
-            },
-            "threshold probe must agree with the positional tieless test"
         );
         self.insert(v, node, dist)
     }
@@ -264,8 +233,8 @@ impl PartialAdsArena {
     }
 
     /// One canonically sorted entry vector per node (the bottom-1 passes
-    /// of k-mins and k-partition, and the tieless entry lists), each
-    /// entry ranked by its node's rank in the arena's table.
+    /// of k-mins and k-partition), each entry ranked by its node's rank in
+    /// the arena's table.
     pub fn into_per_node(self) -> Vec<Vec<AdsEntry>> {
         let (offsets, nodes, dists, rank_of) = self.into_columns();
         offsets
@@ -343,7 +312,6 @@ impl PartialAdsArena {
 mod tests {
     use super::*;
     use crate::reference::purify;
-    use crate::tieless::TielessAds;
     use adsketch_util::rng::{Rng64, SplitMix64};
 
     /// One past the largest node id [`drive`] offers.
@@ -466,28 +434,6 @@ mod tests {
     }
 
     #[test]
-    fn tieless_matches_the_appendix_a_oracle() {
-        let (n, k) = (10usize, 2usize);
-        let ranks = source_ranks();
-        for seed in 0..5u64 {
-            let mut arena = PartialAdsArena::new(k, ranks.clone());
-            let offers = drive(seed + 20, n, |v, src, dist| {
-                arena.insert_rank_monotone_tieless(v, src, dist);
-            });
-            for v in 0..n as NodeId {
-                let mut order = offers[v as usize].clone();
-                order.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-                let want = TielessAds::from_order(k, &order, &ranks);
-                assert_eq!(
-                    arena.sorted_entries_of(v),
-                    want.entries(),
-                    "seed {seed}, node {v}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn prefix_spill_keeps_all_inserted_entries() {
         // Ever-closer arrivals repeatedly displace the prefix maximum;
         // nothing inserted may be lost and the final order is canonical.
@@ -516,43 +462,30 @@ mod tests {
     }
 
     /// The finishers write each row without sorting it: the rows must
-    /// equal the sorted regrouping of prefix and spill log, in both insert
-    /// regimes, and the store's weights the heap reference, under
+    /// equal the sorted regrouping of prefix and spill log, and the
+    /// store's weights the heap reference, under
     /// workloads with frequent spills and exact ties. The arena has a row
     /// for every source id, so the sources' ranks are the store's table;
     /// only the first `n` rows are offered entries.
     #[test]
     fn finishers_write_the_sorted_rows_and_the_heap_weights() {
         for (seed, n, k) in [(0u64, 12usize, 1usize), (1, 12, 3), (2, 9, 8)] {
-            for tieless in [false, true] {
-                let mut arena = PartialAdsArena::new(k, source_ranks());
-                drive(seed + 70, n, |v, src, dist| {
-                    if tieless {
-                        arena.insert_rank_monotone_tieless(v, src, dist);
-                    } else {
-                        arena.insert_rank_monotone(v, src, dist);
-                    }
-                });
-                let at = |v| format!("seed {seed}, tieless {tieless}, node {v}");
-                let sorted: Vec<Vec<AdsEntry>> = (0..SOURCE_IDS as NodeId)
-                    .map(|v| arena.sorted_entries_of(v))
-                    .collect();
-                assert_eq!(
-                    arena.clone().into_per_node(),
-                    sorted,
-                    "seed {seed}, tieless {tieless}"
-                );
-                if tieless {
-                    continue;
-                }
-                let set = arena.finish();
-                assert_eq!(set.num_nodes(), SOURCE_IDS);
-                for (v, entries) in sorted.iter().enumerate() {
-                    let row = set.row(v as NodeId);
-                    assert!(row.entries().eq(entries.iter().copied()), "{}", at(v));
-                    let oracle = crate::reference::hip_weights(row.k, row.entries());
-                    assert_eq!(row.hip(), oracle.row(), "{}", at(v));
-                }
+            let mut arena = PartialAdsArena::new(k, source_ranks());
+            drive(seed + 70, n, |v, src, dist| {
+                arena.insert_rank_monotone(v, src, dist);
+            });
+            let at = |v| format!("seed {seed}, node {v}");
+            let sorted: Vec<Vec<AdsEntry>> = (0..SOURCE_IDS as NodeId)
+                .map(|v| arena.sorted_entries_of(v))
+                .collect();
+            assert_eq!(arena.clone().into_per_node(), sorted, "seed {seed}");
+            let set = arena.finish();
+            assert_eq!(set.num_nodes(), SOURCE_IDS);
+            for (v, entries) in sorted.iter().enumerate() {
+                let row = set.row(v as NodeId);
+                assert!(row.entries().eq(entries.iter().copied()), "{}", at(v));
+                let oracle = crate::reference::hip_weights(row.k, row.entries());
+                assert_eq!(row.hip(), oracle.row(), "{}", at(v));
             }
         }
     }
@@ -592,28 +525,6 @@ mod tests {
         // does not.
         assert!(arena.would_insert(0, 9, 5.0));
         assert!(!arena.would_insert(0, 15, 5.0));
-    }
-
-    #[test]
-    fn tieless_probe_predicts_tieless_insert() {
-        // Drive random tieless workloads and check the O(1) probe always
-        // agrees with the insert outcome.
-        for seed in 0..4u64 {
-            let mut rng = SplitMix64::new(seed + 50);
-            let n = 10usize;
-            let k = 3usize;
-            let mut arena = PartialAdsArena::new(k, (0..150).map(|x| x as f64 / 200.0).collect());
-            for src in 100..150u32 {
-                for v in 0..n as NodeId {
-                    if rng.bernoulli(0.5) {
-                        let dist = rng.range_usize(4) as f64;
-                        let probe = arena.tieless_admits(v, dist);
-                        let inserted = arena.insert_rank_monotone_tieless(v, src, dist);
-                        assert_eq!(probe, inserted, "seed {seed}, src {src}, node {v}");
-                    }
-                }
-            }
-        }
     }
 
     #[test]

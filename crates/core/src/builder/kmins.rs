@@ -33,7 +33,7 @@ pub fn build_with_stats(
             for (v, r) in ranks.iter_mut().enumerate() {
                 *r = hasher.perm_rank(v as u64, h as u32);
             }
-            *out = run_core(g, 1, ranks, None, false).map(|(arena, s)| (arena.into_per_node(), s));
+            *out = run_core(g, 1, ranks, None).map(|(arena, s)| (arena.into_per_node(), s));
         },
     );
     let mut records: Vec<Vec<KMinsRecord>> = vec![Vec::new(); n];

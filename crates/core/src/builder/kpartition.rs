@@ -37,7 +37,7 @@ pub fn build_with_stats(
         |(), b, out| {
             let sources = &buckets[b];
             if !sources.is_empty() {
-                *out = run_core(g, 1, &ranks, Some(sources), false)
+                *out = run_core(g, 1, &ranks, Some(sources))
                     .map(|(arena, s)| (arena.into_per_node(), s));
             }
         },

@@ -47,7 +47,7 @@ pub fn build_with_stats(
     k: usize,
     ranks: &[f64],
 ) -> Result<(AdsSet, BuildStats), CoreError> {
-    let (arena, stats) = run_core(g, k, ranks, None, false)?;
+    let (arena, stats) = run_core(g, k, ranks, None)?;
     Ok((arena.finish(), stats))
 }
 
@@ -71,23 +71,11 @@ pub fn build_parallel_with_stats(
     Ok((arena.finish(), stats))
 }
 
-/// Tieless (Appendix A) variant: at most k entries per distinct distance,
-/// no id tie-breaking. Pair it with
-/// [`crate::tieless::TielessAds::from_entries`] for HIP estimation.
-pub fn build_tieless_entries(
-    g: &Graph,
-    k: usize,
-    ranks: &[f64],
-) -> Result<Vec<Vec<crate::entry::AdsEntry>>, CoreError> {
-    let (arena, _) = run_core(g, k, ranks, None, true)?;
-    Ok(arena.into_per_node())
-}
-
 /// Sequential search driver: one source's mutable view of the arena and
 /// counters, implementing both hooks of the relax-time-filtered searches.
 ///
 /// `admit` is the push-time frontier filter (exact, not just
-/// conservative: the probes compare the full canonical key, so on the
+/// conservative: the probe compares the full canonical key, so on the
 /// sequential path — where a node's threshold cannot change between its
 /// discovery and its pop within one search — every admitted candidate is
 /// also accepted at pop time). `visit` keeps the canonical pop-time
@@ -96,17 +84,12 @@ struct SeqDriver<'a> {
     arena: &'a mut PartialAdsArena,
     stats: &'a mut BuildStats,
     src: NodeId,
-    tieless: bool,
 }
 
 impl FrontierVisitor for SeqDriver<'_> {
     #[inline]
     fn admit(&mut self, v: NodeId, d: f64) -> bool {
-        let ok = if self.tieless {
-            self.arena.tieless_admits(v, d)
-        } else {
-            self.arena.would_insert(v, self.src, d)
-        };
+        let ok = self.arena.would_insert(v, self.src, d);
         if ok {
             self.stats.heap_pushes += 1;
         } else {
@@ -118,12 +101,7 @@ impl FrontierVisitor for SeqDriver<'_> {
     #[inline]
     fn visit(&mut self, v: NodeId, d: f64) -> Visit {
         self.stats.relaxations += 1;
-        let inserted = if self.tieless {
-            self.arena.insert_rank_monotone_tieless(v, self.src, d)
-        } else {
-            self.arena.insert_rank_monotone(v, self.src, d)
-        };
-        if inserted {
+        if self.arena.insert_rank_monotone(v, self.src, d) {
             self.stats.insertions += 1;
             Visit::Continue
         } else {
@@ -141,7 +119,6 @@ pub(crate) fn run_core(
     k: usize,
     ranks: &[f64],
     sources: Option<&[NodeId]>,
-    tieless: bool,
 ) -> Result<(PartialAdsArena, BuildStats), CoreError> {
     let n = g.num_nodes();
     validate_ranks(ranks, n)?;
@@ -159,7 +136,6 @@ pub(crate) fn run_core(
             arena: &mut arena,
             stats: &mut stats,
             src: u,
-            tieless,
         };
         scratch.run(&gt, u, &mut driver);
     }
@@ -320,33 +296,8 @@ mod tests {
             let set = build_parallel_with_stats(&g, 0, &ranks, threads).map(|(s, _)| s);
             assert_eq!(set, zero_k);
         }
-        assert_eq!(
-            build_tieless_entries(&g, 0, &ranks),
-            Err(CoreError::InvalidK { k: 0 })
-        );
         let dp = crate::builder::dp::build_with_stats(&g, 0, &ranks).map(|(s, _)| s);
         assert_eq!(dp, zero_k);
-    }
-
-    #[test]
-    fn tieless_respects_per_distance_cap() {
-        // Star graph: all leaves at distance 1. The tieless ADS keeps at
-        // most k entries per distance level.
-        let g = Graph::undirected(50, &generators::star_edges(50)).unwrap();
-        let ranks = uniform_ranks(50, 6);
-        let k = 4;
-        let entries = build_tieless_entries(&g, k, &ranks).unwrap();
-        // ADS of the center: level 0 = itself, level 1 = at most k leaves.
-        let center = &entries[0];
-        let level1 = center.iter().filter(|e| e.dist == 1.0).count();
-        assert!(level1 <= k, "level-1 entries {level1} exceed k");
-        // Canonical ADS would include far more level-1 leaves.
-        let canonical = build_with_stats(&g, k, &ranks).unwrap().0;
-        let canon_level1 = canonical.row(0).dists.iter().filter(|&&d| d == 1.0).count();
-        assert!(
-            canon_level1 > k,
-            "canonical keeps {canon_level1} > k under ties"
-        );
     }
 
     #[test]
@@ -421,6 +372,32 @@ mod tests {
                 ),
                 want
             );
+        }
+    }
+
+    /// The same counters for the two bottom-1 callers of `run_core`: the
+    /// k-mins passes (one per permutation) and the k-partition passes
+    /// (one per bucket, only its members as sources), summed over passes.
+    #[test]
+    fn kmins_and_kpartition_stats_are_pinned_on_fixed_graphs() {
+        use adsketch_util::RankHasher;
+        let pinned = [
+            ((11964, 11964, 25842, 11964), (8015, 8015, 14020, 8015)),
+            ((7707, 8242, 16172, 7707), (5959, 6467, 10073, 5959)),
+        ];
+        let counters = |s: BuildStats| {
+            (
+                s.relaxations,
+                s.heap_pushes,
+                s.pruned_at_relax,
+                s.insertions,
+            )
+        };
+        for (g, want) in pinned_graphs().iter().zip(pinned) {
+            let h = RankHasher::new(33);
+            let (_, kmins) = crate::builder::kmins::build_with_stats(g, 4, &h, 1).unwrap();
+            let (_, kpart) = crate::builder::kpartition::build_with_stats(g, 4, &h, 1).unwrap();
+            assert_eq!((counters(kmins), counters(kpart)), want);
         }
     }
 }

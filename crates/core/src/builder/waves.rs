@@ -177,7 +177,7 @@ pub(crate) fn run_core_parallel(
         // One worker: the wave machinery would only buy over-exploration
         // and candidate buffering. Degenerate to the sequential core —
         // identical output by construction.
-        return super::pruned_dijkstra::run_core(g, k, ranks, None, false);
+        return super::pruned_dijkstra::run_core(g, k, ranks, None);
     }
     crate::builder::validate_ranks(ranks, n)?;
     crate::builder::validate_k(k)?;

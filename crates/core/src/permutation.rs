@@ -87,11 +87,6 @@ impl PermutationCardinality {
             self.s_hat
         }
     }
-
-    /// Number of elements currently retained (≤ k).
-    pub fn sketch_len(&self) -> usize {
-        self.sketch.len()
-    }
 }
 
 #[cfg(test)]

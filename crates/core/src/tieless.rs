@@ -11,6 +11,10 @@
 //! from the sketch. The resulting estimator has CV ≤ `1/sqrt(k−2)` (one
 //! degree weaker than canonical HIP, one stored-but-unsampled node per
 //! threshold).
+//!
+//! A [`TielessAds`] is built from one node's canonical closeness order
+//! ([`TielessAds::from_order`]); the graph builders produce only the
+//! canonical tie-broken ADS of Algorithm 1.
 
 use adsketch_graph::NodeId;
 use adsketch_util::topk::KSmallest;
@@ -27,18 +31,8 @@ pub struct TielessAds {
 }
 
 impl TielessAds {
-    /// Wraps entries sorted by `(dist, node)` that satisfy the modified
-    /// inclusion rule (e.g. from
-    /// [`crate::builder::pruned_dijkstra::build_tieless_entries`]).
-    pub fn from_entries(k: usize, entries: Vec<AdsEntry>) -> Self {
-        assert!(k >= 1);
-        debug_assert!(entries
-            .windows(2)
-            .all(|w| w[0].cmp_canonical(&w[1]) == std::cmp::Ordering::Less));
-        Self { k, entries }
-    }
-
-    /// Builds from the canonical closeness order (brute-force reference).
+    /// Builds from the canonical closeness order: `order` lists every
+    /// node within reach as `(node, dist)`, sorted by `(dist, node)`.
     pub fn from_order(k: usize, order: &[(NodeId, f64)], ranks: &[f64]) -> Self {
         assert!(k >= 1);
         let mut ks = KSmallest::new(k);
@@ -224,48 +218,5 @@ mod tests {
         assert_eq!(hip.row().len(), 1);
         assert_eq!(hip.row().nodes[0], 0);
         assert!((hip.row().weights[0] - 5.0).abs() < 1e-12); // 1/0.2
-    }
-
-    #[test]
-    fn graph_builder_agrees_with_order_reference() {
-        // The relax-time-filtered tieless search against the brute force
-        // over each node's canonical closeness order, in every regime
-        // the canonical builder suite covers: undirected ties, directed
-        // unweighted, weighted, disconnected, zero-weight ties.
-        use adsketch_graph::{generators, Graph};
-        use adsketch_util::rng::{Rng64, SplitMix64};
-        let mut rng = SplitMix64::new(43);
-        let n = 40usize;
-        let mut arcs = Vec::new();
-        for u in 0..n as u32 {
-            for _ in 0..3 {
-                let v = rng.range_usize(n) as u32;
-                if v != u {
-                    let w = if rng.bernoulli(0.5) { 0.0 } else { 1.0 };
-                    arcs.push((u, v, w));
-                }
-            }
-        }
-        let graphs = [
-            generators::gnp(80, 0.06, 3),
-            generators::gnp_directed(60, 0.08, 41),
-            generators::random_weighted_digraph(50, 4, 0.5, 3.0, 42),
-            Graph::undirected(8, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]).unwrap(),
-            Graph::directed_weighted(n, &arcs).unwrap(),
-        ];
-        for (i, g) in graphs.iter().enumerate() {
-            let n = g.num_nodes();
-            let ranks = crate::uniform_ranks(n, 4 + i as u64);
-            for k in [1usize, 3, 8] {
-                let built =
-                    crate::builder::pruned_dijkstra::build_tieless_entries(g, k, &ranks).unwrap();
-                for v in 0..n as NodeId {
-                    let order = adsketch_graph::dijkstra::dijkstra_order_canonical(g, v);
-                    let reference = TielessAds::from_order(k, &order, &ranks);
-                    let from_graph = TielessAds::from_entries(k, built[v as usize].clone());
-                    assert_eq!(from_graph, reference, "graph {i}, k {k}, node {v}");
-                }
-            }
-        }
     }
 }

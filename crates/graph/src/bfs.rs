@@ -34,21 +34,6 @@ pub fn bfs_distances(g: &Graph, src: NodeId) -> Vec<u32> {
     dist
 }
 
-/// Nodes reachable from `src` (including `src`), sorted by the canonical
-/// `(distance, id)` order the sketches are defined over, paired with their
-/// hop distance.
-pub fn bfs_order_canonical(g: &Graph, src: NodeId) -> Vec<(NodeId, u32)> {
-    let dist = bfs_distances(g, src);
-    let mut order: Vec<(NodeId, u32)> = dist
-        .iter()
-        .enumerate()
-        .filter(|(_, &d)| d != UNREACHABLE)
-        .map(|(v, &d)| (v as NodeId, d))
-        .collect();
-    order.sort_unstable_by_key(|&(v, d)| (d, v));
-    order
-}
-
 /// Reusable search state for [`bfs_visit_scratch`]; see
 /// [`crate::dijkstra::DijkstraScratch`] for why amortizing the per-source
 /// `O(n)` initialization matters.
@@ -192,14 +177,6 @@ mod tests {
         assert_eq!(d[0], UNREACHABLE);
         assert_eq!(d[1], UNREACHABLE);
         assert_eq!(&d[2..], &[0, 1, 2]);
-    }
-
-    #[test]
-    fn canonical_order_sorts_ties_by_id() {
-        // Star: 0 at the center; all leaves at distance 1.
-        let g = Graph::directed(5, &[(0, 4), (0, 2), (0, 3), (0, 1)]).unwrap();
-        let order = bfs_order_canonical(&g, 0);
-        assert_eq!(order, vec![(0, 0), (1, 1), (2, 1), (3, 1), (4, 1)]);
     }
 
     #[test]

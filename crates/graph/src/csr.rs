@@ -229,14 +229,6 @@ impl Graph {
             }
         }
     }
-
-    /// Total weight of all arcs (arc count if unweighted).
-    pub fn total_weight(&self) -> f64 {
-        match &self.weights {
-            Some(ws) => ws.iter().sum(),
-            None => self.num_arcs() as f64,
-        }
-    }
 }
 
 fn symmetrize(edges: impl Iterator<Item = (NodeId, NodeId, f64)>) -> Vec<(NodeId, NodeId, f64)> {
@@ -262,7 +254,6 @@ mod tests {
         assert_eq!(g.neighbors(0), &[1, 2]);
         assert_eq!(g.neighbors(2), &[] as &[NodeId]);
         assert_eq!(g.out_degree(1), 1);
-        assert_eq!(g.total_weight(), 4.0);
     }
 
     #[test]
@@ -291,7 +282,6 @@ mod tests {
         assert!(g.is_weighted());
         let arcs: Vec<_> = g.arcs(0).collect();
         assert_eq!(arcs, vec![(1, 2.5)]);
-        assert_eq!(g.total_weight(), 2.5);
     }
 
     #[test]

@@ -56,32 +56,6 @@ fn pair_from_index(idx: u64, n: usize) -> (NodeId, NodeId) {
     (u as NodeId, v as NodeId)
 }
 
-/// Erdős–Rényi G(n, m): exactly `m` distinct unordered pairs chosen
-/// uniformly (Floyd's sampling over pair indices).
-pub fn gnm_edges(n: usize, m: usize, seed: u64) -> Vec<(NodeId, NodeId)> {
-    let total = n as u64 * (n as u64).saturating_sub(1) / 2;
-    assert!(
-        m as u64 <= total,
-        "m = {m} exceeds the {total} possible edges"
-    );
-    let mut rng = Xoshiro256pp::new(seed);
-    let mut chosen = std::collections::HashSet::with_capacity(m * 2);
-    let mut edges = Vec::with_capacity(m);
-    // Floyd's algorithm: for j in total-m..total, pick t in [0..j]; if taken,
-    // use j itself.
-    for j in (total - m as u64)..total {
-        let t = rng.range_u64(j + 1);
-        let pick = if chosen.insert(t) {
-            t
-        } else {
-            chosen.insert(j);
-            j
-        };
-        edges.push(pair_from_index(pick, n));
-    }
-    edges
-}
-
 /// Barabási–Albert preferential attachment: starts from a clique on
 /// `m0 = m` nodes, then each new node attaches `m` edges to existing nodes
 /// with probability proportional to degree (repeat-endpoint draws are
@@ -159,28 +133,9 @@ pub fn path_edges(n: usize) -> Vec<(NodeId, NodeId)> {
         .collect()
 }
 
-/// Cycle on n nodes.
-pub fn cycle_edges(n: usize) -> Vec<(NodeId, NodeId)> {
-    assert!(n >= 3, "cycle needs at least 3 nodes");
-    let mut e = path_edges(n);
-    e.push((n as NodeId - 1, 0));
-    e
-}
-
 /// Star with center 0 and n−1 leaves.
 pub fn star_edges(n: usize) -> Vec<(NodeId, NodeId)> {
     (1..n).map(|i| (0, i as NodeId)).collect()
-}
-
-/// Complete graph on n nodes.
-pub fn complete_edges(n: usize) -> Vec<(NodeId, NodeId)> {
-    let mut e = Vec::with_capacity(n * (n - 1) / 2);
-    for u in 0..n {
-        for v in (u + 1)..n {
-            e.push((u as NodeId, v as NodeId));
-        }
-    }
-    e
 }
 
 /// rows × cols 4-neighbor grid; node id is `r * cols + c`.
@@ -270,7 +225,6 @@ pub fn random_weighted_digraph(n: usize, deg: usize, lo: f64, hi: f64, seed: u64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::components::connected_components;
 
     #[test]
     fn pair_from_index_bijective() {
@@ -306,14 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn gnm_exact_count_distinct() {
-        let edges = gnm_edges(100, 500, 3);
-        assert_eq!(edges.len(), 500);
-        let set: std::collections::HashSet<_> = edges.iter().collect();
-        assert_eq!(set.len(), 500, "edges must be distinct");
-    }
-
-    #[test]
     fn ba_degree_sum_and_connectivity() {
         let n = 500;
         let m = 3;
@@ -321,8 +267,11 @@ mod tests {
         // Clique edges + m per added node.
         assert_eq!(edges.len(), m * (m - 1) / 2 + (n - m) * m);
         let g = Graph::undirected(n, &edges).unwrap();
-        let comps = connected_components(&g);
-        assert_eq!(comps.num_components, 1, "BA graph must be connected");
+        assert_eq!(
+            crate::bfs::reachable_count(&g, 0),
+            n,
+            "BA graph must be connected"
+        );
         // Heavy tail: max degree far above m.
         let max_deg = (0..n as NodeId).map(|v| g.out_degree(v)).max().unwrap();
         assert!(max_deg > 4 * m, "max degree {max_deg}");
@@ -335,16 +284,13 @@ mod tests {
         let edges = watts_strogatz_edges(n, k, 0.1, 5);
         assert_eq!(edges.len(), n * k, "rewiring preserves edge count");
         let g = Graph::undirected(n, &edges).unwrap();
-        let comps = connected_components(&g);
-        assert_eq!(comps.num_components, 1);
+        assert_eq!(crate::bfs::reachable_count(&g, 0), n);
     }
 
     #[test]
     fn structured_graphs() {
         assert_eq!(path_edges(4), vec![(0, 1), (1, 2), (2, 3)]);
-        assert_eq!(cycle_edges(3).len(), 3);
         assert_eq!(star_edges(4), vec![(0, 1), (0, 2), (0, 3)]);
-        assert_eq!(complete_edges(4).len(), 6);
         let grid = grid_edges(2, 3);
         assert_eq!(grid.len(), 3 + 4); // 3 vertical + 4 horizontal
     }

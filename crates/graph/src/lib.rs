@@ -17,19 +17,17 @@
 //!   keeps doomed candidates out of the frontier entirely.
 //! * [`heap`] — the flat 4-ary min-heap over monotone-packed
 //!   `(distance, node)` keys backing the Dijkstra frontier.
-//! * [`generators`] — Erdős–Rényi G(n,p)/G(n,m), Barabási–Albert,
-//!   Watts–Strogatz, and structured graphs (path, cycle, star, complete,
-//!   2-D grid), plus random edge-weight assignment.
+//! * [`generators`] — Erdős–Rényi G(n,p), Barabási–Albert,
+//!   Watts–Strogatz, and structured graphs (path, star, 2-D grid), plus
+//!   random edge-weight assignment.
 //! * [`exact`] — exact neighborhood functions, distance distributions and
 //!   closeness/harmonic centralities (the quantities the sketches estimate).
 //! * [`io`] — plain-text edge-list reading/writing.
-//! * [`components`] — union-find and weakly-connected components.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod bfs;
-pub mod components;
 pub mod csr;
 pub mod dijkstra;
 pub mod error;

@@ -115,11 +115,6 @@ impl Freezer {
         })
     }
 
-    /// The generation number the next freeze will publish.
-    pub fn next_generation(&self) -> u64 {
-        self.next_gen
-    }
-
     /// Snapshots `ingestor` (brief lock), freezes the snapshot into the
     /// next generation directory (no lock held), and atomically flips
     /// `CURRENT` to it.
@@ -278,7 +273,6 @@ mod tests {
         assert_eq!(freezer.freeze(&ingestor).unwrap().generation, 1);
         drop(freezer);
         let mut freezer = Freezer::new(s.0.join("store"), 1, StoreFormat::V2).unwrap();
-        assert_eq!(freezer.next_generation(), 2);
         ingestor.lock().unwrap().ingest(1, 2, 1.0).unwrap();
         assert_eq!(freezer.freeze(&ingestor).unwrap().generation, 2);
     }

@@ -75,11 +75,6 @@ impl BaseBRegisters {
         }
     }
 
-    /// Whether a rank *would* update the register (no mutation).
-    pub fn would_update(&self, bucket: usize, rank: f64) -> bool {
-        self.base.level(rank).min(self.max_level) > self.regs[bucket]
-    }
-
     /// Probability that a fresh random element updates the sketch:
     /// `(1/k) Σ_i P(level > regs[i])` with saturated registers contributing
     /// 0. `P(level > m) = P(r < b^{-m}) = b^{-m}`.
@@ -244,19 +239,6 @@ mod tests {
         let p = r.update_probability();
         // Only register 1 (level 0 ⇒ P=1) contributes: p = 1/2.
         assert_eq!(p, 0.5);
-    }
-
-    #[test]
-    fn would_update_is_a_dry_run_of_observe() {
-        let h = RankHasher::new(17);
-        let mut r = BaseBRegisters::new(8, BaseB::new(2.0), 31);
-        for e in 0..500u64 {
-            let b = h.bucket(e, 8);
-            let rank = h.rank(e);
-            let predicted = r.would_update(b, rank);
-            let actual = r.observe(b, rank);
-            assert_eq!(predicted, actual, "element {e}");
-        }
     }
 
     #[test]

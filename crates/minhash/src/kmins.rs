@@ -72,20 +72,6 @@ impl KMinsSketch {
         updated
     }
 
-    /// Inserts a pre-hashed rank vector (one rank per permutation); used by
-    /// ADS code that stores ranks explicitly.
-    pub fn insert_ranks(&mut self, ranks: &[f64]) -> bool {
-        assert_eq!(ranks.len(), self.k(), "rank vector length must equal k");
-        let mut updated = false;
-        for (m, &r) in self.mins.iter_mut().zip(ranks) {
-            if r < *m {
-                *m = r;
-                updated = true;
-            }
-        }
-        updated
-    }
-
     /// Merges another sketch of a (possibly overlapping) set built with the
     /// same hasher: element-wise minimum. The result is exactly the sketch
     /// of the union.
@@ -146,19 +132,6 @@ mod tests {
         }
         a.merge(&b);
         assert_eq!(a, ab);
-    }
-
-    #[test]
-    fn insert_ranks_matches_insert() {
-        let h = RankHasher::new(9);
-        let mut a = KMinsSketch::new(4);
-        let mut b = KMinsSketch::new(4);
-        for e in 0..50u64 {
-            a.insert(&h, e);
-            let ranks: Vec<f64> = (0..4).map(|i| h.perm_rank(e, i)).collect();
-            b.insert_ranks(&ranks);
-        }
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -215,7 +215,9 @@ impl Router {
     /// (every address in `replicas[i]` must serve shard `i`) and a fixed
     /// pool of `workers` connection threads (`0` ⇒ all cores). A replica
     /// set must not be empty; a single-address set reproduces the
-    /// unreplicated topology exactly.
+    /// unreplicated topology exactly. `connect_timeout`, `read_timeout`
+    /// and `probe_interval` must be positive: std refuses a zero socket
+    /// timeout, and a zero interval would spin the prober.
     pub fn bind(
         addr: impl ToSocketAddrs,
         manifest: ShardManifest,
@@ -235,6 +237,17 @@ impl Router {
             return Err(ServeError::Store(format!(
                 "shard {shard} has an empty replica set; every shard needs at least one backend"
             )));
+        }
+        for (field, value) in [
+            ("connect_timeout", config.connect_timeout),
+            ("read_timeout", config.read_timeout),
+            ("probe_interval", config.probe_interval),
+        ] {
+            if value.is_zero() {
+                return Err(ServeError::Store(format!(
+                    "RouterConfig::{field} must be positive, got zero"
+                )));
+            }
         }
         let listener = TcpListener::bind(addr)?;
         let sizes: Vec<usize> = replicas.iter().map(Vec::len).collect();
@@ -1082,5 +1095,48 @@ mod tests {
         let (addr, join) = dripping_endpoint(Response::GenInfo { generation: 3 });
         assert_eq!(poll_generation(&addr, &RouterConfig::default()), Some(3));
         join.join().expect("drip thread");
+    }
+
+    /// Binds a router over a two-shard store of a small graph with
+    /// `config`; `tag` names the store's directory.
+    fn bind_with(tag: &str, config: RouterConfig) -> Result<Router, ServeError> {
+        let g = adsketch_graph::generators::barabasi_albert(40, 2, 1);
+        let ads = adsketch_core::AdsSet::build(&g, 4, 2);
+        let dir =
+            std::env::temp_dir().join(format!("adsketch_router_{tag}_{}", std::process::id()));
+        let manifest = adsketch_core::freeze_sharded(&ads, 2, &dir).expect("freeze");
+        std::fs::remove_dir_all(&dir).ok();
+        let backend: SocketAddr = "127.0.0.1:9".parse().expect("addr");
+        Router::bind("127.0.0.1:0", manifest, vec![vec![backend]; 2], 1, config)
+    }
+
+    #[test]
+    fn bind_rejects_a_zero_connect_timeout() {
+        let config = RouterConfig {
+            connect_timeout: Duration::ZERO,
+            ..RouterConfig::default()
+        };
+        let bound = bind_with("zero_connect", config);
+        assert!(matches!(bound, Err(ServeError::Store(_))));
+    }
+
+    #[test]
+    fn bind_rejects_a_zero_read_timeout() {
+        let config = RouterConfig {
+            read_timeout: Duration::ZERO,
+            ..RouterConfig::default()
+        };
+        let bound = bind_with("zero_read", config);
+        assert!(matches!(bound, Err(ServeError::Store(_))));
+    }
+
+    #[test]
+    fn bind_rejects_a_zero_probe_interval() {
+        let config = RouterConfig {
+            probe_interval: Duration::ZERO,
+            ..RouterConfig::default()
+        };
+        let bound = bind_with("zero_probe", config);
+        assert!(matches!(bound, Err(ServeError::Store(_))));
     }
 }

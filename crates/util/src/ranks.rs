@@ -42,13 +42,6 @@ impl BaseB {
         Self { b, ln_b: b.ln() }
     }
 
-    /// Convenience constructor for `b = 2^(1/i)` (Section 6 discusses
-    /// fractional-power-of-two bases as an HLL refinement).
-    pub fn two_pow_inv(i: u32) -> Self {
-        assert!(i > 0);
-        Self::new(2f64.powf(1.0 / i as f64))
-    }
-
     /// The base value `b`.
     #[inline]
     pub fn base(&self) -> f64 {
@@ -162,14 +155,6 @@ mod tests {
         let r = 0.999_999_999_999;
         assert_eq!(b.level(r), 1);
         assert!(b.discretize(r) <= r);
-    }
-
-    #[test]
-    fn two_pow_inv_base() {
-        let b = BaseB::two_pow_inv(2);
-        assert!((b.base() - 2f64.sqrt()).abs() < 1e-12);
-        // Level of 0.5 under b = sqrt(2): -log_b(0.5) = 2.
-        assert_eq!(b.level(0.5), 2);
     }
 
     #[test]

@@ -170,29 +170,6 @@ impl Xoshiro256pp {
         let s = [sm.next_u64(), sm.next_u64(), sm.next_u64(), sm.next_u64()];
         Self { s }
     }
-
-    /// Equivalent to 2^128 `next_u64` calls; yields non-overlapping
-    /// subsequences for parallel workers.
-    pub fn jump(&mut self) {
-        const JUMP: [u64; 4] = [
-            0x180E_C6D3_3CFD_0ABA,
-            0xD5A6_1266_F0C9_392C,
-            0xA958_2618_E03F_C9AA,
-            0x39AB_DC45_29B1_661C,
-        ];
-        let mut t = [0u64; 4];
-        for j in JUMP {
-            for b in 0..64 {
-                if (j >> b) & 1 == 1 {
-                    for (ti, si) in t.iter_mut().zip(self.s.iter()) {
-                        *ti ^= si;
-                    }
-                }
-                self.next_u64();
-            }
-        }
-        self.s = t;
-    }
 }
 
 impl Rng64 for Xoshiro256pp {
@@ -331,14 +308,5 @@ mod tests {
             (mean - expect).abs() < 0.1,
             "mean = {mean}, expect = {expect}"
         );
-    }
-
-    #[test]
-    fn jump_decorrelates() {
-        let mut a = Xoshiro256pp::new(4);
-        let mut b = a.clone();
-        b.jump();
-        let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
-        assert_eq!(same, 0);
     }
 }

@@ -64,30 +64,10 @@ impl RunningStat {
         }
     }
 
-    /// Population variance (divides by n).
-    #[inline]
-    pub fn variance_population(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
     /// Sample standard deviation.
     #[inline]
     pub fn std_dev(&self) -> f64 {
         self.variance().sqrt()
-    }
-
-    /// Standard error of the mean.
-    #[inline]
-    pub fn std_error(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            (self.variance() / self.n as f64).sqrt()
-        }
     }
 
     /// Coefficient of variation sd/|mean| (0 if mean is 0).

@@ -19,6 +19,8 @@
 //! `core::sim`: an ADS's estimators see only the ranks of the nodes in
 //! distance order, so a run is one stream of distinct elements, each
 //! from its own fixed seed, and the truth is the count streamed so far.
+//! Figure 3 (Section 6) runs the same kind of streams through
+//! `stream::HipHll`.
 
 use adsketch::core::builder::{kmins, kpartition};
 use adsketch::core::kmins::KMinsAds;
@@ -26,6 +28,7 @@ use adsketch::core::kpartition::KPartitionAds;
 use adsketch::core::sim::{BaseBHipSim, StreamSim};
 use adsketch::core::{AdsSet, FrozenAdsSet, StoreFormat};
 use adsketch::graph::{exact, generators, Graph, NodeId};
+use adsketch::stream::HipHll;
 use adsketch::util::ranks::BaseB;
 use adsketch::util::stats::{cv_basic, cv_hip};
 use adsketch::util::RankHasher;
@@ -322,4 +325,43 @@ fn base_b_hip_nrmse_matches_section_5_6() {
              ± 3·{rse:.4}"
         );
     }
+}
+
+#[test]
+fn hip_on_the_hll_sketch_beats_hll_as_in_figure_3() {
+    // Section 6 and Figure 3: HIP over the HyperLogLog sketch
+    // (k-partition, base-2 levels) has CV ≈ √((1+b)/(4(k−1))) with
+    // b = 2, below what the HLL estimator reads off the same registers.
+    const K: usize = 16;
+    const N: u64 = 5000;
+    const RUNS: u64 = 1000;
+    let (mut hip, mut hll) = (Vec::new(), Vec::new());
+    for run in 0..RUNS {
+        let hasher = RankHasher::new(0xf163_0000 + run);
+        let mut counter = HipHll::new(K);
+        for e in 0..N {
+            counter.insert(&hasher, e);
+        }
+        hip.push(counter.estimate());
+        hll.push(counter.sketch().estimate());
+    }
+    let (hip, hip_rse) = nrmse(&hip, N as f64);
+    let (hll, hll_rse) = nrmse(&hll, N as f64);
+
+    // Within 3 sampling errors of the analysis but for a 0.3% chance.
+    let want = (3.0 / (4.0 * (K - 1) as f64)).sqrt();
+    assert!(
+        (hip / want - 1.0).abs() <= 3.0 * hip_rse,
+        "HIP-on-HLL NRMSE {hip:.4} over {RUNS} runs is not √(3/(4(k−1))) = {want:.4} \
+         ± 3·{hip_rse:.4}"
+    );
+
+    // Below the HLL estimator's NRMSE on the same sketches with both
+    // sampling errors against HIP: each NRMSE is off by at most 3 of its
+    // own sampling errors but for a 0.3% chance.
+    assert!(
+        hip * (1.0 + 3.0 * hip_rse) <= hll * (1.0 - 3.0 * hll_rse),
+        "HIP-on-HLL NRMSE {hip:.4} (± 3·{hip_rse:.4}) is not below HLL's {hll:.4} \
+         (± 3·{hll_rse:.4}) at n = {N}"
+    );
 }
