@@ -15,8 +15,7 @@
 //! 100).
 
 use adsketch_bench::table::f;
-use adsketch_bench::{arg_u64, checkpoints, Table};
-use adsketch_core::sim::StreamSim;
+use adsketch_bench::{arg_u64, checkpoints, experiments, Table};
 use adsketch_util::stats::{cv_basic, cv_hip, mre_basic_approx, mre_hip_approx, ErrorStats};
 
 struct Panel {
@@ -52,27 +51,9 @@ fn main() {
 
 fn run_panel(k: usize, runs: u64, n_max: u64) {
     let marks = checkpoints(n_max);
-    // err[estimator][checkpoint]
-    const NAMES: [&str; 5] = ["kmins", "kpart", "botk", "botkHIP", "perm"];
-    let mut errs: Vec<Vec<ErrorStats>> = (0..NAMES.len())
-        .map(|_| marks.iter().map(|&m| ErrorStats::new(m as f64)).collect())
-        .collect();
     let t0 = std::time::Instant::now();
-    for run in 0..runs {
-        let mut sim = StreamSim::new(k, run.wrapping_mul(0x9E37_79B9) + 1, Some(n_max));
-        let mut next = 0usize;
-        for step in 1..=n_max {
-            sim.step();
-            if next < marks.len() && marks[next] == step {
-                errs[0][next].push(sim.kmins_basic());
-                errs[1][next].push(sim.kpartition_basic());
-                errs[2][next].push(sim.bottomk_basic());
-                errs[3][next].push(sim.bottomk_hip());
-                errs[4][next].push(sim.permutation().expect("perm enabled"));
-                next += 1;
-            }
-        }
-    }
+    let seeds = (0..runs).map(|run| run.wrapping_mul(0x9E37_79B9) + 1);
+    let est = experiments::fig2(k, n_max, &marks, seeds);
     println!(
         "\n=== Figure 2 panel: k={k}, {runs} runs, max n = {n_max}  ({:.1?}) ===",
         t0.elapsed()
@@ -95,15 +76,17 @@ fn run_panel(k: usize, runs: u64, n_max: u64) {
             if !(lead == 1 || lead == 2 || lead == 5) && m != n_max {
                 continue;
             }
-            t.row(vec![
-                m.to_string(),
-                f(get(&errs[0][ci])),
-                f(get(&errs[1][ci])),
-                f(get(&errs[2][ci])),
-                f(get(&errs[3][ci])),
-                f(get(&errs[4][ci])),
-            ]);
+            let mut row = vec![m.to_string()];
+            row.extend(est.iter().map(|series| f(get(&errors(m, &series[ci])))));
+            t.row(row);
         }
         println!("\n{metric} (k={k}):\n{}", t.render());
     }
+}
+
+/// The error statistics of `estimates` of `truth`.
+fn errors(truth: u64, estimates: &[f64]) -> ErrorStats {
+    let mut e = ErrorStats::new(truth as f64);
+    estimates.iter().for_each(|&x| e.push(x));
+    e
 }

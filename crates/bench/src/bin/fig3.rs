@@ -12,10 +12,8 @@
 //! ```
 
 use adsketch_bench::table::f;
-use adsketch_bench::{arg_u64, checkpoints, Table};
-use adsketch_stream::HipHll;
+use adsketch_bench::{arg_u64, checkpoints, experiments, Table};
 use adsketch_util::stats::ErrorStats;
-use adsketch_util::RankHasher;
 
 fn main() {
     let scale = arg_u64("runs-scale", 100).max(1);
@@ -28,24 +26,9 @@ fn main() {
 
 fn run_panel(k: usize, runs: u64, n_max: u64) {
     let marks = checkpoints(n_max);
-    let mut raw_err: Vec<ErrorStats> = marks.iter().map(|&m| ErrorStats::new(m as f64)).collect();
-    let mut hll_err = raw_err.clone();
-    let mut hip_err = raw_err.clone();
     let t0 = std::time::Instant::now();
-    for run in 0..runs {
-        let hasher = RankHasher::new(run.wrapping_mul(0xC2B2_AE35) + 17);
-        let mut counter = HipHll::new(k);
-        let mut next = 0usize;
-        for e in 1..=n_max {
-            counter.insert(&hasher, e);
-            if next < marks.len() && marks[next] == e {
-                raw_err[next].push(counter.sketch().raw_estimate());
-                hll_err[next].push(counter.sketch().estimate());
-                hip_err[next].push(counter.estimate());
-                next += 1;
-            }
-        }
-    }
+    let seeds = (0..runs).map(|run| run.wrapping_mul(0xC2B2_AE35) + 17);
+    let est = experiments::fig3(k, n_max, &marks, seeds);
     let analysis = (3.0 / (4.0 * (k as f64 - 1.0))).sqrt(); // sqrt((b+1)/(4(k−1))), b=2
     println!(
         "\n=== Figure 3 panel: k={k}, {runs} runs, max n = {n_max}  ({:.1?}) ===",
@@ -65,13 +48,17 @@ fn run_panel(k: usize, runs: u64, n_max: u64) {
             if !(lead == 1 || lead == 2 || lead == 5) && m != n_max {
                 continue;
             }
-            t.row(vec![
-                m.to_string(),
-                f(get(&raw_err[ci])),
-                f(get(&hll_err[ci])),
-                f(get(&hip_err[ci])),
-            ]);
+            let mut row = vec![m.to_string()];
+            row.extend(est.iter().map(|series| f(get(&errors(m, &series[ci])))));
+            t.row(row);
         }
         println!("\n{metric} (k={k}):\n{}", t.render());
     }
+}
+
+/// The error statistics of `estimates` of `truth`.
+fn errors(truth: u64, estimates: &[f64]) -> ErrorStats {
+    let mut e = ErrorStats::new(truth as f64);
+    estimates.iter().for_each(|&x| e.push(x));
+    e
 }

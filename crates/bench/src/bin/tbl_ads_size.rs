@@ -1,8 +1,9 @@
 //! ADS-SIZE experiment (Lemma 2.2): measured expected sketch sizes vs the
-//! closed forms `k + k(H_n − H_k)` (bottom-k), `k·H_{n/k}` (k-partition),
-//! and `k·H_n` (k-mins) — plus the storage cost of those entries in the
-//! columnar store (resident and bytes on disk), extending the paper's
-//! ADS-size table with a persistence column.
+//! closed forms `k + k(H_n − H_k)` (bottom-k), `k·E[H_B]` with
+//! `B ~ Binomial(n, 1/k)` (k-partition), and `k·H_n` (k-mins) — plus the
+//! storage cost of those entries in the columnar store (resident and
+//! bytes on disk), extending the paper's ADS-size table with a
+//! persistence column.
 //!
 //! The second table reports the frozen store's two on-disk formats side
 //! by side — full-width v1 vs compressed v2 bytes/entry (`--full` adds
@@ -61,7 +62,6 @@ fn main() {
         "=== ADS sizes: measured vs Lemma 2.2 ({runs} runs) ===\n{}",
         t.render()
     );
-    println!("note: k·H_(n/k) for k-partition assumes exactly n/k per bucket; the\nmultinomial bucket sizes push the measured value slightly above it.");
 
     // Storage cost of a full bottom-k ADS set (one PrunedDijkstra build
     // per cell on a Barabási–Albert graph): the store in memory and in

@@ -7,8 +7,7 @@
 //! ```
 
 use adsketch_bench::table::f;
-use adsketch_bench::{arg_u64, Table};
-use adsketch_core::sim::{BaseBHipSim, StreamSim};
+use adsketch_bench::{arg_u64, experiments, Table};
 use adsketch_util::ranks::BaseB;
 use adsketch_util::stats::ErrorStats;
 
@@ -18,14 +17,10 @@ fn main() {
     let k = 16usize;
 
     // Full-precision HIP reference variance at the same (k, n).
+    let seeds = || (0..runs).map(|seed| seed * 3 + 1);
     let mut full = ErrorStats::new(n as f64);
-    for seed in 0..runs {
-        let mut sim = StreamSim::new(k, seed * 3 + 1, None);
-        for _ in 0..n {
-            sim.step();
-        }
-        full.push(sim.bottomk_hip());
-    }
+    let [_, _, _, hip, _] = experiments::fig2(k, n, &[n], seeds());
+    hip[0].iter().for_each(|&x| full.push(x));
 
     let mut t = Table::new(vec![
         "base",
@@ -45,13 +40,9 @@ fn main() {
     ] {
         let base = BaseB::new(b);
         let mut err = ErrorStats::new(n as f64);
-        for seed in 0..runs {
-            let mut sim = BaseBHipSim::new(k, base, seed * 3 + 1);
-            for _ in 0..n {
-                sim.step();
-            }
-            err.push(sim.estimate());
-        }
+        experiments::base_b(k, base, n, seeds())
+            .into_iter()
+            .for_each(|x| err.push(x));
         let inflation = (err.nrmse() / full.nrmse()).powi(2);
         // Register stores ⌈−log_b r⌉ ≈ log_b n levels ⇒ log2 log_b n bits.
         let bits = ((n as f64).log2() / b.log2()).log2().ceil();

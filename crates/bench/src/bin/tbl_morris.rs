@@ -15,7 +15,7 @@
 //! ```
 
 use adsketch_bench::table::f;
-use adsketch_bench::{arg_u64, Table};
+use adsketch_bench::{arg_u64, experiments, Table};
 use adsketch_stream::MorrisCounter;
 use adsketch_util::stats::ErrorStats;
 
@@ -35,17 +35,7 @@ fn main() {
         let b = 1.0 + 1.0 / (1u64 << j) as f64;
         let mut err = ErrorStats::new(n as f64);
         let mut exp_sum = 0u64;
-        for seed in 0..runs {
-            let mut c = MorrisCounter::new(b, seed * 5 + 1);
-            // Mixed update sizes summing to n per run.
-            let mut total = 0u64;
-            let mut step = 1u64;
-            while total < n {
-                let add = step.min(n - total);
-                c.add(add as f64);
-                total += add;
-                step = step % 7 + 1;
-            }
+        for c in experiments::morris(b, n, (0..runs).map(|seed| seed * 5 + 1)) {
             err.push(c.estimate());
             exp_sum += c.exponent() as u64;
         }

@@ -7,8 +7,7 @@
 //! ```
 
 use adsketch_bench::table::f;
-use adsketch_bench::{arg_u64, Table};
-use adsketch_core::sim::StreamSim;
+use adsketch_bench::{arg_u64, experiments, Table};
 use adsketch_util::stats::ErrorStats;
 
 fn main() {
@@ -21,20 +20,8 @@ fn main() {
         .map(|fr| ((fr * n as f64) as u64).max(1))
         .collect();
 
-    let mut hip: Vec<ErrorStats> = marks.iter().map(|&m| ErrorStats::new(m as f64)).collect();
-    let mut perm = hip.clone();
-    for seed in 0..runs {
-        let mut sim = StreamSim::new(k, seed * 13 + 5, Some(n));
-        let mut next = 0usize;
-        for step in 1..=n {
-            sim.step();
-            while next < marks.len() && marks[next] == step {
-                hip[next].push(sim.bottomk_hip());
-                perm[next].push(sim.permutation().expect("enabled"));
-                next += 1;
-            }
-        }
-    }
+    let [_, _, _, hip_est, perm_est] =
+        experiments::fig2(k, n, &marks, (0..runs).map(|seed| seed * 13 + 5));
     let mut t = Table::new(vec![
         "s/n",
         "HIP NRMSE",
@@ -43,12 +30,24 @@ fn main() {
         "perm bias",
     ]);
     for (i, fr) in fracs.iter().enumerate() {
+        let (mut hip, mut perm) = (
+            ErrorStats::new(marks[i] as f64),
+            ErrorStats::new(marks[i] as f64),
+        );
+        hip_est[i].iter().for_each(|&x| hip.push(x));
+        perm_est[i].iter().for_each(|&x| perm.push(x));
+        // At s ≤ k HIP is exact, and so is the permutation estimator.
+        let ratio = if hip.nrmse() == 0.0 {
+            "exact".to_string()
+        } else {
+            f(perm.nrmse() / hip.nrmse())
+        };
         t.row(vec![
             format!("{fr:.2}"),
-            f(hip[i].nrmse()),
-            f(perm[i].nrmse()),
-            f(perm[i].nrmse() / hip[i].nrmse()),
-            f(perm[i].relative_bias()),
+            f(hip.nrmse()),
+            f(perm.nrmse()),
+            ratio,
+            f(perm.relative_bias()),
         ]);
     }
     println!(

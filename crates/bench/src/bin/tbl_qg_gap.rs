@@ -45,13 +45,18 @@ fn main() {
             hip_err.push(set.hip(0).qg(g));
             naive_err.push(basic::naive_qg(set.row(0), g));
         }
-        let ratio = (naive_err.nrmse() / hip_err.nrmse()).powi(2);
+        // With g on at most k nodes, HIP holds them all and is exact.
+        let ratio = if hip_err.nrmse() == 0.0 {
+            "exact".to_string()
+        } else {
+            f((naive_err.nrmse() / hip_err.nrmse()).powi(2))
+        };
         t.row(vec![
             format!("{:.0}% of nodes", frac * 100.0),
             f(truth),
             f(hip_err.nrmse()),
             f(naive_err.nrmse()),
-            f(ratio),
+            ratio,
             f(n as f64 / k as f64),
         ]);
     }

@@ -7,11 +7,8 @@
 //! ```
 
 use adsketch_bench::table::f;
-use adsketch_bench::{arg_u64, Table};
-use adsketch_core::{reference, size_est};
-use adsketch_graph::NodeId;
+use adsketch_bench::{arg_u64, experiments, Table};
 use adsketch_util::stats::{cv_basic, cv_hip, ErrorStats};
-use adsketch_util::RankHasher;
 
 fn main() {
     let runs = arg_u64("runs", 3000);
@@ -24,19 +21,12 @@ fn main() {
             "HIP NRMSE",
         ]);
         for &n in &[100usize, 1_000, 10_000] {
-            let order: Vec<(NodeId, f64)> = (0..n).map(|i| (i as NodeId, i as f64)).collect();
-            let mut se = ErrorStats::new(n as f64);
-            let mut be = ErrorStats::new(n as f64);
-            let mut he = ErrorStats::new(n as f64);
-            for seed in 0..runs {
-                let h = RankHasher::new(seed * 3 + k as u64);
-                let ranks: Vec<f64> = (0..n as u64).map(|v| h.rank(v)).collect();
-                let ads = reference::bottomk_from_order(k, &order, &ranks);
-                se.push(size_est::size_estimator(ads.len(), k));
-                let set = reference::from_sketches(k, vec![ads]);
-                be.push(adsketch_core::basic::reachable(set.row(0)));
-                he.push(set.hip(0).reachable_estimate());
-            }
+            let seeds = (0..runs).map(|seed| seed * 3 + k as u64);
+            let [se, be, he] = experiments::size_estimator(k, n, seeds).map(|estimates| {
+                let mut e = ErrorStats::new(n as f64);
+                estimates.iter().for_each(|&x| e.push(x));
+                e
+            });
             t.row(vec![
                 n.to_string(),
                 f(se.nrmse()),

@@ -1,12 +1,13 @@
-//! Shared helpers for the adsketch experiment binaries.
-//!
-//! The real content of this crate is its binaries (`fig2`, `fig3`,
-//! `tbl_*`) and criterion benches; the README's "Experiments" section
-//! indexes them. Performance is measured by the standalone `benchmark/`
+//! The paper's experiments: the binaries that print them (`fig2`,
+//! `fig3`, `tbl_*`), the run loops those binaries share with the root
+//! package's `tests/paper_claims.rs` ([`experiments`]), and criterion
+//! benches. The README's "Benches and paper experiments" section indexes
+//! the binaries. Performance is measured by the standalone `benchmark/`
 //! package (`adsbench`), not here.
 
 #![forbid(unsafe_code)]
 
+pub mod experiments;
 pub mod table;
 
 pub use table::Table;

@@ -48,7 +48,6 @@
 //! | [`weighted`] | non-uniform node weights via exponential ranks (Section 9) |
 //! | [`similarity`] | neighborhood Jaccard/union/intersection between two nodes' rows |
 //! | [`tieless`] | the tie-breaking-free ADS of Appendix A |
-//! | [`sim`] | the stream-order simulation harness behind the paper's Figure 2 |
 //!
 //! # Quick example
 //!
@@ -84,7 +83,6 @@ pub mod kmins;
 pub mod kpartition;
 pub mod permutation;
 pub mod reference;
-pub mod sim;
 pub mod similarity;
 pub mod size_est;
 pub mod tieless;

@@ -7,8 +7,8 @@
 //! builders take that order explicitly — computed exactly via Dijkstra for
 //! graphs, or synthesized for stream simulations — and apply the inclusion
 //! definitions literally. They are the correctness oracle for the scalable
-//! builders in [`crate::builder`], and the only builders needed by the
-//! simulation harness.
+//! builders in [`crate::builder`], and the paper experiments build their
+//! synthesized orders with them.
 //!
 //! [`BottomKAds`] is the bottom-k sketch they produce, and
 //! [`hip_weights`] the one heap scan that weighs it: the reference the

@@ -29,12 +29,25 @@ pub fn expected_bottomk_ads_size(n: u64, k: usize) -> f64 {
     k as f64 + k as f64 * (harmonic(n) - harmonic(k64))
 }
 
-/// Expected size of a k-partition ADS: `k · H_{n/k} ≈ k ln(n/k)` (Lemma 2.2).
+/// Expected size of a k-partition ADS over `n` reachable nodes:
+/// `k · E[H_B]` with `B ~ Binomial(n, 1/k)` (Lemma 2.2). Each node falls
+/// in one of k buckets, and a bucket of `b` nodes holds a bottom-1 ADS of
+/// `H_b` entries on average. `k · H_{n/k} ≈ k ln(n/k)` approximates it
+/// (≈ 1% high at n = 200, k = 16). O(n) time.
 pub fn expected_kpartition_ads_size(n: u64, k: usize) -> f64 {
-    if n as usize <= k {
-        return n as f64;
+    if k == 1 {
+        return harmonic(n);
     }
-    k as f64 * harmonic(n / k as u64)
+    let (p, nf) = (1.0 / k as f64, n as f64);
+    // ln P(B = b), stepped up from ln P(B = 0) so that no factor underflows.
+    let mut ln_pmf = nf * (-p).ln_1p();
+    let (mut h, mut e_h) = (0.0, 0.0);
+    for b in 1..=n {
+        ln_pmf += ((nf - (b - 1) as f64) / b as f64 * p / (1.0 - p)).ln();
+        h += 1.0 / b as f64;
+        e_h += ln_pmf.exp() * h;
+    }
+    k as f64 * e_h
 }
 
 /// Expected size of a k-mins ADS: `k · H_n` — k independent bottom-1 ADSs,
@@ -67,7 +80,11 @@ mod tests {
     #[test]
     fn ads_size_small_n_is_exact() {
         assert_eq!(expected_bottomk_ads_size(3, 8), 3.0);
-        assert_eq!(expected_kpartition_ads_size(3, 8), 3.0);
+        // One node is always in. Two share a bucket with probability 1/k,
+        // and then the farther one is in with probability 1/2.
+        assert!((expected_kpartition_ads_size(1, 8) - 1.0).abs() < 1e-15);
+        assert!((expected_kpartition_ads_size(2, 8) - (2.0 - 0.5 / 8.0)).abs() < 1e-15);
+        assert_eq!(expected_kpartition_ads_size(5, 1), harmonic(5));
     }
 
     #[test]

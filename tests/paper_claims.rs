@@ -15,23 +15,23 @@
 //! nodes it has. Every tolerance below is a sampling error over `R`
 //! runs, derived next to its assert and never tuned to the data.
 //!
-//! The stream half (Figure 2, Sections 5.4 and 5.6) drives
-//! `core::sim`: an ADS's estimators see only the ranks of the nodes in
-//! distance order, so a run is one stream of distinct elements, each
-//! from its own fixed seed, and the truth is the count streamed so far.
-//! Figure 3 (Section 6) runs the same kind of streams through
-//! `stream::HipHll`.
+//! The stream half (Figures 2 and 3, Sections 5.4, 5.6, 7 and 8) calls
+//! the run loops the paper bins print, `adsketch_bench::experiments`,
+//! with seeds of its own: an ADS's estimators see only the ranks of the
+//! nodes in distance order, so a run is one stream of distinct elements,
+//! each from its own fixed seed, and the truth is the count streamed so
+//! far.
 
 use adsketch::core::builder::{kmins, kpartition};
 use adsketch::core::kmins::KMinsAds;
 use adsketch::core::kpartition::KPartitionAds;
-use adsketch::core::sim::{BaseBHipSim, StreamSim};
 use adsketch::core::{AdsSet, FrozenAdsSet, StoreFormat};
 use adsketch::graph::{exact, generators, Graph, NodeId};
-use adsketch::stream::HipHll;
+use adsketch::util::harmonic::{expected_kpartition_ads_size, harmonic};
 use adsketch::util::ranks::BaseB;
 use adsketch::util::stats::{cv_basic, cv_hip};
 use adsketch::util::RankHasher;
+use adsketch_bench::experiments;
 
 const K: usize = 16;
 /// Independent runs: components.
@@ -67,11 +67,6 @@ fn through_the_files(g: &Graph) -> FrozenAdsSet {
     loaded
 }
 
-/// `H_n`, the n-th harmonic number.
-fn harmonic(n: usize) -> f64 {
-    (1..=n).map(|i| 1.0 / i as f64).sum()
-}
-
 /// `H⁽²⁾_n = Σ_{i ≤ n} 1/i²`.
 fn harmonic2(n: usize) -> f64 {
     (1..=n).map(|i| 1.0 / (i * i) as f64).sum()
@@ -91,8 +86,8 @@ fn k_mins_and_k_partition_ads_sizes_match_lemma_2_2() {
     // standard errors of the expectation but for a 0.3% chance.
     let (sketches, _) = kmins::build_with_stats(&g, K, &hasher, 0).expect("k-mins build");
     let mean = sketches.iter().map(KMinsAds::len).sum::<usize>() as f64 / (R * C) as f64;
-    let expected = k * harmonic(C);
-    let tol = 3.0 * (k * (harmonic(C) - harmonic2(C)) / runs).sqrt();
+    let expected = k * harmonic(C as u64);
+    let tol = 3.0 * (k * (harmonic(C as u64) - harmonic2(C)) / runs).sqrt();
     assert!(
         (mean - expected).abs() <= tol,
         "mean k-mins ADS size {mean:.3}, Lemma 2.2 expects {expected:.3} ± {tol:.3}"
@@ -102,7 +97,8 @@ fn k_mins_and_k_partition_ads_sizes_match_lemma_2_2() {
     // bucket j holds a bottom-1 ADS over its B_j reachable nodes, where
     // B_j ~ Binomial(n, 1/k). Given the buckets, bucket j holds H_{B_j}
     // entries on average with variance H_{B_j} − H⁽²⁾_{B_j}, so a sketch
-    // holds k·E[H_B] on average (not k·H_{n/k}, which is 1% higher here).
+    // holds k·E[H_B] on average (not k·H_{n/k}, which is 1% higher here),
+    // and `util::harmonic` says so.
     // Its variance is E[Σ_j (H_{B_j} − H⁽²⁾_{B_j})] + Var(Σ_j H_{B_j}).
     // Multinomial counts are negatively associated and H is increasing,
     // so no two buckets' H_{B_j} covary positively, and the variance is
@@ -124,6 +120,11 @@ fn k_mins_and_k_partition_ads_sizes_match_lemma_2_2() {
     let (sketches, _) = kpartition::build_with_stats(&g, K, &hasher, 0).expect("k-partition build");
     let mean = sketches.iter().map(KPartitionAds::len).sum::<usize>() as f64 / (R * C) as f64;
     let expected = k * e_h;
+    let util = expected_kpartition_ads_size(C as u64, K);
+    assert!(
+        (util - expected).abs() <= 1e-12 * expected,
+        "util::harmonic expects {util} entries, k·E[H_B] = {expected}"
+    );
     let var = k * (e_h - e_h2 + e_hh - e_h * e_h);
     let tol = 3.0 * (var / runs).sqrt();
     assert!(
@@ -151,7 +152,7 @@ fn bottom_k_ads_sizes_and_hip_reachability_error_match_the_paper() {
     // one sketch's size has variance Σ_{i>k} (k/i)(1 − k/i). Counting
     // one draw per run, the mean over R runs is within 3 standard errors
     // of the expectation but for a 0.3% chance.
-    let expected = K as f64 + K as f64 * (harmonic(C) - harmonic(K));
+    let expected = K as f64 + K as f64 * (harmonic(C as u64) - harmonic(K as u64));
     let var: f64 = (K + 1..=C)
         .map(|i| K as f64 / i as f64 * (1.0 - K as f64 / i as f64))
         .sum();
@@ -216,20 +217,13 @@ fn bottom_k_hip_and_basic_nrmse_match_figure_2() {
     const K: usize = 10;
     const N: u64 = 2000;
     const RUNS: u64 = 1000;
-    let (mut hip, mut basic) = (Vec::new(), Vec::new());
-    for run in 0..RUNS {
-        let mut sim = StreamSim::new(K, 0xf162_0000 + run, None);
-        for _ in 0..N {
-            sim.step();
-        }
-        hip.push(sim.bottomk_hip());
-        basic.push(sim.bottomk_basic());
-    }
+    let [_, _, basic, hip, _] =
+        experiments::fig2(K, N, &[N], (0..RUNS).map(|run| 0xf162_0000 + run));
 
     // Theorem 5.1: the bottom-k HIP estimate has CV at most
     // 1/√(2(k−1)). The measured NRMSE stays below the bound times
     // 1 + 3 sampling errors but for a 0.3% chance.
-    let (got, rse) = nrmse(&hip, N as f64);
+    let (got, rse) = nrmse(&hip[0], N as f64);
     assert!(
         got <= cv_hip(K) * (1.0 + 3.0 * rse),
         "bottom-k HIP NRMSE {got:.4} over {RUNS} runs exceeds 1/√(2(k−1)) = {:.4} × (1 + 3·{rse:.4})",
@@ -240,7 +234,7 @@ fn bottom_k_hip_and_basic_nrmse_match_figure_2() {
     // n → ∞; at n its CV is that times √(1 − (k−1)/n), 0.2% lower here.
     // The measured NRMSE is within 3 sampling errors of the limit but
     // for a 0.3% chance.
-    let (got, rse) = nrmse(&basic, N as f64);
+    let (got, rse) = nrmse(&basic[0], N as f64);
     assert!(
         (got / cv_basic(K) - 1.0).abs() <= 3.0 * rse,
         "bottom-k basic NRMSE {got:.4} over {RUNS} runs is not 1/√(k−2) = {:.4} ± 3·{rse:.4}",
@@ -258,18 +252,8 @@ fn permutation_beats_hip_at_the_end_of_its_domain() {
     const N: u64 = 1000;
     const RUNS: u64 = 1000;
     const CHECKPOINTS: [u64; 3] = [N / 20, 2 * N / 5, N];
-    let mut hip = vec![Vec::new(); CHECKPOINTS.len()];
-    let mut perm = vec![Vec::new(); CHECKPOINTS.len()];
-    for run in 0..RUNS {
-        let mut sim = StreamSim::new(K, 0x5e54_0000 + run, Some(N));
-        for (c, &s) in CHECKPOINTS.iter().enumerate() {
-            while sim.processed() < s {
-                sim.step();
-            }
-            hip[c].push(sim.bottomk_hip());
-            perm[c].push(sim.permutation().expect("domain given"));
-        }
-    }
+    let [_, _, _, hip, perm] =
+        experiments::fig2(K, N, &CHECKPOINTS, (0..RUNS).map(|run| 0x5e54_0000 + run));
     for (c, &s) in CHECKPOINTS.iter().enumerate() {
         let (hip, hip_rse) = nrmse(&hip[c], s as f64);
         let (perm, perm_rse) = nrmse(&perm[c], s as f64);
@@ -307,15 +291,7 @@ fn base_b_hip_nrmse_matches_section_5_6() {
     const RUNS: u64 = 1000;
     for b in [2.0, std::f64::consts::SQRT_2] {
         let base = BaseB::new(b);
-        let estimates: Vec<f64> = (0..RUNS)
-            .map(|run| {
-                let mut sim = BaseBHipSim::new(K, base, 0xba5e_0000 + run);
-                for _ in 0..N {
-                    sim.step();
-                }
-                sim.estimate()
-            })
-            .collect();
+        let estimates = experiments::base_b(K, base, N, (0..RUNS).map(|run| 0xba5e_0000 + run));
         // Within 3 sampling errors of the analysis but for a 0.3% chance.
         let (got, rse) = nrmse(&estimates, N as f64);
         let want = ((1.0 + b) / (4.0 * (K - 1) as f64)).sqrt();
@@ -335,18 +311,9 @@ fn hip_on_the_hll_sketch_beats_hll_as_in_figure_3() {
     const K: usize = 16;
     const N: u64 = 5000;
     const RUNS: u64 = 1000;
-    let (mut hip, mut hll) = (Vec::new(), Vec::new());
-    for run in 0..RUNS {
-        let hasher = RankHasher::new(0xf163_0000 + run);
-        let mut counter = HipHll::new(K);
-        for e in 0..N {
-            counter.insert(&hasher, e);
-        }
-        hip.push(counter.estimate());
-        hll.push(counter.sketch().estimate());
-    }
-    let (hip, hip_rse) = nrmse(&hip, N as f64);
-    let (hll, hll_rse) = nrmse(&hll, N as f64);
+    let [_, hll, hip] = experiments::fig3(K, N, &[N], (0..RUNS).map(|run| 0xf163_0000 + run));
+    let (hip, hip_rse) = nrmse(&hip[0], N as f64);
+    let (hll, hll_rse) = nrmse(&hll[0], N as f64);
 
     // Within 3 sampling errors of the analysis but for a 0.3% chance.
     let want = (3.0 / (4.0 * (K - 1) as f64)).sqrt();
@@ -363,5 +330,72 @@ fn hip_on_the_hll_sketch_beats_hll_as_in_figure_3() {
         hip * (1.0 + 3.0 * hip_rse) <= hll * (1.0 - 3.0 * hll_rse),
         "HIP-on-HLL NRMSE {hip:.4} (± 3·{hip_rse:.4}) is not below HLL's {hll:.4} \
          (± 3·{hll_rse:.4}) at n = {N}"
+    );
+}
+
+#[test]
+fn morris_counter_nrmse_matches_section_7() {
+    // Section 7, after Flajolet: a Morris counter of base b has CV
+    // ≈ √((b−1)/2). Each add of Δ below one step s = (b−1)·b^x adds
+    // variance Δ(s − Δ) to the estimate, ≈ (b−1)n²/2 over a stream of
+    // total n, less ΣΔ² ≈ 5n for the experiment's increments 1…7. At
+    // n = 10⁴ that deficit is at most 6.4% of the variance (b = 1 + 2⁻⁶),
+    // 3.2% of the NRMSE, inside one of the sampling errors below.
+    const N: u64 = 10_000;
+    const RUNS: u64 = 1000;
+    for j in 0..=6 {
+        let b = 1.0 + 1.0 / (1u64 << j) as f64;
+        let estimates: Vec<f64> = experiments::morris(b, N, (0..RUNS).map(|run| 0x5ec7_0000 + run))
+            .iter()
+            .map(|c| c.estimate())
+            .collect();
+        // Within 3 sampling errors of the analysis but for a 0.3% chance.
+        let (got, rse) = nrmse(&estimates, N as f64);
+        let want = ((b - 1.0) / 2.0).sqrt();
+        assert!(
+            (got / want - 1.0).abs() <= 3.0 * rse,
+            "base-{b} Morris NRMSE {got:.4} over {RUNS} runs is not √((b−1)/2) = {want:.4} \
+             ± 3·{rse:.4}"
+        );
+    }
+}
+
+#[test]
+fn size_only_estimator_is_unbiased_and_weakest_as_in_section_8() {
+    // Section 8: the estimator that reads only the ADS size s,
+    // k(1 + 1/k)^{s−k+1} − 1, is unbiased, but it uses less of the
+    // sketch than the basic estimator, which uses less than HIP.
+    const K: usize = 16;
+    const N: usize = 1000;
+    const RUNS: u64 = 1000;
+    let [size, basic, hip] =
+        experiments::size_estimator(K, N, (0..RUNS).map(|run| 0x5e08_0000 + run));
+
+    // The mean relative error is within 3 standard errors of 0 but for a
+    // 0.3% chance.
+    let rel: Vec<f64> = size.iter().map(|e| e / N as f64 - 1.0).collect();
+    let runs = RUNS as f64;
+    let bias = rel.iter().sum::<f64>() / runs;
+    let se = (rel.iter().map(|r| (r - bias).powi(2)).sum::<f64>() / (runs - 1.0) / runs).sqrt();
+    assert!(
+        bias.abs() <= 3.0 * se,
+        "size-only mean relative error {bias:+.4} over {RUNS} runs exceeds ± 3·{se:.4}"
+    );
+
+    // Each NRMSE is above the next with both sampling errors against the
+    // inequality: each is off by at most 3 of its own sampling errors but
+    // for a 0.3% chance.
+    let (size, size_rse) = nrmse(&size, N as f64);
+    let (basic, basic_rse) = nrmse(&basic, N as f64);
+    let (hip, hip_rse) = nrmse(&hip, N as f64);
+    assert!(
+        size * (1.0 - 3.0 * size_rse) >= basic * (1.0 + 3.0 * basic_rse),
+        "size-only NRMSE {size:.4} (± 3·{size_rse:.4}) is not above basic {basic:.4} \
+         (± 3·{basic_rse:.4}) at n = {N}"
+    );
+    assert!(
+        basic * (1.0 - 3.0 * basic_rse) >= hip * (1.0 + 3.0 * hip_rse),
+        "basic NRMSE {basic:.4} (± 3·{basic_rse:.4}) is not above HIP {hip:.4} \
+         (± 3·{hip_rse:.4}) at n = {N}"
     );
 }
