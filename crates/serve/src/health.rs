@@ -1,40 +1,35 @@
 //! Per-endpoint health tracking for the router's replica sets: a
-//! lock-light circuit breaker shared by every router worker and the
-//! background prober.
+//! lock-free circuit breaker shared by every router worker and the
+//! background prober, with one clock, the router's `probe_interval`.
 //!
-//! Each `(shard, replica)` endpoint is in one of three states:
+//! Each `(shard, replica)` endpoint is in one of three tiers:
 //!
-//! * **Closed** — healthy; workers dial and send freely. Consecutive
-//!   failures escalate an exponentially growing, jittered cooldown
-//!   (`backoff_base`·2ⁱ capped at `backoff_cap`), during which the
-//!   endpoint is *cooling*: workers prefer other replicas but may still
-//!   fall back to it (a single-replica shard keeps its instant-recovery
-//!   behavior rather than stalling behind a timer).
-//! * **Open** — `failure_threshold` consecutive failures tripped the
-//!   circuit. Workers never dial an open endpoint; requests that find
-//!   every replica of a shard open fail fast with
-//!   [`crate::error::ServeError::ShardUnavailable`] instead of eating
-//!   connect timeouts on the hot path.
-//! * **Probing** — the half-open state. Once the cooldown expires, the
-//!   prober (only the prober) claims the endpoint with a CAS, pings it
-//!   with the `0x07 Health` frame, and either closes the circuit (the
-//!   replica answered *and* reported the node range the manifest assigns
-//!   it) or re-opens it with a longer cooldown.
+//! * **Available** — circuit closed, no cooldown: workers dial and send
+//!   freely.
+//! * **Cooling** — circuit closed, but a failed attempt in the last
+//!   interval cools the endpoint: workers prefer other replicas and fall
+//!   back to it only when no replica of the shard is available (a
+//!   single-replica shard is still dialed on demand).
+//! * **Open** — [`OPEN_AFTER`] consecutive failed attempts opened the
+//!   circuit, or the endpoint answered for a node range the manifest
+//!   does not assign it (it is *fenced*). Workers never dial an open
+//!   endpoint; a leg that finds every replica of its shard open fails
+//!   fast with [`crate::error::ServeError::ShardUnavailable`].
 //!
-//! Backoff jitter is deterministic — a [`SplitMix64`] stream seeded from
-//! the endpoint's `(shard, replica)` coordinates — so fault-injection
-//! tests can bound dial rates without a real entropy source, and a fleet
-//! of routers restarted together still de-synchronizes its reconnects.
+//! Only the prober closes a circuit. Once per interval it sends every
+//! endpoint `Health`: an answer with the manifest's range closes the
+//! circuit and clears the failures, an answer with another range fences
+//! the endpoint, and no answer changes nothing. So a dead endpoint sees
+//! at most one dial per interval once it is open, and a healed one
+//! rejoins at the next sweep.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use adsketch_util::rng::{Rng64, SplitMix64};
-
-const ST_CLOSED: u8 = 0;
-const ST_OPEN: u8 = 1;
-const ST_PROBING: u8 = 2;
+/// Consecutive failed attempts that open an endpoint's circuit. A leg
+/// makes up to 2 × `R` attempts over its shard's `R` replicas, so a
+/// single request can open a circuit.
+pub(crate) const OPEN_AFTER: u32 = 3;
 
 /// How a worker should treat an endpoint right now.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,58 +39,39 @@ pub(crate) enum Tier {
     /// Circuit closed but inside a post-failure cooldown: use only when
     /// no replica of the shard is `Available`.
     Cooling,
-    /// Circuit open (or mid-probe): never dialed by workers.
+    /// Circuit open: never dialed by workers.
     Open,
 }
 
+#[derive(Default)]
 struct Endpoint {
-    state: AtomicU8,
-    /// Consecutive failures since the last success.
+    open: AtomicBool,
+    /// Consecutive failed attempts since the last success.
     fails: AtomicU32,
     /// Cooldown expiry in milliseconds since the tracker started.
-    retry_at_ms: AtomicU64,
-    /// Deterministic per-endpoint jitter stream.
-    jitter: Mutex<SplitMix64>,
+    cool_until_ms: AtomicU64,
 }
 
 /// The shared health table: one [`Endpoint`] per `(shard, replica)`.
 pub(crate) struct HealthTracker {
     started: Instant,
+    cooldown_ms: u64,
     shards: Vec<Vec<Endpoint>>,
-    backoff_base: Duration,
-    backoff_cap: Duration,
-    failure_threshold: u32,
 }
 
 impl HealthTracker {
-    pub(crate) fn new(
-        replicas_per_shard: &[usize],
-        backoff_base: Duration,
-        backoff_cap: Duration,
-        failure_threshold: u32,
-    ) -> Self {
-        let shards = replicas_per_shard
-            .iter()
-            .enumerate()
-            .map(|(shard, &reps)| {
-                (0..reps)
-                    .map(|rep| Endpoint {
-                        state: AtomicU8::new(ST_CLOSED),
-                        fails: AtomicU32::new(0),
-                        retry_at_ms: AtomicU64::new(0),
-                        jitter: Mutex::new(SplitMix64::new(
-                            0x9E37_79B9_7F4A_7C15 ^ ((shard as u64) << 32 | rep as u64),
-                        )),
-                    })
-                    .collect()
-            })
-            .collect();
+    /// A table of closed circuits; a failed attempt cools its endpoint
+    /// for `cooldown`.
+    pub(crate) fn new(replicas_per_shard: &[usize], cooldown: Duration) -> Self {
         Self {
             started: Instant::now(),
-            shards,
-            backoff_base,
-            backoff_cap,
-            failure_threshold: failure_threshold.max(1),
+            cooldown_ms: u64::try_from(cooldown.as_millis())
+                .unwrap_or(u64::MAX)
+                .max(1),
+            shards: replicas_per_shard
+                .iter()
+                .map(|&reps| (0..reps).map(|_| Endpoint::default()).collect())
+                .collect(),
         }
     }
 
@@ -110,75 +86,51 @@ impl HealthTracker {
     /// How a worker should treat `(shard, rep)` right now.
     pub(crate) fn tier(&self, shard: usize, rep: usize) -> Tier {
         let ep = self.ep(shard, rep);
-        if ep.state.load(Ordering::SeqCst) != ST_CLOSED {
-            return Tier::Open;
-        }
-        if self.now_ms() < ep.retry_at_ms.load(Ordering::SeqCst) {
+        if ep.open.load(Ordering::SeqCst) {
+            Tier::Open
+        } else if self.now_ms() < ep.cool_until_ms.load(Ordering::SeqCst) {
             Tier::Cooling
         } else {
             Tier::Available
         }
     }
 
-    /// A successful exchange: close the circuit and clear the backoff.
+    /// A worker's successful exchange: clears the failures and the
+    /// cooldown. An open circuit stays open: only the prober closes it.
     pub(crate) fn record_success(&self, shard: usize, rep: usize) {
         let ep = self.ep(shard, rep);
-        // Cheap fast path: already pristine (the common case on every
-        // healthy response).
-        if ep.fails.load(Ordering::Relaxed) == 0 && ep.state.load(Ordering::Relaxed) == ST_CLOSED {
+        // Already pristine: the common case on every healthy response.
+        if ep.fails.load(Ordering::Relaxed) == 0 {
             return;
         }
         ep.fails.store(0, Ordering::SeqCst);
-        ep.retry_at_ms.store(0, Ordering::SeqCst);
-        ep.state.store(ST_CLOSED, Ordering::SeqCst);
+        ep.cool_until_ms.store(0, Ordering::SeqCst);
     }
 
-    /// A failed dial/exchange/probe: escalate the jittered cooldown and
-    /// open the circuit at the consecutive-failure threshold.
+    /// A failed attempt: cools the endpoint for one interval, and the
+    /// [`OPEN_AFTER`]-th consecutive one opens its circuit.
     pub(crate) fn record_failure(&self, shard: usize, rep: usize) {
         let ep = self.ep(shard, rep);
         let fails = ep.fails.fetch_add(1, Ordering::SeqCst) + 1;
-        let base = self.backoff_base.as_millis().max(1) as u64;
-        let cap = self.backoff_cap.as_millis().max(1) as u64;
-        let raw = base
-            .checked_shl((fails - 1).min(20))
-            .unwrap_or(u64::MAX)
-            .min(cap);
-        // Jitter into [0.75, 1.0) of the nominal cooldown.
-        let frac = {
-            let mut rng = ep.jitter.lock().expect("jitter lock");
-            (rng.next_u64() >> 40) as f64 / (1u64 << 24) as f64
-        };
-        let cooldown = ((raw as f64) * (0.75 + 0.25 * frac)) as u64;
-        ep.retry_at_ms
-            .store(self.now_ms() + cooldown.max(1), Ordering::SeqCst);
-        if fails >= self.failure_threshold {
-            ep.state.store(ST_OPEN, Ordering::SeqCst);
+        let until = self.now_ms().saturating_add(self.cooldown_ms);
+        ep.cool_until_ms.store(until, Ordering::SeqCst);
+        if fails >= OPEN_AFTER {
+            ep.open.store(true, Ordering::SeqCst);
         }
     }
 
-    /// Claims an open endpoint whose cooldown has expired for a
-    /// half-open probe. Only one caller can win the CAS, so the prober
-    /// sends exactly one ping per cooldown cycle.
-    pub(crate) fn take_probe(&self, shard: usize, rep: usize) -> bool {
+    /// Opens the circuit at once: the endpoint serves another shard.
+    pub(crate) fn fence(&self, shard: usize, rep: usize) {
+        self.ep(shard, rep).open.store(true, Ordering::SeqCst);
+    }
+
+    /// The prober's verdict on an endpoint that answered `Health` with
+    /// its manifest range: close the circuit, clear the failures.
+    pub(crate) fn close(&self, shard: usize, rep: usize) {
         let ep = self.ep(shard, rep);
-        if ep.state.load(Ordering::SeqCst) != ST_OPEN
-            || self.now_ms() < ep.retry_at_ms.load(Ordering::SeqCst)
-        {
-            return false;
-        }
-        ep.state
-            .compare_exchange(ST_OPEN, ST_PROBING, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-    }
-
-    /// Whether any circuit is currently open or probing (tells the
-    /// prober whether a round has anything to do).
-    pub(crate) fn any_open(&self) -> bool {
-        self.shards
-            .iter()
-            .flatten()
-            .any(|ep| ep.state.load(Ordering::SeqCst) != ST_CLOSED)
+        ep.fails.store(0, Ordering::SeqCst);
+        ep.cool_until_ms.store(0, Ordering::SeqCst);
+        ep.open.store(false, Ordering::SeqCst);
     }
 }
 
@@ -186,68 +138,54 @@ impl HealthTracker {
 mod tests {
     use super::*;
 
-    fn tracker(threshold: u32) -> HealthTracker {
-        HealthTracker::new(
-            &[2, 1],
-            Duration::from_millis(40),
-            Duration::from_millis(200),
-            threshold,
-        )
-    }
+    const COOLDOWN: Duration = Duration::from_millis(200);
 
     #[test]
-    fn threshold_opens_and_probe_claims_once() {
-        let t = tracker(3);
-        assert_eq!(t.tier(0, 0), Tier::Available);
-        t.record_failure(0, 0);
-        t.record_failure(0, 0);
-        assert_eq!(t.tier(0, 0), Tier::Cooling);
-        assert_eq!(t.tier(0, 1), Tier::Available);
-        assert!(!t.any_open());
-        t.record_failure(0, 0);
-        assert_eq!(t.tier(0, 0), Tier::Open);
-        assert!(t.any_open());
-        // Cooldown not expired yet: no probe.
-        assert!(!t.take_probe(0, 0));
-        std::thread::sleep(Duration::from_millis(250));
-        assert!(t.take_probe(0, 0));
-        // Probing: still off-limits to workers, and not claimable twice.
-        assert_eq!(t.tier(0, 0), Tier::Open);
-        assert!(!t.take_probe(0, 0));
-        t.record_success(0, 0);
-        assert_eq!(t.tier(0, 0), Tier::Available);
-        assert!(!t.any_open());
-    }
-
-    #[test]
-    fn failed_probe_reopens_with_longer_cooldown() {
-        let t = tracker(1);
-        t.record_failure(1, 0);
-        assert_eq!(t.tier(1, 0), Tier::Open);
-        let first = t.ep(1, 0).retry_at_ms.load(Ordering::SeqCst);
-        std::thread::sleep(Duration::from_millis(60));
-        assert!(t.take_probe(1, 0));
-        t.record_failure(1, 0);
-        assert_eq!(t.tier(1, 0), Tier::Open);
-        let second = t.ep(1, 0).retry_at_ms.load(Ordering::SeqCst);
-        // Escalated: the second cooldown expires later than the first.
-        assert!(second > first);
-    }
-
-    #[test]
-    fn backoff_is_capped_and_jitter_deterministic() {
-        let a = tracker(10);
-        let b = tracker(10);
-        for _ in 0..12 {
-            a.record_failure(0, 1);
-            b.record_failure(0, 1);
+    fn a_failure_cools_for_one_interval_without_doubling() {
+        let t = HealthTracker::new(&[2], COOLDOWN);
+        for _ in 0..OPEN_AFTER - 1 {
+            t.record_failure(0, 0);
+            assert_eq!(t.tier(0, 0), Tier::Cooling);
+            assert_eq!(t.tier(0, 1), Tier::Available);
+            // The second failure's cooldown is as long as the first's.
+            let until = t.ep(0, 0).cool_until_ms.load(Ordering::SeqCst);
+            let left = until.saturating_sub(t.now_ms());
+            assert!(left <= COOLDOWN.as_millis() as u64, "{left} ms");
+            std::thread::sleep(COOLDOWN + Duration::from_millis(20));
+            assert_eq!(t.tier(0, 0), Tier::Available);
         }
-        let ra = a.ep(0, 1).retry_at_ms.load(Ordering::SeqCst);
-        let rb = b.ep(0, 1).retry_at_ms.load(Ordering::SeqCst);
-        // Same endpoint coordinates ⇒ same jitter stream; cooldowns are
-        // capped at backoff_cap (200 ms here, within jitter).
-        let now_a = a.now_ms();
-        assert!(ra.saturating_sub(now_a) <= 200 + 5);
-        assert!(ra.abs_diff(rb) <= 5, "jitter must be deterministic");
+        t.record_success(0, 0);
+        t.record_failure(0, 0);
+        assert_eq!(t.tier(0, 0), Tier::Cooling, "a success resets the count");
+    }
+
+    #[test]
+    fn three_failures_open_and_only_the_prober_closes() {
+        let t = HealthTracker::new(&[1, 1], COOLDOWN);
+        for _ in 0..OPEN_AFTER {
+            t.record_failure(1, 0);
+        }
+        assert_eq!(t.tier(1, 0), Tier::Open);
+        assert_eq!(t.tier(0, 0), Tier::Available);
+        // No timer reopens the endpoint to workers, and a stray worker
+        // success does not close it.
+        std::thread::sleep(COOLDOWN + Duration::from_millis(20));
+        t.record_success(1, 0);
+        assert_eq!(t.tier(1, 0), Tier::Open);
+        t.close(1, 0);
+        assert_eq!(t.tier(1, 0), Tier::Available);
+        // Closing cleared the failures: one more only cools.
+        t.record_failure(1, 0);
+        assert_eq!(t.tier(1, 0), Tier::Cooling);
+    }
+
+    #[test]
+    fn a_fence_opens_at_once() {
+        let t = HealthTracker::new(&[2], COOLDOWN);
+        t.fence(0, 1);
+        assert_eq!(t.tier(0, 1), Tier::Open);
+        assert_eq!(t.tier(0, 0), Tier::Available);
+        t.close(0, 1);
+        assert_eq!(t.tier(0, 1), Tier::Available);
     }
 }

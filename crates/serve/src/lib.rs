@@ -35,8 +35,8 @@
 //! [`Router`] processes in front: the router partitions each client
 //! batch by the manifest's node-range table, scatters one leg per shard
 //! — round-robin across a shard's healthy replicas,
-//! with circuit-breaker health tracking, failover, and
-//! exponential-backoff reconnects — and merges in request order.
+//! with failover and a circuit breaker whose one clock is the health
+//! prober's sweep — and merges in request order.
 //! Failures stay typed and bounded: deadlines cap every attempt, a leg
 //! makes at most two attempts per replica of its shard, and a batch
 //! that needs a shard with no reachable replica

@@ -97,6 +97,38 @@ pub const ERR_SHARD_RANGE: u16 = 5;
 /// merge.
 pub const ERR_BACKEND: u16 = 6;
 
+/// Wire bytes per neighborhood-function curve point in a `Curves` answer:
+/// `u64` distance bits and `u64` value bits.
+pub(crate) const CURVE_POINT_BYTES: u64 = 16;
+/// Wire bytes per sketch-prefix entry in a `Sketches` answer: `u64` rank
+/// bits and a `u32` node id.
+pub(crate) const SKETCH_ENTRY_BYTES: u64 = 12;
+
+/// The body length of a row answer (`Curves`, `Sketches`) as a running
+/// total, `5 + Σ(4 + b·len)`: a type byte and the row count, then per row
+/// a length word and `b` bytes per entry.
+pub(crate) struct RowsFrame {
+    entry_bytes: u64,
+    bytes: u64,
+}
+
+impl RowsFrame {
+    /// An answer with no rows yet, at `entry_bytes` per entry.
+    pub(crate) fn new(entry_bytes: u64) -> Self {
+        Self {
+            entry_bytes,
+            bytes: 5,
+        }
+    }
+
+    /// Adds a row of `len` entries; `false` once the body outgrows
+    /// [`MAX_FRAME_LEN`].
+    pub(crate) fn push(&mut self, len: usize) -> bool {
+        self.bytes += 4 + self.entry_bytes * len as u64;
+        self.bytes <= MAX_FRAME_LEN as u64
+    }
+}
+
 const TYPE_HARMONIC: u8 = 0x01;
 const TYPE_DECAY: u8 = 0x02;
 const TYPE_CARDINALITY: u8 = 0x03;
@@ -596,6 +628,33 @@ mod tests {
     fn roundtrip_response(resp: Response) {
         let body = resp.encode();
         assert_eq!(Response::decode(&body).unwrap(), resp);
+    }
+
+    #[test]
+    fn rows_frame_counts_what_the_encoder_writes() {
+        let curves = vec![vec![(1.0, 2.0), (2.0, 3.5)], vec![], vec![(0.5, 1.0)]];
+        let sketches = vec![vec![(0.25, 3), (0.5, 1)], vec![], vec![(1.0, 7)]];
+        let cases = [
+            (
+                CURVE_POINT_BYTES,
+                curves.iter().map(Vec::len).collect::<Vec<_>>(),
+                Response::Curves(curves.clone()),
+            ),
+            (
+                SKETCH_ENTRY_BYTES,
+                sketches.iter().map(Vec::len).collect(),
+                Response::Sketches(sketches.clone()),
+            ),
+            (CURVE_POINT_BYTES, vec![], Response::Curves(vec![])),
+        ];
+        for (entry_bytes, lens, resp) in cases {
+            let mut frame = RowsFrame::new(entry_bytes);
+            assert!(lens.iter().all(|&len| frame.push(len)));
+            assert_eq!(frame.bytes, resp.encode().len() as u64, "{resp:?}");
+        }
+        // Past the frame limit the running total says so.
+        let mut frame = RowsFrame::new(CURVE_POINT_BYTES);
+        assert!(!frame.push(MAX_FRAME_LEN as usize / 16));
     }
 
     #[test]

@@ -67,13 +67,22 @@
 //! sends the leg to the next replica in line, and a leg to a shard of
 //! `R` replicas makes at most 2 × `R` attempts, whether it is one of
 //! many, carries a batch one shard owns, or re-fetches sketch prefixes.
+//! An attempt answered with [`ERR_SHARD_RANGE`] fails over the same way:
+//! the router sends a shard only the nodes the manifest assigns it, so
+//! that replica serves another shard, and it is fenced on the spot.
+//!
 //! A shared circuit breaker (the crate-internal `health` module) tracks
-//! every endpoint:
-//! consecutive failures escalate a jittered exponential cooldown and
-//! eventually open the endpoint's circuit, after which only the
-//! background prober (a cheap `0x07 Health` ping that also verifies the
-//! replica serves the shard range the manifest assigns it) may touch it.
-//! A request that finds **every** replica of a needed shard open fails
+//! every endpoint, and [`RouterConfig::probe_interval`] is its one clock.
+//! A failed attempt cools its endpoint for one interval (workers prefer
+//! other replicas meanwhile), and three consecutive failures open its
+//! circuit, after which no worker dials it. Only the background prober
+//! closes a circuit: once per interval it opens one fresh connection to
+//! every endpoint and pipelines `Health` then `GenInfo`. A `Health`
+//! answer with the manifest's range closes the circuit; one with another
+//! range fences the endpoint; no answer changes nothing. A dead endpoint
+//! therefore sees one dial per interval once it is open, a healed one
+//! rejoins at the next sweep, and a mis-wired one stays fenced. A
+//! request that finds **every** replica of a needed shard open fails
 //! fast — no connect timeouts on the hot path.
 //!
 //! # Failure semantics
@@ -91,22 +100,23 @@
 //!
 //! # Serving generation
 //!
-//! The background prober also polls every endpoint's `GenInfo` frame each
-//! interval and tracks the fleet's **serving generation**: the minimum
-//! generation reported across the endpoints that answered the poll. The
-//! router answers `GenInfo` from this number and tags every answer-cache
-//! key with it, so a [`crate::GenerationStore`] hot-swap behind the fleet
-//! retires the router's cached bits *by key construction*: the serving
-//! generation advances only once every polled endpoint reports the new
-//! generation, and generations only move forward (a replica rejoins the
-//! fleet at the current or a newer generation, never an older one), so a
-//! cached entry's bits always came from the generation its key names.
-//! Static frozen fleets never swap and report generation `0` forever,
-//! but still pay one fresh-connection `GenInfo` poll per endpoint per
-//! `probe_interval`. A backend whose workers are all held by router
-//! connections cannot answer that poll until one frees, because each
-//! connection holds a worker; until then the poll times out and the
-//! sweep skips the endpoint.
+//! The same sweep tracks the fleet's **serving generation**: the minimum
+//! `GenInfo` generation over the endpoints whose `Health` answer carried
+//! their manifest range in that sweep, so a fenced endpoint never votes.
+//! The router answers `GenInfo` from this number and tags every
+//! answer-cache key with it, so a [`crate::GenerationStore`] hot-swap
+//! behind the fleet retires the router's cached bits *by key
+//! construction*: the serving generation advances only once every
+//! answering endpoint reports the new generation, and generations only
+//! move forward (a replica rejoins the fleet at the current or a newer
+//! generation, never an older one), so a cached entry's bits always came
+//! from the generation its key names. Static frozen fleets never swap
+//! and report generation `0` forever, but still pay one fresh-connection
+//! sweep per endpoint per `probe_interval`. A backend whose workers are
+//! all held by router connections cannot answer the sweep until one
+//! frees, because each connection holds a worker; until then its
+//! exchange times out and changes nothing, so give each backend at least
+//! one worker more than the router has.
 
 use std::collections::{HashMap, HashSet};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
@@ -114,7 +124,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use adsketch_core::{thread_count, ShardManifest, ShardRecord};
+use adsketch_core::{thread_count, ShardManifest};
 use adsketch_graph::NodeId;
 use adsketch_minhash::{similarity, BottomKSketch};
 
@@ -123,7 +133,8 @@ use crate::client::Client;
 use crate::error::ServeError;
 use crate::health::{HealthTracker, Tier};
 use crate::proto::{
-    kernel_to_wire, Request, Response, ERR_BACKEND, ERR_RESPONSE_TOO_LARGE, MAX_FRAME_LEN,
+    kernel_to_wire, Request, Response, RowsFrame, CURVE_POINT_BYTES, ERR_BACKEND,
+    ERR_RESPONSE_TOO_LARGE, ERR_SHARD_RANGE, SKETCH_ENTRY_BYTES,
 };
 use crate::server::{nf_too_large, reject, serve_pool, sketches_too_large, ServerHandle, Wake};
 
@@ -142,29 +153,13 @@ pub struct RouterConfig {
     /// (per leg, and per prober ping); the read under way when it passes
     /// may finish first, within one more deadline. Default **2 s**.
     pub read_timeout: Duration,
-    /// First post-failure reconnect cooldown for an endpoint; doubles on
-    /// every consecutive failure (deterministic per-endpoint jitter in
-    /// `[0.75, 1.0)` of nominal) until [`RouterConfig::backoff_cap`].
-    /// Replaces immediate-reconnect hammering; a shard's *only* replica
-    /// is still dialed on demand during its cooldown so single-replica
-    /// recovery stays instant. Default **50 ms**.
-    pub backoff_base: Duration,
-    /// Ceiling on the per-endpoint reconnect cooldown, and therefore the
-    /// slowest rate at which a dead endpoint is probed. Default **2 s**.
-    pub backoff_cap: Duration,
-    /// Consecutive failures that open an endpoint's circuit. While open,
-    /// workers never dial the endpoint (only the background prober
-    /// does), and a request needing a shard whose replicas are *all*
-    /// open fails fast without any dial — so this bounds how long a dead
-    /// replica can keep eating `connect_timeout`s on the hot path.
-    /// A failed leg records up to 2 × `R` failures across its shard's
-    /// `R` endpoints, so a threshold at or below that can open a circuit
-    /// from a single request. Default **3**.
-    pub failure_threshold: u32,
-    /// Cadence of the background half-open prober that re-checks open
-    /// circuits (each probe is one `Health` ping, rate-limited further
-    /// by the endpoint's own cooldown). Shutdown does not wait out this
-    /// interval — the prober is condvar-nudged. Default **100 ms**.
+    /// The circuit breaker's one clock. The prober sweeps every
+    /// endpoint once per interval, a failed attempt cools its endpoint
+    /// for one interval, and an endpoint whose circuit opened is dialed
+    /// only by the sweep. So the interval is the cooldown, the dial rate
+    /// on a dead endpoint (one per interval) and the re-adoption latency
+    /// of a healed one (the next sweep). Shutdown does not wait it out:
+    /// the prober is condvar-nudged. Default **100 ms**.
     pub probe_interval: Duration,
     /// Byte budget for the router's **answer cache**: a sharded LRU over
     /// per-node float answers (harmonic, decay, cardinality, Jaccard)
@@ -184,9 +179,6 @@ impl Default for RouterConfig {
         Self {
             connect_timeout: Duration::from_secs(1),
             read_timeout: Duration::from_secs(2),
-            backoff_base: Duration::from_millis(50),
-            backoff_cap: Duration::from_secs(2),
-            failure_threshold: 3,
             probe_interval: Duration::from_millis(100),
             cache_bytes: 0,
         }
@@ -251,12 +243,7 @@ impl Router {
         }
         let listener = TcpListener::bind(addr)?;
         let sizes: Vec<usize> = replicas.iter().map(Vec::len).collect();
-        let health = HealthTracker::new(
-            &sizes,
-            config.backoff_base,
-            config.backoff_cap,
-            config.failure_threshold,
-        );
+        let health = HealthTracker::new(&sizes, config.probe_interval);
         let cache = AnswerCache::new(config.cache_bytes);
         Ok(Self {
             listener,
@@ -349,10 +336,13 @@ impl Router {
     }
 }
 
-/// The background half-open prober: wakes every `probe_interval` (or
-/// instantly on shutdown, via the condvar), refreshes the fleet's
-/// serving generation, then claims open endpoints whose cooldown expired
-/// and pings each with a `Health` frame.
+/// The background prober: wakes every `probe_interval` (or instantly on
+/// shutdown, via the condvar) and sweeps every endpoint with [`probe`].
+/// An endpoint that reports its manifest range is closed, and its
+/// generation votes on the fleet's serving generation; one that reports
+/// another range is fenced; one that does not answer is left as it is.
+/// The serving generation advances to the minimum vote (`fetch_max`, so
+/// it never regresses).
 fn prober_loop(
     manifest: &ShardManifest,
     replicas: &[Vec<SocketAddr>],
@@ -362,90 +352,50 @@ fn prober_loop(
     stop: &AtomicBool,
     wake: &Wake,
 ) {
-    loop {
-        if wake.wait_timeout(config.probe_interval) || stop.load(Ordering::SeqCst) {
-            return;
-        }
-        // Generation tracking runs every interval, independent of circuit
-        // state — a hot-swap must surface even when the whole fleet is
-        // healthy (which is exactly when swaps normally happen).
-        poll_serving_generation(replicas, config, serving_gen, stop);
-        if !health.any_open() {
-            continue;
-        }
-        for (shard, reps) in replicas.iter().enumerate() {
+    while !wake.wait_timeout(config.probe_interval) && !stop.load(Ordering::SeqCst) {
+        let mut fleet_min: Option<u64> = None;
+        for (shard, (reps, record)) in replicas.iter().zip(manifest.records()).enumerate() {
             for (rep, addr) in reps.iter().enumerate() {
                 if stop.load(Ordering::SeqCst) {
                     return;
                 }
-                if !health.take_probe(shard, rep) {
+                let Some((range, generation)) = probe(addr, config) else {
+                    continue;
+                };
+                if range != (record.start, record.end) {
+                    health.fence(shard, rep);
                     continue;
                 }
-                if probe(addr, &manifest.records()[shard], config) {
-                    health.record_success(shard, rep);
-                } else {
-                    health.record_failure(shard, rep);
+                health.close(shard, rep);
+                if let Some(g) = generation {
+                    fleet_min = Some(fleet_min.map_or(g, |m| m.min(g)));
                 }
             }
         }
-    }
-}
-
-/// One serving-generation sweep: ask every endpoint for its `GenInfo`
-/// and advance `serving_gen` to the **minimum** generation the answering
-/// endpoints report. Unanswered polls (endpoint down) don't hold the
-/// fleet back — a replica rejoins at the current or a newer generation —
-/// and the advance is monotone (`fetch_max`), so the number can never
-/// regress even across interleaved sweeps.
-fn poll_serving_generation(
-    replicas: &[Vec<SocketAddr>],
-    config: &RouterConfig,
-    serving_gen: &AtomicU64,
-    stop: &AtomicBool,
-) {
-    let mut fleet_min: Option<u64> = None;
-    for reps in replicas {
-        for addr in reps {
-            if stop.load(Ordering::SeqCst) {
-                return;
-            }
-            if let Some(g) = poll_generation(addr, config) {
-                fleet_min = Some(fleet_min.map_or(g, |m| m.min(g)));
-            }
+        if let Some(g) = fleet_min {
+            serving_gen.fetch_max(g, Ordering::SeqCst);
         }
     }
-    if let Some(g) = fleet_min {
-        serving_gen.fetch_max(g, Ordering::SeqCst);
-    }
 }
 
-/// One bounded `GenInfo` poll against one endpoint; `None` if the
-/// endpoint is unreachable or misbehaves (the sweep just skips it).
-fn poll_generation(addr: &SocketAddr, config: &RouterConfig) -> Option<u64> {
-    match probe_exchange(addr, &Request::GenInfo, config)? {
-        Response::GenInfo { generation } => Some(generation),
-        _ => None,
-    }
-}
-
-/// One half-open probe: connect, handshake, `Health` ping. The endpoint
-/// only closes its circuit if it is reachable *and* reports the node
-/// range the manifest assigns its shard — a replica wired to the wrong
-/// shard stays fenced off instead of serving wrong-shard errors.
-fn probe(addr: &SocketAddr, record: &ShardRecord, config: &RouterConfig) -> bool {
-    matches!(
-        probe_exchange(addr, &Request::Health, config),
-        Some(Response::Health { start, end }) if start == record.start && end == record.end
-    )
-}
-
-/// One prober request on a fresh connection, bounded like a leg: the
-/// connect by `connect_timeout`, the whole reply frame by
-/// `read_timeout`. `None` on any failure.
-fn probe_exchange(addr: &SocketAddr, req: &Request, config: &RouterConfig) -> Option<Response> {
+/// One endpoint's sweep exchange: a fresh connection carrying `Health`
+/// then `GenInfo`, pipelined, bounded like a leg (the connect by
+/// `connect_timeout`, each reply frame by `read_timeout`). The range the
+/// `Health` answer reports and the generation, if that reply came too;
+/// `None` when no `Health` answer came.
+fn probe(addr: &SocketAddr, config: &RouterConfig) -> Option<((u64, u64), Option<u64>)> {
     let mut client = Client::connect_timeout(addr, config.connect_timeout).ok()?;
     client.set_read_timeout(Some(config.read_timeout)).ok()?;
-    client.request(req).ok()
+    client.send(&Request::Health).ok()?;
+    client.send(&Request::GenInfo).ok()?;
+    let Ok(Response::Health { start, end }) = client.recv() else {
+        return None;
+    };
+    let generation = match client.recv() {
+        Ok(Response::GenInfo { generation }) => Some(generation),
+        _ => None,
+    };
+    Some(((start, end), generation))
 }
 
 /// One sub-request of a scatter: the target shard plus the request to
@@ -551,8 +501,9 @@ impl Fleet {
     }
 
     /// The attempt loop of one leg, whose first attempt the scatter sent:
-    /// read one whole response frame; on a failure, fail the endpoint and
-    /// send to the replica [`Fleet::pick`] gives next, until
+    /// read one whole response frame; on a failure, fail the endpoint (or
+    /// fence it, on an [`ERR_SHARD_RANGE`] answer) and send to the replica
+    /// [`Fleet::pick`] gives next, until
     /// [`LEG_PASSES`] × `R` attempts are spent. A leg that finds every
     /// circuit open is [`ServeError::ShardUnavailable`], with no dial; any
     /// other failed leg is [`ServeError::Backend`] with the last error.
@@ -569,10 +520,28 @@ impl Fleet {
             };
             let res = sent.and_then(|rep| {
                 let conn = self.conns[shard][rep].as_mut();
-                conn.expect("a sent attempt holds its connection")
-                    .recv()
-                    .inspect(|_| self.health.record_success(shard, rep))
-                    .inspect_err(|_| self.fail(shard, rep))
+                match conn.expect("a sent attempt holds its connection").recv() {
+                    // This replica serves another shard: fence it.
+                    Ok(Response::Error {
+                        code: ERR_SHARD_RANGE,
+                        message,
+                    }) => {
+                        self.health.fence(shard, rep);
+                        self.conns[shard][rep] = None;
+                        Err(ServeError::Remote {
+                            code: ERR_SHARD_RANGE,
+                            message,
+                        })
+                    }
+                    Ok(resp) => {
+                        self.health.record_success(shard, rep);
+                        Ok(resp)
+                    }
+                    Err(e) => {
+                        self.fail(shard, rep);
+                        Err(e)
+                    }
+                }
             });
             match res {
                 Ok(resp) => return Ok(resp),
@@ -746,7 +715,7 @@ impl Fleet {
                 count,
                 &parts,
                 results,
-                16,
+                CURVE_POINT_BYTES,
                 nf_too_large,
                 |resp| match resp {
                     Response::Curves(cs) => Ok(cs),
@@ -758,7 +727,7 @@ impl Fleet {
                 count,
                 &parts,
                 results,
-                12,
+                SKETCH_ENTRY_BYTES,
                 sketches_too_large,
                 |resp| match resp {
                     Response::Sketches(ss) => Ok(ss),
@@ -989,13 +958,9 @@ fn merge_rows<T>(
         return Ok(too_large(count));
     }
     let merged = merge((0..count).map(|_| None).collect(), parts, results, unpack)?;
-    // The merged frame obeys the bound each backend enforced on its leg:
-    // type byte and row count, then a length word per row.
-    let size = 5 + merged
-        .iter()
-        .map(|row| 4 + entry_bytes * row.len() as u64)
-        .sum::<u64>();
-    if size > MAX_FRAME_LEN as u64 {
+    // The merged frame obeys the bound each backend enforced on its leg.
+    let mut frame = RowsFrame::new(entry_bytes);
+    if !merged.iter().all(|row| frame.push(row.len())) {
         return Ok(too_large(count));
     }
     Ok(wrap(merged))
@@ -1036,24 +1001,27 @@ mod tests {
     /// read timeout below, so only a whole-frame deadline can fire.
     const DRIP: Duration = Duration::from_millis(80);
 
-    /// A one-connection endpoint that accepts the handshake, reads one
-    /// request and answers `reply` one byte per [`DRIP`].
-    fn dripping_endpoint(reply: Response) -> (SocketAddr, JoinHandle<()>) {
+    /// A one-connection endpoint that accepts the handshake, reads the
+    /// sweep's two requests and answers `replies` one byte per [`DRIP`].
+    fn dripping_endpoint(replies: Vec<Response>) -> (SocketAddr, JoinHandle<()>) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
         let join = std::thread::spawn(move || {
             let Ok((mut conn, _)) = listener.accept() else {
                 return;
             };
-            let mut frame = Vec::new();
-            write_frame(&mut frame, &reply.encode()).expect("encode");
+            let mut frames = Vec::new();
+            for reply in &replies {
+                write_frame(&mut frames, &reply.encode()).expect("encode");
+            }
             let mut accept = [1u8; 5];
             accept[1..].copy_from_slice(&WIRE_VERSION.to_le_bytes());
-            let mut buf = [0u8; 64];
+            // The handshake, then two empty-bodied request frames.
+            let mut buf = [0u8; 12 + 2 * 5];
             let _ = conn.read_exact(&mut buf[..12]);
             let _ = conn.write_all(&accept);
-            let _ = conn.read(&mut buf);
-            for byte in frame {
+            let _ = conn.read_exact(&mut buf[12..]);
+            for byte in frames {
                 std::thread::sleep(DRIP);
                 if conn.write_all(&[byte]).is_err() {
                     return;
@@ -1064,7 +1032,7 @@ mod tests {
     }
 
     #[test]
-    fn prober_reads_give_up_on_a_dripping_endpoint_within_one_read_timeout() {
+    fn probe_reads_give_up_on_a_dripping_endpoint_within_one_read_timeout() {
         let config = RouterConfig {
             read_timeout: Duration::from_millis(250),
             ..RouterConfig::default()
@@ -1072,28 +1040,23 @@ mod tests {
         // A 21-byte Health frame and a 13-byte GenInfo frame take 1.7 s
         // and 1.0 s to drip, though no single read waits longer than
         // 80 ms.
-        let record = ShardRecord {
-            start: 0,
-            end: 10,
-            entries: 0,
-            digest: 0,
-        };
-        let (addr, join) = dripping_endpoint(Response::Health { start: 0, end: 10 });
+        let replies = vec![
+            Response::Health { start: 0, end: 10 },
+            Response::GenInfo { generation: 3 },
+        ];
+        let (addr, join) = dripping_endpoint(replies.clone());
         let t0 = Instant::now();
-        assert!(!probe(&addr, &record, &config));
+        assert_eq!(probe(&addr, &config), None);
         assert!(t0.elapsed() < 2 * config.read_timeout, "{:?}", t0.elapsed());
         join.join().expect("drip thread");
 
-        let (addr, join) = dripping_endpoint(Response::GenInfo { generation: 3 });
-        let t0 = Instant::now();
-        assert_eq!(poll_generation(&addr, &config), None);
-        assert!(t0.elapsed() < 2 * config.read_timeout, "{:?}", t0.elapsed());
-        join.join().expect("drip thread");
-
-        // Control: given time for the whole frame, the same endpoint
-        // answers.
-        let (addr, join) = dripping_endpoint(Response::GenInfo { generation: 3 });
-        assert_eq!(poll_generation(&addr, &RouterConfig::default()), Some(3));
+        // Control: given time for each whole frame, the same endpoint
+        // answers both.
+        let (addr, join) = dripping_endpoint(replies);
+        assert_eq!(
+            probe(&addr, &RouterConfig::default()),
+            Some(((0, 10), Some(3)))
+        );
         join.join().expect("drip thread");
     }
 

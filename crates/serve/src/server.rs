@@ -54,8 +54,9 @@ use adsketch_graph::NodeId;
 
 use crate::error::ServeError;
 use crate::proto::{
-    read_frame, write_frame, Request, Response, ERR_MALFORMED, ERR_NODE_RANGE,
-    ERR_RESPONSE_TOO_LARGE, ERR_SHARD_RANGE, MAX_FRAME_LEN, WIRE_MAGIC, WIRE_VERSION,
+    read_frame, write_frame, Request, Response, RowsFrame, CURVE_POINT_BYTES, ERR_MALFORMED,
+    ERR_NODE_RANGE, ERR_RESPONSE_TOO_LARGE, ERR_SHARD_RANGE, MAX_FRAME_LEN, SKETCH_ENTRY_BYTES,
+    WIRE_MAGIC, WIRE_VERSION,
 };
 use crate::store::ShardedStore;
 
@@ -155,14 +156,16 @@ impl Wake {
         self.cv.notify_all();
     }
 
-    /// Sleeps up to `timeout` or until [`Wake::notify`]; returns whether
-    /// the signal has stopped. The predicate lives under the mutex, so a
-    /// notify can never slip between the check and the park.
+    /// Sleeps `timeout` or until [`Wake::notify`], whichever comes first
+    /// (a spurious wakeup sleeps on); returns whether the signal has
+    /// stopped. The predicate lives under the mutex, so a notify can
+    /// never slip between the check and the park.
     pub(crate) fn wait_timeout(&self, timeout: Duration) -> bool {
-        let mut stopped = self.stopped.lock().expect("wake lock");
-        if !*stopped {
-            stopped = self.cv.wait_timeout(stopped, timeout).expect("wake wait").0;
-        }
+        let stopped = self.stopped.lock().expect("wake lock");
+        let (stopped, _) = self
+            .cv
+            .wait_timeout_while(stopped, timeout, |stopped| !*stopped)
+            .expect("wake wait");
         *stopped
     }
 }
@@ -601,13 +604,11 @@ pub(crate) fn nf_too_large(batch: usize) -> Response {
 /// with an error frame the moment the response could no longer fit one
 /// frame.
 fn neighborhood_function_bounded<S: AdsView>(store: &S, nodes: &[NodeId]) -> Response {
-    // type byte + curve count, then per curve 4 + 16·len bytes.
-    let mut size = 5u64;
+    let mut frame = RowsFrame::new(CURVE_POINT_BYTES);
     let mut curves = Vec::with_capacity(nodes.len().min(1 << 16));
     for &v in nodes {
         let curve = store.row(v).hip().neighborhood_function();
-        size += 4 + 16 * curve.len() as u64;
-        if size > MAX_FRAME_LEN as u64 {
+        if !frame.push(curve.len()) {
             return nf_too_large(nodes.len());
         }
         curves.push(curve);
@@ -633,15 +634,13 @@ pub(crate) fn sketches_too_large(batch: usize) -> Response {
 /// same `(v, d)` — the property the router's cross-shard Jaccard replay
 /// relies on.
 fn sketch_prefix_bounded<S: AdsView>(store: &S, d: f64, nodes: &[NodeId]) -> Response {
-    // type byte + sequence count, then per sequence 4 + 12·len bytes.
-    let mut size = 5u64;
+    let mut frame = RowsFrame::new(SKETCH_ENTRY_BYTES);
     let mut seqs = Vec::with_capacity(nodes.len().min(1 << 16));
     for &v in nodes {
         let row = store.row(v);
         let cut = row.size_at(d);
         let seq: Vec<(f64, NodeId)> = (0..cut).map(|i| (row.rank(i), row.nodes[i])).collect();
-        size += 4 + 12 * seq.len() as u64;
-        if size > MAX_FRAME_LEN as u64 {
+        if !frame.push(seq.len()) {
             return sketches_too_large(nodes.len());
         }
         seqs.push(seq);

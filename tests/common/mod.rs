@@ -19,17 +19,17 @@ use adsketch::serve::{
     BackendStore, CacheStatsHandle, Client, Router, RouterConfig, ServeError, ServerHandle,
 };
 
-/// Tight deadlines so fault scenarios resolve in test time. The failure
-/// threshold is high enough that single-replica fault tests never open
-/// the circuit — recovery must be instant once the backend heals, not
-/// gated on the background prober.
+/// Tight deadlines and a 25 ms probe interval, so fault scenarios
+/// resolve in test time under the breaker production runs: a failed
+/// attempt cools its endpoint for one interval, three in a row open its
+/// circuit, and the next sweep re-adopts a healed replica. A shard's
+/// only replica is dialed again as soon as it heals: a cooling endpoint
+/// is still its leg's fallback, and one leg's two attempts on it do not
+/// open it.
 pub fn fast_config() -> RouterConfig {
     RouterConfig {
         connect_timeout: Duration::from_millis(250),
         read_timeout: Duration::from_millis(400),
-        failure_threshold: 25,
-        backoff_base: Duration::from_millis(10),
-        backoff_cap: Duration::from_millis(100),
         probe_interval: Duration::from_millis(25),
         cache_bytes: 0,
     }
@@ -172,8 +172,10 @@ pub struct ReplicaSlot {
 }
 
 /// A full distributed-tier fixture: `shards × replicas` in-process
-/// backends plus a router, with per-replica kill/restart. Tears the
-/// whole fleet down and wipes the scratch dir on drop.
+/// backends plus a router, with per-replica kill/restart. Each backend
+/// has one worker more than the router, so the router's standing
+/// connections never starve the prober's sweep. Tears the whole fleet
+/// down and wipes the scratch dir on drop.
 pub struct ReplicaFleet {
     /// The router's client-facing address.
     pub addr: SocketAddr,
@@ -205,7 +207,7 @@ impl ReplicaFleet {
         for shard in 0..shards {
             let mut reps = Vec::with_capacity(replicas);
             for _ in 0..replicas {
-                let (addr, handle, join) = spawn_backend_at(&scratch.0, shard, any, workers);
+                let (addr, handle, join) = spawn_backend_at(&scratch.0, shard, any, workers + 1);
                 reps.push(ReplicaSlot {
                     addr,
                     handle,
@@ -252,7 +254,7 @@ impl ReplicaFleet {
             self.slots[shard][rep].join.is_none(),
             "replica {shard}/{rep} is still running"
         );
-        let (got, handle, join) = spawn_backend_at(&self.scratch.0, shard, addr, self.workers);
+        let (got, handle, join) = spawn_backend_at(&self.scratch.0, shard, addr, self.workers + 1);
         assert_eq!(got, addr, "restarted replica must keep its address");
         self.slots[shard][rep] = ReplicaSlot {
             addr,
@@ -390,12 +392,16 @@ pub const DRIP_INTERVAL: Duration = Duration::from_millis(20);
 /// switched at runtime. Switching also severs standing connections —
 /// mid-frame, if a frame is in flight — so the router notices
 /// immediately; this is how "the backend died and came back" is
-/// simulated on one stable address without racing TIME_WAIT.
+/// simulated on one stable address without racing TIME_WAIT. In
+/// [`HEALTHY`] and [`DRIP`] mode it notes each relayed connection's first
+/// request type, which tells the prober's sweeps (`Health` first) from
+/// router workers' dials.
 pub struct FlakyProxy {
     pub addr: SocketAddr,
     mode: Arc<AtomicU8>,
     stop: Arc<AtomicBool>,
     live: Arc<Mutex<Vec<TcpStream>>>,
+    firsts: Arc<Mutex<Vec<u8>>>,
     join: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -406,17 +412,33 @@ impl FlakyProxy {
         let mode = Arc::new(AtomicU8::new(HEALTHY));
         let stop = Arc::new(AtomicBool::new(false));
         let live: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
+        let firsts: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
         let join = {
-            let (mode, stop, live) = (Arc::clone(&mode), Arc::clone(&stop), Arc::clone(&live));
-            std::thread::spawn(move || proxy_loop(listener, upstream, &mode, &stop, &live))
+            let (mode, stop, live, firsts) = (
+                Arc::clone(&mode),
+                Arc::clone(&stop),
+                Arc::clone(&live),
+                Arc::clone(&firsts),
+            );
+            std::thread::spawn(move || proxy_loop(listener, upstream, &mode, &stop, &live, &firsts))
         };
         Self {
             addr,
             mode,
             stop,
             live,
+            firsts,
             join: Some(join),
         }
+    }
+
+    /// How many relayed connections opened with a request of type
+    /// `ty` (the first byte of `Request::encode`) and how many with
+    /// any other type.
+    pub fn first_requests(&self, ty: u8) -> (usize, usize) {
+        let firsts = self.firsts.lock().expect("first requests");
+        let hits = firsts.iter().filter(|&&t| t == ty).count();
+        (hits, firsts.len() - hits)
     }
 
     pub fn set_mode(&self, mode: u8) {
@@ -464,12 +486,38 @@ fn drip(up: &mut TcpStream, client: &mut TcpStream) {
     }
 }
 
+/// Copies the client's bytes upstream like `std::io::copy`, noting the
+/// type byte of the first request frame (after the 12-byte hello and the
+/// 4-byte length) in `firsts`.
+fn relay_requests(client: &mut TcpStream, up: &mut TcpStream, firsts: &Mutex<Vec<u8>>) {
+    const FIRST_TYPE_AT: usize = 16;
+    let mut buf = [0u8; 4096];
+    let mut seen = 0usize;
+    loop {
+        let n = match client.read(&mut buf) {
+            Ok(0) => return,
+            Ok(n) => n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(_) => return,
+        };
+        if seen <= FIRST_TYPE_AT && seen + n > FIRST_TYPE_AT {
+            let ty = buf[FIRST_TYPE_AT - seen];
+            firsts.lock().expect("first requests").push(ty);
+        }
+        seen += n;
+        if up.write_all(&buf[..n]).is_err() {
+            return;
+        }
+    }
+}
+
 fn proxy_loop(
     listener: TcpListener,
     upstream: SocketAddr,
     mode: &AtomicU8,
     stop: &AtomicBool,
     live: &Mutex<Vec<TcpStream>>,
+    firsts: &Arc<Mutex<Vec<u8>>>,
 ) {
     for conn in listener.incoming() {
         if stop.load(Ordering::SeqCst) {
@@ -491,10 +539,11 @@ fn proxy_loop(
                 let (Ok(mut c2), Ok(mut u2)) = (client.try_clone(), up.try_clone()) else {
                     continue;
                 };
+                let firsts = Arc::clone(firsts);
                 std::thread::spawn(move || {
                     let mut client = client;
                     let mut up = up;
-                    let _ = std::io::copy(&mut client, &mut up);
+                    relay_requests(&mut client, &mut up, &firsts);
                     let _ = up.shutdown(std::net::Shutdown::Both);
                 });
                 std::thread::spawn(move || {

@@ -12,12 +12,15 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use adsketch::core::{AdsSet, QueryEngine, StoreFormat};
+use adsketch::core::{freeze_sharded, AdsSet, QueryEngine, StoreFormat};
 use adsketch::graph::{generators, Graph, NodeId};
 use adsketch::ingest::{current_generation, Freezer, Ingestor};
 use adsketch::serve::{Client, GenerationStore, Request, Response, Server, ShardedStore};
 
-use common::{assert_routed_equals_local, fast_path_config, spawn_router_with_stats, Scratch};
+use common::{
+    assert_routed_equals_local, fast_config, fast_path_config, spawn_backend_at, spawn_router,
+    spawn_router_with_stats, Scratch,
+};
 
 /// One rank seed everywhere: the ingestor's incremental sketches and the
 /// from-scratch oracles must hash identically for bitwise comparison.
@@ -280,6 +283,85 @@ fn router_answer_cache_never_replays_old_generation_bits() {
         .join()
         .expect("backend thread")
         .expect("backend run");
+}
+
+/// A 1-shard fleet holds a hot-swapping backend and, by mistake, a static
+/// backend of another shard layout (it serves half the nodes and reports
+/// generation 0). The sweep fences the mis-wired endpoint, so only the
+/// hot-swapping backend votes on the serving generation, which reaches
+/// the swapped-in generation 2.
+#[test]
+fn a_fenced_endpoint_does_not_vote_on_the_serving_generation() {
+    let (n, k) = (80usize, 5usize);
+    let edges = edge_stream(n);
+    let cut = edges.len() / 2;
+    let scratch = Scratch::new("dyn_fenced_vote");
+    let ingestor = Mutex::new(
+        Ingestor::open(scratch.0.join("log"), n, k, SEED, 1 << 14).expect("open ingestor"),
+    );
+    let mut freezer = Freezer::new(scratch.0.join("store"), 1, StoreFormat::V1).expect("freezer");
+    ingest(&ingestor, &edges[..cut]);
+    let gen1 = freezer.freeze(&ingestor).expect("freeze gen 1");
+    ingest(&ingestor, &edges[cut..]);
+    let gen2 = freezer.freeze(&ingestor).expect("freeze gen 2");
+    let e2 = QueryEngine::new(&ShardedStore::load(&gen2.dir).expect("load 2")).harmonic_all();
+
+    let store = Arc::new(GenerationStore::new(
+        ShardedStore::load(&gen1.dir).expect("load gen 1"),
+        1,
+    ));
+    let backend = Server::bind("127.0.0.1:0", Arc::clone(&store), 2).expect("bind backend");
+    let backend_addr = backend.local_addr().expect("backend addr");
+    let backend_handle = backend.handle();
+    let backend_join = std::thread::spawn(move || backend.run());
+    // Shard 0 of a two-shard layout of generation 1: nodes 0..n/2 only.
+    let halves = scratch.0.join("halves");
+    freeze_sharded(&oracle(n, k, &edges[..cut]), 2, &halves).expect("freeze_sharded");
+    let (wrong_addr, wrong_handle, wrong_join) =
+        spawn_backend_at(&halves, 0, "127.0.0.1:0".parse().expect("loopback"), 2);
+    let (addr, router_handle, router_join) = spawn_router(
+        &gen1.dir,
+        vec![vec![backend_addr, wrong_addr]],
+        1,
+        fast_config(),
+    );
+
+    let mut client = Client::connect(addr).expect("connect");
+    assert_eq!(
+        store.swap(ShardedStore::load(&gen2.dir).expect("load 2"), 2),
+        1
+    );
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        if client.gen_info().expect("router gen info") == 2 {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the serving generation never reached 2"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    // The sweep that counted generation 2 fenced the mis-wired replica:
+    // every batch is generation 2's, bit for bit.
+    let nodes: Vec<NodeId> = (0..n as NodeId).collect();
+    for _ in 0..4 {
+        assert_eq!(client.harmonic(&nodes).expect("post-swap"), e2);
+        assert_eq!(
+            client.harmonic(&nodes[..n / 4]).expect("shard-0 half"),
+            e2[..n / 4]
+        );
+    }
+
+    router_handle.shutdown();
+    router_join
+        .join()
+        .expect("router thread")
+        .expect("router run");
+    for (h, j) in [(backend_handle, backend_join), (wrong_handle, wrong_join)] {
+        h.shutdown();
+        j.join().expect("backend thread").expect("backend run");
+    }
 }
 
 /// A crash after freezing generation 1 but before freezing the edges

@@ -22,7 +22,10 @@
 //! each from its own fixed seed, and the truth is the count streamed so
 //! far.
 
+use std::sync::OnceLock;
+
 use adsketch::core::builder::{kmins, kpartition};
+use adsketch::core::centrality::{self, DecayKernel};
 use adsketch::core::kmins::KMinsAds;
 use adsketch::core::kpartition::KPartitionAds;
 use adsketch::core::{AdsSet, FrozenAdsSet, StoreFormat};
@@ -65,6 +68,17 @@ fn through_the_files(g: &Graph) -> FrozenAdsSet {
     assert_eq!(loaded.format_version(), 2);
     assert_eq!(loaded, built, "v1 → v2 → load is bitwise lossless");
     loaded
+}
+
+/// [`components`] and its sketches [`through_the_files`], made once for
+/// every test that reads both.
+fn sketched() -> &'static (Graph, FrozenAdsSet) {
+    static SKETCHED: OnceLock<(Graph, FrozenAdsSet)> = OnceLock::new();
+    SKETCHED.get_or_init(|| {
+        let g = components();
+        let store = through_the_files(&g);
+        (g, store)
+    })
 }
 
 /// `H⁽²⁾_n = Σ_{i ≤ n} 1/i²`.
@@ -135,13 +149,12 @@ fn k_mins_and_k_partition_ads_sizes_match_lemma_2_2() {
 
 #[test]
 fn bottom_k_ads_sizes_and_hip_reachability_error_match_the_paper() {
-    let g = components();
-    let store = through_the_files(&g);
+    let (g, store) = sketched();
 
     // Exact truth: a BA graph is connected, so every node of a component
     // reaches exactly its component.
     let truth: Vec<u64> = (0..R)
-        .map(|j| exact::neighborhood_function(&g, (j * C) as NodeId).reachable())
+        .map(|j| exact::neighborhood_function(g, (j * C) as NodeId).reachable())
         .collect();
     assert!(truth.iter().all(|&t| t == C as u64), "{truth:?}");
 
@@ -192,6 +205,86 @@ fn bottom_k_ads_sizes_and_hip_reachability_error_match_the_paper() {
     assert!(
         bias.abs() <= tol,
         "HIP reachability mean relative error {bias:+.4} over {R} runs exceeds ±{tol:.4}"
+    );
+}
+
+#[test]
+fn closeness_centrality_cv_matches_corollary_5_2() {
+    let (g, store) = sketched();
+    // One probe per run: each component's last-arrived node, a leaf
+    // whose distance order spans the whole component.
+    let probes: Vec<NodeId> = (0..R).map(|j| (j * C + C - 1) as NodeId).collect();
+    let exact_of = |kernel: DecayKernel, beta: &dyn Fn(NodeId) -> f64| -> Vec<f64> {
+        probes
+            .iter()
+            .map(|&v| exact::centrality_exact(g, v, |d| kernel.eval(d), beta))
+            .collect()
+    };
+
+    // Corollary 5.2: for a non-increasing kernel α, the HIP estimate of
+    // C_α(v) = Σ_j α(d_vj) has CV at most 1/√(2(k−1)). As for Theorem
+    // 5.1, the NRMSE over R runs stays below the bound times 1 + 3 of
+    // its sampling errors (measured from the runs) but for a 0.3% chance.
+    for kernel in [
+        DecayKernel::Harmonic,
+        DecayKernel::Exponential { base: 2.0 },
+    ] {
+        let truth = exact_of(kernel, &|_| 1.0);
+        let ratios: Vec<f64> = probes
+            .iter()
+            .zip(&truth)
+            .map(|(&v, t)| centrality::decay(store.hip(v), kernel) / t)
+            .collect();
+        let (got, rse) = nrmse(&ratios, 1.0);
+        assert!(
+            got <= cv_hip(K) * (1.0 + 3.0 * rse),
+            "{kernel:?} closeness NRMSE {got:.4} over {R} runs exceeds 1/√(2(k−1)) = {:.4} \
+             × (1 + 3·{rse:.4})",
+            cv_hip(K)
+        );
+    }
+
+    // A β filter chosen after sketching: half the nodes, by a hash the
+    // ranks never saw. HIP weights are uncorrelated, and the weight of
+    // the i-th entry in distance order has variance at most (i−k)/(k−1),
+    // so with g = α·β the estimate of C_{α,β}(v) = Σ_j g_j has variance
+    // at most Σ_i g_i²(i−k)/(k−1). The corollary's C²/(2(k−1)) bounds
+    // that sum when g is non-increasing along the order, which a filter
+    // breaks; keeping a share ρ of the nodes regardless of distance lifts
+    // the CV by about 1/√ρ, past the corollary's bound. What holds for
+    // any β in [0, 1]: past α(0) = 0 the harmonic kernel is
+    // non-increasing, so g_i²(i−k) ≤ g_i·Σ_{1<j<i} α_j, and CV(v) ≤
+    // √(C_α(v)/((k−1)·C_{α,β}(v))). Each run's error over its own bound
+    // has an RMS at most 1, within 3 sampling errors but for a 0.3%
+    // chance, and the mean relative error is within 3 standard errors
+    // of 0.
+    let keep = RankHasher::new(0xb37a_f11e);
+    let beta = |v: NodeId| if keep.rank(v as u64) < 0.5 { 1.0 } else { 0.0 };
+    let kernel = DecayKernel::Harmonic;
+    let all = exact_of(kernel, &|_| 1.0);
+    let kept = exact_of(kernel, &beta);
+    let errors: Vec<f64> = probes
+        .iter()
+        .zip(&kept)
+        .map(|(&v, t)| centrality::decay_filtered(store.hip(v), kernel, beta) / t - 1.0)
+        .collect();
+    let normalized: Vec<f64> = errors
+        .iter()
+        .zip(all.iter().zip(&kept))
+        .map(|(e, (a, b))| 1.0 + e / (a / ((K - 1) as f64 * b)).sqrt())
+        .collect();
+    let (got, rse) = nrmse(&normalized, 1.0);
+    assert!(
+        got <= 1.0 + 3.0 * rse,
+        "β-filtered closeness: RMS of error over √(C_α/((k−1)·C_{{α,β}})) is {got:.4} over {R} \
+         runs, above 1 + 3·{rse:.4}"
+    );
+    let mean = errors.iter().sum::<f64>() / R as f64;
+    let sd = (errors.iter().map(|e| (e - mean).powi(2)).sum::<f64>() / (R - 1) as f64).sqrt();
+    let tol = 3.0 * sd / (R as f64).sqrt();
+    assert!(
+        mean.abs() <= tol,
+        "β-filtered closeness mean relative error {mean:+.4} over {R} runs exceeds ±{tol:.4}"
     );
 }
 

@@ -4,10 +4,11 @@
 //! its deadline — never a panic, never a hang, never a silently partial
 //! merge — and must recover on the next request once the backend is
 //! healthy again. A replica that drips its answers one byte at a time
-//! must cost one read deadline per frame, then fail over. One test pins the circuit breaker's other
-//! promise: a backend that *stays* dead sees a bounded, backed-off dial
-//! rate instead of one connect attempt per incoming request. The last
-//! pins the attempt budget: every leg makes at most 2 × R attempts.
+//! must cost one read deadline per frame, then fail over. One test pins
+//! the circuit breaker's other promise: a backend that *stays* dead sees
+//! three dials to open its circuit and then one per probe interval, not
+//! one connect attempt per incoming request. The last pins the attempt
+//! budget: every leg makes at most 2 × R attempts.
 
 mod common;
 
@@ -24,8 +25,9 @@ use adsketch::serve::proto::WIRE_VERSION;
 use adsketch::serve::{Client, RouterConfig, ServeError};
 
 use common::{
-    assert_backend_error, dead_port, fast_config, spawn_backend, spawn_router, FlakyProxy, Scratch,
-    BLACKHOLE, DRIP, DRIP_INTERVAL, GARBAGE, HEALTHY, REFUSE, REJECT_HANDSHAKE, STALL, TRUNCATE,
+    assert_backend_error, dead_port, fast_config, spawn_backend, spawn_backend_at, spawn_router,
+    FlakyProxy, Scratch, BLACKHOLE, DRIP, DRIP_INTERVAL, GARBAGE, HEALTHY, REFUSE,
+    REJECT_HANDSHAKE, STALL, TRUNCATE,
 };
 
 /// Generous wall-clock ceiling: deadlines + retries + CI slack. The
@@ -207,8 +209,6 @@ fn corrupt_backend_frames_yield_typed_errors_then_clean_recovery() {
         .expect("backend run");
 }
 
-/// A listener that counts every accepted connection and hangs up — a
-/// permanently dead backend whose dial pressure is observable.
 #[test]
 fn a_dripping_replica_costs_one_read_timeout_per_frame_then_fails_over() {
     let g = generators::gnp(50, 0.1, 17);
@@ -330,6 +330,8 @@ fn connect_timeout_bounds_a_dripped_handshake_reply() {
     join.join().expect("drip thread");
 }
 
+/// A listener that counts every accepted connection and hangs up — a
+/// permanently dead backend whose dial pressure is observable.
 fn counting_refuser() -> (SocketAddr, Arc<AtomicUsize>, Arc<AtomicBool>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind counter");
     let addr = listener.local_addr().expect("addr");
@@ -357,44 +359,37 @@ fn dead_backend_sees_a_bounded_dial_rate_not_per_request_hammering() {
     let scratch = Scratch::new("faults_dial_rate");
     freeze_sharded(&ads, 2, &scratch.0).expect("freeze_sharded");
 
-    let (b0_addr, b0_handle, b0_join) = spawn_backend(&scratch.0, 0);
+    // One router worker, two backend workers: the router's standing
+    // connection holds one, so the sweep never waits for a slot.
+    let any = "127.0.0.1:0".parse().expect("loopback");
+    let (b0_addr, b0_handle, b0_join) = spawn_backend_at(&scratch.0, 0, any, 2);
     let (dead_addr, dials, counter_stop) = counting_refuser();
-    // A realistic breaker: three strikes open the circuit, reconnects
-    // back off 50 ms → 200 ms, the prober re-checks on that cadence.
-    let config = RouterConfig {
-        connect_timeout: Duration::from_millis(250),
-        read_timeout: Duration::from_millis(400),
-        failure_threshold: 3,
-        backoff_base: Duration::from_millis(50),
-        backoff_cap: Duration::from_millis(200),
-        probe_interval: Duration::from_millis(25),
-        cache_bytes: 0,
-    };
+    // The production breaker on the test clock.
+    let config = fast_config();
+    let interval = config.probe_interval;
     let (addr, r_handle, r_join) =
         spawn_router(&scratch.0, vec![vec![b0_addr], vec![dead_addr]], 1, config);
 
     // Hammer the router with requests needing the dead shard for a fixed
     // window. Every request must fail typed; the dial count must track
-    // the backoff schedule, not the request rate.
+    // the probe interval, not the request rate.
     let mut client = Client::connect(addr).expect("connect router");
     let all: Vec<NodeId> = (0..40).collect();
-    let window = Duration::from_millis(1200);
+    let before = dials.load(Ordering::SeqCst);
     let t0 = Instant::now();
     let mut failed = 0usize;
-    while t0.elapsed() < window {
+    while t0.elapsed() < Duration::from_secs(1) || failed < 1000 {
         assert_backend_error(client.harmonic(&all).unwrap_err());
         failed += 1;
     }
-    let dialed = dials.load(Ordering::SeqCst);
-    // Once the circuit opens (3 failures), requests fail fast without
-    // touching the endpoint, so far more requests than dials must fit
-    // the window.
-    assert!(failed >= 20, "requests should fail fast, got {failed}");
-    assert!(dialed >= 1, "the dead endpoint was never tried");
-    // 3 dials to open + one half-open probe per backed-off cooldown
-    // (≤ 200 ms each) over 1.2 s, plus slack: far below `failed`.
+    let window = t0.elapsed();
+    let dialed = dials.load(Ordering::SeqCst) - before;
+    assert!(dialed >= 3, "{dialed} dials cannot have opened the circuit");
+    // Three worker dials open the circuit, then only the sweep dials it:
+    // once per interval, plus one sweep at the window's edge.
+    let sweeps = window.as_nanos().div_ceil(interval.as_nanos()) as usize;
     assert!(
-        dialed <= 25,
+        dialed <= 3 + sweeps + 1,
         "dead backend hammered: {dialed} dials for {failed} requests in {window:?}"
     );
 
@@ -411,7 +406,8 @@ fn dead_backend_sees_a_bounded_dial_rate_not_per_request_hammering() {
 
 /// Every leg spends one budget of 2 × R attempts, whether it is one leg
 /// of a scatter or carries a batch one shard owns: a dead two-replica
-/// shard is dialed 2 + 2 times per request either way.
+/// shard is dialed 2 + 2 times by one request either way. Each scenario
+/// gets a fresh router, so both start from closed circuits.
 #[test]
 fn every_leg_spends_one_attempt_budget_on_a_dead_replica_set() {
     let g = generators::gnp(40, 0.1, 5);
@@ -422,46 +418,42 @@ fn every_leg_spends_one_attempt_budget_on_a_dead_replica_set() {
     assert_eq!(manifest.shard_of(39), 1, "node 39 lives on shard 1");
 
     let (b0_addr, b0_handle, b0_join) = spawn_backend(&scratch.0, 0);
-    let (dead_a, dials_a, stop_a) = counting_refuser();
-    let (dead_b, dials_b, stop_b) = counting_refuser();
-    // The prober's `GenInfo` polls dial every endpoint each interval; at
-    // a 30 s interval none falls inside this test.
-    let config = RouterConfig {
-        probe_interval: Duration::from_secs(30),
-        ..fast_config()
-    };
-    let backoff_cap = config.backoff_cap;
-    let (addr, r_handle, r_join) = spawn_router(
-        &scratch.0,
-        vec![vec![b0_addr], vec![dead_a, dead_b]],
-        1,
-        config,
-    );
-    let dials = || {
-        (
+    // A scattered batch (shard 0's leg answers, shard 1's fails) and a
+    // batch shard 1 owns whole (a one-leg scatter).
+    let scattered: Vec<NodeId> = (0..40).collect();
+    for (name, nodes) in [
+        ("a scattered leg", scattered),
+        ("a one-shard batch", vec![39]),
+    ] {
+        let (dead_a, dials_a, stop_a) = counting_refuser();
+        let (dead_b, dials_b, stop_b) = counting_refuser();
+        // The sweep dials every endpoint each interval; at a 30 s
+        // interval none falls inside this test.
+        let config = RouterConfig {
+            probe_interval: Duration::from_secs(30),
+            ..fast_config()
+        };
+        let (addr, r_handle, r_join) = spawn_router(
+            &scratch.0,
+            vec![vec![b0_addr], vec![dead_a, dead_b]],
+            1,
+            config,
+        );
+        let mut client = Client::connect(addr).expect("connect router");
+        assert_backend_error(client.harmonic(&nodes).unwrap_err());
+        let dials = (
             dials_a.load(Ordering::SeqCst),
             dials_b.load(Ordering::SeqCst),
-        )
-    };
+        );
+        assert_eq!(dials, (2, 2), "{name}");
 
-    let mut client = Client::connect(addr).expect("connect router");
-    // A scattered batch: shard 0's leg answers, shard 1's leg fails.
-    let all: Vec<NodeId> = (0..40).collect();
-    assert_backend_error(client.harmonic(&all).unwrap_err());
-    assert_eq!(dials(), (2, 2), "a scattered leg");
-    // Past the backoff cap both dead endpoints are available again, so
-    // the next leg starts from the same health state.
-    std::thread::sleep(2 * backoff_cap);
-    // A batch shard 1 owns whole: a one-leg scatter, the same budget.
-    assert_backend_error(client.harmonic(&[39]).unwrap_err());
-    assert_eq!(dials(), (4, 4), "a one-shard batch");
-
-    for (stop, dead) in [(stop_a, dead_a), (stop_b, dead_b)] {
-        stop.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(dead);
+        r_handle.shutdown();
+        r_join.join().expect("router thread").expect("router run");
+        for (stop, dead) in [(stop_a, dead_a), (stop_b, dead_b)] {
+            stop.store(true, Ordering::SeqCst);
+            let _ = TcpStream::connect(dead);
+        }
     }
-    r_handle.shutdown();
-    r_join.join().expect("router thread").expect("router run");
     b0_handle.shutdown();
     b0_join
         .join()

@@ -1,8 +1,9 @@
 //! Replica-aware routing: the router must survive the death of any
 //! minority of a shard's replica set with **zero client-visible
 //! errors** and bitwise-identical answers — across fleet shapes, worker
-//! counts, kills mid-pipeline and a stalled replica. A shard whose whole
-//! replica set is down fails every batch that needs it, whole.
+//! counts, kills mid-pipeline, a stalled replica and a replica wired to
+//! the wrong shard. A shard whose whole replica set is down fails every
+//! batch that needs it, whole.
 
 mod common;
 
@@ -19,7 +20,8 @@ use adsketch::serve::{Client, Request, RouterConfig};
 
 use common::{
     assert_backend_error, assert_routed_equals_local, dead_port, fast_config, spawn_backend,
-    spawn_router, spawn_router_with_stats, FlakyProxy, ReplicaFleet, Scratch, STALL, TRUNCATE,
+    spawn_backend_at, spawn_router, spawn_router_with_stats, FlakyProxy, ReplicaFleet, Scratch,
+    STALL, TRUNCATE,
 };
 
 #[test]
@@ -99,14 +101,20 @@ fn killing_each_replica_in_turn_is_invisible_to_clients() {
     let harmonic = local.harmonic_batch(&nodes);
     let jaccard = local.jaccard_batch(&pairs, 2.0);
 
-    // Replica death must never open a window of client errors, so the
-    // failure threshold is set out of reach: cooling replicas stay
-    // dialable as fallback and the dead one is simply failed over.
-    let mut config = fast_config();
-    config.failure_threshold = 100_000;
+    // The production breaker, on a 100 ms clock: a killed replica's
+    // circuit opens after three failed attempts, and the sweep after its
+    // restart closes it again. A restarted replica is given two probe
+    // intervals before the next kill, so a shard never has every replica
+    // dead or open, and no client may see an error.
+    let config = RouterConfig {
+        probe_interval: Duration::from_millis(100),
+        ..fast_config()
+    };
+    let readopt = 2 * config.probe_interval;
     for (shards, replicas) in [(1usize, 3usize), (2, 2)] {
         // Four workers: a connection holds a router worker for its
-        // lifetime, and three clients are connected throughout.
+        // lifetime, and three clients are connected throughout. Each
+        // backend gets five, one for the prober's sweep.
         let mut guard = ReplicaFleet::spawn(
             &ads,
             shards,
@@ -150,6 +158,8 @@ fn killing_each_replica_in_turn_is_invisible_to_clients() {
                 // answers stay bitwise identical whether or not the
                 // router has re-adopted it yet.
                 assert_eq!(client.harmonic(&nodes).expect("after restart"), harmonic);
+                // Within two probe intervals a sweep has re-adopted it.
+                std::thread::sleep(readopt);
             }
         }
         stop.store(true, Ordering::SeqCst);
@@ -240,12 +250,14 @@ fn a_stalled_replica_costs_one_read_timeout_then_fails_over() {
     let (b0a_addr, b0a_handle, b0a_join) = spawn_backend(&scratch.0, 0);
     let (b0b_addr, b0b_handle, b0b_join) = spawn_backend(&scratch.0, 0);
     // Replica 0 accepts the handshake and then never answers anything —
-    // a hard straggler. One failure opens its circuit.
+    // a hard straggler. Its failed attempt cools it for one probe
+    // interval, longer than this drill, and its silence to the sweep
+    // changes nothing.
     let proxy = FlakyProxy::spawn(b0a_addr);
     proxy.set_mode(STALL);
     let config = RouterConfig {
         read_timeout: Duration::from_millis(400),
-        failure_threshold: 1,
+        probe_interval: Duration::from_secs(2),
         ..fast_config()
     };
     let (addr, r_handle, r_join) =
@@ -263,8 +275,8 @@ fn a_stalled_replica_costs_one_read_timeout_then_fails_over() {
         );
     }
     // The first request's leg waits out one 400 ms deadline on the
-    // straggler and fails over; from then on the open circuit keeps the
-    // straggler out of rotation.
+    // straggler and fails over; from then on its cooldown keeps the
+    // straggler out of rotation, since the live replica is available.
     assert!(
         t0.elapsed() < Duration::from_millis(1200),
         "the stalled replica cost more than one deadline: {:?}",
@@ -305,7 +317,6 @@ fn a_dead_shard_fails_whole_batches_and_the_cache_answers_whole_ones() {
     let (b0_addr, b0_handle, b0_join) = spawn_backend(&scratch.0, 0);
     let (b1_addr, b1_handle, b1_join) = spawn_backend(&scratch.0, 1);
     let mut config = fast_config();
-    config.failure_threshold = 3;
     config.cache_bytes = 1 << 20;
     let (addr, r_handle, r_join, stats) =
         spawn_router_with_stats(&scratch.0, vec![vec![b0_addr], vec![b1_addr]], 1, config);
@@ -392,6 +403,82 @@ fn a_dead_shard_fails_whole_batches_and_the_cache_answers_whole_ones() {
         .expect("backend run");
 }
 
+/// Shard 1's replica set holds a shard-0 backend by mistake. Its first
+/// leg answers `ERR_SHARD_RANGE`, which fails over to the live replica
+/// and fences the endpoint at once; the sweep's `Health` keeps it
+/// fenced, since it reports shard 0's range. No request fails, and after
+/// the first sweep no worker dials the endpoint again.
+#[test]
+fn a_mis_wired_replica_is_fenced_and_never_fails_a_request() {
+    let g = generators::gnp(40, 0.1, 29);
+    let ads = AdsSet::build(&g, 3, 13);
+    let frozen = ads.freeze();
+    let local = QueryEngine::new(&frozen);
+    let scratch = Scratch::new("rep_miswired");
+    freeze_sharded(&ads, 2, &scratch.0).expect("freeze_sharded");
+
+    // One router worker, two backend workers: the router's standing
+    // connection holds one, so the sweep never waits for a slot.
+    let any: SocketAddr = "127.0.0.1:0".parse().expect("loopback");
+    let (b0_addr, b0_handle, b0_join) = spawn_backend_at(&scratch.0, 0, any, 2);
+    let (b1_addr, b1_handle, b1_join) = spawn_backend_at(&scratch.0, 1, any, 2);
+    let (wrong_addr, wrong_handle, wrong_join) = spawn_backend_at(&scratch.0, 0, any, 2);
+    let proxy = FlakyProxy::spawn(wrong_addr);
+    // A 200 ms clock, so the first requests run before the first sweep.
+    let config = RouterConfig {
+        probe_interval: Duration::from_millis(200),
+        ..fast_config()
+    };
+    let (addr, r_handle, r_join) = spawn_router(
+        &scratch.0,
+        vec![vec![b0_addr], vec![b1_addr, proxy.addr]],
+        1,
+        config,
+    );
+    let health = Request::Health.encode()[0];
+
+    let mut client = Client::connect(addr).expect("connect");
+    let nodes: Vec<NodeId> = (0..40).collect();
+    let pairs: Vec<(NodeId, NodeId)> = nodes.iter().map(|&v| (v, 39 - v)).collect();
+    let (harmonic, jaccard) = (
+        local.harmonic_batch(&nodes),
+        local.jaccard_batch(&pairs, 2.0),
+    );
+    let window = Duration::from_millis(1200);
+    let t0 = Instant::now();
+    let mut after_two_sweeps = None;
+    let mut served = 0u32;
+    while t0.elapsed() < window {
+        let (sweeps, dials) = proxy.first_requests(health);
+        if sweeps >= 2 && after_two_sweeps.is_none() {
+            after_two_sweeps = Some(dials);
+        }
+        assert_eq!(client.harmonic(&nodes).expect("harmonic"), harmonic);
+        assert_eq!(client.jaccard(2.0, &pairs).expect("jaccard"), jaccard);
+        served += 2;
+    }
+    let (sweeps, dials) = proxy.first_requests(health);
+    assert!(served >= 10, "only {served} requests in {window:?}");
+    assert!(dials >= 1, "no worker ever dialed the mis-wired replica");
+    let fenced = after_two_sweeps.expect("two sweeps within the window");
+    assert_eq!(
+        dials, fenced,
+        "workers dialed a fenced endpoint ({sweeps} sweeps, {served} requests)"
+    );
+
+    drop(proxy);
+    r_handle.shutdown();
+    r_join.join().expect("router thread").expect("router run");
+    for (h, j) in [
+        (b0_handle, b0_join),
+        (b1_handle, b1_join),
+        (wrong_handle, wrong_join),
+    ] {
+        h.shutdown();
+        j.join().expect("backend thread").expect("backend run");
+    }
+}
+
 #[test]
 fn router_shutdown_is_prompt_despite_a_slow_probe_interval() {
     let g = generators::gnp(30, 0.1, 23);
@@ -400,12 +487,12 @@ fn router_shutdown_is_prompt_despite_a_slow_probe_interval() {
     // would stall until the prober's next tick.
     let mut config = fast_config();
     config.probe_interval = Duration::from_secs(30);
-    config.failure_threshold = 1;
     let mut guard = ReplicaFleet::spawn(&ads, 1, 2, 1, "rep_shutdown", config);
     let mut client = Client::connect(guard.addr).expect("connect");
     let nodes: Vec<NodeId> = (0..30).collect();
 
-    // Open a circuit so shutdown happens with the breaker engaged.
+    // Fail a replica so shutdown happens with the breaker engaged: its
+    // endpoint cools for the whole 30 s interval.
     guard.kill(0, 0);
     for _ in 0..3 {
         client.harmonic(&nodes).expect("replica 1 serves");
