@@ -109,6 +109,29 @@ mod tests {
     }
 
     #[test]
+    fn accepts_all_unit_weights_and_matches_pruned_dijkstra() {
+        // All-1.0 weights build the unweighted graph; one 0.5 arc keeps
+        // the weights and is refused.
+        let g = generators::gnp_directed(80, 0.05, 3);
+        let mut arcs: Vec<(NodeId, NodeId, f64)> = g.all_arcs().collect();
+        let ones = Graph::directed_weighted(80, &arcs).unwrap();
+        assert!(!ones.is_weighted());
+        let ranks = uniform_ranks(80, 403);
+        let dp = build_with_stats(&ones, 3, &ranks).unwrap().0;
+        let pd = crate::builder::pruned_dijkstra::build_with_stats(&ones, 3, &ranks)
+            .unwrap()
+            .0;
+        assert_eq!(dp, pd);
+        assert_eq!(dp, build_with_stats(&g, 3, &ranks).unwrap().0);
+        arcs[0].2 = 0.5;
+        let half = Graph::directed_weighted(80, &arcs).unwrap();
+        assert_eq!(
+            build_with_stats(&half, 3, &ranks).unwrap_err(),
+            CoreError::RequiresUnweighted
+        );
+    }
+
+    #[test]
     fn matches_pruned_dijkstra_on_random_digraphs() {
         for seed in 0..6u64 {
             let g = generators::gnp_directed(80, 0.05, seed);

@@ -40,10 +40,7 @@ pub fn build_with_stats(
     let mut stats = BuildStats::default();
     for (h, pass) in passes.into_iter().enumerate() {
         let (per_node, s) = pass?;
-        stats.relaxations += s.relaxations;
-        stats.insertions += s.insertions;
-        stats.heap_pushes += s.heap_pushes;
-        stats.pruned_at_relax += s.pruned_at_relax;
+        stats.merge(s);
         for (v, entries) in per_node.into_iter().enumerate() {
             records[v].extend(entries.into_iter().map(|e| KMinsRecord {
                 node: e.node,

@@ -47,6 +47,8 @@
 //! argument lets the wave scheduler consult the frozen threshold array
 //! concurrently from worker threads.
 
+use adsketch_graph::NodeId;
+
 mod arena;
 pub mod dp;
 pub mod kmins;
@@ -145,6 +147,40 @@ pub struct BuildStats {
     /// entering the frontier (see the threshold-monotonicity invariant in
     /// the [module docs](self)). `0` for the non-search builders.
     pub pruned_at_relax: u64,
+}
+
+impl BuildStats {
+    /// Adds every counter of `other` to `self`: the one fold behind the
+    /// wave merge and the k-mins / k-partition pass loops.
+    pub(crate) fn merge(&mut self, other: BuildStats) {
+        self.relaxations += other.relaxations;
+        self.insertions += other.insertions;
+        self.removals += other.removals;
+        self.rounds += other.rounds;
+        self.heap_pushes += other.heap_pushes;
+        self.pruned_at_relax += other.pruned_at_relax;
+    }
+}
+
+/// The relax-time admit hook of both PrunedDijkstra drivers (sequential
+/// and wave): probes whether `v`'s partial sketch would take `src` at
+/// distance `d`, and counts the verdict as a frontier push or a
+/// relax-time prune.
+#[inline]
+pub(crate) fn admit(
+    arena: &PartialAdsArena,
+    stats: &mut BuildStats,
+    v: NodeId,
+    src: NodeId,
+    d: f64,
+) -> bool {
+    let ok = arena.would_insert(v, src, d);
+    if ok {
+        stats.heap_pushes += 1;
+    } else {
+        stats.pruned_at_relax += 1;
+    }
+    ok
 }
 
 /// The PrunedDijkstra builders accept any `k ≥ 1` (DP and the

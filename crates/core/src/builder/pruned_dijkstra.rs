@@ -11,10 +11,11 @@
 //! Three hot-path optimizations over the textbook formulation, none of
 //! which changes the output:
 //!
-//! * **BFS fast path** — on unit-weight graphs
-//!   ([`adsketch_graph::Graph::is_unit_weight`]) the per-source search is a
-//!   pruned level-synchronous BFS instead of binary-heap Dijkstra; the
-//!   visit sequence is identical, the heap cost is gone.
+//! * **BFS fast path** — the per-source search is one
+//!   [`adsketch_graph::Search`] over the transpose, which is a pruned
+//!   level-synchronous BFS when the graph stores no weights
+//!   ([`adsketch_graph::Graph::is_weighted`] is false) and heap Dijkstra
+//!   otherwise; the visit sequence is identical, the heap cost is gone.
 //! * **Arena-backed sketch state** — the n partial sketches' k-prefixes
 //!   live in two flat columns (distances and node ids, no ranks) plus one
 //!   spill log, instead of n separate `Vec`s.
@@ -22,22 +23,23 @@
 //!   that a sketch rejects the source at *pop* time, after the candidate
 //!   already paid a full frontier push + pop. The builder instead consults
 //!   the arena's flat admission-threshold array *before* pushing a
-//!   neighbor; thresholds only ever tighten, so a candidate rejected
-//!   against a stale threshold can never pass later (the
-//!   threshold-monotonicity invariant, see the
-//!   [`builder` module docs](crate::builder)), and the canonical pop-time
-//!   test is kept for everything that does enter the frontier.
+//!   neighbor (the `admit` hook the sequential and wave drivers share);
+//!   thresholds only ever tighten, so a candidate rejected against a
+//!   stale threshold can never pass later (the threshold-monotonicity
+//!   invariant, see the [`builder` module docs](crate::builder)), and the
+//!   canonical pop-time test is kept for everything that does enter the
+//!   frontier.
 //!
 //! [`build_parallel_with_stats`] additionally fans the searches out over
 //! threads in rank-ordered waves (see the `waves` module); its set is
 //! bitwise identical to [`build_with_stats`]'s. The oracle every builder
 //! is tested against is the brute force in [`crate::reference`].
 
-use adsketch_graph::{FrontierVisitor, Graph, NodeId, Visit};
+use adsketch_graph::{FrontierVisitor, Graph, NodeId, Search, Visit};
 
 use crate::ads_set::AdsSet;
-use crate::builder::waves::{rank_order, run_core_parallel, SearchScratch};
-use crate::builder::{validate_k, validate_ranks, BuildStats, PartialAdsArena};
+use crate::builder::waves::{rank_order, run_core_parallel};
+use crate::builder::{admit, validate_k, validate_ranks, BuildStats, PartialAdsArena};
 use crate::error::CoreError;
 
 /// Builds the forward bottom-k ADS set of `g` for the given node ranks,
@@ -72,14 +74,14 @@ pub fn build_parallel_with_stats(
 }
 
 /// Sequential search driver: one source's mutable view of the arena and
-/// counters, implementing both hooks of the relax-time-filtered searches.
+/// counters, implementing both hooks of the [`FrontierVisitor`].
 ///
-/// `admit` is the push-time frontier filter (exact, not just
-/// conservative: the probe compares the full canonical key, so on the
-/// sequential path — where a node's threshold cannot change between its
-/// discovery and its pop within one search — every admitted candidate is
-/// also accepted at pop time). `visit` keeps the canonical pop-time
-/// admission-and-insert of Algorithm 1.
+/// `admit` is the shared relax-time hook (exact, not just conservative:
+/// the probe compares the full canonical key, so on the sequential path —
+/// where a node's threshold cannot change between its discovery and its
+/// pop within one search — every admitted candidate is also accepted at
+/// pop time). `visit` keeps the canonical pop-time admission-and-insert
+/// of Algorithm 1.
 struct SeqDriver<'a> {
     arena: &'a mut PartialAdsArena,
     stats: &'a mut BuildStats,
@@ -89,13 +91,7 @@ struct SeqDriver<'a> {
 impl FrontierVisitor for SeqDriver<'_> {
     #[inline]
     fn admit(&mut self, v: NodeId, d: f64) -> bool {
-        let ok = self.arena.would_insert(v, self.src, d);
-        if ok {
-            self.stats.heap_pushes += 1;
-        } else {
-            self.stats.pruned_at_relax += 1;
-        }
-        ok
+        admit(self.arena, self.stats, v, self.src, d)
     }
 
     #[inline]
@@ -112,8 +108,8 @@ impl FrontierVisitor for SeqDriver<'_> {
 
 /// Core loop, also used by the k-mins and k-partition builders
 /// (`sources = Some(..)` restricts which nodes act as sources; all nodes
-/// still *receive* entries). Dispatches to the pruned BFS on unit-weight
-/// transposes and reuses one search scratch across all sources.
+/// still *receive* entries). Reuses one [`Search`] over the transpose
+/// across all sources.
 pub(crate) fn run_core(
     g: &Graph,
     k: usize,
@@ -127,7 +123,7 @@ pub(crate) fn run_core(
     let order = rank_order(ranks, sources, n);
     let mut arena = PartialAdsArena::new(k, ranks.to_vec());
     let mut stats = BuildStats::default();
-    let mut scratch = SearchScratch::for_graph(&gt);
+    let mut search = Search::for_graph(&gt);
     for &u in &order {
         // The source seeds the frontier unfiltered (its self-entry is
         // judged by the pop-time test like everything else).
@@ -137,7 +133,7 @@ pub(crate) fn run_core(
             stats: &mut stats,
             src: u,
         };
-        scratch.run(&gt, u, &mut driver);
+        search.run(&gt, u, &mut driver);
     }
     Ok((arena, stats))
 }
@@ -339,7 +335,7 @@ mod tests {
                 stats.insertions
             );
             // The level-synchronous BFS settles everything it enqueues.
-            if g.is_unit_weight() {
+            if !g.is_weighted() {
                 assert_eq!(stats.relaxations, stats.heap_pushes);
             }
         }

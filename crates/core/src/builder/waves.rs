@@ -28,9 +28,9 @@
 //! of the sequential builder's first ~k sources, but the floor is why the
 //! bound above does not hold verbatim for waves smaller than the floor.
 //!
-//! The same argument covers the **relax-time frontier filter** the wave
-//! searches now share with the sequential core: workers consult the
-//! frozen arena's admission-threshold array before pushing a candidate.
+//! The same argument covers the **relax-time frontier filter**: the wave
+//! searches run the sequential core's `admit` hook, over the frozen
+//! arena's admission-threshold array, before pushing a candidate.
 //! Frozen thresholds are ≥ the thresholds the sequential run would have
 //! had at the same point (fewer inserts have happened), so the frozen
 //! filter admits a superset of what the sequential filter admits — every
@@ -42,48 +42,18 @@
 //! push-time answer to the waves' over-exploration: branches another wave
 //! member (or any earlier wave) already saturated are rejected before
 //! they cost a push instead of after a pop.
+//!
+//! Each worker thread reuses one [`Search`] across its sources, and each
+//! source counts into its slot's own [`BuildStats`], which the merge folds
+//! in rank order.
 
-use adsketch_graph::bfs::{bfs_visit_filtered_scratch, BfsScratch};
-use adsketch_graph::dijkstra::{dijkstra_visit_filtered_scratch, DijkstraScratch};
-use adsketch_graph::{FrontierVisitor, Graph, NodeId, Visit};
+use adsketch_graph::{FrontierVisitor, Graph, NodeId, Search, Visit};
 
-use crate::builder::{shard_slots, thread_count, BuildStats, PartialAdsArena};
+use crate::builder::{admit, shard_slots, thread_count, BuildStats, PartialAdsArena};
 use crate::error::CoreError;
 
 /// Smallest wave; keeps the first waves from being pure sync overhead.
 const WAVE_MIN: usize = 16;
-
-/// Reusable per-thread search state: BFS frontier queues on unit-weight
-/// graphs, a binary heap otherwise.
-pub(crate) enum SearchScratch {
-    /// Level-synchronous BFS state (unit-weight fast path).
-    Bfs(BfsScratch),
-    /// Binary-heap Dijkstra state.
-    Dijkstra(DijkstraScratch),
-}
-
-impl SearchScratch {
-    /// Scratch matching `g`'s weight structure.
-    pub fn for_graph(g: &Graph) -> Self {
-        if g.is_unit_weight() {
-            Self::Bfs(BfsScratch::new())
-        } else {
-            Self::Dijkstra(DijkstraScratch::new())
-        }
-    }
-
-    /// Runs the matching pruned search from `src` through the full
-    /// [`FrontierVisitor`] protocol, so the driver's relax-time `admit`
-    /// hook filters the frontier of whichever search runs. BFS hop counts
-    /// are widened to `f64` — identical to the unit-weight sums Dijkstra
-    /// would produce.
-    pub fn run<V: FrontierVisitor>(&mut self, g: &Graph, src: NodeId, vis: &mut V) {
-        match self {
-            Self::Bfs(s) => bfs_visit_filtered_scratch(g, src, s, vis),
-            Self::Dijkstra(s) => dijkstra_visit_filtered_scratch(g, src, s, vis),
-        }
-    }
-}
 
 /// Per-source result of a wave's concurrent search phase.
 #[derive(Default)]
@@ -91,19 +61,16 @@ struct WaveSlot {
     /// `(node, dist)` pairs that passed the frozen admission test, in
     /// visit order.
     candidates: Vec<(NodeId, f64)>,
-    /// Nodes visited by this search (work counter).
-    relaxations: u64,
-    /// Frontier insertions (incl. the source seed).
-    heap_pushes: u64,
-    /// Candidates the frozen-threshold relax filter kept out.
-    pruned_at_relax: u64,
+    /// This search's frontier counters (`insertions` stays 0: the merge
+    /// counts those).
+    stats: BuildStats,
 }
 
 /// Wave worker driver: a read-only view of the frozen arena plus this
-/// source's private slot. `admit` filters the frontier against the frozen
-/// admission thresholds (safe and exact: nothing mutates the arena during
-/// the search phase); `visit` re-checks the same frozen probe and records
-/// the candidate for the sequential replay.
+/// source's private slot. `admit` is the shared relax-time hook against
+/// the frozen admission thresholds (safe and exact: nothing mutates the
+/// arena during the search phase); `visit` records the candidate for the
+/// sequential replay.
 struct WaveDriver<'a> {
     arena: &'a PartialAdsArena,
     src: NodeId,
@@ -113,18 +80,12 @@ struct WaveDriver<'a> {
 impl FrontierVisitor for WaveDriver<'_> {
     #[inline]
     fn admit(&mut self, v: NodeId, d: f64) -> bool {
-        if self.arena.would_insert(v, self.src, d) {
-            self.slot.heap_pushes += 1;
-            true
-        } else {
-            self.slot.pruned_at_relax += 1;
-            false
-        }
+        admit(self.arena, &mut self.slot.stats, v, self.src, d)
     }
 
     #[inline]
     fn visit(&mut self, v: NodeId, d: f64) -> Visit {
-        self.slot.relaxations += 1;
+        self.slot.stats.relaxations += 1;
         // Every non-seed settle was admitted by `admit` against the same
         // frozen state at the same final distance, so only the unfiltered
         // source seed needs the probe here.
@@ -204,23 +165,21 @@ pub(crate) fn run_core_parallel(
             shard_slots(
                 &mut slots,
                 t,
-                || SearchScratch::for_graph(gt),
-                |scratch, i, slot| {
-                    slot.heap_pushes += 1; // the source seed
+                || Search::for_graph(gt),
+                |search, i, slot| {
+                    slot.stats.heap_pushes += 1; // the source seed
                     let mut driver = WaveDriver {
                         arena,
                         src: wave[i],
                         slot,
                     };
-                    scratch.run(gt, wave[i], &mut driver);
+                    search.run(gt, wave[i], &mut driver);
                 },
             );
         }
         // Merge phase: sequential rank-order replay with re-pruning.
         for (&u, slot) in wave.iter().zip(slots) {
-            stats.relaxations += slot.relaxations;
-            stats.heap_pushes += slot.heap_pushes;
-            stats.pruned_at_relax += slot.pruned_at_relax;
+            stats.merge(slot.stats);
             for (v, d) in slot.candidates {
                 if arena.insert_rank_monotone(v, u, d) {
                     stats.insertions += 1;

@@ -5,9 +5,9 @@ use std::fmt;
 /// Errors produced by ADS builders.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CoreError {
-    /// The DP builder only supports unweighted graphs (paper, Section 3:
-    /// DP "applies to unweighted graphs"; LocalUpdates is its weighted
-    /// extension).
+    /// The DP builder only supports unweighted graphs, those for which
+    /// `Graph::is_weighted` is false (paper, Section 3: DP "applies to
+    /// unweighted graphs"; LocalUpdates is its weighted extension).
     RequiresUnweighted,
     /// A rank array did not match the graph's node count.
     RankCountMismatch {

@@ -1,14 +1,14 @@
 //! Breadth-first search for unweighted (hop-count) distances.
 //!
-//! [`bfs_visit`] is the unweighted twin of
-//! [`crate::dijkstra::dijkstra_visit`]: a level-synchronous search whose
-//! visitor can prune, producing on unit-weight graphs the exact same visit
-//! sequence as the binary-heap Dijkstra — without paying for the heap.
+//! [`bfs_distances`] and [`reachable_count`] are plain BFS. The pruned
+//! level-synchronous BFS is [`crate::Search`]'s loop on graphs without
+//! stored weights: on them it settles the same nodes at the same
+//! distances in the same order as the heap Dijkstra, without the heap.
 
 use std::collections::VecDeque;
 
 use crate::csr::{Graph, NodeId};
-use crate::dijkstra::{AdmitAll, FrontierVisitor, Visit};
+use crate::search::{FrontierVisitor, Visit};
 
 /// Sentinel for "unreachable" in [`bfs_distances`].
 pub const UNREACHABLE: u32 = u32::MAX;
@@ -34,11 +34,10 @@ pub fn bfs_distances(g: &Graph, src: NodeId) -> Vec<u32> {
     dist
 }
 
-/// Reusable search state for [`bfs_visit_scratch`]; see
-/// [`crate::dijkstra::DijkstraScratch`] for why amortizing the per-source
-/// `O(n)` initialization matters.
+/// Reusable state of the pruned BFS; see [`crate::dijkstra::DijkstraScratch`]
+/// for why amortizing the per-source `O(n)` initialization matters.
 #[derive(Debug, Clone, Default)]
-pub struct BfsScratch {
+pub(crate) struct BfsScratch {
     seen: Vec<u32>,
     epoch: u32,
     frontier: Vec<NodeId>,
@@ -46,11 +45,6 @@ pub struct BfsScratch {
 }
 
 impl BfsScratch {
-    /// An empty scratch; buffers are sized lazily on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     fn prepare(&mut self, n: usize) {
         if self.seen.len() < n {
             self.seen.resize(n, 0);
@@ -65,52 +59,23 @@ impl BfsScratch {
     }
 }
 
-/// Pruned level-synchronous BFS from `src`: invokes `visitor(node, depth)`
-/// exactly once per reached node, levels in increasing depth and each level
-/// in ascending node id.
+/// The pruned level-synchronous BFS behind [`crate::Search`] on graphs
+/// without stored weights: calls `vis.visit(node, depth)` exactly once
+/// per reached node, levels in increasing depth and each level in
+/// ascending node id, and offers every newly discovered node to
+/// [`FrontierVisitor::admit`] (its depth widened to `f64`, the unit-weight
+/// distance Dijkstra would produce) before it enters the next level.
 ///
-/// The [`Visit`] verdicts mirror [`crate::dijkstra::dijkstra_visit`]:
 /// [`Visit::Prune`] skips relaxing the node's out-arcs (nodes reachable
 /// only through pruned nodes are discovered later via longer surviving
 /// paths, or never), [`Visit::Stop`] aborts the search. On a unit-weight
-/// graph the visit sequence is *identical* to `dijkstra_visit` with the
-/// same verdicts (that search settles each hop level in ascending id too),
-/// so sketch builders can swap one for the other without changing output.
-///
-/// Edge weights, if present, are ignored — callers should dispatch on
-/// [`Graph::is_unit_weight`].
-pub fn bfs_visit<F>(g: &Graph, src: NodeId, visitor: F)
-where
-    F: FnMut(NodeId, u32) -> Visit,
-{
-    bfs_visit_scratch(g, src, &mut BfsScratch::new(), visitor)
-}
-
-/// [`bfs_visit`] with caller-provided scratch state, for tight loops
-/// running many single-source searches over the same graph.
-pub fn bfs_visit_scratch<F>(g: &Graph, src: NodeId, scratch: &mut BfsScratch, mut visitor: F)
-where
-    F: FnMut(NodeId, u32) -> Visit,
-{
-    // Depths are exact small integers, so the f64 round-trip through the
-    // unified FrontierVisitor interface is lossless.
-    bfs_visit_filtered_scratch(
-        g,
-        src,
-        scratch,
-        &mut AdmitAll(|v, d: f64| visitor(v, d as u32)),
-    )
-}
-
-/// The relax-time-filtered pruned BFS: like [`bfs_visit_scratch`] but every
-/// newly discovered node is first offered to [`FrontierVisitor::admit`]
-/// (with its depth widened to `f64`, matching the unit-weight distances
-/// Dijkstra would produce), and only admitted nodes enter the next-level
-/// frontier. The monotone-filter contract on the trait keeps the output
-/// identical: BFS discovers each node at its minimal depth, and any later
-/// rediscovery would be at the same or greater depth, so a rejected node
-/// can be marked seen and never reconsidered.
-pub fn bfs_visit_filtered_scratch<V: FrontierVisitor>(
+/// graph the trace is *identical* to
+/// [`crate::dijkstra::dijkstra_visit_filtered_scratch`]'s under the same
+/// verdicts: that search settles each hop level in ascending id too, and
+/// the monotone-filter contract on the trait lets a rejected node be
+/// marked seen and never reconsidered, since BFS discovers each node at
+/// its minimal depth. Edge weights, if present, are ignored.
+pub(crate) fn bfs_visit_filtered_scratch<V: FrontierVisitor>(
     g: &Graph,
     src: NodeId,
     scratch: &mut BfsScratch,
@@ -160,6 +125,7 @@ pub fn reachable_count(g: &Graph, src: NodeId) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::search::tests::Settle;
 
     fn path5() -> Graph {
         Graph::directed(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]).unwrap()
@@ -200,17 +166,18 @@ mod tests {
     #[test]
     fn visit_prune_cuts_subtree_but_not_siblings() {
         // Path 0→1→2 plus branch 0→3: pruning at 1 keeps 2 unvisited but
-        // still reaches 3 (mirrors the dijkstra_visit prune tests).
+        // still reaches 3 (mirrors the Dijkstra loop's prune tests).
         let g = Graph::directed(4, &[(0, 1), (1, 2), (0, 3)]).unwrap();
         let mut visited = Vec::new();
-        bfs_visit(&g, 0, |v, d| {
-            visited.push((v, d));
+        let mut vis = Settle(|v, d: f64| {
+            visited.push((v, d as u32));
             if v == 1 {
                 Visit::Prune
             } else {
                 Visit::Continue
             }
         });
+        bfs_visit_filtered_scratch(&g, 0, &mut BfsScratch::default(), &mut vis);
         assert_eq!(visited, vec![(0, 0), (1, 1), (3, 1)]);
     }
 
@@ -218,10 +185,11 @@ mod tests {
     fn visit_stop_aborts() {
         let g = path5();
         let mut count = 0;
-        bfs_visit(&g, 0, |_, _| {
+        let mut vis = Settle(|_, _| {
             count += 1;
             Visit::Stop
         });
+        bfs_visit_filtered_scratch(&g, 0, &mut BfsScratch::default(), &mut vis);
         assert_eq!(count, 1);
     }
 
@@ -232,14 +200,15 @@ mod tests {
         // pruned Dijkstra does.
         let g = Graph::directed(5, &[(0, 1), (1, 3), (0, 2), (2, 4), (4, 3)]).unwrap();
         let mut visited = Vec::new();
-        bfs_visit(&g, 0, |v, d| {
-            visited.push((v, d));
+        let mut vis = Settle(|v, d: f64| {
+            visited.push((v, d as u32));
             if v == 1 {
                 Visit::Prune
             } else {
                 Visit::Continue
             }
         });
+        bfs_visit_filtered_scratch(&g, 0, &mut BfsScratch::default(), &mut vis);
         assert_eq!(visited, vec![(0, 0), (1, 1), (2, 1), (4, 2), (3, 3)]);
     }
 
@@ -248,7 +217,7 @@ mod tests {
         // On unit-weight graphs the two searches must produce identical
         // (node, distance) visit sequences under identical prune verdicts —
         // the guarantee the sketch builders' BFS fast path relies on.
-        use crate::dijkstra::dijkstra_visit;
+        use crate::dijkstra::{dijkstra_visit_filtered_scratch, DijkstraScratch};
         use crate::generators;
         for seed in 0..6u64 {
             let g = generators::gnp_directed(80, 0.05, seed);
@@ -257,7 +226,7 @@ mod tests {
                 // for both searches since verdicts depend on (v, count).
                 let mut d_seq = Vec::new();
                 let mut i = 0usize;
-                dijkstra_visit(&g, src, |v, d| {
+                let mut vis = Settle(|v, d| {
                     d_seq.push((v, d));
                     i += 1;
                     if i.is_multiple_of(3) {
@@ -266,10 +235,11 @@ mod tests {
                         Visit::Continue
                     }
                 });
+                dijkstra_visit_filtered_scratch(&g, src, &mut DijkstraScratch::default(), &mut vis);
                 let mut b_seq = Vec::new();
                 let mut j = 0usize;
-                bfs_visit(&g, src, |v, d| {
-                    b_seq.push((v, d as f64));
+                let mut vis = Settle(|v, d| {
+                    b_seq.push((v, d));
                     j += 1;
                     if j.is_multiple_of(3) {
                         Visit::Prune
@@ -277,6 +247,7 @@ mod tests {
                         Visit::Continue
                     }
                 });
+                bfs_visit_filtered_scratch(&g, src, &mut BfsScratch::default(), &mut vis);
                 assert_eq!(d_seq, b_seq, "seed {seed}, src {src}");
             }
         }
@@ -288,7 +259,7 @@ mod tests {
         // the filtered Dijkstra must produce identical admit/visit traces
         // on unit-weight graphs — the guarantee the relax-pruned builder's
         // fast path relies on.
-        use crate::dijkstra::{dijkstra_visit_filtered_scratch, DijkstraScratch, FrontierVisitor};
+        use crate::dijkstra::{dijkstra_visit_filtered_scratch, DijkstraScratch};
         use crate::generators;
         use adsketch_util::rng::{Rng64, SplitMix64};
 
@@ -321,12 +292,12 @@ mod tests {
                     cap: &cap,
                     log: Vec::new(),
                 };
-                bfs_visit_filtered_scratch(&g, src, &mut BfsScratch::new(), &mut bt);
+                bfs_visit_filtered_scratch(&g, src, &mut BfsScratch::default(), &mut bt);
                 let mut dt = Trace {
                     cap: &cap,
                     log: Vec::new(),
                 };
-                dijkstra_visit_filtered_scratch(&g, src, &mut DijkstraScratch::new(), &mut dt);
+                dijkstra_visit_filtered_scratch(&g, src, &mut DijkstraScratch::default(), &mut dt);
                 assert_eq!(bt.log, dt.log, "seed {seed}, src {src}");
             }
         }
@@ -335,19 +306,21 @@ mod tests {
     #[test]
     fn scratch_reuse_is_clean_across_sources() {
         let g = path5();
-        let mut scratch = BfsScratch::new();
-        bfs_visit_scratch(&g, 0, &mut scratch, |_, _| Visit::Stop);
+        let mut scratch = BfsScratch::default();
+        bfs_visit_filtered_scratch(&g, 0, &mut scratch, &mut Settle(|_, _| Visit::Stop));
         for src in 0..5u32 {
             let mut fresh = Vec::new();
-            bfs_visit(&g, src, |v, d| {
+            let mut vis = Settle(|v, d| {
                 fresh.push((v, d));
                 Visit::Continue
             });
+            bfs_visit_filtered_scratch(&g, src, &mut BfsScratch::default(), &mut vis);
             let mut reused = Vec::new();
-            bfs_visit_scratch(&g, src, &mut scratch, |v, d| {
+            let mut vis = Settle(|v, d| {
                 reused.push((v, d));
                 Visit::Continue
             });
+            bfs_visit_filtered_scratch(&g, src, &mut scratch, &mut vis);
             assert_eq!(fresh, reused, "src {src}");
         }
     }

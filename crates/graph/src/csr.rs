@@ -1,9 +1,10 @@
 //! Compressed-sparse-row graph representation.
 //!
 //! Nodes are dense `u32` ids `0..n`. Arcs are stored in CSR form: a single
-//! offsets array plus a targets array (and a parallel weights array when the
-//! graph is weighted). Undirected graphs are stored as symmetric arc pairs,
-//! so all traversal code handles one representation.
+//! offsets array plus a targets array, and a parallel weights array only
+//! when some arc weighs something other than `1.0`. Undirected graphs are
+//! stored as symmetric arc pairs, so all traversal code handles one
+//! representation.
 
 use crate::error::GraphError;
 
@@ -28,30 +29,28 @@ pub type NodeId = u32;
 pub struct Graph {
     offsets: Vec<usize>,
     targets: Vec<NodeId>,
+    /// `None` iff every arc costs exactly 1, however the graph was built.
     weights: Option<Vec<f64>>,
-    /// Cached at construction: true iff every arc costs exactly 1 (always
-    /// true for unweighted graphs). Lets shortest-path consumers dispatch
-    /// to BFS without rescanning the weights array.
-    unit_weight: bool,
 }
 
 impl Graph {
     /// Builds a directed, unweighted graph from arcs `(u, v)`.
     pub fn directed(n: usize, arcs: &[(NodeId, NodeId)]) -> Result<Self, GraphError> {
-        Self::build(n, arcs.iter().map(|&(u, v)| (u, v, 1.0)), false)
+        Self::build(n, arcs.iter().map(|&(u, v)| (u, v, 1.0)))
     }
 
     /// Builds a directed, weighted graph from arcs `(u, v, w)`; weights must
-    /// be finite and non-negative.
+    /// be finite and non-negative. If every weight is `1.0` the graph is
+    /// the unweighted one ([`Graph::is_weighted`] is false).
     pub fn directed_weighted(n: usize, arcs: &[(NodeId, NodeId, f64)]) -> Result<Self, GraphError> {
-        Self::build(n, arcs.iter().copied(), true)
+        Self::build(n, arcs.iter().copied())
     }
 
     /// Builds an undirected, unweighted graph: each edge `(u, v)` becomes
     /// the arc pair `u→v, v→u` (self-loops become a single arc).
     pub fn undirected(n: usize, edges: &[(NodeId, NodeId)]) -> Result<Self, GraphError> {
         let arcs = symmetrize(edges.iter().map(|&(u, v)| (u, v, 1.0)));
-        Self::build(n, arcs.into_iter(), false)
+        Self::build(n, arcs.into_iter())
     }
 
     /// Builds an undirected, weighted graph (symmetric arc weights).
@@ -60,13 +59,12 @@ impl Graph {
         edges: &[(NodeId, NodeId, f64)],
     ) -> Result<Self, GraphError> {
         let arcs = symmetrize(edges.iter().copied());
-        Self::build(n, arcs.into_iter(), true)
+        Self::build(n, arcs.into_iter())
     }
 
     fn build(
         n: usize,
         arcs: impl Iterator<Item = (NodeId, NodeId, f64)>,
-        weighted: bool,
     ) -> Result<Self, GraphError> {
         let mut triples: Vec<(NodeId, NodeId, f64)> = Vec::with_capacity(arcs.size_hint().0);
         for (u, v, w) in arcs {
@@ -82,7 +80,7 @@ impl Graph {
                     num_nodes: n,
                 });
             }
-            if weighted && !(w.is_finite() && w >= 0.0) {
+            if !(w.is_finite() && w >= 0.0) {
                 return Err(GraphError::InvalidWeight { weight: w });
             }
             triples.push((u, v, w));
@@ -101,13 +99,14 @@ impl Graph {
             offsets[i + 1] += offsets[i];
         }
         let targets: Vec<NodeId> = triples.iter().map(|t| t.1).collect();
-        let unit_weight = !weighted || triples.iter().all(|t| t.2 == 1.0);
-        let weights = weighted.then(|| triples.iter().map(|t| t.2).collect());
+        let weights = triples
+            .iter()
+            .any(|t| t.2 != 1.0)
+            .then(|| triples.iter().map(|t| t.2).collect());
         Ok(Self {
             offsets,
             targets,
             weights,
-            unit_weight,
         })
     }
 
@@ -123,20 +122,13 @@ impl Graph {
         self.targets.len()
     }
 
-    /// Whether per-arc weights are stored.
+    /// Whether per-arc weights are stored: true iff some arc weighs
+    /// something other than `1.0`. Otherwise hop counts are shortest-path
+    /// distances, and [`crate::Search`] runs a level-synchronous BFS
+    /// instead of Dijkstra.
     #[inline]
     pub fn is_weighted(&self) -> bool {
         self.weights.is_some()
-    }
-
-    /// True iff every arc costs exactly 1 — either no weights are stored or
-    /// all stored weights equal `1.0`. On such graphs hop counts are
-    /// shortest-path distances, so a level-synchronous BFS
-    /// ([`crate::bfs::bfs_visit`]) replaces binary-heap Dijkstra. O(1):
-    /// the flag is computed once at construction.
-    #[inline]
-    pub fn is_unit_weight(&self) -> bool {
-        self.unit_weight
     }
 
     /// Out-degree of `v`.
@@ -201,8 +193,6 @@ impl Graph {
             offsets,
             targets,
             weights,
-            // Transposing preserves the multiset of weights.
-            unit_weight: self.unit_weight,
         };
         g.sort_adjacency();
         g
@@ -352,26 +342,44 @@ mod tests {
     #[test]
     fn unit_weight_detection() {
         // Unweighted graphs are unit-weight by definition.
-        assert!(Graph::directed(2, &[(0, 1)]).unwrap().is_unit_weight());
-        // Weighted graphs with all-1 weights qualify too.
+        assert!(!Graph::directed(2, &[(0, 1)]).unwrap().is_weighted());
+        // Weighted graphs with all-1 weights store no weights.
         let ones = Graph::directed_weighted(3, &[(0, 1, 1.0), (1, 2, 1.0)]).unwrap();
-        assert!(ones.is_unit_weight());
-        assert!(ones.is_weighted());
-        // Any other weight (including 0) disqualifies.
+        assert!(!ones.is_weighted());
+        // Any other weight (including 0) keeps them.
         let zero = Graph::directed_weighted(3, &[(0, 1, 1.0), (1, 2, 0.0)]).unwrap();
-        assert!(!zero.is_unit_weight());
+        assert!(zero.is_weighted());
         let frac = Graph::directed_weighted(2, &[(0, 1, 0.5)]).unwrap();
-        assert!(!frac.is_unit_weight());
+        assert!(frac.is_weighted());
         // Arc-less graphs are trivially unit-weight.
-        assert!(Graph::directed_weighted(2, &[]).unwrap().is_unit_weight());
+        assert!(!Graph::directed_weighted(2, &[]).unwrap().is_weighted());
     }
 
     #[test]
     fn unit_weight_survives_transpose() {
         let g = Graph::directed_weighted(3, &[(0, 1, 1.0), (1, 2, 1.0)]).unwrap();
-        assert!(g.transpose().is_unit_weight());
+        assert!(!g.transpose().is_weighted());
         let w = Graph::directed_weighted(3, &[(0, 1, 2.0)]).unwrap();
-        assert!(!w.transpose().is_unit_weight());
+        assert!(w.transpose().is_weighted());
+    }
+
+    #[test]
+    fn all_unit_weights_build_the_unweighted_graph() {
+        let edges = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 3)];
+        let ones: Vec<_> = edges.iter().map(|&(u, v)| (u, v, 1.0)).collect();
+        let directed = Graph::directed(4, &edges).unwrap();
+        let undirected = Graph::undirected(4, &edges).unwrap();
+        assert_eq!(Graph::directed_weighted(4, &ones).unwrap(), directed);
+        assert_eq!(Graph::undirected_weighted(4, &ones).unwrap(), undirected);
+        assert_eq!(
+            Graph::directed_weighted(4, &ones).unwrap().transpose(),
+            directed.transpose()
+        );
+        assert_eq!(
+            Graph::undirected_weighted(4, &ones).unwrap().transpose(),
+            undirected.transpose()
+        );
+        assert!(!directed.transpose().is_weighted());
     }
 
     #[test]

@@ -1,85 +1,25 @@
-//! Dijkstra's single-source shortest paths with a pruning visitor.
+//! Dijkstra's single-source shortest paths.
 //!
-//! The ADS construction algorithm PrunedDijkstra (paper, Algorithm 1) runs
-//! one Dijkstra per node *in rank order* and prunes the search at nodes
-//! whose sketch was not improved. [`dijkstra_visit`] exposes exactly that
-//! control point: the visitor is called once per settled node and decides
-//! whether the search continues through it.
-//!
-//! [`dijkstra_visit_filtered_scratch`] additionally exposes the *relax-time*
-//! control point via [`FrontierVisitor::admit`]: a candidate can be kept out
-//! of the frontier before ever paying a heap push. The frontier itself is a
-//! flat 4-ary heap over monotone-packed keys ([`crate::heap::FlatHeap`]),
-//! popping in the canonical `(distance, node id)` order.
+//! [`dijkstra_distances`] and [`dijkstra_order_canonical`] give exact
+//! distances (through plain BFS when the graph stores no weights). The
+//! pruned Dijkstra loop is [`crate::Search`]'s on weighted graphs: it
+//! calls the visitor once per settled node and offers every tentative
+//! candidate to [`FrontierVisitor::admit`] before it pays a heap push. The
+//! frontier is a flat 4-ary heap over monotone-packed keys (the private
+//! `heap::FlatHeap`), popping in the canonical `(distance, node id)` order.
 
 use crate::csr::{Graph, NodeId};
 use crate::heap::FlatHeap;
+use crate::search::{FrontierVisitor, Visit};
 
-/// Visitor verdict for a settled node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Visit {
-    /// Relax the node's out-arcs and continue.
-    Continue,
-    /// Do not relax out of this node (PrunedDijkstra's prune), but keep
-    /// processing the rest of the frontier.
-    Prune,
-    /// Abort the whole search.
-    Stop,
-}
-
-/// Combined relax-time filter and settle-time visitor for the pruned
-/// searches ([`dijkstra_visit_filtered_scratch`],
-/// [`crate::bfs::bfs_visit_filtered_scratch`]).
-///
-/// `admit` is consulted *before* a tentative candidate enters the frontier
-/// (a heap push here, a next-level enqueue in the BFS); returning `false`
-/// suppresses the push entirely. `visit` is the classic settle hook, called
-/// once per node that reached the frontier and was popped.
-///
-/// # Output-equivalence contract
-///
-/// A filtered search produces the same settle sequence as the unfiltered
-/// one *minus* nodes that would only ever have been visited to return
-/// [`Visit::Prune`], provided the filter is **monotone-safe**: if
-/// `admit(v, d)` returns `false`, then `visit(v, d')` would return
-/// [`Visit::Prune`] for every `d' ≥ d` — and the filter keeps rejecting
-/// `(v, d'' ≥ d)` for the rest of the search. Threshold-style filters
-/// whose thresholds only tighten over time satisfy this by construction.
-/// (On distance improvement the search re-consults `admit` with the
-/// smaller tentative distance, so rejecting a longer path never hides a
-/// shorter one.)
-pub trait FrontierVisitor {
-    /// Relax-time admission test for a tentative frontier candidate.
-    fn admit(&mut self, node: NodeId, dist: f64) -> bool;
-    /// Settle-time visit; the verdict steers the search exactly as in
-    /// [`dijkstra_visit`].
-    fn visit(&mut self, node: NodeId, dist: f64) -> Visit;
-}
-
-/// Adapter turning a plain settle closure into a [`FrontierVisitor`] that
-/// admits every candidate (the unfiltered searches are expressed through
-/// it, so there is exactly one search loop to maintain).
-pub(crate) struct AdmitAll<F>(pub F);
-
-impl<F: FnMut(NodeId, f64) -> Visit> FrontierVisitor for AdmitAll<F> {
-    #[inline(always)]
-    fn admit(&mut self, _node: NodeId, _dist: f64) -> bool {
-        true
-    }
-    #[inline(always)]
-    fn visit(&mut self, node: NodeId, dist: f64) -> Visit {
-        (self.0)(node, dist)
-    }
-}
-
-/// Reusable search state for [`dijkstra_visit_scratch`].
+/// Reusable state of the pruned Dijkstra.
 ///
 /// Algorithms that run one search per node (PrunedDijkstra, brute-force
 /// sketch builders) would otherwise pay an `O(n)` allocation + memset per
 /// source; the scratch amortizes that to a single allocation with
 /// epoch-stamped visited/settled marks, so starting a new search is `O(1)`.
 #[derive(Debug, Clone, Default)]
-pub struct DijkstraScratch {
+pub(crate) struct DijkstraScratch {
     dist: Vec<f64>,
     seen: Vec<u32>,
     done: Vec<u32>,
@@ -88,11 +28,6 @@ pub struct DijkstraScratch {
 }
 
 impl DijkstraScratch {
-    /// An empty scratch; buffers are sized lazily on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     fn prepare(&mut self, n: usize) {
         if self.seen.len() < n {
             self.dist.resize(n, 0.0);
@@ -110,39 +45,17 @@ impl DijkstraScratch {
     }
 }
 
-/// Runs Dijkstra from `src`, invoking `visitor(node, dist)` exactly once per
-/// settled (reachable) node in non-decreasing distance order; ties are
-/// popped in ascending node id when simultaneously queued.
-///
-/// Edge weights must be non-negative (guaranteed by [`Graph`] construction).
-/// Unweighted graphs use weight 1 per arc.
-pub fn dijkstra_visit<F>(g: &Graph, src: NodeId, visitor: F)
-where
-    F: FnMut(NodeId, f64) -> Visit,
-{
-    dijkstra_visit_scratch(g, src, &mut DijkstraScratch::new(), visitor)
-}
-
-/// [`dijkstra_visit`] with caller-provided scratch state, for tight loops
-/// running many single-source searches over the same graph. Semantics are
-/// identical; only the allocation behavior differs.
-pub fn dijkstra_visit_scratch<F>(g: &Graph, src: NodeId, scratch: &mut DijkstraScratch, visitor: F)
-where
-    F: FnMut(NodeId, f64) -> Visit,
-{
-    dijkstra_visit_filtered_scratch(g, src, scratch, &mut AdmitAll(visitor))
-}
-
-/// The relax-time-filtered pruned Dijkstra: like [`dijkstra_visit_scratch`]
-/// but every tentative frontier candidate is first offered to
-/// [`FrontierVisitor::admit`], and only admitted candidates pay a heap
-/// push. See the trait docs for the monotone-filter contract that keeps the
-/// output identical to the unfiltered search.
+/// The pruned Dijkstra behind [`crate::Search`] on weighted graphs: calls
+/// `vis.visit(node, dist)` exactly once per settled node, in
+/// non-decreasing distance order with ties popped in ascending id, and
+/// offers every tentative frontier candidate to
+/// [`FrontierVisitor::admit`] first; only admitted candidates pay a heap
+/// push. Weights are non-negative (guaranteed by [`Graph`] construction).
 ///
 /// When a node's tentative distance improves, `admit` is consulted again
 /// with the shorter distance (an earlier rejection never hides a shorter
 /// path found later).
-pub fn dijkstra_visit_filtered_scratch<V: FrontierVisitor>(
+pub(crate) fn dijkstra_visit_filtered_scratch<V: FrontierVisitor>(
     g: &Graph,
     src: NodeId,
     scratch: &mut DijkstraScratch,
@@ -183,7 +96,7 @@ pub fn dijkstra_visit_filtered_scratch<V: FrontierVisitor>(
 }
 
 /// Shortest-path distances from `src`; `f64::INFINITY` marks unreachable
-/// nodes. Uses BFS when the graph is unweighted.
+/// nodes. Uses BFS when the graph stores no weights.
 pub fn dijkstra_distances(g: &Graph, src: NodeId) -> Vec<f64> {
     if !g.is_weighted() {
         return crate::bfs::bfs_distances(g, src)
@@ -197,12 +110,23 @@ pub fn dijkstra_distances(g: &Graph, src: NodeId) -> Vec<f64> {
             })
             .collect();
     }
-    let mut out = vec![f64::INFINITY; g.num_nodes()];
-    dijkstra_visit(g, src, |v, d| {
-        out[v as usize] = d;
+    let mut out = Distances(vec![f64::INFINITY; g.num_nodes()]);
+    dijkstra_visit_filtered_scratch(g, src, &mut DijkstraScratch::default(), &mut out);
+    out.0
+}
+
+/// The unpruned search of [`dijkstra_distances`]: admits every candidate
+/// and records every settled distance.
+struct Distances(Vec<f64>);
+
+impl FrontierVisitor for Distances {
+    fn admit(&mut self, _node: NodeId, _dist: f64) -> bool {
+        true
+    }
+    fn visit(&mut self, node: NodeId, dist: f64) -> Visit {
+        self.0[node as usize] = dist;
         Visit::Continue
-    });
-    out
+    }
 }
 
 /// Reachable nodes from `src` sorted by the canonical `(distance, id)`
@@ -222,6 +146,7 @@ pub fn dijkstra_order_canonical(g: &Graph, src: NodeId) -> Vec<(NodeId, f64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::search::tests::Settle;
 
     fn weighted_diamond() -> Graph {
         // 0→1 (1), 0→2 (4), 1→2 (2), 1→3 (6), 2→3 (3)
@@ -255,21 +180,33 @@ mod tests {
     #[test]
     fn visitor_sees_nondecreasing_distances() {
         let mut last = -1.0;
-        dijkstra_visit(&weighted_diamond(), 0, |_, d| {
+        let mut vis = Settle(|_, d| {
             assert!(d >= last);
             last = d;
             Visit::Continue
         });
+        dijkstra_visit_filtered_scratch(
+            &weighted_diamond(),
+            0,
+            &mut DijkstraScratch::default(),
+            &mut vis,
+        );
         assert_eq!(last, 6.0);
     }
 
     #[test]
     fn visitor_called_once_per_node() {
         let mut seen = vec![0usize; 4];
-        dijkstra_visit(&weighted_diamond(), 0, |v, _| {
+        let mut vis = Settle(|v, _| {
             seen[v as usize] += 1;
             Visit::Continue
         });
+        dijkstra_visit_filtered_scratch(
+            &weighted_diamond(),
+            0,
+            &mut DijkstraScratch::default(),
+            &mut vis,
+        );
         assert_eq!(seen, vec![1, 1, 1, 1]);
     }
 
@@ -278,7 +215,7 @@ mod tests {
         // Path 0→1→2; pruning at 1 must keep 2 unvisited.
         let g = Graph::directed_weighted(3, &[(0, 1, 1.0), (1, 2, 1.0)]).unwrap();
         let mut visited = Vec::new();
-        dijkstra_visit(&g, 0, |v, _| {
+        let mut vis = Settle(|v, _| {
             visited.push(v);
             if v == 1 {
                 Visit::Prune
@@ -286,6 +223,7 @@ mod tests {
                 Visit::Continue
             }
         });
+        dijkstra_visit_filtered_scratch(&g, 0, &mut DijkstraScratch::default(), &mut vis);
         assert_eq!(visited, vec![0, 1]);
     }
 
@@ -294,7 +232,7 @@ mod tests {
         // 0→1 (1), 0→2 (2): pruning at 1 must still reach 2.
         let g = Graph::directed_weighted(3, &[(0, 1, 1.0), (0, 2, 2.0)]).unwrap();
         let mut visited = Vec::new();
-        dijkstra_visit(&g, 0, |v, _| {
+        let mut vis = Settle(|v, _| {
             visited.push(v);
             if v == 1 {
                 Visit::Prune
@@ -302,16 +240,23 @@ mod tests {
                 Visit::Continue
             }
         });
+        dijkstra_visit_filtered_scratch(&g, 0, &mut DijkstraScratch::default(), &mut vis);
         assert_eq!(visited, vec![0, 1, 2]);
     }
 
     #[test]
     fn stop_aborts() {
         let mut count = 0;
-        dijkstra_visit(&weighted_diamond(), 0, |_, _| {
+        let mut vis = Settle(|_, _| {
             count += 1;
             Visit::Stop
         });
+        dijkstra_visit_filtered_scratch(
+            &weighted_diamond(),
+            0,
+            &mut DijkstraScratch::default(),
+            &mut vis,
+        );
         assert_eq!(count, 1);
     }
 
@@ -334,19 +279,21 @@ mod tests {
         // The same scratch across many sources (and a Stop mid-search that
         // leaves the heap dirty) must not leak state between searches.
         let g = weighted_diamond();
-        let mut scratch = DijkstraScratch::new();
-        dijkstra_visit_scratch(&g, 0, &mut scratch, |_, _| Visit::Stop);
+        let mut scratch = DijkstraScratch::default();
+        dijkstra_visit_filtered_scratch(&g, 0, &mut scratch, &mut Settle(|_, _| Visit::Stop));
         for src in 0..4u32 {
             let mut fresh = Vec::new();
-            dijkstra_visit(&g, src, |v, d| {
+            let mut vis = Settle(|v, d| {
                 fresh.push((v, d));
                 Visit::Continue
             });
+            dijkstra_visit_filtered_scratch(&g, src, &mut DijkstraScratch::default(), &mut vis);
             let mut reused = Vec::new();
-            dijkstra_visit_scratch(&g, src, &mut scratch, |v, d| {
+            let mut vis = Settle(|v, d| {
                 reused.push((v, d));
                 Visit::Continue
             });
+            dijkstra_visit_filtered_scratch(&g, src, &mut scratch, &mut vis);
             assert_eq!(fresh, reused, "src {src}");
         }
     }
@@ -394,7 +341,7 @@ mod tests {
             rejected: Vec::new(),
             visited: Vec::new(),
         };
-        dijkstra_visit_filtered_scratch(&g, 0, &mut DijkstraScratch::new(), &mut f);
+        dijkstra_visit_filtered_scratch(&g, 0, &mut DijkstraScratch::default(), &mut f);
         assert_eq!(f.visited, vec![(0, 0.0), (1, 1.0)]);
         assert_eq!(f.admitted, vec![(1, 1.0)]);
         assert_eq!(f.rejected, vec![(2, 2.0)]);
@@ -412,7 +359,7 @@ mod tests {
             rejected: Vec::new(),
             visited: Vec::new(),
         };
-        dijkstra_visit_filtered_scratch(&g, 0, &mut DijkstraScratch::new(), &mut f);
+        dijkstra_visit_filtered_scratch(&g, 0, &mut DijkstraScratch::default(), &mut f);
         assert_eq!(f.rejected, vec![(1, 5.0)]);
         assert_eq!(f.admitted, vec![(2, 1.0), (1, 2.0)]);
         assert_eq!(f.visited, vec![(0, 0.0), (2, 1.0), (1, 2.0)]);
@@ -437,7 +384,7 @@ mod tests {
             let g = Graph::directed_weighted(n, &arcs).unwrap();
             let cap: Vec<f64> = (0..n).map(|_| rng.unit_f64() * 6.0).collect();
             let mut unfiltered = Vec::new();
-            dijkstra_visit(&g, 0, |v, d| {
+            let mut vis = Settle(|v, d| {
                 if d <= cap[v as usize] {
                     unfiltered.push((v, d));
                     Visit::Continue
@@ -445,13 +392,14 @@ mod tests {
                     Visit::Prune
                 }
             });
+            dijkstra_visit_filtered_scratch(&g, 0, &mut DijkstraScratch::default(), &mut vis);
             let mut f = CapFilter {
                 cap: &cap,
                 admitted: Vec::new(),
                 rejected: Vec::new(),
                 visited: Vec::new(),
             };
-            dijkstra_visit_filtered_scratch(&g, 0, &mut DijkstraScratch::new(), &mut f);
+            dijkstra_visit_filtered_scratch(&g, 0, &mut DijkstraScratch::default(), &mut f);
             // The source settles unconditionally in the filtered run; all
             // other settles must be exactly the unfiltered accepts.
             let accepted: Vec<(NodeId, f64)> = f

@@ -12,7 +12,7 @@
 //! The 4-ary layout halves tree height versus the binary
 //! `std::collections::BinaryHeap` and keeps all children of a node in one
 //! cache line, which is what the pop-heavy lazy-deletion workload of
-//! [`crate::dijkstra::dijkstra_visit`] wants.
+//! [`crate::dijkstra::dijkstra_visit_filtered_scratch`] wants.
 
 use crate::csr::NodeId;
 
@@ -38,44 +38,12 @@ fn unpack(key: u128) -> (f64, NodeId) {
 
 /// A flat 4-ary min-heap of `(distance, node)` pairs in canonical order:
 /// [`FlatHeap::pop`] yields ascending `(distance, node id)`.
-///
-/// # Examples
-///
-/// ```
-/// use adsketch_graph::heap::FlatHeap;
-///
-/// let mut h = FlatHeap::new();
-/// h.push(2.0, 7);
-/// h.push(1.0, 9);
-/// h.push(1.0, 3); // distance tie: smaller id pops first
-/// assert_eq!(h.pop(), Some((1.0, 3)));
-/// assert_eq!(h.pop(), Some((1.0, 9)));
-/// assert_eq!(h.pop(), Some((2.0, 7)));
-/// assert_eq!(h.pop(), None);
-/// ```
 #[derive(Debug, Clone, Default)]
-pub struct FlatHeap {
+pub(crate) struct FlatHeap {
     keys: Vec<u128>,
 }
 
 impl FlatHeap {
-    /// An empty heap.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of queued entries (duplicates under lazy deletion included).
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Whether the heap holds no entries.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
     /// Removes all entries, keeping the allocation.
     #[inline]
     pub fn clear(&mut self) {
@@ -161,7 +129,7 @@ mod tests {
 
     #[test]
     fn pops_in_canonical_order() {
-        let mut h = FlatHeap::new();
+        let mut h = FlatHeap::default();
         for (d, v) in [(3.0, 1), (1.0, 9), (2.0, 2), (1.0, 4), (0.0, 7)] {
             h.push(d, v);
         }
@@ -180,7 +148,7 @@ mod tests {
         use std::collections::BinaryHeap;
         for seed in 0..8u64 {
             let mut rng = SplitMix64::new(seed);
-            let mut flat = FlatHeap::new();
+            let mut flat = FlatHeap::default();
             let mut refh: BinaryHeap<Reverse<(u64, NodeId)>> = BinaryHeap::new();
             for _ in 0..2_000 {
                 if rng.bernoulli(0.6) || refh.is_empty() {
@@ -192,7 +160,7 @@ mod tests {
                     let Reverse((db, v)) = refh.pop().unwrap();
                     assert_eq!(flat.pop(), Some((f64::from_bits(db), v)), "seed {seed}");
                 }
-                assert_eq!(flat.len(), refh.len());
+                assert_eq!(flat.keys.len(), refh.len());
             }
             while let Some(Reverse((db, v))) = refh.pop() {
                 assert_eq!(
@@ -201,16 +169,16 @@ mod tests {
                     "seed {seed} drain"
                 );
             }
-            assert!(flat.is_empty());
+            assert!(flat.keys.is_empty());
         }
     }
 
     #[test]
     fn clear_keeps_working() {
-        let mut h = FlatHeap::new();
+        let mut h = FlatHeap::default();
         h.push(1.0, 1);
         h.clear();
-        assert!(h.is_empty());
+        assert!(h.keys.is_empty());
         assert_eq!(h.pop(), None);
         h.push(0.5, 2);
         assert_eq!(h.pop(), Some((0.5, 2)));

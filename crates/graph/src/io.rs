@@ -14,32 +14,24 @@ use crate::error::GraphError;
 pub struct EdgeList {
     /// Number of nodes (max id + 1, or the explicit override).
     pub num_nodes: usize,
-    /// Arcs with optional weights (all-or-nothing: mixing weighted and
-    /// unweighted lines is a parse error).
+    /// Arcs with their weights, `1.0` on unweighted lines (all-or-nothing:
+    /// mixing weighted and unweighted lines is a parse error).
     pub arcs: Vec<(NodeId, NodeId, f64)>,
     /// Whether the file carried weights.
     pub weighted: bool,
 }
 
 impl EdgeList {
-    /// Builds a directed [`Graph`] from the list.
+    /// Builds a directed [`Graph`] from the list. Unweighted lines cost 1,
+    /// so a file without weights and one whose weights are all `1.0` give
+    /// the same, unweighted graph.
     pub fn into_directed(self) -> Result<Graph, GraphError> {
-        if self.weighted {
-            Graph::directed_weighted(self.num_nodes, &self.arcs)
-        } else {
-            let arcs: Vec<(NodeId, NodeId)> = self.arcs.iter().map(|&(u, v, _)| (u, v)).collect();
-            Graph::directed(self.num_nodes, &arcs)
-        }
+        Graph::directed_weighted(self.num_nodes, &self.arcs)
     }
 
     /// Builds an undirected [`Graph`], treating each line as an edge.
     pub fn into_undirected(self) -> Result<Graph, GraphError> {
-        if self.weighted {
-            Graph::undirected_weighted(self.num_nodes, &self.arcs)
-        } else {
-            let edges: Vec<(NodeId, NodeId)> = self.arcs.iter().map(|&(u, v, _)| (u, v)).collect();
-            Graph::undirected(self.num_nodes, &edges)
-        }
+        Graph::undirected_weighted(self.num_nodes, &self.arcs)
     }
 }
 
@@ -175,6 +167,25 @@ mod tests {
             .into_directed()
             .unwrap();
         assert_eq!(back, g);
+    }
+
+    #[test]
+    fn three_column_file_of_unit_weights_reads_as_the_unweighted_graph() {
+        let text = "0 1 1.0\n1 2 1\n2 0 1.0\n";
+        let el = read_edge_list(text.as_bytes()).unwrap();
+        assert!(el.weighted, "the file carried weights");
+        let unweighted = Graph::directed(3, &[(0, 1), (1, 2), (2, 0)]).unwrap();
+        let g = el.clone().into_directed().unwrap();
+        assert!(!g.is_weighted());
+        assert_eq!(g, unweighted);
+        let undirected = Graph::undirected(3, &[(0, 1), (1, 2), (2, 0)]).unwrap();
+        assert_eq!(el.into_undirected().unwrap(), undirected);
+        // Written back, it is a two-column file that reads the same.
+        let mut buf = Vec::new();
+        write_edge_list(&g, &mut buf).unwrap();
+        assert_eq!(String::from_utf8(buf.clone()).unwrap(), "0 1\n1 2\n2 0\n");
+        let back = read_edge_list(buf.as_slice()).unwrap();
+        assert_eq!(back.into_directed().unwrap(), g);
     }
 
     #[test]

@@ -6,17 +6,16 @@
 //! validate estimates against. This crate provides all of it:
 //!
 //! * [`csr`] — a compressed-sparse-row [`Graph`] (directed or undirected,
-//!   optionally weighted) with O(1) neighbor slices and a transpose
-//!   operation.
-//! * [`bfs`] / [`dijkstra`] — single-source shortest paths with a visitor
-//!   interface supporting *pruning* (the operation PrunedDijkstra is built
-//!   on). Both come in scratch-reusing variants for many-source loops, and
-//!   [`bfs::bfs_visit`] replays the exact pruned-Dijkstra visit sequence on
-//!   unit-weight graphs ([`Graph::is_unit_weight`]) without a heap. The
-//!   [`FrontierVisitor`] variants add a *relax-time* admission hook that
-//!   keeps doomed candidates out of the frontier entirely.
-//! * [`heap`] — the flat 4-ary min-heap over monotone-packed
-//!   `(distance, node)` keys backing the Dijkstra frontier.
+//!   weighted only if some arc weighs something other than 1) with O(1)
+//!   neighbor slices and a transpose operation.
+//! * [`Search`] — the pruned single-source search PrunedDijkstra is built
+//!   on, with reusable state for many-source loops. A [`FrontierVisitor`]
+//!   steers it: a *relax-time* `admit` hook keeps doomed candidates out of
+//!   the frontier, and a settle-time `visit` returns a [`Visit`] verdict.
+//!   It is a level-synchronous BFS when [`Graph::is_weighted`] is false
+//!   and Dijkstra over a flat 4-ary heap otherwise; both settle nodes in
+//!   the same canonical `(distance, id)` order.
+//! * [`bfs`] / [`dijkstra`] — exact single-source distances.
 //! * [`generators`] — Erdős–Rényi G(n,p), Barabási–Albert,
 //!   Watts–Strogatz, and structured graphs (path, star, 2-D grid), plus
 //!   random edge-weight assignment.
@@ -33,9 +32,10 @@ pub mod dijkstra;
 pub mod error;
 pub mod exact;
 pub mod generators;
-pub mod heap;
+mod heap;
 pub mod io;
+mod search;
 
 pub use csr::{Graph, NodeId};
-pub use dijkstra::{FrontierVisitor, Visit};
 pub use error::GraphError;
+pub use search::{FrontierVisitor, Search, Visit};

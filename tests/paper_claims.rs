@@ -24,11 +24,11 @@
 
 use std::sync::OnceLock;
 
-use adsketch::core::builder::{kmins, kpartition};
+use adsketch::core::builder::{kmins, kpartition, pruned_dijkstra, BuildStats};
 use adsketch::core::centrality::{self, DecayKernel};
 use adsketch::core::kmins::KMinsAds;
 use adsketch::core::kpartition::KPartitionAds;
-use adsketch::core::{AdsSet, FrozenAdsSet, StoreFormat};
+use adsketch::core::{uniform_ranks, FrozenAdsSet, StoreFormat};
 use adsketch::graph::{exact, generators, Graph, NodeId};
 use adsketch::util::harmonic::{expected_kpartition_ads_size, harmonic};
 use adsketch::util::ranks::BaseB;
@@ -57,28 +57,45 @@ fn components() -> Graph {
     Graph::undirected(R * C, &edges).expect("valid ids")
 }
 
-/// The sketches of [`components`], built, written as v1, re-encoded as
-/// v2 and loaded back verified: every weight is one a v2 load derived.
-fn through_the_files(g: &Graph) -> FrozenAdsSet {
-    let built = AdsSet::build(g, K, 0x5eed_2014);
+/// The sketches of [`components`], built (`AdsSet::build`'s ranks, with
+/// the build's counters), written as v1, re-encoded as v2 and loaded back
+/// verified: every weight is one a v2 load derived.
+fn through_the_files(g: &Graph) -> (FrozenAdsSet, BuildStats) {
+    let ranks = uniform_ranks(g.num_nodes(), 0x5eed_2014);
+    let (built, stats) = pruned_dijkstra::build_with_stats(g, K, &ranks).expect("valid ranks");
     let v1 = FrozenAdsSet::from_bytes(&built.to_bytes()).expect("v1 loads");
     let v2 = v1.to_bytes_format(StoreFormat::V2);
     assert_eq!(&v2[40..44], &[0, 0, 0, 2], "v2 derives its weights");
     let loaded = FrozenAdsSet::from_bytes(&v2).expect("verified v2 load");
     assert_eq!(loaded.format_version(), 2);
     assert_eq!(loaded, built, "v1 → v2 → load is bitwise lossless");
-    loaded
+    (loaded, stats)
 }
 
-/// [`components`] and its sketches [`through_the_files`], made once for
-/// every test that reads both.
-fn sketched() -> &'static (Graph, FrozenAdsSet) {
-    static SKETCHED: OnceLock<(Graph, FrozenAdsSet)> = OnceLock::new();
+/// [`components`] and its sketches and build counters
+/// [`through_the_files`], made once for every test that reads them.
+fn sketched() -> &'static (Graph, FrozenAdsSet, BuildStats) {
+    static SKETCHED: OnceLock<(Graph, FrozenAdsSet, BuildStats)> = OnceLock::new();
     SKETCHED.get_or_init(|| {
         let g = components();
-        let store = through_the_files(&g);
-        (g, store)
+        let (store, stats) = through_the_files(&g);
+        (g, store, stats)
     })
+}
+
+/// The arcs a PrunedDijkstra build scanned: every frontier decision but
+/// the source seeds, each an arc out of a node that took an entry.
+fn arc_scans(stats: &BuildStats, sources: usize) -> u64 {
+    stats.heap_pushes - sources as u64 + stats.pruned_at_relax
+}
+
+/// `Σ_v |ADS(v)|·outdeg_Gᵀ(v)` over nodes `lo..hi`, given each node's
+/// sketch size: an insertion at `v` scans `v`'s arcs in the transpose
+/// once, so a build scans at most this many arcs.
+fn scan_bound(gt: &Graph, nodes: std::ops::Range<usize>, len: impl Fn(NodeId) -> usize) -> u64 {
+    nodes
+        .map(|v| (len(v as NodeId) * gt.out_degree(v as NodeId)) as u64)
+        .sum()
 }
 
 /// `H⁽²⁾_n = Σ_{i ≤ n} 1/i²`.
@@ -98,7 +115,13 @@ fn k_mins_and_k_partition_ads_sizes_match_lemma_2_2() {
     // average, with variance k(H_n − H⁽²⁾_n). Counting one draw per run,
     // as the bottom-k assert does, the mean over R runs is within 3
     // standard errors of the expectation but for a 0.3% chance.
-    let (sketches, _) = kmins::build_with_stats(&g, K, &hasher, 0).expect("k-mins build");
+    let (sketches, stats) = kmins::build_with_stats(&g, K, &hasher, 0).expect("k-mins build");
+    // Section 3's cost, exactly: each of the k passes seeds every node.
+    let bound = scan_bound(&g.transpose(), 0..R * C, |v| sketches[v as usize].len());
+    assert!(
+        arc_scans(&stats, K * R * C) <= bound,
+        "k-mins scans {stats:?} > {bound}"
+    );
     let mean = sketches.iter().map(KMinsAds::len).sum::<usize>() as f64 / (R * C) as f64;
     let expected = k * harmonic(C as u64);
     let tol = 3.0 * (k * (harmonic(C as u64) - harmonic2(C)) / runs).sqrt();
@@ -131,7 +154,14 @@ fn k_mins_and_k_partition_ads_sizes_match_lemma_2_2() {
         e_h2 += pmf * h2;
         e_hh += pmf * h * h;
     }
-    let (sketches, _) = kpartition::build_with_stats(&g, K, &hasher, 0).expect("k-partition build");
+    let (sketches, stats) =
+        kpartition::build_with_stats(&g, K, &hasher, 0).expect("k-partition build");
+    // Each node seeds one search, in its own bucket's pass.
+    let bound = scan_bound(&g.transpose(), 0..R * C, |v| sketches[v as usize].len());
+    assert!(
+        arc_scans(&stats, R * C) <= bound,
+        "k-partition scans {stats:?} > {bound}"
+    );
     let mean = sketches.iter().map(KPartitionAds::len).sum::<usize>() as f64 / (R * C) as f64;
     let expected = k * e_h;
     let util = expected_kpartition_ads_size(C as u64, K);
@@ -149,7 +179,7 @@ fn k_mins_and_k_partition_ads_sizes_match_lemma_2_2() {
 
 #[test]
 fn bottom_k_ads_sizes_and_hip_reachability_error_match_the_paper() {
-    let (g, store) = sketched();
+    let (g, store, _) = sketched();
 
     // Exact truth: a BA graph is connected, so every node of a component
     // reaches exactly its component.
@@ -210,7 +240,7 @@ fn bottom_k_ads_sizes_and_hip_reachability_error_match_the_paper() {
 
 #[test]
 fn closeness_centrality_cv_matches_corollary_5_2() {
-    let (g, store) = sketched();
+    let (g, store, _) = sketched();
     // One probe per run: each component's last-arrived node, a leaf
     // whose distance order spans the whole component.
     let probes: Vec<NodeId> = (0..R).map(|j| (j * C + C - 1) as NodeId).collect();
@@ -286,6 +316,49 @@ fn closeness_centrality_cv_matches_corollary_5_2() {
         mean.abs() <= tol,
         "β-filtered closeness mean relative error {mean:+.4} over {R} runs exceeds ±{tol:.4}"
     );
+}
+
+#[test]
+fn pruned_dijkstra_arc_scans_meet_the_section_3_cost_bound() {
+    let (g, store, stats) = sketched();
+    let gt = g.transpose();
+    let (k, runs) = (K as f64, R as f64);
+
+    // Exact, per build: every arc scan is an insertion's, so the scans
+    // never exceed Σ_v |ADS(v)|·outdeg_Gᵀ(v).
+    let len = |v: NodeId| store.row(v).len();
+    let scans = arc_scans(stats, R * C);
+    let bound = scan_bound(&gt, 0..R * C, len);
+    assert!(
+        scans <= bound,
+        "{scans} arc scans > Σ|ADS(v)|·deg(v) = {bound}"
+    );
+
+    // Lemma 2.2 holds at every node of a component, so run j's sum has
+    // expectation m_j·k(1 + H_C − H_k), m_j its arcs: Lemma 2.2 weighted
+    // by degree. The mean deviation over the R runs is within 3 standard
+    // errors (measured from the runs) of 0 but for a 0.3% chance.
+    let per_node = k * (1.0 + harmonic(C as u64) - harmonic(K as u64));
+    let dev: Vec<f64> = (0..R)
+        .map(|j| {
+            let nodes = j * C..(j + 1) * C;
+            let arcs: usize = nodes.clone().map(|v| gt.out_degree(v as NodeId)).sum();
+            scan_bound(&gt, nodes, len) as f64 - arcs as f64 * per_node
+        })
+        .collect();
+    let mean = dev.iter().sum::<f64>() / runs;
+    let sd = (dev.iter().map(|d| (d - mean).powi(2)).sum::<f64>() / (runs - 1.0)).sqrt();
+    let tol = 3.0 * sd / runs.sqrt();
+    assert!(
+        mean.abs() <= tol,
+        "Σ|ADS(v)|·deg(v) per run is off m·k(1 + H_C − H_k) by {mean:+.1}, beyond ±{tol:.1}"
+    );
+
+    // So the build scans O(k·m·ln n) arcs: H_C − H_k ≤ ln(C/k) puts the
+    // expectation at c·k·m·ln C with c = (1 + ln(C/k))/ln C = 0.665 here.
+    // This build reads Σ|ADS(v)|·deg(v) ÷ (k·m·ln C) = 0.658 and arc
+    // scans ÷ (k·m·ln C) = 0.194: most arcs a BFS level scans lead to
+    // nodes it has already seen, which cost no frontier decision.
 }
 
 /// The NRMSE of `estimates` of `truth` over independent runs, and its

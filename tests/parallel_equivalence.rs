@@ -75,7 +75,7 @@ fn assert_all_equivalent(g: &Graph, k: usize, ranks: &[f64], label: &str) -> (Bu
         "{label}: relax pruning increased relaxations ({} vs textbook {textbook})",
         stats.relaxations
     );
-    if g.is_unit_weight() {
+    if !g.is_weighted() {
         // The level-synchronous BFS settles everything it enqueues, and
         // every node the textbook search would settle is either enqueued
         // or relax-pruned, once.
@@ -113,7 +113,7 @@ fn weighted_digraphs() {
     // Heap path end to end (weights disqualify the BFS dispatch).
     for seed in 0..5u64 {
         let g = generators::random_weighted_digraph(50, 4, 0.5, 3.0, seed);
-        assert!(!g.is_unit_weight());
+        assert!(g.is_weighted());
         let ranks = uniform_ranks(50, seed + 200);
         assert_all_equivalent(&g, 4, &ranks, &format!("weighted seed {seed}"));
     }
@@ -149,7 +149,7 @@ fn zero_weight_tie_digraphs() {
             }
         }
         let g = Graph::directed_weighted(n, &arcs).unwrap();
-        assert!(!g.is_unit_weight());
+        assert!(g.is_weighted());
         let ranks = uniform_ranks(n, seed + 900);
         assert_all_equivalent(&g, 3, &ranks, &format!("zero-weight seed {seed}"));
     }
@@ -173,13 +173,14 @@ fn disconnected_components() {
 
 #[test]
 fn unit_weight_but_weighted_representation() {
-    // All-1.0 stored weights must take the BFS fast path and still agree.
+    // All-1.0 weights build the unweighted graph, so they take the BFS
+    // fast path and still agree.
     let edges: Vec<(u32, u32, f64)> = generators::gnp_edges(50, 0.08, 77)
         .into_iter()
         .map(|(u, v)| (u, v, 1.0))
         .collect();
     let g = Graph::undirected_weighted(50, &edges).unwrap();
-    assert!(g.is_weighted() && g.is_unit_weight());
+    assert!(!g.is_weighted());
     let ranks = uniform_ranks(50, 78);
     assert_all_equivalent(&g, 3, &ranks, "unit-weight weighted");
 }
