@@ -1,9 +1,9 @@
 //! The paper's experiments: the binaries that print them (`fig2`,
-//! `fig3`, `tbl_*`), the run loops those binaries share with the root
-//! package's `tests/paper_claims.rs` ([`experiments`]), and criterion
-//! benches. The README's "Benches and paper experiments" section indexes
-//! the binaries. Performance is measured by the standalone `benchmark/`
-//! package (`adsbench`), not here.
+//! `fig3`, `tbl_*`) and the run loops those binaries share with the root
+//! package's `tests/paper_claims.rs` ([`experiments`]). The README's
+//! "Paper experiments" section indexes the binaries. Performance is
+//! measured by the standalone `benchmark/` package (`adsbench`), not
+//! here; the times some binaries print are indicative only.
 
 #![forbid(unsafe_code)]
 

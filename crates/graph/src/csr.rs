@@ -83,13 +83,15 @@ impl Graph {
             if !(w.is_finite() && w >= 0.0) {
                 return Err(GraphError::InvalidWeight { weight: w });
             }
+            // `-0.0` passes the check above; store it as `+0.0`, so every
+            // stored weight's bit pattern orders like its value.
+            let w = if w == 0.0 { 0.0 } else { w };
             triples.push((u, v, w));
         }
         // Canonical adjacency order: sort by (src, dst, weight). The weight
         // participates so parallel arcs with different weights land in a
-        // deterministic order regardless of input order (weights are
-        // validated finite and non-negative above, so the bit pattern is
-        // order-preserving); `transpose` sorts the same way.
+        // deterministic order regardless of input order; `transpose` sorts
+        // by the same key.
         triples.sort_unstable_by_key(|a| (a.0, a.1, a.2.to_bits()));
         let mut offsets = vec![0usize; n + 1];
         for &(u, _, _) in &triples {
@@ -209,7 +211,7 @@ impl Graph {
                     .copied()
                     .zip(ws[lo..hi].iter().copied())
                     .collect();
-                pairs.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
+                pairs.sort_unstable_by_key(|a| (a.0, a.1.to_bits()));
                 for (i, (t, w)) in pairs.into_iter().enumerate() {
                     self.targets[lo + i] = t;
                     ws[lo + i] = w;
@@ -407,5 +409,20 @@ mod tests {
         // transpose).
         assert_eq!(fwd.transpose(), rev.transpose());
         assert_eq!(fwd.transpose().transpose(), fwd);
+    }
+
+    #[test]
+    fn negative_zero_weight_keeps_one_arc_order_through_transpose() {
+        // `-0.0` is a valid weight; `build` and `transpose` must still put
+        // parallel arcs in the same order, so a double transpose is the
+        // identity and `-0.0` builds the same graph as `+0.0`.
+        let g = Graph::directed_weighted(2, &[(0, 1, -0.0), (0, 1, 0.5)]).unwrap();
+        assert_eq!(g.transpose().transpose(), g);
+        let bits: Vec<u64> = g.arcs(0).map(|(_, w)| w.to_bits()).collect();
+        assert_eq!(bits, vec![0.0f64.to_bits(), 0.5f64.to_bits()]);
+        let pos = Graph::directed_weighted(2, &[(0, 1, 0.5), (0, 1, 0.0)]).unwrap();
+        assert_eq!(g, pos);
+        let und = Graph::undirected_weighted(2, &[(0, 1, 0.5), (1, 0, -0.0)]).unwrap();
+        assert_eq!(und.transpose(), und);
     }
 }

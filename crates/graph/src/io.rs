@@ -1,8 +1,8 @@
 //! Plain-text edge-list I/O.
 //!
 //! Format: one arc per line, `u v` or `u v w`, whitespace separated;
-//! blank lines and lines starting with `#` or `%` are ignored. Node count
-//! is `max id + 1` unless a larger count is given.
+//! blank lines and lines starting with `#` or `%` are ignored. The node
+//! count is `max id + 1` (0 for a file without arcs).
 
 use std::io::{BufRead, Write};
 
@@ -12,7 +12,7 @@ use crate::error::GraphError;
 /// A parsed edge list: arcs plus the inferred node count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EdgeList {
-    /// Number of nodes (max id + 1, or the explicit override).
+    /// Number of nodes: max id + 1 (0 for a list without arcs).
     pub num_nodes: usize,
     /// Arcs with their weights, `1.0` on unweighted lines (all-or-nothing:
     /// mixing weighted and unweighted lines is a parse error).

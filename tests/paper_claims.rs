@@ -5,7 +5,8 @@
 //! Barabási–Albert graphs at k = 16 go through the files an analyst
 //! keeps — v1, then v2, then a verified load, so the weights under test
 //! are the ones a v2 load derives — and are compared with
-//! `graph::exact`.
+//! `graph::exact`. The bottom-k claims also run on a graph read from a
+//! committed edge-list file, the way an analyst's graph arrives.
 //!
 //! One graph holds `R` disjoint Barabási–Albert components, each from
 //! its own seed. Ranks are drawn independently per node, so the
@@ -29,7 +30,7 @@ use adsketch::core::centrality::{self, DecayKernel};
 use adsketch::core::kmins::KMinsAds;
 use adsketch::core::kpartition::KPartitionAds;
 use adsketch::core::{uniform_ranks, FrozenAdsSet, StoreFormat};
-use adsketch::graph::{exact, generators, Graph, NodeId};
+use adsketch::graph::{exact, generators, io, Graph, NodeId};
 use adsketch::util::harmonic::{expected_kpartition_ads_size, harmonic};
 use adsketch::util::ranks::BaseB;
 use adsketch::util::stats::{cv_basic, cv_hip};
@@ -44,20 +45,25 @@ const C: usize = 200;
 /// Barabási–Albert attachment degree.
 const M: usize = 3;
 
-/// `R` disjoint BA(`C`, `M`) components, component `j` from seed `j`.
-fn components() -> Graph {
-    let edges: Vec<(NodeId, NodeId)> = (0..R)
+/// The edges of `r` disjoint BA(`c`, `m`) components, component `j`
+/// from seed `seed + j` on nodes `j·c .. (j+1)·c`.
+fn ba_component_edges(r: usize, c: usize, m: usize, seed: u64) -> Vec<(NodeId, NodeId)> {
+    (0..r)
         .flat_map(|j| {
-            let base = (j * C) as NodeId;
-            generators::barabasi_albert_edges(C, M, 0x9a9e_2014 + j as u64)
+            let base = (j * c) as NodeId;
+            generators::barabasi_albert_edges(c, m, seed + j as u64)
                 .into_iter()
                 .map(move |(u, v)| (base + u, base + v))
         })
-        .collect();
-    Graph::undirected(R * C, &edges).expect("valid ids")
+        .collect()
 }
 
-/// The sketches of [`components`], built (`AdsSet::build`'s ranks, with
+/// `R` disjoint BA(`C`, `M`) components, component `j` from seed `j`.
+fn components() -> Graph {
+    Graph::undirected(R * C, &ba_component_edges(R, C, M, 0x9a9e_2014)).expect("valid ids")
+}
+
+/// The sketches of `g`, built (`AdsSet::build`'s ranks, with
 /// the build's counters), written as v1, re-encoded as v2 and loaded back
 /// verified: every weight is one a v2 load derived.
 fn through_the_files(g: &Graph) -> (FrozenAdsSet, BuildStats) {
@@ -180,61 +186,108 @@ fn k_mins_and_k_partition_ads_sizes_match_lemma_2_2() {
 #[test]
 fn bottom_k_ads_sizes_and_hip_reachability_error_match_the_paper() {
     let (g, store, _) = sketched();
+    assert_bottom_k_claims(g, store, R, C);
+}
 
+/// Runs in the edge-list fixture: components.
+const FILE_R: usize = 120;
+/// Nodes per component in the edge-list fixture.
+const FILE_C: usize = 40;
+/// Barabási–Albert attachment degree in the edge-list fixture.
+const FILE_M: usize = 2;
+/// Component `j` of the edge-list fixture is generated from this + `j`.
+const FILE_SEED: u64 = 0xf11e_2014;
+
+/// The bottom-k claims on a graph that enters through the front door: an
+/// edge-list file read with `graph::io`, as an analyst's graph would.
+/// The committed file holds `FILE_R` disjoint BA(`FILE_C`, `FILE_M`)
+/// components, one line per undirected edge; it is rewritten only when
+/// `ADSKETCH_REGEN_FIXTURES` is set, like the golden store fixtures.
+#[test]
+fn bottom_k_claims_hold_on_an_edge_list_read_from_a_file() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/ba_components_r120_c40_m2.txt");
+    if std::env::var("ADSKETCH_REGEN_FIXTURES").is_ok() {
+        use std::fmt::Write;
+        let mut text = format!(
+            "# {FILE_R} disjoint Barabasi-Albert components, {FILE_C} nodes each, attachment degree {FILE_M}.\n\
+             # Component j: generators::barabasi_albert_edges({FILE_C}, {FILE_M}, {FILE_SEED:#x} + j) on nodes j*{FILE_C} .. (j+1)*{FILE_C}.\n\
+             % One undirected edge `u v` per line; rewritten by tests/paper_claims.rs under ADSKETCH_REGEN_FIXTURES.\n\n"
+        );
+        for (u, v) in ba_component_edges(FILE_R, FILE_C, FILE_M, FILE_SEED) {
+            writeln!(text, "{u} {v}").unwrap();
+        }
+        std::fs::write(&path, text).unwrap();
+    }
+    let file = std::fs::File::open(&path).expect("committed edge-list fixture");
+    let g = io::read_edge_list(std::io::BufReader::new(file))
+        .expect("fixture parses")
+        .into_undirected()
+        .expect("fixture ids are valid");
+    assert_eq!(g.num_nodes(), FILE_R * FILE_C);
+    let (store, _) = through_the_files(&g);
+    assert_bottom_k_claims(&g, &store, FILE_R, FILE_C);
+}
+
+/// Lemma 2.2's mean bottom-k ADS size, the HIP reachability NRMSE bound
+/// (Theorem 5.1) and the HIP bias, on `r` disjoint components of `c`
+/// nodes each (component `j` on nodes `j·c .. (j+1)·c`), one run per
+/// component.
+fn assert_bottom_k_claims(g: &Graph, store: &FrozenAdsSet, r: usize, c: usize) {
     // Exact truth: a BA graph is connected, so every node of a component
     // reaches exactly its component.
-    let truth: Vec<u64> = (0..R)
-        .map(|j| exact::neighborhood_function(g, (j * C) as NodeId).reachable())
+    let truth: Vec<u64> = (0..r)
+        .map(|j| exact::neighborhood_function(g, (j * c) as NodeId).reachable())
         .collect();
-    assert!(truth.iter().all(|&t| t == C as u64), "{truth:?}");
+    assert!(truth.iter().all(|&t| t == c as u64), "{truth:?}");
 
     // Lemma 2.2: a bottom-k ADS over n reachable nodes holds on average
     // Σ_i min(1, k/i) = k + k(H_n − H_k) entries. Entry i > k is in
     // with probability k/i, independently of the others (its rank's
     // place among the first i is uniform and independent of theirs), so
     // one sketch's size has variance Σ_{i>k} (k/i)(1 − k/i). Counting
-    // one draw per run, the mean over R runs is within 3 standard errors
+    // one draw per run, the mean over r runs is within 3 standard errors
     // of the expectation but for a 0.3% chance.
-    let expected = K as f64 + K as f64 * (harmonic(C as u64) - harmonic(K as u64));
-    let var: f64 = (K + 1..=C)
+    let expected = K as f64 + K as f64 * (harmonic(c as u64) - harmonic(K as u64));
+    let var: f64 = (K + 1..=c)
         .map(|i| K as f64 / i as f64 * (1.0 - K as f64 / i as f64))
         .sum();
-    let mean = store.num_entries() as f64 / (R * C) as f64;
-    let tol = 3.0 * (var / R as f64).sqrt();
+    let mean = store.num_entries() as f64 / (r * c) as f64;
+    let tol = 3.0 * (var / r as f64).sqrt();
     assert!(
         (mean - expected).abs() <= tol,
         "mean ADS size {mean:.3}, Lemma 2.2 expects {expected:.3} ± {tol:.3}"
     );
 
-    let errors: Vec<f64> = (0..(R * C) as NodeId)
-        .map(|v| store.hip(v).reachable_estimate() / truth[v as usize / C] as f64 - 1.0)
+    let errors: Vec<f64> = (0..(r * c) as NodeId)
+        .map(|v| store.hip(v).reachable_estimate() / truth[v as usize / c] as f64 - 1.0)
         .collect();
 
     // Theorem 5.1: the HIP estimate of a reachability count has CV at
-    // most 1/√(2(k−1)). An NRMSE over R independent runs is off its
-    // expectation by about 1/√(2R) of itself (the relative standard
-    // error of a root mean square of R normal errors; averaging over a
+    // most 1/√(2(k−1)). An NRMSE over r independent runs is off its
+    // expectation by about 1/√(2r) of itself (the relative standard
+    // error of a root mean square of r normal errors; averaging over a
     // run's nodes only lowers it), so the measured NRMSE stays below the
-    // bound times 1 + 3/√(2R) but for a 0.3% chance.
+    // bound times 1 + 3/√(2r) but for a 0.3% chance.
     let nrmse = (errors.iter().map(|e| e * e).sum::<f64>() / errors.len() as f64).sqrt();
-    let slack = 1.0 + 3.0 / (2.0 * R as f64).sqrt();
+    let slack = 1.0 + 3.0 / (2.0 * r as f64).sqrt();
     assert!(
         nrmse <= cv_hip(K) * slack,
-        "HIP reachability NRMSE {nrmse:.4} over {R} runs exceeds cv_hip({K}) = {:.4} × {slack:.3}",
+        "HIP reachability NRMSE {nrmse:.4} over {r} runs exceeds cv_hip({K}) = {:.4} × {slack:.3}",
         cv_hip(K)
     );
 
     // Section 5: every adjusted weight has expectation 1, so the HIP
     // estimate is unbiased. A run's mean relative error has standard
-    // deviation at most the CV bound, so the mean over R runs is within
-    // 3·cv_hip(k)/√R of 0 but for a 0.3% chance. (A τ one rank too low
+    // deviation at most the CV bound, so the mean over r runs is within
+    // 3·cv_hip(k)/√r of 0 but for a 0.3% chance. (A τ one rank too low
     // inflates every weight past the k-th entry by ≈ (k−1)/(k−2): a
     // bias this catches and the NRMSE bound does not at this size.)
     let bias = errors.iter().sum::<f64>() / errors.len() as f64;
-    let tol = 3.0 * cv_hip(K) / (R as f64).sqrt();
+    let tol = 3.0 * cv_hip(K) / (r as f64).sqrt();
     assert!(
         bias.abs() <= tol,
-        "HIP reachability mean relative error {bias:+.4} over {R} runs exceeds ±{tol:.4}"
+        "HIP reachability mean relative error {bias:+.4} over {r} runs exceeds ±{tol:.4}"
     );
 }
 
